@@ -8,9 +8,11 @@
 
 use crate::config::DispatchConfig;
 use crate::order::Order;
-use crate::route::{plan_optimal_route, EvaluatedRoute, PlannedOrder};
+use crate::route::{
+    engine_legs, plan_on_table, plan_optimal_route, EvaluatedRoute, LegTable, PlannedOrder,
+};
 use crate::vehicle::VehicleSnapshot;
-use foodmatch_roadnet::{Duration, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
 
 /// Shortest delivery time of an order (Definition 6): preparation time plus
 /// the quickest path from restaurant to customer, evaluated at `t`.
@@ -25,6 +27,25 @@ pub fn shortest_delivery_time(
     Some(order.prep_time + sp)
 }
 
+/// The vehicle's committed orders followed by `extra` (all pending), in the
+/// order the planner branches over them.
+fn planned_orders(vehicle: &VehicleSnapshot, extra: &[Order]) -> Vec<PlannedOrder> {
+    let mut planned: Vec<PlannedOrder> = vehicle
+        .committed
+        .iter()
+        .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
+        .collect();
+    offer(&mut planned, vehicle.committed.len(), extra);
+    planned
+}
+
+/// Replaces whatever follows the first `committed` entries of `planned` with
+/// the orders of `extra`, all pending.
+fn offer(planned: &mut Vec<PlannedOrder>, committed: usize, extra: &[Order]) {
+    planned.truncate(committed);
+    planned.extend(extra.iter().copied().map(PlannedOrder::pending));
+}
+
 /// The quickest route plan (and its XDT cost) for a vehicle serving its
 /// committed orders plus `extra`, starting from its snapped location at `t`.
 ///
@@ -36,13 +57,7 @@ pub fn vehicle_plan(
     engine: &ShortestPathEngine,
     t: TimePoint,
 ) -> Option<EvaluatedRoute> {
-    let mut planned: Vec<PlannedOrder> = vehicle
-        .committed
-        .iter()
-        .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
-        .collect();
-    planned.extend(extra.iter().copied().map(PlannedOrder::pending));
-    plan_optimal_route(vehicle.location, t, &planned, engine)
+    plan_optimal_route(vehicle.location, t, &planned_orders(vehicle, extra), engine)
 }
 
 /// `Cost(v, O_v)` (Eq. 4): the total XDT of the vehicle's committed orders
@@ -113,25 +128,158 @@ pub fn marginal_cost(
     t: TimePoint,
     config: &DispatchConfig,
 ) -> MarginalCost {
+    marginal_costs(vehicle, &[extra], engine, t, config).pop().expect("one price per batch")
+}
+
+/// Travel times from one vehicle's location to every stop it is priced
+/// against this window — the vehicle's row of each of its leg tables — from
+/// a single one-to-many sweep: one bounded search for all memo misses,
+/// where per-batch point queries would run one search each.
+struct StartRow {
+    /// Sorted and distinct, so a lookup is a binary search.
+    stops: Vec<NodeId>,
+    secs: Vec<f64>,
+}
+
+impl StartRow {
+    fn sweep(
+        from: NodeId,
+        mut stops: Vec<NodeId>,
+        engine: &ShortestPathEngine,
+        t: TimePoint,
+    ) -> Self {
+        stops.sort_unstable();
+        stops.dedup();
+        let mut secs = vec![f64::INFINITY; stops.len()];
+        engine_legs(engine, t)(from, &stops, &mut secs);
+        StartRow { stops, secs }
+    }
+
+    fn secs_to(&self, stop: NodeId) -> f64 {
+        self.secs[self.stops.binary_search(&stop).expect("every priced stop was swept")]
+    }
+}
+
+/// [`marginal_cost`] of every batch in `extras` for one vehicle, in three
+/// steps so that the oracle is asked once, not once per batch:
+///
+/// 1. one sweep from the vehicle to the stops of its committed orders and of
+///    every batch it has the capacity for ([`StartRow`]);
+/// 2. `Cost(v, O_v)`, planned once, and one [`LegTable`] per batch that is
+///    still in the running — the committed block is filled once and cloned,
+///    the start row comes from the sweep, the stop → stop legs from the
+///    engine's `(source, target)` memo;
+/// 3. pricing: one `Cost(v, O_v ∪ batch)` plan per table, reading nothing
+///    else.
+///
+/// A batch drops out capacity → first mile → base → with-extra, the order a
+/// lone [`marginal_cost`] call has always checked in.
+pub(crate) fn marginal_costs(
+    vehicle: &VehicleSnapshot,
+    extras: &[&[Order]],
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    config: &DispatchConfig,
+) -> Vec<MarginalCost> {
+    let mut planned = planned_orders(vehicle, &[]);
+    let committed = planned.len();
+    let takeable = |extra: &[Order]| !extra.is_empty() && vehicle.can_take(extra, config);
+
+    let committed_stops = planned.iter().flat_map(|p| {
+        (!p.picked_up).then_some(p.order.restaurant).into_iter().chain([p.order.customer])
+    });
+    let offered_stops = extras
+        .iter()
+        .filter(|extra| takeable(extra))
+        .flat_map(|extra| extra.iter().flat_map(|o| [o.restaurant, o.customer]));
+    let start_row = StartRow::sweep(
+        vehicle.location,
+        committed_stops.chain(offered_stops).collect(),
+        engine,
+        t,
+    );
+    // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
+    // distance (§V-B): pairs beyond it are priced at Ω without planning.
+    let within_first_mile = |extra: &[Order]| {
+        let nearest_new_pickup =
+            extra.iter().map(|o| start_row.secs_to(o.restaurant)).fold(f64::INFINITY, f64::min);
+        nearest_new_pickup <= config.max_first_mile.as_secs_f64()
+    };
+
+    let mut from_engine = engine_legs(engine, t);
+    let mut legs = |from: NodeId, to: &[NodeId], out: &mut [f64]| {
+        if from == vehicle.location {
+            to.iter().zip(out).for_each(|(&stop, secs)| *secs = start_row.secs_to(stop));
+        } else {
+            from_engine(from, to, out);
+        }
+    };
+    let mut base_table = LegTable::new(Some(vehicle.location));
+    base_table.extend(&planned, &mut legs);
+    let Some(base) = plan_on_table(&base_table, t, &planned).map(|route| route.cost_secs) else {
+        return vec![MarginalCost::Infeasible; extras.len()];
+    };
+
+    // Far-away batches must drop out *before* their table is built: their
+    // stop → stop legs are one-off memo misses, a search each.
+    let tables: Vec<Option<LegTable>> = extras
+        .iter()
+        .map(|extra| {
+            (takeable(extra) && within_first_mile(extra)).then(|| {
+                let mut table = base_table.clone();
+                offer(&mut planned, committed, extra);
+                table.extend(&planned[committed..], &mut legs);
+                table
+            })
+        })
+        .collect();
+
+    extras
+        .iter()
+        .zip(&tables)
+        .map(|(extra, table)| {
+            let Some(table) = table else { return MarginalCost::Infeasible };
+            offer(&mut planned, committed, extra);
+            match plan_on_table(table, t, &planned) {
+                Some(route) => MarginalCost::Feasible { cost_secs: route.cost_secs - base, route },
+                None => MarginalCost::Infeasible,
+            }
+        })
+        .collect()
+}
+
+/// `marginal_cost` as it was before the leg table: point queries for the
+/// first mile, then the committed set and the extended set each planned from
+/// scratch by the enumerating reference planner. What [`marginal_costs`] must
+/// reproduce, price for price.
+#[cfg(test)]
+pub(crate) fn reference_marginal_cost(
+    vehicle: &VehicleSnapshot,
+    extra: &[Order],
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    config: &DispatchConfig,
+) -> MarginalCost {
+    use crate::route::reference::plan_route_inner;
     if extra.is_empty() {
         return MarginalCost::Infeasible;
     }
     if !vehicle.can_take(extra, config) {
         return MarginalCost::Infeasible;
     }
-    // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
-    // distance (§V-B): price pairs beyond it at Ω without planning.
     let nearest_new_pickup =
         extra.iter().filter_map(|o| engine.travel_time(vehicle.location, o.restaurant, t)).min();
     match nearest_new_pickup {
         Some(first_mile) if first_mile <= config.max_first_mile => {}
         _ => return MarginalCost::Infeasible,
     }
-
-    let Some(base) = vehicle_cost(vehicle, engine, t) else {
+    let plan = |extra| {
+        plan_route_inner(Some(vehicle.location), t, &planned_orders(vehicle, extra), engine)
+    };
+    let Some(base) = plan(&[]).map(|r| r.cost_secs) else {
         return MarginalCost::Infeasible;
     };
-    let Some(with_extra) = vehicle_plan(vehicle, extra, engine, t) else {
+    let Some(with_extra) = plan(extra) else {
         return MarginalCost::Infeasible;
     };
     MarginalCost::Feasible { cost_secs: with_extra.cost_secs - base, route: with_extra }
@@ -143,7 +291,7 @@ mod tests {
     use crate::order::OrderId;
     use crate::vehicle::{CommittedOrder, VehicleId};
     use foodmatch_roadnet::generators::GridCityBuilder;
-    use foodmatch_roadnet::{CongestionProfile, NodeId, RoadClass};
+    use foodmatch_roadnet::{CongestionProfile, RoadClass};
 
     fn setup() -> (ShortestPathEngine, GridCityBuilder) {
         let b =

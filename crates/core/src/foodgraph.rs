@@ -15,7 +15,8 @@
 
 use crate::batching::Batch;
 use crate::config::DispatchConfig;
-use crate::cost::{marginal_cost, MarginalCost};
+use crate::cost::{marginal_costs, MarginalCost};
+use crate::order::Order;
 use crate::parallel::parallel_map;
 use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
@@ -137,7 +138,9 @@ struct VehicleEdges {
 }
 
 /// Computes the FoodGraph edges of one vehicle (the body of Algorithm 2's
-/// outer loop).
+/// outer loop) in three phases: *collect* the candidate rows, *build* the
+/// vehicle's leg tables from one oracle sweep, *price* every candidate from
+/// the tables (the last two inside [`marginal_costs`]).
 #[allow(clippy::too_many_arguments)]
 fn vehicle_edges(
     col: usize,
@@ -149,46 +152,52 @@ fn vehicle_edges(
     config: &DispatchConfig,
     degree_cap: usize,
 ) -> VehicleEdges {
-    let mut entries = Vec::new();
-    let mut evaluations = 0;
-
     // A vehicle with no spare capacity cannot take any batch; skip the
     // expansion entirely and leave every edge at Ω.
     if !vehicle.has_capacity(config) {
-        return VehicleEdges { col, entries, evaluations };
+        return VehicleEdges { col, entries: Vec::new(), evaluations: 0 };
     }
 
-    let mut evaluate = |row: usize, entries: &mut Vec<(usize, f64, Option<EvaluatedRoute>)>| {
-        let batch = &batches[row];
-        evaluations += 1;
-        match marginal_cost(vehicle, &batch.orders, engine, t, config) {
-            MarginalCost::Feasible { cost_secs, route } => {
-                // Incumbency tie-break: when reshuffling re-offers orders the
-                // vehicle already holds, near-equal costs must not bounce the
-                // order to a different vehicle every window (that would reset
-                // its first mile forever). A small bonus per already-held
-                // order keeps ties with the incumbent without overriding any
-                // genuine improvement.
-                let incumbency =
-                    batch.orders.iter().filter(|o| vehicle.tentative.contains(&o.id)).count()
-                        as f64;
-                let weight = (cost_secs - INCUMBENCY_BONUS_SECS * incumbency)
-                    .min(config.rejection_penalty_secs);
-                entries.push((row, weight, Some(route)));
-            }
-            MarginalCost::Infeasible => {
-                // Leave the implicit Ω edge in place.
-            }
-        }
-    };
+    let rows = candidate_rows(vehicle, batches, batches_by_start, engine, t, config, degree_cap);
+    let offered: Vec<&[Order]> = rows.iter().map(|&row| batches[row].orders.as_slice()).collect();
+    let priced = marginal_costs(vehicle, &offered, engine, t, config);
 
+    let mut entries = Vec::new();
+    for ((&row, extra), price) in rows.iter().zip(offered).zip(priced) {
+        // Infeasible pairs keep the implicit Ω edge.
+        if let MarginalCost::Feasible { cost_secs, route } = price {
+            // Incumbency tie-break: when reshuffling re-offers orders the
+            // vehicle already holds, near-equal costs must not bounce the
+            // order to a different vehicle every window (that would reset
+            // its first mile forever). A small bonus per already-held
+            // order keeps ties with the incumbent without overriding any
+            // genuine improvement.
+            let incumbency =
+                extra.iter().filter(|o| vehicle.tentative.contains(&o.id)).count() as f64;
+            let weight =
+                (cost_secs - INCUMBENCY_BONUS_SECS * incumbency).min(config.rejection_penalty_secs);
+            entries.push((row, weight, Some(route)));
+        }
+    }
+    VehicleEdges { col, entries, evaluations: rows.len() }
+}
+
+/// The batch rows one vehicle gets a marginal-cost evaluation for, in
+/// evaluation order: every row for the dense graph, otherwise the first
+/// `degree_cap` batches a best-first expansion from the vehicle reaches.
+fn candidate_rows(
+    vehicle: &VehicleSnapshot,
+    batches: &[Batch],
+    batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    config: &DispatchConfig,
+    degree_cap: usize,
+) -> Vec<usize> {
     if degree_cap == usize::MAX || degree_cap >= batches.len() {
         // Dense construction: evaluate every batch (the vanilla-KM path and
         // the "no BFS" ablation).
-        for row in 0..batches.len() {
-            evaluate(row, &mut entries);
-        }
-        return VehicleEdges { col, entries, evaluations };
+        return (0..batches.len()).collect();
     }
 
     // Sparsified construction (Algorithm 2): best-first expansion from the
@@ -221,9 +230,9 @@ fn vehicle_edges(
         Expansion::new_in(network, vehicle.location, t, &mut space)
     };
 
-    let mut degree = 0usize;
+    let mut rows = Vec::new();
     for settled in expansion {
-        if degree >= degree_cap {
+        if rows.len() >= degree_cap {
             break;
         }
         // Stop expanding once even the straight-line quickest path exceeds
@@ -231,17 +240,11 @@ fn vehicle_edges(
         if !use_angular && settled.travel_time > config.max_first_mile {
             break;
         }
-        let Some(rows) = batches_by_start.get(&settled.node) else { continue };
-        for &row in rows {
-            if degree >= degree_cap {
-                break;
-            }
-            degree += 1;
-            evaluate(row, &mut entries);
-        }
+        let Some(starting_here) = batches_by_start.get(&settled.node) else { continue };
+        let room = degree_cap - rows.len();
+        rows.extend(starting_here.iter().take(room));
     }
-
-    VehicleEdges { col, entries, evaluations }
+    rows
 }
 
 #[cfg(test)]
@@ -409,6 +412,115 @@ mod tests {
             config.rejection_penalty_secs,
             "west batch should be pruned"
         );
+    }
+
+    /// The FoodGraph as it was built before the per-vehicle leg table: the
+    /// same candidate rows, each priced by its own reference
+    /// `marginal_cost` call.
+    fn per_pair_reference(
+        batches: &[Batch],
+        vehicles: &[VehicleSnapshot],
+        engine: &ShortestPathEngine,
+        t: TimePoint,
+        config: &DispatchConfig,
+    ) -> FoodGraph {
+        let omega = config.rejection_penalty_secs;
+        let mut graph = FoodGraph {
+            vehicle_ids: vehicles.iter().map(|v| v.id).collect(),
+            costs: SparseCostMatrix::new(batches.len(), vehicles.len(), omega),
+            routes: HashMap::new(),
+            evaluations: 0,
+        };
+        let mut by_start: HashMap<NodeId, Vec<usize>> = HashMap::new();
+        for (row, batch) in batches.iter().enumerate() {
+            by_start.entry(batch.first_pickup()).or_default().push(row);
+        }
+        let cap = config.degree_cap(batches.len(), vehicles.len());
+        for (col, vehicle) in vehicles.iter().enumerate() {
+            if !vehicle.has_capacity(config) {
+                continue;
+            }
+            for row in candidate_rows(vehicle, batches, &by_start, engine, t, config, cap) {
+                graph.evaluations += 1;
+                let orders = &batches[row].orders;
+                let price =
+                    crate::cost::reference_marginal_cost(vehicle, orders, engine, t, config);
+                if let MarginalCost::Feasible { cost_secs, route } = price {
+                    let held = orders.iter().filter(|o| vehicle.tentative.contains(&o.id)).count();
+                    let weight = (cost_secs - INCUMBENCY_BONUS_SECS * held as f64).min(omega);
+                    graph.costs.set(row, col, weight);
+                    graph.routes.insert((row, col), route);
+                }
+            }
+        }
+        graph
+    }
+
+    #[test]
+    fn graph_equals_the_per_pair_reference() {
+        // Rush-hour congestion on a grid with arterials: uneven weights, so
+        // nothing ties by accident.
+        let b = GridCityBuilder::new(9, 9);
+        let engine = ShortestPathEngine::cached(b.build());
+        let t = TimePoint::from_hms(19, 30, 0);
+        let at = |i: usize| b.node_at(i * 5 % 9, i * 7 % 9);
+        let order = |id: u64, r: NodeId, c: NodeId| {
+            let placed_at = t - Duration::from_mins((id % 4) as f64);
+            Order::new(OrderId(id), r, c, placed_at, 1, Duration::from_mins(8.0))
+        };
+        let orders: Vec<Order> = (0..18)
+            // Restaurants repeat (i % 6), customers mostly do not.
+            .map(|i| order(i as u64, at(i % 6), at(i + 11)))
+            .collect();
+        let batching =
+            DispatchConfig { batching_threshold: Duration::from_mins(10.0), ..Default::default() };
+        let batches = crate::batching::batch_orders(&orders, &engine, t, &batching).batches;
+        assert!(batches.iter().any(|batch| batch.len() > 1), "want a multi-order batch");
+
+        let committed = |id: u64, r: usize, c: usize, picked_up: bool| {
+            crate::vehicle::CommittedOrder { order: order(100 + id, at(r), at(c)), picked_up }
+        };
+        let mut vehicles = vehicles_at(&(0..14).map(|i| at(3 * i + 1)).collect::<Vec<_>>());
+        vehicles[1].location = orders[0].restaurant; // standing on a batch's first pickup
+        vehicles[2].committed = vec![committed(0, 2, 20, false)];
+        vehicles[3].committed = vec![committed(1, 4, 21, true)];
+        vehicles[4].committed = vec![committed(2, 3, 22, false), committed(3, 5, 23, true)];
+        vehicles[4].location = vehicles[4].committed[0].order.restaurant; // standing on its own stop
+        vehicles[5].committed = vec![committed(4, 1, 24, true)];
+        vehicles[5].location = orders[1].restaurant; // loaded *and* on a batch's restaurant
+        vehicles[6].committed = (5..8).map(|i| committed(i, 0, 25, true)).collect(); // full
+        vehicles[7].tentative = vec![orders[2].id, orders[3].id];
+        for (i, vehicle) in vehicles.iter_mut().enumerate().skip(8) {
+            vehicle.heading = Some(at(i + 2));
+        }
+        vehicles[9].committed = vec![committed(8, 6, 26, false)];
+
+        let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
+        let plain =
+            DispatchConfig { k_factor: 5.0, use_angular_distance: false, ..Default::default() };
+        let angular = DispatchConfig { k_factor: 5.0, ..Default::default() };
+        // A first-mile bound some batches fail, so that pairs drop out at
+        // each of capacity, first mile and planning.
+        let tight = DispatchConfig { max_first_mile: Duration::from_mins(4.0), ..dense.clone() };
+        for (name, config) in
+            [("dense", dense), ("plain", plain), ("angular", angular), ("tight", tight)]
+        {
+            for num_threads in [1, 4] {
+                let config = DispatchConfig { num_threads, ..config.clone() };
+                let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
+                let reference = per_pair_reference(&batches, &vehicles, &engine, t, &config);
+                let what = format!("{name}, {num_threads} threads");
+                assert_eq!(graph.evaluations, reference.evaluations, "{what}");
+                assert!(graph.explicit_edges() < graph.evaluations, "{what}: all feasible");
+                assert_eq!(graph.routes, reference.routes, "{what}");
+                for row in 0..batches.len() {
+                    for col in 0..vehicles.len() {
+                        let (got, want) = (graph.cost(row, col), reference.cost(row, col));
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what}: ({row}, {col})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,6 +194,140 @@ impl EvaluatedRoute {
     }
 }
 
+/// Most orders one plan may hold: the search is exhaustive (the paper's
+/// `MAXO` is 3).
+const MAX_PLAN_ORDERS: usize = 5;
+const MAX_PLAN_STOPS: usize = 2 * MAX_PLAN_ORDERS;
+/// Distinct nodes one plan can touch: every stop plus the start.
+const MAX_PLAN_NODES: usize = MAX_PLAN_STOPS + 1;
+
+/// Everything the planner needs from the oracle for one set of orders: the
+/// travel times between the ≤ 11 nodes the tour can touch, and each order's
+/// restaurant → customer leg for its SDT (Definition 6). Seconds, with
+/// `f64::INFINITY` for "unreachable" (the engine memo's encoding).
+///
+/// Rows are "from", columns are "to". The start node has a row but **no
+/// column**: no tour returns to where the vehicle stands, and because
+/// vehicles move every window a stop → start leg would be a fresh Dijkstra
+/// each time. The one exception is a vehicle standing *on* a stop node (at
+/// the restaurant or customer): start and stop then intern to index 0 and
+/// that column is filled like any other stop's.
+#[derive(Clone)]
+pub(crate) struct LegTable {
+    nodes: [NodeId; MAX_PLAN_NODES],
+    len: usize,
+    /// Whether `nodes[0]` is the vehicle's position (`false` for free-start
+    /// plans, where every node is a stop).
+    anchored: bool,
+    start_is_stop: bool,
+    secs: [[f64; MAX_PLAN_NODES]; MAX_PLAN_NODES],
+    orders: usize,
+    /// Per order: the table index of its restaurant (unset while the food is
+    /// on board) and of its customer.
+    pickup: [usize; MAX_PLAN_ORDERS],
+    dropoff: [usize; MAX_PLAN_ORDERS],
+    sdt_leg_secs: [f64; MAX_PLAN_ORDERS],
+}
+
+impl LegTable {
+    /// An empty table for plans starting at `start` (`None`: free start).
+    pub(crate) fn new(start: Option<NodeId>) -> Self {
+        LegTable {
+            nodes: [start.unwrap_or(NodeId(0)); MAX_PLAN_NODES],
+            len: usize::from(start.is_some()),
+            anchored: start.is_some(),
+            start_is_stop: false,
+            secs: [[f64::INFINITY; MAX_PLAN_NODES]; MAX_PLAN_NODES],
+            orders: 0,
+            pickup: [0; MAX_PLAN_ORDERS],
+            dropoff: [0; MAX_PLAN_ORDERS],
+            sdt_leg_secs: [f64::INFINITY; MAX_PLAN_ORDERS],
+        }
+    }
+
+    /// Appends `orders` to the plan and fills exactly the legs they add:
+    /// `legs(from, to, out)` must write `SP(from, to[j], t)` to `out[j]`.
+    /// Legs among nodes already present are kept, so a vehicle's committed
+    /// block is filled once and cloned per candidate batch.
+    ///
+    /// # Panics
+    /// Panics if the table would hold more than five orders.
+    pub(crate) fn extend(
+        &mut self,
+        orders: &[PlannedOrder],
+        mut legs: impl FnMut(NodeId, &[NodeId], &mut [f64]),
+    ) {
+        assert!(
+            self.orders + orders.len() <= MAX_PLAN_ORDERS,
+            "exhaustive route planning is limited to {MAX_PLAN_ORDERS} orders, got {}",
+            self.orders + orders.len()
+        );
+        let old_len = self.len;
+        let old_first = self.first_column();
+        for (k, planned) in (self.orders..).zip(orders) {
+            if !planned.picked_up {
+                self.pickup[k] = self.intern(planned.order.restaurant);
+            }
+            self.dropoff[k] = self.intern(planned.order.customer);
+        }
+        let first = self.first_column();
+        for i in 0..self.len {
+            // Rows that predate this call already hold their old columns…
+            let new_columns = if i < old_len { old_len..self.len } else { first..self.len };
+            if !new_columns.is_empty() {
+                let to = &self.nodes[new_columns.clone()];
+                legs(self.nodes[i], to, &mut self.secs[i][new_columns]);
+            }
+            // …except the start column, when a new stop just landed on the
+            // start node and turned index 0 into a destination.
+            if i < old_len && first < old_first {
+                legs(self.nodes[i], &self.nodes[..1], &mut self.secs[i][..1]);
+            }
+        }
+        for (k, planned) in (self.orders..).zip(orders) {
+            self.sdt_leg_secs[k] = if planned.picked_up {
+                // The restaurant of an on-board order is not a stop.
+                let mut leg = [f64::INFINITY];
+                legs(planned.order.restaurant, &[planned.order.customer], &mut leg);
+                leg[0]
+            } else {
+                self.secs[self.pickup[k]][self.dropoff[k]]
+            };
+        }
+        self.orders += orders.len();
+    }
+
+    /// Linear intern: at most 11 nodes, so a scan beats any map.
+    fn intern(&mut self, node: NodeId) -> usize {
+        if let Some(index) = self.nodes[..self.len].iter().position(|&n| n == node) {
+            self.start_is_stop |= self.anchored && index == 0;
+            return index;
+        }
+        self.nodes[self.len] = node;
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// The first node that is a destination: everything but a start node no
+    /// stop sits on.
+    fn first_column(&self) -> usize {
+        usize::from(self.anchored && !self.start_is_stop)
+    }
+}
+
+/// The engine as a [`LegTable::extend`] leg source: one `(source, target)`
+/// memo probe per leg, one bounded search per row for whatever misses.
+pub(crate) fn engine_legs(
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+) -> impl FnMut(NodeId, &[NodeId], &mut [f64]) + '_ {
+    move |from, to, out| {
+        for (secs, leg) in out.iter_mut().zip(engine.travel_times_to_many(from, to, t)) {
+            *secs = leg.map_or(f64::INFINITY, Duration::as_secs_f64);
+        }
+    }
+}
+
 /// Plans the quickest route for `orders` starting from `start` at
 /// `start_time`.
 ///
@@ -209,7 +343,9 @@ pub fn plan_optimal_route(
     orders: &[PlannedOrder],
     engine: &ShortestPathEngine,
 ) -> Option<EvaluatedRoute> {
-    plan_route_inner(Some(start), start_time, orders, engine)
+    let mut table = LegTable::new(Some(start));
+    table.extend(orders, engine_legs(engine, start_time));
+    plan_on_table(&table, start_time, orders)
 }
 
 /// Plans the quickest route where the vehicle is assumed to already stand at
@@ -220,89 +356,66 @@ pub fn plan_optimal_route_free_start(
     orders: &[PlannedOrder],
     engine: &ShortestPathEngine,
 ) -> Option<EvaluatedRoute> {
-    plan_route_inner(None, start_time, orders, engine)
+    let mut table = LegTable::new(None);
+    table.extend(orders, engine_legs(engine, start_time));
+    plan_on_table(&table, start_time, orders)
 }
 
-fn plan_route_inner(
-    start: Option<NodeId>,
+/// The planner proper: a branch-and-bound over the feasible stop
+/// permutations of `orders` that reads travel times only from `table`
+/// (which must have been extended with exactly these orders) and allocates
+/// nothing until it returns the winner.
+pub(crate) fn plan_on_table(
+    table: &LegTable,
     start_time: TimePoint,
     orders: &[PlannedOrder],
-    engine: &ShortestPathEngine,
 ) -> Option<EvaluatedRoute> {
-    assert!(
-        orders.len() <= 5,
-        "exhaustive route planning is limited to 5 orders, got {}",
-        orders.len()
-    );
-
-    if orders.is_empty() {
-        let node = start.unwrap_or(NodeId(0));
-        return Some(EvaluatedRoute {
-            plan: RoutePlan::empty(),
-            cost_secs: 0.0,
-            driving_time: Duration::ZERO,
-            waiting_time: Duration::ZERO,
-            deliveries: Vec::new(),
-            start_node: node,
-            finish_at: start_time,
-        });
-    }
-
-    // Gather the distinct nodes the tour can touch and build a small
-    // travel-time matrix over them with one one-to-many query per node.
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut index_of = HashMap::new();
-    let intern = |node: NodeId, nodes: &mut Vec<NodeId>, index_of: &mut HashMap<NodeId, usize>| {
-        *index_of.entry(node).or_insert_with(|| {
-            nodes.push(node);
-            nodes.len() - 1
-        })
-    };
-    if let Some(s) = start {
-        intern(s, &mut nodes, &mut index_of);
-    }
-    for planned in orders {
-        if !planned.picked_up {
-            intern(planned.order.restaurant, &mut nodes, &mut index_of);
-        }
-        intern(planned.order.customer, &mut nodes, &mut index_of);
-    }
-
-    let mut matrix = vec![vec![None; nodes.len()]; nodes.len()];
-    for (i, &from) in nodes.iter().enumerate() {
-        let row = engine.travel_times_to_many(from, &nodes, start_time);
-        for (j, d) in row.into_iter().enumerate() {
-            matrix[i][j] = d.map(|d| d.as_secs_f64());
-        }
-    }
-
+    assert_eq!(table.orders, orders.len(), "leg table built for a different order set");
     // Shortest delivery time per order (Definition 6), needed for XDT.
-    let mut sdt_secs = Vec::with_capacity(orders.len());
-    for planned in orders {
-        let sp = engine
-            .travel_time(planned.order.restaurant, planned.order.customer, start_time)?
-            .as_secs_f64();
-        sdt_secs.push(planned.order.prep_time.as_secs_f64() + sp);
+    let mut sdt_secs = [0.0; MAX_PLAN_ORDERS];
+    for (i, planned) in orders.iter().enumerate() {
+        let leg = table.sdt_leg_secs[i];
+        if leg == f64::INFINITY {
+            return None;
+        }
+        sdt_secs[i] = planned.order.prep_time.as_secs_f64() + leg;
     }
 
+    let unset_stop = Stop { order: OrderId(0), node: NodeId(0), action: StopAction::Pickup };
+    let unset_delivery =
+        ProjectedDelivery { order: OrderId(0), delivered_at: start_time, xdt_secs: 0.0 };
     let mut search = Search {
         orders,
-        sdt_secs: &sdt_secs,
-        matrix: &matrix,
-        index_of: &index_of,
+        sdt_secs,
+        table,
+        states: [OrderState::Delivered; MAX_PLAN_ORDERS],
+        stops: [unset_stop; MAX_PLAN_STOPS],
+        deliveries: [unset_delivery; MAX_PLAN_ORDERS],
         best: None,
         best_cost: f64::INFINITY,
     };
-    let initial_state: Vec<OrderState> = orders
-        .iter()
-        .map(|p| if p.picked_up { OrderState::OnBoard } else { OrderState::NeedsPickup })
-        .collect();
-    let start_idx = start.map(|s| index_of[&s]);
-    search.explore(start_idx, start_time, initial_state, Vec::new(), 0.0, 0.0, 0.0, Vec::new());
+    for (state, planned) in search.states.iter_mut().zip(orders) {
+        *state = if planned.picked_up { OrderState::OnBoard } else { OrderState::NeedsPickup };
+    }
+    let at = TourEnd { node: table.anchored.then_some(0), now: start_time, stops: 0, delivered: 0 };
+    search.explore(at, 0.0, 0.0, 0.0);
 
     let best = search.best?;
-    let start_node = start.unwrap_or_else(|| best.plan.first_node().expect("non-empty plan"));
-    Some(EvaluatedRoute { start_node, ..best })
+    let stops = best.stops[..best.at.stops].to_vec();
+    Some(EvaluatedRoute {
+        // A free-start plan begins at its own first stop (an orderless one
+        // nowhere in particular).
+        start_node: match stops.first() {
+            Some(first) if !table.anchored => first.node,
+            _ => table.nodes[0],
+        },
+        plan: RoutePlan { stops },
+        cost_secs: best.cost_secs,
+        driving_time: Duration::from_secs_f64(best.driving_secs),
+        waiting_time: Duration::from_secs_f64(best.waiting_secs),
+        deliveries: best.deliveries[..best.at.delivered].to_vec(),
+        finish_at: best.at.now,
+    })
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -312,105 +425,108 @@ enum OrderState {
     Delivered,
 }
 
+/// Where a partial tour stands: the table index of its last stop (`None`
+/// before the first stop of a free-start plan), the time it leaves it, and
+/// how much of the stop / delivery stacks it occupies.
+#[derive(Clone, Copy)]
+struct TourEnd {
+    node: Option<usize>,
+    now: TimePoint,
+    stops: usize,
+    delivered: usize,
+}
+
+/// A complete tour, copied out of the search stacks when it becomes the
+/// incumbent.
+struct BestPlan {
+    at: TourEnd,
+    stops: [Stop; MAX_PLAN_STOPS],
+    deliveries: [ProjectedDelivery; MAX_PLAN_ORDERS],
+    cost_secs: f64,
+    driving_secs: f64,
+    waiting_secs: f64,
+}
+
 struct Search<'a> {
     orders: &'a [PlannedOrder],
-    sdt_secs: &'a [f64],
-    matrix: &'a [Vec<Option<f64>>],
-    index_of: &'a HashMap<NodeId, usize>,
-    best: Option<EvaluatedRoute>,
+    sdt_secs: [f64; MAX_PLAN_ORDERS],
+    table: &'a LegTable,
+    /// Backtracking state: `explore` pushes before it recurses and pops
+    /// after, so one set of arrays serves the whole tree.
+    states: [OrderState; MAX_PLAN_ORDERS],
+    stops: [Stop; MAX_PLAN_STOPS],
+    deliveries: [ProjectedDelivery; MAX_PLAN_ORDERS],
+    best: Option<BestPlan>,
     best_cost: f64,
 }
 
 impl Search<'_> {
-    #[allow(clippy::too_many_arguments)]
-    fn explore(
-        &mut self,
-        current: Option<usize>,
-        now: TimePoint,
-        states: Vec<OrderState>,
-        stops: Vec<Stop>,
-        cost_so_far: f64,
-        driving_so_far: f64,
-        waiting_so_far: f64,
-        deliveries: Vec<ProjectedDelivery>,
-    ) {
+    fn explore(&mut self, at: TourEnd, cost_so_far: f64, driving_so_far: f64, waiting_so_far: f64) {
         // Branch-and-bound: accumulated XDT only grows as more orders are
         // delivered, so any partial cost at or above the best is hopeless.
+        // (`>=`, not `>`: among equal-cost tours the first one found wins,
+        // which is what every downstream tie-break was recorded against.)
         if cost_so_far >= self.best_cost {
             return;
         }
-        if states.iter().all(|s| *s == OrderState::Delivered) {
+        if at.delivered == self.orders.len() {
             self.best_cost = cost_so_far;
-            self.best = Some(EvaluatedRoute {
-                plan: RoutePlan { stops },
+            self.best = Some(BestPlan {
+                at,
+                stops: self.stops,
+                deliveries: self.deliveries,
                 cost_secs: cost_so_far,
-                driving_time: Duration::from_secs_f64(driving_so_far),
-                waiting_time: Duration::from_secs_f64(waiting_so_far),
-                deliveries,
-                start_node: NodeId(0), // overwritten by the caller
-                finish_at: now,
+                driving_secs: driving_so_far,
+                waiting_secs: waiting_so_far,
             });
             return;
         }
 
-        for (i, state) in states.iter().enumerate() {
-            let planned = &self.orders[i];
-            let (target, action) = match state {
-                OrderState::NeedsPickup => (planned.order.restaurant, StopAction::Pickup),
-                OrderState::OnBoard => (planned.order.customer, StopAction::Dropoff),
+        for i in 0..self.orders.len() {
+            let order = &self.orders[i].order;
+            let state = self.states[i];
+            let (target, node, action) = match state {
+                OrderState::NeedsPickup => {
+                    (self.table.pickup[i], order.restaurant, StopAction::Pickup)
+                }
+                OrderState::OnBoard => (self.table.dropoff[i], order.customer, StopAction::Dropoff),
                 OrderState::Delivered => continue,
             };
-            let target_idx = self.index_of[&target];
-            let travel = match current {
-                Some(cur) => match self.matrix[cur][target_idx] {
-                    Some(t) => t,
-                    None => continue, // unreachable along this branch
-                },
+            let travel = match at.node {
+                Some(current) => self.table.secs[current][target],
                 None => 0.0,
             };
-            let arrival = now + Duration::from_secs_f64(travel);
-
-            let mut next_states = states.clone();
-            let mut next_stops = stops.clone();
-            next_stops.push(Stop { order: planned.order.id, node: target, action });
-            let mut next_deliveries = deliveries.clone();
-            let mut next_cost = cost_so_far;
-            let mut next_wait = waiting_so_far;
-            let next_now;
+            if travel == f64::INFINITY {
+                continue; // unreachable along this branch
+            }
+            let arrival = at.now + Duration::from_secs_f64(travel);
+            self.stops[at.stops] = Stop { order: order.id, node, action };
+            let mut next = TourEnd { node: Some(target), now: arrival, stops: at.stops + 1, ..at };
+            let (mut next_cost, mut next_wait) = (cost_so_far, waiting_so_far);
             match action {
                 StopAction::Pickup => {
-                    next_states[i] = OrderState::OnBoard;
-                    let ready = planned.order.ready_at();
-                    let depart = arrival.max(ready);
-                    next_wait += depart.saturating_since(arrival).as_secs_f64();
-                    next_now = depart;
+                    self.states[i] = OrderState::OnBoard;
+                    next.now = arrival.max(order.ready_at());
+                    next_wait += next.now.saturating_since(arrival).as_secs_f64();
                 }
                 StopAction::Dropoff => {
-                    next_states[i] = OrderState::Delivered;
-                    let edt = arrival.saturating_since(planned.order.placed_at).as_secs_f64();
+                    self.states[i] = OrderState::Delivered;
+                    let edt = arrival.saturating_since(order.placed_at).as_secs_f64();
                     let xdt = edt - self.sdt_secs[i];
                     next_cost += xdt;
-                    next_deliveries.push(ProjectedDelivery {
-                        order: planned.order.id,
-                        delivered_at: arrival,
-                        xdt_secs: xdt,
-                    });
-                    next_now = arrival;
+                    self.deliveries[at.delivered] =
+                        ProjectedDelivery { order: order.id, delivered_at: arrival, xdt_secs: xdt };
+                    next.delivered += 1;
                 }
             }
-            self.explore(
-                Some(target_idx),
-                next_now,
-                next_states,
-                next_stops,
-                next_cost,
-                driving_so_far + travel,
-                next_wait,
-                next_deliveries,
-            );
+            self.explore(next, next_cost, driving_so_far + travel, next_wait);
+            self.states[i] = state;
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -599,6 +715,73 @@ mod tests {
         )
         .unwrap();
         assert!(r.cost_secs.abs() < 1e-6, "expected zero XDT, got {}", r.cost_secs);
+    }
+
+    #[test]
+    fn vehicle_standing_on_a_stop_shares_its_table_index() {
+        // Regression: a vehicle parked at a restaurant (or a customer) makes
+        // the start node a destination too — other stops lead back to it —
+        // so start and stop must intern to one index *with* a column.
+        let (net, b) = grid();
+        let engine = ShortestPathEngine::cached(net);
+        let t = TimePoint::from_hms(12, 0, 0);
+        let here = b.node_at(2, 2);
+        // o1 is collected where the vehicle stands; o2 (on board) is dropped
+        // at o1's restaurant, i.e. also right here, but only after a detour
+        // would be pointless — so the quickest tour starts with both.
+        let o1 = order(1, here, b.node_at(4, 4), (11, 50), 0.0);
+        let o2 = order(2, b.node_at(0, 0), here, (11, 40), 0.0);
+        let o3 = order(3, b.node_at(2, 4), here, (11, 55), 0.0);
+        let orders =
+            [PlannedOrder::pending(o1), PlannedOrder::on_board(o2), PlannedOrder::pending(o3)];
+
+        let mut table = LegTable::new(Some(here));
+        table.extend(&orders, engine_legs(&engine, t));
+        assert_eq!(table.len, 3, "start, o1's restaurant and two customers are one node");
+        assert_eq!(table.first_column(), 0);
+        for row in 0..table.len {
+            assert!(table.secs[row][0].is_finite(), "leg {row} → start/stop node missing");
+        }
+
+        let route = plan_optimal_route(here, t, &orders, &engine).unwrap();
+        route.plan.validate(&orders).unwrap();
+        assert_eq!(route, reference::plan_route_inner(Some(here), t, &orders, &engine).unwrap());
+        // o3 must be fetched and brought back: the tour returns to its start.
+        assert_eq!(route.plan.stops.last().unwrap().node, here);
+        assert_eq!(route.deliveries[0].delivered_at, t, "o2 is delivered without moving");
+    }
+
+    #[test]
+    fn a_later_stop_on_the_start_node_backfills_the_start_column() {
+        // The FoodGraph fills a vehicle's committed block once, then extends
+        // a clone per batch. A batch whose restaurant is where the vehicle
+        // stands turns index 0 into a destination *after* the committed rows
+        // were filled; they must get that column too.
+        let (net, b) = grid();
+        let engine = ShortestPathEngine::cached(net);
+        let t = TimePoint::from_hms(12, 0, 0);
+        let here = b.node_at(1, 1);
+        let committed =
+            [PlannedOrder::pending(order(1, b.node_at(0, 3), b.node_at(3, 3), (12, 0), 2.0))];
+        let offered = [PlannedOrder::pending(order(2, here, b.node_at(4, 0), (12, 0), 2.0))];
+        let both = [committed[0], offered[0]];
+
+        let mut stepwise = LegTable::new(Some(here));
+        stepwise.extend(&committed, engine_legs(&engine, t));
+        assert_eq!(stepwise.first_column(), 1, "no stop on the start yet: no start column");
+        assert!(stepwise.secs[1][0].is_infinite());
+        stepwise.extend(&offered, engine_legs(&engine, t));
+        let mut at_once = LegTable::new(Some(here));
+        at_once.extend(&both, engine_legs(&engine, t));
+
+        assert_eq!(stepwise.first_column(), 0);
+        assert_eq!(stepwise.nodes[..stepwise.len], at_once.nodes[..at_once.len]);
+        assert_eq!(stepwise.secs, at_once.secs);
+        assert_eq!(stepwise.sdt_leg_secs, at_once.sdt_leg_secs);
+        assert_eq!(
+            plan_on_table(&stepwise, t, &both),
+            reference::plan_route_inner(Some(here), t, &both, &engine)
+        );
     }
 
     #[test]

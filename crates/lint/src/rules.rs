@@ -281,10 +281,12 @@ pub fn parse_waivers(rel_path: &str, lines: &[&str]) -> (Vec<Waiver>, Vec<Diagno
 /// Output-path code: where iteration order becomes stream order.
 fn rule1_applies(path: &str) -> bool {
     path.starts_with("crates/core/src/policies/")
+        || path.starts_with("crates/core/src/route/")
         || matches!(
             path,
             "crates/core/src/window.rs"
                 | "crates/core/src/foodgraph.rs"
+                | "crates/core/src/cost.rs"
                 | "crates/core/src/route.rs"
                 | "crates/simulator/src/service.rs"
                 | "crates/simulator/src/router.rs"

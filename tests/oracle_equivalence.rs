@@ -23,6 +23,7 @@ use foodmatch_roadnet::generators::RandomCityBuilder;
 use foodmatch_roadnet::graph::RoadNetworkBuilder;
 use foodmatch_roadnet::{
     EngineKind, GeoPoint, NodeId, RoadClass, RoadNetwork, ShortestPathEngine, TimePoint,
+    TrafficOverlay,
 };
 use foodmatch_sim::Simulation;
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
@@ -117,6 +118,77 @@ fn all_backends_agree_on_one_to_many_including_unreachable() {
     // Sanity: the island structure really produces unreachable pairs.
     assert_eq!(reference.travel_time(nodes[9], nodes[0], t), None);
     assert!(reference.travel_time(nodes[0], nodes[9], t).is_some());
+}
+
+/// Two clusters joined by a one-way bridge: pairs against the bridge are
+/// unreachable.
+fn bridged_network() -> RoadNetwork {
+    let mut b = RoadNetworkBuilder::new();
+    let nodes: Vec<NodeId> =
+        (0..10).map(|i| b.add_node(GeoPoint::new(0.0, 0.01 * f64::from(i)))).collect();
+    for w in nodes.windows(2).take(4).chain(nodes.windows(2).skip(5)) {
+        b.add_bidirectional(w[0], w[1], 400.0, RoadClass::Local);
+    }
+    b.add_edge(nodes[4], nodes[5], 600.0, RoadClass::Arterial);
+    b.build()
+}
+
+/// The premise the FoodGraph's per-vehicle sweep rests on: one
+/// `travel_times_to_many(s, T)` is, bit for bit, `T.map(|t| travel_time(s,
+/// t))` — on every backend, with and without a traffic overlay, with
+/// duplicate targets, with the source among the targets, with unreachable
+/// targets, and whether the pairs are memoised yet or not. The sweep and the
+/// point queries run on separate engines so neither can answer from a memo
+/// the other filled.
+#[test]
+fn one_to_many_sweep_equals_point_queries_bit_for_bit() {
+    let t = TimePoint::from_hms(19, 20, 0);
+    let mut unreachable = 0;
+    for network in [RandomCityBuilder::new(120).seed(17).build(), bridged_network()] {
+        let mut overlay = TrafficOverlay::new();
+        for (i, edge) in network.edge_ids().enumerate().filter(|(i, _)| i % 3 == 0) {
+            overlay.slow_edge(edge, 1.3 + 0.4 * (i % 5) as f64);
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EEB);
+        let n = network.node_count() as u32;
+        for kind in EngineKind::ALL {
+            for overlaid in [false, true] {
+                let engine = |warm: &[(NodeId, NodeId)]| {
+                    let engine = ShortestPathEngine::new(network.clone(), kind);
+                    if overlaid {
+                        engine.set_overlay(overlay.clone());
+                    }
+                    for &(a, b) in warm {
+                        let _ = engine.travel_time(a, b, t);
+                    }
+                    engine
+                };
+                for _ in 0..12 {
+                    let source = NodeId(rng.random_range(0..n));
+                    let mut targets: Vec<NodeId> = (0..rng.random_range(1..24))
+                        .map(|_| NodeId(rng.random_range(0..n)))
+                        .collect();
+                    targets.push(source);
+                    targets.push(targets[0]); // a duplicate
+                                              // Half the pairs are already memoised when the sweep runs.
+                    let warm: Vec<(NodeId, NodeId)> =
+                        targets.iter().step_by(2).map(|&target| (source, target)).collect();
+                    let swept = engine(&warm).travel_times_to_many(source, &targets, t);
+                    let point = engine(&[]);
+                    for (&target, swept) in targets.iter().zip(swept) {
+                        let expected = point.travel_time(source, target, t);
+                        assert_eq!(
+                            swept.map(|d| d.as_secs_f64().to_bits()),
+                            expected.map(|d| d.as_secs_f64().to_bits()),
+                            "{source}->{target} with {kind:?}, overlay {overlaid}"
+                        );
+                        unreachable += usize::from(expected.is_none());
+                    }
+                }
+            }
+        }
+    }
+    assert!(unreachable > 0, "no unreachable target was sampled");
 }
 
 #[test]
