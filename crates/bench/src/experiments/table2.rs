@@ -27,5 +27,5 @@ pub fn run(ctx: &ExperimentContext) {
     }
     println!();
     println!("(Volumes are scaled ≈1/50 of the paper's Table II; proportions and");
-    println!(" prep-time means match the paper — see DESIGN.md §1.)");
+    println!(" prep-time means match the paper — see crates/workload/src/city.rs.)");
 }

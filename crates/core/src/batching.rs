@@ -11,11 +11,18 @@
 //! merges the cheapest edge until the average batch cost exceeds the quality
 //! threshold `η` or no merge is feasible. Theorem 2 guarantees the average
 //! cost never decreases, so termination is monotone.
+//!
+//! The oracle is asked once per window: one one-to-many sweep per distinct
+//! stop fills a stop-to-stop table (`StopLegs`), and every plan of the
+//! clustering — singletons, merge candidates, per-merge refreshes — reads it.
 
 use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
 use crate::parallel::parallel_map;
-use crate::route::{plan_optimal_route_free_start, EvaluatedRoute, PlannedOrder};
+use crate::route::{
+    engine_legs, plan_on_table, plan_optimal_route_free_start, EvaluatedRoute, LegTable,
+    PlannedOrder,
+};
 use foodmatch_roadnet::{NodeId, ShortestPathEngine, TimePoint};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -78,6 +85,11 @@ pub struct BatchingOutcome {
     pub final_avg_cost_secs: f64,
 }
 
+/// Fewest graph searches (singleton plans, sweep rows) worth a thread
+/// fan-out; below it the spawns cost more than they save. The result is
+/// identical either way.
+const MIN_FAN_OUT: usize = 16;
+
 /// Wraps every order in its own singleton batch without any clustering.
 /// Used by the ablation configuration that disables batching and by the
 /// vanilla KM baseline.
@@ -98,9 +110,17 @@ pub fn singleton_batches_with_threads(
     t: TimePoint,
     threads: usize,
 ) -> BatchingOutcome {
-    let planned: Vec<Option<EvaluatedRoute>> = parallel_map(orders, threads, |_, &order| {
+    let planned = parallel_map(orders, threads, |_, &order| {
         plan_optimal_route_free_start(t, &[PlannedOrder::pending(order)], engine)
     });
+    singletons(orders, planned)
+}
+
+/// One batch per order that has a plan; the rest are unplannable.
+fn singletons(
+    orders: &[Order],
+    planned: impl IntoIterator<Item = Option<EvaluatedRoute>>,
+) -> BatchingOutcome {
     let mut batches = Vec::with_capacity(orders.len());
     let mut unplannable = Vec::new();
     for (&order, route) in orders.iter().zip(planned) {
@@ -113,6 +133,63 @@ pub fn singleton_batches_with_threads(
     BatchingOutcome { batches, unplannable, merges: 0, final_avg_cost_secs }
 }
 
+/// Travel times between every pair of stops of one window's orders, from one
+/// one-to-many sweep per stop: one bounded search for all of a row's memo
+/// misses, where per-pair leg tables would search from the same stop once
+/// per pairing. A merged cluster's stops are a subset of the window's, so
+/// everything Algorithm 1 plans after the sweep reads this table and never
+/// the engine. It lives for one [`batch_orders`] call; the engine's
+/// `(source, target)` memo stays the only cache across windows.
+struct StopLegs {
+    /// Sorted and distinct, so a lookup is a binary search.
+    stops: Vec<NodeId>,
+    /// `secs[from][to]`, indexed like `stops`; `f64::INFINITY` for
+    /// "unreachable".
+    secs: Vec<Vec<f64>>,
+}
+
+impl StopLegs {
+    fn sweep(orders: &[Order], engine: &ShortestPathEngine, t: TimePoint, threads: usize) -> Self {
+        let _span = foodmatch_telemetry::span("engine", "batching.sweep");
+        let mut stops: Vec<NodeId> =
+            orders.iter().flat_map(|o| [o.restaurant, o.customer]).collect();
+        stops.sort_unstable();
+        stops.dedup();
+        let threads = if stops.len() >= MIN_FAN_OUT { threads } else { 1 };
+        let secs = parallel_map(&stops, threads, |_, &from| {
+            let mut row = vec![f64::INFINITY; stops.len()];
+            engine_legs(engine, t)(from, &stops, &mut row);
+            row
+        });
+        StopLegs { stops, secs }
+    }
+
+    fn index(&self, stop: NodeId) -> usize {
+        self.stops.binary_search(&stop).expect("every stop of the window was swept")
+    }
+
+    /// The table as a [`LegTable::extend`] leg source.
+    fn legs(&self) -> impl FnMut(NodeId, &[NodeId], &mut [f64]) + '_ {
+        move |from, to, out| {
+            let row = &self.secs[self.index(from)];
+            to.iter().zip(out).for_each(|(&stop, secs)| *secs = row[self.index(stop)]);
+        }
+    }
+}
+
+/// The quickest free-start plan serving `orders` (all pending), with travel
+/// times read from `legs` (see [`LegTable::extend`]).
+fn plan_free_start(
+    t: TimePoint,
+    orders: &[Order],
+    legs: impl FnMut(NodeId, &[NodeId], &mut [f64]),
+) -> Option<EvaluatedRoute> {
+    let planned: Vec<PlannedOrder> = orders.iter().copied().map(PlannedOrder::pending).collect();
+    let mut table = LegTable::new(None);
+    table.extend(&planned, legs);
+    plan_on_table(&table, t, &planned)
+}
+
 /// Runs Algorithm 1: iterative clustering of the order graph.
 ///
 /// `t` is the window-close time at which route plans are evaluated.
@@ -123,11 +200,17 @@ pub fn batch_orders(
     config: &DispatchConfig,
 ) -> BatchingOutcome {
     let threads = config.effective_threads();
-    // Fan out only when the window carries enough work to amortise the
-    // thread spawns; the result is identical either way.
-    let singleton_threads = if orders.len() >= 16 { threads } else { 1 };
-    let seed = singleton_batches_with_threads(orders, engine, t, singleton_threads);
-    if !config.use_batching || seed.batches.len() < 2 {
+    if !config.use_batching || orders.len() < 2 {
+        let threads = if orders.len() >= MIN_FAN_OUT { threads } else { 1 };
+        return singleton_batches_with_threads(orders, engine, t, threads);
+    }
+    // The N row sweeps — one graph search each — dominate the stage and are
+    // its only engine calls; everything below reads `stop_legs`.
+    let stop_legs = StopLegs::sweep(orders, engine, t, threads);
+    let _span = foodmatch_telemetry::span("engine", "batching.cluster");
+    let seed =
+        singletons(orders, orders.iter().map(|&o| plan_free_start(t, &[o], stop_legs.legs())));
+    if seed.batches.len() < 2 {
         return seed;
     }
     let unplannable = seed.unplannable;
@@ -141,19 +224,14 @@ pub fn batch_orders(
     let mut total_cost: f64 = clusters.iter().flatten().map(Batch::cost_secs).sum();
     let mut merges = 0usize;
 
-    // The O(n²) initial pairwise evaluation dominates the clustering stage;
-    // fan it out across the dispatch workers. The heap's total order breaks
-    // every tie by (i, j), so the merge sequence — and therefore the final
-    // batching — is independent of how the candidates were computed.
-    let pairs: Vec<(usize, usize)> =
-        (0..clusters.len()).flat_map(|i| ((i + 1)..clusters.len()).map(move |j| (i, j))).collect();
-    let pair_threads = if pairs.len() >= 32 { threads } else { 1 };
-    let mut heap: BinaryHeap<MergeCandidate> = parallel_map(&pairs, pair_threads, |_, &(i, j)| {
-        candidate_for(&clusters, &versions, i, j, engine, t, config)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // A candidate is a ≤ 6-stop table plan, about a microsecond: the pair
+    // loops stay on the calling thread, where a spawn would cost more than
+    // the work. The heap's total order breaks every tie by (i, j), so the
+    // merge sequence depends only on the candidates, not on their order.
+    let mut heap: BinaryHeap<MergeCandidate> = (0..clusters.len())
+        .flat_map(|i| ((i + 1)..clusters.len()).map(move |j| (i, j)))
+        .filter_map(|(i, j)| candidate_for(&clusters, &versions, i, j, &stop_legs, t, config))
+        .collect();
 
     while active > 1 {
         let avg = total_cost / active as f64;
@@ -190,19 +268,10 @@ pub fn batch_orders(
         let slot = candidate.i;
         clusters[slot] = Some(candidate.merged);
         versions[slot] += 1;
-        // Refresh the merged cluster's edges to every survivor; this is the
-        // serial tail of Algorithm 1, so fan it out like the initial pass.
-        let others: Vec<usize> =
-            (0..clusters.len()).filter(|&o| o != slot && clusters[o].is_some()).collect();
-        let refresh_threads = if others.len() >= 32 { threads } else { 1 };
-        for candidate in parallel_map(&others, refresh_threads, |_, &other| {
+        // Refresh the merged cluster's edges to every survivor.
+        for other in (0..clusters.len()).filter(|&other| other != slot) {
             let (a, b) = (slot.min(other), slot.max(other));
-            candidate_for(&clusters, &versions, a, b, engine, t, config)
-        })
-        .into_iter()
-        .flatten()
-        {
-            heap.push(candidate);
+            heap.extend(candidate_for(&clusters, &versions, a, b, &stop_legs, t, config));
         }
     }
 
@@ -254,28 +323,28 @@ impl Ord for MergeCandidate {
 }
 
 /// Evaluates the merge of clusters `i` and `j` into a heap candidate, or
-/// `None` when the merge is infeasible or fails the quality gate. Pure with
-/// respect to the clustering state, so candidates can be computed in
-/// parallel.
+/// `None` when either slot is empty, the merge is infeasible or it fails the
+/// quality gate.
 fn candidate_for(
     clusters: &[Option<Batch>],
     versions: &[u64],
     i: usize,
     j: usize,
-    engine: &ShortestPathEngine,
+    stop_legs: &StopLegs,
     t: TimePoint,
     config: &DispatchConfig,
 ) -> Option<MergeCandidate> {
     let (Some(a), Some(b)) = (&clusters[i], &clusters[j]) else { return None };
-    let (weight, merged) = merge_weight(a, b, engine, t, config)?;
-    // Per-merge quality gate: a merge that by itself adds more extra delivery
-    // time than the quality threshold η can never be "orders that suffer no
-    // long detour" (§IV-B). Algorithm 1 as written only checks the *average*
-    // cost before merging, which lets one arbitrarily bad merge through when
-    // the window is sparse (the initial average is always zero); gating the
-    // edge weight keeps the same convergence argument (weights are
-    // non-negative, Theorem 2) while preventing that pathology. Documented as
-    // a stabilising interpretation in DESIGN.md.
+    let (weight, merged) = merged_batch(a, b, t, config, stop_legs.legs())?;
+    // Per-merge quality gate, this reproduction's one interpretation of
+    // Algorithm 1 (README, "Batching: one oracle sweep per stop"): a merge
+    // that by itself adds more extra delivery time than the quality threshold
+    // η per order can never be "orders that suffer no long detour" (§IV-B).
+    // Algorithm 1 as written only checks the *average* cost before merging,
+    // which lets one arbitrarily bad merge through when the window is sparse
+    // (the initial average is always zero); gating the edge weight keeps the
+    // same convergence argument (weights are non-negative, Theorem 2) while
+    // preventing that pathology.
     if weight > config.batching_threshold.as_secs_f64() * merged.len() as f64 {
         return None;
     }
@@ -292,6 +361,17 @@ pub fn merge_weight(
     t: TimePoint,
     config: &DispatchConfig,
 ) -> Option<(f64, Batch)> {
+    merged_batch(a, b, t, config, engine_legs(engine, t))
+}
+
+/// [`merge_weight`] with the merged plan's travel times read from `legs`.
+fn merged_batch(
+    a: &Batch,
+    b: &Batch,
+    t: TimePoint,
+    config: &DispatchConfig,
+    legs: impl FnMut(NodeId, &[NodeId], &mut [f64]),
+) -> Option<(f64, Batch)> {
     if a.len() + b.len() > config.max_orders_per_vehicle {
         return None;
     }
@@ -301,11 +381,13 @@ pub fn merge_weight(
     let mut orders = Vec::with_capacity(a.len() + b.len());
     orders.extend(a.orders.iter().copied());
     orders.extend(b.orders.iter().copied());
-    let planned: Vec<PlannedOrder> = orders.iter().copied().map(PlannedOrder::pending).collect();
-    let route = plan_optimal_route_free_start(t, &planned, engine)?;
+    let route = plan_free_start(t, &orders, legs)?;
     let weight = route.cost_secs - (a.cost_secs() + b.cost_secs());
     Some((weight, Batch { orders, route }))
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -509,5 +591,48 @@ mod tests {
             assert!(batch.len() <= config.max_orders_per_vehicle);
             assert!(batch.total_items() <= config.max_items_per_vehicle);
         }
+    }
+
+    /// Oracle queries one call makes on a fresh engine, and its outcome.
+    fn queries_of(orders: &[Order], config: &DispatchConfig) -> (u64, BatchingOutcome) {
+        let (engine, _) = setup();
+        let outcome = batch_orders(orders, &engine, TimePoint::from_hms(13, 0, 0), config);
+        (engine.query_count(), outcome)
+    }
+
+    #[test]
+    fn one_call_asks_the_oracle_once_per_pair_of_distinct_stops() {
+        let (_, b) = setup();
+        // Three far-apart orders, 6 distinct stops, nothing merges.
+        let apart = vec![
+            order(1, b.node_at(0, 0), b.node_at(0, 3)),
+            order(2, b.node_at(7, 7), b.node_at(7, 4)),
+            order(3, b.node_at(0, 7), b.node_at(3, 7)),
+        ];
+        let (queries, outcome) = queries_of(&apart, &default_config());
+        assert_eq!(outcome.merges, 0);
+        assert_eq!(queries, 6 * 6);
+
+        // Thirty orders from two restaurants to a row of 8 doors each, under
+        // a generous η: every merge and every per-merge refresh plans from
+        // the matrix, so twenty merges cost the same 18² as none would.
+        let crowd: Vec<Order> = (0..30)
+            .map(|i| {
+                let side = (i % 2) as usize;
+                order(i, b.node_at(1 + 5 * side, 0), b.node_at(3 * side + 2, (i / 2 % 8) as usize))
+            })
+            .collect();
+        let generous =
+            DispatchConfig { batching_threshold: Duration::from_mins(60.0), ..default_config() };
+        let (queries, outcome) = queries_of(&crowd, &generous);
+        assert!(outcome.merges >= 10, "only {} merges", outcome.merges);
+        assert_eq!(queries, 18 * 18);
+
+        // Without batching no matrix is built: the singleton path as it is.
+        let (engine, _) = setup();
+        singleton_batches_with_threads(&crowd, &engine, TimePoint::from_hms(13, 0, 0), 1);
+        let unbatched = DispatchConfig { use_batching: false, ..default_config() };
+        assert_eq!(queries_of(&crowd, &unbatched).0, engine.query_count());
+        assert_eq!(engine.query_count(), 30 * 4);
     }
 }

@@ -1,9 +1,11 @@
 //! Deterministic scoped fan-out for the dispatch hot path.
 //!
-//! Per-window dispatch work — FoodGraph per-vehicle edge construction,
-//! batch route planning, pairwise merge-candidate evaluation, per-component
-//! assignment solving — consists of many independent evaluations against
-//! shared `Send + Sync` state. [`parallel_map`] fans such work out across
+//! Per-window dispatch work — FoodGraph per-vehicle edge construction, the
+//! batching stage's per-stop oracle sweeps (per-order route plans when
+//! batching is off), per-component assignment solving — consists of many
+//! independent evaluations against shared `Send + Sync` state, each at least
+//! a graph search; Algorithm 1's merge candidates are microsecond table
+//! plans and stay on the calling thread. [`parallel_map`] fans such work out across
 //! `std::thread::scope` workers while keeping the output *bit-for-bit
 //! identical* to the serial path: items are split into contiguous chunks,
 //! every worker writes only its own chunk, and results come back in input

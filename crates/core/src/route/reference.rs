@@ -199,30 +199,30 @@ impl Search<'_> {
     }
 }
 
+/// SplitMix64: a seeded stream without a dev-dependency.
+pub(crate) struct Rng(pub(crate) u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
 mod pinned_to_reference {
     use super::*;
     use foodmatch_roadnet::{GeoPoint, RoadClass, RoadNetworkBuilder};
-
-    /// SplitMix64: a seeded stream without a dev-dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        fn chance(&mut self, percent: u64) -> bool {
-            self.below(100) < percent
-        }
-    }
 
     const GRID: u32 = 4;
     /// Reachable from the grid, but a dead end: nothing is reachable from it.

@@ -285,6 +285,7 @@ fn rule1_applies(path: &str) -> bool {
         || matches!(
             path,
             "crates/core/src/window.rs"
+                | "crates/core/src/batching.rs"
                 | "crates/core/src/foodgraph.rs"
                 | "crates/core/src/cost.rs"
                 | "crates/core/src/route.rs"

@@ -24,13 +24,16 @@ fn rule_lines(diagnostics: &[Diagnostic]) -> Vec<(&'static str, usize)> {
 #[test]
 fn hash_iteration_is_flagged_on_the_output_path() {
     let source = fixture("nondet_iter.rs");
-    let (diagnostics, _) = scan_source("crates/core/src/policies/fixture.rs", &source);
-    assert_eq!(
-        rule_lines(&diagnostics),
-        vec![(NONDETERMINISTIC_ITERATION, 5), (NONDETERMINISTIC_ITERATION, 20)],
-        "line 5 iterates a HashMap param, line 20 for-loops over one; the \
-         collect-then-sort at lines 13–14 must escape: {diagnostics:#?}"
-    );
+    // A directory of the path set, and a single file of it.
+    for path in ["crates/core/src/policies/fixture.rs", "crates/core/src/batching.rs"] {
+        let (diagnostics, _) = scan_source(path, &source);
+        assert_eq!(
+            rule_lines(&diagnostics),
+            vec![(NONDETERMINISTIC_ITERATION, 5), (NONDETERMINISTIC_ITERATION, 20)],
+            "line 5 iterates a HashMap param, line 20 for-loops over one; the \
+             collect-then-sort at lines 13–14 must escape: {diagnostics:#?}"
+        );
+    }
 }
 
 #[test]
