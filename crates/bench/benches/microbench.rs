@@ -109,8 +109,8 @@ fn bench_hungarian(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solvers(c: &mut Criterion) {
-    use foodmatch_matching::{SolverKind, SparseCostMatrix};
+fn bench_solver(c: &mut Criterion) {
+    use foodmatch_matching::{AssignmentSolver, Decomposed, SparseCostMatrix};
     // A sparse window-shaped instance: 200 batches × 90 vehicles, ~8 finite
     // edges per vehicle, Ω everywhere else.
     let mut rng = StdRng::seed_from_u64(17);
@@ -122,12 +122,10 @@ fn bench_solvers(c: &mut Criterion) {
             costs.set(row, col, rng.random_range(0.0..3_000.0));
         }
     }
-    let mut group = c.benchmark_group("assignment_solvers");
+    let mut group = c.benchmark_group("assignment_solver");
     group.sample_size(10);
-    for kind in SolverKind::ALL {
-        let solver = kind.build(4);
-        group.bench_function(kind.name(), |b| b.iter(|| black_box(solver.solve(&costs))));
-    }
+    let solver = Decomposed::new(4);
+    group.bench_function(solver.name(), |b| b.iter(|| black_box(solver.solve(&costs))));
     group.finish();
 }
 
@@ -190,7 +188,7 @@ criterion_group!(
     bench_shortest_paths,
     bench_index_build,
     bench_hungarian,
-    bench_solvers,
+    bench_solver,
     bench_batching,
     bench_foodgraph,
     bench_window_assignment

@@ -5,7 +5,6 @@
 //! repro all [--quick]                      # run the whole suite
 //! repro fig6cde [--seed 3]                 # run one experiment
 //! repro dispatch --bench-out BENCH_dispatch.json   # machine-readable perf baseline
-//! repro matching --solver dense-km         # pin the assignment solver
 //! repro service --telemetry-out telemetry.json     # metrics + Chrome trace export
 //! ```
 //!
@@ -17,7 +16,6 @@
 
 use foodmatch_bench::experiments;
 use foodmatch_bench::ExperimentContext;
-use foodmatch_core::SolverKind;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -51,16 +49,6 @@ fn main() -> ExitCode {
                 Some(path) => ctx.telemetry_out = Some(path.into()),
                 None => {
                     eprintln!("--telemetry-out requires a file path argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--solver" => match iter.next().as_deref().and_then(SolverKind::parse) {
-                Some(solver) => ctx.solver = Some(solver),
-                None => {
-                    eprintln!(
-                        "--solver requires one of: {}",
-                        SolverKind::ALL.map(|s| s.name()).join(", ")
-                    );
                     return ExitCode::FAILURE;
                 }
             },
@@ -144,8 +132,7 @@ fn write_telemetry(
 fn usage() {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--seed N] [--bench-out FILE] \
-         [--solver NAME] [--telemetry-out FILE]"
+         [--telemetry-out FILE]"
     );
     eprintln!("run `repro list` to see the available experiments");
-    eprintln!("solvers: {}", SolverKind::ALL.map(|s| s.name()).join(", "));
 }

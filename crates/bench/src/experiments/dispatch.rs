@@ -104,7 +104,7 @@ pub fn run(ctx: &ExperimentContext) {
         "{:<14} {:>9} {:>11} {:>10} {:>10} {:>10} {:>10}",
         "Dispatch (B)", "windows", "mean (ms)", "p50", "p90", "p99", "max"
     );
-    let dispatch = bench_dispatch_pair(&dispatch_scenario, ctx);
+    let dispatch = bench_dispatch_pair(&dispatch_scenario);
     for result in &dispatch {
         println!(
             "{:<14} {:>9} {:>11.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
@@ -206,13 +206,13 @@ fn bench_backend(
 /// matters: on throttled/shared machines wall-clock drifts over the
 /// benchmark's lifetime, and running one leg entirely after the other would
 /// charge that drift to whichever went second.
-fn bench_dispatch_pair(scenario: &Scenario, ctx: &ExperimentContext) -> Vec<DispatchResult> {
+fn bench_dispatch_pair(scenario: &Scenario) -> Vec<DispatchResult> {
     const LEGS: [usize; 2] = [1, 4];
     let mut best: [Option<(foodmatch_sim::SimulationReport, u64)>; 2] = [None, None];
     for round in 0..3 {
         for position in 0..LEGS.len() {
             let leg = (round + position) % LEGS.len();
-            let (run, queries) = run_dispatch_once(scenario, LEGS[leg], ctx);
+            let (run, queries) = run_dispatch_once(scenario, LEGS[leg]);
             let better = best[leg]
                 .as_ref()
                 .is_none_or(|(r, _)| run.mean_window_compute_secs() < r.mean_window_compute_secs());
@@ -233,9 +233,8 @@ fn bench_dispatch_pair(scenario: &Scenario, ctx: &ExperimentContext) -> Vec<Disp
 fn run_dispatch_once(
     scenario: &Scenario,
     num_threads: usize,
-    ctx: &ExperimentContext,
 ) -> (foodmatch_sim::SimulationReport, u64) {
-    let config = ctx.apply_solver(DispatchConfig { num_threads, ..scenario.default_config() });
+    let config = DispatchConfig { num_threads, ..scenario.default_config() };
     let engine = ShortestPathEngine::cached(scenario.city.network.clone());
     let simulation = Simulation::new(
         engine.clone(),

@@ -38,7 +38,7 @@ pub fn run(ctx: &ExperimentContext) {
     header("Disruptions — policies under calm vs disrupted days (City A, lunch peak)");
 
     let scenario = Scenario::generate(CityId::A, options(ctx));
-    let config = ctx.apply_solver(scenario.default_config());
+    let config = scenario.default_config();
     println!(
         "{} orders, {} vehicles, horizon {}–{}",
         scenario.orders.len(),

@@ -9,7 +9,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod matching;
 pub mod recovery;
 pub mod router;
 pub mod service;
@@ -107,11 +106,6 @@ pub const ALL: &[Experiment] = &[
         run: disruptions::run,
     },
     Experiment {
-        name: "matching",
-        description: "Assignment solvers: component sharding and solve times vs window pressure",
-        run: matching::run,
-    },
-    Experiment {
         name: "service",
         description: "Online dispatch service: ingest throughput and advance_to latency",
         run: service::run,
@@ -141,7 +135,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// The names every registered experiment must carry, in paper order — the
 /// single source of truth for the registry-coverage tests here and in the
 /// workspace-level smoke suite.
-pub const EXPECTED_NAMES: [&str; 20] = [
+pub const EXPECTED_NAMES: [&str; 19] = [
     "table2",
     "fig4a",
     "fig6a",
@@ -157,7 +151,6 @@ pub const EXPECTED_NAMES: [&str; 20] = [
     "fig9",
     "dispatch",
     "disruptions",
-    "matching",
     "service",
     "router",
     "recovery",

@@ -100,7 +100,7 @@ pub fn run(ctx: &ExperimentContext) {
 
     let city = CityId::B;
     let scenario = Scenario::generate(city, ctx.comparison_options());
-    let config = ctx.apply_solver(scenario.default_config());
+    let config = scenario.default_config();
     let sim = scenario.into_simulation_with(config);
     println!(
         "scenario: {city:?} lunch peak, {} orders, {} vehicles, delta {:.0}s",

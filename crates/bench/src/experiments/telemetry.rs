@@ -141,7 +141,7 @@ fn durable_coda(ctx: &ExperimentContext) {
         vehicle_fraction: 1.0,
     };
     let scenario = Scenario::generate(CityId::GrubHub, options);
-    let config = ctx.apply_solver(scenario.default_config());
+    let config = scenario.default_config();
     let sim = scenario.into_simulation_with(config);
 
     let wal_path = scratch("coda.wal");

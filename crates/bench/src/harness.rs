@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment harness: scenario caching, policy
 //! runs, and summary extraction.
 
-use foodmatch_core::{DispatchConfig, PolicyKind, SolverKind};
+use foodmatch_core::{DispatchConfig, PolicyKind};
 use foodmatch_roadnet::TimePoint;
 use foodmatch_sim::SimulationReport;
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
@@ -19,10 +19,6 @@ pub struct ExperimentContext {
     /// Where machine-readable benchmark results should be written
     /// (`--bench-out`); experiments that produce none ignore it.
     pub bench_out: Option<std::path::PathBuf>,
-    /// Assignment-solver override (`--solver`): simulation-driving
-    /// experiments route the matching stage through this solver instead of
-    /// the config default.
-    pub solver: Option<SolverKind>,
     /// Where the telemetry snapshot should be written after the run
     /// (`--telemetry-out`); when set, `repro` installs a global recorder
     /// before the first experiment starts.
@@ -31,13 +27,7 @@ pub struct ExperimentContext {
 
 impl Default for ExperimentContext {
     fn default() -> Self {
-        ExperimentContext {
-            seed: 1,
-            quick: false,
-            bench_out: None,
-            solver: None,
-            telemetry_out: None,
-        }
+        ExperimentContext { seed: 1, quick: false, bench_out: None, telemetry_out: None }
     }
 }
 
@@ -88,15 +78,6 @@ impl ExperimentContext {
             start: TimePoint::from_hms(12, 0, 0),
             end: TimePoint::from_hms(if self.quick { 13 } else { 14 }, 0, 0),
             vehicle_fraction: 1.0,
-        }
-    }
-
-    /// Applies the `--solver` override (when given) to a dispatch
-    /// configuration.
-    pub fn apply_solver(&self, config: DispatchConfig) -> DispatchConfig {
-        match self.solver {
-            Some(solver) => DispatchConfig { solver, ..config },
-            None => config,
         }
     }
 }
@@ -256,15 +237,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 90.0), 4.0);
         assert_eq!(percentile(&sorted, 1.0), 1.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn apply_solver_overrides_only_when_set() {
-        let ctx = ExperimentContext::default();
-        let config = ctx.apply_solver(DispatchConfig::default());
-        assert_eq!(config.solver, SolverKind::DecomposedSparseKm);
-        let ctx = ExperimentContext { solver: Some(SolverKind::DenseKm), ..ctx };
-        assert_eq!(ctx.apply_solver(DispatchConfig::default()).solver, SolverKind::DenseKm);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
 use crate::vehicle::VehicleId;
-use foodmatch_matching::SolverKind;
 use foodmatch_roadnet::{Duration, EdgeId, HourSlot, NodeId, TimePoint};
 use std::fmt;
 
@@ -400,23 +399,6 @@ impl Codec for Order {
     }
 }
 
-impl Codec for SolverKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag = SolverKind::ALL
-            .iter()
-            .position(|kind| kind == self)
-            .expect("SolverKind::ALL lists every variant") as u8;
-        out.push(tag);
-    }
-    fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let tag = reader.take(1)?[0];
-        SolverKind::ALL
-            .get(usize::from(tag))
-            .copied()
-            .ok_or_else(|| DecodeError::Invalid(format!("unknown SolverKind tag {tag}")))
-    }
-}
-
 impl Codec for DispatchConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.max_orders_per_vehicle.encode(out);
@@ -433,7 +415,6 @@ impl Codec for DispatchConfig {
         self.use_bfs_sparsification.encode(out);
         self.use_angular_distance.encode(out);
         self.num_threads.encode(out);
-        self.solver.encode(out);
     }
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let config = DispatchConfig {
@@ -451,7 +432,6 @@ impl Codec for DispatchConfig {
             use_bfs_sparsification: bool::decode(reader)?,
             use_angular_distance: bool::decode(reader)?,
             num_threads: usize::decode(reader)?,
-            solver: SolverKind::decode(reader)?,
         };
         config.validate().map_err(|err| DecodeError::Invalid(format!("DispatchConfig: {err}")))?;
         Ok(config)
@@ -563,9 +543,6 @@ mod tests {
             2,
             Duration::from_mins(9.0),
         ));
-        for kind in SolverKind::ALL {
-            roundtrip(kind);
-        }
         roundtrip(DispatchConfig::default());
     }
 
@@ -579,8 +556,6 @@ mod tests {
         assert!(matches!(TimePoint::from_bytes(&bytes), Err(DecodeError::Invalid(_))));
         // An out-of-range hour slot.
         assert!(matches!(HourSlot::from_bytes(&[24]), Err(DecodeError::Invalid(_))));
-        // An unknown solver tag.
-        assert!(matches!(SolverKind::from_bytes(&[200]), Err(DecodeError::Invalid(_))));
         // A zero-item order.
         let mut bytes = Vec::new();
         OrderId(1).encode(&mut bytes);

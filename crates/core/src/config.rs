@@ -6,8 +6,9 @@
 //! 45-minute maximum first mile, `Δ = 3 min`, `η = 60 s`, `γ = 0.5`,
 //! `k = 200 × |O(ℓ)|/|V(ℓ)|`.
 
-use foodmatch_matching::SolverKind;
+use foodmatch_matching::{Assignment, AssignmentSolver, Decomposed, SparseCostMatrix};
 use foodmatch_roadnet::Duration;
+use foodmatch_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -101,11 +102,6 @@ pub struct DispatchConfig {
     /// for every value — the fan-out is deterministic — so this knob only
     /// trades wall-clock for cores.
     pub num_threads: usize,
-    /// The assignment solver the matching stage routes through (§IV-A). All
-    /// exact solvers produce equal-cost assignments; the default shards the
-    /// FoodGraph by connected component and solves the shards in parallel
-    /// with the sparse Kuhn–Munkres solver.
-    pub solver: SolverKind,
 }
 
 impl Default for DispatchConfig {
@@ -125,7 +121,6 @@ impl Default for DispatchConfig {
             use_bfs_sparsification: true,
             use_angular_distance: true,
             num_threads: 0,
-            solver: SolverKind::DecomposedSparseKm,
         }
     }
 }
@@ -198,11 +193,18 @@ impl DispatchConfig {
         Duration::from_secs_f64(self.rejection_penalty_secs)
     }
 
-    /// Instantiates the configured assignment solver with the dispatch
-    /// fan-out width (used by `Decomposed*` solvers for per-component
-    /// parallelism; the result is identical for every width).
-    pub fn build_solver(&self) -> Box<dyn foodmatch_matching::AssignmentSolver> {
-        self.solver.build(self.effective_threads())
+    /// Instantiates the assignment solver of the matching stage (§IV-A):
+    /// the FoodGraph sharded by connected component, every shard solved by
+    /// sparse Kuhn–Munkres, shards fanned out over the dispatch width (the
+    /// result is identical for every width). While a telemetry recorder is
+    /// installed the solver is wrapped so that each solve is timed.
+    pub fn build_solver(&self) -> Box<dyn AssignmentSolver> {
+        let solver = Decomposed::new(self.effective_threads());
+        if telemetry::active() {
+            Box::new(InstrumentedSolver::new(solver))
+        } else {
+            Box::new(solver)
+        }
     }
 
     /// Returns a copy configured as the plain Kuhn–Munkres baseline (§IV-A):
@@ -312,16 +314,38 @@ impl DispatchConfigBuilder {
         self
     }
 
-    /// Sets the assignment solver.
-    pub fn solver(mut self, value: SolverKind) -> Self {
-        self.config.solver = value;
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<DispatchConfig, ConfigError> {
         self.config.validate()?;
         Ok(self.config)
+    }
+}
+
+/// Observational wrapper [`DispatchConfig::build_solver`] adds while a
+/// telemetry recorder is installed: times every `solve` into
+/// `matching.solve_ns.<solver>` and opens a `solver`-category span.
+/// Delegates `name()` untouched and never inspects or alters the assignment.
+struct InstrumentedSolver {
+    inner: Decomposed,
+    solve_ns: telemetry::Histogram,
+}
+
+impl InstrumentedSolver {
+    fn new(inner: Decomposed) -> Self {
+        let solve_ns = telemetry::histogram(&format!("matching.solve_ns.{}", inner.name()));
+        InstrumentedSolver { inner, solve_ns }
+    }
+}
+
+impl AssignmentSolver for InstrumentedSolver {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
+        let _span = telemetry::span("solver", self.inner.name());
+        let _timer = self.solve_ns.timer();
+        self.inner.solve(costs)
     }
 }
 
@@ -341,8 +365,7 @@ mod tests {
         assert_eq!(c.rejection_deadline.as_mins_f64(), 30.0);
         assert_eq!(c.max_first_mile.as_mins_f64(), 45.0);
         assert_eq!(c.num_threads, 0, "default dispatch fan-out is auto");
-        assert_eq!(c.solver, SolverKind::DecomposedSparseKm, "default solver is sharded sparse KM");
-        assert_eq!(c.build_solver().name(), "decomposed-sparse-km");
+        assert_eq!(c.build_solver().name(), "decomposed-sparse-km", "sharded sparse KM");
         assert!(c.effective_threads() >= 1);
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         assert_eq!(
@@ -407,7 +430,6 @@ mod tests {
             .k_factor(50.0)
             .max_orders_per_vehicle(2)
             .num_threads(1)
-            .solver(SolverKind::DenseKm)
             .build()
             .expect("a valid configuration");
         assert_eq!(built.accumulation_window, Duration::from_mins(2.0));
@@ -415,7 +437,6 @@ mod tests {
         assert_eq!(built.k_factor, 50.0);
         assert_eq!(built.max_orders_per_vehicle, 2);
         assert_eq!(built.num_threads, 1);
-        assert_eq!(built.solver, SolverKind::DenseKm);
         // Untouched fields keep the paper defaults.
         assert_eq!(built.max_items_per_vehicle, 10);
         assert!(built.use_batching);

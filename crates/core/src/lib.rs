@@ -73,7 +73,7 @@ pub use codec::{crc32, ByteReader, Codec, DecodeError};
 pub use config::{ConfigError, DispatchConfig, DispatchConfigBuilder};
 pub use cost::{marginal_cost, shortest_delivery_time, MarginalCost};
 pub use foodgraph::{build_food_graph, FoodGraph};
-pub use foodmatch_matching::{AssignmentSolver, SolverKind};
+pub use foodmatch_matching::AssignmentSolver;
 pub use order::{Order, OrderId};
 pub use parallel::parallel_map;
 pub use policies::{

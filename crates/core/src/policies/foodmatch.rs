@@ -8,9 +8,9 @@
 //! 2. **FoodGraph construction** — a sparse bipartite graph between batches
 //!    and vehicles is built with the best-first search of Algorithm 2,
 //!    using the angular-distance-aware edge weight of Eq. 8 when enabled.
-//! 3. **Matching** — the configured [`AssignmentSolver`]
-//!    (`DispatchConfig::solver`, by default component-sharded sparse
-//!    Kuhn–Munkres solved in parallel) computes the minimum-weight matching
+//! 3. **Matching** — [`DispatchConfig::build_solver`] (the FoodGraph
+//!    sharded by connected component, each shard solved by sparse
+//!    Kuhn–Munkres, shards in parallel) computes the minimum-weight matching
 //!    directly on the sparse FoodGraph; matched pairs whose edge carries Ω
 //!    are discarded. The Ω entries are never materialised.
 //! 4. **Reshuffling** (§IV-D2) happens outside the policy: when
@@ -93,8 +93,7 @@ impl DispatchPolicy for FoodMatchPolicy {
         let graph = build_food_graph(&batches, &window.vehicles, engine, window.time, config);
         self.stats.foodgraph_evaluations = graph.evaluations;
 
-        // Stage 3: minimum-weight matching through the configured solver,
-        // directly on the sparse FoodGraph.
+        // Stage 3: minimum-weight matching directly on the sparse FoodGraph.
         let matching = config.build_solver().solve(&graph.costs);
         let omega = config.rejection_penalty_secs;
 
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn every_solver_kind_serves_the_same_number_of_orders() {
-        use foodmatch_matching::SolverKind;
+        use foodmatch_matching::{AssignmentSolver, DenseKm};
         let (engine, b) = setup();
         let t = TimePoint::from_hms(13, 0, 0);
         let orders: Vec<Order> = (0..6)
@@ -273,20 +272,19 @@ mod tests {
                 VehicleSnapshot::idle(VehicleId(2), b.node_at(3, 3)),
             ],
         );
-        let reference = FoodMatchPolicy::new().assign(
-            &window,
-            &engine,
-            &DispatchConfig { solver: SolverKind::DenseKm, ..Default::default() },
-        );
-        for kind in SolverKind::ALL {
-            let config = DispatchConfig { solver: kind, ..Default::default() };
-            let outcome = FoodMatchPolicy::new().assign(&window, &engine, &config);
-            outcome.validate(&window).unwrap();
-            assert_eq!(
-                outcome.assigned_order_count(),
-                reference.assigned_order_count(),
-                "solver {kind} serves a different number of orders"
-            );
-        }
+        // The policy's solver against the dense reference on the same graph.
+        let config = DispatchConfig::default();
+        let outcome = FoodMatchPolicy::new().assign(&window, &engine, &config);
+        outcome.validate(&window).unwrap();
+        let BatchingOutcome { batches, .. } = batch_orders(&window.orders, &engine, t, &config);
+        let graph = build_food_graph(&batches, &window.vehicles, &engine, t, &config);
+        let reference: usize = DenseKm
+            .solve(&graph.costs)
+            .pairs()
+            .filter(|&(row, col)| graph.costs.get(row, col) < config.rejection_penalty_secs)
+            .map(|(row, _)| batches[row].order_ids().len())
+            .sum();
+        assert!(reference > 0);
+        assert_eq!(outcome.assigned_order_count(), reference);
     }
 }

@@ -8,11 +8,10 @@
 //! vehicle it cannot feasibly serve would be worse than letting it wait for
 //! the next window.
 //!
-//! The matching itself routes through the configured
-//! [`AssignmentSolver`](foodmatch_matching::AssignmentSolver): infeasible
-//! pairs stay implicit Ω entries of a [`SparseCostMatrix`], so sparse solvers
-//! skip them entirely while the dense solver reproduces the classic
-//! full-matrix Kuhn–Munkres run.
+//! The matching itself routes through
+//! [`DispatchConfig::build_solver`]: infeasible pairs stay implicit Ω entries
+//! of a [`SparseCostMatrix`], which the solver skips entirely — at the same
+//! total cost as the classic full-matrix Kuhn–Munkres run.
 
 use crate::config::DispatchConfig;
 use crate::cost::marginal_cost;

@@ -84,7 +84,7 @@ impl DispatchPolicy for ReyesPolicy {
         }
 
         // Straight-line cost estimate of serving a batch with a vehicle;
-        // infeasible pairs stay implicit Ω entries so the configured solver
+        // infeasible pairs stay implicit Ω entries so the solver
         // sees the same sparse structure the FoodGraph produces.
         let omega = config.rejection_penalty_secs;
         let mut costs = SparseCostMatrix::new(batches.len(), window.vehicles.len(), omega);

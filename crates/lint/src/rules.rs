@@ -282,6 +282,7 @@ pub fn parse_waivers(rel_path: &str, lines: &[&str]) -> (Vec<Waiver>, Vec<Diagno
 fn rule1_applies(path: &str) -> bool {
     path.starts_with("crates/core/src/policies/")
         || path.starts_with("crates/core/src/route/")
+        || path.starts_with("crates/matching/src/")
         || matches!(
             path,
             "crates/core/src/window.rs"

@@ -24,8 +24,12 @@ fn rule_lines(diagnostics: &[Diagnostic]) -> Vec<(&'static str, usize)> {
 #[test]
 fn hash_iteration_is_flagged_on_the_output_path() {
     let source = fixture("nondet_iter.rs");
-    // A directory of the path set, and a single file of it.
-    for path in ["crates/core/src/policies/fixture.rs", "crates/core/src/batching.rs"] {
+    // Two directories of the path set, and a single file of it.
+    for path in [
+        "crates/core/src/policies/fixture.rs",
+        "crates/matching/src/matrix.rs",
+        "crates/core/src/batching.rs",
+    ] {
         let (diagnostics, _) = scan_source(path, &source);
         assert_eq!(
             rule_lines(&diagnostics),

@@ -21,11 +21,11 @@
 //!   min_dense = Ω·min(rows, cols) + Σ_components min-matching(component)
 //! ```
 //!
-//! Each per-component subproblem is handed to the inner solver as its own
-//! sparse matrix (same default Ω), so the inner solver's own optimum — its
-//! sub-Ω pairs — is exactly the component's term. Stitching the per-
-//! component sub-Ω pairs back together and re-padding therefore reproduces
-//! the dense optimum, for *any* exact inner solver.
+//! Each per-component subproblem is handed to [`SparseKm`] as its own
+//! sparse matrix (same default Ω), so the shard's optimum — its sub-Ω
+//! pairs — is exactly the component's term. Stitching the per-component
+//! sub-Ω pairs back together and re-padding therefore reproduces the dense
+//! optimum, because the per-shard solver is exact.
 //!
 //! Components are independent, so they are solved concurrently through the
 //! shared deterministic [`parallel_map`](crate::parallel::parallel_map):
@@ -37,6 +37,7 @@
 use crate::matrix::{Assignment, SparseCostMatrix};
 use crate::parallel::parallel_map;
 use crate::solver::{debug_assert_entries_at_most_default, pad_assignment, AssignmentSolver};
+use crate::sparse_km::SparseKm;
 
 /// One connected component of the finite-cost bipartite graph.
 #[derive(Clone, Debug)]
@@ -150,13 +151,12 @@ pub fn decompose(costs: &SparseCostMatrix) -> Vec<Component> {
         .collect()
 }
 
-/// Meta-solver: shards the instance by connected component, solves each
-/// component independently with the inner solver — in parallel — and
-/// stitches the per-component assignments back together. Exact whenever the
-/// inner solver is (see the module docs for the proof sketch).
+/// The dispatch solver: shards the instance by connected component, solves
+/// each component independently with [`SparseKm`] — in parallel — and
+/// stitches the per-component assignments back together. Exact (see the
+/// module docs for the proof sketch).
 #[derive(Clone, Debug)]
-pub struct Decomposed<S> {
-    inner: S,
+pub struct Decomposed {
     threads: usize,
     metrics: DecomposedMetrics,
 }
@@ -179,33 +179,19 @@ impl DecomposedMetrics {
     }
 }
 
-impl<S: AssignmentSolver> Decomposed<S> {
-    /// Wraps `inner`, solving components serially until
-    /// [`with_threads`](Self::with_threads) widens the fan-out. Telemetry
-    /// handles bind to the recorder installed at construction time.
-    pub fn new(inner: S) -> Self {
-        Decomposed { inner, threads: 1, metrics: DecomposedMetrics::acquire() }
-    }
-
-    /// Sets the maximum number of worker threads for per-component solves.
-    /// The result is bit-identical for every value.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+impl Decomposed {
+    /// A solver whose per-component solves fan out over at most `threads`
+    /// workers (`<= 1` solves components serially); the result is
+    /// bit-identical for every value. Telemetry handles bind to the recorder
+    /// installed at construction time.
+    pub fn new(threads: usize) -> Self {
+        Decomposed { threads: threads.max(1), metrics: DecomposedMetrics::acquire() }
     }
 }
 
-impl<S: AssignmentSolver> AssignmentSolver for Decomposed<S> {
+impl AssignmentSolver for Decomposed {
     fn name(&self) -> &'static str {
-        match self.inner.name() {
-            "dense-km" => "decomposed-dense-km",
-            "sparse-km" => "decomposed-sparse-km",
-            "auction" => "decomposed-auction",
-            // The per-component crossover pick only exists sharded, so the
-            // canonical `SolverKind::Auto` name carries no prefix.
-            "auto-km" => "auto",
-            _ => "decomposed",
-        }
+        "decomposed-sparse-km"
     }
 
     fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
@@ -223,14 +209,14 @@ impl<S: AssignmentSolver> AssignmentSolver for Decomposed<S> {
         // Small instances or a single component: skip the sharding overhead.
         if components.len() <= 1 {
             let solved = match components.into_iter().next() {
-                Some(only) => stitch_component(&only, self.inner.solve(&only.matrix), omega),
+                Some(only) => stitch_component(&only, SparseKm.solve(&only.matrix), omega),
                 None => Vec::new(),
             };
             return pad_assignment(costs.rows(), costs.cols(), omega, &solved);
         }
         let per_component: Vec<Vec<(usize, usize, f64)>> =
             parallel_map(&components, self.threads, |_, component| {
-                stitch_component(component, self.inner.solve(&component.matrix), omega)
+                stitch_component(component, SparseKm.solve(&component.matrix), omega)
             });
         let mut useful: Vec<(usize, usize, f64)> = per_component.into_iter().flatten().collect();
         useful.sort_by_key(|&(r, _, _)| r);
@@ -258,7 +244,6 @@ fn stitch_component(
 mod tests {
     use super::*;
     use crate::solver::DenseKm;
-    use crate::SparseKm;
 
     fn block_diagonal() -> SparseCostMatrix {
         // Two 2×2 blocks plus an isolated row/column pair of Ω only.
@@ -301,20 +286,18 @@ mod tests {
         let costs = block_diagonal();
         let whole = DenseKm.solve(&costs);
         for threads in [1, 2, 4] {
-            let sharded = Decomposed::new(DenseKm).with_threads(threads).solve(&costs);
+            let sharded = Decomposed::new(threads).solve(&costs);
             assert!((sharded.total_cost - whole.total_cost).abs() < 1e-9);
             assert_eq!(sharded.matched_pairs(), whole.matched_pairs());
             assert!(sharded.is_consistent());
         }
-        let sparse_sharded = Decomposed::new(SparseKm).with_threads(2).solve(&costs);
-        assert!((sparse_sharded.total_cost - whole.total_cost).abs() < 1e-9);
     }
 
     #[test]
     fn all_default_matrix_decomposes_to_nothing_and_pads() {
         let costs = SparseCostMatrix::new(3, 2, 42.0);
         assert!(decompose(&costs).is_empty());
-        let a = Decomposed::new(SparseKm).solve(&costs);
+        let a = Decomposed::new(1).solve(&costs);
         assert_eq!(a.matched_pairs(), 2);
         assert!((a.total_cost - 84.0).abs() < 1e-9);
     }
@@ -332,9 +315,9 @@ mod tests {
                 }
             }
         }
-        let reference = Decomposed::new(SparseKm).with_threads(1).solve(&costs);
+        let reference = Decomposed::new(1).solve(&costs);
         for threads in [2, 3, 8, 32] {
-            let solved = Decomposed::new(SparseKm).with_threads(threads).solve(&costs);
+            let solved = Decomposed::new(threads).solve(&costs);
             assert_eq!(solved, reference, "threads = {threads}");
         }
     }

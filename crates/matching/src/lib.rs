@@ -1,29 +1,27 @@
 //! # foodmatch-matching
 //!
 //! Minimum-weight bipartite matching substrate for the FoodMatch
-//! reproduction — a pluggable assignment-solver library.
+//! reproduction.
 //!
 //! The paper assigns order batches to vehicles by building a bipartite
 //! "FoodGraph" and computing a minimum-weight perfect matching (§IV-A),
 //! using the Bourgeois–Lassalle extension to rectangular matrices
 //! (reference [19]) because the number of batches and the number of
 //! vehicles rarely agree. After Algorithm 2's sparsification most
-//! (batch, vehicle) pairs sit at the rejection penalty Ω, so the crate is
-//! organised around solvers that exploit that sparsity behind one trait:
+//! (batch, vehicle) pairs sit at the rejection penalty Ω, so dispatch runs
+//! one solver that exploits that sparsity, and keeps the dense algorithm as
+//! the reference the tests compare it against:
 //!
 //! * [`AssignmentSolver`] — the solver trait: sparse matrix in,
 //!   [`Assignment`] out, deterministic.
-//! * [`DenseKm`] / [`hungarian::solve`] — the serial dense Kuhn–Munkres
-//!   solver (`O(n²·m)` with potentials); the fully general reference.
+//! * [`Decomposed`] — the dispatch solver: shards the instance by connected
+//!   component of the finite-cost graph ([`decompose`]) and solves the
+//!   components with [`SparseKm`] in parallel via
+//!   [`parallel::parallel_map`], exactly.
 //! * [`SparseKm`] — Kuhn–Munkres via successive shortest paths directly on
 //!   the explicit entries; never materialises the Ω cells.
-//! * [`Auction`] — the ε-scaling auction algorithm; exact on integer costs,
-//!   within `t·ε` on reals.
-//! * [`Decomposed`] — a meta-solver that shards the instance by connected
-//!   component of the finite-cost graph ([`decompose`]) and solves the
-//!   components in parallel via [`parallel::parallel_map`], exactly.
-//! * [`SolverKind`] — run-time solver selection (the `DispatchConfig` knob
-//!   and the `repro --solver` flag).
+//! * [`DenseKm`] / [`hungarian::solve`] — the serial dense Kuhn–Munkres
+//!   solver (`O(n²·m)` with potentials); the fully general test reference.
 //! * [`CostMatrix`] / [`SparseCostMatrix`] — dense and sparse cost storage.
 //! * [`greedy::solve`] — the locally-optimal matcher used as a reference
 //!   point in tests and ablation benchmarks.
@@ -33,7 +31,7 @@
 //! leaf — `parallel_map` lives here so every layer above can share it).
 //!
 //! ```
-//! use foodmatch_matching::{SolverKind, SparseCostMatrix};
+//! use foodmatch_matching::{AssignmentSolver, Decomposed, SparseCostMatrix};
 //!
 //! // Three batches, three vehicles; most pairs are at Ω = 3600 s.
 //! let mut costs = SparseCostMatrix::new(3, 3, 3600.0);
@@ -42,8 +40,7 @@
 //! costs.set(1, 1, 180.0);
 //! costs.set(2, 2, 420.0);
 //!
-//! let solver = SolverKind::DecomposedSparseKm.build(4);
-//! let assignment = solver.solve(&costs);
+//! let assignment = Decomposed::new(4).solve(&costs);
 //! assert_eq!(assignment.matched_pairs(), 3);
 //! assert_eq!(assignment.total_cost, 240.0 + 180.0 + 420.0);
 //! ```
@@ -51,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod auction;
 pub mod decompose;
 pub mod greedy;
 pub mod hungarian;
@@ -60,10 +56,9 @@ pub mod parallel;
 pub mod solver;
 pub mod sparse_km;
 
-pub use auction::Auction;
 pub use decompose::{decompose, Component, Decomposed};
 pub use hungarian::solve as solve_hungarian;
 pub use matrix::{Assignment, CostMatrix, SparseCostMatrix};
 pub use parallel::parallel_map;
-pub use solver::{AssignmentSolver, AutoKm, DenseKm, SolverKind, AUTO_DENSITY_CROSSOVER};
+pub use solver::{AssignmentSolver, DenseKm};
 pub use sparse_km::SparseKm;

@@ -115,9 +115,9 @@ impl fmt::Display for CostMatrix {
 /// The sparsified FoodGraph of Algorithm 2 produces exactly this structure:
 /// each vehicle has true marginal-cost edges to at most `k` batches and
 /// Ω-edges to every other batch. The sparse solvers
-/// ([`SparseKm`](crate::SparseKm), [`Auction`](crate::Auction),
-/// [`Decomposed`](crate::Decomposed)) operate on this representation
-/// directly, without ever materialising the Ω entries.
+/// ([`SparseKm`](crate::SparseKm), [`Decomposed`](crate::Decomposed))
+/// operate on this representation directly, without ever materialising the
+/// Ω entries.
 #[derive(Clone, Debug)]
 pub struct SparseCostMatrix {
     rows: usize,
@@ -202,32 +202,6 @@ impl SparseCostMatrix {
     /// order (deterministic for deterministic construction).
     pub fn entries(&self) -> &[(usize, usize, f64)] {
         &self.entries
-    }
-
-    /// Per-row adjacency of the *useful* explicit entries — those strictly
-    /// below the default cost, i.e. the finite-cost edges of the bipartite
-    /// graph. Each row's `(col, cost)` list is sorted by column, so the
-    /// result is independent of insertion order.
-    pub fn row_adjacency(&self) -> Vec<Vec<(usize, f64)>> {
-        let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.rows];
-        for &(r, c, v) in &self.entries {
-            if v < self.default_cost {
-                adj[r].push((c, v));
-            }
-        }
-        for row in &mut adj {
-            row.sort_by_key(|&(c, _)| c);
-        }
-        adj
-    }
-
-    /// The transposed sparse matrix (rows and columns swapped).
-    pub fn transposed(&self) -> SparseCostMatrix {
-        let mut t = SparseCostMatrix::new(self.cols, self.rows, self.default_cost);
-        for &(r, c, v) in &self.entries {
-            t.set(c, r, v);
-        }
-        t
     }
 
     /// Materialises the sparse matrix into a dense [`CostMatrix`].
@@ -328,19 +302,6 @@ mod tests {
         assert_eq!(s.explicit_entries(), 2, "duplicate writes collapse to one cell");
         assert_eq!(s.get(0, 1), 4.0);
         assert_eq!(s.get(0, 0), 100.0, "unset cells read the default");
-    }
-
-    #[test]
-    fn sparse_row_adjacency_is_sorted_and_skips_non_useful_entries() {
-        let mut s = SparseCostMatrix::new(3, 4, 50.0);
-        s.set(0, 3, 10.0);
-        s.set(0, 1, 20.0);
-        s.set(1, 2, 50.0); // == default: not a useful edge
-        s.set(1, 0, 60.0); // > default: not a useful edge either
-        let adj = s.row_adjacency();
-        assert_eq!(adj[0], vec![(1, 20.0), (3, 10.0)]);
-        assert!(adj[1].is_empty());
-        assert!(adj[2].is_empty());
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! The pluggable assignment-solver architecture.
+//! The assignment-solver interface and its dense reference.
 //!
-//! Every solver answers the same question as the paper's matching stage
-//! (§IV-A): given a (sparse) cost matrix between order batches (rows) and
-//! vehicles (columns) whose unset entries carry the rejection penalty Ω,
-//! return a minimum-cost assignment of `min(rows, cols)` pairs. The
-//! implementations trade generality for speed on the sparse instances the
-//! FoodGraph actually produces:
+//! The matching stage (§IV-A) asks one question: given a sparse cost matrix
+//! between order batches (rows) and vehicles (columns) whose unset entries
+//! carry the rejection penalty Ω, return a minimum-cost assignment of
+//! `min(rows, cols)` pairs. Dispatch answers it with one chain,
+//! [`Decomposed`](crate::Decomposed): shard by connected component, solve
+//! every shard with [`SparseKm`](crate::SparseKm), Kuhn–Munkres over the
+//! explicit entries. [`DenseKm`] answers it over *all* cells and is what the
+//! tests compare that chain against.
 //!
-//! | Solver | Complexity | Exact? | When to use |
-//! |---|---|---|---|
-//! | [`DenseKm`] | `O(n²·m)` over *all* cells | always | tiny or fully dense instances; arbitrary matrices (entries may exceed Ω) |
-//! | [`SparseKm`](crate::SparseKm) | `O(t·(E + V) log V)` over explicit entries | always¹ | sparse instances — never touches the Ω cells |
-//! | [`Auction`](crate::Auction) | ε-scaling forward auction | on integer costs¹ | very sparse instances; within `t·ε` of optimal on real costs |
-//! | [`Decomposed<S>`](crate::Decomposed) | per connected component, in parallel | as `S`¹ | windows whose bipartite graph splits — the dispatch default |
-//! | [`AutoKm`] | dense or sparse KM per instance, by density | always¹ | inside `Decomposed` ([`SolverKind::Auto`]): mixed or unknown density regimes |
+//! | Solver | Complexity | Role |
+//! |---|---|---|
+//! | [`SparseKm`](crate::SparseKm) | `O(t·(E + V) log V)` over explicit entries | solves each shard; never touches the Ω cells¹ |
+//! | [`Decomposed`](crate::Decomposed) | `SparseKm` per connected component, in parallel | the dispatch solver¹ |
+//! | [`DenseKm`] | `O(n²·m)` over all cells | test reference; arbitrary matrices (entries may exceed Ω) |
 //!
 //! ¹ requires the FoodGraph invariant that explicit entries never exceed the
 //! default cost Ω (Algorithm 2 clamps every edge weight with `min(·, Ω)`).
@@ -30,7 +30,6 @@
 
 use crate::hungarian;
 use crate::matrix::{Assignment, SparseCostMatrix};
-use foodmatch_telemetry as telemetry;
 
 /// A minimum-cost bipartite assignment solver over sparse cost matrices.
 ///
@@ -45,12 +44,12 @@ pub trait AssignmentSolver: Send + Sync {
     fn solve(&self, costs: &SparseCostMatrix) -> Assignment;
 }
 
-/// Today's baseline: densify the matrix (materialising every Ω entry) and
-/// run the serial rectangular Kuhn–Munkres solver on it.
+/// The reference: densify the matrix (materialising every Ω entry) and run
+/// the serial rectangular Kuhn–Munkres solver on it.
 ///
 /// This is the only solver with no precondition on the explicit entries —
-/// cells larger than the default cost are honoured — and the reference
-/// implementation the sparse solvers are equivalence-tested against.
+/// cells larger than the default cost are honoured — and the implementation
+/// the sparse chain is equivalence-tested against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseKm;
 
@@ -111,60 +110,6 @@ pub(crate) fn pad_assignment(
     assignment
 }
 
-/// Explicit-entry density at which dense and sparse Kuhn–Munkres trade
-/// places: the `BENCH_matching.json` tiers put the crossover near 10%
-/// (the near-dense city windows are where [`DenseKm`] honestly wins, the
-/// decomposing metro windows are where [`SparseKm`](crate::SparseKm) pulls
-/// ahead). [`AutoKm`] switches on this value.
-pub const AUTO_DENSITY_CROSSOVER: f64 = 0.10;
-
-/// Below this many cells the dense solver's constant factor always wins —
-/// there is nothing to amortise a heap-based search over.
-const AUTO_SMALL_CELLS: usize = 256;
-
-/// The per-instance crossover pick: routes each matrix to [`DenseKm`] when
-/// it is small (≤ `256` cells) or dense (useful-entry density ≥
-/// [`AUTO_DENSITY_CROSSOVER`]), and to [`SparseKm`](crate::SparseKm)
-/// otherwise.
-///
-/// The point of the pick is per-*component* adaptivity: wrapped in
-/// [`Decomposed`](crate::Decomposed) (which is what [`SolverKind::Auto`]
-/// builds), a window that splits into one near-dense downtown shard and
-/// many sparse suburban shards sends each shard to the solver that wins on
-/// its regime, dominating either fixed choice.
-///
-/// Shares [`SparseKm`](crate::SparseKm)'s precondition (explicit entries
-/// never exceed the default cost) because it may route to it; use
-/// [`DenseKm`] directly for matrices that violate the invariant.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AutoKm;
-
-impl AutoKm {
-    /// True when `costs` should go to the dense solver.
-    pub fn prefers_dense(costs: &SparseCostMatrix) -> bool {
-        let cells = costs.rows() * costs.cols();
-        if cells <= AUTO_SMALL_CELLS {
-            return true;
-        }
-        let useful = costs.entries().iter().filter(|&&(_, _, v)| v < costs.default_cost()).count();
-        useful as f64 >= AUTO_DENSITY_CROSSOVER * cells as f64
-    }
-}
-
-impl AssignmentSolver for AutoKm {
-    fn name(&self) -> &'static str {
-        "auto-km"
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        if AutoKm::prefers_dense(costs) {
-            DenseKm.solve(costs)
-        } else {
-            crate::SparseKm.solve(costs)
-        }
-    }
-}
-
 /// In debug builds, checks the sparse-solver precondition that no explicit
 /// entry exceeds the default cost (the FoodGraph invariant; see the module
 /// docs). [`DenseKm`] is the escape hatch for matrices that violate it.
@@ -175,134 +120,10 @@ pub(crate) fn debug_assert_entries_at_most_default(costs: &SparseCostMatrix) {
     );
 }
 
-/// The solver configurations selectable at run time (the `DispatchConfig`
-/// knob and the `repro --solver` flag).
-///
-/// `Decomposed*` variants wrap the base solver in
-/// [`Decomposed`](crate::Decomposed), sharding the instance by connected
-/// component and solving components in parallel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SolverKind {
-    /// Serial dense Kuhn–Munkres (the pre-refactor behaviour).
-    DenseKm,
-    /// Sparse Kuhn–Munkres (successive shortest paths on explicit entries).
-    SparseKm,
-    /// ε-scaling auction.
-    Auction,
-    /// Component-sharded dense Kuhn–Munkres.
-    DecomposedDenseKm,
-    /// Component-sharded sparse Kuhn–Munkres — the dispatch default.
-    DecomposedSparseKm,
-    /// Component-sharded auction.
-    DecomposedAuction,
-    /// Component-sharded per-instance crossover pick ([`AutoKm`]): each
-    /// shard goes to dense KM when small or ≥ ~10% dense, sparse KM
-    /// otherwise — the recommended choice when the workload's density
-    /// regime is unknown or mixed.
-    Auto,
-}
-
-impl SolverKind {
-    /// Every selectable solver, in documentation order.
-    pub const ALL: [SolverKind; 7] = [
-        SolverKind::DenseKm,
-        SolverKind::SparseKm,
-        SolverKind::Auction,
-        SolverKind::DecomposedDenseKm,
-        SolverKind::DecomposedSparseKm,
-        SolverKind::DecomposedAuction,
-        SolverKind::Auto,
-    ];
-
-    /// The canonical command-line name of the solver.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::DenseKm => "dense-km",
-            SolverKind::SparseKm => "sparse-km",
-            SolverKind::Auction => "auction",
-            SolverKind::DecomposedDenseKm => "decomposed-dense-km",
-            SolverKind::DecomposedSparseKm => "decomposed-sparse-km",
-            SolverKind::DecomposedAuction => "decomposed-auction",
-            SolverKind::Auto => "auto",
-        }
-    }
-
-    /// Parses a solver name (case-insensitive; `_` and `-` interchangeable).
-    pub fn parse(name: &str) -> Option<SolverKind> {
-        let normalised: String = name
-            .trim()
-            .chars()
-            .map(|c| if c == '_' { '-' } else { c.to_ascii_lowercase() })
-            .collect();
-        SolverKind::ALL.into_iter().find(|kind| kind.name() == normalised)
-    }
-
-    /// Instantiates the solver. `threads` bounds the per-component fan-out of
-    /// the `Decomposed*` variants (`<= 1` solves components serially) and is
-    /// ignored by the base solvers.
-    pub fn build(self, threads: usize) -> Box<dyn AssignmentSolver> {
-        let inner: Box<dyn AssignmentSolver> = match self {
-            SolverKind::DenseKm => Box::new(DenseKm),
-            SolverKind::SparseKm => Box::new(crate::SparseKm),
-            SolverKind::Auction => Box::new(crate::Auction::new()),
-            SolverKind::DecomposedDenseKm => {
-                Box::new(crate::Decomposed::new(DenseKm).with_threads(threads))
-            }
-            SolverKind::DecomposedSparseKm => {
-                Box::new(crate::Decomposed::new(crate::SparseKm).with_threads(threads))
-            }
-            SolverKind::DecomposedAuction => {
-                Box::new(crate::Decomposed::new(crate::Auction::new()).with_threads(threads))
-            }
-            SolverKind::Auto => Box::new(crate::Decomposed::new(AutoKm).with_threads(threads)),
-        };
-        if telemetry::active() {
-            let solve_ns = telemetry::histogram(&format!("matching.solve_ns.{}", inner.name()));
-            Box::new(InstrumentedSolver { inner, solve_ns })
-        } else {
-            inner
-        }
-    }
-
-    /// True when the solver is exact on arbitrary real-valued costs. The
-    /// auction variants are exact on integer costs and within `t·ε` (well
-    /// under one cost unit) of optimal otherwise.
-    pub fn is_exact_on_reals(self) -> bool {
-        !matches!(self, SolverKind::Auction | SolverKind::DecomposedAuction)
-    }
-}
-
-/// Observational wrapper [`SolverKind::build`] adds while a telemetry
-/// recorder is installed: times every `solve` into
-/// `matching.solve_ns.<solver>` and opens a `solver`-category span.
-/// Delegates `name()` untouched so reports and round-trip parsing are
-/// unaffected, and never inspects or alters the assignment.
-struct InstrumentedSolver {
-    inner: Box<dyn AssignmentSolver>,
-    solve_ns: telemetry::Histogram,
-}
-
-impl AssignmentSolver for InstrumentedSolver {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        let _span = telemetry::span("solver", self.inner.name());
-        let _timer = self.solve_ns.timer();
-        self.inner.solve(costs)
-    }
-}
-
-impl std::fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Decomposed, SparseKm};
 
     #[test]
     fn dense_km_matches_the_bare_hungarian_solver() {
@@ -335,56 +156,18 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_the_solver_by_density_and_size() {
-        // Tiny: dense regardless of density.
-        let tiny = SparseCostMatrix::new(4, 4, 100.0);
-        assert!(AutoKm::prefers_dense(&tiny));
-        // Large and sparse: sparse KM.
-        let mut sparse = SparseCostMatrix::new(40, 40, 100.0);
-        for i in 0..40 {
-            sparse.set(i, i, 1.0);
-        }
-        assert!(!AutoKm::prefers_dense(&sparse));
-        // Large and ≥10% dense: dense KM.
-        let mut dense = SparseCostMatrix::new(40, 40, 100.0);
-        for r in 0..40 {
-            for c in 0..5 {
-                dense.set(r, (r + c) % 40, 1.0 + ((r + c) % 7) as f64);
-            }
-        }
-        assert!(AutoKm::prefers_dense(&dense));
-        // At-Ω entries are not useful edges and do not count as density.
-        let mut padded = SparseCostMatrix::new(40, 40, 100.0);
-        for r in 0..40 {
-            for c in 0..8 {
-                padded.set(r, (r + c) % 40, 100.0);
-            }
-        }
-        assert!(!AutoKm::prefers_dense(&padded));
-    }
-
-    #[test]
-    fn kind_names_round_trip_through_parse() {
-        for kind in SolverKind::ALL {
-            assert_eq!(SolverKind::parse(kind.name()), Some(kind));
-            assert_eq!(SolverKind::parse(&kind.name().to_uppercase()), Some(kind));
-            assert_eq!(SolverKind::parse(&kind.name().replace('-', "_")), Some(kind));
-            assert_eq!(kind.build(2).name(), kind.name());
-        }
-        assert_eq!(SolverKind::parse("nope"), None);
-    }
-
-    #[test]
     fn every_kind_solves_a_small_instance_identically() {
         let mut costs = SparseCostMatrix::new(3, 3, 1000.0);
         costs.set(0, 0, 4.0);
         costs.set(0, 1, 1.0);
         costs.set(1, 0, 2.0);
         costs.set(2, 2, 5.0);
-        for kind in SolverKind::ALL {
-            let a = kind.build(2).solve(&costs);
-            assert_eq!(a.matched_pairs(), 3, "{kind}");
-            assert!((a.total_cost - 8.0).abs() < 1e-9, "{kind}: {}", a.total_cost);
+        let sharded = Decomposed::new(2);
+        let solvers: [&dyn AssignmentSolver; 3] = [&sharded, &SparseKm, &DenseKm];
+        for solver in solvers {
+            let a = solver.solve(&costs);
+            assert_eq!(a.matched_pairs(), 3, "{}", solver.name());
+            assert!((a.total_cost - 8.0).abs() < 1e-9, "{}: {}", solver.name(), a.total_cost);
         }
     }
 }

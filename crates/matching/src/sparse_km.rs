@@ -160,8 +160,8 @@ fn min_weight_matching_in(
     } = scratch;
 
     // Reduced weights w = c − Ω ≤ 0 on the explicit useful edges, sorted by
-    // column within each row (same shape `SparseCostMatrix::row_adjacency`
-    // produces, built into the pooled row vectors).
+    // column within each row so the result is independent of insertion
+    // order, built into the pooled row vectors.
     if adj.len() < n {
         adj.resize_with(n, Vec::new);
     }

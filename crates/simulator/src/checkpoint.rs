@@ -27,7 +27,7 @@
 //! checksummed container:
 //!
 //! ```text
-//! [8-byte magic "FMCKPT01"] [u64 payload length] [u32 CRC-32 of payload] [payload]
+//! [8-byte magic "FMCKPT02"] [u64 payload length] [u32 CRC-32 of payload] [payload]
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Magic prefix of every checkpoint file (8 bytes, versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT01";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT02";
 
 /// Name of the manifest file inside a router checkpoint directory.
 pub const ROUTER_MANIFEST: &str = "manifest";
@@ -833,6 +833,37 @@ mod tests {
         let mut wrong_magic = sealed.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(unseal(&wrong_magic), Err(CheckpointError::BadMagic { .. })));
+
+        // The previous format (its `DispatchConfig` was one byte longer) is
+        // refused by its magic, never decoded — as a file of its own and as
+        // a shard file of a router checkpoint directory.
+        let mut previous = sealed.clone();
+        previous[..8].copy_from_slice(b"FMCKPT01");
+        assert!(matches!(
+            unseal(&previous),
+            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT01"
+        ));
+        let dir = std::env::temp_dir().join(format!("fm-ckpt-magic-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        fs::write(dir.join(shard_file_name(0)), &previous).expect("write shard file");
+        let router = RouterCheckpoint {
+            wal_seq: 0,
+            config: DispatchConfig::default(),
+            window_close: TimePoint::MIDNIGHT,
+            drain_end: TimePoint::MIDNIGHT,
+            finished: false,
+            order_zone: Vec::new(),
+            vehicle_zone: Vec::new(),
+            shards: Vec::new(),
+        };
+        let mut manifest = Vec::new();
+        router.encode_manifest(&[crc32(&previous)], &mut manifest);
+        fs::write(dir.join(ROUTER_MANIFEST), seal(&manifest)).expect("write manifest");
+        assert!(matches!(
+            load_router_checkpoint(&dir),
+            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT01"
+        ));
+        fs::remove_dir_all(&dir).ok();
 
         let mut truncated = sealed.clone();
         truncated.pop();

@@ -7,10 +7,6 @@ kind is auto-detected from its keys:
 
 * ``BENCH_dispatch.json`` (``backends``): fails when any backend's
   ``queries_per_sec`` dropped by more than the threshold.
-* ``BENCH_matching.json`` (``pressures``): fails when any solver's mean
-  solve time at any pressure level grew by more than the threshold, or a
-  metro-tier ``speedup_decomposed_sparse_vs_dense`` fell by more than the
-  threshold (city-tier speedups are informational only).
 * ``BENCH_disruptions.json`` (``runs``): fails when any (policy, profile)
   run's ``xdt_hours_per_day`` grew by more than the threshold (policy
   quality, not wall-clock, so it is hardware-independent).
@@ -43,10 +39,11 @@ kind is auto-detected from its keys:
   true (the run was made under ``--telemetry-out``, so the "off" passes
   were live too).
 
-Timing-based comparisons (dispatch, matching) are skipped — informational
-only, exit 0 — when the two runs are not comparable: different
-``available_parallelism`` or a different ``quick`` flag. The deterministic
-disruptions metrics only require matching ``quick`` and ``seed``.
+Timing-based comparisons (dispatch, service, router, recovery) are skipped
+— informational only, exit 0 — when the two runs are not comparable:
+different ``available_parallelism`` or a different ``quick`` flag. The
+deterministic disruptions metrics only require matching ``quick`` and
+``seed``.
 
 With ``--lint-report LINT_JSON`` the script additionally summarises a
 ``foodmatch-lint`` report: waiver count (per rule) and diagnostic count,
@@ -116,48 +113,6 @@ def check_dispatch(new, baseline, threshold):
         )
         if drop > threshold:
             failures.append(f"{kind} queries/sec")
-    return failures
-
-
-def check_matching(new, baseline, threshold):
-    """Solver solve-time and speedup guard for BENCH_matching.json."""
-    baseline_pressures = {p["label"]: p for p in baseline.get("pressures", [])}
-    failures = []
-    for pressure in new.get("pressures", []):
-        label = pressure["label"]
-        old_pressure = baseline_pressures.get(label)
-        if old_pressure is None:
-            print(f"note: pressure {label} has no committed baseline, skipping")
-            continue
-        old_solvers = {s["name"]: s for s in old_pressure.get("solvers", [])}
-        for solver in pressure.get("solvers", []):
-            name = solver["name"]
-            old = old_solvers.get(name)
-            if old is None or float(old["mean_us"]) <= 0:
-                continue
-            old_us, new_us = float(old["mean_us"]), float(solver["mean_us"])
-            growth = (new_us - old_us) / old_us
-            status = "REGRESSION" if growth > threshold else "ok"
-            print(
-                f"{label:<14} {name:<22} baseline {old_us:>10.0f} us  "
-                f"now {new_us:>10.0f} us  ({growth:+.1%}) {status}"
-            )
-            if growth > threshold:
-                failures.append(f"{label}/{name} solve time")
-        # The speedup is only a promise on the metro tiers (the city tiers
-        # are the regime where dense KM deliberately wins and the ratio is
-        # noise-dominated).
-        old_speedup = float(old_pressure.get("speedup_decomposed_sparse_vs_dense", 0))
-        new_speedup = float(pressure.get("speedup_decomposed_sparse_vs_dense", 0))
-        if label.startswith("metro") and old_speedup > 0:
-            drop = (old_speedup - new_speedup) / old_speedup
-            status = "REGRESSION" if drop > threshold else "ok"
-            print(
-                f"{label:<14} {'speedup vs dense':<22} baseline {old_speedup:>9.2f}x  "
-                f"now {new_speedup:>10.2f}x  ({-drop:+.1%}) {status}"
-            )
-            if drop > threshold:
-                failures.append(f"{label} decomposed-sparse speedup")
     return failures
 
 
@@ -464,9 +419,6 @@ def main():
     if "backends" in new:
         comparable = check_comparable(new, baseline, ["available_parallelism", "quick"])
         failures = check_dispatch(new, baseline, args.threshold)
-    elif "pressures" in new:
-        comparable = check_comparable(new, baseline, ["available_parallelism", "quick"])
-        failures = check_matching(new, baseline, args.threshold)
     elif "service" in new:
         comparable = check_comparable(new, baseline, ["available_parallelism", "quick"])
         failures = check_service(new, baseline, args.threshold)

@@ -1,15 +1,15 @@
-//! Cross-solver equivalence and determinism of the pluggable assignment
-//! stack (seeded-RNG property loops, per the PR 1 testing conventions).
+//! Equivalence, ground truth and determinism of the assignment solver.
 //!
-//! The contract under test: every [`SolverKind`] returns an assignment of
-//! `min(rows, cols)` pairs whose total cost equals the dense rectangular
-//! Kuhn–Munkres optimum — exactly for the KM family on arbitrary real
-//! costs, and exactly for the auction on integer costs (its ε-scaling
-//! guarantee). `Decomposed<S>` must additionally be bit-identical for every
-//! thread count.
+//! The contract under test: the dispatch solver
+//! (`DispatchConfig::build_solver`, [`Decomposed`]: components → [`SparseKm`]
+//! per shard) returns an assignment of `min(rows, cols)` pairs whose total
+//! cost is the optimum — checked against the dense rectangular Kuhn–Munkres
+//! reference ([`DenseKm`]) on random instances and against exhaustive
+//! enumeration on tiny ones — and is bit-identical for every thread count.
 
+use foodmatch_core::DispatchConfig;
 use foodmatch_matching::{
-    decompose, solve_hungarian, AssignmentSolver, Auction, Decomposed, DenseKm, SolverKind,
+    decompose, solve_hungarian, AssignmentSolver, CostMatrix, Decomposed, DenseKm,
     SparseCostMatrix, SparseKm,
 };
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 const OMEGA: f64 = 7_200.0;
 
 /// A random sparse instance; `integer` restricts costs to whole seconds so
-/// the auction's exactness guarantee applies.
+/// that totals of distinct matchings differ by at least one.
 fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostMatrix {
     let rows = rng.random_range(1..=10);
     let cols = rng.random_range(1..=10);
@@ -36,6 +36,12 @@ fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostM
         }
     }
     costs
+}
+
+/// The dispatch solver as the policies build it, its per-shard solver run
+/// on the whole instance, and the dense reference.
+fn solvers() -> Vec<Box<dyn AssignmentSolver>> {
+    vec![DispatchConfig::default().build_solver(), Box::new(SparseKm), Box::new(DenseKm)]
 }
 
 fn assert_matches_dense(costs: &SparseCostMatrix, solver: &dyn AssignmentSolver, tol: f64) {
@@ -56,11 +62,7 @@ fn assert_matches_dense(costs: &SparseCostMatrix, solver: &dyn AssignmentSolver,
 #[test]
 fn km_family_agrees_with_dense_on_random_real_valued_instances() {
     let mut rng = StdRng::seed_from_u64(0xF00D_CAFE);
-    let solvers: Vec<Box<dyn AssignmentSolver>> = vec![
-        Box::new(SparseKm),
-        Box::new(Decomposed::new(SparseKm).with_threads(2)),
-        Box::new(Decomposed::new(DenseKm).with_threads(2)),
-    ];
+    let solvers = solvers();
     for trial in 0..250usize {
         let density = [0.1, 0.3, 0.6][trial % 3];
         let costs = random_instance(&mut rng, density, false);
@@ -73,14 +75,14 @@ fn km_family_agrees_with_dense_on_random_real_valued_instances() {
 #[test]
 fn every_solver_kind_is_exact_on_random_integer_instances() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let solvers = solvers();
     for trial in 0..150usize {
         let density = [0.15, 0.45, 0.8][trial % 3];
         let costs = random_instance(&mut rng, density, true);
-        for kind in SolverKind::ALL {
+        for solver in &solvers {
             // Integer totals differ by >= 1, so 0.5 separates "picked an
-            // optimal matching" from any suboptimal one for every solver,
-            // including the ε-scaling auction.
-            assert_matches_dense(&costs, kind.build(2).as_ref(), 0.5);
+            // optimal matching" from any suboptimal one.
+            assert_matches_dense(&costs, solver.as_ref(), 0.5);
         }
     }
 }
@@ -88,6 +90,7 @@ fn every_solver_kind_is_exact_on_random_integer_instances() {
 #[test]
 fn rectangular_extremes_and_degenerate_shapes_agree() {
     let mut rng = StdRng::seed_from_u64(7_777);
+    let solvers = solvers();
     // Very wide and very tall shapes, fully dense and nearly empty.
     for &(rows, cols) in &[(1usize, 12usize), (12, 1), (2, 9), (9, 2), (8, 8)] {
         for density in [0.0, 1.0] {
@@ -99,8 +102,8 @@ fn rectangular_extremes_and_degenerate_shapes_agree() {
                     }
                 }
             }
-            for kind in SolverKind::ALL {
-                assert_matches_dense(&costs, kind.build(3).as_ref(), 0.5);
+            for solver in &solvers {
+                assert_matches_dense(&costs, solver.as_ref(), 0.5);
             }
         }
     }
@@ -110,10 +113,10 @@ fn rectangular_extremes_and_degenerate_shapes_agree() {
 fn all_omega_instances_reduce_to_pure_rejection_padding() {
     let costs = SparseCostMatrix::new(6, 4, OMEGA);
     assert!(decompose(&costs).is_empty());
-    for kind in SolverKind::ALL {
-        let solved = kind.build(2).solve(&costs);
+    for solver in solvers() {
+        let solved = solver.solve(&costs);
         assert_eq!(solved.matched_pairs(), 4);
-        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{kind}");
+        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{}", solver.name());
     }
 }
 
@@ -125,9 +128,9 @@ fn explicit_entries_at_omega_never_beat_rejection() {
     costs.set(0, 0, OMEGA);
     costs.set(1, 1, 120.0);
     costs.set(2, 1, 60.0);
-    for kind in SolverKind::ALL {
-        let solved = kind.build(2).solve(&costs);
-        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{kind}");
+    for solver in solvers() {
+        let solved = solver.solve(&costs);
+        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{}", solver.name());
     }
 }
 
@@ -146,15 +149,10 @@ fn decomposed_solves_are_bit_identical_across_thread_counts() {
             }
         }
         assert!(decompose(&costs).len() >= 2, "block instance must decompose");
-        for kind in [SolverKind::DecomposedSparseKm, SolverKind::DecomposedDenseKm] {
-            let reference = kind.build(1).solve(&costs);
-            for threads in [2, 3, 8, 17] {
-                let solved = kind.build(threads).solve(&costs);
-                assert_eq!(
-                    solved, reference,
-                    "{kind} with {threads} threads diverged on trial {trial}"
-                );
-            }
+        let reference = Decomposed::new(1).solve(&costs);
+        for threads in [2, 3, 8, 17] {
+            let solved = Decomposed::new(threads).solve(&costs);
+            assert_eq!(solved, reference, "{threads} threads diverged on trial {trial}");
         }
     }
 }
@@ -200,21 +198,102 @@ fn component_sharding_partitions_rows_and_columns() {
     }
 }
 
+/// The optimum by exhaustive enumeration: the cheapest way to match every
+/// line of the shorter side to a distinct line of the longer one, Ω cells
+/// included (at most 720 matchings on a 6 × 6 instance).
+fn brute_force_optimum(costs: &CostMatrix) -> f64 {
+    fn explore(costs: &CostMatrix, row: usize, used: &mut [bool]) -> f64 {
+        if row == costs.rows() {
+            return 0.0;
+        }
+        let mut best = f64::INFINITY;
+        for col in 0..costs.cols() {
+            if !used[col] {
+                used[col] = true;
+                best = best.min(costs.get(row, col) + explore(costs, row + 1, used));
+                used[col] = false;
+            }
+        }
+        best
+    }
+    if costs.rows() <= costs.cols() {
+        explore(costs, 0, &mut vec![false; costs.cols()])
+    } else {
+        explore(&costs.transposed(), 0, &mut vec![false; costs.rows()])
+    }
+}
+
 #[test]
-fn auction_stays_within_its_epsilon_bound_on_real_costs() {
-    // On real-valued costs the auction is only ε-optimal; the bound is
-    // participants·ε < 1 second, far below any meaningful dispatch cost.
-    let mut rng = StdRng::seed_from_u64(424_242);
-    for _ in 0..100 {
-        let costs = random_instance(&mut rng, 0.4, false);
-        let dense = solve_hungarian(&costs.to_dense());
-        let solved = Auction::new().solve(&costs);
-        assert!(solved.total_cost >= dense.total_cost - 1e-6, "auction can never beat the optimum");
-        assert!(
-            solved.total_cost - dense.total_cost < 1.0,
-            "auction exceeded its ε bound: {} vs {}",
-            solved.total_cost,
-            dense.total_cost
+fn dispatch_solver_matches_exhaustive_enumeration_on_tiny_instances() {
+    let mut rng = StdRng::seed_from_u64(0x0B5E55ED);
+    let solver = DispatchConfig::default().build_solver();
+    // What the seeded loop must have covered by the time it ends.
+    let (mut wide, mut tall, mut square) = (0, 0, 0);
+    let (mut all_omega, mut at_omega, mut sharded, mut isolated) = (0, 0, 0, 0);
+    for trial in 0..600usize {
+        let integer = trial % 2 == 0;
+        let (rows, cols) = match trial % 3 {
+            0 => (rng.random_range(1..=5), 6),
+            1 => (6, rng.random_range(1..=5)),
+            _ => {
+                let n = rng.random_range(1..=6);
+                (n, n)
+            }
+        };
+        let density = [0.0, 0.25, 0.5, 1.0][rng.random_range(0..4usize)];
+        let mut costs = SparseCostMatrix::new(rows, cols, OMEGA);
+        for r in 0..rows {
+            for c in 0..cols {
+                if rng.random_range(0.0..1.0) >= density {
+                    continue;
+                }
+                let cost = if rng.random_range(0.0..1.0) < 0.15 {
+                    OMEGA
+                } else if integer {
+                    rng.random_range(0..7_000) as f64
+                } else {
+                    rng.random_range(0.0..7_000.0)
+                };
+                costs.set(r, c, cost);
+            }
+        }
+
+        let optimum = brute_force_optimum(&costs.to_dense());
+        let solved = solver.solve(&costs);
+        if integer {
+            assert_eq!(solved.total_cost, optimum, "trial {trial} on\n{}", costs.to_dense());
+        } else {
+            let off = (solved.total_cost - optimum).abs();
+            assert!(off <= 1e-9, "trial {trial}: off by {off} on\n{}", costs.to_dense());
+        }
+        assert_eq!(solved.matched_pairs(), rows.min(cols), "trial {trial}");
+        assert!(solved.is_consistent(), "trial {trial}");
+        for threads in [1, 2, 4] {
+            assert_eq!(Decomposed::new(threads).solve(&costs), solved, "trial {trial}");
+        }
+
+        let useful: Vec<_> = costs.entries().iter().filter(|&&(_, _, v)| v < OMEGA).collect();
+        wide += usize::from(rows < cols);
+        tall += usize::from(rows > cols);
+        square += usize::from(rows == cols);
+        all_omega += usize::from(useful.is_empty());
+        at_omega += usize::from(useful.len() < costs.explicit_entries());
+        sharded += usize::from(decompose(&costs).len() >= 2);
+        isolated += usize::from(
+            !useful.is_empty()
+                && (0..rows).any(|r| useful.iter().all(|e| e.0 != r))
+                && (0..cols).any(|c| useful.iter().all(|e| e.1 != c)),
         );
+    }
+    for (what, seen) in [
+        ("wide", wide),
+        ("tall", tall),
+        ("square", square),
+        ("all-Ω", all_omega),
+        ("explicit entry at Ω", at_omega),
+        ("two or more components", sharded),
+        ("isolated row and column", isolated),
+    ] {
+        assert!(seen >= 20, "only {seen} {what} instances");
     }
 }
