@@ -1,11 +1,13 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures (13 experiments),
+//! plus the deterministic `disruptions` XDT guard. Performance is measured
+//! by `benchmark/`, not here.
 //!
 //! ```text
-//! repro list                               # show available experiments
+//! repro list                               # show the 14 experiments
 //! repro all [--quick]                      # run the whole suite
 //! repro fig6cde [--seed 3]                 # run one experiment
-//! repro dispatch --bench-out BENCH_dispatch.json   # machine-readable perf baseline
-//! repro service --telemetry-out telemetry.json     # metrics + Chrome trace export
+//! repro disruptions --bench-out BENCH_disruptions.json   # machine-readable XDT per run
+//! repro disruptions --telemetry-out telemetry.json       # metrics + Chrome trace export
 //! ```
 //!
 //! `--telemetry-out PATH` installs a global [`foodmatch_telemetry`] recorder

@@ -2,18 +2,13 @@
 //! regenerated rows/series to stdout; the `repro` binary maps experiment
 //! names to these functions.
 
-pub mod dispatch;
 pub mod disruptions;
 pub mod fig4a;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod recovery;
-pub mod router;
-pub mod service;
 pub mod table2;
-pub mod telemetry;
 
 use crate::harness::ExperimentContext;
 
@@ -96,34 +91,9 @@ pub const ALL: &[Experiment] = &[
         run: fig9::run,
     },
     Experiment {
-        name: "dispatch",
-        description: "Dispatch hot path: per-backend oracle throughput and parallel windows",
-        run: dispatch::run,
-    },
-    Experiment {
         name: "disruptions",
         description: "Dynamic events: policies under calm vs rainy/incident-heavy days",
         run: disruptions::run,
-    },
-    Experiment {
-        name: "service",
-        description: "Online dispatch service: ingest throughput and advance_to latency",
-        run: service::run,
-    },
-    Experiment {
-        name: "router",
-        description: "Sharded dispatch router: ingest and lockstep advance_to vs shard count",
-        run: router::run,
-    },
-    Experiment {
-        name: "recovery",
-        description: "Crash-safe dispatch: WAL overhead, checkpoint latency, replay catch-up",
-        run: recovery::run,
-    },
-    Experiment {
-        name: "telemetry",
-        description: "Observability: dispatch-loop overhead with the recorder off vs on",
-        run: telemetry::run,
     },
 ];
 
@@ -135,7 +105,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// The names every registered experiment must carry, in paper order — the
 /// single source of truth for the registry-coverage tests here and in the
 /// workspace-level smoke suite.
-pub const EXPECTED_NAMES: [&str; 19] = [
+pub const EXPECTED_NAMES: [&str; 14] = [
     "table2",
     "fig4a",
     "fig6a",
@@ -149,12 +119,7 @@ pub const EXPECTED_NAMES: [&str; 19] = [
     "fig8delta",
     "fig8k",
     "fig9",
-    "dispatch",
     "disruptions",
-    "service",
-    "router",
-    "recovery",
-    "telemetry",
 ];
 
 #[cfg(test)]

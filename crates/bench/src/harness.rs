@@ -172,15 +172,6 @@ pub fn cell(value: f64) -> String {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (0 for empty).
-pub fn percentile(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Prints a rule + header for an experiment section.
 pub fn header(title: &str) {
     println!();
@@ -228,15 +219,6 @@ mod tests {
         assert_eq!(cell(1234.5).len(), 10);
         assert_eq!(cell(12.34).len(), 10);
         assert_eq!(cell(0.1234).len(), 10);
-    }
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 50.0), 2.0);
-        assert_eq!(percentile(&sorted, 90.0), 4.0);
-        assert_eq!(percentile(&sorted, 1.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

@@ -48,10 +48,10 @@
 //! * **Durable** — [`DurableDispatch`] wraps a service or router and makes
 //!   it crash-safe: every mutating call is appended to a checksummed
 //!   [`WriteAheadLog`] *before* it is applied, with a [`FlushPolicy`]
-//!   amortising the fsync across group-committed batches (per record, per
-//!   N records, per accumulation window, or per latency deadline — the
-//!   acked/appended ledger makes the durability lag explicit). The full
-//!   dispatcher state (order pools, fleet physics, event schedule, metrics)
+//!   amortising the fsync across group-committed batches (per record or
+//!   per accumulation window — the acked/appended ledger makes the
+//!   durability lag explicit). The full dispatcher state (order pools,
+//!   fleet physics, event schedule, metrics)
 //!   checkpoints via [`DispatchService::checkpoint`] /
 //!   [`DispatchRouter::checkpoint`] into atomically-written files — off the
 //!   dispatch thread with [`BackgroundCheckpointer`], whose sealed

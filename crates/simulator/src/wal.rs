@@ -66,7 +66,6 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Magic prefix of every WAL file (8 bytes, versioned). Version 002 added
 /// the checksummed `base_seq` header field for compacted logs.
@@ -121,7 +120,7 @@ impl Codec for WalRecord {
 
 /// When the write-ahead log flushes buffered records to disk.
 ///
-/// Every policy preserves the append *order*; they differ only in how many
+/// Both policies preserve the append *order*; they differ only in how many
 /// records share one `fdatasync`. The group-commit trade is explicit: a
 /// crash loses at most the unflushed suffix (`appended_seq − acked_seq`
 /// records), and recovery always lands on a clean flush boundary.
@@ -131,30 +130,11 @@ pub enum FlushPolicy {
     /// lost once `append` returns) and the default. One fsync per record.
     #[default]
     EveryRecord,
-    /// Flush once `n` records are buffered. Bounded loss window of `n − 1`
-    /// records; amortises the fsync `n` ways.
-    EveryN(u32),
     /// Flush when an [`AdvanceTo`](WalRecord::AdvanceTo) record is appended
     /// — one fsync per accumulation window, aligning durability with the
     /// dispatch cadence: a window's inputs become durable together, before
     /// any of its outputs are computed.
     Window,
-    /// Flush when the oldest buffered record has waited at least this long
-    /// (checked at append time), bounding the durability *latency* rather
-    /// than the record count.
-    Timed(Duration),
-}
-
-impl FlushPolicy {
-    /// Short stable label used in benchmark JSON and tables.
-    pub fn label(&self) -> String {
-        match self {
-            FlushPolicy::EveryRecord => "every-record".to_string(),
-            FlushPolicy::EveryN(n) => format!("every-{n}"),
-            FlushPolicy::Window => "window".to_string(),
-            FlushPolicy::Timed(d) => format!("timed-{}ms", d.as_millis()),
-        }
-    }
 }
 
 /// A typed write-ahead-log failure. Reading or writing a WAL never panics;
@@ -436,8 +416,6 @@ pub struct WriteAheadLog {
     appended_seq: u64,
     /// Framed, unflushed records.
     buffer: Vec<u8>,
-    /// Wall-clock arrival of the oldest buffered record (Timed policy).
-    oldest_buffered: Option<Instant>,
     metrics: WalMetrics,
 }
 
@@ -498,7 +476,6 @@ impl WriteAheadLog {
             acked_seq: 0,
             appended_seq: 0,
             buffer: Vec::new(),
-            oldest_buffered: None,
             metrics: WalMetrics::acquire(),
         })
     }
@@ -538,7 +515,6 @@ impl WriteAheadLog {
                 acked_seq: seq,
                 appended_seq: seq,
                 buffer: Vec::new(),
-                oldest_buffered: None,
                 metrics: WalMetrics::acquire(),
             },
             outcome,
@@ -553,21 +529,11 @@ impl WriteAheadLog {
         let _span = foodmatch_telemetry::span("wal", "append");
         let _append = self.metrics.append_ns.timer();
         frame_into(record, &mut self.buffer);
-        if self.oldest_buffered.is_none() {
-            // lint: allow(wall-clock-hygiene) — `FlushPolicy::Timed` is a
-            // wall-clock latency bound by definition; the deadline never
-            // feeds the replayed output stream, only fsync scheduling.
-            self.oldest_buffered = Some(Instant::now());
-        }
         let seq = self.appended_seq;
         self.appended_seq += 1;
         let due = match self.policy {
             FlushPolicy::EveryRecord => true,
-            FlushPolicy::EveryN(n) => self.appended_seq - self.acked_seq >= u64::from(n.max(1)),
             FlushPolicy::Window => matches!(record, WalRecord::AdvanceTo(_)),
-            FlushPolicy::Timed(max_latency) => {
-                self.oldest_buffered.is_some_and(|t| t.elapsed() >= max_latency)
-            }
         };
         if due {
             self.flush()?;
@@ -595,7 +561,6 @@ impl WriteAheadLog {
         self.metrics.flush_records.record(batch);
         self.metrics.unflushed.set(0);
         self.buffer.clear();
-        self.oldest_buffered = None;
         self.acked_seq = self.appended_seq;
         Ok(self.acked_seq)
     }
@@ -608,7 +573,6 @@ impl WriteAheadLog {
     pub fn discard_unflushed(&mut self) -> u64 {
         let dropped = self.appended_seq - self.acked_seq;
         self.buffer.clear();
-        self.oldest_buffered = None;
         self.appended_seq = self.acked_seq;
         self.metrics.unflushed.set(0);
         dropped
@@ -763,59 +727,24 @@ mod tests {
     }
 
     #[test]
-    fn every_n_buffers_until_the_group_fills_and_drop_flushes_the_rest() {
-        let path = temp_path("every-n");
+    fn window_policy_flushes_on_advance_records() {
+        let path = temp_path("window");
         let records = sample_records();
         {
-            let mut wal =
-                WriteAheadLog::create_with(&path, FlushPolicy::EveryN(2)).expect("create");
-            wal.append(&records[0]).expect("append");
-            assert_eq!(wal.acked_seq(), 0, "first record buffers");
+            let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::Window).expect("create");
+            wal.append(&records[0]).expect("append submit");
+            assert_eq!(wal.acked_seq(), 0, "submissions buffer");
             assert_eq!(wal.unflushed(), 1);
             // Nothing on disk yet beyond the header.
             assert!(read_wal_file(&path).expect("read").records.is_empty());
-            wal.append(&records[1]).expect("append");
-            assert_eq!(wal.acked_seq(), 2, "the group of two flushes");
-            wal.append(&records[2]).expect("append");
-            assert_eq!(wal.acked_seq(), 2, "third record buffers again");
+            wal.append(&records[1]).expect("append advance");
+            assert_eq!(wal.acked_seq(), 2, "the advance flushes the window's group");
+            wal.append(&records[0]).expect("append submit");
+            assert_eq!(wal.acked_seq(), 2, "the next window's submission buffers again");
             // Graceful drop flushes the partial group.
         }
-        assert_eq!(read_wal_file(&path).expect("read").records, records);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn window_policy_flushes_on_advance_records() {
-        let path = temp_path("window");
-        let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::Window).expect("create");
-        let records = sample_records();
-        wal.append(&records[0]).expect("append submit");
-        assert_eq!(wal.acked_seq(), 0, "submissions buffer");
-        wal.append(&records[1]).expect("append advance");
-        assert_eq!(wal.acked_seq(), 2, "the advance flushes the window's group");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn timed_policy_bounds_durability_latency() {
-        let path = temp_path("timed");
-        let records = sample_records();
-        // A zero deadline degenerates to per-record flushing…
-        let mut wal =
-            WriteAheadLog::create_with(&path, FlushPolicy::Timed(Duration::ZERO)).expect("create");
-        wal.append(&records[0]).expect("append");
-        assert_eq!(wal.acked_seq(), 1);
-        drop(wal);
-        // …while a distant one buffers indefinitely (until drop/flush).
-        let mut wal =
-            WriteAheadLog::create_with(&path, FlushPolicy::Timed(Duration::from_secs(3600)))
-                .expect("create");
-        wal.append(&records[0]).expect("append");
-        wal.append(&records[1]).expect("append");
-        assert_eq!(wal.acked_seq(), 0);
-        assert_eq!(wal.unflushed(), 2);
-        wal.flush().expect("flush");
-        assert_eq!(wal.acked_seq(), 2);
+        let expected = [records[0].clone(), records[1].clone(), records[0].clone()];
+        assert_eq!(read_wal_file(&path).expect("read").records, expected);
         fs::remove_file(&path).ok();
     }
 
@@ -823,11 +752,12 @@ mod tests {
     fn discard_unflushed_loses_exactly_the_unacked_suffix() {
         let path = temp_path("discard");
         let records = sample_records();
-        let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::EveryN(8)).expect("create");
+        let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::Window).expect("create");
         wal.append(&records[0]).expect("append");
         wal.flush().expect("flush");
-        wal.append(&records[1]).expect("append");
-        wal.append(&records[2]).expect("append");
+        // Submissions only: under `Window` nothing but an advance flushes.
+        wal.append(&records[0]).expect("append");
+        wal.append(&records[0]).expect("append");
         assert_eq!(wal.discard_unflushed(), 2);
         assert_eq!(wal.appended_seq(), 1);
         drop(wal); // the drop-flush has nothing left to write

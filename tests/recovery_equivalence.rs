@@ -522,18 +522,6 @@ fn router_recovery_holds_for_every_policy() {
     }
 }
 
-/// The group-commit flush policies under test: a fixed record-count group,
-/// the window-aligned flush, and a deadline that never fires inside the
-/// scripted day (the worst case: everything since the last explicit flush
-/// boundary is one crash away from vanishing).
-fn group_commit_policies() -> Vec<FlushPolicy> {
-    vec![
-        FlushPolicy::EveryN(5),
-        FlushPolicy::Window,
-        FlushPolicy::Timed(std::time::Duration::from_secs(3600)),
-    ]
-}
-
 #[test]
 fn service_recovery_is_bit_identical_for_every_flush_policy() {
     // Full-day equivalence under group commit: the crash loses the
@@ -559,39 +547,38 @@ fn service_recovery_is_bit_identical_for_every_flush_policy() {
     let golden_outputs = normalized_outputs(golden_outputs);
     let golden_report = normalized(golden.report());
 
-    for (p, &flush) in group_commit_policies().iter().enumerate() {
-        for (i, &crash) in crashes.iter().enumerate() {
-            let wal = dir.join(format!("crash-{p}-{i}.wal"));
-            let ckpt = dir.join(format!("crash-{p}-{i}.ckpt"));
-            let (outputs, recovered) = run_crashed_and_recover(
-                sim.service::<DynPolicy>(kind.build()),
-                &wal,
-                &ops,
-                flush,
-                crash,
-                3,
-                |c: &ServiceCheckpoint| save_checkpoint(&ckpt, c).expect("save checkpoint"),
-                || {
-                    let c: ServiceCheckpoint = load_checkpoint(&ckpt).expect("load checkpoint");
-                    let seq = c.wal_seq;
-                    (DispatchService::restore(sim.engine.clone(), kind.build(), &c), seq)
-                },
-            );
-            assert_eq!(
-                normalized_outputs(outputs),
-                golden_outputs,
-                "{flush:?} crash {i} ({:?} at seq {}): recovered output stream must equal golden",
-                crash.mode,
-                crash.at_seq
-            );
-            assert_eq!(
-                normalized(recovered.report()),
-                golden_report,
-                "{flush:?} crash {i} ({:?} at seq {}): recovered report must equal golden",
-                crash.mode,
-                crash.at_seq
-            );
-        }
+    let flush = FlushPolicy::Window;
+    for (i, &crash) in crashes.iter().enumerate() {
+        let wal = dir.join(format!("crash-{i}.wal"));
+        let ckpt = dir.join(format!("crash-{i}.ckpt"));
+        let (outputs, recovered) = run_crashed_and_recover(
+            sim.service::<DynPolicy>(kind.build()),
+            &wal,
+            &ops,
+            flush,
+            crash,
+            3,
+            |c: &ServiceCheckpoint| save_checkpoint(&ckpt, c).expect("save checkpoint"),
+            || {
+                let c: ServiceCheckpoint = load_checkpoint(&ckpt).expect("load checkpoint");
+                let seq = c.wal_seq;
+                (DispatchService::restore(sim.engine.clone(), kind.build(), &c), seq)
+            },
+        );
+        assert_eq!(
+            normalized_outputs(outputs),
+            golden_outputs,
+            "{flush:?} crash {i} ({:?} at seq {}): recovered output stream must equal golden",
+            crash.mode,
+            crash.at_seq
+        );
+        assert_eq!(
+            normalized(recovered.report()),
+            golden_report,
+            "{flush:?} crash {i} ({:?} at seq {}): recovered report must equal golden",
+            crash.mode,
+            crash.at_seq
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -617,10 +604,7 @@ fn recovery_lands_exactly_on_the_last_acked_flush_boundary() {
     );
     let kind = PolicyKind::FoodMatch;
     let at_seq = (ops.len() * 3 / 4) as u64;
-    let mut policies = group_commit_policies();
-    policies.insert(0, FlushPolicy::EveryRecord);
-
-    for (p, &flush) in policies.iter().enumerate() {
+    for (p, &flush) in [FlushPolicy::EveryRecord, FlushPolicy::Window].iter().enumerate() {
         for (m, &mode) in
             [FailMode::BeforeAppend, FailMode::AfterAppend, FailMode::TornAppend].iter().enumerate()
         {
@@ -736,36 +720,35 @@ fn router_recovery_holds_for_group_commit_policies_at_four_threads() {
     let golden_outputs = normalized_routed(golden_outputs);
     let golden_report = normalized(golden.report().aggregate);
 
-    for (p, &flush) in [FlushPolicy::EveryN(5), FlushPolicy::Window].iter().enumerate() {
-        let wal = dir.join(format!("crash-{p}.wal"));
-        let ckpt = dir.join(format!("crash-{p}.ckpt"));
-        let (outputs, recovered) = run_crashed_and_recover(
-            metro_router(&metro, kind, 4),
-            &wal,
-            &ops,
-            flush,
-            crash,
-            2,
-            |c| save_router_checkpoint(&ckpt, c).expect("save router checkpoint"),
-            || {
-                let c = load_router_checkpoint(&ckpt).expect("load router checkpoint");
-                let seq = c.wal_seq;
-                let router =
-                    DispatchRouter::restore(&metro.network, metro.zone_map(), |_| kind.build(), &c)
-                        .expect("restore router");
-                (router, seq)
-            },
-        );
-        assert_eq!(
-            normalized_routed(outputs),
-            golden_outputs,
-            "{flush:?}: recovered routed stream must equal golden"
-        );
-        assert_eq!(
-            normalized(recovered.report().aggregate),
-            golden_report,
-            "{flush:?}: recovered aggregate report must equal golden"
-        );
-    }
+    let flush = FlushPolicy::Window;
+    let wal = dir.join("crash.wal");
+    let ckpt = dir.join("crash.ckpt");
+    let (outputs, recovered) = run_crashed_and_recover(
+        metro_router(&metro, kind, 4),
+        &wal,
+        &ops,
+        flush,
+        crash,
+        2,
+        |c| save_router_checkpoint(&ckpt, c).expect("save router checkpoint"),
+        || {
+            let c = load_router_checkpoint(&ckpt).expect("load router checkpoint");
+            let seq = c.wal_seq;
+            let router =
+                DispatchRouter::restore(&metro.network, metro.zone_map(), |_| kind.build(), &c)
+                    .expect("restore router");
+            (router, seq)
+        },
+    );
+    assert_eq!(
+        normalized_routed(outputs),
+        golden_outputs,
+        "{flush:?}: recovered routed stream must equal golden"
+    );
+    assert_eq!(
+        normalized(recovered.report().aggregate),
+        golden_report,
+        "{flush:?}: recovered aggregate report must equal golden"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -60,8 +60,7 @@ fn quantile_bounds_bracket_exact_percentiles_across_distributions() {
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         for q in [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            // Nearest-rank, the convention the bench harness percentile
-            // uses: rank = ceil(q/100 * n), 1-based, clamped.
+            // Nearest-rank: rank = ceil(q/100 * n), 1-based, clamped.
             let rank = ((q / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
             let exact = sorted[rank.min(sorted.len()) - 1];
             let (lower, upper) = snap.quantile_bounds(q).expect("non-empty histogram");

@@ -4,17 +4,19 @@
 //! no recorder installed, once with a live [`foodmatch_telemetry`]
 //! recorder — and the typed output streams and reports must match bit for
 //! bit (after zeroing the wall-clock window fields, exactly as the
-//! equivalence suites do). Three workloads cover the stack:
+//! equivalence suites do). Four workloads cover the stack:
 //!
 //! * the bare [`DispatchService`] on a disruption-heavy lunch hour;
 //! * a one-zone [`DispatchRouter`] over the same day;
 //! * a four-thread multi-zone metro router (the parallel fan-out path,
-//!   including the per-shard wall timing the recorder turns on).
+//!   including the per-shard wall timing the recorder turns on);
+//! * the same service day behind [`DurableDispatch`] over a
+//!   [`FlushPolicy::Window`] WAL, with one checkpoint saved mid-day.
 //!
 //! The live runs must also actually observe something: the trace has to
-//! contain engine, solver, shard and service spans, and the registry has
-//! to hold engine-query and solver-latency samples — a silently inert
-//! recorder would make the equality above vacuous.
+//! contain engine, solver, shard, service, wal and checkpoint spans, and
+//! the registry has to hold engine-query and solver-latency samples — a
+//! silently inert recorder would make the equality above vacuous.
 //!
 //! This file stays a single sequential `#[test]`: the recorder is
 //! process-global, so no other test in this binary may race an
@@ -22,7 +24,8 @@
 
 use foodmatch_core::PolicyKind;
 use foodmatch_sim::{
-    DispatchOutput, DispatchRouter, RoutedOutput, SimulationReport, ZoneId, ZoneMap,
+    save_checkpoint, DispatchOutput, DispatchRouter, DurableDispatch, FlushPolicy, RoutedOutput,
+    SimulationReport, WriteAheadLog, ZoneId, ZoneMap,
 };
 use foodmatch_telemetry as telemetry;
 use foodmatch_workload::{DisruptionPreset, MetroOptions, MetroScenario};
@@ -214,9 +217,57 @@ fn telemetry_is_strictly_observational() {
         );
     }
 
+    // --- 4. the service day again, behind a window-flushed WAL ----------
+    let scratch = |name: &str| {
+        std::env::temp_dir().join(format!("fm-neutrality-{}-{name}", std::process::id()))
+    };
+    let (wal_path, ckpt_path) = (scratch("day.wal"), scratch("day.ckpt"));
+    let durable_run = || {
+        let log = WriteAheadLog::create_with(&wal_path, FlushPolicy::Window).expect("create WAL");
+        let mut durable = DurableDispatch::new(sim.service(PolicyKind::FoodMatch.build()), log);
+        for order in &sim.orders {
+            if order.placed_at >= sim.start && order.placed_at < sim.end {
+                assert!(durable.submit_order(*order).expect("durable submit").is_accepted());
+            }
+        }
+        for &event in &sim.events {
+            assert!(durable.ingest_event(event).expect("durable ingest").is_accepted());
+        }
+        let mut outputs = Vec::new();
+        let mut ticks = 0;
+        while !durable.target().is_finished() {
+            let tick = durable.target().now() + sim.config.accumulation_window;
+            outputs.extend(durable.advance_to(tick).expect("durable advance"));
+            ticks += 1;
+            if ticks == 3 {
+                let checkpoint = durable.checkpoint().expect("capture checkpoint");
+                save_checkpoint(&ckpt_path, &checkpoint).expect("save checkpoint");
+            }
+        }
+        assert!(ticks >= 3, "the day must be long enough to checkpoint mid-way");
+        let report = durable.target().report();
+        (outputs, report)
+    };
+    let (bare_out, bare_report) = durable_run();
+    telemetry::install(recorder.clone());
+    let (live_out, live_report) = durable_run();
+    telemetry::uninstall();
+    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_file(&ckpt_path).ok();
+    assert_eq!(
+        normalized_service_outputs(bare_out),
+        normalized_service_outputs(live_out),
+        "durable service: output stream must be identical with the recorder on"
+    );
+    assert_eq!(
+        normalized(bare_report),
+        normalized(live_report),
+        "durable service: report must be identical with the recorder on"
+    );
+
     // --- the live runs must have observed the whole stack ---------------
     let categories: HashSet<&str> = recorder.trace.events().iter().map(|e| e.cat).collect();
-    for cat in ["engine", "solver", "shard", "service"] {
+    for cat in ["engine", "solver", "shard", "service", "wal", "checkpoint"] {
         assert!(categories.contains(cat), "trace is missing {cat} spans: {categories:?}");
     }
     let snap = recorder.telemetry.snapshot();

@@ -194,13 +194,9 @@ fn truncating_a_group_committed_log_still_yields_a_clean_prefix() {
     // must be a verbatim prefix of the appended stream — a torn *group*
     // tail loses trailing records but never reorders, skips or invents.
     let mut rng = StdRng::seed_from_u64(0xF00D_6209);
+    let policy = FlushPolicy::Window;
     for case in 0..CASES {
         let records = sample_records(&mut rng);
-        let policy = match rng.random_range(0u8..3) {
-            0 => FlushPolicy::EveryN(rng.random_range(2u32..8)),
-            1 => FlushPolicy::Window,
-            _ => FlushPolicy::Timed(std::time::Duration::from_secs(3600)),
-        };
         let bytes = valid_wal_bytes_with(&records, "group", policy);
         // The drop flushed everything: the policy changes *when* fsyncs
         // happen, never what ends up in the file.
@@ -234,8 +230,7 @@ fn discarded_groups_never_reach_disk_and_acked_prefixes_always_do() {
         let records = sample_records(&mut rng);
         let path = std::env::temp_dir()
             .join(format!("fm-walcorrupt-{}-discard-{case}", std::process::id()));
-        let n = rng.random_range(2u32..6);
-        let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::EveryN(n)).expect("create");
+        let mut wal = WriteAheadLog::create_with(&path, FlushPolicy::Window).expect("create");
         for record in &records {
             wal.append(record).expect("append");
         }
