@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the building blocks whose cost dominates
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
 //! shortest-path queries under the four engines, per-backend index
-//! construction, Kuhn–Munkres matching, order batching, sparsified vs dense
-//! FoodGraph construction, and one full FoodMatch window.
+//! construction, Kuhn–Munkres matching, order batching, sparsified (by travel
+//! time and by angular weight) vs dense FoodGraph construction, and one full
+//! FoodMatch window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use foodmatch_core::{
@@ -159,6 +160,23 @@ fn bench_foodgraph(c: &mut Criterion) {
     group.bench_function("sparsified_bfs", |b| {
         b.iter(|| {
             black_box(build_food_graph(&batches, &window.vehicles, &engine, window.time, &config))
+        })
+    });
+    // Alg. 2's expansion under the vehicle-sensitive weight of Eq. 8, in
+    // isolation: every vehicle is under way (towards the next one's node) and
+    // the degree cap is half the batch count, so every vehicle expands.
+    let vehicle_count = window.vehicles.len();
+    let headed: Vec<_> = (0..vehicle_count)
+        .map(|i| {
+            let heading = Some(window.vehicles[(i + 1) % vehicle_count].location);
+            foodmatch_core::VehicleSnapshot { heading, ..window.vehicles[i].clone() }
+        })
+        .collect();
+    let angular_config = DispatchConfig { k_factor: 0.5 * vehicle_count as f64, ..config.clone() };
+    assert!(angular_config.degree_cap(batches.len(), vehicle_count) < batches.len());
+    group.bench_function("sparsified_angular", |b| {
+        b.iter(|| {
+            black_box(build_food_graph(&batches, &headed, &engine, window.time, &angular_config))
         })
     });
     group.finish();

@@ -46,6 +46,11 @@ fn offer(planned: &mut Vec<PlannedOrder>, committed: usize, extra: &[Order]) {
     planned.extend(extra.iter().copied().map(PlannedOrder::pending));
 }
 
+/// The stops a batch of pending orders adds to a plan.
+fn stops_of(batch: &[Order]) -> impl Iterator<Item = NodeId> + '_ {
+    batch.iter().flat_map(|o| [o.restaurant, o.customer])
+}
+
 /// The quickest route plan (and its XDT cost) for a vehicle serving its
 /// committed orders plus `extra`, starting from its snapped location at `t`.
 ///
@@ -131,17 +136,17 @@ pub fn marginal_cost(
     marginal_costs(vehicle, &[extra], engine, t, config).pop().expect("one price per batch")
 }
 
-/// Travel times from one vehicle's location to every stop it is priced
-/// against this window — the vehicle's row of each of its leg tables — from
-/// a single one-to-many sweep: one bounded search for all memo misses,
-/// where per-batch point queries would run one search each.
-struct StartRow {
+/// Travel times from one node to a set of stops, from a single one-to-many
+/// sweep: one bounded search for all memo misses, where asking stop by stop
+/// (or batch by batch) would run one search each.
+struct SweptRow {
+    from: NodeId,
     /// Sorted and distinct, so a lookup is a binary search.
     stops: Vec<NodeId>,
     secs: Vec<f64>,
 }
 
-impl StartRow {
+impl SweptRow {
     fn sweep(
         from: NodeId,
         mut stops: Vec<NodeId>,
@@ -152,7 +157,7 @@ impl StartRow {
         stops.dedup();
         let mut secs = vec![f64::INFINITY; stops.len()];
         engine_legs(engine, t)(from, &stops, &mut secs);
-        StartRow { stops, secs }
+        SweptRow { from, stops, secs }
     }
 
     fn secs_to(&self, stop: NodeId) -> f64 {
@@ -160,16 +165,31 @@ impl StartRow {
     }
 }
 
-/// [`marginal_cost`] of every batch in `extras` for one vehicle, in three
-/// steps so that the oracle is asked once, not once per batch:
+/// A [`LegTable::extend`] leg source that reads the legs out of a swept node
+/// from its row and asks the engine for every other.
+fn swept_or_engine_legs<'a>(
+    rows: &'a [SweptRow],
+    engine: &'a ShortestPathEngine,
+    t: TimePoint,
+) -> impl FnMut(NodeId, &[NodeId], &mut [f64]) + 'a {
+    let mut from_engine = engine_legs(engine, t);
+    move |from, to, out| match rows.iter().find(|row| row.from == from) {
+        Some(row) => to.iter().zip(out).for_each(|(&stop, secs)| *secs = row.secs_to(stop)),
+        None => from_engine(from, to, out),
+    }
+}
+
+/// [`marginal_cost`] of every batch in `extras` for one vehicle, in four
+/// steps so that the oracle is asked once per source, not once per batch:
 ///
 /// 1. one sweep from the vehicle to the stops of its committed orders and of
-///    every batch it has the capacity for ([`StartRow`]);
-/// 2. `Cost(v, O_v)`, planned once, and one [`LegTable`] per batch that is
-///    still in the running — the committed block is filled once and cloned,
-///    the start row comes from the sweep, the stop → stop legs from the
-///    engine's `(source, target)` memo;
-/// 3. pricing: one `Cost(v, O_v ∪ batch)` plan per table, reading nothing
+///    every batch it has the capacity for, which settles the first mile;
+/// 2. `Cost(v, O_v)`, planned once on the committed block's [`LegTable`];
+/// 3. one sweep from each committed stop to the stops of the batches still
+///    in the running, and one table per such batch — the committed block
+///    cloned, the vehicle's and the committed stops' rows read from the
+///    sweeps, the batch's own rows from the engine's `(source, target)` memo;
+/// 4. pricing: one `Cost(v, O_v ∪ batch)` plan per table, reading nothing
 ///    else.
 ///
 /// A batch drops out capacity → first mile → base → with-extra, the order a
@@ -185,47 +205,61 @@ pub(crate) fn marginal_costs(
     let committed = planned.len();
     let takeable = |extra: &[Order]| !extra.is_empty() && vehicle.can_take(extra, config);
 
-    let committed_stops = planned.iter().flat_map(|p| {
-        (!p.picked_up).then_some(p.order.restaurant).into_iter().chain([p.order.customer])
-    });
-    let offered_stops = extras
+    let mut committed_stops: Vec<NodeId> = planned
         .iter()
-        .filter(|extra| takeable(extra))
-        .flat_map(|extra| extra.iter().flat_map(|o| [o.restaurant, o.customer]));
-    let start_row = StartRow::sweep(
+        .flat_map(|p| {
+            (!p.picked_up).then_some(p.order.restaurant).into_iter().chain([p.order.customer])
+        })
+        .collect();
+    let offered_stops =
+        extras.iter().filter(|extra| takeable(extra)).flat_map(|extra| stops_of(extra));
+    let mut rows = vec![SweptRow::sweep(
         vehicle.location,
-        committed_stops.chain(offered_stops).collect(),
+        committed_stops.iter().copied().chain(offered_stops).collect(),
         engine,
         t,
-    );
+    )];
     // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
     // distance (§V-B): pairs beyond it are priced at Ω without planning.
+    let start_row = &rows[0];
     let within_first_mile = |extra: &[Order]| {
         let nearest_new_pickup =
             extra.iter().map(|o| start_row.secs_to(o.restaurant)).fold(f64::INFINITY, f64::min);
         nearest_new_pickup <= config.max_first_mile.as_secs_f64()
     };
+    let in_the_running: Vec<bool> =
+        extras.iter().map(|extra| takeable(extra) && within_first_mile(extra)).collect();
 
-    let mut from_engine = engine_legs(engine, t);
-    let mut legs = |from: NodeId, to: &[NodeId], out: &mut [f64]| {
-        if from == vehicle.location {
-            to.iter().zip(out).for_each(|(&stop, secs)| *secs = start_row.secs_to(stop));
-        } else {
-            from_engine(from, to, out);
-        }
-    };
     let mut base_table = LegTable::new(Some(vehicle.location));
-    base_table.extend(&planned, &mut legs);
+    base_table.extend(&planned, swept_or_engine_legs(&rows, engine, t));
     let Some(base) = plan_on_table(&base_table, t, &planned).map(|route| route.cost_secs) else {
         return vec![MarginalCost::Infeasible; extras.len()];
     };
 
-    // Far-away batches must drop out *before* their table is built: their
-    // stop → stop legs are one-off memo misses, a search each.
+    // Every surviving batch's table is about to ask every committed stop
+    // for the legs to that batch's stops: asked together they cost one
+    // bounded search per committed stop, not one per (stop, batch). Only
+    // survivors are swept for — a far-away batch's legs are one-off memo
+    // misses, which is why it drops out *before* any table is built.
+    let survivor_stops = || {
+        let survivors = extras.iter().zip(&in_the_running).filter(|(_, &survives)| survives);
+        survivors.flat_map(|(extra, _)| stops_of(extra)).collect()
+    };
+    committed_stops.sort_unstable();
+    committed_stops.dedup();
+    rows.extend(
+        committed_stops
+            .into_iter()
+            .filter(|&stop| stop != vehicle.location)
+            .map(|stop| SweptRow::sweep(stop, survivor_stops(), engine, t)),
+    );
+
+    let mut legs = swept_or_engine_legs(&rows, engine, t);
     let tables: Vec<Option<LegTable>> = extras
         .iter()
-        .map(|extra| {
-            (takeable(extra) && within_first_mile(extra)).then(|| {
+        .zip(&in_the_running)
+        .map(|(extra, &survives)| {
+            survives.then(|| {
                 let mut table = base_table.clone();
                 offer(&mut planned, committed, extra);
                 table.extend(&planned[committed..], &mut legs);
@@ -408,6 +442,60 @@ mod tests {
         let o = order(1, b.node_at(5, 5), b.node_at(5, 4), 1.0);
         let mc = marginal_cost(&v, &[o], &engine, t, &config);
         assert!(!mc.is_feasible());
+    }
+
+    #[test]
+    fn a_loaded_vehicle_prices_every_batch_like_the_reference() {
+        // The shape the committed-stop sweep exists for: two committed
+        // orders, one on board (three committed stops), offered five
+        // singleton batches of which one is too far, one too big, and three
+        // survive to get a leg table. Every node is distinct.
+        let b = GridCityBuilder::new(8, 8);
+        let t = TimePoint::from_hms(19, 30, 0);
+        let at = |r, c| b.node_at(r, c);
+        let mut vehicle = VehicleSnapshot::idle(VehicleId(1), at(3, 3));
+        vehicle.committed = vec![
+            CommittedOrder { order: order(1, at(0, 0), at(3, 5), 4.0), picked_up: true },
+            CommittedOrder { order: order(2, at(4, 3), at(5, 5), 9.0), picked_up: false },
+        ];
+        let far = order(13, at(7, 7), at(7, 5), 6.0);
+        let heavy = Order { items: 9, ..order(14, at(2, 2), at(1, 1), 6.0) };
+        let offers = [
+            order(10, at(2, 3), at(1, 5), 5.0),
+            far,
+            order(11, at(3, 2), at(5, 1), 7.0),
+            heavy,
+            order(12, at(4, 4), at(6, 4), 3.0),
+        ];
+        let batches: Vec<&[Order]> = offers.iter().map(std::slice::from_ref).collect();
+
+        let engine = ShortestPathEngine::cached(b.build());
+        let first_mile = |o: &Order| engine.travel_time(vehicle.location, o.restaurant, t).unwrap();
+        let config = DispatchConfig {
+            max_first_mile: Duration::from_secs_f64(first_mile(&far).as_secs_f64() - 1.0),
+            ..Default::default()
+        };
+        assert!(offers.iter().all(|o| o.id == far.id || first_mile(o) < config.max_first_mile));
+        assert!(vehicle.has_capacity(&config) && !vehicle.can_take(&[heavy], &config));
+
+        let priced =
+            marginal_costs(&vehicle, &batches, &ShortestPathEngine::cached(b.build()), t, &config);
+        assert_eq!(priced.len(), offers.len());
+        for (offer, got) in offers.iter().zip(&priced) {
+            let want = reference_marginal_cost(&vehicle, &[*offer], &engine, t, &config);
+            assert_eq!(got.is_feasible(), offer.id != far.id && offer.id != heavy.id);
+            match (got, &want) {
+                (
+                    MarginalCost::Feasible { cost_secs, route },
+                    MarginalCost::Feasible { cost_secs: want_secs, route: want_route },
+                ) => {
+                    assert_eq!(cost_secs.to_bits(), want_secs.to_bits(), "{}", offer.id);
+                    assert_eq!(route, want_route, "{}", offer.id);
+                }
+                (MarginalCost::Infeasible, MarginalCost::Infeasible) => {}
+                _ => panic!("{}: {got:?} vs reference {want:?}", offer.id),
+            }
+        }
     }
 
     #[test]

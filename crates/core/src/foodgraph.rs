@@ -21,8 +21,8 @@ use crate::parallel::parallel_map;
 use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
 use foodmatch_matching::SparseCostMatrix;
-use foodmatch_roadnet::dijkstra::Expansion;
-use foodmatch_roadnet::{angular_distance, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::dijkstra::{Expansion, Settled};
+use foodmatch_roadnet::{AngularFrame, ShortestPathEngine, TimePoint};
 use std::collections::HashMap;
 
 /// Cost discount (seconds) applied per batch order that the vehicle already
@@ -201,43 +201,50 @@ fn candidate_rows(
     }
 
     // Sparsified construction (Algorithm 2): best-first expansion from the
-    // vehicle's location, optionally under the vehicle-sensitive weight.
+    // vehicle's location, in a pooled search space so the per-vehicle
+    // searches reuse one set of arrays instead of allocating.
     let network = engine.network();
-    let source_pos = network.position(vehicle.location);
-    let heading_pos = vehicle.heading.map(|n| network.position(n));
-    let use_angular = config.use_angular_distance && heading_pos.is_some();
-    let max_beta = network.max_travel_time().as_secs_f64().max(1e-9);
-    let gamma = config.gamma;
-
-    // Run the expansion in a pooled search space so the per-vehicle
-    // best-first searches reuse one set of arrays instead of allocating.
     let mut space = engine.search_space();
-    let expansion: Expansion<'_> = if use_angular {
-        let heading_pos = heading_pos.expect("checked above");
-        Expansion::with_weight_in(
-            network,
-            vehicle.location,
-            t,
-            move |eid| {
-                let edge = network.edge(eid);
-                let adist = angular_distance(source_pos, heading_pos, network.position(edge.to));
-                let beta = network.travel_time(eid, t).as_secs_f64();
-                (1.0 - gamma) * adist + gamma * beta / max_beta
-            },
-            &mut space,
-        )
-    } else {
-        Expansion::new_in(network, vehicle.location, t, &mut space)
-    };
+    match vehicle.heading.filter(|_| config.use_angular_distance) {
+        // Under the vehicle-sensitive weight α of Eq. 8. Everything that is
+        // constant for the vehicle is evaluated here, once, and the angular
+        // distance — a function of the edge's head node only — once per
+        // node the expansion reaches, not once per edge it relaxes.
+        Some(heading) => {
+            let frame =
+                AngularFrame::new(network.position(vehicle.location), network.position(heading));
+            let max_beta = network.max_travel_time().as_secs_f64().max(1e-9);
+            let gamma = config.gamma;
+            let expansion = Expansion::with_potential_in(
+                network,
+                vehicle.location,
+                t,
+                |node| frame.distance_to(network.position(node)),
+                |adist, beta| (1.0 - gamma) * adist + gamma * beta / max_beta,
+                &mut space,
+            );
+            rows_reached_first(expansion, batches_by_start, degree_cap)
+        }
+        // By travel time: stop expanding once even the quickest path exceeds
+        // the first-mile bound, as no batch out there can be feasible.
+        None => {
+            let expansion = Expansion::new_in(network, vehicle.location, t, &mut space)
+                .take_while(|settled| settled.travel_time <= config.max_first_mile);
+            rows_reached_first(expansion, batches_by_start, degree_cap)
+        }
+    }
+}
 
+/// The first `degree_cap` batch rows whose plans start at a node `expansion`
+/// settles, in the order it settles them.
+fn rows_reached_first(
+    expansion: impl Iterator<Item = Settled>,
+    batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
+    degree_cap: usize,
+) -> Vec<usize> {
     let mut rows = Vec::new();
     for settled in expansion {
         if rows.len() >= degree_cap {
-            break;
-        }
-        // Stop expanding once even the straight-line quickest path exceeds
-        // the first-mile bound: no batch out there can be feasible.
-        if !use_angular && settled.travel_time > config.max_first_mile {
             break;
         }
         let Some(starting_here) = batches_by_start.get(&settled.node) else { continue };
@@ -474,8 +481,17 @@ mod tests {
             .collect();
         let batching =
             DispatchConfig { batching_threshold: Duration::from_mins(10.0), ..Default::default() };
-        let batches = crate::batching::batch_orders(&orders, &engine, t, &batching).batches;
+        let mut batches = crate::batching::batch_orders(&orders, &engine, t, &batching).batches;
         assert!(batches.iter().any(|batch| batch.len() > 1), "want a multi-order batch");
+        // Single orders at nodes of their own, for the vehicles that have
+        // room for just one more.
+        let lone: Vec<Order> =
+            [(0, 3, 2, 6), (3, 1, 6, 6), (5, 2, 8, 7), (7, 1, 4, 8), (1, 8, 8, 0)]
+                .iter()
+                .zip(50..)
+                .map(|(&(r, c, to_r, to_c), id)| order(id, b.node_at(r, c), b.node_at(to_r, to_c)))
+                .collect();
+        batches.extend(singleton_batches(&lone, &engine, t).batches);
 
         let committed = |id: u64, r: usize, c: usize, picked_up: bool| {
             crate::vehicle::CommittedOrder { order: order(100 + id, at(r), at(c)), picked_up }
@@ -494,6 +510,20 @@ mod tests {
             vehicle.heading = Some(at(i + 2));
         }
         vehicles[9].committed = vec![committed(8, 6, 26, false)];
+        // The shape the committed-stop sweep is for: three committed stops
+        // (one order on board) shared with nothing, room for one more order.
+        // Multi-order batches fail capacity, the far single orders fail
+        // `tight`'s first mile, the rest are priced off one sweep per stop.
+        vehicles[10].committed = vec![
+            crate::vehicle::CommittedOrder {
+                order: order(109, b.node_at(0, 8), b.node_at(3, 3)),
+                picked_up: true,
+            },
+            crate::vehicle::CommittedOrder {
+                order: order(110, b.node_at(2, 3), b.node_at(4, 5)),
+                picked_up: false,
+            },
+        ];
 
         let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
         let plain =
@@ -513,6 +543,15 @@ mod tests {
                 assert_eq!(graph.evaluations, reference.evaluations, "{what}");
                 assert!(graph.explicit_edges() < graph.evaluations, "{what}: all feasible");
                 assert_eq!(graph.routes, reference.routes, "{what}");
+                // The loaded vehicle prices several single orders (all of
+                // them when dense, all but the far ones when tight).
+                let priced_for_10 =
+                    (0..batches.len()).filter(|&row| graph.routes.contains_key(&(row, 10))).count();
+                match name {
+                    "dense" => assert_eq!(priced_for_10, lone.len(), "{what}"),
+                    "tight" => assert!((2..lone.len()).contains(&priced_for_10), "{what}"),
+                    _ => assert!(priced_for_10 >= 2, "{what}"),
+                }
                 for row in 0..batches.len() {
                     for col in 0..vehicles.len() {
                         let (got, want) = (graph.cost(row, col), reference.cost(row, col));

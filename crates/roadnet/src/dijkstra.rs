@@ -14,8 +14,9 @@
 //! * [`Expansion`] — a lazy best-first iterator yielding nodes in ascending
 //!   distance from a source, which is exactly the primitive Algorithm 2 needs
 //!   to find the `k` nearest batch start nodes of a vehicle, and which also
-//!   accepts a custom edge-weight function so the vehicle-sensitive weight
-//!   `α(v, e, t)` of Eq. 8 can be plugged in.
+//!   accepts a custom edge weight — a function of the edge's travel time and
+//!   of a *potential* of its head node, evaluated once per node — so the
+//!   vehicle-sensitive weight `α(v, e, t)` of Eq. 8 can be plugged in.
 //!
 //! ## Allocation-free steady state
 //!
@@ -82,17 +83,20 @@ impl Ord for QueueEntry {
 /// Reusable scratch memory for graph searches, reset in O(1).
 ///
 /// All per-node state (tentative distance, tree travel time, parent edge,
-/// settled flag, target mark) lives in flat arrays alongside a *generation*
-/// stamp per node. A slot is only valid when its stamp equals the space's
-/// current generation, so starting a new search is a single counter bump —
-/// no `memset`, no allocation. The arrays grow to the largest network seen
-/// and are then reused verbatim, which keeps steady-state queries entirely
-/// allocation-free.
+/// potential, settled flag, target mark) lives in flat arrays alongside a
+/// *generation* stamp per node. A slot is only valid when its stamp equals
+/// the space's current generation, so starting a new search is a single
+/// counter bump — no `memset`, no allocation. The arrays grow to the largest
+/// network seen and are then reused verbatim, which keeps steady-state
+/// queries entirely allocation-free.
 #[derive(Debug, Default)]
 pub struct SearchSpace {
     dist: Vec<f64>,
     time: Vec<f64>,
     parent: Vec<u32>,
+    /// Node potentials of an [`Expansion::with_potential_in`] search; slot
+    /// `i` is valid exactly when `touched[i]` carries the current generation.
+    potential: Vec<f64>,
     touched: Vec<u32>,
     settled: Vec<u32>,
     targeted: Vec<u32>,
@@ -123,6 +127,7 @@ impl SearchSpace {
             self.dist.resize(n, f64::INFINITY);
             self.time.resize(n, f64::INFINITY);
             self.parent.resize(n, NO_EDGE);
+            self.potential.resize(n, 0.0);
             self.touched.resize(n, 0);
             self.settled.resize(n, 0);
             self.targeted.resize(n, 0);
@@ -174,6 +179,19 @@ impl SearchSpace {
         self.dist[i] = dist;
         self.parent[i] = parent;
         self.touched[i] = self.generation;
+    }
+
+    /// The potential of `i` in the current search, from `compute` the first
+    /// time it is asked for. A node's potential is asked for when an edge
+    /// into it is relaxed, and the first such relaxation always improves on
+    /// "unreached" and so touches the node — which is what marks the slot
+    /// valid for the rest of this search, and stale for the next one.
+    #[inline]
+    fn potential(&mut self, i: usize, compute: impl FnOnce() -> f64) -> f64 {
+        if self.touched[i] != self.generation {
+            self.potential[i] = compute();
+        }
+        self.potential[i]
     }
 
     #[inline]
@@ -470,19 +488,19 @@ impl SpaceSlot<'_> {
 /// Yields nodes in non-decreasing order of accumulated weight. With the
 /// default weight (the temporal edge weight `β(e, t)`) this is plain
 /// Dijkstra; Algorithm 2 of the paper swaps in the vehicle-sensitive weight
-/// `α(v, e, t)` (Eq. 8) via [`Expansion::with_weight`], so nodes pop in an
-/// order that blends travel time with angular distance while the true travel
-/// time along the tree path is still tracked for cost computations.
+/// `α(v, e, t)` (Eq. 8) via [`Expansion::with_potential_in`], so nodes pop in
+/// an order that blends travel time with angular distance while the true
+/// travel time along the tree path is still tracked for cost computations.
 ///
 /// The `*_in` constructors run the expansion inside a caller-provided
 /// [`SearchSpace`] so per-vehicle expansions in the FoodGraph hot loop reuse
 /// one set of arrays instead of allocating per vehicle.
-pub struct Expansion<'a> {
+pub struct Expansion<'a, P = fn(NodeId) -> f64, W = fn(f64, f64) -> f64> {
     network: &'a RoadNetwork,
     t: TimePoint,
-    /// Weight of edge `eid` leaving a node settled at weight `w`; `None`
-    /// means "use β(e, t)".
-    weight_fn: Option<Box<dyn Fn(EdgeId) -> f64 + 'a>>,
+    /// `(potential, weight)` of a custom-weight expansion; `None` means
+    /// "use β(e, t)".
+    custom: Option<(P, W)>,
     space: SpaceSlot<'a>,
     yielded_source: bool,
     source: NodeId,
@@ -504,47 +522,40 @@ impl<'a> Expansion<'a> {
     ) -> Self {
         Self::build(network, source, t, None, SpaceSlot::Borrowed(space))
     }
+}
 
-    /// Starts a best-first expansion from `source` using a caller-supplied
-    /// edge weight (must be non-negative and finite for every edge).
-    pub fn with_weight(
+impl<'a, P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Expansion<'a, P, W> {
+    /// Starts a best-first expansion from `source`, inside a caller-provided
+    /// space, in which an edge `e = (u, u')` weighs
+    /// `weight(potential(u'), β(e, t))` (must be non-negative and finite).
+    ///
+    /// `potential` is evaluated at most once per node per expansion, however
+    /// many edges into the node are relaxed, and kept in the space: the place
+    /// for whatever the weight needs that depends on the head node alone
+    /// (Eq. 8's angular distance — a dozen transcendental calls).
+    pub fn with_potential_in(
         network: &'a RoadNetwork,
         source: NodeId,
         t: TimePoint,
-        weight: impl Fn(EdgeId) -> f64 + 'a,
-    ) -> Self {
-        Self::build(
-            network,
-            source,
-            t,
-            Some(Box::new(weight)),
-            SpaceSlot::Owned(SearchSpace::new()),
-        )
-    }
-
-    /// [`Expansion::with_weight`] running inside a caller-provided space.
-    pub fn with_weight_in(
-        network: &'a RoadNetwork,
-        source: NodeId,
-        t: TimePoint,
-        weight: impl Fn(EdgeId) -> f64 + 'a,
+        potential: P,
+        weight: W,
         space: &'a mut SearchSpace,
     ) -> Self {
-        Self::build(network, source, t, Some(Box::new(weight)), SpaceSlot::Borrowed(space))
+        Self::build(network, source, t, Some((potential, weight)), SpaceSlot::Borrowed(space))
     }
 
     fn build(
         network: &'a RoadNetwork,
         source: NodeId,
         t: TimePoint,
-        weight_fn: Option<Box<dyn Fn(EdgeId) -> f64 + 'a>>,
+        custom: Option<(P, W)>,
         mut space: SpaceSlot<'a>,
     ) -> Self {
         let inner = space.get();
         inner.begin(network.node_count());
         inner.update(source.index(), 0.0, 0.0, NO_EDGE);
         inner.push(0.0, source);
-        Expansion { network, t, weight_fn, space, yielded_source: false, source }
+        Expansion { network, t, custom, space, yielded_source: false, source }
     }
 
     fn relax(&mut self, node: NodeId) {
@@ -556,34 +567,24 @@ impl<'a> Expansion<'a> {
             if space.is_settled(to) {
                 continue;
             }
-            let w = base_w + edge_weight(self.network, &self.weight_fn, self.t, eid);
+            let beta = self.network.travel_time(eid, self.t).as_secs_f64();
+            let w = match &self.custom {
+                None => base_w + beta,
+                Some((potential, weight)) => {
+                    let w = weight(space.potential(to, || potential(edge.to)), beta);
+                    debug_assert!(w.is_finite() && w >= 0.0, "edge weight must be non-negative");
+                    base_w + w
+                }
+            };
             if w < space.dist(to) {
-                let time = base_t + self.network.travel_time(eid, self.t).as_secs_f64();
-                space.update(to, w, time, eid.0);
+                space.update(to, w, base_t + beta, eid.0);
                 space.push(w, edge.to);
             }
         }
     }
 }
 
-#[inline]
-fn edge_weight(
-    network: &RoadNetwork,
-    weight_fn: &Option<Box<dyn Fn(EdgeId) -> f64 + '_>>,
-    t: TimePoint,
-    eid: EdgeId,
-) -> f64 {
-    match weight_fn {
-        Some(f) => {
-            let w = f(eid);
-            debug_assert!(w.is_finite() && w >= 0.0, "custom edge weight must be non-negative");
-            w
-        }
-        None => network.travel_time(eid, t).as_secs_f64(),
-    }
-}
-
-impl Iterator for Expansion<'_> {
+impl<P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Iterator for Expansion<'_, P, W> {
     type Item = Settled;
 
     fn next(&mut self) -> Option<Settled> {
@@ -785,17 +786,204 @@ mod tests {
         let net = grid_2x3();
         let t = TimePoint::MIDNIGHT;
         // A weight that strongly prefers edges leading to higher node ids.
-        let expansion = Expansion::with_weight(&net, NodeId(0), t, |eid| {
-            let e = net.edge(eid);
-            1000.0 - f64::from(e.to.0)
-        });
+        let mut space = SearchSpace::new();
+        let expansion = Expansion::with_potential_in(
+            &net,
+            NodeId(0),
+            t,
+            |node| 1000.0 - f64::from(node.0),
+            |potential, _beta| potential,
+            &mut space,
+        );
+        let mut order = Vec::new();
         for settled in expansion {
+            order.push(settled.node);
             if settled.node != NodeId(0) {
                 // Travel time along the chosen tree path can never beat the
                 // true shortest travel time.
                 let best = shortest_travel_time(&net, NodeId(0), settled.node, t).unwrap();
                 assert!(settled.travel_time.as_secs_f64() + 1e-9 >= best.as_secs_f64());
             }
+        }
+        let by_travel_time: Vec<NodeId> =
+            Expansion::new(&net, NodeId(0), t).map(|s| s.node).collect();
+        assert_eq!(order.len(), by_travel_time.len());
+        assert_ne!(order, by_travel_time);
+    }
+
+    /// [`Expansion`] as it was when a custom weight was a closure over the
+    /// *edge*, called for every relaxation: what the node-potential form must
+    /// reproduce, settled node for settled node.
+    fn per_edge_expansion(
+        net: &RoadNetwork,
+        source: NodeId,
+        t: TimePoint,
+        weight: impl Fn(EdgeId) -> f64,
+    ) -> Vec<Settled> {
+        let mut space = SearchSpace::new();
+        space.begin(net.node_count());
+        space.update(source.index(), 0.0, 0.0, NO_EDGE);
+        space.settle(source.index());
+        let relax = |space: &mut SearchSpace, node: NodeId| {
+            let base_w = space.dist(node.index());
+            let base_t = space.time_of(node.index());
+            for (eid, edge) in net.out_edges(node) {
+                let to = edge.to.index();
+                if space.is_settled(to) {
+                    continue;
+                }
+                let w = base_w + weight(eid);
+                if w < space.dist(to) {
+                    let time = base_t + net.travel_time(eid, t).as_secs_f64();
+                    space.update(to, w, time, eid.0);
+                    space.push(w, edge.to);
+                }
+            }
+        };
+        relax(&mut space, source);
+        let mut out = vec![Settled { node: source, weight: 0.0, travel_time: Duration::ZERO }];
+        while let Some((cost, node)) = space.pop() {
+            let i = node.index();
+            if space.is_settled(i) || cost > space.dist(i) {
+                continue;
+            }
+            space.settle(i);
+            relax(&mut space, node);
+            let travel_time = Duration::from_secs_f64(space.time_of(i));
+            out.push(Settled { node, weight: cost, travel_time });
+        }
+        out
+    }
+
+    /// A 7×8 grid whose intersections are knocked off the lattice and whose
+    /// streets mix all three road classes, under rush-hour congestion: no two
+    /// edges weigh the same, so equal sequences are not an accident of ties.
+    fn jittered_grid() -> RoadNetwork {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ROWS: usize = 7;
+        const COLS: usize = 8;
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut b = RoadNetworkBuilder::new().congestion(CongestionProfile::metropolitan());
+        for r in 0..ROWS {
+            for c in 0..COLS {
+                let jitter = |rng: &mut StdRng| rng.random_range(-0.0007..0.0007);
+                b.add_node(GeoPoint::new(
+                    12.9 + r as f64 * 0.0023 + jitter(&mut rng),
+                    77.6 + c as f64 * 0.0023 + jitter(&mut rng),
+                ));
+            }
+        }
+        let at = |r: usize, c: usize| NodeId::from_index(r * COLS + c);
+        let classes = [RoadClass::Local, RoadClass::Collector, RoadClass::Arterial];
+        for r in 0..ROWS {
+            for c in 0..COLS {
+                for (nr, nc) in [(r, c + 1), (r + 1, c)] {
+                    if nr < ROWS && nc < COLS {
+                        let class = classes[rng.random_range(0..classes.len())];
+                        b.add_edge_geodesic(at(r, c), at(nr, nc), class);
+                        b.add_edge_geodesic(at(nr, nc), at(r, c), class);
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn node_potential_expansion_equals_the_per_edge_closure_bit_for_bit() {
+        use crate::geo::{angular_distance, AngularFrame};
+        let net = jittered_grid();
+        let t = TimePoint::from_hms(19, 30, 0);
+        let max_beta = net.max_travel_time().as_secs_f64();
+        let gamma = 0.5;
+        let mut space = SearchSpace::new();
+        let mut cases = 0;
+        for source in net.node_ids().step_by(2).take(24) {
+            let source_pos = net.position(source);
+            // Three headings: a neighbour, the far corner, and the source
+            // itself (no bearing: every angular distance is the neutral 0.5).
+            let neighbour = net.out_edges(source).next().expect("grid node has a street").1.to;
+            let far = NodeId::from_index(net.node_count() - 1 - source.index());
+            for heading in [neighbour, far, source] {
+                let heading_pos = net.position(heading);
+                let want = per_edge_expansion(&net, source, t, |eid| {
+                    let adist =
+                        angular_distance(source_pos, heading_pos, net.position(net.edge(eid).to));
+                    let beta = net.travel_time(eid, t).as_secs_f64();
+                    (1.0 - gamma) * adist + gamma * beta / max_beta
+                });
+                let frame = AngularFrame::new(source_pos, heading_pos);
+                let got: Vec<Settled> = Expansion::with_potential_in(
+                    &net,
+                    source,
+                    t,
+                    |node| frame.distance_to(net.position(node)),
+                    |adist, beta| (1.0 - gamma) * adist + gamma * beta / max_beta,
+                    &mut space,
+                )
+                .collect();
+                assert_eq!(got.len(), net.node_count(), "{source} → {heading}");
+                assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(got.node, want.node, "{source} → {heading}");
+                    assert_eq!(got.weight.to_bits(), want.weight.to_bits());
+                    let (got_secs, want_secs) =
+                        (got.travel_time.as_secs_f64(), want.travel_time.as_secs_f64());
+                    assert_eq!(got_secs.to_bits(), want_secs.to_bits());
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases >= 60);
+    }
+
+    #[test]
+    fn potential_is_evaluated_once_per_node_and_never_served_stale() {
+        use std::cell::{Cell, RefCell};
+        let net = jittered_grid();
+        let t = TimePoint::from_hms(12, 0, 0);
+        let n = net.node_count();
+        // One pooled space through every search, as the engine hands it out.
+        let mut space = SearchSpace::new();
+        for (round, source) in
+            [NodeId(0), NodeId(17), NodeId(0), NodeId(55)].into_iter().enumerate()
+        {
+            // The potential differs from round to round, so a value kept
+            // from the previous search would show up in the weights.
+            let scale = 1.0 + round as f64;
+            let potential_of = |node: NodeId| scale * f64::from(node.0 % 7);
+            let evaluations = RefCell::new(vec![0u32; n]);
+            let got: Vec<Settled> = Expansion::with_potential_in(
+                &net,
+                source,
+                t,
+                |node| {
+                    evaluations.borrow_mut()[node.index()] += 1;
+                    potential_of(node)
+                },
+                |potential, beta| potential + beta,
+                &mut space,
+            )
+            .collect();
+            let per_edge_calls = Cell::new(0);
+            let want = per_edge_expansion(&net, source, t, |eid| {
+                per_edge_calls.set(per_edge_calls.get() + 1);
+                potential_of(net.edge(eid).to) + net.travel_time(eid, t).as_secs_f64()
+            });
+            assert_eq!(got, want, "round {round}");
+
+            let evaluations = evaluations.into_inner();
+            assert!(evaluations.iter().all(|&count| count <= 1), "round {round}");
+            // Every node but the source is entered by some relaxed edge.
+            let evaluated: u32 = evaluations.iter().sum();
+            assert_eq!(evaluated as usize, n - 1, "round {round}");
+            assert_eq!(evaluations[source.index()], 0);
+            assert!(per_edge_calls.get() > 3 * (n - 1) / 2, "what the per-edge form paid");
+
+            // A β search in between leaves touched nodes without a potential;
+            // the next round must not read those slots either.
+            let _ = one_to_many_in(&net, NodeId(3), &[NodeId(40)], t, &mut space);
         }
     }
 

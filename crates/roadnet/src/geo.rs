@@ -84,13 +84,62 @@ pub fn bearing(s: GeoPoint, t: GeoPoint) -> f64 {
 /// bearing is undefined; we return 0.5 — a neutral value that neither favours
 /// nor penalises the candidate, matching the intent of Eq. 8.
 pub fn angular_distance(source: GeoPoint, dest: GeoPoint, candidate: GeoPoint) -> f64 {
-    const EPS_M: f64 = 0.5;
-    if haversine_meters(source, dest) < EPS_M || haversine_meters(source, candidate) < EPS_M {
-        return 0.5;
+    AngularFrame::new(source, dest).distance_to(candidate)
+}
+
+/// Closer than this (meters) two points count as one: no bearing between them.
+const COINCIDENT_M: f64 = 0.5;
+
+/// A vehicle's half of [`angular_distance`]: the terms that depend only on
+/// where it stands and where it is heading, evaluated once so that Alg. 2's
+/// expansion pays per candidate node only for that node's own terms.
+/// [`AngularFrame::distance_to`] is the same floating-point expression as the
+/// three-point form, operation for operation, and so equals it bit for bit.
+#[derive(Clone, Copy, Debug)]
+pub struct AngularFrame {
+    source: GeoPoint,
+    cos_lat: f64,
+    sin_lat: f64,
+    /// `Θ(source, heading)`; `None` when the two coincide and every
+    /// distance is the neutral 0.5.
+    heading_bearing: Option<f64>,
+}
+
+impl AngularFrame {
+    /// The frame of a vehicle at `source` travelling towards `heading`.
+    pub fn new(source: GeoPoint, heading: GeoPoint) -> Self {
+        let lat = source.lat.to_radians();
+        AngularFrame {
+            source,
+            cos_lat: lat.cos(),
+            sin_lat: lat.sin(),
+            heading_bearing: if haversine_meters(source, heading) < COINCIDENT_M {
+                None
+            } else {
+                Some(bearing(source, heading))
+            },
+        }
     }
-    let theta_dest = bearing(source, dest);
-    let theta_cand = bearing(source, candidate);
-    (1.0 - (theta_dest - theta_cand).cos()) / 2.0
+
+    /// `adist` of `candidate` in this frame, in `[0, 1]`.
+    pub fn distance_to(&self, candidate: GeoPoint) -> f64 {
+        let Some(theta_heading) = self.heading_bearing else { return 0.5 };
+        let lat = candidate.lat.to_radians();
+        let (cos_lat, sin_lat) = (lat.cos(), lat.sin());
+        let dlat = (candidate.lat - self.source.lat).to_radians();
+        let dlon = (candidate.lon - self.source.lon).to_radians();
+
+        // `haversine_meters(source, candidate)`…
+        let h = (dlat / 2.0).sin().powi(2) + self.cos_lat * cos_lat * (dlon / 2.0).sin().powi(2);
+        if 2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin() < COINCIDENT_M {
+            return 0.5;
+        }
+        // …and `bearing(source, candidate)`, sharing the candidate's terms.
+        let x = cos_lat * dlon.sin();
+        let y = self.cos_lat * sin_lat - self.sin_lat * cos_lat * dlon.cos();
+        let theta_candidate = x.atan2(y).rem_euclid(std::f64::consts::TAU);
+        (1.0 - (theta_heading - theta_candidate).cos()) / 2.0
+    }
 }
 
 #[cfg(test)]
@@ -174,5 +223,80 @@ mod tests {
         let q = GeoPoint::new(10.1, 10.1);
         assert_eq!(angular_distance(p, p, q), 0.5);
         assert_eq!(angular_distance(p, q, p), 0.5);
+    }
+
+    /// `angular_distance` as it was before [`AngularFrame`]: both haversines
+    /// and both bearings from scratch on every call.
+    fn reference_angular_distance(source: GeoPoint, dest: GeoPoint, candidate: GeoPoint) -> f64 {
+        const EPS_M: f64 = 0.5;
+        if haversine_meters(source, dest) < EPS_M || haversine_meters(source, candidate) < EPS_M {
+            return 0.5;
+        }
+        let theta_dest = bearing(source, dest);
+        let theta_cand = bearing(source, candidate);
+        (1.0 - (theta_dest - theta_cand).cos()) / 2.0
+    }
+
+    #[test]
+    fn frame_distance_equals_the_three_point_form_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let check = |source: GeoPoint, heading: GeoPoint, candidate: GeoPoint| {
+            let got = AngularFrame::new(source, heading).distance_to(candidate);
+            let want = reference_angular_distance(source, heading, candidate);
+            assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {heading:?} {candidate:?}");
+            assert_eq!(angular_distance(source, heading, candidate).to_bits(), want.to_bits());
+        };
+
+        let mut rng = StdRng::seed_from_u64(0xA15);
+        let anywhere = |rng: &mut StdRng| {
+            GeoPoint::new(rng.random_range(-89.0..89.0), rng.random_range(-180.0..180.0))
+        };
+        for _ in 0..6_000 {
+            // City scale: heading and candidate within a few kilometres.
+            let source = anywhere(&mut rng);
+            let mut near = || {
+                GeoPoint::new(
+                    source.lat + rng.random_range(-0.05..0.05),
+                    source.lon + rng.random_range(-0.05..0.05),
+                )
+            };
+            check(source, near(), near());
+        }
+        for _ in 0..6_000 {
+            check(anywhere(&mut rng), anywhere(&mut rng), anywhere(&mut rng));
+        }
+
+        let p = GeoPoint::new(12.9, 77.6);
+        let q = GeoPoint::new(12.95, 77.7);
+        // 1e-6° of latitude is 0.11 m, inside the 0.5 m coincidence radius;
+        // 1e-5° is 1.1 m, just outside it.
+        let inside = GeoPoint::new(p.lat + 1e-6, p.lon);
+        let outside = GeoPoint::new(p.lat + 1e-5, p.lon);
+        let north = GeoPoint::new(p.lat + 0.1, p.lon);
+        let south = GeoPoint::new(p.lat - 0.1, p.lon);
+        let east_of_antimeridian = GeoPoint::new(-16.5, -179.98);
+        let west_of_antimeridian = GeoPoint::new(-16.4, 179.97);
+        for (source, heading, candidate) in [
+            (p, p, q),
+            (p, q, p),
+            (p, p, p),
+            (p, q, q),
+            (p, q, inside),
+            (p, q, outside),
+            (p, inside, q),
+            (p, outside, q),
+            (p, north, south),
+            (p, north, north),
+            (p, south, q),
+            (p, q, north),
+            (west_of_antimeridian, east_of_antimeridian, GeoPoint::new(-16.3, -179.9)),
+            (east_of_antimeridian, GeoPoint::new(-16.6, -179.5), west_of_antimeridian),
+        ] {
+            check(source, heading, candidate);
+        }
+        assert_eq!(AngularFrame::new(p, q).distance_to(inside), 0.5);
+        assert_ne!(AngularFrame::new(p, q).distance_to(outside), 0.5);
     }
 }

@@ -59,6 +59,9 @@ struct Inner {
     /// Edge ids sorted by tail node.
     edge_order: Vec<EdgeId>,
     congestion: CongestionProfile,
+    /// [`RoadNetwork::max_travel_time`]: a constant of the (immutable)
+    /// network, so the O(E) scan runs once, at build.
+    max_travel_time: Duration,
 }
 
 impl RoadNetwork {
@@ -133,8 +136,7 @@ impl RoadNetwork {
     /// The largest possible `β(e, t)` over all edges and hours, used to
     /// normalise temporal distance in the vehicle-sensitive weight of Eq. 8.
     pub fn max_travel_time(&self) -> Duration {
-        let max_free = self.inner.edges.iter().map(|e| e.free_flow_secs).fold(0.0_f64, f64::max);
-        Duration::from_secs_f64(max_free * self.inner.congestion.max_multiplier())
+        self.inner.max_travel_time
     }
 
     /// Straight-line (haversine) distance between two nodes, in meters.
@@ -288,13 +290,17 @@ impl RoadNetworkBuilder {
             cursor[edge.from.index()] += 1;
         }
 
+        let congestion = self.congestion.unwrap_or_default();
+        let max_free_secs = self.edges.iter().map(|e| e.free_flow_secs).fold(0.0_f64, f64::max);
+        let max_travel_time = Duration::from_secs_f64(max_free_secs * congestion.max_multiplier());
         RoadNetwork {
             inner: Arc::new(Inner {
                 nodes: self.nodes,
                 edges: self.edges,
                 offsets,
                 edge_order,
-                congestion: self.congestion.unwrap_or_default(),
+                congestion,
+                max_travel_time,
             }),
         }
     }
@@ -397,6 +403,14 @@ mod tests {
                 let t = TimePoint::from_hms(h, 0, 0);
                 assert!(net.travel_time(e, t) <= cap);
             }
+        }
+        // The value stored at build is the scan it replaced, to the bit.
+        for net in [net, crate::generators::GridCityBuilder::new(4, 5).build()] {
+            let max_free =
+                net.edge_ids().map(|e| net.edge(e).free_flow_secs).fold(0.0_f64, f64::max);
+            let scanned = Duration::from_secs_f64(max_free * net.congestion().max_multiplier());
+            assert_eq!(net.max_travel_time(), scanned);
+            assert!(scanned > Duration::ZERO);
         }
     }
 

@@ -119,6 +119,12 @@ pub struct ShortestPathEngine {
 struct EngineMetrics {
     /// `engine.queries` — every point/one-to-many/path query.
     queries: telemetry::Counter,
+    /// `engine.searches` — graph searches actually *run*: every point
+    /// search, one-to-many sweep, overlay search and best-first expansion
+    /// checks one space out of the pool. (The `backend` counters count the
+    /// pairs a search was run for, so a sweep of ten misses is ten there and
+    /// one here.)
+    searches: telemetry::Counter,
     /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard memo
     /// traffic of the [`EngineKind::Cached`] backend.
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
@@ -140,6 +146,7 @@ impl EngineMetrics {
     fn acquire() -> Self {
         EngineMetrics {
             queries: telemetry::counter("engine.queries"),
+            searches: telemetry::counter("engine.searches"),
             memo_hits: std::array::from_fn(|i| {
                 telemetry::counter(&format!("engine.memo.hits.shard{i:02}"))
             }),
@@ -247,6 +254,7 @@ impl ShortestPathEngine {
     /// best-first searches) use this so repeated searches stay
     /// allocation-free.
     pub fn search_space(&self) -> PooledSpace {
+        self.inner.metrics.searches.inc();
         let space = self.inner.spaces.lock().pop().unwrap_or_default();
         PooledSpace { space: Some(space), engine: Arc::clone(&self.inner) }
     }

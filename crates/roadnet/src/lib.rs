@@ -67,7 +67,7 @@ pub mod timeofday;
 pub use ch::ContractionHierarchy;
 pub use congestion::{CongestionProfile, RoadClass};
 pub use dijkstra::{Expansion, PathResult, SearchSpace};
-pub use geo::{angular_distance, bearing, haversine_meters, GeoPoint};
+pub use geo::{angular_distance, bearing, haversine_meters, AngularFrame, GeoPoint};
 pub use graph::{EdgeRecord, NodeRecord, RoadNetwork, RoadNetworkBuilder};
 pub use hub_labels::HubLabelIndex;
 pub use ids::{EdgeId, NodeId};

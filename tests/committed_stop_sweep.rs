@@ -1,0 +1,117 @@
+//! The committed-stop sweep of `marginal_costs`, counted in graph searches.
+//!
+//! A loaded vehicle's leg tables need the legs from each of its committed
+//! stops to the stops of every batch it is priced against. Asked batch by
+//! batch that is one search per (committed stop, batch); asked once per
+//! committed stop, over the batches that survived the capacity and
+//! first-mile filters, it is one search per committed stop. This test pins
+//! the count (`engine.searches`, the one counter that counts searches *run*
+//! rather than pairs missed), that the prices are those of lone
+//! `marginal_cost` calls, and that a batch that failed a filter is never
+//! swept for.
+//!
+//! This file stays a single `#[test]`: the recorder is process-global, and
+//! an engine built by another test while it is installed would count into
+//! it. (That is also why the count is not taken in `cost.rs`, whose unit
+//! test pins the same vehicle against the reference planner instead.)
+
+use foodmatch_core::{
+    build_food_graph, marginal_cost, singleton_batches, CommittedOrder, DispatchConfig, Order,
+    OrderId, VehicleId, VehicleSnapshot,
+};
+use foodmatch_roadnet::generators::GridCityBuilder;
+use foodmatch_roadnet::{Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint};
+use foodmatch_telemetry as telemetry;
+
+/// A cold engine and a reader of its `engine.searches`. The engine's handles
+/// are live because it is built while a recorder of its own is installed.
+fn cold_engine(network: &RoadNetwork) -> (ShortestPathEngine, impl Fn() -> u64) {
+    let recorder = telemetry::Recorder::new();
+    telemetry::install(recorder.clone());
+    let engine = ShortestPathEngine::cached(network.clone());
+    telemetry::uninstall();
+    let searches =
+        move || recorder.telemetry.snapshot().counter("engine.searches").expect("registered");
+    (engine, searches)
+}
+
+#[test]
+fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
+    assert!(!telemetry::active(), "this test must own the global recorder");
+    let b = GridCityBuilder::new(8, 8);
+    let network = b.build();
+    let t = TimePoint::from_hms(19, 30, 0);
+    let at = |r, c| b.node_at(r, c);
+    let order = |id, restaurant: NodeId, customer: NodeId, items| {
+        Order::new(OrderId(id), restaurant, customer, t, items, Duration::from_mins(6.0))
+    };
+
+    // Two committed orders, one of them on board: c = 3 committed stops.
+    // Five singleton batches: one beyond the first mile, one over the item
+    // capacity, m = 3 survivors. Every node is distinct.
+    let mut vehicle = VehicleSnapshot::idle(VehicleId(1), at(3, 3));
+    vehicle.committed = vec![
+        CommittedOrder { order: order(1, at(0, 0), at(3, 5), 1), picked_up: true },
+        CommittedOrder { order: order(2, at(4, 3), at(5, 5), 1), picked_up: false },
+    ];
+    let committed_stops = [at(3, 5), at(4, 3), at(5, 5)];
+    let far = order(13, at(7, 7), at(7, 5), 1);
+    let heavy = order(14, at(2, 2), at(1, 1), 9);
+    let offers = [
+        order(10, at(2, 3), at(1, 5), 1),
+        far,
+        order(11, at(3, 2), at(5, 1), 1),
+        heavy,
+        order(12, at(4, 4), at(6, 4), 1),
+    ];
+    let survives = |o: &Order| o.id != far.id && o.id != heavy.id;
+    let (c, m) = (committed_stops.len() as u64, 3);
+
+    // Planned on an engine of their own: the measured ones must stay cold.
+    let scratch = ShortestPathEngine::cached(network.clone());
+    let batches = singleton_batches(&offers, &scratch, t).batches;
+    let first_mile = |o: &Order| scratch.travel_time(vehicle.location, o.restaurant, t).unwrap();
+    let config = DispatchConfig {
+        use_bfs_sparsification: false,
+        max_first_mile: Duration::from_secs_f64(first_mile(&far).as_secs_f64() - 1.0),
+        ..Default::default()
+    };
+    assert!(offers.iter().all(|o| o.id == far.id || first_mile(o) < config.max_first_mile));
+    assert!(vehicle.has_capacity(&config) && !vehicle.can_take(&[heavy], &config));
+
+    // What the vehicle costs before it is offered anything: its own sweep,
+    // its committed block, the on-board order's SDT leg.
+    let (idle_engine, idle_searches) = cold_engine(&network);
+    assert!(!marginal_cost(&vehicle, &[], &idle_engine, t, &config).is_feasible());
+    let unoffered = idle_searches();
+    assert_eq!(unoffered, 1 + c + 1);
+
+    let (engine, searches) = cold_engine(&network);
+    let graph = build_food_graph(&batches, std::slice::from_ref(&vehicle), &engine, t, &config);
+    assert_eq!(graph.evaluations, offers.len());
+    // One run per committed stop and one per surviving stop's own row —
+    // not the c·m + 2·m of asking batch by batch.
+    assert_eq!(searches(), unoffered + c + 2 * m);
+
+    // The sweep changed no price.
+    for (row, batch) in batches.iter().enumerate() {
+        let offer = &batch.orders[0];
+        let lone = marginal_cost(&vehicle, &batch.orders, &scratch, t, &config);
+        assert_eq!(lone.is_feasible(), survives(offer), "{}", offer.id);
+        assert_eq!(graph.cost(row, 0).to_bits(), lone.edge_weight(&config).to_bits());
+        assert_eq!(graph.routes.contains_key(&(row, 0)), survives(offer));
+    }
+
+    // Every (committed stop, surviving stop) leg is in the memo now; none to
+    // a stop of a batch that dropped out is, so asking for one runs a search.
+    for &stop in &committed_stops {
+        for offer in &offers {
+            for target in [offer.restaurant, offer.customer] {
+                let before = searches();
+                assert!(engine.travel_time(stop, target, t).is_some());
+                let ran = searches() - before;
+                assert_eq!(ran, u64::from(!survives(offer)), "{stop} → {target} of {}", offer.id);
+            }
+        }
+    }
+}
