@@ -18,7 +18,7 @@
 
 use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
-use crate::parallel::parallel_map;
+use crate::parallel_map;
 use crate::route::{
     engine_legs, plan_on_table, plan_optimal_route_free_start, EvaluatedRoute, LegTable,
     PlannedOrder,

@@ -8,9 +8,9 @@
 //! * **Bit-exactness** — `f64` fields travel as raw IEEE-754 bits
 //!   ([`f64::to_bits`]), so a decoded [`TimePoint`] or [`Duration`] is the
 //!   same value to the last ulp and recovered runs replay bit-identically.
-//! * **Determinism** — containers encode in a canonical order (callers sort
-//!   map/set entries by key before writing), so encoding the same state
-//!   twice yields the same bytes and checksums are meaningful.
+//! * **Determinism** — containers encode in a canonical order (maps are
+//!   `BTreeMap`s, written and required back in key order), so encoding the
+//!   same state twice yields the same bytes and checksums are meaningful.
 //! * **No panics on hostile input** — [`Codec::decode`] validates every
 //!   invariant the in-memory constructors assert (durations non-negative,
 //!   finite times, hour slots `< 24`) and returns a typed [`DecodeError`]
@@ -24,6 +24,7 @@ use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
 use crate::vehicle::VehicleId;
 use foodmatch_roadnet::{Duration, EdgeId, HourSlot, NodeId, TimePoint};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a byte slice failed to decode. Every variant is a hard, typed error:
@@ -274,6 +275,28 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// A map travels as its entries in key order; decoding refuses any other
+/// order (and so any duplicate key) instead of silently re-sorting it.
+impl<K: Codec + Ord + fmt::Debug, V: Codec> Codec for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+    fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let entries = Vec::<(K, V)>::decode(reader)?;
+        if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(DecodeError::Invalid(format!(
+                "map keys must be strictly ascending, found {:?} before {:?}",
+                pair[0].0, pair[1].0
+            )));
+        }
+        Ok(entries.into_iter().collect())
+    }
+}
+
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -515,6 +538,15 @@ mod tests {
         roundtrip(vec![1u64, 2, 3]);
         roundtrip((3u32, 4u64));
         roundtrip([1.0f64, 2.5, -0.0]);
+        roundtrip(BTreeMap::from([(2u32, 20u64), (1, 10)]));
+    }
+
+    #[test]
+    fn a_map_is_refused_unless_its_keys_arrive_strictly_ascending() {
+        for unsorted in [vec![(2u32, 20u64), (1, 10)], vec![(1, 10), (1, 11)]] {
+            let decoded = BTreeMap::<u32, u64>::from_bytes(&unsorted.to_bytes());
+            assert!(matches!(decoded, Err(DecodeError::Invalid(_))), "{unsorted:?}: {decoded:?}");
+        }
     }
 
     #[test]

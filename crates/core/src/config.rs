@@ -12,9 +12,9 @@ use foodmatch_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a [`DispatchConfig`] was rejected by [`DispatchConfig::validate`] /
-/// [`DispatchConfigBuilder::build`]. Each variant carries the offending
-/// value so callers can surface a precise diagnostic.
+/// Why a [`DispatchConfig`] was rejected by [`DispatchConfig::validate`].
+/// Each variant carries the offending value so callers can surface a
+/// precise diagnostic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// `max_orders_per_vehicle` was zero — a vehicle must be able to carry
@@ -126,15 +126,6 @@ impl Default for DispatchConfig {
 }
 
 impl DispatchConfig {
-    /// A validating builder starting from the paper defaults: set fields
-    /// fluently, then [`DispatchConfigBuilder::build`] checks the result and
-    /// returns a typed [`ConfigError`] instead of panicking later. The plain
-    /// struct literal (`DispatchConfig { .. }`) stays available for code
-    /// that knows its values are valid.
-    pub fn builder() -> DispatchConfigBuilder {
-        DispatchConfigBuilder { config: DispatchConfig::default() }
-    }
-
     /// Validates the configuration, returning the first problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_orders_per_vehicle == 0 {
@@ -217,107 +208,6 @@ impl DispatchConfig {
             use_angular_distance: false,
             ..self.clone()
         }
-    }
-}
-
-/// Fluent, validating constructor for [`DispatchConfig`] — see
-/// [`DispatchConfig::builder`]. Every setter mirrors the field of the same
-/// name; [`Self::build`] runs [`DispatchConfig::validate`] and hands back
-/// either the finished configuration or a typed [`ConfigError`].
-#[derive(Clone, Debug)]
-pub struct DispatchConfigBuilder {
-    config: DispatchConfig,
-}
-
-impl DispatchConfigBuilder {
-    /// Sets `MAXO`, the per-vehicle order capacity.
-    pub fn max_orders_per_vehicle(mut self, value: usize) -> Self {
-        self.config.max_orders_per_vehicle = value;
-        self
-    }
-
-    /// Sets `MAXI`, the per-vehicle item capacity.
-    pub fn max_items_per_vehicle(mut self, value: u32) -> Self {
-        self.config.max_items_per_vehicle = value;
-        self
-    }
-
-    /// Sets `Ω`, the rejection penalty in seconds.
-    pub fn rejection_penalty_secs(mut self, value: f64) -> Self {
-        self.config.rejection_penalty_secs = value;
-        self
-    }
-
-    /// Sets `Δ`, the accumulation-window length.
-    pub fn accumulation_window(mut self, value: Duration) -> Self {
-        self.config.accumulation_window = value;
-        self
-    }
-
-    /// Sets `η`, the batching-cost threshold.
-    pub fn batching_threshold(mut self, value: Duration) -> Self {
-        self.config.batching_threshold = value;
-        self
-    }
-
-    /// Sets `γ`, the angular-distance weight (must land in `[0, 1]`).
-    pub fn gamma(mut self, value: f64) -> Self {
-        self.config.gamma = value;
-        self
-    }
-
-    /// Sets the degree-cap factor `k` (must be positive).
-    pub fn k_factor(mut self, value: f64) -> Self {
-        self.config.k_factor = value;
-        self
-    }
-
-    /// Sets the rejection deadline.
-    pub fn rejection_deadline(mut self, value: Duration) -> Self {
-        self.config.rejection_deadline = value;
-        self
-    }
-
-    /// Sets the maximum first-mile travel time.
-    pub fn max_first_mile(mut self, value: Duration) -> Self {
-        self.config.max_first_mile = value;
-        self
-    }
-
-    /// Toggles the batching stage (Alg. 1).
-    pub fn use_batching(mut self, value: bool) -> Self {
-        self.config.use_batching = value;
-        self
-    }
-
-    /// Toggles reshuffling of assigned-but-unpicked orders (§IV-D2).
-    pub fn use_reshuffle(mut self, value: bool) -> Self {
-        self.config.use_reshuffle = value;
-        self
-    }
-
-    /// Toggles best-first FoodGraph sparsification (Alg. 2).
-    pub fn use_bfs_sparsification(mut self, value: bool) -> Self {
-        self.config.use_bfs_sparsification = value;
-        self
-    }
-
-    /// Toggles the angular-distance component of the edge weight (Eq. 8).
-    pub fn use_angular_distance(mut self, value: bool) -> Self {
-        self.config.use_angular_distance = value;
-        self
-    }
-
-    /// Sets the dispatch worker-thread knob (`0` = auto).
-    pub fn num_threads(mut self, value: usize) -> Self {
-        self.config.num_threads = value;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<DispatchConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -420,48 +310,15 @@ mod tests {
         c.rejection_penalty_secs = 7_200.0;
         c.accumulation_window = Duration::ZERO;
         assert_eq!(c.validate(), Err(ConfigError::ZeroAccumulationWindow));
-    }
-
-    #[test]
-    fn builder_accepts_valid_configurations() {
-        let built = DispatchConfig::builder()
-            .accumulation_window(Duration::from_mins(2.0))
-            .gamma(0.7)
-            .k_factor(50.0)
-            .max_orders_per_vehicle(2)
-            .num_threads(1)
-            .build()
-            .expect("a valid configuration");
-        assert_eq!(built.accumulation_window, Duration::from_mins(2.0));
-        assert_eq!(built.gamma, 0.7);
-        assert_eq!(built.k_factor, 50.0);
-        assert_eq!(built.max_orders_per_vehicle, 2);
-        assert_eq!(built.num_threads, 1);
-        // Untouched fields keep the paper defaults.
-        assert_eq!(built.max_items_per_vehicle, 10);
-        assert!(built.use_batching);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configurations_with_typed_errors() {
-        assert_eq!(
-            DispatchConfig::builder().accumulation_window(Duration::ZERO).build(),
-            Err(ConfigError::ZeroAccumulationWindow)
-        );
-        assert_eq!(
-            DispatchConfig::builder().gamma(-0.1).build(),
-            Err(ConfigError::GammaOutOfRange(-0.1))
-        );
-        assert_eq!(
-            DispatchConfig::builder().k_factor(-3.0).build(),
-            Err(ConfigError::InvalidKFactor(-3.0))
-        );
-        assert_eq!(
-            DispatchConfig::builder().max_orders_per_vehicle(0).build(),
-            Err(ConfigError::ZeroMaxOrders)
-        );
+        c.accumulation_window = Duration::from_mins(2.0);
+        c.gamma = -0.1;
+        assert_eq!(c.validate(), Err(ConfigError::GammaOutOfRange(-0.1)));
         // Errors render a human-readable diagnostic.
-        let err = DispatchConfig::builder().gamma(2.0).build().unwrap_err();
-        assert!(err.to_string().contains("gamma"));
+        assert!(c.validate().unwrap_err().to_string().contains("gamma"));
+        c.gamma = 0.7;
+        c.k_factor = -3.0;
+        assert_eq!(c.validate(), Err(ConfigError::InvalidKFactor(-3.0)));
+        c.k_factor = 50.0;
+        assert!(c.validate().is_ok(), "every field back in range");
     }
 }

@@ -17,7 +17,7 @@ use crate::batching::Batch;
 use crate::config::DispatchConfig;
 use crate::cost::{marginal_costs, MarginalCost};
 use crate::order::Order;
-use crate::parallel::parallel_map;
+use crate::parallel_map;
 use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
 use foodmatch_matching::SparseCostMatrix;

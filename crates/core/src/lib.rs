@@ -62,7 +62,6 @@ pub mod config;
 pub mod cost;
 pub mod foodgraph;
 pub mod order;
-pub mod parallel;
 pub mod policies;
 pub mod route;
 pub mod vehicle;
@@ -70,12 +69,11 @@ pub mod window;
 
 pub use batching::{batch_orders, singleton_batches, Batch, BatchingOutcome};
 pub use codec::{crc32, ByteReader, Codec, DecodeError};
-pub use config::{ConfigError, DispatchConfig, DispatchConfigBuilder};
+pub use config::{ConfigError, DispatchConfig};
 pub use cost::{marginal_cost, shortest_delivery_time, MarginalCost};
 pub use foodgraph::{build_food_graph, FoodGraph};
-pub use foodmatch_matching::AssignmentSolver;
+pub use foodmatch_matching::{parallel_map, AssignmentSolver};
 pub use order::{Order, OrderId};
-pub use parallel::parallel_map;
 pub use policies::{
     DispatchPolicy, FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, PolicyKind, ReyesPolicy,
 };

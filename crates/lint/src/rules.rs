@@ -291,6 +291,7 @@ fn rule1_applies(path: &str) -> bool {
                 | "crates/core/src/cost.rs"
                 | "crates/core/src/route.rs"
                 | "crates/simulator/src/service.rs"
+                | "crates/simulator/src/step.rs"
                 | "crates/simulator/src/router.rs"
         )
 }

@@ -24,11 +24,12 @@ fn rule_lines(diagnostics: &[Diagnostic]) -> Vec<(&'static str, usize)> {
 #[test]
 fn hash_iteration_is_flagged_on_the_output_path() {
     let source = fixture("nondet_iter.rs");
-    // Two directories of the path set, and a single file of it.
+    // Two directories of the path set, and two single files of it.
     for path in [
         "crates/core/src/policies/fixture.rs",
         "crates/matching/src/matrix.rs",
         "crates/core/src/batching.rs",
+        "crates/simulator/src/step.rs",
     ] {
         let (diagnostics, _) = scan_source(path, &source);
         assert_eq!(

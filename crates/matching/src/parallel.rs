@@ -1,19 +1,24 @@
 //! Deterministic scoped fan-out shared across the workspace.
 //!
 //! Three layers lean on the same primitive: per-component assignment solving
-//! ([`Decomposed`](crate::Decomposed)), per-window dispatch work (FoodGraph
-//! edge construction, batch route planning — see `foodmatch_core::parallel`),
-//! and per-hour-slot index warm-up (`ShortestPathEngine::warm_all` in
-//! `foodmatch-roadnet`). All of them consist of many independent evaluations
-//! against shared `Send + Sync` state. [`parallel_map`] fans such work out
-//! across `std::thread::scope` workers while keeping the output *bit-for-bit
+//! ([`Decomposed`](crate::Decomposed)); per-window dispatch work in
+//! `foodmatch-core` — FoodGraph per-vehicle edge construction and the
+//! batching stage's per-stop oracle sweeps (per-order route plans when
+//! batching is off), each at least a graph search; Algorithm 1's merge
+//! candidates are microsecond table plans and stay on the calling thread —
+//! with `DispatchConfig::effective_threads` deciding the width; and
+//! per-hour-slot index warm-up (`ShortestPathEngine::warm_all` in
+//! `foodmatch-roadnet`), plus the router's lockstep shard fan-out. All of
+//! them consist of many independent evaluations against shared
+//! `Send + Sync` state. [`parallel_map`] fans such work out across
+//! `std::thread::scope` workers while keeping the output *bit-for-bit
 //! identical* to the serial path: items are split into contiguous chunks,
 //! every worker writes only its own chunk, and results come back in input
 //! order.
 //!
-//! The implementation lives here — `foodmatch-matching` is the workspace's
-//! dependency-free leaf crate — and is re-exported under the historical
-//! `foodmatch_roadnet::parallel` and `foodmatch_core::parallel` paths.
+//! This is the function's one home — `foodmatch-matching` is the workspace's
+//! dependency-free leaf crate; `foodmatch_roadnet::parallel_map` and
+//! `foodmatch_core::parallel_map` are plain re-exports of it.
 
 /// Maps `f` over `items` with up to `threads` scoped workers, returning
 /// results in input order (the closure also receives the item's index).

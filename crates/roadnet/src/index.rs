@@ -33,7 +33,7 @@ use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
 use crate::overlay::{self, TrafficOverlay};
-use crate::parallel::parallel_map;
+use crate::parallel_map;
 use crate::timeofday::{Duration, HourSlot, TimePoint};
 use foodmatch_telemetry as telemetry;
 use parking_lot::{Mutex, RwLock};

@@ -61,17 +61,16 @@ pub mod ids;
 pub mod index;
 pub mod io;
 pub mod overlay;
-pub mod parallel;
 pub mod timeofday;
 
 pub use ch::ContractionHierarchy;
 pub use congestion::{CongestionProfile, RoadClass};
 pub use dijkstra::{Expansion, PathResult, SearchSpace};
+pub use foodmatch_matching::parallel_map;
 pub use geo::{angular_distance, bearing, haversine_meters, AngularFrame, GeoPoint};
 pub use graph::{EdgeRecord, NodeRecord, RoadNetwork, RoadNetworkBuilder};
 pub use hub_labels::HubLabelIndex;
 pub use ids::{EdgeId, NodeId};
 pub use index::{EngineKind, ShortestPathEngine};
 pub use overlay::TrafficOverlay;
-pub use parallel::parallel_map;
 pub use timeofday::{Duration, HourSlot, TimePoint};

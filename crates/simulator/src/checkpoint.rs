@@ -1,13 +1,14 @@
 //! Checkpoint serialisation for the online dispatch layer.
 //!
 //! A [`ServiceCheckpoint`] is the complete, self-contained run state of a
-//! [`DispatchService`](crate::DispatchService): order pools and cursors,
-//! fleet physics (positions, edge-level itineraries, restaurant waits,
-//! shift state), the event-schedule cursor with its active disruption set,
-//! and every metrics accumulator. A [`RouterCheckpoint`] is the sharded
-//! analogue for a [`DispatchRouter`](crate::DispatchRouter): one service
-//! checkpoint per zone plus the router's own manifest (zone membership
-//! maps, lockstep clock, termination flag).
+//! [`DispatchService`](crate::DispatchService) — the service's `RunState`
+//! (order book, pools and cursors, fleet physics down to edge-level
+//! itineraries, the event-schedule cursor with its active disruption set,
+//! the metrics so far) under a write-ahead-log stamp. A
+//! [`RouterCheckpoint`] is the sharded analogue for a
+//! [`DispatchRouter`](crate::DispatchRouter): one service checkpoint per
+//! zone plus the router's own state (zone membership maps, lockstep clock,
+//! termination flag).
 //!
 //! What a checkpoint deliberately does **not** contain: the road network
 //! and zone map (deployment configuration, rebuilt deterministically), the
@@ -21,30 +22,25 @@
 //! ## On-disk format
 //!
 //! Checkpoints encode through the deterministic
-//! [`Codec`](foodmatch_core::Codec) (hash containers are serialised in
-//! sorted key order, floats as raw IEEE-754 bits), so the same state always
-//! produces the same bytes. A checkpoint *file* wraps the payload in a
-//! checksummed container:
+//! [`Codec`](foodmatch_core::Codec) (maps in key order, floats as raw
+//! IEEE-754 bits), so the same state always produces the same bytes. Both
+//! dispatcher shapes persist through the same container, one file:
 //!
 //! ```text
-//! [8-byte magic "FMCKPT02"] [u64 payload length] [u32 CRC-32 of payload] [payload]
+//! [8-byte magic "FMCKPT03"] [u64 payload length] [u32 CRC-32 of payload] [payload]
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
 //! renamed into place — so a crash mid-write leaves the previous checkpoint
-//! (or nothing), never a torn one. A router checkpoint is a *directory*:
-//! per-shard checkpoint files plus a `manifest` that records each shard
-//! file's checksum; the directory is staged under a temporary name and
-//! renamed as a unit. Corruption anywhere (bad magic, short file, checksum
-//! mismatch, invalid payload) surfaces as a typed [`CheckpointError`] —
-//! never a panic, never silently wrong state.
+//! (or nothing), never a torn one and never a gap. Corruption anywhere (bad
+//! magic, short file, checksum mismatch, invalid payload) surfaces as a
+//! typed [`CheckpointError`] — never a panic, never silently wrong state.
 
-use crate::fleet::VehicleState;
-use crate::metrics::MetricsCollector;
+use crate::step::RunState;
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
-use foodmatch_core::{DispatchConfig, Order, OrderId, VehicleId};
-use foodmatch_events::EventSchedule;
+use foodmatch_core::{DispatchConfig, OrderId, VehicleId};
 use foodmatch_roadnet::TimePoint;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -53,10 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Magic prefix of every checkpoint file (8 bytes, versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT02";
-
-/// Name of the manifest file inside a router checkpoint directory.
-pub const ROUTER_MANIFEST: &str = "manifest";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT03";
 
 /// A typed failure loading or storing a checkpoint. Corrupt or truncated
 /// files are always reported through one of these variants — reading a
@@ -94,14 +87,6 @@ pub enum CheckpointError {
     /// The payload passed its checksum but failed structural validation
     /// (should not happen without a CRC collision; reported, not trusted).
     Decode(DecodeError),
-    /// A router manifest references a different number of shards than the
-    /// checkpoint directory (or the zone map at restore time) provides.
-    ShardCountMismatch {
-        /// Shards the manifest declares.
-        expected: usize,
-        /// Shards actually found.
-        found: usize,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -124,9 +109,6 @@ impl fmt::Display for CheckpointError {
                 )
             }
             CheckpointError::Decode(e) => write!(f, "checkpoint payload invalid: {e}"),
-            CheckpointError::ShardCountMismatch { expected, found } => {
-                write!(f, "router checkpoint shard count mismatch: manifest says {expected}, found {found}")
-            }
         }
     }
 }
@@ -195,168 +177,42 @@ pub struct ServiceCheckpoint {
     /// [`DurableDispatch`](crate::durable::DurableDispatch) stamps its log
     /// position here so recovery knows which log suffix to replay.
     pub wal_seq: u64,
-    pub(crate) config: DispatchConfig,
-    pub(crate) start: TimePoint,
-    pub(crate) end: TimePoint,
-    pub(crate) drain_end: TimePoint,
-    pub(crate) window_close: TimePoint,
-    pub(crate) orders: Vec<Order>,
-    pub(crate) next_order: usize,
-    pub(crate) known: Vec<(OrderId, TimePoint)>,
-    pub(crate) schedule: EventSchedule,
-    pub(crate) vehicles: Vec<VehicleState>,
-    pub(crate) pending: Vec<Order>,
-    pub(crate) assigned_or_done: Vec<OrderId>,
-    pub(crate) delivered: Vec<OrderId>,
-    pub(crate) cancel_requested: Vec<OrderId>,
-    pub(crate) prep_delay_pending: Vec<(OrderId, foodmatch_roadnet::Duration)>,
-    pub(crate) cancelled_ids: Vec<OrderId>,
-    pub(crate) sdt: Vec<(OrderId, foodmatch_roadnet::Duration)>,
-    pub(crate) collector: MetricsCollector,
-    pub(crate) finished: bool,
+    pub(crate) state: RunState,
 }
 
 impl ServiceCheckpoint {
     /// The service clock (close time of the last processed window) at the
     /// moment the checkpoint was taken.
     pub fn clock(&self) -> TimePoint {
-        self.window_close
+        self.state.window_close
     }
 
     /// Whether the checkpointed service had already finished.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.state.finished
     }
-}
-
-fn require(cond: bool, msg: impl FnOnce() -> String) -> Result<(), DecodeError> {
-    if cond {
-        Ok(())
-    } else {
-        Err(DecodeError::Invalid(msg()))
-    }
-}
-
-fn require_sorted_unique<K: Ord + Copy + fmt::Debug>(
-    keys: impl Iterator<Item = K> + Clone,
-    what: &str,
-) -> Result<(), DecodeError> {
-    let mut shifted = keys.clone();
-    shifted.next();
-    for (a, b) in keys.zip(shifted) {
-        if a >= b {
-            return Err(DecodeError::Invalid(format!(
-                "{what} must be strictly sorted, found {a:?} before {b:?}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl Codec for ServiceCheckpoint {
     fn encode(&self, out: &mut Vec<u8>) {
         self.wal_seq.encode(out);
-        self.config.encode(out);
-        self.start.encode(out);
-        self.end.encode(out);
-        self.drain_end.encode(out);
-        self.window_close.encode(out);
-        self.orders.encode(out);
-        self.next_order.encode(out);
-        self.known.encode(out);
-        self.schedule.encode(out);
-        self.vehicles.encode(out);
-        self.pending.encode(out);
-        self.assigned_or_done.encode(out);
-        self.delivered.encode(out);
-        self.cancel_requested.encode(out);
-        self.prep_delay_pending.encode(out);
-        self.cancelled_ids.encode(out);
-        self.sdt.encode(out);
-        self.collector.encode(out);
-        self.finished.encode(out);
+        self.state.encode(out);
     }
 
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let wal_seq = u64::decode(reader)?;
-        let config = DispatchConfig::decode(reader)?;
-        let start = TimePoint::decode(reader)?;
-        let end = TimePoint::decode(reader)?;
-        let drain_end = TimePoint::decode(reader)?;
-        let window_close = TimePoint::decode(reader)?;
-        require(start <= end && end <= drain_end, || {
-            format!("checkpoint horizon out of order: start {start:?}, end {end:?}, drain {drain_end:?}")
-        })?;
-        require(start <= window_close && window_close <= drain_end, || {
-            format!("checkpoint clock {window_close:?} outside [start, drain] bounds")
-        })?;
-        let orders = Vec::<Order>::decode(reader)?;
-        let next_order = usize::decode(reader)?;
-        require(next_order <= orders.len(), || {
-            format!("order cursor {next_order} past the {} submitted orders", orders.len())
-        })?;
-        let known = Vec::<(OrderId, TimePoint)>::decode(reader)?;
-        require_sorted_unique(known.iter().map(|&(id, _)| id), "checkpoint order index")?;
-        let schedule = EventSchedule::decode(reader)?;
-        let vehicles = Vec::<VehicleState>::decode(reader)?;
-        {
-            let mut ids: Vec<VehicleId> = vehicles.iter().map(|v| v.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            require(ids.len() == vehicles.len(), || {
-                "checkpoint fleet contains duplicate vehicle ids".to_string()
-            })?;
-        }
-        let pending = Vec::<Order>::decode(reader)?;
-        let assigned_or_done = Vec::<OrderId>::decode(reader)?;
-        require_sorted_unique(assigned_or_done.iter().copied(), "assigned/done set")?;
-        let delivered = Vec::<OrderId>::decode(reader)?;
-        require_sorted_unique(delivered.iter().copied(), "delivered set")?;
-        let cancel_requested = Vec::<OrderId>::decode(reader)?;
-        require_sorted_unique(cancel_requested.iter().copied(), "cancel-requested set")?;
-        let prep_delay_pending = Vec::<(OrderId, foodmatch_roadnet::Duration)>::decode(reader)?;
-        require_sorted_unique(prep_delay_pending.iter().map(|&(id, _)| id), "prep-delay map")?;
-        let cancelled_ids = Vec::<OrderId>::decode(reader)?;
-        require_sorted_unique(cancelled_ids.iter().copied(), "cancelled set")?;
-        let sdt = Vec::<(OrderId, foodmatch_roadnet::Duration)>::decode(reader)?;
-        require_sorted_unique(sdt.iter().map(|&(id, _)| id), "SDT map")?;
-        let collector = MetricsCollector::decode(reader)?;
-        let finished = bool::decode(reader)?;
-        Ok(ServiceCheckpoint {
-            wal_seq,
-            config,
-            start,
-            end,
-            drain_end,
-            window_close,
-            orders,
-            next_order,
-            known,
-            schedule,
-            vehicles,
-            pending,
-            assigned_or_done,
-            delivered,
-            cancel_requested,
-            prep_delay_pending,
-            cancelled_ids,
-            sdt,
-            collector,
-            finished,
-        })
+        Ok(ServiceCheckpoint { wal_seq: u64::decode(reader)?, state: RunState::decode(reader)? })
     }
 }
 
 /// The complete run state of one [`DispatchRouter`](crate::DispatchRouter):
-/// the router's own manifest (zone membership maps, lockstep clock,
-/// termination state) plus one [`ServiceCheckpoint`] per zone shard.
+/// the router's own state (zone membership maps, lockstep clock,
+/// termination flag) plus one [`ServiceCheckpoint`] per zone shard.
 ///
 /// Obtained from [`DispatchRouter::checkpoint`](crate::DispatchRouter::checkpoint);
 /// turned back into a live router by
-/// [`DispatchRouter::restore`](crate::DispatchRouter::restore). Persist as
-/// a directory of per-shard files with [`save_router_checkpoint`] /
-/// [`load_router_checkpoint`], or as a single file with the plain
-/// [`save_checkpoint`] (it implements [`Codec`] like any other state).
+/// [`DispatchRouter::restore`](crate::DispatchRouter::restore). Serialises
+/// deterministically through [`Codec`]; persist with [`save_checkpoint`] /
+/// [`load_checkpoint`], like the service's.
 #[derive(Clone, Debug)]
 pub struct RouterCheckpoint {
     /// Write-ahead-log position, as on [`ServiceCheckpoint::wal_seq`].
@@ -365,8 +221,8 @@ pub struct RouterCheckpoint {
     pub(crate) window_close: TimePoint,
     pub(crate) drain_end: TimePoint,
     pub(crate) finished: bool,
-    pub(crate) order_zone: Vec<(OrderId, u32)>,
-    pub(crate) vehicle_zone: Vec<(VehicleId, u32)>,
+    pub(crate) order_zone: BTreeMap<OrderId, u32>,
+    pub(crate) vehicle_zone: BTreeMap<VehicleId, u32>,
     pub(crate) shards: Vec<ServiceCheckpoint>,
 }
 
@@ -385,10 +241,10 @@ impl RouterCheckpoint {
     pub fn is_finished(&self) -> bool {
         self.finished
     }
+}
 
-    /// Encodes only the manifest part (everything but the shard states);
-    /// shard checksums bind the manifest to its shard files.
-    fn encode_manifest(&self, shard_crcs: &[u32], out: &mut Vec<u8>) {
+impl Codec for RouterCheckpoint {
+    fn encode(&self, out: &mut Vec<u8>) {
         self.wal_seq.encode(out);
         self.config.encode(out);
         self.window_close.encode(out);
@@ -396,51 +252,20 @@ impl RouterCheckpoint {
         self.finished.encode(out);
         self.order_zone.encode(out);
         self.vehicle_zone.encode(out);
-        shard_crcs.to_vec().encode(out);
-    }
-
-    fn decode_manifest(
-        reader: &mut ByteReader<'_>,
-    ) -> Result<(RouterCheckpoint, Vec<u32>), DecodeError> {
-        let wal_seq = u64::decode(reader)?;
-        let config = DispatchConfig::decode(reader)?;
-        let window_close = TimePoint::decode(reader)?;
-        let drain_end = TimePoint::decode(reader)?;
-        let finished = bool::decode(reader)?;
-        let order_zone = Vec::<(OrderId, u32)>::decode(reader)?;
-        require_sorted_unique(order_zone.iter().map(|&(id, _)| id), "router order-zone map")?;
-        let vehicle_zone = Vec::<(VehicleId, u32)>::decode(reader)?;
-        require_sorted_unique(vehicle_zone.iter().map(|&(id, _)| id), "router vehicle-zone map")?;
-        let shard_crcs = Vec::<u32>::decode(reader)?;
-        Ok((
-            RouterCheckpoint {
-                wal_seq,
-                config,
-                window_close,
-                drain_end,
-                finished,
-                order_zone,
-                vehicle_zone,
-                shards: Vec::new(),
-            },
-            shard_crcs,
-        ))
-    }
-}
-
-impl Codec for RouterCheckpoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_manifest(&[], out);
         self.shards.encode(out);
     }
 
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let (mut checkpoint, shard_crcs) = RouterCheckpoint::decode_manifest(reader)?;
-        require(shard_crcs.is_empty(), || {
-            "inline router checkpoint must not carry shard-file checksums".to_string()
-        })?;
-        checkpoint.shards = Vec::<ServiceCheckpoint>::decode(reader)?;
-        Ok(checkpoint)
+        Ok(RouterCheckpoint {
+            wal_seq: Codec::decode(reader)?,
+            config: Codec::decode(reader)?,
+            window_close: Codec::decode(reader)?,
+            drain_end: Codec::decode(reader)?,
+            finished: Codec::decode(reader)?,
+            order_zone: Codec::decode(reader)?,
+            vehicle_zone: Codec::decode(reader)?,
+            shards: Codec::decode(reader)?,
+        })
     }
 }
 
@@ -514,89 +339,6 @@ pub fn load_checkpoint<C: Codec>(path: impl AsRef<Path>) -> Result<C, Checkpoint
     let bytes = fs::read(path.as_ref())?;
     let payload = unseal(&bytes)?;
     Ok(C::from_bytes(payload)?)
-}
-
-/// Name of the shard file for shard `index` inside a router checkpoint
-/// directory.
-pub fn shard_file_name(index: usize) -> String {
-    format!("shard-{index:04}.ckpt")
-}
-
-/// Persists a [`RouterCheckpoint`] as a directory: one container file per
-/// shard plus a [`ROUTER_MANIFEST`] binding them together by checksum. The
-/// directory is staged under a temporary name and renamed into place as a
-/// unit; an existing checkpoint directory at `dir` is replaced.
-pub fn save_router_checkpoint(
-    dir: impl AsRef<Path>,
-    checkpoint: &RouterCheckpoint,
-) -> Result<(), CheckpointError> {
-    let _span = foodmatch_telemetry::span("checkpoint", "save_router");
-    // lint: allow(telemetry-handle-discipline) — free function, once per
-    // checkpoint save; see `save_checkpoint`.
-    let _timer = foodmatch_telemetry::histogram("checkpoint.save_ns").timer();
-    let dir = dir.as_ref();
-    let staging = dir.with_extension("ckpt-staging");
-    if staging.exists() {
-        fs::remove_dir_all(&staging)?;
-    }
-    fs::create_dir_all(&staging)?;
-    let mut shard_crcs = Vec::with_capacity(checkpoint.shards.len());
-    for (i, shard) in checkpoint.shards.iter().enumerate() {
-        let sealed = seal(&shard.to_bytes());
-        shard_crcs.push(crc32(&sealed));
-        let mut file = fs::File::create(staging.join(shard_file_name(i)))?;
-        file.write_all(&sealed)?;
-        file.sync_all()?;
-    }
-    let mut manifest_payload = Vec::new();
-    checkpoint.encode_manifest(&shard_crcs, &mut manifest_payload);
-    let mut file = fs::File::create(staging.join(ROUTER_MANIFEST))?;
-    file.write_all(&seal(&manifest_payload))?;
-    file.sync_all()?;
-    drop(file);
-    if dir.exists() {
-        fs::remove_dir_all(dir)?;
-    }
-    fs::rename(&staging, dir)?;
-    Ok(())
-}
-
-/// Loads a router checkpoint directory written by
-/// [`save_router_checkpoint`], verifying the manifest and every shard file
-/// (container checksum *and* the manifest's record of it) before decoding.
-pub fn load_router_checkpoint(dir: impl AsRef<Path>) -> Result<RouterCheckpoint, CheckpointError> {
-    let _span = foodmatch_telemetry::span("checkpoint", "restore_router");
-    // lint: allow(telemetry-handle-discipline) — free function, once per
-    // restore; see `save_checkpoint`.
-    let _timer = foodmatch_telemetry::histogram("checkpoint.restore_ns").timer();
-    let dir = dir.as_ref();
-    let manifest_bytes = fs::read(dir.join(ROUTER_MANIFEST))?;
-    let payload = unseal(&manifest_bytes)?;
-    let mut reader = ByteReader::new(payload);
-    let (mut checkpoint, shard_crcs) = RouterCheckpoint::decode_manifest(&mut reader)?;
-    reader.expect_end()?;
-    let mut shards = Vec::with_capacity(shard_crcs.len());
-    for (i, &expected) in shard_crcs.iter().enumerate() {
-        let path = dir.join(shard_file_name(i));
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(CheckpointError::ShardCountMismatch {
-                    expected: shard_crcs.len(),
-                    found: i,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let actual = crc32(&bytes);
-        if actual != expected {
-            return Err(CheckpointError::ChecksumMismatch { expected, actual });
-        }
-        let shard_payload = unseal(&bytes)?;
-        shards.push(ServiceCheckpoint::from_bytes(shard_payload)?);
-    }
-    checkpoint.shards = shards;
-    Ok(checkpoint)
 }
 
 /// One enqueued background save: the WAL sequence the checkpoint covers,
@@ -677,16 +419,16 @@ impl BackgroundCheckpointer<ServiceCheckpoint> {
 
 impl BackgroundCheckpointer<RouterCheckpoint> {
     /// A background checkpointer persisting [`RouterCheckpoint`]s to a
-    /// checkpoint directory via [`save_router_checkpoint`].
-    pub fn router(dir: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        Self::new(dir, |dir, state| save_router_checkpoint(dir, state))
+    /// single container file via [`save_checkpoint`].
+    pub fn router(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        Self::new(path, |path, state| save_checkpoint(path, state))
     }
 }
 
 impl<C: Send + 'static> BackgroundCheckpointer<C> {
     /// Starts the persist worker, writing every sealed checkpoint to
     /// `path` through `persist` (an atomic-rename writer such as
-    /// [`save_checkpoint`] or [`save_router_checkpoint`]). Fails with
+    /// [`save_checkpoint`]). Fails with
     /// [`CheckpointError::Io`] if the worker thread cannot be spawned.
     pub fn new(
         path: impl AsRef<Path>,
@@ -821,6 +563,114 @@ impl<C: Send + 'static> Drop for BackgroundCheckpointer<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{DispatchRouter, ZoneMap};
+    use foodmatch_core::policies::GreedyPolicy;
+    use foodmatch_core::Order;
+    use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
+    use foodmatch_roadnet::generators::GridCityBuilder;
+    use foodmatch_roadnet::{CongestionProfile, Duration, NodeId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// What `load_checkpoint` does with a file's bytes.
+    fn open<C: Codec>(file: &[u8]) -> Result<C, CheckpointError> {
+        Ok(C::from_bytes(unseal(file)?)?)
+    }
+
+    /// A two-zone router twelve minutes into a day that reaches every corner
+    /// of the state — orders riding, pooled and queued, one cancelled and
+    /// one delayed while queued, an incident active, a driver who joined
+    /// mid-run — and, as the service shape, its first shard.
+    fn mid_run_checkpoints() -> (ServiceCheckpoint, RouterCheckpoint) {
+        let grid = GridCityBuilder::new(10, 10).major_every(0);
+        let network = grid.congestion(CongestionProfile::free_flow()).build();
+        let at = |mins: f64| TimePoint::from_hms(12, 0, 0) + Duration::from_mins(mins);
+        let centers = [network.position(NodeId(25)), network.position(NodeId(75))];
+        let mut router = DispatchRouter::new(
+            &network,
+            ZoneMap::voronoi(&network, &centers),
+            vec![(VehicleId(0), NodeId(0)), (VehicleId(1), NodeId(99))],
+            |_| GreedyPolicy::new(),
+            DispatchConfig::default(),
+            at(0.0),
+            at(60.0),
+            Duration::from_hours(2.0),
+        );
+        for i in 0..8u32 {
+            let (restaurant, customer) = (NodeId((37 * i + 5) % 100), NodeId(7 * i + 3));
+            let prep = Duration::from_mins(4.0);
+            let placed = at(2.5 * f64::from(i));
+            let order = Order::new(OrderId(i.into()), restaurant, customer, placed, 1, prep);
+            assert!(router.submit_order(order).is_accepted());
+        }
+        let incident = TrafficDisruption::localized(
+            DisruptionCause::Incident,
+            NodeId(22),
+            900.0,
+            2.0,
+            at(50.0),
+        );
+        for (mins, kind) in [
+            (4.0, EventKind::Traffic(incident)),
+            (5.0, EventKind::OrderCancelled { order: OrderId(7) }),
+            (5.0, EventKind::PrepDelay { order: OrderId(6), extra: Duration::from_mins(3.0) }),
+            (7.0, EventKind::VehicleOnShift { vehicle: VehicleId(2), location: NodeId(44) }),
+        ] {
+            assert!(router.ingest_event(DisruptionEvent::new(at(mins), kind)).is_accepted());
+        }
+        let _ = router.advance_to(at(12.0));
+        let shard = router.snapshot().zones[0].1;
+        assert!(shard.queued > 0 && shard.in_flight > 0 && shard.traffic_active, "{shard:?}");
+        let checkpoint = router.checkpoint();
+        (checkpoint.shards[0].clone(), checkpoint)
+    }
+
+    /// Every one-byte flip and every truncation of a checkpoint *file* is a
+    /// typed error; every one-byte flip of the *payload* re-sealed under a
+    /// valid CRC — damage the container cannot see — is a typed decode error
+    /// or a state that passes the same validations again. Never a panic.
+    fn sweep<C: Codec>(state: &C, rng: &mut StdRng) {
+        let file = seal(&state.to_bytes());
+        assert!(open::<C>(&file).is_ok(), "the undamaged file loads");
+        let mut revalidated = 0;
+        for at in 0..file.len() {
+            let cut = open::<C>(&file[..at]).err();
+            let typed = matches!(
+                cut,
+                Some(CheckpointError::TooShort { .. } | CheckpointError::LengthMismatch { .. })
+            );
+            assert!(typed, "cut at {at}: {cut:?}");
+            let mut damaged = file.clone();
+            damaged[at] ^= rng.random_range(1u8..=255);
+            let flipped = open::<C>(&damaged).err();
+            let typed = match at {
+                0..8 => matches!(flipped, Some(CheckpointError::BadMagic { .. })),
+                8..16 => matches!(flipped, Some(CheckpointError::LengthMismatch { .. })),
+                _ => matches!(flipped, Some(CheckpointError::ChecksumMismatch { .. })),
+            };
+            assert!(typed, "file byte {at}: {flipped:?}");
+            if at < 20 {
+                continue; // header bytes: no payload to re-seal
+            }
+            match open::<C>(&seal(&damaged[20..])) {
+                Err(CheckpointError::Decode(_)) => {}
+                Err(other) => panic!("payload byte {at}: the container is intact, got {other}"),
+                Ok(state) => {
+                    revalidated += 1;
+                    assert!(C::from_bytes(&state.to_bytes()).is_ok(), "payload byte {at}");
+                }
+            }
+        }
+        assert!(revalidated > 0, "some damage only validation can judge");
+    }
+
+    #[test]
+    fn every_flip_and_truncation_of_a_mid_run_checkpoint_is_typed() {
+        let (service, router) = mid_run_checkpoints();
+        let mut rng = StdRng::seed_from_u64(0xC4EC_0003);
+        sweep(&service, &mut rng);
+        sweep(&router, &mut rng);
+    }
 
     #[test]
     fn container_rejects_every_corruption_mode_with_typed_errors() {
@@ -834,36 +684,14 @@ mod tests {
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(unseal(&wrong_magic), Err(CheckpointError::BadMagic { .. })));
 
-        // The previous format (its `DispatchConfig` was one byte longer) is
-        // refused by its magic, never decoded — as a file of its own and as
-        // a shard file of a router checkpoint directory.
+        // A well-formed container of the previous format is refused by its
+        // magic, never decoded.
         let mut previous = sealed.clone();
-        previous[..8].copy_from_slice(b"FMCKPT01");
+        previous[..8].copy_from_slice(b"FMCKPT02");
         assert!(matches!(
             unseal(&previous),
-            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT01"
+            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT02"
         ));
-        let dir = std::env::temp_dir().join(format!("fm-ckpt-magic-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("create temp dir");
-        fs::write(dir.join(shard_file_name(0)), &previous).expect("write shard file");
-        let router = RouterCheckpoint {
-            wal_seq: 0,
-            config: DispatchConfig::default(),
-            window_close: TimePoint::MIDNIGHT,
-            drain_end: TimePoint::MIDNIGHT,
-            finished: false,
-            order_zone: Vec::new(),
-            vehicle_zone: Vec::new(),
-            shards: Vec::new(),
-        };
-        let mut manifest = Vec::new();
-        router.encode_manifest(&[crc32(&previous)], &mut manifest);
-        fs::write(dir.join(ROUTER_MANIFEST), seal(&manifest)).expect("write manifest");
-        assert!(matches!(
-            load_router_checkpoint(&dir),
-            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT01"
-        ));
-        fs::remove_dir_all(&dir).ok();
 
         let mut truncated = sealed.clone();
         truncated.pop();

@@ -16,16 +16,20 @@
 //!
 //! ## The four entry points
 //!
-//! The dispatch loop has one implementation and four drivers, from batch
-//! replay to a crash-safe deployment:
+//! The dispatch loop has one implementation — the private `step` module:
+//! a `RunState` that lists the run's fields once (with their `Codec`) and
+//! `RunState::step_window`, one accumulation window as a function of
+//! `(state, engine, policy)` with no recorder, log or filesystem under it —
+//! and four drivers, from batch replay to a crash-safe deployment:
 //!
 //! * **Batch** — [`Simulation`] wraps a pre-materialized scenario and
 //!   [`Simulation::run`] replays it through a fresh service, start to drain.
 //!   Use this for the paper's experiments and any offline comparison; the
 //!   batch and streaming drivers are pinned bit-identical by
 //!   `tests/service_equivalence.rs`.
-//! * **Streaming** — [`DispatchService`] is the loop itself, exposed as a
-//!   streaming API: [`DispatchService::submit_order`] and
+//! * **Streaming** — [`DispatchService`] is the thin shell over that step
+//!   (engine, policy, state, telemetry handles), exposed as a streaming
+//!   API: [`DispatchService::submit_order`] and
 //!   [`DispatchService::ingest_event`] feed demand and disruptions in as
 //!   they happen (returning typed [`SubmitOutcome`] / [`IngestOutcome`]
 //!   verdicts), [`DispatchService::advance_to`] steps the clock and
@@ -50,10 +54,12 @@
 //!   [`WriteAheadLog`] *before* it is applied, with a [`FlushPolicy`]
 //!   amortising the fsync across group-committed batches (per record or
 //!   per accumulation window — the acked/appended ledger makes the
-//!   durability lag explicit). The full dispatcher state (order pools,
-//!   fleet physics, event schedule, metrics)
+//!   durability lag explicit). The full dispatcher state (order book and
+//!   pools, fleet physics, event schedule, metrics)
 //!   checkpoints via [`DispatchService::checkpoint`] /
-//!   [`DispatchRouter::checkpoint`] into atomically-written files — off the
+//!   [`DispatchRouter::checkpoint`] — a clone of the run state — into one
+//!   atomically-written container file for either shape
+//!   ([`save_checkpoint`] / [`load_checkpoint`]) — off the
 //!   dispatch thread with [`BackgroundCheckpointer`], whose sealed
 //!   checkpoints anchor [log compaction](WriteAheadLog::compact_below) —
 //!   and recovery — restore the latest checkpoint, [`replay_wal`] the log
@@ -129,11 +135,12 @@ pub mod fleet;
 pub mod metrics;
 pub mod router;
 pub mod service;
+mod step;
 pub mod wal;
 
 pub use checkpoint::{
-    load_checkpoint, load_router_checkpoint, save_checkpoint, save_router_checkpoint,
-    BackgroundCheckpointer, CheckpointError, RestoreError, RouterCheckpoint, ServiceCheckpoint,
+    load_checkpoint, save_checkpoint, BackgroundCheckpointer, CheckpointError, RestoreError,
+    RouterCheckpoint, ServiceCheckpoint,
 };
 pub use durable::{replay_wal, DurableDispatch, FailMode, FailPoint, ReplayError, WalTarget};
 pub use engine::Simulation;

@@ -272,24 +272,15 @@ impl SimulationReport {
     }
 }
 
-/// Incrementally accumulates metrics while a simulation runs.
+/// Incrementally accumulates metrics while a simulation runs: the
+/// [`SimulationReport`] under construction, plus the one flag that stamps
+/// what is recorded next.
 ///
-/// The collector is `Clone` so a live [`DispatchService`](crate::service)
-/// can hand out a point-in-time [`SimulationReport`] mid-run without
-/// disturbing the accumulation.
+/// A live [`DispatchService`](crate::service) hands out a point-in-time
+/// clone of the report mid-run without disturbing the accumulation.
 #[derive(Clone, Debug)]
 pub struct MetricsCollector {
-    policy: String,
-    total_orders: usize,
-    horizon: Duration,
-    delivered: Vec<DeliveredOrder>,
-    rejected: Vec<OrderId>,
-    rejected_during_disruption: usize,
-    cancelled: Vec<OrderId>,
-    undelivered: Vec<OrderId>,
-    windows: Vec<WindowStats>,
-    distance_by_load_m: Vec<[f64; MAX_TRACKED_LOAD + 1]>,
-    waiting_by_slot: Vec<Duration>,
+    report: SimulationReport,
     /// Whether a traffic disruption is currently active; stamps deliveries
     /// and rejections recorded while set.
     disruption_active: bool,
@@ -299,31 +290,38 @@ impl MetricsCollector {
     /// Creates a collector for a run of the given policy and workload size.
     pub fn new(policy: impl Into<String>, total_orders: usize, horizon: Duration) -> Self {
         MetricsCollector {
-            policy: policy.into(),
-            total_orders,
-            horizon,
-            delivered: Vec::new(),
-            rejected: Vec::new(),
-            rejected_during_disruption: 0,
-            cancelled: Vec::new(),
-            undelivered: Vec::new(),
-            windows: Vec::new(),
-            distance_by_load_m: vec![[0.0; MAX_TRACKED_LOAD + 1]; HourSlot::COUNT],
-            waiting_by_slot: vec![Duration::ZERO; HourSlot::COUNT],
+            report: SimulationReport {
+                policy: policy.into(),
+                total_orders,
+                delivered: Vec::new(),
+                rejected: Vec::new(),
+                rejected_during_disruption: 0,
+                cancelled: Vec::new(),
+                undelivered: Vec::new(),
+                windows: Vec::new(),
+                distance_by_load_m: vec![[0.0; MAX_TRACKED_LOAD + 1]; HourSlot::COUNT],
+                waiting_by_slot: vec![Duration::ZERO; HourSlot::COUNT],
+                horizon,
+            },
             disruption_active: false,
         }
+    }
+
+    /// The report as accumulated so far.
+    pub(crate) fn report(&self) -> &SimulationReport {
+        &self.report
     }
 
     /// Counts one more offered order. Batch runs pass the workload size to
     /// [`MetricsCollector::new`] up front; the streaming service starts at
     /// zero and counts orders as they are submitted.
     pub fn record_offered(&mut self) {
-        self.total_orders += 1;
+        self.report.total_orders += 1;
     }
 
     /// Number of rejections recorded so far (cheap mid-run probe).
     pub fn rejected_count(&self) -> usize {
-        self.rejected.len()
+        self.report.rejected.len()
     }
 
     /// Updates the disruption flag stamped onto subsequent deliveries and
@@ -355,60 +353,48 @@ impl MetricsCollector {
             slot: placed_at.hour_slot(),
             during_disruption: self.disruption_active,
         };
-        self.delivered.push(record);
+        self.report.delivered.push(record);
         record
     }
 
     /// Records a rejected order.
     pub fn record_rejection(&mut self, id: OrderId) {
-        self.rejected.push(id);
+        self.report.rejected.push(id);
         if self.disruption_active {
-            self.rejected_during_disruption += 1;
+            self.report.rejected_during_disruption += 1;
         }
     }
 
     /// Records a customer cancellation (before pickup).
     pub fn record_cancellation(&mut self, id: OrderId) {
-        self.cancelled.push(id);
+        self.report.cancelled.push(id);
     }
 
     /// Records an order left undelivered at the end of the run.
     pub fn record_undelivered(&mut self, id: OrderId) {
-        self.undelivered.push(id);
+        self.report.undelivered.push(id);
     }
 
     /// Records one driven edge.
     pub fn record_drive(&mut self, at: TimePoint, load: usize, length_m: f64) {
         let slot = at.hour_slot().index();
         let bucket = load.min(MAX_TRACKED_LOAD);
-        self.distance_by_load_m[slot][bucket] += length_m;
+        self.report.distance_by_load_m[slot][bucket] += length_m;
     }
 
     /// Records restaurant waiting time.
     pub fn record_wait(&mut self, at: TimePoint, waited: Duration) {
-        self.waiting_by_slot[at.hour_slot().index()] += waited;
+        self.report.waiting_by_slot[at.hour_slot().index()] += waited;
     }
 
     /// Records a completed accumulation window.
     pub fn record_window(&mut self, stats: WindowStats) {
-        self.windows.push(stats);
+        self.report.windows.push(stats);
     }
 
     /// Finalises the report.
     pub fn finish(self) -> SimulationReport {
-        SimulationReport {
-            policy: self.policy,
-            total_orders: self.total_orders,
-            delivered: self.delivered,
-            rejected: self.rejected,
-            rejected_during_disruption: self.rejected_during_disruption,
-            cancelled: self.cancelled,
-            undelivered: self.undelivered,
-            windows: self.windows,
-            distance_by_load_m: self.distance_by_load_m,
-            waiting_by_slot: self.waiting_by_slot,
-            horizon: self.horizon,
-        }
+        self.report
     }
 }
 
@@ -471,67 +457,57 @@ impl Codec for WindowStats {
     }
 }
 
-/// Every private accumulator round-trips, so a restored collector finishes
-/// into the same [`SimulationReport`] the uninterrupted run would produce.
+/// The report under construction and the disruption flag round-trip, so a
+/// restored collector finishes into the same [`SimulationReport`] the
+/// uninterrupted run would produce.
 impl Codec for MetricsCollector {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.policy.encode(out);
-        self.total_orders.encode(out);
-        self.horizon.encode(out);
-        self.delivered.encode(out);
-        self.rejected.encode(out);
-        self.rejected_during_disruption.encode(out);
-        self.cancelled.encode(out);
-        self.undelivered.encode(out);
-        self.windows.encode(out);
-        self.distance_by_load_m.encode(out);
-        self.waiting_by_slot.encode(out);
+        let report = &self.report;
+        report.policy.encode(out);
+        report.total_orders.encode(out);
+        report.horizon.encode(out);
+        report.delivered.encode(out);
+        report.rejected.encode(out);
+        report.rejected_during_disruption.encode(out);
+        report.cancelled.encode(out);
+        report.undelivered.encode(out);
+        report.windows.encode(out);
+        report.distance_by_load_m.encode(out);
+        report.waiting_by_slot.encode(out);
         self.disruption_active.encode(out);
     }
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let policy = String::decode(reader)?;
-        let total_orders = usize::decode(reader)?;
-        let horizon = Duration::decode(reader)?;
-        let delivered = Vec::<DeliveredOrder>::decode(reader)?;
-        let rejected = Vec::<OrderId>::decode(reader)?;
-        let rejected_during_disruption = usize::decode(reader)?;
-        let cancelled = Vec::<OrderId>::decode(reader)?;
-        let undelivered = Vec::<OrderId>::decode(reader)?;
-        let windows = Vec::<WindowStats>::decode(reader)?;
-        let distance_by_load_m = Vec::<[f64; MAX_TRACKED_LOAD + 1]>::decode(reader)?;
-        for per_slot in &distance_by_load_m {
-            for &metres in per_slot {
-                if !(metres.is_finite() && metres >= 0.0) {
-                    return Err(DecodeError::Invalid(format!(
-                        "distance histogram entries must be finite and non-negative, got {metres}"
-                    )));
-                }
-            }
+        // Written in `encode`'s order: a literal's fields evaluate as written.
+        let report = SimulationReport {
+            policy: Codec::decode(reader)?,
+            total_orders: Codec::decode(reader)?,
+            horizon: Codec::decode(reader)?,
+            delivered: Codec::decode(reader)?,
+            rejected: Codec::decode(reader)?,
+            rejected_during_disruption: Codec::decode(reader)?,
+            cancelled: Codec::decode(reader)?,
+            undelivered: Codec::decode(reader)?,
+            windows: Codec::decode(reader)?,
+            distance_by_load_m: Codec::decode(reader)?,
+            waiting_by_slot: Codec::decode(reader)?,
+        };
+        if let Some(metres) =
+            report.distance_by_load_m.iter().flatten().find(|m| !(m.is_finite() && **m >= 0.0))
+        {
+            return Err(DecodeError::Invalid(format!(
+                "distance histogram entries must be finite and non-negative, got {metres}"
+            )));
         }
-        let waiting_by_slot = Vec::<Duration>::decode(reader)?;
-        if distance_by_load_m.len() != HourSlot::COUNT || waiting_by_slot.len() != HourSlot::COUNT {
+        let rows = (report.distance_by_load_m.len(), report.waiting_by_slot.len());
+        if rows != (HourSlot::COUNT, HourSlot::COUNT) {
             return Err(DecodeError::Invalid(format!(
                 "per-slot histograms must have {} rows, got {} and {}",
                 HourSlot::COUNT,
-                distance_by_load_m.len(),
-                waiting_by_slot.len()
+                rows.0,
+                rows.1
             )));
         }
-        let disruption_active = bool::decode(reader)?;
-        Ok(MetricsCollector {
-            policy,
-            total_orders,
-            horizon,
-            delivered,
-            rejected,
-            rejected_during_disruption,
-            cancelled,
-            undelivered,
-            windows,
-            distance_by_load_m,
-            waiting_by_slot,
-            disruption_active,
-        })
+        Ok(MetricsCollector { report, disruption_active: bool::decode(reader)? })
     }
 }
 

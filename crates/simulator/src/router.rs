@@ -42,12 +42,13 @@ use crate::service::{
     AdvanceOutcome, AdvanceStatus, DispatchOutput, DispatchService, IngestOutcome, ServiceSnapshot,
     SubmitOutcome,
 };
+use crate::step::{assert_fleet_on_network, names_node_outside};
 use foodmatch_core::{parallel_map, DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId};
 use foodmatch_events::{DisruptionEvent, EventScope};
 use foodmatch_roadnet::{
     haversine_meters, Duration, GeoPoint, NodeId, RoadNetwork, ShortestPathEngine, TimePoint,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -299,8 +300,8 @@ pub struct DispatchRouter<P: DispatchPolicy> {
     /// items immutably); there is no lock contention — each shard is locked
     /// by exactly one worker at a time.
     shards: Vec<Mutex<DispatchService<P>>>,
-    order_zone: HashMap<OrderId, u32>,
-    vehicle_zone: HashMap<VehicleId, u32>,
+    order_zone: BTreeMap<OrderId, u32>,
+    vehicle_zone: BTreeMap<VehicleId, u32>,
     config: DispatchConfig,
     threads: usize,
     delta: Duration,
@@ -347,7 +348,8 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     ///
     /// # Panics
     /// Panics when the zone map is empty, no zone has any node, the
-    /// configuration is invalid, or `end` precedes `start`.
+    /// configuration is invalid, `end` precedes `start`, or a vehicle starts
+    /// on a node that is not in `network` (the message names the vehicle).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         network: &RoadNetwork,
@@ -364,8 +366,9 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             zones.zones().iter().any(|z| z.node_count > 0),
             "a router needs at least one non-empty zone"
         );
-        let mut vehicle_zone = HashMap::new();
+        let mut vehicle_zone = BTreeMap::new();
         let mut fleets: Vec<Vec<(VehicleId, NodeId)>> = vec![Vec::new(); zones.zone_count()];
+        assert_fleet_on_network(&vehicle_starts, network.node_count());
         for (vehicle, node) in vehicle_starts {
             let zone = zones
                 .zone_of(node)
@@ -397,8 +400,8 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             zones,
             network: network.clone(),
             shards,
-            order_zone: HashMap::new(),
-            vehicle_zone: HashMap::new(),
+            order_zone: BTreeMap::new(),
+            vehicle_zone,
             config,
             threads,
             delta,
@@ -407,19 +410,13 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             finished: false,
             metrics: RouterMetrics::acquire(),
         }
-        .with_vehicle_zone(vehicle_zone)
-    }
-
-    fn with_vehicle_zone(mut self, vehicle_zone: HashMap<VehicleId, u32>) -> Self {
-        self.vehicle_zone = vehicle_zone;
-        self
     }
 
     /// Submits one order, routed to the zone owning its restaurant node.
-    /// Same contract as [`DispatchService::submit_order`], plus
-    /// [`SubmitOutcome::NoZoneForLocation`] when the restaurant lies outside
-    /// every zone. Duplicate detection is router-global: an id submitted to
-    /// one zone is a duplicate in every other zone too.
+    /// Same contract as [`DispatchService::submit_order`], with
+    /// [`SubmitOutcome::NoZoneForLocation`] also when the restaurant lies
+    /// outside every zone. Duplicate detection is router-global: an id
+    /// submitted to one zone is a duplicate in every other zone too.
     pub fn submit_order(&mut self, order: Order) -> SubmitOutcome {
         if self.finished {
             return SubmitOutcome::ServiceFinished;
@@ -443,7 +440,7 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// * city-wide events broadcast to every shard;
     /// * localized incidents go to the zones whose bounding region the
     ///   incident circle touches ([`IngestOutcome::NoZoneForLocation`] when
-    ///   it touches none);
+    ///   it touches none, or is centered on a node outside the network);
     /// * order events go to the owning zone; events for orders the router
     ///   has never seen broadcast (every shard ignores unknown ids, exactly
     ///   like the bare service);
@@ -452,6 +449,9 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     pub fn ingest_event(&mut self, event: DisruptionEvent) -> IngestOutcome {
         if self.finished {
             return IngestOutcome::ServiceFinished;
+        }
+        if names_node_outside(&event, self.network.node_count()) {
+            return IngestOutcome::NoZoneForLocation;
         }
         match event.scope() {
             EventScope::CityWide => self.ingest_into_all(event),
@@ -559,30 +559,14 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
         // Per-shard wall time is only read when a recorder is live; the
         // measurement is observational — outputs are identical either way.
         let timed = self.metrics.shard_advance_ns.is_live();
-        let per_shard: Vec<(Vec<DispatchOutput>, u64)> = if self.threads > 1
-            && self.shards.len() > 1
-        {
+        let per_shard: Vec<(Vec<DispatchOutput>, u64)> =
             parallel_map(&self.shards, self.threads, |zi, shard| {
                 let _span = foodmatch_telemetry::span_dyn("shard", || format!("zone{zi}"));
                 let started = timed.then(Instant::now);
                 let outputs = shard.lock().expect("shard lock").advance_to(until).into_outputs();
                 let nanos = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
                 (outputs, nanos)
-            })
-        } else {
-            self.shards
-                .iter_mut()
-                .enumerate()
-                .map(|(zi, shard)| {
-                    let _span = foodmatch_telemetry::span_dyn("shard", || format!("zone{zi}"));
-                    let started = timed.then(Instant::now);
-                    let outputs =
-                        shard.get_mut().expect("shard lock").advance_to(until).into_outputs();
-                    let nanos = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
-                    (outputs, nanos)
-                })
-                .collect()
-        };
+            });
         if timed {
             let (mut fastest, mut slowest) = (u64::MAX, 0u64);
             for &(_, nanos) in &per_shard {
@@ -674,8 +658,8 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
 
     /// Captures the complete deployment state as a [`RouterCheckpoint`]:
     /// one [`ServiceCheckpoint`](crate::checkpoint::ServiceCheckpoint) per
-    /// zone shard plus the router's own manifest (zone-membership maps,
-    /// lockstep clock, termination state). Restore with
+    /// zone shard plus the router's own state (zone-membership maps,
+    /// lockstep clock, termination flag). Restore with
     /// [`DispatchRouter::restore`] — same network, same zone map, same
     /// policy factory — to resume the run bit-identically.
     ///
@@ -685,20 +669,14 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     pub fn checkpoint(&self) -> RouterCheckpoint {
         let shards =
             self.shards.iter().map(|s| s.lock().expect("shard lock").checkpoint()).collect();
-        let mut order_zone: Vec<(OrderId, u32)> =
-            self.order_zone.iter().map(|(&k, &v)| (k, v)).collect();
-        order_zone.sort_unstable_by_key(|&(k, _)| k);
-        let mut vehicle_zone: Vec<(VehicleId, u32)> =
-            self.vehicle_zone.iter().map(|(&k, &v)| (k, v)).collect();
-        vehicle_zone.sort_unstable_by_key(|&(k, _)| k);
         RouterCheckpoint {
             wal_seq: 0,
             config: self.config.clone(),
             window_close: self.window_close,
             drain_end: self.drain_end,
             finished: self.finished,
-            order_zone,
-            vehicle_zone,
+            order_zone: self.order_zone.clone(),
+            vehicle_zone: self.vehicle_zone.clone(),
             shards,
         }
     }
@@ -738,8 +716,8 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             zones,
             network: network.clone(),
             shards,
-            order_zone: checkpoint.order_zone.iter().copied().collect(),
-            vehicle_zone: checkpoint.vehicle_zone.iter().copied().collect(),
+            order_zone: checkpoint.order_zone.clone(),
+            vehicle_zone: checkpoint.vehicle_zone.clone(),
             config: checkpoint.config.clone(),
             threads,
             delta,
@@ -942,6 +920,42 @@ mod tests {
             SubmitOutcome::NoZoneForLocation
         );
         assert_eq!(router.snapshot().submitted, 0);
+    }
+
+    #[test]
+    fn nodes_outside_the_network_are_refused_not_indexed() {
+        let (network, b) = grid();
+        let map = ZoneMap::voronoi(&network, &two_centers(&network, &b));
+        let mut router = router(&network, map, vec![(VehicleId(0), b.node_at(1, 1))]);
+        let start = router.now();
+        let (inside, nowhere) = (b.node_at(1, 1), NodeId(12 * 12));
+        // The router only looks the restaurant up; the shard checks both.
+        for refused in [order(1, inside, nowhere, start), order(1, nowhere, inside, start)] {
+            assert_eq!(router.submit_order(refused), SubmitOutcome::NoZoneForLocation);
+        }
+        let until = start + Duration::from_hours(2.0);
+        let incident =
+            TrafficDisruption::localized(DisruptionCause::Incident, nowhere, 300.0, 4.0, until);
+        for kind in [
+            EventKind::Traffic(incident),
+            EventKind::VehicleOnShift { vehicle: VehicleId(7), location: nowhere },
+            EventKind::VehicleOnShift { vehicle: VehicleId(0), location: nowhere },
+        ] {
+            let outcome = router.ingest_event(DisruptionEvent::new(start, kind));
+            assert_eq!(outcome, IngestOutcome::NoZoneForLocation, "{kind:?}");
+        }
+        assert_eq!(router.snapshot().submitted, 0);
+        // The refused id was never recorded: it is still free.
+        assert!(router.submit_order(order(1, inside, b.node_at(3, 1), start)).is_accepted());
+        assert_eq!(router.run_to_completion().aggregate.delivered.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "vehicle v3 starts on")]
+    fn a_vehicle_starting_off_the_network_is_a_configuration_panic_naming_it() {
+        let (network, b) = grid();
+        let map = ZoneMap::voronoi(&network, &two_centers(&network, &b));
+        let _ = router(&network, map, vec![(VehicleId(3), NodeId(12 * 12))]);
     }
 
     #[test]

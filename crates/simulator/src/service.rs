@@ -18,12 +18,17 @@
 //!   [`report`](DispatchService::report) — point-in-time operational state
 //!   and metrics, available mid-run without disturbing the service.
 //!
-//! Stepping is explicit (`&mut self`): the service owns the engine handle,
-//! the fleet, the order pools and the metrics — there is no interior
-//! mutability to reason about. The batch driver `Simulation::run` is a thin
-//! wrapper that submits the scenario's streams up front and drains the
-//! service to completion; a golden test
-//! (`tests/service_equivalence.rs`) pins the two entry points bit-identical.
+//! The service is a thin shell. The run's state and the window step itself
+//! live in the private `step` module (`RunState::step_window`: one function
+//! of state, engine and policy, with no recorder, log or filesystem under
+//! it); this file adds the typed outcomes, the telemetry handles and spans
+//! around each call, the `advance_to` loop that decides which windows close,
+//! and checkpoint capture / restore, which are a clone and a wrap. Stepping
+//! is explicit (`&mut self`) — there is no interior mutability to reason
+//! about. The batch driver `Simulation::run` is a thin wrapper that submits
+//! the scenario's streams up front and drains the service to completion; a
+//! golden test (`tests/service_equivalence.rs`) pins the two entry points
+//! bit-identical.
 //!
 //! ## Semantics worth knowing
 //!
@@ -38,19 +43,19 @@
 //!   SDTs bit for bit.
 //! * Cancellations for orders the service has never seen are ignored, same
 //!   as the batch loop ignores cancellations for ids outside the scenario.
+//! * Input that names a node the network does not have — an order's
+//!   restaurant or customer, an on-shift location, an incident center — is
+//!   refused at the door with `NoZoneForLocation`; nothing is admitted.
 //! * The service keeps every submitted order for final accounting, so a
 //!   perpetual deployment should be restarted (or sharded) per service day,
 //!   exactly like the paper's per-day evaluation.
 
 use crate::checkpoint::ServiceCheckpoint;
-use crate::fleet::{CarriedOrder, FleetEvent, VehicleState};
-use crate::metrics::{MetricsCollector, SimulationReport, WindowStats};
-use foodmatch_core::route::{plan_optimal_route, PlannedOrder};
-use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId, WindowSnapshot};
-use foodmatch_events::{DisruptionEvent, EventKind, EventSchedule};
+use crate::metrics::{SimulationReport, WindowStats};
+use crate::step::{assert_fleet_on_network, RunState};
+use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId};
+use foodmatch_events::DisruptionEvent;
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::time::Instant;
 
 /// The typed outcome of submitting an order to a [`DispatchService`] or a
 /// [`DispatchRouter`](crate::router::DispatchRouter).
@@ -66,8 +71,9 @@ pub enum SubmitOutcome {
     Duplicate,
     /// The service (or every router shard) has finished; input is refused.
     ServiceFinished,
-    /// Router only: the order's restaurant node belongs to no zone of the
-    /// router's zone map. A bare service never returns this.
+    /// The order lies outside the service area: its restaurant or customer
+    /// is not a node of the network, or (router) its restaurant node belongs
+    /// to no zone of the zone map.
     NoZoneForLocation,
 }
 
@@ -88,9 +94,10 @@ pub enum IngestOutcome {
     /// The service (or every targeted router shard) has finished; the event
     /// is dropped.
     ServiceFinished,
-    /// Router only: a localized event touches no zone (or targets a vehicle
-    /// joining at a node outside every zone). A bare service never returns
-    /// this.
+    /// The event lies outside the service area: an incident center or an
+    /// on-shift location that is not a node of the network, or (router) a
+    /// localized event that touches no zone or a vehicle joining at a node
+    /// in no zone.
     NoZoneForLocation,
 }
 
@@ -289,39 +296,15 @@ pub struct ServiceSnapshot {
     pub finished: bool,
 }
 
-/// The online dispatcher: owns the fleet, the order pools, the event
-/// schedule and the metrics, and advances in accumulation windows when told
-/// to. See the [module docs](self) for the full contract.
+/// The online dispatcher: a `RunState` (fleet, order pools, event
+/// schedule, metrics) plus the engine handle and the policy that step it,
+/// advanced in accumulation windows when told to. See the
+/// [module docs](self) for the full contract.
 #[derive(Debug)]
 pub struct DispatchService<P: DispatchPolicy> {
     engine: ShortestPathEngine,
     policy: P,
-    config: DispatchConfig,
-    reshuffle: bool,
-    start: TimePoint,
-    end: TimePoint,
-    drain_end: TimePoint,
-    /// Close time of the last processed window; `start` before any stepping.
-    window_close: TimePoint,
-    /// Every submitted order, sorted by `(placed_at, id)`; `next_order` is
-    /// the arrival cursor.
-    orders: Vec<Order>,
-    next_order: usize,
-    /// `placed_at` lookup (and duplicate-submission guard) for all ids.
-    known: HashMap<OrderId, TimePoint>,
-    schedule: EventSchedule,
-    vehicles: Vec<VehicleState>,
-    vehicle_index: HashMap<VehicleId, usize>,
-    pending: Vec<Order>,
-    assigned_or_done: HashSet<OrderId>,
-    delivered: HashSet<OrderId>,
-    cancel_requested: HashSet<OrderId>,
-    prep_delay_pending: HashMap<OrderId, Duration>,
-    cancelled_ids: HashSet<OrderId>,
-    /// SDT of every order, evaluated at submission time (Definition 6).
-    sdt: HashMap<OrderId, Duration>,
-    collector: MetricsCollector,
-    finished: bool,
+    state: RunState,
     metrics: ServiceMetrics,
 }
 
@@ -362,7 +345,9 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// start from the unperturbed network.
     ///
     /// # Panics
-    /// Panics when the configuration is invalid or `end` precedes `start`.
+    /// Panics when the configuration is invalid, `end` precedes `start`, or
+    /// a vehicle starts on a node that is not in the engine's network (the
+    /// message names the vehicle).
     /// A zero-length horizon is allowed (a drain-only service): nothing is
     /// in horizon, but submitted orders are still dispatched through the
     /// drain phase, as the batch loop always did.
@@ -377,45 +362,21 @@ impl<P: DispatchPolicy> DispatchService<P> {
     ) -> Self {
         config.validate().expect("invalid dispatch configuration");
         assert!(end >= start, "service horizon must not end before it starts");
-        if engine.has_overlay() {
-            engine.clear_overlay();
-        }
-        let reshuffle = policy.uses_reshuffling(&config);
-        let vehicles: Vec<VehicleState> =
-            vehicle_starts.iter().map(|&(id, node)| VehicleState::new(id, node)).collect();
-        let vehicle_index = vehicles.iter().enumerate().map(|(i, v)| (v.id, i)).collect();
-        let collector = MetricsCollector::new(policy.name(), 0, end - start);
-        DispatchService {
-            engine,
-            policy,
-            config,
-            reshuffle,
-            start,
-            end,
-            drain_end: end + drain_limit,
-            window_close: start,
-            orders: Vec::new(),
-            next_order: 0,
-            known: HashMap::new(),
-            schedule: EventSchedule::new(Vec::new()),
-            vehicles,
-            vehicle_index,
-            pending: Vec::new(),
-            assigned_or_done: HashSet::new(),
-            delivered: HashSet::new(),
-            cancel_requested: HashSet::new(),
-            prep_delay_pending: HashMap::new(),
-            cancelled_ids: HashSet::new(),
-            sdt: HashMap::new(),
-            collector,
-            finished: false,
-            metrics: ServiceMetrics::acquire(),
-        }
+        assert_fleet_on_network(&vehicle_starts, engine.network().node_count());
+        let state = RunState::new(policy.name(), &vehicle_starts, config, start, end, drain_limit);
+        Self::wrap(engine, policy, state)
+    }
+
+    /// The shell around `state`, with the engine's overlay made to match it.
+    fn wrap(engine: ShortestPathEngine, policy: P, mut state: RunState) -> Self {
+        state.install_overlay(&engine);
+        DispatchService { engine, policy, state, metrics: ServiceMetrics::acquire() }
     }
 
     /// Submits one order to the service. The order is ignored when the
-    /// returned [`SubmitOutcome`] is not `Accepted` (duplicate id, or the
-    /// service has finished).
+    /// returned [`SubmitOutcome`] is not `Accepted` (duplicate id, a
+    /// restaurant or customer node outside the network, or the service has
+    /// finished).
     ///
     /// The order's SDT baseline is computed here, under the network
     /// conditions active right now; it enters a window once the clock
@@ -424,40 +385,19 @@ impl<P: DispatchPolicy> DispatchService<P> {
     pub fn submit_order(&mut self, order: Order) -> SubmitOutcome {
         let _timer = self.metrics.submit_ns.timer();
         self.metrics.submits.inc();
-        if self.finished {
-            return SubmitOutcome::ServiceFinished;
-        }
-        if self.known.contains_key(&order.id) {
-            return SubmitOutcome::Duplicate;
-        }
-        self.known.insert(order.id, order.placed_at);
-        let sdt = self
-            .engine
-            .travel_time(order.restaurant, order.customer, order.placed_at)
-            .map(|sp| order.prep_time + sp)
-            .unwrap_or(Duration::ZERO);
-        self.sdt.insert(order.id, sdt);
-        self.collector.record_offered();
-        // Keep the unconsumed tail sorted by (placed_at, id) — the exact
-        // arrival order of the batch loop.
-        let tail = &self.orders[self.next_order..];
-        let offset = tail.partition_point(|o| (o.placed_at, o.id) <= (order.placed_at, order.id));
-        self.orders.insert(self.next_order + offset, order);
-        SubmitOutcome::Accepted
+        self.state.submit_order(order, &self.engine)
     }
 
     /// Streams one disruption event into the service. Events timestamped in
     /// the past take effect at the next window open (the batch loop has the
     /// same one-window granularity). Returns
-    /// [`IngestOutcome::ServiceFinished`] once the service has finished.
+    /// [`IngestOutcome::ServiceFinished`] once the service has finished, and
+    /// [`IngestOutcome::NoZoneForLocation`] for an on-shift location or an
+    /// incident center that is not a node of the network.
     pub fn ingest_event(&mut self, event: DisruptionEvent) -> IngestOutcome {
         let _timer = self.metrics.ingest_ns.timer();
         self.metrics.ingests.inc();
-        if self.finished {
-            return IngestOutcome::ServiceFinished;
-        }
-        self.schedule.push(event);
-        IngestOutcome::Accepted
+        self.state.ingest_event(event, &self.engine)
     }
 
     /// Advances the service clock to `until`, processing every accumulation
@@ -476,26 +416,29 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// write-ahead log) can detect a misordered input stream.
     pub fn advance_to(&mut self, until: TimePoint) -> AdvanceOutcome {
         let _timer = self.metrics.advance_ns.timer();
-        if self.finished {
+        if self.state.finished {
             return AdvanceOutcome::finished();
         }
-        if until < self.window_close {
-            return AdvanceOutcome::out_of_order(until, self.window_close);
+        if until < self.state.window_close {
+            return AdvanceOutcome::out_of_order(until, self.state.window_close);
         }
-        let delta = self.config.accumulation_window;
+        let delta = self.state.config.accumulation_window;
         let mut out = Vec::new();
         let mut advanced = false;
-        while !self.finished {
-            let next_close = self.window_close + delta;
-            if next_close > self.drain_end {
-                self.finalize(&mut out);
+        while !self.state.finished {
+            let next_close = self.state.window_close + delta;
+            if next_close > self.state.drain_end {
+                self.state.finalize(&self.engine, &mut out);
                 advanced = true;
                 break;
             }
             if next_close > until {
                 break;
             }
-            self.step_window(next_close, &mut out);
+            let _span = foodmatch_telemetry::span("service", "window");
+            let _timer = self.metrics.window_ns.timer();
+            self.metrics.windows.inc();
+            self.state.step_window(next_close, &self.engine, &mut self.policy, &mut out);
             advanced = true;
         }
         let status = if advanced { AdvanceStatus::Advanced } else { AdvanceStatus::Pending };
@@ -506,57 +449,59 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// returns the final report. Equivalent to
     /// `advance_to(self.drain_deadline())` + [`report`](Self::report).
     pub fn run_to_completion(&mut self) -> SimulationReport {
-        let _ = self.advance_to(self.drain_end);
+        let _ = self.advance_to(self.state.drain_end);
         self.report()
     }
 
     /// The instant past which [`advance_to`] gives up on undelivered orders
     /// and finalizes the run.
     pub fn drain_deadline(&self) -> TimePoint {
-        self.drain_end
+        self.state.drain_end
     }
 
     /// True once the service has terminated (everything drained, or the
     /// drain limit was hit) and the report is final.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.state.finished
     }
 
     /// The close time of the last processed window (the service clock).
     pub fn now(&self) -> TimePoint {
-        self.window_close
+        self.state.window_close
     }
 
     /// When the service's day starts (the clock before any stepping).
     pub fn start(&self) -> TimePoint {
-        self.start
+        self.state.start
     }
 
     /// When the workload horizon ends; the drain phase runs after this until
     /// [`drain_deadline`](Self::drain_deadline).
     pub fn horizon_end(&self) -> TimePoint {
-        self.end
+        self.state.end
     }
 
     /// The dispatcher configuration the service runs under.
     pub fn config(&self) -> &DispatchConfig {
-        &self.config
+        &self.state.config
     }
 
     /// A point-in-time view of the operational state.
     pub fn snapshot(&self) -> ServiceSnapshot {
+        let state = &self.state;
+        let report = state.collector.report();
         ServiceSnapshot {
-            now: self.window_close,
-            submitted: self.orders.len(),
-            queued: self.orders.len() - self.next_order,
-            pending: self.pending.len(),
-            in_flight: self.vehicles.iter().map(|v| v.carried.len()).sum(),
-            delivered: self.delivered.len(),
-            rejected: self.collector.rejected_count(),
-            cancelled: self.cancelled_ids.len(),
-            vehicles_on_shift: self.vehicles.iter().filter(|v| v.on_shift).count(),
-            traffic_active: self.schedule.traffic_active(),
-            finished: self.finished,
+            now: state.window_close,
+            submitted: state.orders.len(),
+            queued: state.orders.len() - state.next_order,
+            pending: state.pending.len(),
+            in_flight: state.vehicles.iter().map(|v| v.carried.len()).sum(),
+            delivered: report.delivered.len(),
+            rejected: state.collector.rejected_count(),
+            cancelled: report.cancelled.len(),
+            vehicles_on_shift: state.vehicles.iter().filter(|v| v.on_shift).count(),
+            traffic_active: state.schedule.traffic_active(),
+            finished: state.finished,
         }
     }
 
@@ -565,13 +510,13 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// bucket); once [`is_finished`](Self::is_finished) it is the final,
     /// fully accounted report of the run.
     pub fn report(&self) -> SimulationReport {
-        self.collector.clone().finish()
+        self.state.collector.report().clone()
     }
 
     /// Captures the complete run state as a [`ServiceCheckpoint`]: order
-    /// pools and cursors, fleet (positions, edge-level itineraries, shift
-    /// state), the event-schedule cursor and active overlay set, and the
-    /// metrics accumulated so far. Restoring the checkpoint (into a fresh
+    /// book, pools and cursors, fleet (positions, edge-level itineraries,
+    /// shift state), the event-schedule cursor and active overlay set, and
+    /// the metrics accumulated so far. Restoring the checkpoint (into a fresh
     /// engine handle over the same network, with the same policy) resumes
     /// the run bit-identically — see
     /// [`DispatchService::restore`].
@@ -580,38 +525,7 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// ([`DurableDispatch`](crate::durable::DurableDispatch)) stamps its
     /// write-ahead-log position on top.
     pub fn checkpoint(&self) -> ServiceCheckpoint {
-        fn sorted_map<K: Ord + Copy, V: Copy>(map: &HashMap<K, V>) -> Vec<(K, V)> {
-            let mut flat: Vec<(K, V)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-            flat.sort_unstable_by_key(|&(k, _)| k);
-            flat
-        }
-        fn sorted_set<K: Ord + Copy>(set: &HashSet<K>) -> Vec<K> {
-            let mut flat: Vec<K> = set.iter().copied().collect();
-            flat.sort_unstable();
-            flat
-        }
-        ServiceCheckpoint {
-            wal_seq: 0,
-            config: self.config.clone(),
-            start: self.start,
-            end: self.end,
-            drain_end: self.drain_end,
-            window_close: self.window_close,
-            orders: self.orders.clone(),
-            next_order: self.next_order,
-            known: sorted_map(&self.known),
-            schedule: self.schedule.clone(),
-            vehicles: self.vehicles.clone(),
-            pending: self.pending.clone(),
-            assigned_or_done: sorted_set(&self.assigned_or_done),
-            delivered: sorted_set(&self.delivered),
-            cancel_requested: sorted_set(&self.cancel_requested),
-            prep_delay_pending: sorted_map(&self.prep_delay_pending),
-            cancelled_ids: sorted_set(&self.cancelled_ids),
-            sdt: sorted_map(&self.sdt),
-            collector: self.collector.clone(),
-            finished: self.finished,
-        }
+        ServiceCheckpoint { wal_seq: 0, state: self.state.clone() }
     }
 
     /// Rebuilds a service from a [`ServiceCheckpoint`], resuming the run
@@ -620,448 +534,20 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// The caller supplies the parts that are deliberately *not* in the
     /// checkpoint: an engine handle over the same road network (checkpoints
     /// store run state, not the city), and the policy (stateless across
-    /// windows by the [`DispatchPolicy`] contract). Everything derived is
-    /// recomputed — the vehicle index from the fleet, the reshuffle flag
-    /// from policy × config — and if the checkpoint was taken under an
-    /// active traffic disruption the engine's overlay is re-rendered and
-    /// re-installed, so the restored service sees the same perturbed travel
-    /// times.
+    /// windows by the [`DispatchPolicy`] contract). Nothing derived is
+    /// stored, and if the checkpoint was taken under an active traffic
+    /// disruption the engine's overlay is re-rendered and re-installed, so
+    /// the restored service sees the same perturbed travel times.
     ///
     /// # Panics
     /// Panics when the checkpoint's configuration is invalid — impossible
     /// for checkpoints produced by [`checkpoint`](Self::checkpoint) or
     /// decoded through [`Codec`](foodmatch_core::Codec) (both validate).
     pub fn restore(engine: ShortestPathEngine, policy: P, checkpoint: &ServiceCheckpoint) -> Self {
-        checkpoint.config.validate().expect("invalid dispatch configuration in checkpoint");
-        let reshuffle = policy.uses_reshuffling(&checkpoint.config);
-        let vehicles = checkpoint.vehicles.clone();
-        let vehicle_index = vehicles.iter().enumerate().map(|(i, v)| (v.id, i)).collect();
-        let mut schedule = checkpoint.schedule.clone();
-        // The engine handle arrives in an arbitrary overlay state; make it
-        // match the checkpoint's (the schedule knows what was active).
-        if engine.has_overlay() {
-            engine.clear_overlay();
-        }
-        if schedule.traffic_active() {
-            let overlay = schedule.render_overlay(engine.network());
-            engine.set_overlay(overlay);
-        }
-        DispatchService {
-            engine,
-            policy,
-            config: checkpoint.config.clone(),
-            reshuffle,
-            start: checkpoint.start,
-            end: checkpoint.end,
-            drain_end: checkpoint.drain_end,
-            window_close: checkpoint.window_close,
-            orders: checkpoint.orders.clone(),
-            next_order: checkpoint.next_order,
-            known: checkpoint.known.iter().copied().collect(),
-            schedule,
-            vehicles,
-            vehicle_index,
-            pending: checkpoint.pending.clone(),
-            assigned_or_done: checkpoint.assigned_or_done.iter().copied().collect(),
-            delivered: checkpoint.delivered.iter().copied().collect(),
-            cancel_requested: checkpoint.cancel_requested.iter().copied().collect(),
-            prep_delay_pending: checkpoint.prep_delay_pending.iter().copied().collect(),
-            cancelled_ids: checkpoint.cancelled_ids.iter().copied().collect(),
-            sdt: checkpoint.sdt.iter().copied().collect(),
-            collector: checkpoint.collector.clone(),
-            finished: checkpoint.finished,
-            metrics: ServiceMetrics::acquire(),
-        }
+        let state = checkpoint.state.clone();
+        state.config.validate().expect("invalid dispatch configuration in checkpoint");
+        Self::wrap(engine, policy, state)
     }
-
-    /// Processes exactly one accumulation window closing at `close`.
-    /// This is the body of the batch loop, verbatim.
-    fn step_window(&mut self, window_close: TimePoint, out: &mut Vec<DispatchOutput>) {
-        let _span = foodmatch_telemetry::span("service", "window");
-        let _timer = self.metrics.window_ns.timer();
-        self.metrics.windows.inc();
-        let delta = self.config.accumulation_window;
-        self.window_close = window_close;
-        let in_horizon = window_close <= self.end + delta;
-
-        // 0. Drain disruption events that fall inside this window; they take
-        //    effect at the window's open, before vehicles drive through it.
-        if !self.schedule.is_empty() {
-            self.apply_events(window_close, out);
-        }
-
-        // 1. Advance vehicles and harvest their events.
-        for vehicle in &mut self.vehicles {
-            let id = vehicle.id;
-            for event in vehicle.advance(window_close) {
-                match event {
-                    FleetEvent::Drove { length_m, load } => {
-                        self.collector.record_drive(window_close, load, length_m);
-                    }
-                    FleetEvent::PickedUp { order, at, waited } => {
-                        self.collector.record_wait(at, waited);
-                        out.push(DispatchOutput::PickedUp { order, vehicle: id, at, waited });
-                    }
-                    FleetEvent::Delivered { order, at } => {
-                        self.delivered.insert(order);
-                        let placed = self.known.get(&order).copied().unwrap_or(at);
-                        let record = self.collector.record_delivery(
-                            order,
-                            placed,
-                            at,
-                            self.sdt.get(&order).copied().unwrap_or(Duration::ZERO),
-                        );
-                        out.push(DispatchOutput::Delivered {
-                            order,
-                            vehicle: id,
-                            at,
-                            xdt: record.xdt,
-                        });
-                    }
-                }
-            }
-        }
-
-        // 2. New arrivals and deadline rejections. Orders cancelled before
-        //    they arrived are swallowed (already accounted as cancellations);
-        //    pending prep delays are applied on arrival.
-        while self.next_order < self.orders.len()
-            && self.orders[self.next_order].placed_at <= window_close
-        {
-            let mut order = self.orders[self.next_order];
-            self.next_order += 1;
-            if self.cancel_requested.remove(&order.id) {
-                continue;
-            }
-            if let Some(extra) = self.prep_delay_pending.remove(&order.id) {
-                order.prep_time += extra;
-            }
-            self.pending.push(order);
-        }
-        let (collector, assigned_or_done) = (&mut self.collector, &mut self.assigned_or_done);
-        let deadline = self.config.rejection_deadline;
-        self.pending.retain(|o| {
-            let expired = window_close.saturating_since(o.placed_at) > deadline;
-            if expired {
-                collector.record_rejection(o.id);
-                assigned_or_done.insert(o.id);
-                out.push(DispatchOutput::Rejected { order: o.id, at: window_close });
-            }
-            !expired
-        });
-
-        // Termination: past the horizon with nothing left to do.
-        let all_arrived = self.next_order >= self.orders.len();
-        let fleet_idle = self.vehicles.iter().all(VehicleState::is_idle);
-        if window_close > self.end && all_arrived && self.pending.is_empty() && fleet_idle {
-            self.finalize(out);
-            return;
-        }
-
-        // 3–4. Snapshot and policy call.
-        if self.pending.is_empty() && !self.reshuffle {
-            // Nothing to assign; skip the policy call but keep advancing.
-            return;
-        }
-        let mut snapshot_orders = self.pending.clone();
-        if self.reshuffle {
-            for vehicle in self.vehicles.iter().filter(|v| v.on_shift) {
-                snapshot_orders.extend(vehicle.unpicked_orders());
-            }
-        }
-        if snapshot_orders.is_empty() {
-            return;
-        }
-        // Off-shift vehicles are invisible to the dispatcher.
-        let snapshots = self
-            .vehicles
-            .iter()
-            .filter(|v| v.on_shift)
-            .map(|v| v.snapshot(self.reshuffle))
-            .collect();
-        let window = WindowSnapshot::new(window_close, snapshot_orders, snapshots);
-        let order_count = window.order_count();
-        let vehicle_count = window.vehicle_count();
-
-        // lint: allow(wall-clock-hygiene) — `compute_secs` is a *reported*
-        // wall-clock measurement (the paper's per-window compute budget);
-        // it feeds `WindowStats`, which golden comparisons normalise.
-        let started = Instant::now();
-        let outcome = self.policy.assign(&window, &self.engine, &self.config);
-        let compute_secs = started.elapsed().as_secs_f64();
-        debug_assert!(outcome.validate(&window).is_ok(), "policy produced invalid outcome");
-
-        if in_horizon {
-            let stats = WindowStats {
-                closed_at: window_close,
-                slot: window_close.hour_slot(),
-                orders: order_count,
-                vehicles: vehicle_count,
-                assigned: outcome.assigned_order_count(),
-                compute_secs,
-                overflown: compute_secs > delta.as_secs_f64(),
-                disrupted: self.schedule.traffic_active(),
-            };
-            self.collector.record_window(stats);
-            out.push(DispatchOutput::WindowClosed { stats });
-        }
-
-        // 5. Apply the assignment.
-        let order_lookup: HashMap<OrderId, Order> =
-            window.orders.iter().map(|o| (o.id, *o)).collect();
-        // Both sets below drive loops whose side effects land in the output
-        // stream, so they are BTreeSets: iteration order must come from the
-        // keys, never from hasher state (`nondeterministic-iteration`).
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
-        // Carried order-id sets before this window's changes; vehicles whose
-        // set is unchanged keep their current itinerary, so partial progress
-        // along an edge is never thrown away by a no-op replan.
-        let carried_before: Vec<Vec<OrderId>> = self
-            .vehicles
-            .iter()
-            .map(|v| {
-                let mut ids: Vec<OrderId> = v.carried.iter().map(|c| c.order.id).collect();
-                ids.sort_unstable();
-                ids
-            })
-            .collect();
-        let assigned_now: BTreeSet<OrderId> =
-            outcome.assignments.iter().flat_map(|a| a.orders.iter().copied()).collect();
-
-        // Detach every order that the matching moved somewhere (it may be
-        // re-attached to the same vehicle below). Orders the matching did
-        // NOT touch keep their incumbent vehicle — reshuffling re-examines
-        // assignments, it never strands an order that already had a ride.
-        for &order_id in &assigned_now {
-            self.pending.retain(|o| o.id != order_id);
-            for (vi, vehicle) in self.vehicles.iter_mut().enumerate() {
-                if vehicle.remove_unpicked(order_id) {
-                    touched.insert(vi);
-                }
-            }
-        }
-        // Attach the orders to their new vehicles. If a vehicle that
-        // receives a new batch still holds unpicked orders the matching left
-        // untouched and the combination would exceed its capacity, the
-        // untouched ones are released back into the pending pool (they will
-        // be re-offered next window).
-        for assignment in &outcome.assignments {
-            let Some(&vi) = self.vehicle_index.get(&assignment.vehicle) else { continue };
-            touched.insert(vi);
-            for &order_id in &assignment.orders {
-                let Some(&order) = order_lookup.get(&order_id) else { continue };
-                self.vehicles[vi].carried.push(CarriedOrder { order, picked_up: false });
-                self.assigned_or_done.insert(order_id);
-                out.push(DispatchOutput::Assigned {
-                    order: order_id,
-                    vehicle: assignment.vehicle,
-                    at: window_close,
-                });
-            }
-            let vehicle = &mut self.vehicles[vi];
-            while vehicle.carried.len() > self.config.max_orders_per_vehicle
-                || vehicle.carried.iter().map(|c| c.order.items).sum::<u32>()
-                    > self.config.max_items_per_vehicle
-            {
-                // Release the oldest untouched, unpicked order that is not
-                // part of this window's batch for the vehicle.
-                let Some(pos) = vehicle
-                    .carried
-                    .iter()
-                    .position(|c| !c.picked_up && !assigned_now.contains(&c.order.id))
-                else {
-                    break;
-                };
-                let released = vehicle.carried.remove(pos);
-                self.pending.push(released.order);
-            }
-        }
-        // Replan every vehicle whose carried set actually changed.
-        for vi in touched {
-            let vehicle = &mut self.vehicles[vi];
-            let mut ids_now: Vec<OrderId> = vehicle.carried.iter().map(|c| c.order.id).collect();
-            ids_now.sort_unstable();
-            if ids_now == carried_before[vi] {
-                continue;
-            }
-            replan_vehicle(vehicle, window_close, &self.engine);
-        }
-    }
-
-    /// Drains the event schedule up to `window_close` and applies what
-    /// fired: overlay swaps plus in-flight re-timing for traffic changes,
-    /// route repair for cancellations / prep delays / shift churn.
-    fn apply_events(&mut self, window_close: TimePoint, out: &mut Vec<DispatchOutput>) {
-        let window_open = window_close - self.config.accumulation_window;
-        let fired = self.schedule.advance_to(window_close);
-        if fired.traffic_changed {
-            // Diff-based render: only changed disruption footprints are
-            // reapplied (debug-asserted against a full rebuild).
-            let overlay = self.schedule.render_overlay(self.engine.network());
-            if self.schedule.traffic_active() {
-                self.engine.set_overlay(overlay);
-            } else {
-                self.engine.clear_overlay();
-            }
-            self.collector.set_disruption_active(self.schedule.traffic_active());
-            // In-flight itineraries were expanded at the old speeds; re-time
-            // (and, where the planner prefers, re-route) every en-route
-            // vehicle so fleet physics track the perturbed oracle.
-            for vehicle in self.vehicles.iter_mut().filter(|v| v.is_en_route()) {
-                replan_vehicle(vehicle, window_open, &self.engine);
-            }
-        }
-        for event in fired.fired {
-            match event.kind {
-                EventKind::OrderCancelled { order } => {
-                    let picked_up = self
-                        .vehicles
-                        .iter()
-                        .any(|v| v.carried.iter().any(|c| c.picked_up && c.order.id == order));
-                    if picked_up
-                        || self.delivered.contains(&order)
-                        || self.cancelled_ids.contains(&order)
-                    {
-                        // Too late (food already on board or done) or a
-                        // duplicate event: the platform delivers.
-                        continue;
-                    }
-                    if let Some(pos) = self.pending.iter().position(|o| o.id == order) {
-                        self.pending.remove(pos);
-                    } else if let Some(vi) = self
-                        .vehicles
-                        .iter()
-                        .position(|v| v.carried.iter().any(|c| !c.picked_up && c.order.id == order))
-                    {
-                        // Route repair: drop the stop pair and replan the
-                        // rest of the vehicle's load.
-                        self.vehicles[vi].remove_unpicked(order);
-                        replan_vehicle(&mut self.vehicles[vi], window_open, &self.engine);
-                    } else if !self.known.contains_key(&order)
-                        || self.assigned_or_done.contains(&order)
-                    {
-                        // Unknown order, or already rejected.
-                        continue;
-                    } else {
-                        // Placed later in the stream: remember to swallow it
-                        // on arrival.
-                        self.cancel_requested.insert(order);
-                    }
-                    self.cancelled_ids.insert(order);
-                    self.assigned_or_done.insert(order);
-                    self.collector.record_cancellation(order);
-                    out.push(DispatchOutput::Cancelled { order, at: event.at });
-                }
-                EventKind::PrepDelay { order, extra } => {
-                    if let Some(o) = self.pending.iter_mut().find(|o| o.id == order) {
-                        o.prep_time += extra;
-                    } else if let Some(vi) = self
-                        .vehicles
-                        .iter()
-                        .position(|v| v.carried.iter().any(|c| !c.picked_up && c.order.id == order))
-                    {
-                        let vehicle = &mut self.vehicles[vi];
-                        for carried in vehicle.carried.iter_mut().filter(|c| c.order.id == order) {
-                            carried.order.prep_time += extra;
-                        }
-                        // The planned wait at the restaurant is stale.
-                        replan_vehicle(vehicle, window_open, &self.engine);
-                    } else if self.known.contains_key(&order)
-                        && !self.assigned_or_done.contains(&order)
-                        && !self.cancel_requested.contains(&order)
-                    {
-                        *self.prep_delay_pending.entry(order).or_insert(Duration::ZERO) += extra;
-                    }
-                    // Picked-up or finished orders are unaffected.
-                }
-                EventKind::VehicleOffShift { vehicle } => {
-                    if let Some(&vi) = self.vehicle_index.get(&vehicle) {
-                        let state = &mut self.vehicles[vi];
-                        if state.on_shift {
-                            state.on_shift = false;
-                            // Unpicked orders re-enter the pool; the vehicle
-                            // finishes what is on board.
-                            let released = state.take_unpicked();
-                            if !released.is_empty() {
-                                self.pending.extend(released);
-                                replan_vehicle(state, window_open, &self.engine);
-                            }
-                        }
-                    }
-                }
-                EventKind::VehicleOnShift { vehicle, location } => {
-                    match self.vehicle_index.get(&vehicle) {
-                        Some(&vi) => self.vehicles[vi].on_shift = true,
-                        None => {
-                            self.vehicle_index.insert(vehicle, self.vehicles.len());
-                            self.vehicles.push(VehicleState::new(vehicle, location));
-                        }
-                    }
-                }
-                EventKind::Traffic(_) => {
-                    unreachable!("traffic events are absorbed by the schedule")
-                }
-            }
-        }
-    }
-
-    /// Final accounting when the run ends: pending and never-arrived orders
-    /// are rejected (with `Rejected` outputs); orders still on a vehicle
-    /// are recorded as undelivered in the report only (see
-    /// [`DispatchOutput::Rejected`]); the shared engine is handed back
-    /// overlay-free for the next run.
-    fn finalize(&mut self, out: &mut Vec<DispatchOutput>) {
-        self.finished = true;
-        if self.engine.has_overlay() {
-            self.engine.clear_overlay();
-        }
-        for order in &self.pending {
-            self.collector.record_rejection(order.id);
-            out.push(DispatchOutput::Rejected { order: order.id, at: self.window_close });
-        }
-        for vehicle in &self.vehicles {
-            for carried in &vehicle.carried {
-                if !self.delivered.contains(&carried.order.id) {
-                    self.collector.record_undelivered(carried.order.id);
-                }
-            }
-        }
-        for order in &self.orders {
-            if !self.delivered.contains(&order.id)
-                && !self.assigned_or_done.contains(&order.id)
-                && !self.pending.iter().any(|p| p.id == order.id)
-            {
-                // Orders that never even entered a window (horizon cut short).
-                self.collector.record_rejection(order.id);
-                out.push(DispatchOutput::Rejected { order: order.id, at: self.window_close });
-            }
-        }
-    }
-}
-
-/// Re-plans `vehicle`'s quickest route for its current carried set from its
-/// current location at `now`, replacing the edge-level itinerary. Used both
-/// by the assignment step and by event-driven route repair (cancellations,
-/// prep delays, shift ends).
-fn replan_vehicle(vehicle: &mut VehicleState, now: TimePoint, engine: &ShortestPathEngine) {
-    let planned: Vec<PlannedOrder> = vehicle
-        .carried
-        .iter()
-        .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
-        .collect();
-    let carried = vehicle.carried.clone();
-    let route = plan_optimal_route(vehicle.location, now, &planned, engine).unwrap_or_else(|| {
-        foodmatch_core::EvaluatedRoute {
-            plan: foodmatch_core::RoutePlan::empty(),
-            cost_secs: 0.0,
-            driving_time: Duration::ZERO,
-            waiting_time: Duration::ZERO,
-            deliveries: Vec::new(),
-            start_node: vehicle.location,
-            finish_at: now,
-        }
-    });
-    vehicle.install_plan(carried, &route, now, engine);
 }
 
 #[cfg(test)]
@@ -1069,7 +555,7 @@ mod tests {
     use super::*;
     use foodmatch_core::codec::Codec;
     use foodmatch_core::policies::{FoodMatchPolicy, GreedyPolicy};
-    use foodmatch_events::{DisruptionCause, TrafficDisruption};
+    use foodmatch_events::{DisruptionCause, EventKind, TrafficDisruption};
     use foodmatch_roadnet::generators::GridCityBuilder;
     use foodmatch_roadnet::CongestionProfile;
 
@@ -1294,6 +780,64 @@ mod tests {
         assert_eq!(svc.now(), clock);
         let report = svc.run_to_completion();
         assert_eq!(report.total_orders, 0);
+    }
+
+    #[test]
+    fn input_naming_a_node_outside_the_network_is_refused_at_the_door_and_on_replay() {
+        use crate::{replay_wal, DurableDispatch, WriteAheadLog};
+        let (engine, b) = grid();
+        let start = TimePoint::from_hms(12, 0, 0);
+        let (inside, nowhere) = (b.node_at(1, 1), NodeId(8 * 8));
+        let path = std::env::temp_dir().join(format!("fm-door-{}.wal", std::process::id()));
+        let log = WriteAheadLog::create(&path).expect("create wal");
+        let mut durable = DurableDispatch::new(service(&engine, &b, GreedyPolicy::new()), log);
+        // An off-network restaurant, an off-network customer ...
+        for refused in [order(1, nowhere, inside, start), order(2, inside, nowhere, start)] {
+            let outcome = durable.submit_order(refused).expect("logged");
+            assert_eq!(outcome, SubmitOutcome::NoZoneForLocation, "{refused:?}");
+        }
+        // ... a driver joining nowhere and an incident centered there.
+        let until = start + Duration::from_hours(1.0);
+        let incident =
+            TrafficDisruption::localized(DisruptionCause::Incident, nowhere, 500.0, 2.0, until);
+        let joins = EventKind::VehicleOnShift { vehicle: VehicleId(9), location: nowhere };
+        for kind in [joins, EventKind::Traffic(incident)] {
+            let outcome = durable.ingest_event(DisruptionEvent::new(start, kind)).expect("logged");
+            assert_eq!(outcome, IngestOutcome::NoZoneForLocation, "{kind:?}");
+        }
+        assert_eq!(durable.target().snapshot().submitted, 0, "nothing was admitted");
+        // A refused id is not burned, and the run is undisturbed.
+        let good = order(2, inside, b.node_at(5, 1), start);
+        assert!(durable.submit_order(good).expect("logged").is_accepted());
+        let emitted = durable.advance_to(start + Duration::from_hours(4.0)).expect("logged");
+        let (original, log) = durable.into_parts();
+        drop(log);
+        assert_eq!(original.report().delivered.len(), 1);
+        assert_eq!(original.snapshot().vehicles_on_shift, 2, "vehicle 9 never joined");
+
+        // The log holds refused input like any other; replay refuses it again.
+        let (_log, read) = WriteAheadLog::open(&path).expect("reopen wal");
+        assert_eq!(read.records.len(), 6);
+        let mut replayed = service(&engine, &b, GreedyPolicy::new());
+        let outputs = replay_wal(&mut replayed, &read.records).expect("replay");
+        assert_eq!((outputs.len(), replayed.snapshot()), (emitted.len(), original.snapshot()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "vehicle v4 starts on")]
+    fn a_vehicle_starting_off_the_network_is_a_configuration_panic_naming_it() {
+        let (engine, b) = grid();
+        let start = TimePoint::from_hms(12, 0, 0);
+        let _ = DispatchService::new(
+            engine,
+            vec![(VehicleId(0), b.node_at(0, 0)), (VehicleId(4), NodeId(8 * 8))],
+            GreedyPolicy::new(),
+            DispatchConfig::default(),
+            start,
+            start + Duration::from_hours(1.0),
+            Duration::from_hours(3.0),
+        );
     }
 
     #[test]

@@ -32,14 +32,15 @@
 //! prefix-durability contract itself: with no re-driving at all, the
 //! recovered state equals a fresh run of exactly the acked prefix.
 
+use foodmatch_core::codec::Codec;
 use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, PolicyKind};
 use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
 use foodmatch_roadnet::{Duration, TimePoint};
 use foodmatch_sim::{
-    load_checkpoint, load_router_checkpoint, replay_wal, save_checkpoint, save_router_checkpoint,
-    AdvanceOutcome, DispatchOutput, DispatchRouter, DispatchService, DurableDispatch, FailMode,
-    FailPoint, FlushPolicy, RoutedOutput, ServiceCheckpoint, SimulationReport, WalError, WalTarget,
-    WriteAheadLog, ZoneId,
+    load_checkpoint, replay_wal, save_checkpoint, AdvanceOutcome, DispatchOutput, DispatchRouter,
+    DispatchService, DurableDispatch, FailMode, FailPoint, FlushPolicy, RoutedOutput,
+    RouterCheckpoint, ServiceCheckpoint, SimulationReport, WalError, WalTarget, WriteAheadLog,
+    ZoneId,
 };
 use foodmatch_workload::{DisruptionPreset, MetroOptions, MetroScenario};
 use integration_tests::tiny_scenario;
@@ -115,12 +116,13 @@ fn run_golden<T: WalTarget>(target: T, wal_path: &Path, ops: &[Op]) -> (Vec<T::O
     (outputs, target)
 }
 
-/// The crashed run: drive the script into `crash`, checkpointing every
-/// `ckpt_every_advance` windows (plus once at sequence zero), then recover —
-/// reopen the WAL, restore the latest checkpoint via `restore`, replay the
-/// suffix, and finish the script. Returns the recovered output stream
-/// (pre-checkpoint prefix + replay + continuation) and the final
-/// dispatcher.
+/// The crashed run: drive the script into `crash`, checkpointing into the
+/// container file `ckpt` every `ckpt_every_advance` windows (plus once at
+/// sequence zero), then recover — reopen the WAL, load the latest
+/// checkpoint and `restore` it (returning the dispatcher and the
+/// checkpoint's `wal_seq`), replay the suffix, and finish the script.
+/// Returns the recovered output stream (pre-checkpoint prefix + replay +
+/// continuation) and the final dispatcher.
 #[allow(clippy::too_many_arguments)] // a test harness knob per crash axis
 fn run_crashed_and_recover<T: WalTarget>(
     target: T,
@@ -129,12 +131,16 @@ fn run_crashed_and_recover<T: WalTarget>(
     flush: FlushPolicy,
     crash: FailPoint,
     ckpt_every_advance: usize,
-    save: impl Fn(&T::Checkpoint),
-    restore: impl FnOnce() -> (T, u64),
-) -> (Vec<T::Output>, T) {
+    ckpt: &Path,
+    restore: impl FnOnce(&T::Checkpoint) -> (T, u64),
+) -> (Vec<T::Output>, T)
+where
+    T::Checkpoint: Codec,
+{
     let log = WriteAheadLog::create_with(wal_path, flush).expect("wal");
     let mut durable = DurableDispatch::new(target, log);
     durable.set_fail_point(Some(crash));
+    let save = |c: &T::Checkpoint| save_checkpoint(ckpt, c).expect("save checkpoint");
     save(&durable.checkpoint().expect("checkpoint is a flush barrier"));
 
     // Per-op outputs, indexed by WAL sequence, until the fail point fires.
@@ -171,7 +177,7 @@ fn run_crashed_and_recover<T: WalTarget>(
     // latest checkpoint, replay the suffix past its wal_seq.
     let (log, read) = WriteAheadLog::open(wal_path).expect("reopen the log after the crash");
     let resume_at = read.records.len();
-    let (mut restored, ckpt_seq) = restore();
+    let (mut restored, ckpt_seq) = restore(&load_checkpoint(ckpt).expect("load checkpoint"));
     let replayed = replay_wal(&mut restored, &read.records[ckpt_seq as usize..])
         .expect("replaying an intact suffix");
 
@@ -302,11 +308,9 @@ fn service_recovery_is_bit_identical_for_all_policies_and_crash_points() {
                 FlushPolicy::EveryRecord,
                 crash,
                 3,
-                |c: &ServiceCheckpoint| save_checkpoint(&ckpt, c).expect("save checkpoint"),
-                || {
-                    let c: ServiceCheckpoint = load_checkpoint(&ckpt).expect("load checkpoint");
-                    let seq = c.wal_seq;
-                    (DispatchService::restore(sim.engine.clone(), kind.build(), &c), seq)
+                &ckpt,
+                |c: &ServiceCheckpoint| {
+                    (DispatchService::restore(sim.engine.clone(), kind.build(), c), c.wal_seq)
                 },
             );
             assert_eq!(
@@ -398,6 +402,18 @@ fn metro_router(
     )
 }
 
+/// Restores the metro day's router from a loaded checkpoint, for
+/// [`run_crashed_and_recover`].
+fn restore_router(
+    metro: &MetroScenario,
+    kind: PolicyKind,
+    checkpoint: &RouterCheckpoint,
+) -> (DispatchRouter<DynPolicy>, u64) {
+    let router =
+        DispatchRouter::restore(&metro.network, metro.zone_map(), |_| kind.build(), checkpoint);
+    (router.expect("restore router"), checkpoint.wal_seq)
+}
+
 #[test]
 fn router_recovery_is_bit_identical_at_one_and_four_threads() {
     let (metro, _events, ops) = metro_day(9);
@@ -425,19 +441,8 @@ fn router_recovery_is_bit_identical_at_one_and_four_threads() {
                 FlushPolicy::EveryRecord,
                 crash,
                 2,
-                |c| save_router_checkpoint(&ckpt, c).expect("save router checkpoint"),
-                || {
-                    let c = load_router_checkpoint(&ckpt).expect("load router checkpoint");
-                    let seq = c.wal_seq;
-                    let router = DispatchRouter::restore(
-                        &metro.network,
-                        metro.zone_map(),
-                        |_| kind.build(),
-                        &c,
-                    )
-                    .expect("restore router");
-                    (router, seq)
-                },
+                &ckpt,
+                |c| restore_router(&metro, kind, c),
             );
             assert_eq!(
                 normalized_routed(outputs),
@@ -498,15 +503,8 @@ fn router_recovery_holds_for_every_policy() {
             FlushPolicy::EveryRecord,
             crash,
             2,
-            |c| save_router_checkpoint(&ckpt, c).expect("save router checkpoint"),
-            || {
-                let c = load_router_checkpoint(&ckpt).expect("load router checkpoint");
-                let seq = c.wal_seq;
-                let router =
-                    DispatchRouter::restore(&metro.network, metro.zone_map(), |_| kind.build(), &c)
-                        .expect("restore router");
-                (router, seq)
-            },
+            &ckpt,
+            |c| restore_router(&metro, kind, c),
         );
         assert_eq!(
             normalized_routed(outputs),
@@ -558,11 +556,9 @@ fn service_recovery_is_bit_identical_for_every_flush_policy() {
             flush,
             crash,
             3,
-            |c: &ServiceCheckpoint| save_checkpoint(&ckpt, c).expect("save checkpoint"),
-            || {
-                let c: ServiceCheckpoint = load_checkpoint(&ckpt).expect("load checkpoint");
-                let seq = c.wal_seq;
-                (DispatchService::restore(sim.engine.clone(), kind.build(), &c), seq)
+            &ckpt,
+            |c: &ServiceCheckpoint| {
+                (DispatchService::restore(sim.engine.clone(), kind.build(), c), c.wal_seq)
             },
         );
         assert_eq!(
@@ -730,15 +726,8 @@ fn router_recovery_holds_for_group_commit_policies_at_four_threads() {
         flush,
         crash,
         2,
-        |c| save_router_checkpoint(&ckpt, c).expect("save router checkpoint"),
-        || {
-            let c = load_router_checkpoint(&ckpt).expect("load router checkpoint");
-            let seq = c.wal_seq;
-            let router =
-                DispatchRouter::restore(&metro.network, metro.zone_map(), |_| kind.build(), &c)
-                    .expect("restore router");
-            (router, seq)
-        },
+        &ckpt,
+        |c| restore_router(&metro, kind, c),
     );
     assert_eq!(
         normalized_routed(outputs),

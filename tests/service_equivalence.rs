@@ -10,9 +10,12 @@
 //! the `overflown` flag derived from it) are normalised before comparing:
 //! they measure the host machine, not the dispatch outcome.
 
+use foodmatch_core::codec::Codec;
 use foodmatch_core::PolicyKind;
-use foodmatch_roadnet::Duration;
-use foodmatch_sim::{DispatchOutput, Simulation, SimulationReport};
+use foodmatch_roadnet::{Duration, ShortestPathEngine};
+use foodmatch_sim::{
+    DispatchOutput, DispatchService, ServiceCheckpoint, Simulation, SimulationReport,
+};
 use foodmatch_workload::{DisruptionPreset, OrderSource, ReplayOrderSource};
 use integration_tests::tiny_scenario;
 
@@ -39,9 +42,16 @@ fn disrupted_simulation(seed: u64) -> Simulation {
 /// are evaluated on the calm network, exactly as `run` does), then the
 /// clock advances one accumulation window per call, probing `snapshot()`
 /// and `report()` along the way to prove mid-run observation is free.
-fn run_incrementally(sim: &Simulation, policy: PolicyKind) -> SimulationReport {
-    let mut policy = policy.build();
-    let mut service = sim.service(policy.as_mut());
+/// With `restore_every_window`, the live service is thrown away after every
+/// window and replaced by one restored from its checkpoint's bytes into a
+/// fresh engine (cold caches, overlay re-installed from the schedule).
+/// Returns the output stream (wall-clock fields zeroed) and the report.
+fn run_incrementally(
+    sim: &Simulation,
+    kind: PolicyKind,
+    restore_every_window: bool,
+) -> (Vec<DispatchOutput>, SimulationReport) {
+    let mut service = sim.service(kind.build());
     for order in &sim.orders {
         if order.placed_at >= sim.start && order.placed_at < sim.end {
             assert!(service.submit_order(*order).is_accepted());
@@ -56,6 +66,12 @@ fn run_incrementally(sim: &Simulation, policy: PolicyKind) -> SimulationReport {
     while !service.is_finished() {
         let tick = service.now() + service.config().accumulation_window;
         outputs.extend(service.advance_to(tick));
+        if restore_every_window {
+            let bytes = service.checkpoint().to_bytes();
+            let revived = ServiceCheckpoint::from_bytes(&bytes).expect("round trip");
+            let engine = ShortestPathEngine::cached(sim.engine.network().clone());
+            service = DispatchService::restore(engine, kind.build(), &revived);
+        }
         // Mid-run observation must not perturb the run.
         probe_counter += 1;
         if probe_counter % 3 == 0 {
@@ -83,7 +99,12 @@ fn run_incrementally(sim: &Simulation, policy: PolicyKind) -> SimulationReport {
     assert_eq!(cancelled_out, report.cancelled.len());
     assert_eq!(windows_out, report.windows.len());
 
-    report
+    for output in &mut outputs {
+        if let DispatchOutput::WindowClosed { stats } = output {
+            (stats.compute_secs, stats.overflown) = (0.0, false);
+        }
+    }
+    (outputs, report)
 }
 
 #[test]
@@ -92,7 +113,7 @@ fn batch_and_incremental_stepping_are_bit_identical_for_all_policies() {
     for kind in PolicyKind::ALL {
         let mut batch_policy = kind.build();
         let batch = sim.run(batch_policy.as_mut());
-        let incremental = run_incrementally(&sim, kind);
+        let incremental = run_incrementally(&sim, kind, false).1;
 
         assert!(!batch.delivered.is_empty(), "{kind:?}: scenario must deliver something");
         assert!(
@@ -108,12 +129,25 @@ fn batch_and_incremental_stepping_are_bit_identical_for_all_policies() {
 }
 
 #[test]
+fn restoring_from_checkpoint_bytes_after_every_window_changes_nothing() {
+    // "A checkpoint is the whole run", at every window boundary of the
+    // disruption-heavy day rather than at one hand-picked minute.
+    let sim = disrupted_simulation(5);
+    for kind in PolicyKind::ALL {
+        let (golden_outputs, golden_report) = run_incrementally(&sim, kind, false);
+        let (outputs, report) = run_incrementally(&sim, kind, true);
+        assert_eq!(outputs, golden_outputs, "{kind:?}: the restored stream must equal golden");
+        assert_eq!(normalized(report), normalized(golden_report), "{kind:?}: and the report");
+    }
+}
+
+#[test]
 fn coarse_and_fine_advance_grains_agree() {
     // advance_to is window-quantised: one jump to the drain deadline and
     // 1-window hops must be the same run.
     let sim = disrupted_simulation(7);
     let kind = PolicyKind::FoodMatch;
-    let fine = run_incrementally(&sim, kind);
+    let fine = run_incrementally(&sim, kind, false).1;
 
     let mut policy = kind.build();
     let mut service = sim.service(policy.as_mut());
@@ -165,7 +199,7 @@ fn rerunning_the_batch_driver_is_deterministic_after_service_use() {
     let sim = disrupted_simulation(3);
     let mut a_policy = PolicyKind::FoodMatch.build();
     let a = sim.run(a_policy.as_mut());
-    let _ = run_incrementally(&sim, PolicyKind::Greedy);
+    let _ = run_incrementally(&sim, PolicyKind::Greedy, false);
     assert!(!sim.engine.has_overlay(), "the service hands the engine back clean");
     let mut b_policy = PolicyKind::FoodMatch.build();
     let b = sim.run(b_policy.as_mut());
