@@ -2,17 +2,19 @@
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
 //! shortest-path queries under the four engines, per-backend index
 //! construction, Kuhn–Munkres matching, order batching, sparsified (by travel
-//! time and by angular weight) vs dense FoodGraph construction, and one full
-//! FoodMatch window.
+//! time and by angular weight) vs dense FoodGraph construction (idle and
+//! half-loaded fleet), and one full FoodMatch window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use foodmatch_core::{
-    batch_orders, build_food_graph, DispatchConfig, DispatchPolicy, FoodMatchPolicy, GreedyPolicy,
-    KuhnMunkresPolicy, WindowSnapshot,
+    batch_orders, build_food_graph, CommittedOrder, DispatchConfig, DispatchPolicy,
+    FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, Order, OrderId, VehicleSnapshot,
+    WindowSnapshot,
 };
 use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
-    ContractionHierarchy, EngineKind, HourSlot, HubLabelIndex, ShortestPathEngine, TimePoint,
+    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, ShortestPathEngine,
+    TimePoint,
 };
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
 use rand::rngs::StdRng;
@@ -29,11 +31,8 @@ fn lunch_window(
         DispatchConfig { accumulation_window: scenario.city.preset.delta, ..Default::default() };
     let time = TimePoint::from_hms(13, 0, 0);
     let window_orders: Vec<_> = scenario.orders.iter().copied().take(orders).collect();
-    let vehicles: Vec<_> = scenario
-        .vehicle_starts
-        .iter()
-        .map(|&(id, node)| foodmatch_core::VehicleSnapshot::idle(id, node))
-        .collect();
+    let vehicles: Vec<_> =
+        scenario.vehicle_starts.iter().map(|&(id, node)| VehicleSnapshot::idle(id, node)).collect();
     (WindowSnapshot::new(time, window_orders, vehicles), engine, config)
 }
 
@@ -162,14 +161,42 @@ fn bench_foodgraph(c: &mut Criterion) {
             black_box(build_food_graph(&batches, &window.vehicles, &engine, window.time, &config))
         })
     });
+    // The resolve phase's case: the dense graph again, with every other
+    // vehicle carrying two committed orders (one already on board), so the
+    // same batch stops are wanted by half the fleet's leg tables.
+    let vehicle_count = window.vehicles.len();
+    let stop_of = |i: usize| window.vehicles[i % vehicle_count].location;
+    let loaded: Vec<VehicleSnapshot> = (0..vehicle_count)
+        .map(|i| {
+            let committed = (0..2)
+                .filter(|_| i % 2 == 0)
+                .map(|k| CommittedOrder {
+                    order: Order::new(
+                        OrderId((10_000 + 2 * i + k) as u64),
+                        stop_of(i + 1 + k),
+                        stop_of(i + 3 + k),
+                        window.time,
+                        1,
+                        Duration::from_mins(8.0),
+                    ),
+                    picked_up: k == 0,
+                })
+                .collect();
+            VehicleSnapshot { committed, ..window.vehicles[i].clone() }
+        })
+        .collect();
+    group.bench_function("loaded_fleet", |b| {
+        b.iter(|| {
+            black_box(build_food_graph(&batches, &loaded, &engine, window.time, &dense_config))
+        })
+    });
     // Alg. 2's expansion under the vehicle-sensitive weight of Eq. 8, in
     // isolation: every vehicle is under way (towards the next one's node) and
     // the degree cap is half the batch count, so every vehicle expands.
-    let vehicle_count = window.vehicles.len();
     let headed: Vec<_> = (0..vehicle_count)
         .map(|i| {
-            let heading = Some(window.vehicles[(i + 1) % vehicle_count].location);
-            foodmatch_core::VehicleSnapshot { heading, ..window.vehicles[i].clone() }
+            let heading = Some(stop_of(i + 1));
+            VehicleSnapshot { heading, ..window.vehicles[i].clone() }
         })
         .collect();
     let angular_config = DispatchConfig { k_factor: 0.5 * vehicle_count as f64, ..config.clone() };

@@ -13,10 +13,11 @@
 //! cost never decreases, so termination is monotone.
 //!
 //! The oracle is asked once per window: one one-to-many sweep per distinct
-//! stop fills a stop-to-stop table (`StopLegs`), and every plan of the
+//! stop fills a stop-to-stop table ([`LegRows`]), and every plan of the
 //! clustering — singletons, merge candidates, per-merge refreshes — reads it.
 
 use crate::config::DispatchConfig;
+use crate::legs::{LegRows, MIN_FAN_OUT};
 use crate::order::{Order, OrderId};
 use crate::parallel_map;
 use crate::route::{
@@ -85,11 +86,6 @@ pub struct BatchingOutcome {
     pub final_avg_cost_secs: f64,
 }
 
-/// Fewest graph searches (singleton plans, sweep rows) worth a thread
-/// fan-out; below it the spawns cost more than they save. The result is
-/// identical either way.
-const MIN_FAN_OUT: usize = 16;
-
 /// Wraps every order in its own singleton batch without any clustering.
 /// Used by the ablation configuration that disables batching and by the
 /// vanilla KM baseline.
@@ -133,48 +129,23 @@ fn singletons(
     BatchingOutcome { batches, unplannable, merges: 0, final_avg_cost_secs }
 }
 
-/// Travel times between every pair of stops of one window's orders, from one
-/// one-to-many sweep per stop: one bounded search for all of a row's memo
-/// misses, where per-pair leg tables would search from the same stop once
-/// per pairing. A merged cluster's stops are a subset of the window's, so
-/// everything Algorithm 1 plans after the sweep reads this table and never
-/// the engine. It lives for one [`batch_orders`] call; the engine's
-/// `(source, target)` memo stays the only cache across windows.
-struct StopLegs {
-    /// Sorted and distinct, so a lookup is a binary search.
-    stops: Vec<NodeId>,
-    /// `secs[from][to]`, indexed like `stops`; `f64::INFINITY` for
-    /// "unreachable".
-    secs: Vec<Vec<f64>>,
-}
-
-impl StopLegs {
-    fn sweep(orders: &[Order], engine: &ShortestPathEngine, t: TimePoint, threads: usize) -> Self {
-        let _span = foodmatch_telemetry::span("engine", "batching.sweep");
-        let mut stops: Vec<NodeId> =
-            orders.iter().flat_map(|o| [o.restaurant, o.customer]).collect();
-        stops.sort_unstable();
-        stops.dedup();
-        let threads = if stops.len() >= MIN_FAN_OUT { threads } else { 1 };
-        let secs = parallel_map(&stops, threads, |_, &from| {
-            let mut row = vec![f64::INFINITY; stops.len()];
-            engine_legs(engine, t)(from, &stops, &mut row);
-            row
-        });
-        StopLegs { stops, secs }
-    }
-
-    fn index(&self, stop: NodeId) -> usize {
-        self.stops.binary_search(&stop).expect("every stop of the window was swept")
-    }
-
-    /// The table as a [`LegTable::extend`] leg source.
-    fn legs(&self) -> impl FnMut(NodeId, &[NodeId], &mut [f64]) + '_ {
-        move |from, to, out| {
-            let row = &self.secs[self.index(from)];
-            to.iter().zip(out).for_each(|(&stop, secs)| *secs = row[self.index(stop)]);
-        }
-    }
+/// Travel times between every pair of stops of one window's orders: one
+/// [`LegRows`] row per stop, each to every stop, where per-pair leg tables
+/// would search from the same stop once per pairing. A merged cluster's stops
+/// are a subset of the window's, so everything Algorithm 1 plans after the
+/// sweep reads these rows and never the engine.
+fn sweep_stop_legs(
+    orders: &[Order],
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    threads: usize,
+) -> LegRows {
+    let _span = foodmatch_telemetry::span("engine", "batching.sweep");
+    let mut stops: Vec<NodeId> = orders.iter().flat_map(|o| [o.restaurant, o.customer]).collect();
+    stops.sort_unstable();
+    stops.dedup();
+    let wanted = stops.iter().map(|&from| (from, stops.clone())).collect();
+    LegRows::sweep(wanted, engine, t, threads)
 }
 
 /// The quickest free-start plan serving `orders` (all pending), with travel
@@ -206,10 +177,10 @@ pub fn batch_orders(
     }
     // The N row sweeps — one graph search each — dominate the stage and are
     // its only engine calls; everything below reads `stop_legs`.
-    let stop_legs = StopLegs::sweep(orders, engine, t, threads);
+    let stop_legs = sweep_stop_legs(orders, engine, t, threads);
     let _span = foodmatch_telemetry::span("engine", "batching.cluster");
     let seed =
-        singletons(orders, orders.iter().map(|&o| plan_free_start(t, &[o], stop_legs.legs())));
+        singletons(orders, orders.iter().map(|&o| plan_free_start(t, &[o], stop_legs.legs(None))));
     if seed.batches.len() < 2 {
         return seed;
     }
@@ -330,12 +301,12 @@ fn candidate_for(
     versions: &[u64],
     i: usize,
     j: usize,
-    stop_legs: &StopLegs,
+    stop_legs: &LegRows,
     t: TimePoint,
     config: &DispatchConfig,
 ) -> Option<MergeCandidate> {
     let (Some(a), Some(b)) = (&clusters[i], &clusters[j]) else { return None };
-    let (weight, merged) = merged_batch(a, b, t, config, stop_legs.legs())?;
+    let (weight, merged) = merged_batch(a, b, t, config, stop_legs.legs(None))?;
     // Per-merge quality gate, this reproduction's one interpretation of
     // Algorithm 1 (README, "Batching: one oracle sweep per stop"): a merge
     // that by itself adds more extra delivery time than the quality threshold

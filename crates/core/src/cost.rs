@@ -7,12 +7,12 @@
 //! (Problem 1); rejected orders are charged the penalty Ω instead.
 
 use crate::config::DispatchConfig;
+use crate::legs::{LegRow, LegRows};
 use crate::order::Order;
-use crate::route::{
-    engine_legs, plan_on_table, plan_optimal_route, EvaluatedRoute, LegTable, PlannedOrder,
-};
+use crate::route::{plan_on_table, plan_optimal_route, EvaluatedRoute, LegTable, PlannedOrder};
 use crate::vehicle::VehicleSnapshot;
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
+use std::collections::BTreeMap;
 
 /// Shortest delivery time of an order (Definition 6): preparation time plus
 /// the quickest path from restaurant to customer, evaluated at `t`.
@@ -35,15 +35,8 @@ fn planned_orders(vehicle: &VehicleSnapshot, extra: &[Order]) -> Vec<PlannedOrde
         .iter()
         .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
         .collect();
-    offer(&mut planned, vehicle.committed.len(), extra);
-    planned
-}
-
-/// Replaces whatever follows the first `committed` entries of `planned` with
-/// the orders of `extra`, all pending.
-fn offer(planned: &mut Vec<PlannedOrder>, committed: usize, extra: &[Order]) {
-    planned.truncate(committed);
     planned.extend(extra.iter().copied().map(PlannedOrder::pending));
+    planned
 }
 
 /// The stops a batch of pending orders adds to a plan.
@@ -126,6 +119,9 @@ impl MarginalCost {
 /// violate the `MAXO`/`MAXI` capacity of Definition 4, when any stop is
 /// unreachable, or when the first mile to the batch's first pickup exceeds
 /// the configured 45-minute bound (`max_first_mile`).
+///
+/// This is the FoodGraph's window pricing — `collect`, `resolve`, `price` —
+/// over one vehicle and one offer.
 pub fn marginal_cost(
     vehicle: &VehicleSnapshot,
     extra: &[Order],
@@ -133,159 +129,202 @@ pub fn marginal_cost(
     t: TimePoint,
     config: &DispatchConfig,
 ) -> MarginalCost {
-    marginal_costs(vehicle, &[extra], engine, t, config).pop().expect("one price per batch")
-}
-
-/// Travel times from one node to a set of stops, from a single one-to-many
-/// sweep: one bounded search for all memo misses, where asking stop by stop
-/// (or batch by batch) would run one search each.
-struct SweptRow {
-    from: NodeId,
-    /// Sorted and distinct, so a lookup is a binary search.
-    stops: Vec<NodeId>,
-    secs: Vec<f64>,
-}
-
-impl SweptRow {
-    fn sweep(
-        from: NodeId,
-        mut stops: Vec<NodeId>,
-        engine: &ShortestPathEngine,
-        t: TimePoint,
-    ) -> Self {
-        stops.sort_unstable();
-        stops.dedup();
-        let mut secs = vec![f64::INFINITY; stops.len()];
-        engine_legs(engine, t)(from, &stops, &mut secs);
-        SweptRow { from, stops, secs }
-    }
-
-    fn secs_to(&self, stop: NodeId) -> f64 {
-        self.secs[self.stops.binary_search(&stop).expect("every priced stop was swept")]
+    let offers = [extra];
+    let shortlist = collect(vehicle, &[0], &offers, engine, t, config);
+    let resolved = resolve([(vehicle, &shortlist)], &offers, engine, t, 1);
+    match price(vehicle, &shortlist, &offers, &resolved, t).pop() {
+        Some((_, cost_secs, route)) => MarginalCost::Feasible { cost_secs, route },
+        None => MarginalCost::Infeasible,
     }
 }
 
-/// A [`LegTable::extend`] leg source that reads the legs out of a swept node
-/// from its row and asks the engine for every other.
-fn swept_or_engine_legs<'a>(
-    rows: &'a [SweptRow],
-    engine: &'a ShortestPathEngine,
-    t: TimePoint,
-) -> impl FnMut(NodeId, &[NodeId], &mut [f64]) + 'a {
-    let mut from_engine = engine_legs(engine, t);
-    move |from, to, out| match rows.iter().find(|row| row.from == from) {
-        Some(row) => to.iter().zip(out).for_each(|(&stop, secs)| *secs = row.secs_to(stop)),
-        None => from_engine(from, to, out),
-    }
+/// The stops a vehicle is committed to: the restaurant of every order it has
+/// yet to collect, the customer of every order.
+fn committed_stops(vehicle: &VehicleSnapshot) -> impl Iterator<Item = NodeId> + '_ {
+    vehicle.committed.iter().flat_map(|c| {
+        (!c.picked_up).then_some(c.order.restaurant).into_iter().chain([c.order.customer])
+    })
 }
 
-/// [`marginal_cost`] of every batch in `extras` for one vehicle, in four
-/// steps so that the oracle is asked once per source, not once per batch:
+/// What [`collect`] keeps of one vehicle for the rest of the window: plain
+/// values, so the phases share nothing else.
+pub(crate) struct Shortlist {
+    /// How many offers the vehicle was given (each counts as one marginal-
+    /// cost evaluation, whatever filter it drops out at).
+    pub(crate) offered: usize,
+    /// The offers still in the running, in the order they were given.
+    survivors: Vec<usize>,
+    /// The vehicle's own row: to its committed stops and to the stops of
+    /// every offer it has the capacity for.
+    start: LegRow,
+    /// `Cost(v, O_v)` in seconds.
+    base_secs: f64,
+    /// The [`LegTable`] `base_secs` was planned on. A loaded vehicle's
+    /// tables start as clones of it; an idle vehicle's start empty, so none
+    /// is kept for it.
+    committed_block: Option<Box<LegTable>>,
+}
+
+/// Phase 1 of pricing, per vehicle: which of `offered` (indices into
+/// `offers`) are still in the running once the vehicle has been asked
+/// everything only it can answer. An offer drops out capacity → first mile →
+/// `Cost(v, O_v)`, the order pricing has always checked in:
 ///
-/// 1. one sweep from the vehicle to the stops of its committed orders and of
-///    every batch it has the capacity for, which settles the first mile;
-/// 2. `Cost(v, O_v)`, planned once on the committed block's [`LegTable`];
-/// 3. one sweep from each committed stop to the stops of the batches still
-///    in the running, and one table per such batch — the committed block
-///    cloned, the vehicle's and the committed stops' rows read from the
-///    sweeps, the batch's own rows from the engine's `(source, target)` memo;
-/// 4. pricing: one `Cost(v, O_v ∪ batch)` plan per table, reading nothing
-///    else.
+/// 1. one sweep from the vehicle to its committed stops and to the stops of
+///    every offer it has the capacity for, which settles the first mile;
+/// 2. `Cost(v, O_v)`, planned once on the committed block's table (one sweep
+///    per committed stop, over the committed stops only).
 ///
-/// A batch drops out capacity → first mile → base → with-extra, the order a
-/// lone [`marginal_cost`] call has always checked in.
-pub(crate) fn marginal_costs(
+/// Nothing is swept for an offer's own stops here: most offers fail the
+/// first mile, and a far-away batch's legs are one-off memo misses.
+pub(crate) fn collect(
     vehicle: &VehicleSnapshot,
-    extras: &[&[Order]],
+    offered: &[usize],
+    offers: &[&[Order]],
     engine: &ShortestPathEngine,
     t: TimePoint,
     config: &DispatchConfig,
-) -> Vec<MarginalCost> {
-    let mut planned = planned_orders(vehicle, &[]);
-    let committed = planned.len();
-    let takeable = |extra: &[Order]| !extra.is_empty() && vehicle.can_take(extra, config);
-
-    let mut committed_stops: Vec<NodeId> = planned
+) -> Shortlist {
+    let mut survivors: Vec<usize> = offered
         .iter()
-        .flat_map(|p| {
-            (!p.picked_up).then_some(p.order.restaurant).into_iter().chain([p.order.customer])
-        })
+        .copied()
+        .filter(|&offer| !offers[offer].is_empty() && vehicle.can_take(offers[offer], config))
         .collect();
-    let offered_stops =
-        extras.iter().filter(|extra| takeable(extra)).flat_map(|extra| stops_of(extra));
-    let mut rows = vec![SweptRow::sweep(
+    let takeable_stops = survivors.iter().flat_map(|&offer| stops_of(offers[offer]));
+    let start = LegRow::sweep(
         vehicle.location,
-        committed_stops.iter().copied().chain(offered_stops).collect(),
+        committed_stops(vehicle).chain(takeable_stops).collect(),
         engine,
         t,
-    )];
+    );
     // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
     // distance (§V-B): pairs beyond it are priced at Ω without planning.
-    let start_row = &rows[0];
-    let within_first_mile = |extra: &[Order]| {
+    survivors.retain(|&offer| {
         let nearest_new_pickup =
-            extra.iter().map(|o| start_row.secs_to(o.restaurant)).fold(f64::INFINITY, f64::min);
+            offers[offer].iter().map(|o| start.secs_to(o.restaurant)).fold(f64::INFINITY, f64::min);
         nearest_new_pickup <= config.max_first_mile.as_secs_f64()
-    };
-    let in_the_running: Vec<bool> =
-        extras.iter().map(|extra| takeable(extra) && within_first_mile(extra)).collect();
+    });
 
-    let mut base_table = LegTable::new(Some(vehicle.location));
-    base_table.extend(&planned, swept_or_engine_legs(&rows, engine, t));
-    let Some(base) = plan_on_table(&base_table, t, &planned).map(|route| route.cost_secs) else {
-        return vec![MarginalCost::Infeasible; extras.len()];
+    let mut shortlist = Shortlist {
+        offered: offered.len(),
+        survivors,
+        start,
+        base_secs: 0.0,
+        committed_block: None,
     };
+    if vehicle.committed.is_empty() {
+        return shortlist;
+    }
+    // The committed block reads, besides the vehicle's row, every committed
+    // stop's legs to the others and each on-board order's SDT leg (whose
+    // restaurant is no longer a stop).
+    let stops: Vec<NodeId> = committed_stops(vehicle).collect();
+    let mut wanted: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &stop in &stops {
+        wanted.entry(stop).or_default().extend(&stops);
+    }
+    for c in vehicle.committed.iter().filter(|c| c.picked_up) {
+        wanted.entry(c.order.restaurant).or_default().push(c.order.customer);
+    }
+    wanted.remove(&vehicle.location);
+    let block_legs = LegRows::sweep(wanted, engine, t, 1);
 
-    // Every surviving batch's table is about to ask every committed stop
-    // for the legs to that batch's stops: asked together they cost one
-    // bounded search per committed stop, not one per (stop, batch). Only
-    // survivors are swept for — a far-away batch's legs are one-off memo
-    // misses, which is why it drops out *before* any table is built.
-    let survivor_stops = || {
-        let survivors = extras.iter().zip(&in_the_running).filter(|(_, &survives)| survives);
-        survivors.flat_map(|(extra, _)| stops_of(extra)).collect()
-    };
-    committed_stops.sort_unstable();
-    committed_stops.dedup();
-    rows.extend(
-        committed_stops
-            .into_iter()
-            .filter(|&stop| stop != vehicle.location)
-            .map(|stop| SweptRow::sweep(stop, survivor_stops(), engine, t)),
-    );
+    let planned = planned_orders(vehicle, &[]);
+    let mut block = LegTable::new(Some(vehicle.location));
+    block.extend(&planned, block_legs.legs(Some(&shortlist.start)));
+    match plan_on_table(&block, t, &planned) {
+        Some(route) => {
+            shortlist.base_secs = route.cost_secs;
+            shortlist.committed_block = Some(Box::new(block));
+        }
+        // A committed stop is unreachable: nothing can be priced.
+        None => shortlist.survivors.clear(),
+    }
+    shortlist
+}
 
-    let mut legs = swept_or_engine_legs(&rows, engine, t);
-    let tables: Vec<Option<LegTable>> = extras
+/// Phase 2 of pricing, once per window: every stop → stop leg the survivors'
+/// tables will read, grouped by *source* and swept once per distinct source
+/// (sources in `NodeId` order, fanned over `threads` workers):
+///
+/// * an offer's stop → that offer's own stops, and the committed stops of
+///   every loaded vehicle the offer is still in the running for;
+/// * a committed stop (other than where its vehicle stands — that is the
+///   vehicle's own row) → the stops of every offer its vehicle still has in
+///   the running.
+///
+/// Only survivors are resolved for. Distances are the same Dijkstra values
+/// whatever the target set, so grouping changes no price — only how many
+/// searches start from the same stop.
+pub(crate) fn resolve<'a>(
+    fleet: impl IntoIterator<Item = (&'a VehicleSnapshot, &'a Shortlist)>,
+    offers: &[&[Order]],
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    threads: usize,
+) -> LegRows {
+    let mut wanted: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    let mut in_the_running = vec![false; offers.len()];
+    for (vehicle, shortlist) in fleet {
+        for &offer in &shortlist.survivors {
+            in_the_running[offer] = true;
+        }
+        if vehicle.committed.is_empty() || shortlist.survivors.is_empty() {
+            continue;
+        }
+        let committed: Vec<NodeId> = committed_stops(vehicle).collect();
+        let offered: Vec<NodeId> =
+            shortlist.survivors.iter().flat_map(|&offer| stops_of(offers[offer])).collect();
+        for &stop in committed.iter().filter(|&&stop| stop != vehicle.location) {
+            wanted.entry(stop).or_default().extend(&offered);
+        }
+        for &stop in &offered {
+            wanted.entry(stop).or_default().extend(&committed);
+        }
+    }
+    for (offer, _) in offers.iter().zip(in_the_running).filter(|(_, survives)| *survives) {
+        for stop in stops_of(offer) {
+            wanted.entry(stop).or_default().extend(stops_of(offer));
+        }
+    }
+    LegRows::sweep(wanted, engine, t, threads)
+}
+
+/// Phase 3 of pricing, per vehicle: `(offer, mCost, route)` for every
+/// survivor that has a plan, in the order the offers were given. One table
+/// per survivor — the committed block cloned, extended from the vehicle's
+/// row and the resolved rows — and one `Cost(v, O_v ∪ offer)` plan on it.
+/// No engine in sight: every leg was asked for in the first two phases.
+pub(crate) fn price(
+    vehicle: &VehicleSnapshot,
+    shortlist: &Shortlist,
+    offers: &[&[Order]],
+    resolved: &LegRows,
+    t: TimePoint,
+) -> Vec<(usize, f64, EvaluatedRoute)> {
+    let mut planned = planned_orders(vehicle, &[]);
+    let committed = planned.len();
+    let empty = LegTable::new(Some(vehicle.location));
+    let block = shortlist.committed_block.as_deref().unwrap_or(&empty);
+    let mut legs = resolved.legs(Some(&shortlist.start));
+    shortlist
+        .survivors
         .iter()
-        .zip(&in_the_running)
-        .map(|(extra, &survives)| {
-            survives.then(|| {
-                let mut table = base_table.clone();
-                offer(&mut planned, committed, extra);
-                table.extend(&planned[committed..], &mut legs);
-                table
-            })
-        })
-        .collect();
-
-    extras
-        .iter()
-        .zip(&tables)
-        .map(|(extra, table)| {
-            let Some(table) = table else { return MarginalCost::Infeasible };
-            offer(&mut planned, committed, extra);
-            match plan_on_table(table, t, &planned) {
-                Some(route) => MarginalCost::Feasible { cost_secs: route.cost_secs - base, route },
-                None => MarginalCost::Infeasible,
-            }
+        .filter_map(|&offer| {
+            let mut table = block.clone();
+            planned.truncate(committed);
+            planned.extend(offers[offer].iter().copied().map(PlannedOrder::pending));
+            table.extend(&planned[committed..], &mut legs);
+            let route = plan_on_table(&table, t, &planned)?;
+            Some((offer, route.cost_secs - shortlist.base_secs, route))
         })
         .collect()
 }
 
 /// `marginal_cost` as it was before the leg table: point queries for the
 /// first mile, then the committed set and the extended set each planned from
-/// scratch by the enumerating reference planner. What [`marginal_costs`] must
-/// reproduce, price for price.
+/// scratch by the enumerating reference planner. What the three pricing
+/// phases must reproduce, price for price.
 #[cfg(test)]
 pub(crate) fn reference_marginal_cost(
     vehicle: &VehicleSnapshot,
@@ -478,24 +517,31 @@ mod tests {
         assert!(offers.iter().all(|o| o.id == far.id || first_mile(o) < config.max_first_mile));
         assert!(vehicle.has_capacity(&config) && !vehicle.can_take(&[heavy], &config));
 
-        let priced =
-            marginal_costs(&vehicle, &batches, &ShortestPathEngine::cached(b.build()), t, &config);
-        assert_eq!(priced.len(), offers.len());
-        for (offer, got) in offers.iter().zip(&priced) {
+        // The three phases over one vehicle, on a cold engine.
+        let cold = ShortestPathEngine::cached(b.build());
+        let offered: Vec<usize> = (0..offers.len()).collect();
+        let shortlist = collect(&vehicle, &offered, &batches, &cold, t, &config);
+        assert_eq!(shortlist.offered, offers.len());
+        let resolved = resolve([(&vehicle, &shortlist)], &batches, &cold, t, 1);
+        // Three committed stops and the six stops of the three survivors.
+        assert_eq!(resolved.len(), 3 + 2 * 3);
+        // Pricing reads what the first two phases asked for, nothing else.
+        let asked = cold.query_count();
+        let mut priced = price(&vehicle, &shortlist, &batches, &resolved, t).into_iter();
+        assert_eq!(cold.query_count(), asked, "the price phase called the engine");
+
+        for (row, offer) in offers.iter().enumerate() {
             let want = reference_marginal_cost(&vehicle, &[*offer], &engine, t, &config);
-            assert_eq!(got.is_feasible(), offer.id != far.id && offer.id != heavy.id);
-            match (got, &want) {
-                (
-                    MarginalCost::Feasible { cost_secs, route },
-                    MarginalCost::Feasible { cost_secs: want_secs, route: want_route },
-                ) => {
-                    assert_eq!(cost_secs.to_bits(), want_secs.to_bits(), "{}", offer.id);
-                    assert_eq!(route, want_route, "{}", offer.id);
-                }
-                (MarginalCost::Infeasible, MarginalCost::Infeasible) => {}
-                _ => panic!("{}: {got:?} vs reference {want:?}", offer.id),
-            }
+            assert_eq!(want.is_feasible(), offer.id != far.id && offer.id != heavy.id);
+            let MarginalCost::Feasible { cost_secs: want_secs, route: want_route } = want else {
+                continue;
+            };
+            let (got_row, got_secs, got_route) = priced.next().expect("a price per survivor");
+            assert_eq!(got_row, row);
+            assert_eq!(got_secs.to_bits(), want_secs.to_bits(), "{}", offer.id);
+            assert_eq!(got_route, want_route, "{}", offer.id);
         }
+        assert!(priced.next().is_none(), "an offer that dropped out was priced");
     }
 
     #[test]

@@ -12,10 +12,17 @@
 //! `k` candidate batches (the degree cap); all remaining batches get an Ω
 //! edge and their true marginal cost is never computed, which is where the
 //! quadratic construction cost is saved.
+//!
+//! A window's graph is built in three phases that share nothing but plain
+//! values (`cost.rs` holds them; `marginal_cost` is the same three over one
+//! vehicle): **collect** per vehicle — the expansion, the vehicle's own
+//! one-to-many row, capacity → first mile → `Cost(v, O_v)`; **resolve** once
+//! — every stop → stop leg the surviving pairs will read, one search per
+//! distinct stop of the window; **price** per vehicle — table plans only.
 
 use crate::batching::Batch;
 use crate::config::DispatchConfig;
-use crate::cost::{marginal_costs, MarginalCost};
+use crate::cost::{collect, price, resolve, Shortlist};
 use crate::order::Order;
 use crate::parallel_map;
 use crate::route::EvaluatedRoute;
@@ -74,7 +81,7 @@ impl FoodGraph {
 ///
 /// Honours the configuration's sparsification (`use_bfs_sparsification`,
 /// `k_factor`) and angular-distance (`use_angular_distance`, `gamma`) flags.
-/// Construction parallelises across vehicles with
+/// Each phase fans out (across vehicles, across stops) with
 /// [`DispatchConfig::effective_threads`] workers when the instance is large
 /// enough to make the thread fan-out worthwhile; the result is identical for
 /// every thread count.
@@ -101,85 +108,79 @@ pub fn build_food_graph(
     for (row, batch) in batches.iter().enumerate() {
         batches_by_start.entry(batch.first_pickup()).or_default().push(row);
     }
-
+    let offers: Vec<&[Order]> = batches.iter().map(|batch| batch.orders.as_slice()).collect();
     let degree_cap = config.degree_cap(batches.len(), vehicles.len());
 
-    // Fan the per-vehicle edge construction out across scoped workers sharing
-    // the engine. The fan-out is deterministic (contiguous chunks merged in
-    // input order), so every thread count produces the same FoodGraph; tiny
-    // windows stay on the calling thread where a spawn would cost more than
-    // the work itself.
+    // Three window-level phases that share nothing but plain values. The
+    // per-vehicle ones fan out across scoped workers sharing the engine; the
+    // fan-out is deterministic (contiguous chunks merged in input order), so
+    // every thread count produces the same FoodGraph; tiny windows stay on
+    // the calling thread where a spawn would cost more than the work itself.
     let worker_count = if vehicles.len() < 8 { 1 } else { config.effective_threads() };
-    let per_vehicle: Vec<VehicleEdges> = parallel_map(vehicles, worker_count, |col, vehicle| {
-        vehicle_edges(col, vehicle, batches, &batches_by_start, engine, t, config, degree_cap)
+
+    // Collect (the body of Algorithm 2's outer loop): the rows each vehicle
+    // reaches first, filtered by what only that vehicle can answer. A vehicle
+    // with no spare capacity cannot take any batch; it skips the expansion
+    // entirely and every edge of its column stays at Ω.
+    let shortlists: Vec<Option<Shortlist>> = {
+        let _span = foodmatch_telemetry::span("engine", "foodgraph.collect");
+        parallel_map(vehicles, worker_count, |_, vehicle| {
+            vehicle.has_capacity(config).then(|| {
+                let rows = candidate_rows(
+                    vehicle,
+                    batches,
+                    &batches_by_start,
+                    engine,
+                    t,
+                    config,
+                    degree_cap,
+                );
+                collect(vehicle, &rows, &offers, engine, t, config)
+            })
+        })
+    };
+
+    // Resolve: the stop → stop legs the survivors' tables read, one search
+    // per distinct stop of the window instead of one per (vehicle, stop).
+    let resolved = {
+        let _span = foodmatch_telemetry::span("engine", "foodgraph.resolve");
+        let fleet = vehicles.iter().zip(&shortlists);
+        let fleet = fleet.filter_map(|(vehicle, shortlist)| Some((vehicle, shortlist.as_ref()?)));
+        resolve(fleet, &offers, engine, t, config.effective_threads())
+    };
+    engine.note_foodgraph_sources(resolved.len());
+
+    // Price: table plans only — no engine call.
+    let _span = foodmatch_telemetry::span("engine", "foodgraph.price");
+    let priced = parallel_map(&shortlists, worker_count, |col, shortlist| {
+        let (vehicle, shortlist) = (&vehicles[col], shortlist.as_ref()?);
+        Some(price(vehicle, shortlist, &offers, &resolved, t))
     });
 
     let mut costs =
         SparseCostMatrix::new(batches.len(), vehicles.len(), config.rejection_penalty_secs);
     let mut routes = HashMap::new();
     let mut evaluations = 0;
-    for edges in per_vehicle {
-        evaluations += edges.evaluations;
-        for (row, weight, route) in edges.entries {
-            costs.set(row, edges.col, weight);
-            if let Some(route) = route {
-                routes.insert((row, edges.col), route);
-            }
-        }
-    }
-
-    FoodGraph { vehicle_ids, costs, routes, evaluations }
-}
-
-struct VehicleEdges {
-    col: usize,
-    entries: Vec<(usize, f64, Option<EvaluatedRoute>)>,
-    evaluations: usize,
-}
-
-/// Computes the FoodGraph edges of one vehicle (the body of Algorithm 2's
-/// outer loop) in three phases: *collect* the candidate rows, *build* the
-/// vehicle's leg tables from one oracle sweep, *price* every candidate from
-/// the tables (the last two inside [`marginal_costs`]).
-#[allow(clippy::too_many_arguments)]
-fn vehicle_edges(
-    col: usize,
-    vehicle: &VehicleSnapshot,
-    batches: &[Batch],
-    batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
-    engine: &ShortestPathEngine,
-    t: TimePoint,
-    config: &DispatchConfig,
-    degree_cap: usize,
-) -> VehicleEdges {
-    // A vehicle with no spare capacity cannot take any batch; skip the
-    // expansion entirely and leave every edge at Ω.
-    if !vehicle.has_capacity(config) {
-        return VehicleEdges { col, entries: Vec::new(), evaluations: 0 };
-    }
-
-    let rows = candidate_rows(vehicle, batches, batches_by_start, engine, t, config, degree_cap);
-    let offered: Vec<&[Order]> = rows.iter().map(|&row| batches[row].orders.as_slice()).collect();
-    let priced = marginal_costs(vehicle, &offered, engine, t, config);
-
-    let mut entries = Vec::new();
-    for ((&row, extra), price) in rows.iter().zip(offered).zip(priced) {
+    for (col, (shortlist, priced)) in shortlists.iter().zip(priced).enumerate() {
+        evaluations += shortlist.as_ref().map_or(0, |shortlist| shortlist.offered);
         // Infeasible pairs keep the implicit Ω edge.
-        if let MarginalCost::Feasible { cost_secs, route } = price {
+        for (row, cost_secs, route) in priced.into_iter().flatten() {
             // Incumbency tie-break: when reshuffling re-offers orders the
             // vehicle already holds, near-equal costs must not bounce the
             // order to a different vehicle every window (that would reset
             // its first mile forever). A small bonus per already-held
             // order keeps ties with the incumbent without overriding any
             // genuine improvement.
-            let incumbency =
-                extra.iter().filter(|o| vehicle.tentative.contains(&o.id)).count() as f64;
-            let weight =
-                (cost_secs - INCUMBENCY_BONUS_SECS * incumbency).min(config.rejection_penalty_secs);
-            entries.push((row, weight, Some(route)));
+            let tentative = &vehicles[col].tentative;
+            let incumbency = offers[row].iter().filter(|o| tentative.contains(&o.id)).count();
+            let weight = (cost_secs - INCUMBENCY_BONUS_SECS * incumbency as f64)
+                .min(config.rejection_penalty_secs);
+            costs.set(row, col, weight);
+            routes.insert((row, col), route);
         }
     }
-    VehicleEdges { col, entries, evaluations: rows.len() }
+
+    FoodGraph { vehicle_ids, costs, routes, evaluations }
 }
 
 /// The batch rows one vehicle gets a marginal-cost evaluation for, in
@@ -238,15 +239,15 @@ fn candidate_rows(
 /// The first `degree_cap` batch rows whose plans start at a node `expansion`
 /// settles, in the order it settles them.
 fn rows_reached_first(
-    expansion: impl Iterator<Item = Settled>,
+    mut expansion: impl Iterator<Item = Settled>,
     batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
     degree_cap: usize,
 ) -> Vec<usize> {
     let mut rows = Vec::new();
-    for settled in expansion {
-        if rows.len() >= degree_cap {
-            break;
-        }
+    // The cap is tested *before* advancing: settling one more node relaxes
+    // its out-edges (and prices their heads, under Eq. 8) for nothing.
+    while rows.len() < degree_cap {
+        let Some(settled) = expansion.next() else { break };
         let Some(starting_here) = batches_by_start.get(&settled.node) else { continue };
         let room = degree_cap - rows.len();
         rows.extend(starting_here.iter().take(room));
@@ -258,6 +259,7 @@ fn rows_reached_first(
 mod tests {
     use super::*;
     use crate::batching::singleton_batches;
+    use crate::cost::MarginalCost;
     use crate::order::{Order, OrderId};
     use foodmatch_roadnet::generators::GridCityBuilder;
     use foodmatch_roadnet::{CongestionProfile, Duration, NodeId};
@@ -421,9 +423,8 @@ mod tests {
         );
     }
 
-    /// The FoodGraph as it was built before the per-vehicle leg table: the
-    /// same candidate rows, each priced by its own reference
-    /// `marginal_cost` call.
+    /// The FoodGraph as it was built before any leg was shared: the same
+    /// candidate rows, each priced by its own reference `marginal_cost` call.
     fn per_pair_reference(
         batches: &[Batch],
         vehicles: &[VehicleSnapshot],
@@ -524,6 +525,21 @@ mod tests {
                 picked_up: false,
             },
         ];
+        // The shapes the window-level resolve exists for. One restaurant
+        // node is a committed stop of two vehicles (searched from once, for
+        // the batches of both) while a third stands on it with an order of
+        // its own to collect there (its start row, not a stop → stop leg)…
+        let shared = b.node_at(6, 0);
+        let pending = |id: u64, customer: NodeId| crate::vehicle::CommittedOrder {
+            order: order(id, shared, customer),
+            picked_up: false,
+        };
+        vehicles[11].committed = vec![pending(111, b.node_at(8, 3))];
+        vehicles[12].committed = vec![pending(112, b.node_at(0, 1))];
+        vehicles[13].committed = vec![pending(113, b.node_at(5, 8))];
+        vehicles[13].location = shared;
+        // …and an idle vehicle stands on another vehicle's committed stop.
+        vehicles[0].location = b.node_at(8, 3);
 
         let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
         let plain =
@@ -591,7 +607,7 @@ mod tests {
         let dense_serial = serial.costs.to_dense();
         for r in 0..batches.len() {
             for c in 0..serial_vehicles.len() {
-                assert!((dense_parallel.get(r, c) - dense_serial.get(r, c)).abs() < 1e-9);
+                assert_eq!(dense_parallel.get(r, c).to_bits(), dense_serial.get(r, c).to_bits());
             }
         }
     }

@@ -61,6 +61,7 @@ pub mod codec;
 pub mod config;
 pub mod cost;
 pub mod foodgraph;
+mod legs;
 pub mod order;
 pub mod policies;
 pub mod route;

@@ -109,7 +109,7 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // the pre-table planner as it was: the reference
     fn explore(
         &mut self,
         current: Option<usize>,

@@ -15,6 +15,8 @@ pub const PANIC_FREE_DURABILITY: &str = "panic-free-durability";
 pub const WALL_CLOCK_HYGIENE: &str = "wall-clock-hygiene";
 /// Rule identifier for telemetry registry lookups outside constructors.
 pub const TELEMETRY_HANDLE_DISCIPLINE: &str = "telemetry-handle-discipline";
+/// Rule identifier for `#[allow(clippy::…)]` attributes that give no reason.
+pub const REASONED_ALLOW: &str = "reasoned-allow";
 /// Pseudo-rule for malformed waiver comments (never waivable itself).
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 /// Pseudo-rule for waivers that suppressed nothing (stale waivers rot).
@@ -22,7 +24,7 @@ pub const UNUSED_WAIVER: &str = "unused-waiver";
 
 /// Every real (waivable) rule with its one-line description, in report
 /// order.
-pub const RULES: [(&str, &str); 4] = [
+pub const RULES: [(&str, &str); 5] = [
     (
         NONDETERMINISTIC_ITERATION,
         "no HashMap/HashSet iteration in output-path code unless sorted before use",
@@ -38,6 +40,10 @@ pub const RULES: [(&str, &str); 4] = [
     (
         TELEMETRY_HANDLE_DISCIPLINE,
         "telemetry registry lookups only in constructors/restore, never per-window",
+    ),
+    (
+        REASONED_ALLOW,
+        "every #[allow(clippy::…)] says why: a trailing `// …` on its line or `reason = \"…\"`",
     ),
 ];
 
@@ -579,6 +585,58 @@ pub fn check_telemetry_handle_discipline(ctx: &FileContext<'_>, out: &mut Vec<Di
     }
 }
 
+/// Rule 5: `#[allow(clippy::…)]` (inner `#![…]` and `cfg_attr` forms too)
+/// with neither a `reason = "…"` argument nor a trailing `// …` comment on
+/// the line the attribute closes on. Applies to every scanned file, tests
+/// included: a silenced lint outlives the code that needed it unless the
+/// attribute says what it is for.
+pub fn check_reasoned_allow(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
+    let tokens = &ctx.tokens;
+    for (i, token) in tokens.iter().enumerate() {
+        let clippy_allow = token.is_ident("allow")
+            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+            && tokens.get(i + 2).is_some_and(|t| t.is_ident("clippy"))
+            && tokens.get(i + 3).is_some_and(|t| t.is_punct(':'));
+        if !clippy_allow {
+            continue;
+        }
+        // The argument list runs to the parenthesis that closes `allow(`.
+        let mut depth = 0usize;
+        let mut close = i + 1;
+        while close < tokens.len() {
+            if tokens[close].is_punct('(') {
+                depth += 1;
+            } else if tokens[close].is_punct(')') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            close += 1;
+        }
+        let close = close.min(tokens.len() - 1);
+        let reason_argument = tokens[i + 1..close].iter().any(|t| t.is_ident("reason"));
+        // The attribute itself ends at the next `]`; a comment after it on
+        // that line is the reason.
+        let end_line =
+            tokens[close..].iter().find(|t| t.is_punct(']')).map_or(token.line, |t| t.line);
+        let trailing_comment = ctx.lines.get(end_line - 1).is_some_and(|raw| {
+            let after = raw.rfind(']').map_or("", |at| &raw[at + 1..]);
+            after.trim_start().strip_prefix("//").is_some_and(|why| !why.trim().is_empty())
+        });
+        if !reason_argument && !trailing_comment {
+            out.push(Diagnostic {
+                rule: REASONED_ALLOW,
+                path: ctx.rel_path.to_string(),
+                line: token.line,
+                message: "`#[allow(clippy::…)]` gives no reason; append `// <why>` to the \
+                          attribute's line (or `reason = \"…\"`), or fix the lint and drop it"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Runs every rule over one file, applies waivers, and reports stale ones.
 pub fn scan_source(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<Waiver>) {
     let ctx = FileContext::new(rel_path, source);
@@ -588,6 +646,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<Waiver
     check_panic_free_durability(&ctx, &mut found);
     check_wall_clock_hygiene(&ctx, &mut found);
     check_telemetry_handle_discipline(&ctx, &mut found);
+    check_reasoned_allow(&ctx, &mut found);
     for diag in found {
         match waivers.iter_mut().find(|w| w.rule == diag.rule && w.covers_line == diag.line) {
             Some(waiver) => waiver.suppressed += 1,

@@ -5,8 +5,8 @@
 //! self-scan — `fixtures` directories are excluded from `workspace_files`.
 
 use foodmatch_lint::rules::{
-    NONDETERMINISTIC_ITERATION, PANIC_FREE_DURABILITY, TELEMETRY_HANDLE_DISCIPLINE, UNUSED_WAIVER,
-    WAIVER_SYNTAX, WALL_CLOCK_HYGIENE,
+    NONDETERMINISTIC_ITERATION, PANIC_FREE_DURABILITY, REASONED_ALLOW, TELEMETRY_HANDLE_DISCIPLINE,
+    UNUSED_WAIVER, WAIVER_SYNTAX, WALL_CLOCK_HYGIENE,
 };
 use foodmatch_lint::{scan_source, Diagnostic};
 use std::path::Path;
@@ -91,6 +91,22 @@ fn telemetry_lookups_are_flagged_outside_constructors() {
         "the lookup in `on_window` is per-window; the ones in `new` and \
          `with_gauge` are constructor-shaped: {diagnostics:#?}"
     );
+}
+
+#[test]
+fn clippy_allows_must_say_why() {
+    let source = fixture("reasoned_allow.rs");
+    // No path set: test files are held to it like library code.
+    for path in ["crates/roadnet/src/ch.rs", "tests/recovery_equivalence.rs"] {
+        let (diagnostics, _) = scan_source(path, &source);
+        assert_eq!(
+            rule_lines(&diagnostics),
+            vec![(REASONED_ALLOW, 1), (REASONED_ALLOW, 10), (REASONED_ALLOW, 21)],
+            "the bare attribute, the bare inner attribute and the one whose \
+             comment is empty; a trailing comment (lines 4, 15), a `reason =` \
+             (line 7) and a non-clippy allow (line 18) must escape: {diagnostics:#?}"
+        );
+    }
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //!
 //! Three layers lean on the same primitive: per-component assignment solving
 //! ([`Decomposed`](crate::Decomposed)); per-window dispatch work in
-//! `foodmatch-core` — FoodGraph per-vehicle edge construction and the
-//! batching stage's per-stop oracle sweeps (per-order route plans when
-//! batching is off), each at least a graph search; Algorithm 1's merge
+//! `foodmatch-core` — the FoodGraph's per-vehicle collect and price phases
+//! and per-stop resolve sweeps, and the batching stage's per-stop oracle
+//! sweeps (per-order route plans when batching is off); Algorithm 1's merge
 //! candidates are microsecond table plans and stay on the calling thread —
 //! with `DispatchConfig::effective_threads` deciding the width; and
 //! per-hour-slot index warm-up (`ShortestPathEngine::warm_all` in

@@ -175,7 +175,7 @@ pub struct ContractionHierarchy {
     /// Pool of bidirectional query spaces (forward, backward). Boxed on
     /// purpose: checkout/check-in then moves one pointer instead of the
     /// ~400-byte space struct while the pool lock is held.
-    #[allow(clippy::vec_box)]
+    #[allow(clippy::vec_box)] // boxed on purpose, see above
     spaces: Mutex<Vec<Box<QuerySpace>>>,
 }
 
@@ -603,7 +603,6 @@ fn collect_neighbour_arcs(
 /// `scratch.shortcuts`): for every in-neighbour `u` and out-neighbour `w`, a
 /// shortcut `u → w` is needed unless a *witness* path avoiding `v` is at
 /// least as short.
-#[allow(clippy::too_many_arguments)]
 fn gather_shortcuts(
     v: u32,
     arcs: &[ChArc],
@@ -646,7 +645,7 @@ fn gather_shortcuts(
 /// Budgeted multi-target Dijkstra from `u` over uncontracted nodes avoiding
 /// `v`. Settled targets certify witness distances; an exhausted budget simply
 /// leaves targets unsettled (⇒ shortcut inserted, conservatively).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // the build's arrays one by one: others are lent out mutably
 fn witness_search(
     u: u32,
     v: u32,
@@ -702,7 +701,7 @@ fn witness_search(
 /// Priority of contracting `node` right now: the edge-difference heuristic
 /// (shortcuts − removed arcs) plus the deleted-neighbours term that spreads
 /// contraction evenly across the network.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // the build's arrays one by one: others are lent out mutably
 fn node_priority(
     node: u32,
     arcs: &[ChArc],

@@ -125,6 +125,9 @@ struct EngineMetrics {
     /// pairs a search was run for, so a sweep of ten misses is ten there and
     /// one here.)
     searches: telemetry::Counter,
+    /// `engine.foodgraph.sources` — rows swept by the FoodGraph's resolve
+    /// phase, reported through [`ShortestPathEngine::note_foodgraph_sources`].
+    foodgraph_sources: telemetry::Counter,
     /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard memo
     /// traffic of the [`EngineKind::Cached`] backend.
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
@@ -147,6 +150,7 @@ impl EngineMetrics {
         EngineMetrics {
             queries: telemetry::counter("engine.queries"),
             searches: telemetry::counter("engine.searches"),
+            foodgraph_sources: telemetry::counter("engine.foodgraph.sources"),
             memo_hits: std::array::from_fn(|i| {
                 telemetry::counter(&format!("engine.memo.hits.shard{i:02}"))
             }),
@@ -246,6 +250,14 @@ impl ShortestPathEngine {
     /// Number of point-to-point queries answered so far (for benchmarks).
     pub fn query_count(&self) -> u64 {
         self.inner.queries.load(Ordering::Relaxed)
+    }
+
+    /// Observational: the FoodGraph's resolve phase swept `rows` distinct
+    /// sources for one window (`engine.foodgraph.sources`). The counter
+    /// lives here because the engine is the one long-lived object the window
+    /// stages share, so its handle is acquired once, at construction.
+    pub fn note_foodgraph_sources(&self, rows: usize) {
+        self.inner.metrics.foodgraph_sources.add(rows as u64);
     }
 
     /// Checks a reusable [`SearchSpace`] out of the engine's pool; it returns

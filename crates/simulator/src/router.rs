@@ -350,7 +350,7 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// Panics when the zone map is empty, no zone has any node, the
     /// configuration is invalid, `end` precedes `start`, or a vehicle starts
     /// on a node that is not in `network` (the message names the vehicle).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // the one constructor; each argument is a deployment fact
     pub fn new(
         network: &RoadNetwork,
         zones: ZoneMap,

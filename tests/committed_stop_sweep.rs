@@ -1,14 +1,15 @@
-//! The committed-stop sweep of `marginal_costs`, counted in graph searches.
+//! The FoodGraph's resolve phase, counted in graph searches.
 //!
-//! A loaded vehicle's leg tables need the legs from each of its committed
-//! stops to the stops of every batch it is priced against. Asked batch by
-//! batch that is one search per (committed stop, batch); asked once per
-//! committed stop, over the batches that survived the capacity and
-//! first-mile filters, it is one search per committed stop. This test pins
-//! the count (`engine.searches`, the one counter that counts searches *run*
-//! rather than pairs missed), that the prices are those of lone
-//! `marginal_cost` calls, and that a batch that failed a filter is never
-//! swept for.
+//! A loaded vehicle's leg tables need the legs between each of its committed
+//! stops and the stops of every batch it is priced against. Asked batch by
+//! batch that is one search per (committed stop, batch); asked vehicle by
+//! vehicle, one per committed stop plus one per (vehicle, batch stop); asked
+//! once per window, over the batches that survived each vehicle's capacity
+//! and first-mile filters, it is one search per distinct stop. This test
+//! pins the count (`engine.searches`, the one counter that counts searches
+//! *run* rather than pairs missed) for one vehicle and for a fleet sharing
+//! its batches, that the prices are those of lone `marginal_cost` calls, and
+//! that a batch that failed a filter is never swept for.
 //!
 //! This file stays a single `#[test]`: the recorder is process-global, and
 //! an engine built by another test while it is installed would count into
@@ -104,14 +105,74 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
 
     // Every (committed stop, surviving stop) leg is in the memo now; none to
     // a stop of a batch that dropped out is, so asking for one runs a search.
-    for &stop in &committed_stops {
-        for offer in &offers {
-            for target in [offer.restaurant, offer.customer] {
-                let before = searches();
-                assert!(engine.travel_time(stop, target, t).is_some());
-                let ran = searches() - before;
-                assert_eq!(ran, u64::from(!survives(offer)), "{stop} → {target} of {}", offer.id);
+    let only_survivors_were_swept_for =
+        |engine: &ShortestPathEngine, searches: &dyn Fn() -> u64, stops: &[NodeId]| {
+            for &stop in stops {
+                for offer in &offers {
+                    for target in [offer.restaurant, offer.customer] {
+                        let before = searches();
+                        assert!(engine.travel_time(stop, target, t).is_some());
+                        let ran = searches() - before;
+                        assert_eq!(ran, u64::from(!survives(offer)), "{stop} → {target}");
+                    }
+                }
             }
+        };
+    only_survivors_were_swept_for(&engine, &searches, &committed_stops);
+
+    // --- a fleet offered the same batches --------------------------------
+    // A second loaded vehicle, c₂ = 2 committed stops of its own, for which
+    // the same m batches survive: the batches' stops are searched from once
+    // for the window, not once per vehicle.
+    let loaded = |id, location, restaurant, customer| VehicleSnapshot {
+        committed: vec![CommittedOrder {
+            order: order(u64::from(id), restaurant, customer, 2),
+            picked_up: false,
+        }],
+        ..VehicleSnapshot::idle(VehicleId(id), location)
+    };
+    let second = loaded(2, at(3, 1), at(6, 1), at(6, 2));
+    // A third whose pending pickup is the *same restaurant node* as the
+    // first's: its start row and its other stop are new, that node is not.
+    let third = loaded(3, at(1, 2), at(4, 3), at(0, 3));
+    for vehicle in [&second, &third] {
+        let first_mile = |o: &Order| scratch.travel_time(vehicle.location, o.restaurant, t);
+        assert!(offers
+            .iter()
+            .all(|o| { (first_mile(o).unwrap() <= config.max_first_mile) == (o.id != far.id) }));
+        assert!(vehicle.has_capacity(&config) && !vehicle.can_take(&[heavy], &config));
+    }
+    let unoffered_alone = |vehicle: &VehicleSnapshot| {
+        let (engine, searches) = cold_engine(&network);
+        assert!(!marginal_cost(vehicle, &[], &engine, t, &config).is_feasible());
+        searches()
+    };
+    let (c2, c3) = (2, 2);
+    assert_eq!(unoffered_alone(&second), 1 + c2);
+    assert_eq!(unoffered_alone(&third), 1 + c3);
+
+    let pair = [vehicle.clone(), second.clone()];
+    let (engine, searches) = cold_engine(&network);
+    let graph = build_food_graph(&batches, &pair, &engine, t, &config);
+    assert_eq!(graph.evaluations, 2 * offers.len());
+    let for_two = unoffered + unoffered_alone(&second) + c + c2 + 2 * m;
+    assert_eq!(searches(), for_two, "each batch stop is searched from once, not once per vehicle");
+
+    let fleet = [vehicle.clone(), second, third.clone()];
+    let (engine, searches) = cold_engine(&network);
+    let graph = build_food_graph(&batches, &fleet, &engine, t, &config);
+    assert_eq!(graph.evaluations, 3 * offers.len());
+    assert_eq!(searches(), for_two + unoffered_alone(&third) + (c3 - 1));
+
+    // Sharing the searches changed no price.
+    for (col, vehicle) in fleet.iter().enumerate() {
+        for (row, batch) in batches.iter().enumerate() {
+            let lone = marginal_cost(vehicle, &batch.orders, &scratch, t, &config);
+            assert_eq!(lone.is_feasible(), survives(&batch.orders[0]), "({row}, {col})");
+            assert_eq!(graph.cost(row, col).to_bits(), lone.edge_weight(&config).to_bits());
         }
     }
+    let mut swept: Vec<NodeId> = committed_stops.to_vec();
+    swept.extend([at(6, 1), at(6, 2), at(0, 3)]);
+    only_survivors_were_swept_for(&engine, &searches, &swept);
 }

@@ -270,8 +270,18 @@ fn telemetry_is_strictly_observational() {
     for cat in ["engine", "solver", "shard", "service", "wal", "checkpoint"] {
         assert!(categories.contains(cat), "trace is missing {cat} spans: {categories:?}");
     }
+    // FoodGraph construction shows its three window phases under its span.
+    let events = recorder.trace.events();
+    let names: HashSet<&str> = events.iter().map(|e| e.name.as_ref()).collect();
+    for name in ["foodgraph.build", "foodgraph.collect", "foodgraph.resolve", "foodgraph.price"] {
+        assert!(names.contains(name), "trace is missing the {name} span");
+    }
     let snap = recorder.telemetry.snapshot();
     assert!(snap.counter("engine.queries").unwrap_or(0) > 0, "engine recorded no queries");
+    assert!(
+        snap.counter("engine.foodgraph.sources").unwrap_or(0) > 0,
+        "the resolve phase swept no source"
+    );
     assert!(snap.histogram_sum("matching.solve_ns.").count > 0, "no solver latency samples");
     assert!(
         snap.histogram("service.advance_ns").map_or(0, |h| h.count) > 0,
