@@ -135,7 +135,7 @@ fn summarise(
     }
 }
 
-/// Serialises the results by hand (the vendored serde is an offline stub);
+/// Serialises the results by hand (the workspace has no JSON dependency);
 /// flat, stable keys — CI diffs them.
 fn to_json(ctx: &ExperimentContext, scenario: &Scenario, runs: &[DisruptionRun]) -> String {
     let mut out = String::from("{\n");

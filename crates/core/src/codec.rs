@@ -1,6 +1,6 @@
 //! Deterministic binary encoding for durable dispatch state.
 //!
-//! The vendored `serde` is an offline no-op stub, so checkpointing and the
+//! The workspace has no serialization dependency, so checkpointing and the
 //! write-ahead log hand-roll their wire format here: a tiny, explicit
 //! little-endian codec with typed decode errors. Three properties matter
 //! more than generality:

@@ -9,7 +9,6 @@
 use foodmatch_matching::{Assignment, AssignmentSolver, Decomposed, SparseCostMatrix};
 use foodmatch_roadnet::Duration;
 use foodmatch_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a [`DispatchConfig`] was rejected by [`DispatchConfig::validate`].
@@ -61,7 +60,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Tunable parameters and operational constraints of the dispatcher.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DispatchConfig {
     /// `MAXO`: maximum number of orders that may be assigned to one vehicle.
     pub max_orders_per_vehicle: usize,

@@ -1,11 +1,10 @@
 //! Food orders (Definition 2 of the paper).
 
 use foodmatch_roadnet::{Duration, NodeId, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a food order, unique within a simulation run.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrderId(pub u64);
 
 impl OrderId {
@@ -28,7 +27,7 @@ impl fmt::Display for OrderId {
 }
 
 /// A food order `o = ⟨o^r, o^c, o^t, o^i, o^p⟩` (Definition 2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Order {
     /// Unique identifier.
     pub id: OrderId,

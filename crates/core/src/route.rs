@@ -17,12 +17,11 @@
 
 use crate::order::{Order, OrderId};
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Whether a stop picks food up from a restaurant or drops it off at the
 /// customer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopAction {
     /// Collect the order at its restaurant node.
     Pickup,
@@ -31,7 +30,7 @@ pub enum StopAction {
 }
 
 /// One stop of a route plan.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Stop {
     /// The order being picked up or dropped off.
     pub order: OrderId,
@@ -42,7 +41,7 @@ pub struct Stop {
 }
 
 /// An ordered sequence of stops fulfilling a set of orders (Definition 3).
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct RoutePlan {
     /// The stops in visiting order.
     pub stops: Vec<Stop>,
@@ -133,7 +132,7 @@ impl RoutePlan {
 }
 
 /// An order together with its pickup state, as input to the route planner.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlannedOrder {
     /// The order to plan for.
     pub order: Order,

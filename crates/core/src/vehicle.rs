@@ -14,11 +14,10 @@
 use crate::config::DispatchConfig;
 use crate::order::Order;
 use foodmatch_roadnet::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a delivery vehicle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VehicleId(pub u32);
 
 impl VehicleId {
@@ -41,7 +40,7 @@ impl fmt::Display for VehicleId {
 }
 
 /// An order a vehicle is already responsible for, with its pickup state.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CommittedOrder {
     /// The order itself.
     pub order: Order,
@@ -50,7 +49,7 @@ pub struct CommittedOrder {
 }
 
 /// The dispatcher's view of one available vehicle at window-close time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VehicleSnapshot {
     /// Identifier of the vehicle.
     pub id: VehicleId,

@@ -11,11 +11,10 @@
 use crate::order::{Order, OrderId};
 use crate::vehicle::{VehicleId, VehicleSnapshot};
 use foodmatch_roadnet::TimePoint;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Everything a dispatch policy sees about one accumulation window.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WindowSnapshot {
     /// The window-close time `t` at which all costs are evaluated.
     pub time: TimePoint,
@@ -62,7 +61,7 @@ impl WindowSnapshot {
 }
 
 /// One vehicle's share of a window assignment: the orders newly given to it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VehicleAssignment {
     /// The vehicle receiving the orders.
     pub vehicle: VehicleId,
@@ -72,7 +71,7 @@ pub struct VehicleAssignment {
 }
 
 /// The dispatch policy's answer for one window.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AssignmentOutcome {
     /// Per-vehicle new assignments. A vehicle appears at most once.
     pub assignments: Vec<VehicleAssignment>,

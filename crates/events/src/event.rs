@@ -3,11 +3,10 @@
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
 use foodmatch_core::{OrderId, VehicleId};
 use foodmatch_roadnet::{Duration, NodeId, TimePoint};
-use serde::{Deserialize, Serialize};
 
 /// Why a stretch of road got slower. Only used for reporting — the overlay
 /// semantics are identical for every cause.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DisruptionCause {
     /// A traffic incident (accident, road works) around a location.
     Incident,
@@ -34,7 +33,7 @@ impl DisruptionCause {
 /// `factor` (≥ 1 — disruptions make roads slower, never faster; this is what
 /// lets the engine answer perturbed queries with a *bounded* overlay search
 /// instead of an index rebuild).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrafficDisruption {
     /// What kind of disruption this is (reporting only).
     pub cause: DisruptionCause,
@@ -77,7 +76,7 @@ impl TrafficDisruption {
 }
 
 /// What happened.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
     /// A stretch of road network slows down until the disruption clears.
     Traffic(TrafficDisruption),
@@ -148,7 +147,7 @@ pub enum EventScope {
 }
 
 /// One time-stamped simulation event.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DisruptionEvent {
     /// When the event fires. The simulator applies events at the boundary of
     /// the accumulation window containing them.

@@ -32,10 +32,10 @@ use crate::dijkstra::{SearchSpace, NO_EDGE};
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, HourSlot, TimePoint};
-use crate::PathResult;
-use parking_lot::Mutex;
+use crate::{lock, PathResult};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// Cap on pooled query spaces (one pair is ~6 words per node; a handful
 /// covers every worker thread of the dispatcher).
@@ -482,7 +482,7 @@ impl ContractionHierarchy {
     /// Checks a query space out of the pool; the guard returns it on drop,
     /// so every exit path (including panics) re-pools the space.
     fn checkout(&self) -> QueryGuard<'_> {
-        let query = self.spaces.lock().pop().unwrap_or_default();
+        let query = lock(self.spaces.lock()).pop().unwrap_or_default();
         QueryGuard { pool: &self.spaces, query: Some(query) }
     }
 }
@@ -510,7 +510,7 @@ impl std::ops::DerefMut for QueryGuard<'_> {
 impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
         if let Some(query) = self.query.take() {
-            let mut pool = self.pool.lock();
+            let mut pool = lock(self.pool.lock());
             if pool.len() < MAX_POOLED_SPACES {
                 pool.push(query);
             }

@@ -16,11 +16,10 @@
 //! as it would be with measured weights.
 
 use crate::timeofday::HourSlot;
-use serde::{Deserialize, Serialize};
 
 /// Functional class of a road segment, controlling free-flow speed and how
 /// strongly the segment reacts to peak-hour congestion.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RoadClass {
     /// High-capacity roads: fast when free-flowing, heavily congested at peaks.
     Arterial,
@@ -59,7 +58,7 @@ impl RoadClass {
 ///
 /// A multiplier of `1.0` means free flow; `1.8` means the segment takes 80%
 /// longer than free flow during that hour.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CongestionProfile {
     /// `multipliers[class][hour]`.
     multipliers: [[f64; HourSlot::COUNT]; 3],

@@ -18,6 +18,18 @@
 //!   of a *potential* of its head node, evaluated once per node — so the
 //!   vehicle-sensitive weight `α(v, e, t)` of Eq. 8 can be plugged in.
 //!
+//! ## Two loops
+//!
+//! Every eager query — the point, one-to-many and path functions here and
+//! their overlaid twins in [`crate::overlay`] — is a few lines over one
+//! kernel, `search`: Dijkstra under an edge-weight closure and a prune bound,
+//! run until the marked targets are settled, read back by `settled_time` or
+//! walked back by `path_to`. A change to the search loop lands there once.
+//! [`Expansion`] is the only other loop, and stays one on purpose: it is
+//! lazy (the caller decides when to stop, so it relaxes a node *before*
+//! yielding it), and it carries two weights per label — the order it settles
+//! in and the travel time along the tree — where the kernel carries one.
+//!
 //! ## Allocation-free steady state
 //!
 //! The dispatcher fires thousands of queries per accumulation window, and a
@@ -259,6 +271,89 @@ impl SearchSpace {
     }
 }
 
+/// The eager search kernel: Dijkstra from `source` under `edge_secs`, run
+/// until every node of `targets` is settled or the reachable graph is
+/// exhausted. Labels above `bound` seconds are pruned (`f64::INFINITY` prunes
+/// nothing). Answers stay in `space` for [`settled_time`] and [`path_to`].
+///
+/// Every eager query of the crate — point, one-to-many and path, on `β(e, t)`
+/// or on overlaid weights — is this loop; it is monomorphised per weight
+/// closure, so the closure costs nothing at run time.
+pub(crate) fn search(
+    network: &RoadNetwork,
+    source: NodeId,
+    targets: &[NodeId],
+    bound: f64,
+    space: &mut SearchSpace,
+    edge_secs: impl Fn(EdgeId) -> f64,
+) {
+    space.begin(network.node_count());
+    let mut remaining = 0usize;
+    for &target in targets {
+        if space.mark_target(target.index()) {
+            remaining += 1;
+        }
+    }
+    space.update(source.index(), 0.0, 0.0, NO_EDGE);
+    space.push(0.0, source);
+    while remaining > 0 {
+        let Some((cost, node)) = space.pop() else { break };
+        let i = node.index();
+        if space.is_settled(i) || cost > space.dist(i) {
+            continue;
+        }
+        space.settle(i);
+        if space.take_target(i) {
+            remaining -= 1;
+            if remaining == 0 {
+                break;
+            }
+        }
+        for (eid, edge) in network.out_edges(node) {
+            let to = edge.to.index();
+            if space.is_settled(to) {
+                continue;
+            }
+            let next = cost + edge_secs(eid);
+            if next < space.dist(to) && next <= bound {
+                space.update(to, next, next, eid.0);
+                space.push(next, edge.to);
+            }
+        }
+    }
+}
+
+/// The travel time [`search`] settled `node` at, `None` if it never was
+/// (unreachable, beyond the bound, or not a target and not on the way).
+pub(crate) fn settled_time(space: &SearchSpace, node: NodeId) -> Option<Duration> {
+    let i = node.index();
+    space.is_settled(i).then(|| Duration::from_secs_f64(space.dist(i)))
+}
+
+/// Walks parent edges from `target` back to `source` through the tree
+/// [`search`] left in `space`; `None` if `target` was not settled. The node
+/// sequence is the only allocation.
+pub(crate) fn path_to(
+    network: &RoadNetwork,
+    source: NodeId,
+    target: NodeId,
+    space: &SearchSpace,
+) -> Option<PathResult> {
+    let travel_time = settled_time(space, target)?;
+    let mut nodes = vec![target];
+    let mut length_m = 0.0;
+    let mut cursor = target;
+    while cursor != source {
+        let eid = space.parent_edge(cursor.index()).expect("reached node must have a parent edge");
+        let edge = network.edge(eid);
+        length_m += edge.length_m;
+        cursor = edge.from;
+        nodes.push(cursor);
+    }
+    nodes.reverse();
+    Some(PathResult { travel_time, length_m, nodes })
+}
+
 /// Shortest (quickest) travel time from `source` to `target` at time `t`, or
 /// `None` if `target` is unreachable. Allocates a throwaway [`SearchSpace`];
 /// hot paths should use [`shortest_travel_time_in`].
@@ -279,24 +374,9 @@ pub fn shortest_travel_time_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    if source == target {
-        return Some(Duration::ZERO);
-    }
-    space.begin(network.node_count());
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    while let Some((cost, node)) = space.pop() {
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if node == target {
-            return Some(Duration::from_secs_f64(cost));
-        }
-        relax_beta(network, t, space, node, cost);
-    }
-    None
+    let beta = |e| network.travel_time(e, t).as_secs_f64();
+    search(network, source, &[target], f64::INFINITY, space, beta);
+    settled_time(space, target)
 }
 
 /// Shortest path (node sequence, travel time, length) from `source` to
@@ -319,44 +399,9 @@ pub fn shortest_path_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    space.begin(network.node_count());
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    let mut reached = source == target;
-    while let Some((cost, node)) = space.pop() {
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if node == target {
-            reached = true;
-            break;
-        }
-        relax_beta(network, t, space, node, cost);
-    }
-    if !reached {
-        return None;
-    }
-
-    // Reconstruct the node sequence by walking parent edges back to source.
-    let mut nodes = vec![target];
-    let mut length_m = 0.0;
-    let mut cursor = target;
-    while cursor != source {
-        let eid = space.parent_edge(cursor.index()).expect("reached node must have a parent edge");
-        let edge = network.edge(eid);
-        length_m += edge.length_m;
-        cursor = edge.from;
-        nodes.push(cursor);
-    }
-    nodes.reverse();
-
-    Some(PathResult {
-        travel_time: Duration::from_secs_f64(space.dist(target.index())),
-        length_m,
-        nodes,
-    })
+    let beta = |e| network.travel_time(e, t).as_secs_f64();
+    search(network, source, &[target], f64::INFINITY, space, beta);
+    path_to(network, source, target, space)
 }
 
 /// Travel times from `source` to each node in `targets` at time `t`.
@@ -382,40 +427,9 @@ pub fn one_to_many_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    space.begin(network.node_count());
-    let mut remaining = 0usize;
-    for &target in targets {
-        if space.mark_target(target.index()) {
-            remaining += 1;
-        }
-    }
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    while remaining > 0 {
-        let Some((cost, node)) = space.pop() else { break };
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if space.take_target(i) {
-            remaining -= 1;
-        }
-        if remaining > 0 {
-            relax_beta(network, t, space, node, cost);
-        }
-    }
-    targets
-        .iter()
-        .map(|&target| {
-            let i = target.index();
-            if space.is_settled(i) {
-                Some(Duration::from_secs_f64(space.dist(i)))
-            } else {
-                None
-            }
-        })
-        .collect()
+    let beta = |e| network.travel_time(e, t).as_secs_f64();
+    search(network, source, targets, f64::INFINITY, space, beta);
+    targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
 /// Travel times from `source` to every node of the network at time `t`
@@ -427,29 +441,6 @@ pub fn one_to_all(network: &RoadNetwork, source: NodeId, t: TimePoint) -> Vec<Op
         out[settled.node.index()] = Some(settled.travel_time);
     }
     out
-}
-
-/// Relaxes `node`'s out-edges under the temporal weight `β(e, t)` (distance
-/// and travel time coincide).
-#[inline]
-fn relax_beta(
-    network: &RoadNetwork,
-    t: TimePoint,
-    space: &mut SearchSpace,
-    node: NodeId,
-    base: f64,
-) {
-    for (eid, edge) in network.out_edges(node) {
-        let to = edge.to.index();
-        if space.is_settled(to) {
-            continue;
-        }
-        let next = base + network.travel_time(eid, t).as_secs_f64();
-        if next < space.dist(to) {
-            space.update(to, next, next, eid.0);
-            space.push(next, edge.to);
-        }
-    }
 }
 
 /// A node settled by a best-first [`Expansion`], together with its distance
@@ -716,6 +707,99 @@ mod tests {
         assert_eq!(batch[0], batch[1]);
         assert_eq!(batch[2], Some(Duration::ZERO));
         assert_eq!(batch[3], Some(Duration::ZERO));
+    }
+
+    /// `net` plus one node no street reaches; edge ids are unchanged.
+    fn with_island(net: &RoadNetwork) -> (RoadNetwork, NodeId) {
+        let mut b = RoadNetworkBuilder::new().congestion(net.congestion().clone());
+        for node in net.node_ids() {
+            b.add_node(net.position(node));
+        }
+        for eid in net.edge_ids() {
+            let e = net.edge(eid);
+            b.add_edge(e.from, e.to, e.length_m, e.class);
+        }
+        let island = b.add_node(GeoPoint::new(0.0, 0.0));
+        (b.build(), island)
+    }
+
+    /// The six eager entry points are bodies over [`search`]; this pins that
+    /// point, sweep and path read it alike, bit for bit, on `β` and on
+    /// overlaid weights, bounded and not.
+    #[test]
+    fn point_sweep_and_path_agree_bit_for_bit_on_beta_and_overlaid_weights() {
+        use crate::generators::RandomCityBuilder;
+        use crate::overlay::{
+            one_to_many_overlaid_in, shortest_path_overlaid_in, shortest_travel_time_overlaid_in,
+            TrafficOverlay,
+        };
+        let t = TimePoint::from_hms(19, 30, 0);
+        let space = &mut SearchSpace::new();
+        let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
+        for seed in [3usize, 11, 29] {
+            let city = RandomCityBuilder::new(120).seed(seed as u64).build();
+            let (net, island) = with_island(&city);
+            let mut slowed = TrafficOverlay::new();
+            for eid in net.edge_ids().step_by(3) {
+                slowed.slow_edge(eid, 2.5);
+            }
+            let n = city.node_count();
+            let source = NodeId::from_index(seed);
+            let (a, b) = (NodeId::from_index(n / 2), NodeId::from_index(n - 1));
+            let point =
+                |overlay: Option<&TrafficOverlay>, target, bound, space: &mut _| match overlay {
+                    None => shortest_travel_time_in(&net, source, target, t, space),
+                    Some(o) => {
+                        shortest_travel_time_overlaid_in(&net, o, source, target, t, bound, space)
+                    }
+                };
+            let sweep = |overlay: Option<&TrafficOverlay>,
+                         targets: &[NodeId],
+                         bound,
+                         space: &mut _| {
+                match overlay {
+                    None => one_to_many_in(&net, source, targets, t, space),
+                    Some(o) => one_to_many_overlaid_in(&net, o, source, targets, t, bound, space),
+                }
+            };
+            let path = |overlay: Option<&TrafficOverlay>, target, space: &mut _| match overlay {
+                None => shortest_path_in(&net, source, target, t, space),
+                Some(o) => shortest_path_overlaid_in(&net, o, source, target, t, space),
+            };
+
+            // Rows: a self-pair, a duplicated target, an unreachable one.
+            let targets = [source, a, b, a, island];
+            for overlay in [None, Some(&slowed)] {
+                let swept = sweep(overlay, &targets, None, space);
+                assert_eq!(swept[0], Some(Duration::ZERO));
+                for (&target, &swept) in targets.iter().zip(&swept) {
+                    assert_eq!(swept.is_some(), target != island, "seed {seed}, {target}");
+                    assert_eq!(bits(point(overlay, target, None, space)), bits(swept));
+                    let walked = path(overlay, target, space);
+                    assert_eq!(bits(walked.as_ref().map(|p| p.travel_time)), bits(swept));
+                    if let Some(walked) = walked {
+                        assert_eq!(walked.nodes.first(), Some(&source));
+                        assert_eq!(walked.nodes.last(), Some(&target));
+                    }
+                }
+            }
+
+            // Overlaid only: pruning at exactly the engine's bound changes no
+            // answer; a bound below the true distance finds nothing.
+            for target in [a, b] {
+                let d0 = point(None, target, None, space).unwrap().as_secs_f64();
+                let exact = point(Some(&slowed), target, None, space).unwrap();
+                let bound = Some(slowed.search_bound(d0));
+                assert_eq!(bits(point(Some(&slowed), target, bound, space)), bits(Some(exact)));
+                assert_eq!(
+                    bits(sweep(Some(&slowed), &[target], bound, space)[0]),
+                    bits(Some(exact))
+                );
+                let short = Some(exact.as_secs_f64() * 0.999);
+                assert_eq!(point(Some(&slowed), target, short, space), None);
+                assert_eq!(sweep(Some(&slowed), &[source, target], short, space)[1], None);
+            }
+        }
     }
 
     #[test]

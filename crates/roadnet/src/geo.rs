@@ -12,13 +12,11 @@
 //! lies in `[0, 1]`: 0 when `u` lies exactly in the direction of travel, 1
 //! when it lies in the diametrically opposite direction.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in meters (IUGG value), used by the haversine formula.
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A geographic point in degrees of latitude and longitude.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,

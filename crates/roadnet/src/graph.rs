@@ -15,18 +15,17 @@ use crate::congestion::{CongestionProfile, RoadClass};
 use crate::geo::GeoPoint;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Metadata stored for every node (road intersection).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeRecord {
     /// Geographic position of the intersection.
     pub position: GeoPoint,
 }
 
 /// Metadata stored for every directed edge (road segment).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeRecord {
     /// Tail of the edge (the segment is traversed `from → to`).
     pub from: NodeId,
@@ -45,12 +44,12 @@ pub struct EdgeRecord {
 /// Cloning a `RoadNetwork` is cheap: the underlying storage is shared behind
 /// an [`Arc`], which lets the dispatcher, simulator and multiple worker
 /// threads reference the same network without copies.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoadNetwork {
     inner: Arc<Inner>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Inner {
     nodes: Vec<NodeRecord>,
     edges: Vec<EdgeRecord>,

@@ -6,7 +6,6 @@
 //! has 183k nodes and 460k edges, far below `u32::MAX`, and the smaller width
 //! keeps adjacency lists compact.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (road intersection) in a [`crate::RoadNetwork`].
@@ -14,14 +13,14 @@ use std::fmt;
 /// Node ids are dense: a network with `n` nodes uses ids `0..n`, which allows
 /// all per-node state (distance arrays, visited flags, labels) to live in flat
 /// vectors.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a directed edge (road segment) in a [`crate::RoadNetwork`].
 ///
 /// Edge ids are dense in insertion order, mirroring the CSR layout of the
 /// adjacency structure.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl NodeId {

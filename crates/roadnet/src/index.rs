@@ -19,9 +19,10 @@
 //!   index built lazily per hour slot (see [`crate::ch`]); the only indexed
 //!   backend that also answers full *path* queries (via shortcut unpacking).
 //!
-//! The engine is `Send + Sync` (interior mutability uses [`parking_lot`]
-//! locks) so FoodGraph construction can fan out per-vehicle work across
-//! threads while sharing one engine. Dijkstra fallbacks run in pooled
+//! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
+//! taken through the crate's poison-recovering `lock`, and a `OnceLock` per
+//! lazily built index) so FoodGraph construction can fan out per-vehicle work
+//! across threads while sharing one engine. Dijkstra fallbacks run in pooled
 //! [`SearchSpace`]s (checked out per query, returned on drop), so steady-state
 //! queries perform no allocation; [`ShortestPathEngine::search_space`] hands
 //! the same pooled spaces to callers that drive their own
@@ -33,14 +34,13 @@ use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
 use crate::overlay::{self, TrafficOverlay};
-use crate::parallel_map;
 use crate::timeofday::{Duration, HourSlot, TimePoint};
+use crate::{lock, parallel_map};
 use foodmatch_telemetry as telemetry;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Number of shards of the per-slot memo cache. Shard choice hashes only the
 /// source node, so a one-to-many fill for one source stays within one shard.
@@ -174,10 +174,10 @@ struct EngineInner {
     /// seconds (`f64::INFINITY` encodes "unreachable").
     cache: [CacheSlot; HourSlot::COUNT],
     /// Lazily built hub-label indexes for [`EngineKind::HubLabels`].
-    labels: [RwLock<Option<Arc<HubLabelIndex>>>; HourSlot::COUNT],
+    labels: [OnceLock<HubLabelIndex>; HourSlot::COUNT],
     /// Lazily built contraction hierarchies for
     /// [`EngineKind::ContractionHierarchies`].
-    hierarchies: [RwLock<Option<Arc<ContractionHierarchy>>>; HourSlot::COUNT],
+    hierarchies: [OnceLock<ContractionHierarchy>; HourSlot::COUNT],
     /// Pool of reusable Dijkstra search spaces.
     spaces: Mutex<Vec<SearchSpace>>,
     /// The active traffic overlay (empty at generation 0). Swapped whole so
@@ -201,8 +201,8 @@ impl ShortestPathEngine {
                 network,
                 kind,
                 cache: std::array::from_fn(|_| std::array::from_fn(|_| Mutex::new(HashMap::new()))),
-                labels: std::array::from_fn(|_| RwLock::new(None)),
-                hierarchies: std::array::from_fn(|_| RwLock::new(None)),
+                labels: std::array::from_fn(|_| OnceLock::new()),
+                hierarchies: std::array::from_fn(|_| OnceLock::new()),
                 spaces: Mutex::new(Vec::new()),
                 overlay: RwLock::new(Arc::new(OverlayVersion {
                     generation: 0,
@@ -267,7 +267,7 @@ impl ShortestPathEngine {
     /// allocation-free.
     pub fn search_space(&self) -> PooledSpace {
         self.inner.metrics.searches.inc();
-        let space = self.inner.spaces.lock().pop().unwrap_or_default();
+        let space = lock(self.inner.spaces.lock()).pop().unwrap_or_default();
         PooledSpace { space: Some(space), engine: Arc::clone(&self.inner) }
     }
 
@@ -347,7 +347,7 @@ impl ShortestPathEngine {
         }
         let shard = &self.inner.overlay_cache[Self::shard(source)];
         {
-            let mut cache = shard.lock();
+            let mut cache = lock(shard.lock());
             cache.ensure(version.generation, slot);
             if let Some(&secs) = cache.map.get(&(source, target)) {
                 self.inner.metrics.overlay_hits.inc();
@@ -369,7 +369,7 @@ impl ShortestPathEngine {
                 &mut space,
             )
         });
-        let mut cache = shard.lock();
+        let mut cache = lock(shard.lock());
         // Only memoise if the overlay has not been swapped mid-computation.
         if cache.generation == version.generation && cache.slot == slot {
             cache.map.insert((source, target), encode(answer));
@@ -445,20 +445,24 @@ impl ShortestPathEngine {
         let slot = t.hour_slot().index();
         let shard = &self.inner.overlay_cache[Self::shard(source)];
         let mut out: Vec<Option<Option<Duration>>> = vec![None; targets.len()];
+        // A self-pair is answered without the memo: neither hit nor miss,
+        // as in `travel_time`.
+        let mut hits = 0;
         {
-            let mut cache = shard.lock();
+            let mut cache = lock(shard.lock());
             cache.ensure(version.generation, slot);
             for (i, &target) in targets.iter().enumerate() {
                 if source == target {
                     out[i] = Some(Some(Duration::ZERO));
                 } else if let Some(&secs) = cache.map.get(&(source, target)) {
                     out[i] = Some(decode(secs));
+                    hits += 1;
                 }
             }
         }
         let missing: Vec<NodeId> =
             targets.iter().zip(&out).filter(|(_, o)| o.is_none()).map(|(&n, _)| n).collect();
-        self.inner.metrics.overlay_hits.add((targets.len() - missing.len()) as u64);
+        self.inner.metrics.overlay_hits.add(hits);
         self.inner.metrics.overlay_misses.add(missing.len() as u64);
         if !missing.is_empty() {
             let baselines = self.baseline_to_many(source, &missing, t);
@@ -480,7 +484,7 @@ impl ShortestPathEngine {
                     &mut space,
                 )
             };
-            let mut cache = shard.lock();
+            let mut cache = lock(shard.lock());
             let memoise = cache.generation == version.generation && cache.slot == slot;
             let mut it = answers.into_iter();
             for (i, &target) in targets.iter().enumerate() {
@@ -541,10 +545,10 @@ impl ShortestPathEngine {
     pub fn warm_up(&self, slot: HourSlot) {
         match self.inner.kind {
             EngineKind::HubLabels => {
-                let _ = self.labels_for_slot(slot);
+                self.labels_for(slot);
             }
             EngineKind::ContractionHierarchies => {
-                let _ = self.hierarchy_for_slot(slot);
+                self.hierarchy_for(slot);
             }
             EngineKind::Dijkstra | EngineKind::Cached => {}
         }
@@ -578,7 +582,7 @@ impl ShortestPathEngine {
     /// semantics of mid-flight swaps; the simulator only swaps at
     /// accumulation-window boundaries.
     pub fn set_overlay(&self, overlay: TrafficOverlay) {
-        let mut slot = self.inner.overlay.write();
+        let mut slot = lock(self.inner.overlay.write());
         let generation = slot.generation + 1;
         let active = !overlay.is_empty();
         *slot = Arc::new(OverlayVersion { generation, overlay });
@@ -598,7 +602,7 @@ impl ShortestPathEngine {
     /// The current overlay generation (starts at 0, bumped by every
     /// [`Self::set_overlay`] / [`Self::clear_overlay`]).
     pub fn overlay_generation(&self) -> u64 {
-        self.inner.overlay.read().generation
+        lock(self.inner.overlay.read()).generation
     }
 
     /// The traversal time of a single edge at time `t` under the active
@@ -621,7 +625,7 @@ impl ShortestPathEngine {
 
     /// A consistent snapshot of the active overlay version.
     fn overlay_version(&self) -> Arc<OverlayVersion> {
-        Arc::clone(&self.inner.overlay.read())
+        lock(self.inner.overlay.read()).clone()
     }
 
     #[inline]
@@ -635,7 +639,7 @@ impl ShortestPathEngine {
         let slot = t.hour_slot();
         let shard_index = Self::shard(source);
         let shard = &self.inner.cache[slot.index()][shard_index];
-        if let Some(&secs) = shard.lock().get(&(source, target)) {
+        if let Some(&secs) = lock(shard.lock()).get(&(source, target)) {
             self.inner.metrics.memo_hits[shard_index].inc();
             return decode(secs);
         }
@@ -647,7 +651,7 @@ impl ShortestPathEngine {
             let mut space = self.search_space();
             dijkstra::shortest_travel_time_in(&self.inner.network, source, target, t, &mut space)
         };
-        shard.lock().insert((source, target), encode(answer));
+        lock(shard.lock()).insert((source, target), encode(answer));
         answer
     }
 
@@ -663,19 +667,23 @@ impl ShortestPathEngine {
         let shard_index = Self::shard(source);
         let shard = &self.inner.cache[slot.index()][shard_index];
         let mut out: Vec<Option<Option<Duration>>> = vec![None; targets.len()];
+        // A self-pair is answered without the memo: neither hit nor miss,
+        // as in `travel_time`.
+        let mut hits = 0;
         {
-            let cache = shard.lock();
+            let cache = lock(shard.lock());
             for (i, &target) in targets.iter().enumerate() {
                 if source == target {
                     out[i] = Some(Some(Duration::ZERO));
                 } else if let Some(&secs) = cache.get(&(source, target)) {
                     out[i] = Some(decode(secs));
+                    hits += 1;
                 }
             }
         }
         let missing: Vec<NodeId> =
             targets.iter().zip(&out).filter(|(_, o)| o.is_none()).map(|(&n, _)| n).collect();
-        self.inner.metrics.memo_hits[shard_index].add((targets.len() - missing.len()) as u64);
+        self.inner.metrics.memo_hits[shard_index].add(hits);
         self.inner.metrics.memo_misses[shard_index].add(missing.len() as u64);
         self.inner.metrics.backend_dijkstra.add(missing.len() as u64);
         if !missing.is_empty() {
@@ -683,7 +691,7 @@ impl ShortestPathEngine {
                 let mut space = self.search_space();
                 dijkstra::one_to_many_in(&self.inner.network, source, &missing, t, &mut space)
             };
-            let mut cache = shard.lock();
+            let mut cache = lock(shard.lock());
             let mut it = answers.into_iter();
             for (i, &target) in targets.iter().enumerate() {
                 if out[i].is_none() {
@@ -696,42 +704,23 @@ impl ShortestPathEngine {
         out.into_iter().map(|o| o.expect("all targets answered")).collect()
     }
 
-    fn labels_for(&self, slot: HourSlot) -> Arc<HubLabelIndex> {
-        self.labels_for_slot(slot)
+    /// The hub labels of `slot`, built by the first caller to ask; callers
+    /// that arrive while it builds wait for it.
+    fn labels_for(&self, slot: HourSlot) -> &HubLabelIndex {
+        self.inner.labels[slot.index()].get_or_init(|| {
+            let _span = telemetry::span("engine", "hub_labels.build");
+            let _build = self.inner.metrics.index_build_ns.timer();
+            HubLabelIndex::build(&self.inner.network, slot)
+        })
     }
 
-    fn labels_for_slot(&self, slot: HourSlot) -> Arc<HubLabelIndex> {
-        if let Some(index) = self.inner.labels[slot.index()].read().as_ref() {
-            return Arc::clone(index);
-        }
-        let mut guard = self.inner.labels[slot.index()].write();
-        if let Some(index) = guard.as_ref() {
-            return Arc::clone(index);
-        }
-        let _span = telemetry::span("engine", "hub_labels.build");
-        let _build = self.inner.metrics.index_build_ns.timer();
-        let index = Arc::new(HubLabelIndex::build(&self.inner.network, slot));
-        *guard = Some(Arc::clone(&index));
-        index
-    }
-
-    fn hierarchy_for(&self, slot: HourSlot) -> Arc<ContractionHierarchy> {
-        self.hierarchy_for_slot(slot)
-    }
-
-    fn hierarchy_for_slot(&self, slot: HourSlot) -> Arc<ContractionHierarchy> {
-        if let Some(index) = self.inner.hierarchies[slot.index()].read().as_ref() {
-            return Arc::clone(index);
-        }
-        let mut guard = self.inner.hierarchies[slot.index()].write();
-        if let Some(index) = guard.as_ref() {
-            return Arc::clone(index);
-        }
-        let _span = telemetry::span("engine", "ch.build");
-        let _build = self.inner.metrics.index_build_ns.timer();
-        let index = Arc::new(ContractionHierarchy::build(&self.inner.network, slot));
-        *guard = Some(Arc::clone(&index));
-        index
+    /// The contraction hierarchy of `slot`, built like [`Self::labels_for`].
+    fn hierarchy_for(&self, slot: HourSlot) -> &ContractionHierarchy {
+        self.inner.hierarchies[slot.index()].get_or_init(|| {
+            let _span = telemetry::span("engine", "ch.build");
+            let _build = self.inner.metrics.index_build_ns.timer();
+            ContractionHierarchy::build(&self.inner.network, slot)
+        })
     }
 }
 
@@ -758,7 +747,7 @@ impl DerefMut for PooledSpace {
 impl Drop for PooledSpace {
     fn drop(&mut self) {
         if let Some(space) = self.space.take() {
-            let mut pool = self.engine.spaces.lock();
+            let mut pool = lock(self.engine.spaces.lock());
             if pool.len() < MAX_POOLED_SPACES {
                 pool.push(space);
             }
@@ -869,6 +858,49 @@ mod tests {
         }
     }
 
+    /// An engine whose memo counters count into a registry of its own, and a
+    /// reader of `[hits, misses]`. The process-global recorder is not used:
+    /// engines built by tests on other threads would count into it.
+    fn metered(net: &RoadNetwork, kind: EngineKind) -> (ShortestPathEngine, impl Fn() -> [u64; 2]) {
+        let registry = telemetry::Telemetry::new();
+        let mut engine = ShortestPathEngine::new(net.clone(), kind);
+        let metrics = &mut Arc::get_mut(&mut engine.inner).expect("not yet shared").metrics;
+        metrics.memo_hits = std::array::from_fn(|_| registry.counter("hits"));
+        metrics.overlay_hits = registry.counter("hits");
+        metrics.memo_misses = std::array::from_fn(|_| registry.counter("misses"));
+        metrics.overlay_misses = registry.counter("misses");
+        let read = move || {
+            let snapshot = registry.snapshot();
+            ["hits", "misses"].map(|name| snapshot.counter(name).expect("registered"))
+        };
+        (engine, read)
+    }
+
+    #[test]
+    fn a_self_pair_in_a_sweep_is_neither_a_memo_hit_nor_a_miss() {
+        let net = GridCityBuilder::new(5, 4).build();
+        let t = TimePoint::from_hms(9, 0, 0);
+        let (source, a, b) = (NodeId(6), NodeId(2), NodeId(17));
+        // The static memo, then the overlay memo of an indexed backend.
+        for overlaid in [false, true] {
+            let kind = if overlaid { EngineKind::HubLabels } else { EngineKind::Cached };
+            let (engine, counted) = metered(&net, kind);
+            if overlaid {
+                engine.set_overlay(slowdown_overlay(&net, 2.0));
+            }
+            let cold = engine.travel_times_to_many(source, &[source, a, b], t);
+            assert_eq!(counted(), [0, 2], "cold, overlaid: {overlaid}");
+            let warm = engine.travel_times_to_many(source, &[source, a, b], t);
+            assert_eq!(counted(), [2, 2], "warm, overlaid: {overlaid}");
+            assert_eq!(cold, warm);
+            assert_eq!(cold[0], Some(Duration::ZERO));
+            // `travel_time` counts a self-pair the same way: not at all.
+            assert_eq!(engine.travel_time(source, source, t), Some(Duration::ZERO));
+            assert_eq!(counted(), [2, 2]);
+            assert_eq!(engine.query_count(), 7, "every pair asked is still a query");
+        }
+    }
+
     #[test]
     fn cached_engine_is_consistent_across_sources_in_different_shards() {
         let net = GridCityBuilder::new(6, 6).build();
@@ -949,24 +981,12 @@ mod tests {
         for kind in [EngineKind::HubLabels, EngineKind::ContractionHierarchies] {
             let engine = ShortestPathEngine::new(net.clone(), kind);
             engine.warm_all(4);
-            match kind {
-                EngineKind::HubLabels => {
-                    for slot in HourSlot::all() {
-                        assert!(
-                            engine.inner.labels[slot.index()].read().is_some(),
-                            "slot {slot:?} not built"
-                        );
-                    }
-                }
-                EngineKind::ContractionHierarchies => {
-                    for slot in HourSlot::all() {
-                        assert!(
-                            engine.inner.hierarchies[slot.index()].read().is_some(),
-                            "slot {slot:?} not built"
-                        );
-                    }
-                }
-                _ => unreachable!(),
+            for slot in HourSlot::all() {
+                let built = match kind {
+                    EngineKind::HubLabels => engine.inner.labels[slot.index()].get().is_some(),
+                    _ => engine.inner.hierarchies[slot.index()].get().is_some(),
+                };
+                assert!(built, "slot {slot:?} not built");
             }
             // Idempotent, and queries still answer.
             engine.warm_all(0);
@@ -1133,7 +1153,7 @@ mod tests {
             let _ = engine.travel_time(NodeId(0), NodeId(15), t);
         }
         // After serial queries the pool must hold exactly one grown space.
-        let pool = engine.inner.spaces.lock();
+        let pool = lock(engine.inner.spaces.lock());
         assert_eq!(pool.len(), 1);
         assert_eq!(pool[0].node_capacity(), 16);
     }

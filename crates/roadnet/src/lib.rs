@@ -13,9 +13,10 @@
 //!   travel times and road classes, plus node geometry (latitude/longitude).
 //! * [`CongestionProfile`] — hour-of-day travel-time multipliers per road
 //!   class, giving the time dependence of `β(e, t)`.
-//! * [`dijkstra`] — exact time-sliced shortest paths, one-to-one, one-to-many
-//!   and a lazy best-first [`dijkstra::Expansion`] iterator used by the
-//!   sparsified FoodGraph construction (Algorithm 2 in the paper).
+//! * [`dijkstra`] — exact time-sliced shortest paths: one-to-one, one-to-many
+//!   and path queries over one eager search kernel, and a lazy best-first
+//!   [`dijkstra::Expansion`] iterator used by the sparsified FoodGraph
+//!   construction (Algorithm 2 in the paper).
 //! * [`HubLabelIndex`] — a pruned hub-labelling distance oracle standing in
 //!   for the hierarchical hub labels the paper uses for fast distance queries.
 //! * [`ContractionHierarchy`] — a contraction-hierarchies oracle that answers
@@ -26,7 +27,8 @@
 //! * [`TrafficOverlay`] — live edge-speed perturbations (incidents, rain,
 //!   localized slowdowns) layered over the static weights; the engine answers
 //!   perturbed queries with a bounded overlay search on top of its index
-//!   instead of rebuilding it (see [`overlay`]).
+//!   instead of rebuilding it (see [`overlay`]) — the same search kernel
+//!   under the overlaid weight.
 //! * [`generators`] — synthetic city generators (grid and random-geometric)
 //!   that replace the proprietary OpenStreetMap/Swiggy extracts used in the
 //!   paper's evaluation.
@@ -59,7 +61,6 @@ pub mod graph;
 pub mod hub_labels;
 pub mod ids;
 pub mod index;
-pub mod io;
 pub mod overlay;
 pub mod timeofday;
 
@@ -74,3 +75,10 @@ pub use ids::{EdgeId, NodeId};
 pub use index::{EngineKind, ShortestPathEngine};
 pub use overlay::TrafficOverlay;
 pub use timeofday::{Duration, HourSlot, TimePoint};
+
+/// Unwraps what `Mutex::lock` / `RwLock::{read, write}` returned, taking the
+/// guard of a poisoned lock too: every lock of this crate guards a memo or a
+/// pool, which a panicking holder leaves valid.
+pub(crate) fn lock<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -22,7 +22,7 @@
 //! usable lower bound. Overlays never disconnect the graph — a perturbed
 //! edge is slow, not closed.
 
-use crate::dijkstra::{PathResult, SearchSpace, NO_EDGE};
+use crate::dijkstra::{path_to, search, settled_time, PathResult, SearchSpace};
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
@@ -100,31 +100,6 @@ impl TrafficOverlay {
     }
 }
 
-/// Relaxes `node`'s out-edges under the overlaid weight, pruning labels
-/// above `bound` (`f64::INFINITY` disables pruning).
-#[inline]
-fn relax_overlaid(
-    network: &RoadNetwork,
-    overlay: &TrafficOverlay,
-    t: TimePoint,
-    space: &mut SearchSpace,
-    node: NodeId,
-    base: f64,
-    bound: f64,
-) {
-    for (eid, edge) in network.out_edges(node) {
-        let to = edge.to.index();
-        if space.is_settled(to) {
-            continue;
-        }
-        let next = base + overlay.edge_secs(network, eid, t);
-        if next < space.dist(to) && next <= bound {
-            space.update(to, next, next, eid.0);
-            space.push(next, edge.to);
-        }
-    }
-}
-
 /// Exact `SP(u, v, t)` on the overlaid weights, pruned at `bound` seconds
 /// when given (the caller guarantees the true perturbed distance does not
 /// exceed the bound; see [`TrafficOverlay::search_bound`]).
@@ -137,25 +112,9 @@ pub fn shortest_travel_time_overlaid_in(
     bound_secs: Option<f64>,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    if source == target {
-        return Some(Duration::ZERO);
-    }
     let bound = bound_secs.unwrap_or(f64::INFINITY);
-    space.begin(network.node_count());
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    while let Some((cost, node)) = space.pop() {
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if node == target {
-            return Some(Duration::from_secs_f64(cost));
-        }
-        relax_overlaid(network, overlay, t, space, node, cost, bound);
-    }
-    None
+    search(network, source, &[target], bound, space, |e| overlay.edge_secs(network, e, t));
+    settled_time(space, target)
 }
 
 /// [`shortest_travel_time_overlaid_in`] for several targets in one bounded
@@ -171,42 +130,8 @@ pub fn one_to_many_overlaid_in(
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
     let bound = bound_secs.unwrap_or(f64::INFINITY);
-    space.begin(network.node_count());
-    let mut remaining = 0usize;
-    for &target in targets {
-        if space.mark_target(target.index()) {
-            remaining += 1;
-        }
-    }
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    while remaining > 0 {
-        let Some((cost, node)) = space.pop() else { break };
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if space.take_target(i) {
-            remaining -= 1;
-        }
-        if remaining > 0 {
-            relax_overlaid(network, overlay, t, space, node, cost, bound);
-        }
-    }
-    targets
-        .iter()
-        .map(|&target| {
-            let i = target.index();
-            if source == target {
-                Some(Duration::ZERO)
-            } else if space.is_settled(i) {
-                Some(Duration::from_secs_f64(space.dist(i)))
-            } else {
-                None
-            }
-        })
-        .collect()
+    search(network, source, targets, bound, space, |e| overlay.edge_secs(network, e, t));
+    targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
 /// Full shortest path (node sequence, travel time, length) on the overlaid
@@ -219,43 +144,8 @@ pub fn shortest_path_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    space.begin(network.node_count());
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    let mut reached = source == target;
-    while let Some((cost, node)) = space.pop() {
-        let i = node.index();
-        if space.is_settled(i) || cost > space.dist(i) {
-            continue;
-        }
-        space.settle(i);
-        if node == target {
-            reached = true;
-            break;
-        }
-        relax_overlaid(network, overlay, t, space, node, cost, f64::INFINITY);
-    }
-    if !reached {
-        return None;
-    }
-
-    let mut nodes = vec![target];
-    let mut length_m = 0.0;
-    let mut cursor = target;
-    while cursor != source {
-        let eid = space.parent_edge(cursor.index()).expect("reached node must have a parent edge");
-        let edge = network.edge(eid);
-        length_m += edge.length_m;
-        cursor = edge.from;
-        nodes.push(cursor);
-    }
-    nodes.reverse();
-
-    Some(PathResult {
-        travel_time: Duration::from_secs_f64(space.dist(target.index())),
-        length_m,
-        nodes,
-    })
+    search(network, source, &[target], f64::INFINITY, space, |e| overlay.edge_secs(network, e, t));
+    path_to(network, source, target, space)
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 //! the natural unit here: travel times come out of divisions of edge lengths
 //! by speeds, and the matching cost matrices are floating point anyway.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -26,15 +25,15 @@ pub const SECS_PER_HOUR: f64 = 3_600.0;
 pub const SECS_PER_DAY: f64 = 24.0 * SECS_PER_HOUR;
 
 /// An absolute instant, in seconds since the simulated day's midnight.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct TimePoint(f64);
 
 /// A non-negative span of time, in seconds.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct Duration(f64);
 
 /// One of the 24 hour-of-day slots used for congestion and prep-time models.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct HourSlot(u8);
 
 impl TimePoint {

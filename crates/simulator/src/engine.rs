@@ -85,25 +85,14 @@ impl Simulation {
     /// any traffic overlay is cleared on service construction and again on
     /// completion, so each run starts from, and hands back, the unperturbed
     /// network.
-    pub fn run(&self, policy: &mut dyn DispatchPolicy) -> SimulationReport {
-        self.run_with_config(policy, &self.config)
-    }
-
-    /// Runs the scenario under `policy` with an explicit dispatcher
-    /// configuration (used by the parameter-sweep experiments). Same
-    /// re-runnability contract as [`Self::run`].
     ///
     /// This is a thin batch driver over the online [`DispatchService`]: it
     /// submits the scenario's in-horizon orders and its full event stream up
     /// front, then drains the service through the drain phase. The service
     /// owns all mutable run state (`&mut self` stepping), which is what
     /// keeps `&self` here honest.
-    pub fn run_with_config(
-        &self,
-        policy: &mut dyn DispatchPolicy,
-        config: &DispatchConfig,
-    ) -> SimulationReport {
-        let mut service = self.service_with_config(policy, config.clone());
+    pub fn run(&self, policy: &mut dyn DispatchPolicy) -> SimulationReport {
+        let mut service = self.service(policy);
         for order in &self.orders {
             if order.placed_at >= self.start && order.placed_at < self.end {
                 // Scenario streams may legitimately repeat ids across runs;
@@ -127,20 +116,11 @@ impl Simulation {
     /// `OrderSource`, a replay, anywhere) and step with
     /// [`advance_to`](DispatchService::advance_to).
     pub fn service<P: DispatchPolicy>(&self, policy: P) -> DispatchService<P> {
-        self.service_with_config(policy, self.config.clone())
-    }
-
-    /// [`Self::service`] with an explicit dispatcher configuration.
-    pub fn service_with_config<P: DispatchPolicy>(
-        &self,
-        policy: P,
-        config: DispatchConfig,
-    ) -> DispatchService<P> {
         DispatchService::new(
             self.engine.clone(),
             self.vehicle_starts.clone(),
             policy,
-            config,
+            self.config.clone(),
             self.start,
             self.end,
             self.drain_limit,

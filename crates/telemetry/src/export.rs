@@ -122,9 +122,9 @@ impl TelemetrySnapshot {
             .fold(HistogramSnapshot::empty(), |acc, (_, h)| acc.merge(h))
     }
 
-    /// Hand-rolled JSON (the vendored serde is an offline stub). Stable,
-    /// name-sorted layout; histogram buckets are `[lower, upper, count]`
-    /// triples so the file is self-describing.
+    /// Hand-rolled JSON (the workspace has no serialization dependency).
+    /// Stable, name-sorted layout; histogram buckets are `[lower, upper,
+    /// count]` triples so the file is self-describing.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {

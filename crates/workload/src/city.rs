@@ -10,10 +10,9 @@
 //! minutes on a laptop. Mean food-preparation times match the paper exactly.
 
 use foodmatch_roadnet::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a synthetic city preset.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CityId {
     /// The smaller Indian city of Table II.
     A,
@@ -47,7 +46,7 @@ impl CityId {
 }
 
 /// Parameters of a synthetic city, shaped after one row of Table II.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CityPreset {
     /// Which city this is.
     pub id: CityId,
