@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the building blocks whose cost dominates
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
-//! shortest-path queries under the four engines, per-backend index
-//! construction, Kuhn–Munkres matching, order batching, sparsified (by travel
-//! time and by angular weight) vs dense FoodGraph construction (idle and
-//! half-loaded fleet), and one full FoodMatch window.
+//! shortest-path queries under the four engines, a cold oracle miss with and
+//! without a traffic overlay installed, per-backend index construction,
+//! Kuhn–Munkres matching, order batching, sparsified (by travel time and by
+//! angular weight) vs dense FoodGraph construction (idle and half-loaded
+//! fleet), and one full FoodMatch window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use foodmatch_core::{
@@ -13,11 +14,12 @@ use foodmatch_core::{
 };
 use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
-    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, ShortestPathEngine,
-    TimePoint,
+    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, NodeId,
+    ShortestPathEngine, TimePoint, TrafficOverlay,
 };
-use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
+use foodmatch_workload::{CityId, EventScheduleBuilder, Scenario, ScenarioOptions};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -65,6 +67,63 @@ fn bench_shortest_paths(c: &mut Criterion) {
                 })
             },
         );
+    }
+    group.finish();
+}
+
+fn bench_overlay_miss(c: &mut Criterion) {
+    // What one memo miss costs the default (cached) engine, with no overlay
+    // and under one incident of the `IncidentHeavy` preset's size: a point
+    // query and a 32-target sweep, on the City B lunch network. Every
+    // iteration asks for pairs the engine has not seen, so none is a hit.
+    let scenario = Scenario::generate(CityId::B, ScenarioOptions::lunch_peak(3));
+    let network = scenario.city.network.clone();
+    let t = TimePoint::from_hms(13, 0, 0);
+    let mut nodes: Vec<NodeId> = network.node_ids().collect();
+    let n = nodes.len();
+    nodes.shuffle(&mut StdRng::seed_from_u64(11));
+    // Miss `i`: source `i mod n` of the shuffle and the `width` nodes that
+    // follow it at an offset that grows once per lap — no pair twice before
+    // lap `n / width`, far beyond what the measurement budget reaches.
+    let miss = |i: usize, width: usize| {
+        let (lap, at) = (i / n, i % n);
+        let targets: Vec<NodeId> =
+            (0..width).map(|j| nodes[(at + 1 + lap * width + j) % n]).collect();
+        (nodes[at], targets)
+    };
+
+    let preset = EventScheduleBuilder::incident_heavy(3);
+    let origin = network.position(scenario.orders[0].restaurant);
+    let near = |node| network.position(node).distance_m(origin) <= preset.incident_radius_m;
+    let mut incident = TrafficOverlay::new();
+    for eid in network.edge_ids() {
+        let edge = network.edge(eid);
+        if near(edge.from) && near(edge.to) {
+            incident.slow_edge(eid, preset.incident_factor.1);
+        }
+    }
+    assert!(!incident.is_empty(), "the incident must slow something");
+
+    let mut group = c.benchmark_group("overlay_miss");
+    for (condition, overlay) in [("calm", None), ("incident", Some(&incident))] {
+        for (shape, width) in [("point", 1), ("sweep32", 32)] {
+            let engine = ShortestPathEngine::cached(network.clone());
+            if let Some(overlay) = overlay {
+                engine.set_overlay(overlay.clone());
+            }
+            let mut asked = 0;
+            group.bench_function(&format!("{condition}/{shape}"), |b| {
+                b.iter(|| {
+                    let (source, targets) = miss(asked, width);
+                    asked += 1;
+                    if let [target] = targets[..] {
+                        black_box(engine.travel_time(source, target, t));
+                    } else {
+                        black_box(engine.travel_times_to_many(source, &targets, t));
+                    }
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -231,6 +290,7 @@ fn bench_window_assignment(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_shortest_paths,
+    bench_overlay_miss,
     bench_index_build,
     bench_hungarian,
     bench_solver,

@@ -15,7 +15,7 @@
 use crate::event::{DisruptionEvent, EventKind, TrafficDisruption};
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
 use foodmatch_roadnet::{EdgeId, RoadNetwork, TimePoint, TrafficOverlay};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The outcome of advancing a schedule to a window boundary.
 #[derive(Clone, Debug, Default)]
@@ -49,8 +49,9 @@ pub struct EventSchedule {
     /// The disruptions whose footprints are folded into `edge_mult`, in the
     /// order they were active at the last [`render_overlay`](Self::render_overlay).
     rendered: Vec<RenderedDisruption>,
-    /// Running per-edge worst multiplier of everything in `rendered`.
-    edge_mult: HashMap<EdgeId, f64>,
+    /// Running per-edge worst multiplier of everything in `rendered`; ordered,
+    /// so the overlay is rendered from it in edge-id order.
+    edge_mult: BTreeMap<EdgeId, f64>,
 }
 
 impl EventSchedule {
@@ -64,7 +65,7 @@ impl EventSchedule {
             cursor: 0,
             active: Vec::new(),
             rendered: Vec::new(),
-            edge_mult: HashMap::new(),
+            edge_mult: BTreeMap::new(),
         }
     }
 
@@ -185,7 +186,7 @@ impl EventSchedule {
         // Retire expired footprints: drop their edges, then re-maximise just
         // those edges over the surviving footprints.
         if !expired.is_empty() {
-            let affected: HashSet<EdgeId> =
+            let affected: BTreeSet<EdgeId> =
                 expired.iter().flat_map(|e| e.edges.iter().copied()).collect();
             for eid in &affected {
                 self.edge_mult.remove(eid);
@@ -255,7 +256,7 @@ impl Codec for EventSchedule {
             cursor,
             active,
             rendered: Vec::new(),
-            edge_mult: HashMap::new(),
+            edge_mult: BTreeMap::new(),
         })
     }
 }

@@ -296,6 +296,9 @@ fn rule1_applies(path: &str) -> bool {
                 | "crates/core/src/foodgraph.rs"
                 | "crates/core/src/cost.rs"
                 | "crates/core/src/route.rs"
+                | "crates/core/src/legs.rs"
+                | "crates/roadnet/src/overlay.rs"
+                | "crates/events/src/schedule.rs"
                 | "crates/simulator/src/service.rs"
                 | "crates/simulator/src/step.rs"
                 | "crates/simulator/src/router.rs"

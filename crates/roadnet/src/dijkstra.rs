@@ -22,9 +22,9 @@
 //!
 //! Every eager query — the point, one-to-many and path functions here and
 //! their overlaid twins in [`crate::overlay`] — is a few lines over one
-//! kernel, `search`: Dijkstra under an edge-weight closure and a prune bound,
-//! run until the marked targets are settled, read back by `settled_time` or
-//! walked back by `path_to`. A change to the search loop lands there once.
+//! kernel, `search`: Dijkstra under an edge-weight closure, run until the
+//! marked targets are settled, read back by `settled_time` or walked back by
+//! `path_to`. A change to the search loop lands there once.
 //! [`Expansion`] is the only other loop, and stays one on purpose: it is
 //! lazy (the caller decides when to stop, so it relaxes a node *before*
 //! yielding it), and it carries two weights per label — the order it settles
@@ -273,8 +273,7 @@ impl SearchSpace {
 
 /// The eager search kernel: Dijkstra from `source` under `edge_secs`, run
 /// until every node of `targets` is settled or the reachable graph is
-/// exhausted. Labels above `bound` seconds are pruned (`f64::INFINITY` prunes
-/// nothing). Answers stay in `space` for [`settled_time`] and [`path_to`].
+/// exhausted. Answers stay in `space` for [`settled_time`] and [`path_to`].
 ///
 /// Every eager query of the crate — point, one-to-many and path, on `β(e, t)`
 /// or on overlaid weights — is this loop; it is monomorphised per weight
@@ -283,7 +282,6 @@ pub(crate) fn search(
     network: &RoadNetwork,
     source: NodeId,
     targets: &[NodeId],
-    bound: f64,
     space: &mut SearchSpace,
     edge_secs: impl Fn(EdgeId) -> f64,
 ) {
@@ -315,7 +313,7 @@ pub(crate) fn search(
                 continue;
             }
             let next = cost + edge_secs(eid);
-            if next < space.dist(to) && next <= bound {
+            if next < space.dist(to) {
                 space.update(to, next, next, eid.0);
                 space.push(next, edge.to);
             }
@@ -324,7 +322,7 @@ pub(crate) fn search(
 }
 
 /// The travel time [`search`] settled `node` at, `None` if it never was
-/// (unreachable, beyond the bound, or not a target and not on the way).
+/// (unreachable, or not a target and not on the way).
 pub(crate) fn settled_time(space: &SearchSpace, node: NodeId) -> Option<Duration> {
     let i = node.index();
     space.is_settled(i).then(|| Duration::from_secs_f64(space.dist(i)))
@@ -375,7 +373,7 @@ pub fn shortest_travel_time_in(
     space: &mut SearchSpace,
 ) -> Option<Duration> {
     let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, &[target], f64::INFINITY, space, beta);
+    search(network, source, &[target], space, beta);
     settled_time(space, target)
 }
 
@@ -400,7 +398,7 @@ pub fn shortest_path_in(
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
     let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, &[target], f64::INFINITY, space, beta);
+    search(network, source, &[target], space, beta);
     path_to(network, source, target, space)
 }
 
@@ -428,7 +426,7 @@ pub fn one_to_many_in(
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
     let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, targets, f64::INFINITY, space, beta);
+    search(network, source, targets, space, beta);
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -604,7 +602,7 @@ impl<P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Iterator for Expansion<'_, P,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::congestion::{CongestionProfile, RoadClass};
     use crate::geo::GeoPoint;
@@ -710,7 +708,7 @@ mod tests {
     }
 
     /// `net` plus one node no street reaches; edge ids are unchanged.
-    fn with_island(net: &RoadNetwork) -> (RoadNetwork, NodeId) {
+    pub(crate) fn with_island(net: &RoadNetwork) -> (RoadNetwork, NodeId) {
         let mut b = RoadNetworkBuilder::new().congestion(net.congestion().clone());
         for node in net.node_ids() {
             b.add_node(net.position(node));
@@ -725,7 +723,7 @@ mod tests {
 
     /// The six eager entry points are bodies over [`search`]; this pins that
     /// point, sweep and path read it alike, bit for bit, on `β` and on
-    /// overlaid weights, bounded and not.
+    /// overlaid weights.
     #[test]
     fn point_sweep_and_path_agree_bit_for_bit_on_beta_and_overlaid_weights() {
         use crate::generators::RandomCityBuilder;
@@ -743,38 +741,31 @@ mod tests {
             for eid in net.edge_ids().step_by(3) {
                 slowed.slow_edge(eid, 2.5);
             }
+            let slowed = slowed.edge_multipliers(&net);
             let n = city.node_count();
             let source = NodeId::from_index(seed);
             let (a, b) = (NodeId::from_index(n / 2), NodeId::from_index(n - 1));
-            let point =
-                |overlay: Option<&TrafficOverlay>, target, bound, space: &mut _| match overlay {
-                    None => shortest_travel_time_in(&net, source, target, t, space),
-                    Some(o) => {
-                        shortest_travel_time_overlaid_in(&net, o, source, target, t, bound, space)
-                    }
-                };
-            let sweep = |overlay: Option<&TrafficOverlay>,
-                         targets: &[NodeId],
-                         bound,
-                         space: &mut _| {
-                match overlay {
-                    None => one_to_many_in(&net, source, targets, t, space),
-                    Some(o) => one_to_many_overlaid_in(&net, o, source, targets, t, bound, space),
-                }
+            let point = |overlay: Option<&[f64]>, target, space: &mut _| match overlay {
+                None => shortest_travel_time_in(&net, source, target, t, space),
+                Some(o) => shortest_travel_time_overlaid_in(&net, o, source, target, t, space),
             };
-            let path = |overlay: Option<&TrafficOverlay>, target, space: &mut _| match overlay {
+            let sweep = |overlay: Option<&[f64]>, targets: &[NodeId], space: &mut _| match overlay {
+                None => one_to_many_in(&net, source, targets, t, space),
+                Some(o) => one_to_many_overlaid_in(&net, o, source, targets, t, space),
+            };
+            let path = |overlay: Option<&[f64]>, target, space: &mut _| match overlay {
                 None => shortest_path_in(&net, source, target, t, space),
                 Some(o) => shortest_path_overlaid_in(&net, o, source, target, t, space),
             };
 
             // Rows: a self-pair, a duplicated target, an unreachable one.
             let targets = [source, a, b, a, island];
-            for overlay in [None, Some(&slowed)] {
-                let swept = sweep(overlay, &targets, None, space);
+            for overlay in [None, Some(&slowed[..])] {
+                let swept = sweep(overlay, &targets, space);
                 assert_eq!(swept[0], Some(Duration::ZERO));
                 for (&target, &swept) in targets.iter().zip(&swept) {
                     assert_eq!(swept.is_some(), target != island, "seed {seed}, {target}");
-                    assert_eq!(bits(point(overlay, target, None, space)), bits(swept));
+                    assert_eq!(bits(point(overlay, target, space)), bits(swept));
                     let walked = path(overlay, target, space);
                     assert_eq!(bits(walked.as_ref().map(|p| p.travel_time)), bits(swept));
                     if let Some(walked) = walked {
@@ -782,22 +773,9 @@ mod tests {
                         assert_eq!(walked.nodes.last(), Some(&target));
                     }
                 }
-            }
-
-            // Overlaid only: pruning at exactly the engine's bound changes no
-            // answer; a bound below the true distance finds nothing.
-            for target in [a, b] {
-                let d0 = point(None, target, None, space).unwrap().as_secs_f64();
-                let exact = point(Some(&slowed), target, None, space).unwrap();
-                let bound = Some(slowed.search_bound(d0));
-                assert_eq!(bits(point(Some(&slowed), target, bound, space)), bits(Some(exact)));
-                assert_eq!(
-                    bits(sweep(Some(&slowed), &[target], bound, space)[0]),
-                    bits(Some(exact))
-                );
-                let short = Some(exact.as_secs_f64() * 0.999);
-                assert_eq!(point(Some(&slowed), target, short, space), None);
-                assert_eq!(sweep(Some(&slowed), &[source, target], short, space)[1], None);
+                // Exhausting the graph for the island (nothing stops the
+                // search early) leaves every reachable answer as it was.
+                assert_eq!(sweep(overlay, &targets[..4], space), swept[..4]);
             }
         }
     }

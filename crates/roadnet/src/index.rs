@@ -19,6 +19,12 @@
 //!   index built lazily per hour slot (see [`crate::ch`]); the only indexed
 //!   backend that also answers full *path* queries (via shortcut unpacking).
 //!
+//! While a [`TrafficOverlay`] is installed ([`ShortestPathEngine::set_overlay`])
+//! the backends differ only in whether they memoise: the static memo and the
+//! indexes answer on weights that no longer hold, so they are not asked, and
+//! a miss of the generation-stamped overlay memo is one Dijkstra on the
+//! overlaid weights on every backend (`Dijkstra` keeps no memo at all).
+//!
 //! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
 //! taken through the crate's poison-recovering `lock`, and a `OnceLock` per
 //! lazily built index) so FoodGraph construction can fan out per-vehicle work
@@ -83,7 +89,12 @@ type CacheSlot = [Mutex<HashMap<(NodeId, NodeId), f64>>; CACHE_SHARDS];
 #[derive(Debug)]
 struct OverlayVersion {
     generation: u64,
-    overlay: TrafficOverlay,
+    /// The installed overlay as [`TrafficOverlay::edge_multipliers`] rendered
+    /// it against the engine's network — one entry per edge, built whole for
+    /// this generation and never patched — or empty when no overlay is
+    /// active. The overlaid searches and `edge_travel_time` read this table;
+    /// the sparse map it came from is not kept.
+    multipliers: Vec<f64>,
 }
 
 /// One shard of the overlay memo. Entries are only valid while the stamp
@@ -133,11 +144,12 @@ struct EngineMetrics {
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
     memo_misses: [telemetry::Counter; CACHE_SHARDS],
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
-    /// overlay memo traffic of the indexed backends.
+    /// overlay memo traffic (every backend but `Dijkstra`).
     overlay_hits: telemetry::Counter,
     overlay_misses: telemetry::Counter,
     /// `engine.backend.{dijkstra,hub,ch}.queries` — which index answered
-    /// (the Dijkstra counter includes the cached backend's fill runs).
+    /// (the Dijkstra counter includes the cached backend's fill runs). Pairs
+    /// asked under an overlay are in none of them: no backend answers those.
     backend_dijkstra: telemetry::Counter,
     backend_hub: telemetry::Counter,
     backend_ch: telemetry::Counter,
@@ -206,7 +218,7 @@ impl ShortestPathEngine {
                 spaces: Mutex::new(Vec::new()),
                 overlay: RwLock::new(Arc::new(OverlayVersion {
                     generation: 0,
-                    overlay: TrafficOverlay::new(),
+                    multipliers: Vec::new(),
                 })),
                 overlay_active: AtomicBool::new(false),
                 overlay_cache: std::array::from_fn(|_| Mutex::new(OverlayShard::default())),
@@ -282,7 +294,7 @@ impl ShortestPathEngine {
         }
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
-            if !version.overlay.is_empty() {
+            if !version.multipliers.is_empty() {
                 return self.overlaid_travel_time(&version, source, target, t);
             }
         }
@@ -320,10 +332,10 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Overlay-aware point query: the index (or cache) supplies the
-    /// unperturbed lower bound `d₀`, a Dijkstra on the overlaid weights
-    /// pruned at `d₀ × max_multiplier` supplies the exact answer, and the
-    /// result is memoised under the overlay's generation stamp.
+    /// Overlay-aware point query: a memoised answer under the overlay's
+    /// generation stamp, or else one exact Dijkstra on the overlaid weights
+    /// — the cost of a plain memo miss. The configured index is not asked:
+    /// it answers on the static weights, which the search has no use for.
     fn overlaid_travel_time(
         &self,
         version: &OverlayVersion,
@@ -331,20 +343,22 @@ impl ShortestPathEngine {
         target: NodeId,
         t: TimePoint,
     ) -> Option<Duration> {
-        let slot = t.hour_slot().index();
-        if self.inner.kind == EngineKind::Dijkstra {
-            // The reference backend stays memo-free: one exact search.
+        let search = || {
             let mut space = self.search_space();
-            return overlay::shortest_travel_time_overlaid_in(
+            overlay::shortest_travel_time_overlaid_in(
                 &self.inner.network,
-                &version.overlay,
+                &version.multipliers,
                 source,
                 target,
                 t,
-                None,
                 &mut space,
-            );
+            )
+        };
+        if self.inner.kind == EngineKind::Dijkstra {
+            // The reference backend stays memo-free.
+            return search();
         }
+        let slot = t.hour_slot().index();
         let shard = &self.inner.overlay_cache[Self::shard(source)];
         {
             let mut cache = lock(shard.lock());
@@ -355,20 +369,7 @@ impl ShortestPathEngine {
             }
         }
         self.inner.metrics.overlay_misses.inc();
-        // Overlays never disconnect the graph, so an unreachable baseline is
-        // an unreachable perturbed pair too.
-        let answer = self.baseline_travel_time(source, target, t).and_then(|d0| {
-            let mut space = self.search_space();
-            overlay::shortest_travel_time_overlaid_in(
-                &self.inner.network,
-                &version.overlay,
-                source,
-                target,
-                t,
-                Some(version.overlay.search_bound(d0.as_secs_f64())),
-                &mut space,
-            )
-        });
+        let answer = search();
         let mut cache = lock(shard.lock());
         // Only memoise if the overlay has not been swapped mid-computation.
         if cache.generation == version.generation && cache.slot == slot {
@@ -389,7 +390,7 @@ impl ShortestPathEngine {
         self.inner.metrics.queries.add(targets.len() as u64);
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
-            if !version.overlay.is_empty() {
+            if !version.multipliers.is_empty() {
                 return self.overlaid_to_many(&version, source, targets, t);
             }
         }
@@ -421,8 +422,9 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Overlay-aware one-to-many: one baseline pass for the bounds, one
-    /// bounded overlay Dijkstra for all targets, memoised per pair.
+    /// Overlay-aware one-to-many: what the overlay memo knows, then one
+    /// Dijkstra on the overlaid weights for all the targets it does not,
+    /// memoised per pair.
     fn overlaid_to_many(
         &self,
         version: &OverlayVersion,
@@ -430,17 +432,19 @@ impl ShortestPathEngine {
         targets: &[NodeId],
         t: TimePoint,
     ) -> Vec<Option<Duration>> {
-        if self.inner.kind == EngineKind::Dijkstra {
+        let search = |targets: &[NodeId]| {
             let mut space = self.search_space();
-            return overlay::one_to_many_overlaid_in(
+            overlay::one_to_many_overlaid_in(
                 &self.inner.network,
-                &version.overlay,
+                &version.multipliers,
                 source,
                 targets,
                 t,
-                None,
                 &mut space,
-            );
+            )
+        };
+        if self.inner.kind == EngineKind::Dijkstra {
+            return search(targets);
         }
         let slot = t.hour_slot().index();
         let shard = &self.inner.overlay_cache[Self::shard(source)];
@@ -465,25 +469,7 @@ impl ShortestPathEngine {
         self.inner.metrics.overlay_hits.add(hits);
         self.inner.metrics.overlay_misses.add(missing.len() as u64);
         if !missing.is_empty() {
-            let baselines = self.baseline_to_many(source, &missing, t);
-            // The search bound must cover the slowest reachable target.
-            let bound = baselines
-                .iter()
-                .flatten()
-                .map(|d| version.overlay.search_bound(d.as_secs_f64()))
-                .fold(0.0_f64, f64::max);
-            let answers = {
-                let mut space = self.search_space();
-                overlay::one_to_many_overlaid_in(
-                    &self.inner.network,
-                    &version.overlay,
-                    source,
-                    &missing,
-                    t,
-                    Some(bound),
-                    &mut space,
-                )
-            };
+            let answers = search(&missing);
             let mut cache = lock(shard.lock());
             let memoise = cache.generation == version.generation && cache.slot == slot;
             let mut it = answers.into_iter();
@@ -516,11 +502,11 @@ impl ShortestPathEngine {
         self.inner.metrics.queries.inc();
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
-            if !version.overlay.is_empty() {
+            if !version.multipliers.is_empty() {
                 let mut space = self.search_space();
                 return overlay::shortest_path_overlaid_in(
                     &self.inner.network,
-                    &version.overlay,
+                    &version.multipliers,
                     source,
                     target,
                     t,
@@ -571,21 +557,26 @@ impl ShortestPathEngine {
     }
 
     /// Installs `overlay` as the active traffic perturbation, bumping the
-    /// overlay generation. Subsequent queries are answered exactly on the
-    /// perturbed weights via a bounded overlay search on top of the
-    /// configured backend — the per-slot indexes are *not* rebuilt; memoised
-    /// overlay answers from earlier generations are invalidated by their
-    /// generation stamp.
+    /// overlay generation. This is the one place that holds both the overlay
+    /// and the network, so it renders the sparse map into this generation's
+    /// table of one multiplier per edge (`O(E)`, once per change of the
+    /// disruption set). Subsequent queries are answered exactly on the
+    /// perturbed weights, each overlay-memo miss by one Dijkstra over that
+    /// table, whatever the configured backend — the per-slot indexes are
+    /// neither rebuilt nor consulted; memoised overlay answers from earlier
+    /// generations are invalidated by their generation stamp.
     ///
     /// Swapping the overlay while other threads query is safe (each query
     /// works on a consistent snapshot), but the caller is responsible for the
     /// semantics of mid-flight swaps; the simulator only swaps at
     /// accumulation-window boundaries.
     pub fn set_overlay(&self, overlay: TrafficOverlay) {
+        let active = !overlay.is_empty();
+        let multipliers =
+            if active { overlay.edge_multipliers(&self.inner.network) } else { Vec::new() };
         let mut slot = lock(self.inner.overlay.write());
         let generation = slot.generation + 1;
-        let active = !overlay.is_empty();
-        *slot = Arc::new(OverlayVersion { generation, overlay });
+        *slot = Arc::new(OverlayVersion { generation, multipliers });
         self.inner.overlay_active.store(active, Ordering::Release);
     }
 
@@ -615,7 +606,7 @@ impl ShortestPathEngine {
             return base;
         }
         let version = self.overlay_version();
-        let multiplier = version.overlay.multiplier(edge);
+        let multiplier = version.multipliers.get(edge.index()).copied().unwrap_or(1.0);
         if multiplier == 1.0 {
             base
         } else {
@@ -780,6 +771,7 @@ impl std::fmt::Debug for ShortestPathEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::tests::with_island;
     use crate::generators::GridCityBuilder;
 
     fn sample_pairs(net: &RoadNetwork) -> Vec<(NodeId, NodeId)> {
@@ -858,22 +850,47 @@ mod tests {
         }
     }
 
-    /// An engine whose memo counters count into a registry of its own, and a
-    /// reader of `[hits, misses]`. The process-global recorder is not used:
-    /// engines built by tests on other threads would count into it.
-    fn metered(net: &RoadNetwork, kind: EngineKind) -> (ShortestPathEngine, impl Fn() -> [u64; 2]) {
+    /// What one engine has counted: `engine.searches`, every
+    /// `engine.backend.*` counter summed, and `[hits, misses]` of the static
+    /// memo (all shards) and of the overlay memo.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Counts {
+        searches: u64,
+        backend: u64,
+        memo: [u64; 2],
+        overlay: [u64; 2],
+    }
+
+    /// An engine whose counters count into a registry of its own, and a
+    /// reader of them. The process-global recorder is not used: engines
+    /// built by tests on other threads would count into it.
+    fn metered(net: &RoadNetwork, kind: EngineKind) -> (ShortestPathEngine, impl Fn() -> Counts) {
         let registry = telemetry::Telemetry::new();
         let mut engine = ShortestPathEngine::new(net.clone(), kind);
         let metrics = &mut Arc::get_mut(&mut engine.inner).expect("not yet shared").metrics;
-        metrics.memo_hits = std::array::from_fn(|_| registry.counter("hits"));
-        metrics.overlay_hits = registry.counter("hits");
-        metrics.memo_misses = std::array::from_fn(|_| registry.counter("misses"));
-        metrics.overlay_misses = registry.counter("misses");
+        metrics.searches = registry.counter("searches");
+        metrics.backend_dijkstra = registry.counter("backend");
+        metrics.backend_hub = registry.counter("backend");
+        metrics.backend_ch = registry.counter("backend");
+        metrics.memo_hits = std::array::from_fn(|_| registry.counter("memo.hits"));
+        metrics.memo_misses = std::array::from_fn(|_| registry.counter("memo.misses"));
+        metrics.overlay_hits = registry.counter("overlay.hits");
+        metrics.overlay_misses = registry.counter("overlay.misses");
         let read = move || {
             let snapshot = registry.snapshot();
-            ["hits", "misses"].map(|name| snapshot.counter(name).expect("registered"))
+            let count = |name| snapshot.counter(name).expect("registered");
+            Counts {
+                searches: count("searches"),
+                backend: count("backend"),
+                memo: [count("memo.hits"), count("memo.misses")],
+                overlay: [count("overlay.hits"), count("overlay.misses")],
+            }
         };
         (engine, read)
+    }
+
+    fn bits(d: Option<Duration>) -> Option<u64> {
+        d.map(|d| d.as_secs_f64().to_bits())
     }
 
     #[test]
@@ -884,7 +901,8 @@ mod tests {
         // The static memo, then the overlay memo of an indexed backend.
         for overlaid in [false, true] {
             let kind = if overlaid { EngineKind::HubLabels } else { EngineKind::Cached };
-            let (engine, counted) = metered(&net, kind);
+            let (engine, counts) = metered(&net, kind);
+            let counted = || if overlaid { counts().overlay } else { counts().memo };
             if overlaid {
                 engine.set_overlay(slowdown_overlay(&net, 2.0));
             }
@@ -1008,32 +1026,83 @@ mod tests {
 
     #[test]
     fn every_backend_answers_overlaid_queries_exactly() {
-        let net = GridCityBuilder::new(6, 6).build();
+        let (net, island) = with_island(&GridCityBuilder::new(6, 6).build());
         let t = TimePoint::from_hms(13, 15, 0);
         let overlay = slowdown_overlay(&net, 2.5);
         // Reference: plain-Dijkstra engine with the same overlay (pinned
         // against a rebuilt network in the overlay module's own tests).
+        // Every backend runs that same search on a miss, so answers agree
+        // to the bit, not to a tolerance.
         let reference = ShortestPathEngine::dijkstra(net.clone());
         reference.set_overlay(overlay.clone());
         for kind in [EngineKind::Cached, EngineKind::HubLabels, EngineKind::ContractionHierarchies]
         {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
+            let (engine, counted) = metered(&net, kind);
             engine.set_overlay(overlay.clone());
             for (a, b) in sample_pairs(&net) {
                 let expected = reference.travel_time(a, b, t);
-                let got = engine.travel_time(a, b, t);
-                match (expected, got) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => assert!(
-                        (x.as_secs_f64() - y.as_secs_f64()).abs() < 1e-6,
-                        "{a}->{b}: {x:?} vs {y:?} with {kind:?}"
-                    ),
-                    other => panic!("{a}->{b}: {other:?} with {kind:?}"),
-                }
+                assert_eq!(bits(engine.travel_time(a, b, t)), bits(expected), "{a}->{b} {kind:?}");
             }
             // Repeat queries hit the overlay memo and stay identical.
             let (a, b) = (NodeId(0), NodeId(35));
             assert_eq!(engine.travel_time(a, b, t), reference.travel_time(a, b, t));
+
+            // No street reaches the island, and no baseline answer is there
+            // to say so: the one search runs the reachable graph dry, `None`
+            // is memoised, and reachable targets of the same sweep are what
+            // they are without the island in it.
+            let targets = [NodeId(29), island, NodeId(8), NodeId(22)];
+            let before = counted();
+            assert_eq!(engine.travel_time(NodeId(4), island, t), None, "{kind:?}");
+            let swept = engine.travel_times_to_many(NodeId(13), &targets, t);
+            let cold = counted();
+            assert_eq!(swept[1], None, "{kind:?}");
+            let expected = reference.travel_times_to_many(NodeId(13), &targets, t);
+            for (got, want) in swept.iter().zip(expected) {
+                assert_eq!(bits(*got), bits(want), "{kind:?}");
+            }
+            assert_eq!(cold.searches, before.searches + 2, "{kind:?}");
+            assert_eq!(cold.overlay[1], before.overlay[1] + 5);
+            // Asked again, both are overlay-memo hits: no space checked out.
+            assert_eq!(engine.travel_time(NodeId(4), island, t), None);
+            assert_eq!(engine.travel_times_to_many(NodeId(13), &targets, t), swept);
+            let warm = Counts { overlay: [cold.overlay[0] + 5, cold.overlay[1]], ..cold };
+            assert_eq!(counted(), warm, "{kind:?}");
+            assert_eq!((warm.backend, warm.memo), (0, [0, 0]), "no index and no static memo asked");
+        }
+    }
+
+    /// With an overlay active a miss is one search and nothing else: no
+    /// backend pair, no static-memo traffic.
+    #[test]
+    fn an_overlay_miss_is_one_search_and_asks_no_backend() {
+        let net = GridCityBuilder::new(6, 6).build();
+        let t = TimePoint::from_hms(9, 0, 0);
+        let targets: Vec<NodeId> = (10..18).map(NodeId).collect();
+        for kind in [EngineKind::Cached, EngineKind::HubLabels, EngineKind::ContractionHierarchies]
+        {
+            let (engine, counted) = metered(&net, kind);
+            engine.set_overlay(slowdown_overlay(&net, 2.0));
+            let point = engine.travel_time(NodeId(0), NodeId(35), t);
+            assert_eq!(
+                counted(),
+                Counts { searches: 1, overlay: [0, 1], ..Counts::default() },
+                "cold point query, {kind:?}"
+            );
+            let swept = engine.travel_times_to_many(NodeId(3), &targets, t);
+            assert_eq!(
+                counted(),
+                Counts { searches: 2, overlay: [0, 9], ..Counts::default() },
+                "cold 8-target sweep, {kind:?}"
+            );
+            // Repeated, they add only hits.
+            assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), point);
+            assert_eq!(engine.travel_times_to_many(NodeId(3), &targets, t), swept);
+            assert_eq!(
+                counted(),
+                Counts { searches: 2, overlay: [9, 9], ..Counts::default() },
+                "warm, {kind:?}"
+            );
         }
     }
 

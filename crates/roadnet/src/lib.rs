@@ -25,10 +25,11 @@
 //!   memoising cache, hub labels and contraction hierarchies, so callers do
 //!   not care which index backs a query.
 //! * [`TrafficOverlay`] — live edge-speed perturbations (incidents, rain,
-//!   localized slowdowns) layered over the static weights; the engine answers
-//!   perturbed queries with a bounded overlay search on top of its index
-//!   instead of rebuilding it (see [`overlay`]) — the same search kernel
-//!   under the overlaid weight.
+//!   localized slowdowns; multipliers `≥ 1`, so roads slow but never close)
+//!   layered over the static weights; the engine renders the installed
+//!   overlay into one multiplier per edge and answers a perturbed query its
+//!   memo does not know with one run of the same search kernel under the
+//!   overlaid weight — no index is rebuilt or asked (see [`overlay`]).
 //! * [`generators`] — synthetic city generators (grid and random-geometric)
 //!   that replace the proprietary OpenStreetMap/Swiggy extracts used in the
 //!   paper's evaluation.

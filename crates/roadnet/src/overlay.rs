@@ -8,19 +8,23 @@
 //! `β(e, t)` weights. The effective weight of a perturbed edge is
 //! `β(e, t) × multiplier(e)`.
 //!
-//! [`ShortestPathEngine`](crate::ShortestPathEngine) answers queries under an
-//! active overlay with a **bounded overlay search**: the unperturbed index
-//! answer `d₀` is a lower bound on the perturbed distance, and
-//! `d₀ × max_multiplier` is an upper bound (the unperturbed-optimal path is
-//! still available, just slower), so an exact Dijkstra on the overlaid
-//! weights can prune every label above that bound. The indexes themselves are
-//! never rebuilt; a generation counter on the engine invalidates memoised
-//! overlay answers when the overlay changes.
+//! The sparse map is what callers build and compare; a search never reads
+//! it. [`ShortestPathEngine::set_overlay`](crate::ShortestPathEngine::set_overlay)
+//! renders it once, against its network, into one multiplier per edge
+//! ([`TrafficOverlay::edge_multipliers`]: `1.0` where unperturbed, and
+//! `β × 1.0` is `β` bit for bit), and a query under an active overlay that
+//! the engine's overlay memo cannot answer is **one** exact Dijkstra on the
+//! overlaid weights — the same kernel as an unperturbed search, paying one
+//! indexed load more per relaxed edge. The
+//! indexes are neither rebuilt nor asked: an answer on the static weights
+//! says nothing a search that stops at its last target needs. A generation
+//! counter on the engine invalidates memoised overlay answers, and the
+//! rendered table with them, when the overlay changes.
 //!
 //! Multipliers are restricted to `≥ 1` (incidents, rain and localized
-//! slowdowns make roads *slower*); this is what makes the index answer a
-//! usable lower bound. Overlays never disconnect the graph — a perturbed
-//! edge is slow, not closed.
+//! slowdowns make roads *slower*): an overlay never disconnects the graph —
+//! a perturbed edge is slow, not closed — so a pair is reachable under an
+//! overlay exactly when it is without one.
 
 use crate::dijkstra::{path_to, search, settled_time, PathResult, SearchSpace};
 use crate::graph::RoadNetwork;
@@ -31,18 +35,17 @@ use std::collections::HashMap;
 /// A sparse set of travel-time multipliers layered over a road network.
 ///
 /// Cheap to clone when empty and small; built once per change of the active
-/// disruption set, shared behind the engine's overlay slot thereafter.
+/// disruption set and handed to the engine, which keeps only its rendering.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficOverlay {
     /// Only perturbed edges are stored; absent edges have multiplier `1`.
     multipliers: HashMap<EdgeId, f64>,
-    max_multiplier: f64,
 }
 
 impl TrafficOverlay {
     /// Creates an empty overlay (every edge at its baseline weight).
     pub fn new() -> Self {
-        TrafficOverlay { multipliers: HashMap::new(), max_multiplier: 1.0 }
+        Self::default()
     }
 
     /// Slows `edge` down by `factor`. Overlapping perturbations combine by
@@ -58,7 +61,6 @@ impl TrafficOverlay {
         }
         let entry = self.multipliers.entry(edge).or_insert(1.0);
         *entry = entry.max(factor);
-        self.max_multiplier = self.max_multiplier.max(factor);
     }
 
     /// The travel-time multiplier of `edge` (`1.0` when unperturbed).
@@ -77,60 +79,51 @@ impl TrafficOverlay {
         self.multipliers.len()
     }
 
-    /// The largest multiplier in the overlay (`1.0` when empty). Used to turn
-    /// an unperturbed index answer into an upper bound for the overlay search.
-    #[inline]
-    pub fn max_multiplier(&self) -> f64 {
-        self.max_multiplier
-    }
-
-    /// The perturbed weight of `edge` at time `t`:
-    /// `β(e, t) × multiplier(e)`, in seconds.
-    #[inline]
-    pub fn edge_secs(&self, network: &RoadNetwork, edge: EdgeId, t: TimePoint) -> f64 {
-        network.travel_time(edge, t).as_secs_f64() * self.multiplier(edge)
-    }
-
-    /// Converts an unperturbed distance `d₀` (seconds) into a safe pruning
-    /// bound for the overlay search. The margin absorbs floating-point noise
-    /// in the `≤ d₀ × max_multiplier` upper-bound argument.
-    #[inline]
-    pub(crate) fn search_bound(&self, baseline_secs: f64) -> f64 {
-        baseline_secs * self.max_multiplier * (1.0 + 1e-9) + 1e-6
+    /// The overlay rendered against `network`: the multiplier of every edge,
+    /// indexed by edge id (`1.0` where unperturbed). This is what the
+    /// overlaid searches read. The network sizes the table; an overlay entry
+    /// for an edge id the network does not have is never asked for.
+    pub fn edge_multipliers(&self, network: &RoadNetwork) -> Vec<f64> {
+        network.edge_ids().map(|edge| self.multiplier(edge)).collect()
     }
 }
 
-/// Exact `SP(u, v, t)` on the overlaid weights, pruned at `bound` seconds
-/// when given (the caller guarantees the true perturbed distance does not
-/// exceed the bound; see [`TrafficOverlay::search_bound`]).
+/// The overlaid weight `β(e, t) × multiplier(e)` in seconds, over a table
+/// rendered by [`TrafficOverlay::edge_multipliers`] for the same network.
+#[inline]
+fn overlaid_secs<'a>(
+    network: &'a RoadNetwork,
+    multipliers: &'a [f64],
+    t: TimePoint,
+) -> impl Fn(EdgeId) -> f64 + 'a {
+    move |edge| network.travel_time(edge, t).as_secs_f64() * multipliers[edge.index()]
+}
+
+/// Exact `SP(u, v, t)` on the overlaid weights; `multipliers` is
+/// [`TrafficOverlay::edge_multipliers`] of the overlay for `network`.
 pub fn shortest_travel_time_overlaid_in(
     network: &RoadNetwork,
-    overlay: &TrafficOverlay,
+    multipliers: &[f64],
     source: NodeId,
     target: NodeId,
     t: TimePoint,
-    bound_secs: Option<f64>,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    let bound = bound_secs.unwrap_or(f64::INFINITY);
-    search(network, source, &[target], bound, space, |e| overlay.edge_secs(network, e, t));
+    search(network, source, &[target], space, overlaid_secs(network, multipliers, t));
     settled_time(space, target)
 }
 
-/// [`shortest_travel_time_overlaid_in`] for several targets in one bounded
-/// Dijkstra run. Targets that are unreachable (or lie beyond the bound —
-/// which the caller only allows for unreachable targets) map to `None`.
+/// [`shortest_travel_time_overlaid_in`] for several targets in one Dijkstra
+/// run. Unreachable targets map to `None`.
 pub fn one_to_many_overlaid_in(
     network: &RoadNetwork,
-    overlay: &TrafficOverlay,
+    multipliers: &[f64],
     source: NodeId,
     targets: &[NodeId],
     t: TimePoint,
-    bound_secs: Option<f64>,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    let bound = bound_secs.unwrap_or(f64::INFINITY);
-    search(network, source, targets, bound, space, |e| overlay.edge_secs(network, e, t));
+    search(network, source, targets, space, overlaid_secs(network, multipliers, t));
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -138,13 +131,13 @@ pub fn one_to_many_overlaid_in(
 /// weights.
 pub fn shortest_path_overlaid_in(
     network: &RoadNetwork,
-    overlay: &TrafficOverlay,
+    multipliers: &[f64],
     source: NodeId,
     target: NodeId,
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    search(network, source, &[target], f64::INFINITY, space, |e| overlay.edge_secs(network, e, t));
+    search(network, source, &[target], space, overlaid_secs(network, multipliers, t));
     path_to(network, source, target, space)
 }
 
@@ -182,7 +175,7 @@ mod tests {
     #[test]
     fn empty_overlay_matches_plain_dijkstra() {
         let net = GridCityBuilder::new(5, 5).build();
-        let overlay = TrafficOverlay::new();
+        let unperturbed = TrafficOverlay::new().edge_multipliers(&net);
         let t = TimePoint::from_hms(12, 0, 0);
         let mut space = SearchSpace::new();
         for s in [0u32, 7, 13] {
@@ -190,11 +183,10 @@ mod tests {
                 assert_eq!(
                     shortest_travel_time_overlaid_in(
                         &net,
-                        &overlay,
+                        &unperturbed,
                         NodeId(s),
                         NodeId(g),
                         t,
-                        None,
                         &mut space
                     ),
                     dijkstra::shortest_travel_time(&net, NodeId(s), NodeId(g), t)
@@ -208,17 +200,17 @@ mod tests {
         let net = GridCityBuilder::new(6, 6).congestion(CongestionProfile::metropolitan()).build();
         let overlay = overlay_on(&net, 2.5, 3);
         let reference = rebuilt_with_overlay(&net, &overlay);
+        let multipliers = overlay.edge_multipliers(&net);
         let t = TimePoint::from_hms(19, 30, 0);
         let mut space = SearchSpace::new();
         for s in (0..net.node_count() as u32).step_by(5) {
             for g in (1..net.node_count() as u32).step_by(7) {
                 let got = shortest_travel_time_overlaid_in(
                     &net,
-                    &overlay,
+                    &multipliers,
                     NodeId(s),
                     NodeId(g),
                     t,
-                    None,
                     &mut space,
                 );
                 let expected = dijkstra::shortest_travel_time(&reference, NodeId(s), NodeId(g), t);
@@ -236,59 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn bounded_search_is_exact_when_bound_is_valid() {
-        let net = GridCityBuilder::new(6, 6).build();
-        let overlay = overlay_on(&net, 3.0, 2);
-        let t = TimePoint::from_hms(13, 0, 0);
-        let mut space = SearchSpace::new();
-        for s in (0..36u32).step_by(4) {
-            for g in (2..36u32).step_by(6) {
-                let d0 = dijkstra::shortest_travel_time(&net, NodeId(s), NodeId(g), t)
-                    .expect("grid connected")
-                    .as_secs_f64();
-                let bounded = shortest_travel_time_overlaid_in(
-                    &net,
-                    &overlay,
-                    NodeId(s),
-                    NodeId(g),
-                    t,
-                    Some(overlay.search_bound(d0)),
-                    &mut space,
-                );
-                let unbounded = shortest_travel_time_overlaid_in(
-                    &net,
-                    &overlay,
-                    NodeId(s),
-                    NodeId(g),
-                    t,
-                    None,
-                    &mut space,
-                );
-                assert_eq!(bounded, unbounded, "{s}->{g}");
-                // The perturbed distance sits inside the [d0, bound] bracket.
-                let secs = bounded.unwrap().as_secs_f64();
-                assert!(secs >= d0 - 1e-9 && secs <= overlay.search_bound(d0));
-            }
-        }
-    }
-
-    #[test]
     fn one_to_many_overlaid_matches_pointwise() {
         let net = GridCityBuilder::new(5, 4).build();
-        let overlay = overlay_on(&net, 1.8, 4);
+        let multipliers = overlay_on(&net, 1.8, 4).edge_multipliers(&net);
         let t = TimePoint::from_hms(9, 0, 0);
         let targets: Vec<NodeId> = net.node_ids().step_by(3).collect();
         let mut space = SearchSpace::new();
-        let batch =
-            one_to_many_overlaid_in(&net, &overlay, NodeId(1), &targets, t, None, &mut space);
+        let batch = one_to_many_overlaid_in(&net, &multipliers, NodeId(1), &targets, t, &mut space);
         for (i, &target) in targets.iter().enumerate() {
             let single = shortest_travel_time_overlaid_in(
                 &net,
-                &overlay,
+                &multipliers,
                 NodeId(1),
                 target,
                 t,
-                None,
                 &mut space,
             );
             assert_eq!(batch[i], single, "target {target}");
@@ -301,8 +254,10 @@ mod tests {
         let overlay = overlay_on(&net, 4.0, 2);
         let t = TimePoint::from_hms(12, 0, 0);
         let mut space = SearchSpace::new();
-        let path = shortest_path_overlaid_in(&net, &overlay, NodeId(0), NodeId(24), t, &mut space)
-            .unwrap();
+        let multipliers = overlay.edge_multipliers(&net);
+        let path =
+            shortest_path_overlaid_in(&net, &multipliers, NodeId(0), NodeId(24), t, &mut space)
+                .unwrap();
         assert_eq!(path.nodes.first(), Some(&NodeId(0)));
         assert_eq!(path.nodes.last(), Some(&NodeId(24)));
         // Summing the overlaid edge weights along the path reproduces the
@@ -313,7 +268,7 @@ mod tests {
                 .out_edges(pair[0])
                 .find(|(_, e)| e.to == pair[1])
                 .expect("consecutive path nodes are adjacent");
-            total += overlay.edge_secs(&net, eid, t);
+            total += net.travel_time(eid, t).as_secs_f64() * overlay.multiplier(eid);
         }
         assert!((total - path.travel_time.as_secs_f64()).abs() < 1e-9);
     }
@@ -325,11 +280,23 @@ mod tests {
         overlay.slow_edge(EdgeId(3), 2.0);
         overlay.slow_edge(EdgeId(3), 1.2);
         assert_eq!(overlay.multiplier(EdgeId(3)), 2.0);
-        assert_eq!(overlay.max_multiplier(), 2.0);
         assert_eq!(overlay.len(), 1);
         // Factor 1.0 is a no-op, not an entry.
         overlay.slow_edge(EdgeId(9), 1.0);
         assert_eq!(overlay.len(), 1);
+    }
+
+    #[test]
+    fn the_network_sizes_the_rendered_table_not_the_overlay() {
+        let net = GridCityBuilder::new(3, 3).build();
+        let mut overlay = TrafficOverlay::new();
+        overlay.slow_edge(EdgeId(2), 1.5);
+        overlay.slow_edge(EdgeId(u32::MAX - 1), 3.0);
+        let table = overlay.edge_multipliers(&net);
+        assert_eq!(table.len(), net.edge_count());
+        for eid in net.edge_ids() {
+            assert_eq!(table[eid.index()], if eid == EdgeId(2) { 1.5 } else { 1.0 });
+        }
     }
 
     #[test]
@@ -349,15 +316,15 @@ mod tests {
         let net = b.build();
         let mut overlay = TrafficOverlay::new();
         overlay.slow_edge(EdgeId(0), 2.0);
+        let multipliers = overlay.edge_multipliers(&net);
         let mut space = SearchSpace::new();
         assert_eq!(
             shortest_travel_time_overlaid_in(
                 &net,
-                &overlay,
+                &multipliers,
                 a,
                 d,
                 TimePoint::MIDNIGHT,
-                None,
                 &mut space
             ),
             None

@@ -7,10 +7,10 @@ use foodmatch_core::{DispatchConfig, FoodMatchPolicy, GreedyPolicy, PolicyKind};
 use foodmatch_events::{
     DisruptionCause, DisruptionEvent, EventKind, EventSchedule, TrafficDisruption,
 };
-use foodmatch_roadnet::generators::GridCityBuilder;
+use foodmatch_roadnet::generators::{GridCityBuilder, RandomCityBuilder};
 use foodmatch_roadnet::{
-    dijkstra, EngineKind, NodeId, RoadNetwork, RoadNetworkBuilder, ShortestPathEngine, TimePoint,
-    TrafficOverlay,
+    dijkstra, Duration, EdgeId, EngineKind, NodeId, RoadNetwork, RoadNetworkBuilder,
+    ShortestPathEngine, TimePoint, TrafficOverlay,
 };
 use foodmatch_sim::{Simulation, SimulationReport};
 use foodmatch_workload::DisruptionPreset;
@@ -92,6 +92,84 @@ fn overlay_oracle_matches_rebuilt_graph_for_all_backends() {
                 }
             }
         }
+    }
+}
+
+/// The engine searches a table rendered from the overlay, callers hold the
+/// sparse map: the two must be one set of weights. Every factor here is a
+/// power of two, for which scaling commutes with every rounding — so the
+/// physically lengthened network *is* the overlaid one bit for bit, and the
+/// comparison needs no tolerance.
+#[test]
+fn rendered_overlay_table_equals_the_sparse_map_bit_for_bit() {
+    let t = TimePoint::from_hms(19, 30, 0);
+    let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
+    let factor_of = |eid: EdgeId| if eid.0 % 5 == 0 { 4.0 } else { 2.0 };
+    // `engine` answers, edge by edge and sweep by sweep, as plain Dijkstra
+    // does on `reference`.
+    let assert_answers_like = |engine: &ShortestPathEngine, reference: &RoadNetwork, what: &str| {
+        for eid in reference.edge_ids() {
+            let want = reference.travel_time(eid, t).as_secs_f64().to_bits();
+            assert_eq!(engine.edge_travel_time(eid, t).as_secs_f64().to_bits(), want, "{what}");
+        }
+        let targets: Vec<NodeId> = reference.node_ids().step_by(3).collect();
+        for source in reference.node_ids().step_by(17) {
+            let got = engine.travel_times_to_many(source, &targets, t);
+            let want = dijkstra::one_to_many(reference, source, &targets, t);
+            for ((&target, got), want) in targets.iter().zip(got).zip(want) {
+                assert_eq!(bits(got), bits(want), "{what}: {source}->{target}");
+            }
+        }
+    };
+
+    for seed in [5u64, 17, 41] {
+        let net = RandomCityBuilder::new(200).seed(seed).radius_m(1_500.0).build();
+        let center = net.node_ids().nth(seed as usize).expect("200 nodes");
+        let mut schedule = EventSchedule::new(vec![DisruptionEvent::new(
+            t,
+            EventKind::Traffic(TrafficDisruption::localized(
+                DisruptionCause::Incident,
+                center,
+                300.0,
+                4.0,
+                TimePoint::from_hms(20, 30, 0),
+            )),
+        )]);
+        schedule.advance_to(t);
+        let incident = schedule.overlay(&net);
+        assert!(!incident.is_empty() && incident.len() < net.edge_count(), "seed {seed}");
+        let mut every_third = TrafficOverlay::new();
+        let mut every_edge = TrafficOverlay::new();
+        for eid in net.edge_ids() {
+            if eid.0 % 3 == 0 {
+                every_third.slow_edge(eid, factor_of(eid));
+            }
+            every_edge.slow_edge(eid, factor_of(eid));
+        }
+
+        let overlays =
+            [("incident", &incident), ("every third", &every_third), ("every edge", &every_edge)];
+        for (name, overlay) in overlays {
+            let reference = rebuilt_with_overlay(&net, overlay);
+            for kind in EngineKind::ALL {
+                let engine = ShortestPathEngine::new(net.clone(), kind);
+                engine.set_overlay(overlay.clone());
+                assert_answers_like(&engine, &reference, &format!("seed {seed}, {name}, {kind:?}"));
+            }
+        }
+
+        // A → B → none on one engine: the table is built whole per
+        // generation, so no multiplier of A survives into B's answers (B
+        // leaves two edges in three alone), and none at all into the
+        // cleared engine's.
+        let engine = ShortestPathEngine::cached(net.clone());
+        engine.set_overlay(every_edge.clone());
+        assert_answers_like(&engine, &rebuilt_with_overlay(&net, &every_edge), "A");
+        engine.set_overlay(every_third.clone());
+        assert_answers_like(&engine, &rebuilt_with_overlay(&net, &every_third), "B after A");
+        engine.clear_overlay();
+        assert_answers_like(&engine, &net, "cleared");
+        assert_answers_like(&ShortestPathEngine::cached(net.clone()), &net, "fresh");
     }
 }
 
