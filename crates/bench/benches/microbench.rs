@@ -6,7 +6,7 @@
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
 //! fleet), and one full FoodMatch window.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use foodmatch_core::{
     batch_orders, build_food_graph, CommittedOrder, DispatchConfig, DispatchPolicy,
     FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, Order, OrderId, VehicleSnapshot,
@@ -14,7 +14,7 @@ use foodmatch_core::{
 };
 use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
-    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, NodeId,
+    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, NodeId, RoadNetwork,
     ShortestPathEngine, TimePoint, TrafficOverlay,
 };
 use foodmatch_workload::{CityId, EventScheduleBuilder, Scenario, ScenarioOptions};
@@ -71,27 +71,13 @@ fn bench_shortest_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_overlay_miss(c: &mut Criterion) {
-    // What one memo miss costs the default (cached) engine, with no overlay
-    // and under one incident of the `IncidentHeavy` preset's size: a point
-    // query and a 32-target sweep, on the City B lunch network. Every
-    // iteration asks for pairs the engine has not seen, so none is a hit.
+/// The City B lunch network, its nodes in a seeded shuffle, and one incident
+/// of the `IncidentHeavy` preset's size on it.
+fn city_b_with_incident() -> (RoadNetwork, Vec<NodeId>, TrafficOverlay) {
     let scenario = Scenario::generate(CityId::B, ScenarioOptions::lunch_peak(3));
     let network = scenario.city.network.clone();
-    let t = TimePoint::from_hms(13, 0, 0);
     let mut nodes: Vec<NodeId> = network.node_ids().collect();
-    let n = nodes.len();
     nodes.shuffle(&mut StdRng::seed_from_u64(11));
-    // Miss `i`: source `i mod n` of the shuffle and the `width` nodes that
-    // follow it at an offset that grows once per lap — no pair twice before
-    // lap `n / width`, far beyond what the measurement budget reaches.
-    let miss = |i: usize, width: usize| {
-        let (lap, at) = (i / n, i % n);
-        let targets: Vec<NodeId> =
-            (0..width).map(|j| nodes[(at + 1 + lap * width + j) % n]).collect();
-        (nodes[at], targets)
-    };
-
     let preset = EventScheduleBuilder::incident_heavy(3);
     let origin = network.position(scenario.orders[0].restaurant);
     let near = |node| network.position(node).distance_m(origin) <= preset.incident_radius_m;
@@ -103,6 +89,26 @@ fn bench_overlay_miss(c: &mut Criterion) {
         }
     }
     assert!(!incident.is_empty(), "the incident must slow something");
+    (network, nodes, incident)
+}
+
+fn bench_overlay_miss(c: &mut Criterion) {
+    // What one memo miss costs the default (cached) engine, with no overlay
+    // and under one incident: a point query and a 32-target sweep, on the
+    // City B lunch network. Every iteration asks for pairs the engine has
+    // not seen, so none is a hit (and no source is ever given a tree row).
+    let (network, nodes, incident) = city_b_with_incident();
+    let t = TimePoint::from_hms(13, 0, 0);
+    let n = nodes.len();
+    // Miss `i`: source `i mod n` of the shuffle and the `width` nodes that
+    // follow it at an offset that grows once per lap — no pair twice before
+    // lap `n / width`, far beyond what the measurement budget reaches.
+    let miss = |i: usize, width: usize| {
+        let (lap, at) = (i / n, i % n);
+        let targets: Vec<NodeId> =
+            (0..width).map(|j| nodes[(at + 1 + lap * width + j) % n]).collect();
+        (nodes[at], targets)
+    };
 
     let mut group = c.benchmark_group("overlay_miss");
     for (condition, overlay) in [("calm", None), ("incident", Some(&incident))] {
@@ -124,6 +130,58 @@ fn bench_overlay_miss(c: &mut Criterion) {
                 })
             });
         }
+    }
+    group.finish();
+}
+
+fn bench_repeat_source(c: &mut Criterion) {
+    // What a source that stands still costs the default engine per round of
+    // 32 targets it was asked before + 8 it was not, with no overlay and
+    // under one incident: round 1 (cold — all 40 miss, one search), round 2
+    // (admission — the search for the 8 new ones leaves a tree row behind)
+    // and rounds 3+ (the row answers what it has settled and grows by the
+    // occasional search; by the time every node has been asked once a round
+    // is 40 tree walks, to be read against 40 × `roadnet.probe_hit_ns`).
+    let (network, nodes, incident) = city_b_with_incident();
+    let t = TimePoint::from_hms(13, 0, 0);
+    let (source, stops) = nodes.split_first().expect("a city has nodes");
+    // Round `r ≥ 1`: 8 new stops, and the 32 that came before them.
+    let round =
+        |r: usize| -> Vec<NodeId> { (0..40).map(|j| stops[(8 * r + j) % stops.len()]).collect() };
+    let ask = |engine: &ShortestPathEngine, r: usize| {
+        black_box(engine.travel_times_to_many(*source, &round(r), t));
+    };
+    // A sweep of another hour rolls the source's shard: rows and pairs go.
+    let forget = |engine: &ShortestPathEngine| {
+        engine.travel_times_to_many(*source, &stops[..1], t + Duration::from_mins(60.0));
+    };
+
+    let mut group = c.benchmark_group("repeat_source");
+    for (condition, overlay) in [("calm", None), ("incident", Some(&incident))] {
+        let engine = ShortestPathEngine::cached(network.clone());
+        if let Some(overlay) = overlay {
+            engine.set_overlay(overlay.clone());
+        }
+        for (name, before) in [("round1_cold", 0), ("round2_admission", 1)] {
+            group.bench_function(&format!("{condition}/{name}"), |b| {
+                b.iter_batched(
+                    || {
+                        forget(&engine);
+                        (1..=before).for_each(|r| ask(&engine, r));
+                    },
+                    |()| ask(&engine, before + 1),
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+        forget(&engine);
+        let mut r = 0;
+        group.bench_function(&format!("{condition}/round3plus_tree"), |b| {
+            b.iter(|| {
+                r += 1;
+                ask(&engine, r)
+            })
+        });
     }
     group.finish();
 }
@@ -291,6 +349,7 @@ criterion_group!(
     benches,
     bench_shortest_paths,
     bench_overlay_miss,
+    bench_repeat_source,
     bench_index_build,
     bench_hungarian,
     bench_solver,

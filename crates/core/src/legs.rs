@@ -7,7 +7,9 @@
 //! set of them; Algorithm 1's stop table, a vehicle's start row and the
 //! FoodGraph's resolve phase all produce these and read them through
 //! [`LegRows::legs`]. They live for one call of the stage that swept them:
-//! the engine's `(source, target)` memo stays the only cache across windows.
+//! the engine's memo — `(source, target)` pairs, and the shortest-path tree
+//! of every source that repeats (`roadnet/src/index.rs`, "Tree rows") —
+//! stays the only cache across windows.
 
 use crate::parallel_map;
 use crate::route::engine_legs;

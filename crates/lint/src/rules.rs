@@ -298,6 +298,7 @@ fn rule1_applies(path: &str) -> bool {
                 | "crates/core/src/route.rs"
                 | "crates/core/src/legs.rs"
                 | "crates/roadnet/src/overlay.rs"
+                | "crates/roadnet/src/index.rs"
                 | "crates/events/src/schedule.rs"
                 | "crates/simulator/src/service.rs"
                 | "crates/simulator/src/step.rs"

@@ -237,6 +237,15 @@ impl SearchSpace {
         }
     }
 
+    /// `(node index, parent stamp)` of every node the current search has
+    /// settled, in node order — the source's stamp is [`NO_EDGE`]. A settled
+    /// node's label and parent are final: a longer search from the same
+    /// source on the same weights is the same pop sequence run further.
+    pub(crate) fn settled_parents(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let settled = self.settled.iter().zip(&self.parent).enumerate();
+        settled.filter(|(_, (&stamp, _))| stamp == self.generation).map(|(i, (_, &p))| (i, p))
+    }
+
     /// Marks `i` as a target of the current search; false if already marked.
     #[inline]
     pub(crate) fn mark_target(&mut self, i: usize) -> bool {
@@ -321,6 +330,12 @@ pub(crate) fn search(
     }
 }
 
+/// The static weight `β(e, t)` in seconds, as a [`search`] closure.
+#[inline]
+pub(crate) fn beta_secs(network: &RoadNetwork, t: TimePoint) -> impl Fn(EdgeId) -> f64 + '_ {
+    move |edge| network.travel_time(edge, t).as_secs_f64()
+}
+
 /// The travel time [`search`] settled `node` at, `None` if it never was
 /// (unreachable, or not a target and not on the way).
 pub(crate) fn settled_time(space: &SearchSpace, node: NodeId) -> Option<Duration> {
@@ -372,8 +387,7 @@ pub fn shortest_travel_time_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, &[target], space, beta);
+    search(network, source, &[target], space, beta_secs(network, t));
     settled_time(space, target)
 }
 
@@ -397,8 +411,7 @@ pub fn shortest_path_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, &[target], space, beta);
+    search(network, source, &[target], space, beta_secs(network, t));
     path_to(network, source, target, space)
 }
 
@@ -425,8 +438,7 @@ pub fn one_to_many_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    let beta = |e| network.travel_time(e, t).as_secs_f64();
-    search(network, source, targets, space, beta);
+    search(network, source, targets, space, beta_secs(network, t));
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 

@@ -7,12 +7,15 @@
 //!
 //! * [`EngineKind::Dijkstra`] — no index, every query runs Dijkstra. Baseline
 //!   and reference implementation.
-//! * [`EngineKind::Cached`] — Dijkstra plus a per-slot memo of `(source,
-//!   target) → travel time`, which pays off because dispatch repeatedly asks
-//!   about the same restaurant/customer nodes within a window. The memo is
-//!   sharded 16 ways by source node so parallel dispatch workers don't
-//!   serialise on one lock, and the lock is never held across the fallback
-//!   Dijkstra run.
+//! * [`EngineKind::Cached`] — Dijkstra plus a memo of what its searches
+//!   found, one hour slot at a time: `(source, target) → travel time` pairs,
+//!   which pay off because dispatch repeatedly asks about the same
+//!   restaurant/customer nodes within a window, and behind them the **tree
+//!   rows** of sources that *repeat* (below), which pay off because a
+//!   vehicle that stands still, and every restaurant, is swept again window
+//!   after window with a few new targets each time. The memo is sharded 16
+//!   ways by source node so parallel dispatch workers don't serialise on one
+//!   lock, and the lock is never held across the fallback Dijkstra run.
 //! * [`EngineKind::HubLabels`] — exact hub labels built lazily per hour slot
 //!   (see [`crate::hub_labels`]).
 //! * [`EngineKind::ContractionHierarchies`] — a contraction-hierarchies
@@ -22,20 +25,55 @@
 //! While a [`TrafficOverlay`] is installed ([`ShortestPathEngine::set_overlay`])
 //! the backends differ only in whether they memoise: the static memo and the
 //! indexes answer on weights that no longer hold, so they are not asked, and
-//! a miss of the generation-stamped overlay memo is one Dijkstra on the
-//! overlaid weights on every backend (`Dijkstra` keeps no memo at all).
+//! a miss of the generation-stamped overlay memo — pairs and rows, the same
+//! two layers read by the same code — is one Dijkstra on the overlaid
+//! weights on every backend (`Dijkstra` keeps no memo at all).
+//!
+//! ## Tree rows
+//!
+//! Dijkstra's label of a node is the left-to-right sum of the edge weights
+//! along its tree path, whatever the targets were, and a longer search from
+//! the same source on the same weights is the same pop sequence run further.
+//! So what one search *settled* answers later targets bit for bit. When a
+//! sweep finds its source already known to the memo (≥ 1 hit) and still has
+//! a miss, the search it has to run anyway leaves behind the parent edge of
+//! every node it settled — one `u32` per network node, with markers for the
+//! source, for "not settled yet" and, once a search has run the reachable
+//! graph dry, for "unreachable". Later sweeps and point queries from that
+//! source probe the pair memo first (≈ 40 ns; a walk is ≈ 200 ns on City B
+//! — `repeat_source` in the micro-benchmarks), then walk the parents back
+//! and re-sum the very closure the search priced edges with (`β(e, t)`, or
+//! `β × multiplier` under an overlay); targets the tree does not reach fall
+//! back to the same target-bounded search as before, whose settled nodes
+//! are merged into the row in place. The engine never runs a search it would
+//! not have run without rows, nor a wider one. Rows are budgeted by one
+//! constant (`ROW_BUDGET_BYTES`, 640 KiB per engine), first come first kept
+//! with no eviction; a source seen for the first time is never given one.
+//!
+//! Pairs and rows carry a `(generation, hour slot)` stamp. A *sweep* with
+//! another stamp moves the shard it touches on: the rows and the pair memo
+//! of the hour that has passed (or of the overlay generation that is gone)
+//! are dropped — which is what pays for the rows; the indexes keep their 24
+//! slots. A *point query* for another hour than the stamped one answers by
+//! search and leaves no trace: `submit_order` asks an order's SDT at
+//! `placed_at`, which trails the window's `t` across an hour boundary, and
+//! must not cost the new hour its memo. The static pair memo survives
+//! overlay episodes of the same hour; rows do not (there is one set,
+//! behind whichever pair memo is live).
 //!
 //! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
 //! taken through the crate's poison-recovering `lock`, and a `OnceLock` per
 //! lazily built index) so FoodGraph construction can fan out per-vehicle work
 //! across threads while sharing one engine. Dijkstra fallbacks run in pooled
 //! [`SearchSpace`]s (checked out per query, returned on drop), so steady-state
-//! queries perform no allocation; [`ShortestPathEngine::search_space`] hands
-//! the same pooled spaces to callers that drive their own
-//! [`Expansion`](crate::dijkstra::Expansion)s.
+//! queries perform no allocation beyond their output and the memo's growth:
+//! admitting a source allocates its one row, a row hit allocates nothing
+//! (the path scratch lives in the shard);
+//! [`ShortestPathEngine::search_space`] hands the same pooled spaces to
+//! callers that drive their own [`Expansion`](crate::dijkstra::Expansion)s.
 
 use crate::ch::ContractionHierarchy;
-use crate::dijkstra::{self, SearchSpace};
+use crate::dijkstra::{self, SearchSpace, NO_EDGE};
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
@@ -45,7 +83,7 @@ use crate::{lock, parallel_map};
 use foodmatch_telemetry as telemetry;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Number of shards of the per-slot memo cache. Shard choice hashes only the
@@ -80,8 +118,20 @@ impl EngineKind {
     ];
 }
 
-/// One shard group of the memo cache for a single hour slot.
-type CacheSlot = [Mutex<HashMap<(NodeId, NodeId), f64>>; CACHE_SHARDS];
+/// What every tree row of one engine may hold together, in bytes: a row is
+/// one `u32` per network node, so an engine keeps `ROW_BUDGET_BYTES / 4 /
+/// node_count` of them (136 on City B, 65 on the metro grid), first come
+/// first kept — an evicting policy thrashes the moment the sources that
+/// repeat outnumber the rows, because a fleet cycles through every window.
+const ROW_BUDGET_BYTES: usize = 640 * 1024;
+
+/// Tree-row markers beside parent edge ids: the row's own source (what a
+/// search stamps its source with), a node no search from the source has
+/// settled yet, and a node no street reaches — known only once a search
+/// has run the reachable graph dry. Edge ids stay below all three.
+const ROW_SOURCE: u32 = NO_EDGE;
+const ROW_UNSETTLED: u32 = u32::MAX - 1;
+const ROW_UNREACHABLE: u32 = u32::MAX - 2;
 
 /// The engine's current traffic overlay, stamped with a generation counter.
 /// Swapping the overlay bumps the generation, which invalidates every
@@ -97,23 +147,118 @@ struct OverlayVersion {
     multipliers: Vec<f64>,
 }
 
-/// One shard of the overlay memo. Entries are only valid while the stamp
-/// matches the active overlay generation and hour slot; a mismatch clears
-/// the shard lazily on first touch (generation-stamped invalidation).
-#[derive(Debug, Default)]
-struct OverlayShard {
+/// The weights a memoised answer holds on: the overlay generation (`0` is
+/// the static `β(e, t)`; an installed overlay is generation ≥ 1) and the
+/// hour slot, which is all of `t` that `β` reads.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Stamp {
     generation: u64,
     slot: usize,
+}
+
+impl Stamp {
+    fn new(generation: u64, t: TimePoint) -> Self {
+        Stamp { generation, slot: t.hour_slot().index() }
+    }
+
+    /// Moves `held` on to `asked` if this query may, returning true when it
+    /// did and what was held under the old stamp has to go. Sweeps move a
+    /// memo on to their own stamp; a point query only claims a memo that
+    /// holds nothing it could still use — never one stamped with another
+    /// hour of the same weights, because an order's SDT is asked at
+    /// `placed_at`, which trails the window's `t` across an hour boundary,
+    /// and one such query must not cost the hour its memo. Afterwards the
+    /// memo answers the query exactly when `*held == Some(asked)`.
+    fn roll(held: &mut Option<Stamp>, asked: Stamp, sweep: bool) -> bool {
+        let rolls = match *held {
+            None => true,
+            Some(stamp) => stamp != asked && (sweep || stamp.generation != asked.generation),
+        };
+        if rolls {
+            *held = Some(asked);
+        }
+        rolls
+    }
+}
+
+/// `(source, target) → seconds` (`f64::INFINITY` encodes "unreachable") on
+/// the weights of one stamp at a time.
+#[derive(Debug, Default)]
+struct PairMemo {
+    stamp: Option<Stamp>,
     map: HashMap<(NodeId, NodeId), f64>,
 }
 
-impl OverlayShard {
-    /// Makes the shard valid for `(generation, slot)`, clearing stale entries.
-    fn ensure(&mut self, generation: u64, slot: usize) {
-        if self.generation != generation || self.slot != slot {
-            self.map.clear();
-            self.generation = generation;
-            self.slot = slot;
+/// One shard of what the engine remembers, by source node: the two pair
+/// memos — `pairs[0]` on the static weights, one hour at a time (kept
+/// across overlay episodes), `pairs[1]` on the active overlay generation —
+/// and, behind whichever the query runs on, the tree rows of the sources
+/// that repeat. Everything is probed, nothing iterated; a stamp that moves
+/// on clears lazily, on the first touch that notices.
+#[derive(Debug, Default)]
+struct MemoShard {
+    pairs: [PairMemo; 2],
+    rows_stamp: Option<Stamp>,
+    /// Source → its shortest-path tree as far as searches from it have
+    /// settled it: per node the parent edge id or a `ROW_*` marker.
+    rows: HashMap<NodeId, Box<[u32]>>,
+    /// Scratch of [`walk`]: the edges of one tree path, target first.
+    path: Vec<u32>,
+}
+
+impl MemoShard {
+    /// Prepares the rows and the pair memo of that kind of weights for a
+    /// query on `stamp` (see [`Stamp::roll`]), handing the rows it drops
+    /// back to the engine's budget.
+    fn roll_to(&mut self, overlaid: bool, stamp: Stamp, sweep: bool, rows_used: &AtomicUsize) {
+        if Stamp::roll(&mut self.rows_stamp, stamp, sweep) {
+            rows_used.fetch_sub(self.rows.len(), Ordering::Relaxed);
+            self.rows.clear();
+        }
+        let memo = &mut self.pairs[usize::from(overlaid)];
+        if Stamp::roll(&mut memo.stamp, stamp, sweep) {
+            memo.map.clear();
+        }
+    }
+}
+
+/// Reads `target` off a tree row: `None` when no search has settled it
+/// yet, else the answer the search that settled it gave, bit for bit —
+/// Dijkstra's label of a node is the left-to-right sum of `edge_secs` along
+/// its tree path, whatever the targets were and however far the search ran.
+fn walk(
+    row: &[u32],
+    network: &RoadNetwork,
+    target: NodeId,
+    path: &mut Vec<u32>,
+    edge_secs: impl Fn(EdgeId) -> f64,
+) -> Option<Option<Duration>> {
+    path.clear();
+    let mut parent = row[target.index()];
+    while parent != ROW_SOURCE {
+        match parent {
+            ROW_UNSETTLED => return None,
+            ROW_UNREACHABLE => return Some(None),
+            edge => {
+                path.push(edge);
+                parent = row[network.edge(EdgeId(edge)).from.index()];
+            }
+        }
+    }
+    let secs = path.iter().rev().fold(0.0, |secs, &edge| secs + edge_secs(EdgeId(edge)));
+    Some(Some(Duration::from_secs_f64(secs)))
+}
+
+/// Merges what the search in `space` settled into its source's `row`;
+/// `ran_dry` says the search exhausted the reachable graph (it ended with a
+/// target unsettled), so whatever is still unsettled is unreachable.
+fn grow(row: &mut [u32], space: &SearchSpace, ran_dry: bool) {
+    for (node, parent) in space.settled_parents() {
+        row[node] = parent;
+    }
+    if ran_dry {
+        for parent in row.iter_mut().filter(|parent| **parent == ROW_UNSETTLED) {
+            *parent = ROW_UNREACHABLE;
         }
     }
 }
@@ -140,13 +285,19 @@ struct EngineMetrics {
     /// phase, reported through [`ShortestPathEngine::note_foodgraph_sources`].
     foodgraph_sources: telemetry::Counter,
     /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard memo
-    /// traffic of the [`EngineKind::Cached`] backend.
+    /// traffic of the [`EngineKind::Cached`] backend. A pair read off a tree
+    /// row is a hit, one the row does not reach and the pair memo does not
+    /// hold a miss.
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
     memo_misses: [telemetry::Counter; CACHE_SHARDS],
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
-    /// overlay memo traffic (every backend but `Dijkstra`).
+    /// overlay memo traffic (every backend but `Dijkstra`), rows included.
     overlay_hits: telemetry::Counter,
     overlay_misses: telemetry::Counter,
+    /// `engine.rows.hits` — the hits above that a tree row answered;
+    /// `engine.rows.admitted` — rows allocated.
+    rows_hits: telemetry::Counter,
+    rows_admitted: telemetry::Counter,
     /// `engine.backend.{dijkstra,hub,ch}.queries` — which index answered
     /// (the Dijkstra counter includes the cached backend's fill runs). Pairs
     /// asked under an overlay are in none of them: no backend answers those.
@@ -171,6 +322,8 @@ impl EngineMetrics {
             }),
             overlay_hits: telemetry::counter("engine.overlay_memo.hits"),
             overlay_misses: telemetry::counter("engine.overlay_memo.misses"),
+            rows_hits: telemetry::counter("engine.rows.hits"),
+            rows_admitted: telemetry::counter("engine.rows.admitted"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             backend_hub: telemetry::counter("engine.backend.hub.queries"),
             backend_ch: telemetry::counter("engine.backend.ch.queries"),
@@ -182,9 +335,13 @@ impl EngineMetrics {
 struct EngineInner {
     network: RoadNetwork,
     kind: EngineKind,
-    /// Memo for [`EngineKind::Cached`]: slot → shard → (source, target) →
-    /// seconds (`f64::INFINITY` encodes "unreachable").
-    cache: [CacheSlot; HourSlot::COUNT],
+    /// What the engine remembers of the searches it ran, sharded by source
+    /// node: the static pair memo of [`EngineKind::Cached`], the overlay
+    /// pair memo of every backend but `Dijkstra`, and the tree rows
+    /// behind both.
+    memo: [Mutex<MemoShard>; CACHE_SHARDS],
+    /// Tree rows allocated across all shards, against [`ROW_BUDGET_BYTES`].
+    rows_used: AtomicUsize,
     /// Lazily built hub-label indexes for [`EngineKind::HubLabels`].
     labels: [OnceLock<HubLabelIndex>; HourSlot::COUNT],
     /// Lazily built contraction hierarchies for
@@ -198,9 +355,6 @@ struct EngineInner {
     /// Fast-path flag mirroring `overlay`'s emptiness, so unperturbed queries
     /// skip the read lock entirely.
     overlay_active: AtomicBool,
-    /// Memo of overlay answers for the indexed backends, sharded like the
-    /// main cache and invalidated by generation stamp.
-    overlay_cache: [Mutex<OverlayShard>; CACHE_SHARDS],
     queries: AtomicU64,
     metrics: EngineMetrics,
 }
@@ -212,7 +366,8 @@ impl ShortestPathEngine {
             inner: Arc::new(EngineInner {
                 network,
                 kind,
-                cache: std::array::from_fn(|_| std::array::from_fn(|_| Mutex::new(HashMap::new()))),
+                memo: std::array::from_fn(|_| Mutex::new(MemoShard::default())),
+                rows_used: AtomicUsize::new(0),
                 labels: std::array::from_fn(|_| OnceLock::new()),
                 hierarchies: std::array::from_fn(|_| OnceLock::new()),
                 spaces: Mutex::new(Vec::new()),
@@ -221,7 +376,6 @@ impl ShortestPathEngine {
                     multipliers: Vec::new(),
                 })),
                 overlay_active: AtomicBool::new(false),
-                overlay_cache: std::array::from_fn(|_| Mutex::new(OverlayShard::default())),
                 queries: AtomicU64::new(0),
                 metrics: EngineMetrics::acquire(),
             }),
@@ -320,7 +474,10 @@ impl ShortestPathEngine {
                     &mut space,
                 )
             }
-            EngineKind::Cached => self.cached_travel_time(source, target, t),
+            EngineKind::Cached => {
+                let beta = dijkstra::beta_secs(&self.inner.network, t);
+                self.memo_travel_time(false, Stamp::new(0, t), source, target, beta)
+            }
             EngineKind::HubLabels => {
                 self.inner.metrics.backend_hub.inc();
                 self.labels_for(t.hour_slot()).travel_time(source, target)
@@ -332,7 +489,7 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Overlay-aware point query: a memoised answer under the overlay's
+    /// Overlay-aware point query: a remembered answer under the overlay's
     /// generation stamp, or else one exact Dijkstra on the overlaid weights
     /// — the cost of a plain memo miss. The configured index is not asked:
     /// it answers on the static weights, which the search has no use for.
@@ -343,39 +500,21 @@ impl ShortestPathEngine {
         target: NodeId,
         t: TimePoint,
     ) -> Option<Duration> {
-        let search = || {
+        if self.inner.kind == EngineKind::Dijkstra {
+            // The reference backend stays memo-free.
             let mut space = self.search_space();
-            overlay::shortest_travel_time_overlaid_in(
+            return overlay::shortest_travel_time_overlaid_in(
                 &self.inner.network,
                 &version.multipliers,
                 source,
                 target,
                 t,
                 &mut space,
-            )
-        };
-        if self.inner.kind == EngineKind::Dijkstra {
-            // The reference backend stays memo-free.
-            return search();
+            );
         }
-        let slot = t.hour_slot().index();
-        let shard = &self.inner.overlay_cache[Self::shard(source)];
-        {
-            let mut cache = lock(shard.lock());
-            cache.ensure(version.generation, slot);
-            if let Some(&secs) = cache.map.get(&(source, target)) {
-                self.inner.metrics.overlay_hits.inc();
-                return decode(secs);
-            }
-        }
-        self.inner.metrics.overlay_misses.inc();
-        let answer = search();
-        let mut cache = lock(shard.lock());
-        // Only memoise if the overlay has not been swapped mid-computation.
-        if cache.generation == version.generation && cache.slot == slot {
-            cache.map.insert((source, target), encode(answer));
-        }
-        answer
+        let stamp = Stamp::new(version.generation, t);
+        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
+        self.memo_travel_time(true, stamp, source, target, overlaid)
     }
 
     /// Travel times from `source` to several `targets` in a single backend
@@ -409,7 +548,10 @@ impl ShortestPathEngine {
                 let mut space = self.search_space();
                 dijkstra::one_to_many_in(&self.inner.network, source, targets, t, &mut space)
             }
-            EngineKind::Cached => self.cached_to_many(source, targets, t),
+            EngineKind::Cached => {
+                let beta = dijkstra::beta_secs(&self.inner.network, t);
+                self.memo_to_many(false, Stamp::new(0, t), source, targets, beta)
+            }
             EngineKind::HubLabels => {
                 self.inner.metrics.backend_hub.add(targets.len() as u64);
                 let index = self.labels_for(t.hour_slot());
@@ -422,9 +564,9 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Overlay-aware one-to-many: what the overlay memo knows, then one
-    /// Dijkstra on the overlaid weights for all the targets it does not,
-    /// memoised per pair.
+    /// Overlay-aware one-to-many: what is remembered under the overlay's
+    /// generation stamp, then one Dijkstra on the overlaid weights for all
+    /// the targets that is not.
     fn overlaid_to_many(
         &self,
         version: &OverlayVersion,
@@ -432,58 +574,20 @@ impl ShortestPathEngine {
         targets: &[NodeId],
         t: TimePoint,
     ) -> Vec<Option<Duration>> {
-        let search = |targets: &[NodeId]| {
+        if self.inner.kind == EngineKind::Dijkstra {
             let mut space = self.search_space();
-            overlay::one_to_many_overlaid_in(
+            return overlay::one_to_many_overlaid_in(
                 &self.inner.network,
                 &version.multipliers,
                 source,
                 targets,
                 t,
                 &mut space,
-            )
-        };
-        if self.inner.kind == EngineKind::Dijkstra {
-            return search(targets);
+            );
         }
-        let slot = t.hour_slot().index();
-        let shard = &self.inner.overlay_cache[Self::shard(source)];
-        let mut out: Vec<Option<Option<Duration>>> = vec![None; targets.len()];
-        // A self-pair is answered without the memo: neither hit nor miss,
-        // as in `travel_time`.
-        let mut hits = 0;
-        {
-            let mut cache = lock(shard.lock());
-            cache.ensure(version.generation, slot);
-            for (i, &target) in targets.iter().enumerate() {
-                if source == target {
-                    out[i] = Some(Some(Duration::ZERO));
-                } else if let Some(&secs) = cache.map.get(&(source, target)) {
-                    out[i] = Some(decode(secs));
-                    hits += 1;
-                }
-            }
-        }
-        let missing: Vec<NodeId> =
-            targets.iter().zip(&out).filter(|(_, o)| o.is_none()).map(|(&n, _)| n).collect();
-        self.inner.metrics.overlay_hits.add(hits);
-        self.inner.metrics.overlay_misses.add(missing.len() as u64);
-        if !missing.is_empty() {
-            let answers = search(&missing);
-            let mut cache = lock(shard.lock());
-            let memoise = cache.generation == version.generation && cache.slot == slot;
-            let mut it = answers.into_iter();
-            for (i, &target) in targets.iter().enumerate() {
-                if out[i].is_none() {
-                    let answer = it.next().expect("one answer per missing target");
-                    if memoise {
-                        cache.map.insert((source, target), encode(answer));
-                    }
-                    out[i] = Some(answer);
-                }
-            }
-        }
-        out.into_iter().map(|o| o.expect("all targets answered")).collect()
+        let stamp = Stamp::new(version.generation, t);
+        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
+        self.memo_to_many(true, stamp, source, targets, overlaid)
     }
 
     /// Shortest path with node sequence and length.
@@ -626,73 +730,159 @@ impl ShortestPathEngine {
         (source.0.wrapping_mul(0x9E37_79B1) >> 28) as usize % CACHE_SHARDS
     }
 
-    fn cached_travel_time(&self, source: NodeId, target: NodeId, t: TimePoint) -> Option<Duration> {
-        let slot = t.hour_slot();
-        let shard_index = Self::shard(source);
-        let shard = &self.inner.cache[slot.index()][shard_index];
-        if let Some(&secs) = lock(shard.lock()).get(&(source, target)) {
-            self.inner.metrics.memo_hits[shard_index].inc();
-            return decode(secs);
+    /// Counts `hits` and `misses` of one memoised query from a source of
+    /// shard `shard`: under an overlay in the overlay memo's counters, else
+    /// in the static memo's and — a static miss is a pair Dijkstra answers
+    /// — the backend's.
+    fn count_memo(&self, overlaid: bool, shard: usize, hits: u64, misses: u64) {
+        let metrics = &self.inner.metrics;
+        if overlaid {
+            metrics.overlay_hits.add(hits);
+            metrics.overlay_misses.add(misses);
+        } else {
+            metrics.memo_hits[shard].add(hits);
+            metrics.memo_misses[shard].add(misses);
+            metrics.backend_dijkstra.add(misses);
         }
-        self.inner.metrics.memo_misses[shard_index].inc();
-        self.inner.metrics.backend_dijkstra.inc();
-        // The fallback Dijkstra runs with no lock held; concurrent fills of
-        // the same pair are idempotent (both insert the same exact answer).
-        let answer = {
-            let mut space = self.search_space();
-            dijkstra::shortest_travel_time_in(&self.inner.network, source, target, t, &mut space)
-        };
-        lock(shard.lock()).insert((source, target), encode(answer));
+    }
+
+    /// A memoised point query on the weights `stamp` names, which
+    /// `edge_secs` prices: the pair memo (a probe, ≈ 40 ns), `source`'s tree
+    /// row (a walk, ≈ 200 ns on City B), or else one search with no lock
+    /// held — concurrent fills of the same pair are idempotent (both insert
+    /// the same exact answer) — whose answer is memoised and whose settled
+    /// nodes grow the row, if the source has one.
+    fn memo_travel_time(
+        &self,
+        overlaid: bool,
+        stamp: Stamp,
+        source: NodeId,
+        target: NodeId,
+        edge_secs: impl Fn(EdgeId) -> f64,
+    ) -> Option<Duration> {
+        let inner = &*self.inner;
+        let shard_index = Self::shard(source);
+        let memo = usize::from(overlaid);
+        {
+            let mut shard = lock(inner.memo[shard_index].lock());
+            shard.roll_to(overlaid, stamp, false, &inner.rows_used);
+            let MemoShard { pairs, rows_stamp, rows, path } = &mut *shard;
+            let pairs = &pairs[memo];
+            let known = pairs.map.get(&(source, target)).filter(|_| pairs.stamp == Some(stamp));
+            if let Some(&secs) = known {
+                self.count_memo(overlaid, shard_index, 1, 0);
+                return decode(secs);
+            }
+            let row = rows.get(&source).filter(|_| *rows_stamp == Some(stamp));
+            if let Some(answer) =
+                row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
+            {
+                inner.metrics.rows_hits.inc();
+                self.count_memo(overlaid, shard_index, 1, 0);
+                return answer;
+            }
+        }
+        self.count_memo(overlaid, shard_index, 0, 1);
+        let mut space = self.search_space();
+        dijkstra::search(&inner.network, source, &[target], &mut space, &edge_secs);
+        let answer = dijkstra::settled_time(&space, target);
+        // Only remember under the stamp the search ran on: the overlay may
+        // have been swapped, or a sweep have rolled the hour, meanwhile.
+        let mut shard = lock(inner.memo[shard_index].lock());
+        if shard.pairs[memo].stamp == Some(stamp) {
+            shard.pairs[memo].map.insert((source, target), encode(answer));
+        }
+        if shard.rows_stamp == Some(stamp) {
+            if let Some(row) = shard.rows.get_mut(&source) {
+                grow(row, &space, answer.is_none());
+            }
+        }
         answer
     }
 
-    fn cached_to_many(
+    /// [`Self::memo_travel_time`] for several targets: what the pair memo
+    /// and the row know, then a single one-to-many search, run with no lock
+    /// held, for the targets they do not. A source the memo already knew
+    /// (≥ 1 hit) that still has a miss stands still while its stops change:
+    /// it is given a tree row, budget permitting, which the search it had
+    /// to run anyway fills as far as it settled.
+    fn memo_to_many(
         &self,
+        overlaid: bool,
+        stamp: Stamp,
         source: NodeId,
         targets: &[NodeId],
-        t: TimePoint,
+        edge_secs: impl Fn(EdgeId) -> f64,
     ) -> Vec<Option<Duration>> {
-        // Answer what the cache already knows, then fill the gaps with a
-        // single one-to-many run performed with no lock held.
-        let slot = t.hour_slot();
+        let inner = &*self.inner;
         let shard_index = Self::shard(source);
-        let shard = &self.inner.cache[slot.index()][shard_index];
+        let memo = usize::from(overlaid);
         let mut out: Vec<Option<Option<Duration>>> = vec![None; targets.len()];
         // A self-pair is answered without the memo: neither hit nor miss,
         // as in `travel_time`.
-        let mut hits = 0;
+        let (mut hits, mut row_hits) = (0, 0);
         {
-            let cache = lock(shard.lock());
-            for (i, &target) in targets.iter().enumerate() {
+            let mut shard = lock(inner.memo[shard_index].lock());
+            shard.roll_to(overlaid, stamp, true, &inner.rows_used);
+            let MemoShard { pairs, rows, path, .. } = &mut *shard;
+            let row = rows.get(&source);
+            for (answer, &target) in out.iter_mut().zip(targets) {
                 if source == target {
-                    out[i] = Some(Some(Duration::ZERO));
-                } else if let Some(&secs) = cache.get(&(source, target)) {
-                    out[i] = Some(decode(secs));
+                    *answer = Some(Some(Duration::ZERO));
+                } else if let Some(&secs) = pairs[memo].map.get(&(source, target)) {
+                    *answer = Some(decode(secs));
                     hits += 1;
+                } else if let Some(known) =
+                    row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
+                {
+                    *answer = Some(known);
+                    row_hits += 1;
                 }
             }
         }
         let missing: Vec<NodeId> =
             targets.iter().zip(&out).filter(|(_, o)| o.is_none()).map(|(&n, _)| n).collect();
-        self.inner.metrics.memo_hits[shard_index].add(hits);
-        self.inner.metrics.memo_misses[shard_index].add(missing.len() as u64);
-        self.inner.metrics.backend_dijkstra.add(missing.len() as u64);
+        inner.metrics.rows_hits.add(row_hits);
+        self.count_memo(overlaid, shard_index, hits + row_hits, missing.len() as u64);
         if !missing.is_empty() {
-            let answers = {
-                let mut space = self.search_space();
-                dijkstra::one_to_many_in(&self.inner.network, source, &missing, t, &mut space)
-            };
-            let mut cache = lock(shard.lock());
-            let mut it = answers.into_iter();
-            for (i, &target) in targets.iter().enumerate() {
-                if out[i].is_none() {
-                    let answer = it.next().expect("one answer per missing target");
-                    cache.insert((source, target), encode(answer));
-                    out[i] = Some(answer);
+            let mut space = self.search_space();
+            dijkstra::search(&inner.network, source, &missing, &mut space, &edge_secs);
+            let mut shard = lock(inner.memo[shard_index].lock());
+            let MemoShard { pairs, rows_stamp, rows, .. } = &mut *shard;
+            let memoise = pairs[memo].stamp == Some(stamp);
+            let mut ran_dry = false;
+            for (slot, &target) in out.iter_mut().zip(targets).filter(|(o, _)| o.is_none()) {
+                let answer = dijkstra::settled_time(&space, target);
+                if memoise {
+                    pairs[memo].map.insert((source, target), encode(answer));
+                }
+                ran_dry |= answer.is_none();
+                *slot = Some(answer);
+            }
+            if *rows_stamp == Some(stamp) {
+                if hits + row_hits > 0 && !rows.contains_key(&source) && self.reserve_row() {
+                    debug_assert!(inner.network.edge_count() < ROW_UNREACHABLE as usize);
+                    let nodes = inner.network.node_count();
+                    rows.insert(source, vec![ROW_UNSETTLED; nodes].into_boxed_slice());
+                    inner.metrics.rows_admitted.inc();
+                }
+                if let Some(row) = rows.get_mut(&source) {
+                    grow(row, &space, ran_dry);
                 }
             }
         }
         out.into_iter().map(|o| o.expect("all targets answered")).collect()
+    }
+
+    /// Takes one row out of the engine's budget, if one is left.
+    fn reserve_row(&self) -> bool {
+        let budget = ROW_BUDGET_BYTES / 4 / self.inner.network.node_count().max(1);
+        self.inner
+            .rows_used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                (used < budget).then_some(used + 1)
+            })
+            .is_ok()
     }
 
     /// The hub labels of `slot`, built by the first caller to ask; callers
@@ -851,14 +1041,16 @@ mod tests {
     }
 
     /// What one engine has counted: `engine.searches`, every
-    /// `engine.backend.*` counter summed, and `[hits, misses]` of the static
-    /// memo (all shards) and of the overlay memo.
+    /// `engine.backend.*` counter summed, `[hits, misses]` of the static
+    /// memo (all shards) and of the overlay memo, and `[hits, admitted]` of
+    /// the tree rows.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Counts {
         searches: u64,
         backend: u64,
         memo: [u64; 2],
         overlay: [u64; 2],
+        rows: [u64; 2],
     }
 
     /// An engine whose counters count into a registry of its own, and a
@@ -876,6 +1068,8 @@ mod tests {
         metrics.memo_misses = std::array::from_fn(|_| registry.counter("memo.misses"));
         metrics.overlay_hits = registry.counter("overlay.hits");
         metrics.overlay_misses = registry.counter("overlay.misses");
+        metrics.rows_hits = registry.counter("rows.hits");
+        metrics.rows_admitted = registry.counter("rows.admitted");
         let read = move || {
             let snapshot = registry.snapshot();
             let count = |name| snapshot.counter(name).expect("registered");
@@ -884,6 +1078,7 @@ mod tests {
                 backend: count("backend"),
                 memo: [count("memo.hits"), count("memo.misses")],
                 overlay: [count("overlay.hits"), count("overlay.misses")],
+                rows: [count("rows.hits"), count("rows.admitted")],
             }
         };
         (engine, read)
@@ -917,6 +1112,163 @@ mod tests {
             assert_eq!(counted(), [2, 2]);
             assert_eq!(engine.query_count(), 7, "every pair asked is still a query");
         }
+    }
+
+    /// `source → targets` on a fresh reference engine in the same overlay
+    /// state, as bits.
+    fn reference_bits(
+        net: &RoadNetwork,
+        overlay: Option<&crate::TrafficOverlay>,
+        source: NodeId,
+        targets: &[NodeId],
+        t: TimePoint,
+    ) -> Vec<Option<u64>> {
+        let reference = ShortestPathEngine::dijkstra(net.clone());
+        if let Some(overlay) = overlay {
+            reference.set_overlay(overlay.clone());
+        }
+        reference.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+    }
+
+    /// The life of a row on the static memo and on the overlay memo of an
+    /// indexed backend: never for a first-time source, admitted by the sweep
+    /// that finds the source known and still misses, and from then on every
+    /// node that sweep's search settled is answered without a search, as a
+    /// hit of the memo the query runs on and of no backend.
+    #[test]
+    fn a_source_that_repeats_is_given_a_row_and_the_row_answers_without_a_search() {
+        let (net, island) = with_island(&GridCityBuilder::new(8, 8).build());
+        let (net, islet) = with_island(&net);
+        let t = TimePoint::from_hms(9, 0, 0);
+        let (source, near, far) = (NodeId(0), [NodeId(9), NodeId(18)], NodeId(63));
+        for overlaid in [false, true] {
+            let kind = if overlaid { EngineKind::HubLabels } else { EngineKind::Cached };
+            let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
+            let (engine, counts) = metered(&net, kind);
+            if let Some(overlay) = &overlay {
+                engine.set_overlay(overlay.clone());
+            }
+            let memo = || if overlaid { counts().overlay } else { counts().memo };
+            let expect =
+                |targets: &[NodeId]| reference_bits(&net, overlay.as_ref(), source, targets, t);
+            let sweep = |targets: &[NodeId]| -> Vec<Option<u64>> {
+                engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+            };
+
+            // First time: a search, no row.
+            assert_eq!(sweep(&[NodeId(1)]), expect(&[NodeId(1)]));
+            assert_eq!((counts().searches, counts().rows), (1, [0, 0]), "overlaid: {overlaid}");
+            // Known and still missing: the search it runs anyway fills a row.
+            assert_eq!(sweep(&[NodeId(1), far]), expect(&[NodeId(1), far]));
+            assert_eq!((counts().searches, counts().rows), (2, [0, 1]));
+            assert_eq!(memo(), [1, 2]);
+            // Nodes that search settled on its way, never asked before: the
+            // row answers, as memo hits, with no search and no backend pair.
+            let backend = counts().backend;
+            assert_eq!(sweep(&near), expect(&near));
+            assert_eq!(bits(engine.travel_time(source, NodeId(27), t)), expect(&[NodeId(27)])[0]);
+            assert_eq!((counts().searches, counts().rows), (2, [3, 1]));
+            assert_eq!((memo(), counts().backend), ([4, 2], backend));
+            // The island is not settled, which is not unreachable: the row
+            // passes, a search runs the graph dry, and only then the row
+            // says `None` by itself — of every node it had not settled.
+            assert_eq!(sweep(&[island, near[0]]), [None, expect(&near)[0]]);
+            assert_eq!((counts().searches, counts().rows), (3, [4, 1]));
+            assert_eq!(sweep(&[islet]), [None]);
+            assert_eq!(engine.travel_time(source, islet, t), None);
+            assert_eq!((counts().searches, counts().rows), (3, [6, 1]));
+            let all: Vec<NodeId> = net.node_ids().collect();
+            assert_eq!(sweep(&all), expect(&all));
+            assert_eq!((counts().searches, counts().rows[1]), (3, 1));
+            // Another source has no row and is not given this one's.
+            assert_eq!(
+                bits(engine.travel_time(NodeId(5), near[0], t)),
+                reference_bits(&net, overlay.as_ref(), NodeId(5), &near, t)[0]
+            );
+            assert_eq!((counts().searches, counts().rows[1]), (4, 1));
+        }
+    }
+
+    /// One constant budgets the rows of an engine: on a grid too large for
+    /// every source to have one, exactly `ROW_BUDGET_BYTES / 4 / n` are
+    /// admitted, first come first kept, and a refused source goes on as it
+    /// would have without rows — the same searches, no more and no wider.
+    /// The hour moving on hands the budget back.
+    #[test]
+    fn the_row_budget_admits_its_share_and_refuses_the_rest() {
+        let net = GridCityBuilder::new(24, 24).build();
+        let n = net.node_count();
+        let budget = (ROW_BUDGET_BYTES / 4 / n) as u64;
+        assert!((budget as usize) < n, "the grid must outnumber the rows");
+        let (engine, counts) = metered(&net, EngineKind::Cached);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let next = |source: NodeId| NodeId((source.0 + 1) % n as u32);
+        for (round, hour) in [(1u64, 12), (2, 13)] {
+            let t = TimePoint::from_hms(hour, 0, 0);
+            // First time, every source: one search each, no row.
+            for &source in &all {
+                engine.travel_times_to_many(source, &[next(source)], t);
+            }
+            assert_eq!(counts().rows[1], (round - 1) * budget);
+            // Known and still missing, every source: one search each, as
+            // without rows, and a row for as many as the budget holds.
+            for &source in &all {
+                engine.travel_times_to_many(source, &all, t);
+            }
+            let swept = counts();
+            assert_eq!(swept.rows[1], round * budget);
+            assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed) as u64, budget);
+            assert_eq!(swept.searches, round * 2 * n as u64);
+            // Everything is known now, with or without a row: no search.
+            for &source in all.iter().step_by(7) {
+                let got = engine.travel_times_to_many(source, &all, t);
+                let got: Vec<_> = got.into_iter().map(bits).collect();
+                assert_eq!(got, reference_bits(&net, None, source, &all, t), "{source}");
+            }
+            assert_eq!(counts().searches, swept.searches);
+        }
+    }
+
+    /// A sweep of another hour moves the shard on — rows and pairs of the
+    /// hour that has passed are gone, so coming back searches again and
+    /// answers the same bits — while a point query of another hour answers
+    /// by search and leaves the memo as it was.
+    #[test]
+    fn a_sweep_rolls_the_hour_and_a_point_query_does_not() {
+        let net = GridCityBuilder::new(8, 8).build();
+        let (noon, one) = (TimePoint::from_hms(12, 10, 0), TimePoint::from_hms(13, 0, 0));
+        let (source, targets) = (NodeId(0), [NodeId(9), NodeId(63)]);
+        let (engine, counts) = metered(&net, EngineKind::Cached);
+        let sweep = |targets: &[NodeId], t| -> Vec<Option<u64>> {
+            engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+        };
+        let first = sweep(&targets[..1], noon);
+        let grown = sweep(&targets, noon);
+        assert_eq!(grown, reference_bits(&net, None, source, &targets, noon));
+        assert_eq!((counts().searches, counts().rows[1]), (2, 1));
+        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 1);
+
+        // A trailing point query (an order placed before the hour turned
+        // and submitted after it) searches every time and clears nothing.
+        let trailing = TimePoint::from_hms(11, 59, 0);
+        for searches in [3, 4] {
+            assert_eq!(
+                bits(engine.travel_time(source, targets[0], trailing)),
+                reference_bits(&net, None, source, &targets, trailing)[0]
+            );
+            assert_eq!(counts().searches, searches);
+        }
+        assert_eq!(sweep(&targets, noon), grown);
+        assert_eq!((counts().searches, counts().memo), (4, [3, 4]));
+
+        // The sweep of the next hour drops noon's row and pairs ...
+        assert_ne!(sweep(&targets, one), grown, "another hour, other weights");
+        assert_eq!(counts().searches, 5);
+        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 0);
+        // ... so noon, asked again, starts over: search, then admission.
+        assert_eq!(sweep(&targets[..1], noon), first);
+        assert_eq!(sweep(&targets, noon), grown);
+        assert_eq!((counts().searches, counts().rows[1]), (7, 2));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl TrafficOverlay {
 /// The overlaid weight `β(e, t) × multiplier(e)` in seconds, over a table
 /// rendered by [`TrafficOverlay::edge_multipliers`] for the same network.
 #[inline]
-fn overlaid_secs<'a>(
+pub(crate) fn overlaid_secs<'a>(
     network: &'a RoadNetwork,
     multipliers: &'a [f64],
     t: TimePoint,

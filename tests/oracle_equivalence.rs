@@ -191,6 +191,131 @@ fn one_to_many_sweep_equals_point_queries_bit_for_bit() {
     assert!(unreachable > 0, "no unreachable target was sampled");
 }
 
+/// `network` plus one node no street reaches (edge ids unchanged), as
+/// `roadnet::dijkstra::tests::with_island` builds it.
+fn with_island(network: &RoadNetwork) -> (RoadNetwork, NodeId) {
+    let mut b = RoadNetworkBuilder::new().congestion(network.congestion().clone());
+    for node in network.node_ids() {
+        b.add_node(network.position(node));
+    }
+    for edge in network.edge_ids() {
+        let e = network.edge(edge);
+        b.add_edge(e.from, e.to, e.length_m, e.class);
+    }
+    let island = b.add_node(GeoPoint::new(0.0, 0.0));
+    (b.build(), island)
+}
+
+/// The premise of the engine's tree rows: what a `Cached` engine answers
+/// from a source that *repeats* — out of the pair memo, out of the tree its
+/// earlier searches left behind, or out of a new search merged into that
+/// tree — is, bit for bit, what a fresh `Dijkstra` engine in the same
+/// overlay state answers. One engine per network lives through target sets
+/// that grow, shrink, repeat and overlap, point queries in between, an hour
+/// rollover and back, and two overlay generations and their removal; a node
+/// no street reaches is `None` in every round (an unsettled node must never
+/// read as unreachable, nor the reverse), and nothing computed under one
+/// overlay survives into the next.
+#[test]
+fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
+    let bits = |d: Option<foodmatch_roadnet::Duration>| d.map(|d| d.as_secs_f64().to_bits());
+    let overlay_on = |network: &RoadNetwork, every: usize, factor: f64| {
+        let mut overlay = TrafficOverlay::new();
+        for edge in network.edge_ids().step_by(every) {
+            overlay.slow_edge(edge, factor);
+        }
+        overlay
+    };
+    let networks = [
+        with_island(&RandomCityBuilder::new(140).seed(41).build()),
+        with_island(&RandomCityBuilder::new(90).seed(7).build()),
+        with_island(&RandomCityBuilder::new(200).seed(19).build()),
+        with_island(&foodmatch_roadnet::generators::GridCityBuilder::new(9, 9).build()),
+    ];
+    for (which, (network, island)) in networks.iter().enumerate() {
+        let n = network.node_count() as u32;
+        let mut rng = StdRng::seed_from_u64(0x7EE5 + which as u64);
+        let source = NodeId(rng.random_range(0..n - 1));
+        let other = NodeId((source.0 + 1) % (n - 1));
+        let engine = ShortestPathEngine::cached(network.clone());
+        let (noon, one) = (TimePoint::from_hms(12, 20, 0), TimePoint::from_hms(13, 5, 0));
+        let (mild, severe) = (overlay_on(network, 3, 1.6), overlay_on(network, 2, 3.5));
+        let states: [(Option<&TrafficOverlay>, TimePoint); 6] = [
+            (None, noon),
+            (None, one),
+            (None, noon),
+            (Some(&mild), noon),
+            (Some(&severe), noon),
+            (None, noon),
+        ];
+        let mut installed: Option<&TrafficOverlay> = None;
+        let mut answers_under_mild = Vec::new();
+        for (state, (overlay, t)) in states.into_iter().enumerate() {
+            if overlay != installed {
+                engine.set_overlay(overlay.cloned().unwrap_or_default());
+                installed = overlay;
+            }
+            let reference = ShortestPathEngine::dijkstra(network.clone());
+            reference.set_overlay(overlay.cloned().unwrap_or_default());
+            let context = |what: &str| format!("network {which}, state {state}, {what}");
+
+            let mut draw = |count: usize| -> Vec<NodeId> {
+                (0..count).map(|_| NodeId(rng.random_range(0..n))).collect()
+            };
+            let first = draw(6);
+            let grown = [first.clone(), draw(4), vec![*island, source]].concat();
+            let everything: Vec<NodeId> = network.node_ids().collect();
+            let rounds: [Vec<NodeId>; 7] = [
+                first.clone(),                                    // memo only
+                grown.clone(),                                    // grows: admitted
+                first[..3].to_vec(),                              // shrinks: tree hits
+                grown.clone(),                                    // repeats
+                [first[3..].to_vec(), draw(8)].concat(),          // overlaps: tree grown
+                [vec![*island], draw(5), vec![*island]].concat(), // runs the graph dry
+                everything,                                       // all of it, island included
+            ];
+            for (round, targets) in rounds.iter().enumerate() {
+                let got = engine.travel_times_to_many(source, targets, t);
+                let want = reference.travel_times_to_many(source, targets, t);
+                for ((&target, got), want) in targets.iter().zip(got).zip(want) {
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{}",
+                        context(&format!("round {round}, {source}->{target}"))
+                    );
+                    if target == *island {
+                        assert_eq!(got, None, "{}", context("the island"));
+                    }
+                }
+                // Point queries in between: from the row's source (one of
+                // them at an hour that trails the sweeps') and from another.
+                for target in draw(3).into_iter().chain([*island]) {
+                    for (from, at) in [
+                        (source, t),
+                        (source, t - foodmatch_roadnet::Duration::from_mins(30.0)),
+                        (other, t),
+                    ] {
+                        assert_eq!(
+                            bits(engine.travel_time(from, target, at)),
+                            bits(reference.travel_time(from, target, at)),
+                            "{}",
+                            context(&format!("round {round}, point {from}->{target}"))
+                        );
+                    }
+                }
+            }
+            // What the severe overlay must not inherit from the mild one.
+            let probe = engine.travel_times_to_many(source, &rounds[6], t);
+            if overlay == Some(&mild) {
+                answers_under_mild = probe;
+            } else if overlay == Some(&severe) {
+                assert_ne!(probe, answers_under_mild, "{}", context("the overlays must differ"));
+            }
+        }
+    }
+}
+
 #[test]
 fn shortest_path_agrees_across_backends() {
     let network = RandomCityBuilder::new(70).seed(31).build();
