@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the building blocks whose cost dominates
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
-//! shortest-path queries under the four engines, a cold oracle miss with and
-//! without a traffic overlay installed, per-backend index construction,
+//! shortest-path queries under the three engines, a cold oracle miss with and
+//! without a traffic overlay installed, hub-label index construction,
 //! Kuhn–Munkres matching, order batching, sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
 //! fleet), and one full FoodMatch window.
@@ -14,8 +14,8 @@ use foodmatch_core::{
 };
 use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
-    ContractionHierarchy, Duration, EngineKind, HourSlot, HubLabelIndex, NodeId, RoadNetwork,
-    ShortestPathEngine, TimePoint, TrafficOverlay,
+    Duration, EngineKind, HourSlot, HubLabelIndex, NodeId, RoadNetwork, ShortestPathEngine,
+    TimePoint, TrafficOverlay,
 };
 use foodmatch_workload::{CityId, EventScheduleBuilder, Scenario, ScenarioOptions};
 use rand::rngs::StdRng;
@@ -187,9 +187,9 @@ fn bench_repeat_source(c: &mut Criterion) {
 }
 
 fn bench_index_build(c: &mut Criterion) {
-    // Preprocessing cost per indexed backend, tracked alongside query cost so
-    // a regression in either shows up. Built for one hour slot on the City A
-    // network (the same graph the query benchmark uses).
+    // Preprocessing cost of the indexed backend, tracked alongside query cost
+    // so a regression in either shows up. Built for one hour slot on the
+    // City A network (the same graph the query benchmark uses).
     let scenario = Scenario::generate(CityId::A, ScenarioOptions::lunch_peak(3));
     let network = scenario.city.network.clone();
     let slot = HourSlot::new(13);
@@ -197,9 +197,6 @@ fn bench_index_build(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("hub_labels", |b| {
         b.iter(|| black_box(HubLabelIndex::build(&network, slot)))
-    });
-    group.bench_function("contraction_hierarchies", |b| {
-        b.iter(|| black_box(ContractionHierarchy::build(&network, slot)))
     });
     group.finish();
 }

@@ -6,9 +6,8 @@
 //! and per-stop resolve sweeps, and the batching stage's per-stop oracle
 //! sweeps (per-order route plans when batching is off); Algorithm 1's merge
 //! candidates are microsecond table plans and stay on the calling thread —
-//! with `DispatchConfig::effective_threads` deciding the width; and
-//! per-hour-slot index warm-up (`ShortestPathEngine::warm_all` in
-//! `foodmatch-roadnet`), plus the router's lockstep shard fan-out. All of
+//! with `DispatchConfig::effective_threads` deciding the width; and the
+//! router's lockstep shard fan-out. All of
 //! them consist of many independent evaluations against shared
 //! `Send + Sync` state. [`parallel_map`] fans such work out across
 //! `std::thread::scope` workers while keeping the output *bit-for-bit

@@ -122,19 +122,12 @@ impl SearchSpace {
         Self::default()
     }
 
-    /// Creates a search space pre-sized for networks of `nodes` nodes.
-    pub fn with_capacity(nodes: usize) -> Self {
-        let mut space = Self::default();
-        space.grow(nodes);
-        space
-    }
-
     /// Number of nodes the space is currently sized for.
     pub fn node_capacity(&self) -> usize {
         self.dist.len()
     }
 
-    pub(crate) fn grow(&mut self, n: usize) {
+    fn grow(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.time.resize(n, f64::INFINITY);
@@ -184,15 +177,6 @@ impl SearchSpace {
         self.touched[i] = self.generation;
     }
 
-    /// Like [`Self::update`] but leaves the travel-time array untouched
-    /// (for searches whose weight *is* the travel time, e.g. CH queries).
-    #[inline]
-    pub(crate) fn update_no_time(&mut self, i: usize, dist: f64, parent: u32) {
-        self.dist[i] = dist;
-        self.parent[i] = parent;
-        self.touched[i] = self.generation;
-    }
-
     /// The potential of `i` in the current search, from `compute` the first
     /// time it is asked for. A node's potential is asked for when an edge
     /// into it is relaxed, and the first such relaxation always improves on
@@ -222,18 +206,6 @@ impl SearchSpace {
             Some(EdgeId(self.parent[i]))
         } else {
             None
-        }
-    }
-
-    /// Raw parent stamp of `i` ([`NO_EDGE`] when unset). The contraction
-    /// hierarchy stores *arc indices* here rather than edge ids, so it reads
-    /// the stamp back untyped.
-    #[inline]
-    pub(crate) fn parent_raw(&self, i: usize) -> u32 {
-        if self.touched[i] == self.generation {
-            self.parent[i]
-        } else {
-            NO_EDGE
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Higher layers (route planning, batching, FoodGraph construction, the
 //! simulator) issue a very large number of `SP(u, v, t)` queries. The paper
-//! accelerates these with hub labels; we expose four interchangeable
+//! accelerates these with hub labels; we expose three interchangeable
 //! engines behind [`ShortestPathEngine`]:
 //!
 //! * [`EngineKind::Dijkstra`] — no index, every query runs Dijkstra. Baseline
@@ -17,17 +17,18 @@
 //!   ways by source node so parallel dispatch workers don't serialise on one
 //!   lock, and the lock is never held across the fallback Dijkstra run.
 //! * [`EngineKind::HubLabels`] — exact hub labels built lazily per hour slot
-//!   (see [`crate::hub_labels`]).
-//! * [`EngineKind::ContractionHierarchies`] — a contraction-hierarchies
-//!   index built lazily per hour slot (see [`crate::ch`]); the only indexed
-//!   backend that also answers full *path* queries (via shortcut unpacking).
+//!   (see [`crate::hub_labels`]); distances only, each the sum of two label
+//!   halves, so it agrees with the other two to a tolerance rather than bit
+//!   for bit.
 //!
-//! While a [`TrafficOverlay`] is installed ([`ShortestPathEngine::set_overlay`])
-//! the backends differ only in whether they memoise: the static memo and the
-//! indexes answer on weights that no longer hold, so they are not asked, and
-//! a miss of the generation-stamped overlay memo — pairs and rows, the same
-//! two layers read by the same code — is one Dijkstra on the overlaid
-//! weights on every backend (`Dijkstra` keeps no memo at all).
+//! Path queries ([`ShortestPathEngine::shortest_path`]) are one pooled
+//! Dijkstra on every backend. While a [`TrafficOverlay`] is installed
+//! ([`ShortestPathEngine::set_overlay`]) the backends differ only in whether
+//! they memoise: the static memo and the index answer on weights that no
+//! longer hold, so they are not asked, and a miss of the generation-stamped
+//! overlay memo — pairs and rows, the same two layers read by the same code
+//! — is one Dijkstra on the overlaid weights on every backend (`Dijkstra`
+//! keeps no memo at all).
 //!
 //! ## Tree rows
 //!
@@ -72,14 +73,13 @@
 //! [`ShortestPathEngine::search_space`] hands the same pooled spaces to
 //! callers that drive their own [`Expansion`](crate::dijkstra::Expansion)s.
 
-use crate::ch::ContractionHierarchy;
 use crate::dijkstra::{self, SearchSpace, NO_EDGE};
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
+use crate::lock;
 use crate::overlay::{self, TrafficOverlay};
 use crate::timeofday::{Duration, HourSlot, TimePoint};
-use crate::{lock, parallel_map};
 use foodmatch_telemetry as telemetry;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -103,19 +103,13 @@ pub enum EngineKind {
     Cached,
     /// Lazily built exact hub labels per hour slot.
     HubLabels,
-    /// Lazily built contraction hierarchies per hour slot.
-    ContractionHierarchies,
 }
 
 impl EngineKind {
     /// All engine kinds, in documentation order (useful for equivalence
     /// tests and per-backend benchmarks).
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Dijkstra,
-        EngineKind::Cached,
-        EngineKind::HubLabels,
-        EngineKind::ContractionHierarchies,
-    ];
+    pub const ALL: [EngineKind; 3] =
+        [EngineKind::Dijkstra, EngineKind::Cached, EngineKind::HubLabels];
 }
 
 /// What every tree row of one engine may hold together, in bytes: a row is
@@ -298,13 +292,12 @@ struct EngineMetrics {
     /// `engine.rows.admitted` — rows allocated.
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
-    /// `engine.backend.{dijkstra,hub,ch}.queries` — which index answered
+    /// `engine.backend.{dijkstra,hub}.queries` — which backend answered
     /// (the Dijkstra counter includes the cached backend's fill runs). Pairs
-    /// asked under an overlay are in none of them: no backend answers those.
+    /// asked under an overlay are in neither: no backend answers those.
     backend_dijkstra: telemetry::Counter,
     backend_hub: telemetry::Counter,
-    backend_ch: telemetry::Counter,
-    /// `engine.index.build_ns` — lazy per-slot hub-label / CH builds.
+    /// `engine.index.build_ns` — lazy per-slot hub-label builds.
     index_build_ns: telemetry::Histogram,
 }
 
@@ -326,7 +319,6 @@ impl EngineMetrics {
             rows_admitted: telemetry::counter("engine.rows.admitted"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             backend_hub: telemetry::counter("engine.backend.hub.queries"),
-            backend_ch: telemetry::counter("engine.backend.ch.queries"),
             index_build_ns: telemetry::histogram("engine.index.build_ns"),
         }
     }
@@ -344,9 +336,6 @@ struct EngineInner {
     rows_used: AtomicUsize,
     /// Lazily built hub-label indexes for [`EngineKind::HubLabels`].
     labels: [OnceLock<HubLabelIndex>; HourSlot::COUNT],
-    /// Lazily built contraction hierarchies for
-    /// [`EngineKind::ContractionHierarchies`].
-    hierarchies: [OnceLock<ContractionHierarchy>; HourSlot::COUNT],
     /// Pool of reusable Dijkstra search spaces.
     spaces: Mutex<Vec<SearchSpace>>,
     /// The active traffic overlay (empty at generation 0). Swapped whole so
@@ -369,7 +358,6 @@ impl ShortestPathEngine {
                 memo: std::array::from_fn(|_| Mutex::new(MemoShard::default())),
                 rows_used: AtomicUsize::new(0),
                 labels: std::array::from_fn(|_| OnceLock::new()),
-                hierarchies: std::array::from_fn(|_| OnceLock::new()),
                 spaces: Mutex::new(Vec::new()),
                 overlay: RwLock::new(Arc::new(OverlayVersion {
                     generation: 0,
@@ -396,11 +384,6 @@ impl ShortestPathEngine {
     /// Convenience constructor for a hub-label engine.
     pub fn hub_labels(network: RoadNetwork) -> Self {
         Self::new(network, EngineKind::HubLabels)
-    }
-
-    /// Convenience constructor for a contraction-hierarchies engine.
-    pub fn contraction_hierarchies(network: RoadNetwork) -> Self {
-        Self::new(network, EngineKind::ContractionHierarchies)
     }
 
     /// The underlying road network.
@@ -482,10 +465,6 @@ impl ShortestPathEngine {
                 self.inner.metrics.backend_hub.inc();
                 self.labels_for(t.hour_slot()).travel_time(source, target)
             }
-            EngineKind::ContractionHierarchies => {
-                self.inner.metrics.backend_ch.inc();
-                self.hierarchy_for(t.hour_slot()).travel_time(source, target)
-            }
         }
     }
 
@@ -557,10 +536,6 @@ impl ShortestPathEngine {
                 let index = self.labels_for(t.hour_slot());
                 targets.iter().map(|&target| index.travel_time(source, target)).collect()
             }
-            EngineKind::ContractionHierarchies => {
-                self.inner.metrics.backend_ch.add(targets.len() as u64);
-                self.hierarchy_for(t.hour_slot()).travel_times_to_many(source, targets)
-            }
         }
     }
 
@@ -590,12 +565,9 @@ impl ShortestPathEngine {
         self.memo_to_many(true, stamp, source, targets, overlaid)
     }
 
-    /// Shortest path with node sequence and length.
-    ///
-    /// Routed through the contraction-hierarchies index (with shortcut
-    /// unpacking) when that backend is selected; every other backend answers
-    /// with a pooled-space Dijkstra. Counted in [`Self::query_count`] like
-    /// the other entry points.
+    /// Shortest path with node sequence and length: one pooled-space
+    /// Dijkstra whatever the backend (the hub labels hold distances, not
+    /// paths). Counted in [`Self::query_count`] like the other entry points.
     pub fn shortest_path(
         &self,
         source: NodeId,
@@ -618,46 +590,17 @@ impl ShortestPathEngine {
                 );
             }
         }
-        match self.inner.kind {
-            EngineKind::ContractionHierarchies => {
-                self.hierarchy_for(t.hour_slot()).shortest_path(&self.inner.network, source, target)
-            }
-            _ => {
-                let mut space = self.search_space();
-                dijkstra::shortest_path_in(&self.inner.network, source, target, t, &mut space)
-            }
-        }
+        let mut space = self.search_space();
+        dijkstra::shortest_path_in(&self.inner.network, source, target, t, &mut space)
     }
 
     /// Forces construction of the per-slot index for `slot` (no-op for the
     /// index-free engine kinds). Useful to move index construction out of
     /// measured sections in benchmarks.
     pub fn warm_up(&self, slot: HourSlot) {
-        match self.inner.kind {
-            EngineKind::HubLabels => {
-                self.labels_for(slot);
-            }
-            EngineKind::ContractionHierarchies => {
-                self.hierarchy_for(slot);
-            }
-            EngineKind::Dijkstra | EngineKind::Cached => {}
+        if self.inner.kind == EngineKind::HubLabels {
+            self.labels_for(slot);
         }
-    }
-
-    /// Builds all 24 per-hour-slot indexes concurrently with up to
-    /// `num_threads` workers (`0` = the machine's available parallelism), so
-    /// the first window of each slot stops paying the lazy build. No-op for
-    /// the index-free engine kinds.
-    pub fn warm_all(&self, num_threads: usize) {
-        if !matches!(self.inner.kind, EngineKind::HubLabels | EngineKind::ContractionHierarchies) {
-            return;
-        }
-        let threads = match num_threads {
-            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            n => n,
-        };
-        let slots: Vec<HourSlot> = HourSlot::all().collect();
-        parallel_map(&slots, threads, |_, &slot| self.warm_up(slot));
     }
 
     /// Installs `overlay` as the active traffic perturbation, bumping the
@@ -894,15 +837,6 @@ impl ShortestPathEngine {
             HubLabelIndex::build(&self.inner.network, slot)
         })
     }
-
-    /// The contraction hierarchy of `slot`, built like [`Self::labels_for`].
-    fn hierarchy_for(&self, slot: HourSlot) -> &ContractionHierarchy {
-        self.inner.hierarchies[slot.index()].get_or_init(|| {
-            let _span = telemetry::span("engine", "ch.build");
-            let _build = self.inner.metrics.index_build_ns.timer();
-            ContractionHierarchy::build(&self.inner.network, slot)
-        })
-    }
 }
 
 /// A [`SearchSpace`] checked out of a [`ShortestPathEngine`]'s pool; derefs
@@ -982,10 +916,9 @@ mod tests {
         let reference = ShortestPathEngine::dijkstra(net.clone());
         let cached = ShortestPathEngine::cached(net.clone());
         let labels = ShortestPathEngine::hub_labels(net.clone());
-        let hierarchies = ShortestPathEngine::contraction_hierarchies(net.clone());
         for (a, b) in sample_pairs(&net) {
             let expected = reference.travel_time(a, b, t);
-            for engine in [&cached, &labels, &hierarchies] {
+            for engine in [&cached, &labels] {
                 let got = engine.travel_time(a, b, t);
                 match (expected, got) {
                     (None, None) => {}
@@ -1063,7 +996,6 @@ mod tests {
         metrics.searches = registry.counter("searches");
         metrics.backend_dijkstra = registry.counter("backend");
         metrics.backend_hub = registry.counter("backend");
-        metrics.backend_ch = registry.counter("backend");
         metrics.memo_hits = std::array::from_fn(|_| registry.counter("memo.hits"));
         metrics.memo_misses = std::array::from_fn(|_| registry.counter("memo.misses"));
         metrics.overlay_hits = registry.counter("overlay.hits");
@@ -1302,21 +1234,18 @@ mod tests {
             let before = engine.query_count();
             let got = engine.shortest_path(NodeId(0), NodeId(24), t).unwrap();
             assert!(engine.query_count() > before, "kind {kind:?} must count path queries");
-            assert_eq!(got.nodes.first(), Some(&NodeId(0)));
-            assert_eq!(got.nodes.last(), Some(&NodeId(24)));
-            assert!(
-                (got.travel_time.as_secs_f64() - expected.travel_time.as_secs_f64()).abs() < 1e-6,
-                "kind {kind:?}: {got:?} vs {expected:?}"
-            );
-            assert!((got.length_m - expected.length_m).abs() < 1e-6);
+            // Every backend answers a path with the same search: the same
+            // path, to the bit.
+            assert_eq!(got.nodes, expected.nodes, "kind {kind:?}");
+            assert_eq!(bits(Some(got.travel_time)), bits(Some(expected.travel_time)), "{kind:?}");
+            assert_eq!(got.length_m.to_bits(), expected.length_m.to_bits(), "kind {kind:?}");
         }
     }
 
     #[test]
     fn engine_is_shareable_across_threads() {
         let net = GridCityBuilder::new(6, 6).build();
-        for kind in [EngineKind::HubLabels, EngineKind::ContractionHierarchies, EngineKind::Cached]
-        {
+        for kind in [EngineKind::HubLabels, EngineKind::Cached] {
             let engine = ShortestPathEngine::new(net.clone(), kind);
             let t = TimePoint::from_hms(12, 0, 0);
             let expected = engine.travel_time(NodeId(0), NodeId(35), t);
@@ -1334,38 +1263,11 @@ mod tests {
     #[test]
     fn warm_up_builds_indexes_once() {
         let net = GridCityBuilder::new(4, 4).build();
-        for kind in [EngineKind::HubLabels, EngineKind::ContractionHierarchies] {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            engine.warm_up(HourSlot::new(12));
-            // Second warm-up must not panic or rebuild into inconsistency.
-            engine.warm_up(HourSlot::new(12));
-            assert!(engine
-                .travel_time(NodeId(0), NodeId(15), TimePoint::from_hms(12, 5, 0))
-                .is_some());
-        }
-    }
-
-    #[test]
-    fn warm_all_builds_every_slot_concurrently() {
-        let net = GridCityBuilder::new(4, 4).build();
-        for kind in [EngineKind::HubLabels, EngineKind::ContractionHierarchies] {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            engine.warm_all(4);
-            for slot in HourSlot::all() {
-                let built = match kind {
-                    EngineKind::HubLabels => engine.inner.labels[slot.index()].get().is_some(),
-                    _ => engine.inner.hierarchies[slot.index()].get().is_some(),
-                };
-                assert!(built, "slot {slot:?} not built");
-            }
-            // Idempotent, and queries still answer.
-            engine.warm_all(0);
-            assert!(engine
-                .travel_time(NodeId(0), NodeId(15), TimePoint::from_hms(7, 30, 0))
-                .is_some());
-        }
-        // No-op kinds must not panic.
-        ShortestPathEngine::cached(net).warm_all(4);
+        let engine = ShortestPathEngine::hub_labels(net);
+        engine.warm_up(HourSlot::new(12));
+        // Second warm-up must not panic or rebuild into inconsistency.
+        engine.warm_up(HourSlot::new(12));
+        assert!(engine.travel_time(NodeId(0), NodeId(15), TimePoint::from_hms(12, 5, 0)).is_some());
     }
 
     fn slowdown_overlay(net: &RoadNetwork, factor: f64) -> crate::TrafficOverlay {
@@ -1387,8 +1289,7 @@ mod tests {
         // to the bit, not to a tolerance.
         let reference = ShortestPathEngine::dijkstra(net.clone());
         reference.set_overlay(overlay.clone());
-        for kind in [EngineKind::Cached, EngineKind::HubLabels, EngineKind::ContractionHierarchies]
-        {
+        for kind in [EngineKind::Cached, EngineKind::HubLabels] {
             let (engine, counted) = metered(&net, kind);
             engine.set_overlay(overlay.clone());
             for (a, b) in sample_pairs(&net) {
@@ -1431,8 +1332,7 @@ mod tests {
         let net = GridCityBuilder::new(6, 6).build();
         let t = TimePoint::from_hms(9, 0, 0);
         let targets: Vec<NodeId> = (10..18).map(NodeId).collect();
-        for kind in [EngineKind::Cached, EngineKind::HubLabels, EngineKind::ContractionHierarchies]
-        {
+        for kind in [EngineKind::Cached, EngineKind::HubLabels] {
             let (engine, counted) = metered(&net, kind);
             engine.set_overlay(slowdown_overlay(&net, 2.0));
             let point = engine.travel_time(NodeId(0), NodeId(35), t);
@@ -1506,7 +1406,7 @@ mod tests {
     fn overlay_memo_is_invalidated_by_generation() {
         let net = GridCityBuilder::new(5, 5).build();
         let t = TimePoint::from_hms(12, 0, 0);
-        let engine = ShortestPathEngine::contraction_hierarchies(net.clone());
+        let engine = ShortestPathEngine::hub_labels(net.clone());
         let mut mild = crate::TrafficOverlay::new();
         let mut severe = crate::TrafficOverlay::new();
         for eid in net.edge_ids() {

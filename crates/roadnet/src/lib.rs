@@ -19,11 +19,9 @@
 //!   construction (Algorithm 2 in the paper).
 //! * [`HubLabelIndex`] — a pruned hub-labelling distance oracle standing in
 //!   for the hierarchical hub labels the paper uses for fast distance queries.
-//! * [`ContractionHierarchy`] — a contraction-hierarchies oracle that answers
-//!   both distance and full-path queries through shortcut unpacking.
 //! * [`ShortestPathEngine`] — a façade that picks between plain Dijkstra, a
-//!   memoising cache, hub labels and contraction hierarchies, so callers do
-//!   not care which index backs a query.
+//!   memoising cache and hub labels, so callers do not care which backend
+//!   answers a query; path queries are one Dijkstra on every backend.
 //! * [`TrafficOverlay`] — live edge-speed perturbations (incidents, rain,
 //!   localized slowdowns; multipliers `≥ 1`, so roads slow but never close)
 //!   layered over the static weights; the engine renders the installed
@@ -53,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ch;
 pub mod congestion;
 pub mod dijkstra;
 pub mod generators;
@@ -65,7 +62,6 @@ pub mod index;
 pub mod overlay;
 pub mod timeofday;
 
-pub use ch::ContractionHierarchy;
 pub use congestion::{CongestionProfile, RoadClass};
 pub use dijkstra::{Expansion, PathResult, SearchSpace};
 pub use foodmatch_matching::parallel_map;

@@ -2,8 +2,8 @@
 //!
 //! The paper's road network is *dynamic*: edge travel times are refreshed
 //! from live speeds as the day unfolds. Rebuilding a per-hour-slot index
-//! (hub labels, contraction hierarchies) on every refresh would be absurdly
-//! expensive, so perturbations are instead expressed as a [`TrafficOverlay`]
+//! (the hub labels) on every refresh would be absurdly expensive, so
+//! perturbations are instead expressed as a [`TrafficOverlay`]
 //! — a sparse map `EdgeId → multiplier ≥ 1` layered on top of the static
 //! `β(e, t)` weights. The effective weight of a perturbed edge is
 //! `β(e, t) × multiplier(e)`.
