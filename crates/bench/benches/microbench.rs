@@ -4,7 +4,8 @@
 //! without a traffic overlay installed, hub-label index construction,
 //! Kuhn–Munkres matching, order batching, sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
-//! fleet), and one full FoodMatch window.
+//! fleet, and one metro window of couriers under way), Eq. 8's per-node
+//! angular potential, and one full FoodMatch window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use foodmatch_core::{
@@ -14,10 +15,12 @@ use foodmatch_core::{
 };
 use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
-    Duration, EngineKind, HourSlot, HubLabelIndex, NodeId, RoadNetwork, ShortestPathEngine,
-    TimePoint, TrafficOverlay,
+    AngularFrame, Duration, EngineKind, HourSlot, HubLabelIndex, NodeId, RoadNetwork,
+    ShortestPathEngine, TimePoint, TrafficOverlay,
 };
-use foodmatch_workload::{CityId, EventScheduleBuilder, Scenario, ScenarioOptions};
+use foodmatch_workload::{
+    CityId, EventScheduleBuilder, MetroOptions, MetroScenario, Scenario, ScenarioOptions,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -320,6 +323,56 @@ fn bench_foodgraph(c: &mut Criterion) {
             black_box(build_food_graph(&batches, &headed, &engine, window.time, &angular_config))
         })
     });
+    // The `metro_single` shape: one lunch window of the 65 km metro, its
+    // 250 couriers all under way (each towards another's start), Alg. 2's
+    // angular expansion under the metro's 15-minute first mile, which most
+    // of what an expansion reaches lies beyond. Each iteration runs on a
+    // cold engine, as a fleet that moves finds its start rows.
+    let metro = MetroScenario::generate(MetroOptions::lunch_peak(7));
+    let config = metro.config();
+    let t = TimePoint::from_hms(12, 30, 0);
+    let placed: Vec<Order> = metro.orders.iter().copied().filter(|o| o.placed_at <= t).collect();
+    let orders = &placed[placed.len().saturating_sub(30)..];
+    let batches =
+        batch_orders(orders, &ShortestPathEngine::cached(metro.network.clone()), t, &config);
+    let fleet = &metro.vehicle_starts;
+    let couriers: Vec<VehicleSnapshot> = fleet
+        .iter()
+        .zip(fleet.iter().cycle().skip(1))
+        .map(|(&(id, at), &(_, towards))| VehicleSnapshot {
+            heading: Some(towards),
+            ..VehicleSnapshot::idle(id, at)
+        })
+        .collect();
+    assert!(config.degree_cap(batches.batches.len(), couriers.len()) < batches.batches.len());
+    group.bench_function("metro_under_way", |b| {
+        b.iter_batched(
+            || ShortestPathEngine::cached(metro.network.clone()),
+            |engine| build_food_graph(&batches.batches, &couriers, &engine, t, &config),
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+fn bench_angular_potential(c: &mut Criterion) {
+    // Eq. 8's per-node term as an expansion pays it: `AngularFrame::distance_to`
+    // of every node of the 50 × 50 metro grid from a courier at its centre
+    // heading north-east — the network's per-node latitude terms, and the
+    // coincidence haversine only where a bound cannot rule it out. Divide by
+    // 2 500 for the cost of one node.
+    let network = MetroScenario::generate(MetroOptions::lunch_peak(7)).network;
+    let (at, towards) = (NodeId(25 * 50 + 25), NodeId(30 * 50 + 31));
+    let frame = AngularFrame::new(network.position(at), network.position(towards));
+    let mut group = c.benchmark_group("angular_potential");
+    group.bench_function("metro_grid_2500_nodes", |b| {
+        b.iter(|| {
+            network
+                .node_ids()
+                .map(|node| frame.distance_to(network.position(node), network.lat_trig(node)))
+                .sum::<f64>()
+        })
+    });
     group.finish();
 }
 
@@ -352,6 +405,7 @@ criterion_group!(
     bench_solver,
     bench_batching,
     bench_foodgraph,
+    bench_angular_potential,
     bench_window_assignment
 );
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use crate::legs::{LegRow, LegRows};
 use crate::order::Order;
 use crate::route::{plan_on_table, plan_optimal_route, EvaluatedRoute, LegTable, PlannedOrder};
 use crate::vehicle::VehicleSnapshot;
-use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::{Duration, GatedTargets, NodeId, ShortestPathEngine, TimePoint};
 use std::collections::BTreeMap;
 
 /// Shortest delivery time of an order (Definition 6): preparation time plus
@@ -170,8 +170,14 @@ pub(crate) struct Shortlist {
 /// everything only it can answer. An offer drops out capacity → first mile →
 /// `Cost(v, O_v)`, the order pricing has always checked in:
 ///
-/// 1. one sweep from the vehicle to its committed stops and to the stops of
-///    every offer it has the capacity for, which settles the first mile;
+/// 1. one *gated* sweep from the vehicle (`roadnet/src/index.rs`, "Gated
+///    sweeps"). Its committed stops are required. Every offer it has the
+///    capacity for is a gate of radius `max_first_mile`, triggered by the
+///    offer's restaurants, over the offer's stops. A gate opens exactly when
+///    `min SP(v, r) ≤ max_first_mile` over the offer's restaurants — the
+///    first-mile filter — and the sweep stops short of the stops of the
+///    offers that fail it: the vehicle's row leaves them out, so reading one
+///    panics instead of pricing on a leg nobody asked for;
 /// 2. `Cost(v, O_v)`, planned once on the committed block's table (one sweep
 ///    per committed stop, over the committed stops only).
 ///
@@ -190,20 +196,19 @@ pub(crate) fn collect(
         .copied()
         .filter(|&offer| !offers[offer].is_empty() && vehicle.can_take(offers[offer], config))
         .collect();
-    let takeable_stops = survivors.iter().flat_map(|&offer| stops_of(offers[offer]));
-    let start = LegRow::sweep(
-        vehicle.location,
-        committed_stops(vehicle).chain(takeable_stops).collect(),
-        engine,
-        t,
-    );
+    let members = survivors.iter().map(|&offer| 2 * offers[offer].len()).sum();
+    let mut asked = GatedTargets::with_capacity(survivors.len(), members);
+    asked.require(committed_stops(vehicle));
+    for &offer in &survivors {
+        let orders = offers[offer];
+        let restaurants = orders.iter().map(|o| o.restaurant);
+        asked.gate(config.max_first_mile, restaurants, orders.iter().map(|o| o.customer));
+    }
+    let (start, opened) = LegRow::gated(vehicle.location, &asked, engine, t);
     // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
     // distance (§V-B): pairs beyond it are priced at Ω without planning.
-    survivors.retain(|&offer| {
-        let nearest_new_pickup =
-            offers[offer].iter().map(|o| start.secs_to(o.restaurant)).fold(f64::INFINITY, f64::min);
-        nearest_new_pickup <= config.max_first_mile.as_secs_f64()
-    });
+    let mut opened = opened.into_iter();
+    survivors.retain(|_| opened.next().expect("a gate per offer"));
 
     let mut shortlist = Shortlist {
         offered: offered.len(),
@@ -481,6 +486,43 @@ mod tests {
         let o = order(1, b.node_at(5, 5), b.node_at(5, 4), 1.0);
         let mc = marginal_cost(&v, &[o], &engine, t, &config);
         assert!(!mc.is_feasible());
+    }
+
+    /// The first-mile bound is inclusive: an offer whose nearest restaurant
+    /// lies exactly `max_first_mile` away is priced, one a float step beyond
+    /// it is Ω — whether the vehicle's gated sweep decides it by searching
+    /// (a cold engine) or from what the engine remembers (a warm one), and
+    /// for a two-order batch whose other restaurant lies far outside.
+    #[test]
+    fn an_offer_exactly_at_the_first_mile_bound_is_feasible_and_one_a_step_beyond_is_not() {
+        let (warm, b) = setup();
+        let t = TimePoint::from_hms(12, 0, 0);
+        let mut vehicle = VehicleSnapshot::idle(VehicleId(1), b.node_at(1, 1));
+        vehicle.committed = vec![CommittedOrder {
+            order: order(9, b.node_at(1, 2), b.node_at(5, 5), 0.5),
+            picked_up: false,
+        }];
+        let near = order(1, b.node_at(2, 3), b.node_at(0, 5), 1.0);
+        let far = order(2, b.node_at(5, 0), b.node_at(4, 1), 1.0);
+        let first_mile = warm.travel_time(vehicle.location, near.restaurant, t).unwrap();
+        assert!(warm.travel_time(vehicle.location, far.restaurant, t).unwrap() > first_mile);
+        let bound = first_mile.as_secs_f64();
+        let a_step_short = Duration::from_secs_f64(f64::from_bits(bound.to_bits() - 1));
+        for batch in [&[near][..], &[near, far]] {
+            for (max_first_mile, feasible) in [(first_mile, true), (a_step_short, false)] {
+                let config = DispatchConfig { max_first_mile, ..Default::default() };
+                let cold = ShortestPathEngine::cached(warm.network().clone());
+                for engine in [&cold, &warm, &cold] {
+                    let priced = marginal_cost(&vehicle, batch, engine, t, &config);
+                    assert_eq!(priced.is_feasible(), feasible, "{} orders", batch.len());
+                    let want = reference_marginal_cost(&vehicle, batch, engine, t, &config);
+                    assert_eq!(
+                        priced.cost_secs().map(f64::to_bits),
+                        want.cost_secs().map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

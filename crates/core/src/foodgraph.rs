@@ -220,7 +220,7 @@ fn candidate_rows(
                 network,
                 vehicle.location,
                 t,
-                |node| frame.distance_to(network.position(node)),
+                |node| frame.distance_to(network.position(node), network.lat_trig(node)),
                 |adist, beta| (1.0 - gamma) * adist + gamma * beta / max_beta,
                 &mut space,
             );
@@ -493,6 +493,18 @@ mod tests {
                 .map(|(&(r, c, to_r, to_c), id)| order(id, b.node_at(r, c), b.node_at(to_r, to_c)))
                 .collect();
         batches.extend(singleton_batches(&lone, &engine, t).batches);
+        // A two-order batch whose restaurants lie at opposite corners: from
+        // near one of them, a tight first mile has one restaurant inside it
+        // and the other outside.
+        let split = [
+            order(60, b.node_at(1, 7), b.node_at(0, 4)),
+            order(61, b.node_at(7, 1), b.node_at(8, 5)),
+        ];
+        let planned = split.map(crate::route::PlannedOrder::pending);
+        let route =
+            crate::route::plan_optimal_route_free_start(t, &planned, &engine).expect("plans");
+        batches.push(Batch { orders: split.to_vec(), route });
+        let split_row = batches.len() - 1;
 
         let committed = |id: u64, r: usize, c: usize, picked_up: bool| {
             crate::vehicle::CommittedOrder { order: order(100 + id, at(r), at(c)), picked_up }
@@ -540,6 +552,10 @@ mod tests {
         vehicles[13].location = shared;
         // …and an idle vehicle stands on another vehicle's committed stop.
         vehicles[0].location = b.node_at(8, 3);
+        // Two couriers under way next to one restaurant of the split batch,
+        // one of them loaded.
+        vehicles[8].location = b.node_at(1, 6);
+        vehicles[9].location = b.node_at(6, 1);
 
         let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
         let plain =
@@ -548,9 +564,37 @@ mod tests {
         // A first-mile bound some batches fail, so that pairs drop out at
         // each of capacity, first mile and planning.
         let tight = DispatchConfig { max_first_mile: Duration::from_mins(4.0), ..dense.clone() };
-        for (name, config) in
-            [("dense", dense), ("plain", plain), ("angular", angular), ("tight", tight)]
-        {
+        // The metro shape: couriers under way, a sparsified angular
+        // expansion, and a first mile most of what it reaches lies beyond —
+        // survivors whose customers lie beyond it too, and loaded couriers
+        // whose committed stops do.
+        let metro = DispatchConfig { max_first_mile: Duration::from_mins(1.5), ..angular.clone() };
+        let first_mile = |vehicle: &VehicleSnapshot, node| {
+            engine.travel_time(vehicle.location, node, t).unwrap()
+        };
+        let beyond =
+            |vehicle: &VehicleSnapshot, node| first_mile(vehicle, node) > metro.max_first_mile;
+        let (mut candidates, mut too_far) = (0, 0);
+        let mut by_start: HashMap<NodeId, Vec<usize>> = HashMap::new();
+        for (row, batch) in batches.iter().enumerate() {
+            by_start.entry(batch.first_pickup()).or_default().push(row);
+        }
+        let cap = metro.degree_cap(batches.len(), vehicles.len());
+        for vehicle in vehicles.iter().filter(|v| v.heading.is_some() && v.has_capacity(&metro)) {
+            for row in candidate_rows(vehicle, &batches, &by_start, &engine, t, &metro, cap) {
+                candidates += 1;
+                too_far +=
+                    usize::from(batches[row].orders.iter().all(|o| beyond(vehicle, o.restaurant)));
+            }
+        }
+        assert!(2 * too_far > candidates, "{too_far} of {candidates} beyond the first mile");
+        for (name, config) in [
+            ("dense", dense),
+            ("plain", plain),
+            ("angular", angular),
+            ("tight", tight),
+            ("metro", metro.clone()),
+        ] {
             for num_threads in [1, 4] {
                 let config = DispatchConfig { num_threads, ..config.clone() };
                 let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
@@ -566,7 +610,37 @@ mod tests {
                 match name {
                     "dense" => assert_eq!(priced_for_10, lone.len(), "{what}"),
                     "tight" => assert!((2..lone.len()).contains(&priced_for_10), "{what}"),
+                    "metro" => {}
                     _ => assert!(priced_for_10 >= 2, "{what}"),
+                }
+                // The split batch is priced for a courier next to either of
+                // its restaurants when every vehicle is offered every batch,
+                // and under Alg. 2 for the one next to its first pickup.
+                let split = &batches[split_row];
+                for col in [8, 9] {
+                    let outside =
+                        [0, 1].map(|i| beyond(&vehicles[col], split.orders[i].restaurant));
+                    assert!(
+                        outside[0] != outside[1],
+                        "one restaurant inside, one outside for {col}"
+                    );
+                    let near_start = !beyond(&vehicles[col], split.first_pickup());
+                    if name == "tight" || (name == "metro" && near_start) {
+                        assert!(graph.routes.contains_key(&(split_row, col)), "{what}: {col}");
+                    }
+                }
+                if name == "metro" {
+                    // Survivors whose customers lie beyond the first mile, and
+                    // a loaded courier with a committed stop beyond it.
+                    let far_customers = graph.routes.keys().filter(|&&(row, col)| {
+                        batches[row].orders.iter().any(|o| beyond(&vehicles[col], o.customer))
+                    });
+                    assert!(far_customers.count() >= 2, "{what}");
+                    assert!(vehicles[9]
+                        .committed
+                        .iter()
+                        .any(|c| beyond(&vehicles[9], c.order.customer)));
+                    assert!(graph.routes.keys().any(|&(_, col)| col == 9), "{what}");
                 }
                 for row in 0..batches.len() {
                     for col in 0..vehicles.len() {

@@ -6,14 +6,16 @@
 //! while extending tables. A [`LegRow`] is one such sweep, a [`LegRows`] a
 //! set of them; Algorithm 1's stop table, a vehicle's start row and the
 //! FoodGraph's resolve phase all produce these and read them through
-//! [`LegRows::legs`]. They live for one call of the stage that swept them:
+//! [`LegRows::legs`]. A start row is a *gated* sweep ([`LegRow::gated`]):
+//! it holds the legs to the stops of the offers within the first mile, and
+//! not the others. They live for one call of the stage that swept them:
 //! the engine's memo — `(source, target)` pairs, and the shortest-path tree
 //! of every source that repeats (`roadnet/src/index.rs`, "Tree rows") —
 //! stays the only cache across windows.
 
 use crate::parallel_map;
 use crate::route::engine_legs;
-use foodmatch_roadnet::{NodeId, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::{Duration, GatedTargets, NodeId, ShortestPathEngine, TimePoint};
 use std::collections::BTreeMap;
 
 /// Fewest graph searches (sweep rows, singleton plans) worth a thread
@@ -45,6 +47,21 @@ impl LegRow {
         let mut secs = vec![f64::INFINITY; to.len()];
         engine_legs(engine, t)(from, &to, &mut secs);
         LegRow { from, to, secs }
+    }
+
+    /// The answered part of a gated sweep of `asked` from `from`, and per
+    /// gate whether it opened. A member only closed gates asked for is not
+    /// in the row.
+    pub(crate) fn gated(
+        from: NodeId,
+        asked: &GatedTargets,
+        engine: &ShortestPathEngine,
+        t: TimePoint,
+    ) -> (Self, Vec<bool>) {
+        let answers = engine.gated_travel_times(from, asked, t);
+        let secs =
+            answers.travel_times.iter().map(|d| d.map_or(f64::INFINITY, Duration::as_secs_f64));
+        (LegRow { from, to: answers.targets, secs: secs.collect() }, answers.opened)
     }
 
     /// `SP(from, stop, t)` in seconds.

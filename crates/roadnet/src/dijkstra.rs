@@ -20,11 +20,13 @@
 //!
 //! ## Two loops
 //!
-//! Every eager query — the point, one-to-many and path functions here and
-//! their overlaid twins in [`crate::overlay`] — is a few lines over one
-//! kernel, `search`: Dijkstra under an edge-weight closure, run until the
-//! marked targets are settled, read back by `settled_time` or walked back by
-//! `path_to`. A change to the search loop lands there once.
+//! Every eager query — the point, one-to-many and path functions here, their
+//! overlaid twins in [`crate::overlay`] and the engine's gated sweeps
+//! ([`crate::gates`]) — is a few lines over one kernel, `search`: Dijkstra
+//! under an edge-weight closure, run until the marked targets are settled
+//! (or, gated, until only targets no open gate wants are left), read back by
+//! `settled_time` or walked back by `path_to`. A change to the search loop
+//! lands there once.
 //! [`Expansion`] is the only other loop, and stays one on purpose: it is
 //! lazy (the caller decides when to stop, so it relaxes a node *before*
 //! yielding it), and it carries two weights per label — the order it settles
@@ -42,6 +44,7 @@
 //! [`crate::ShortestPathEngine`] keeps a pool of spaces so its hot path never
 //! touches the allocator in steady state.
 
+use crate::gates::Gates;
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
@@ -229,7 +232,8 @@ impl SearchSpace {
         }
     }
 
-    /// Consumes a target mark, returning true the first time `i` is settled.
+    /// Consumes a target mark, returning true if `i` was still marked: when
+    /// `i` is settled, or when a gated search stops waiting for it.
     #[inline]
     pub(crate) fn take_target(&mut self, i: usize) -> bool {
         if self.targeted[i] == self.generation {
@@ -256,16 +260,27 @@ impl SearchSpace {
 /// until every node of `targets` is settled or the reachable graph is
 /// exhausted. Answers stay in `space` for [`settled_time`] and [`path_to`].
 ///
-/// Every eager query of the crate — point, one-to-many and path, on `β(e, t)`
-/// or on overlaid weights — is this loop; it is monomorphised per weight
-/// closure, so the closure costs nothing at run time.
+/// Returns how far the search reached: the last label it popped, which no
+/// node it left unsettled is nearer than — infinite when it ran the
+/// reachable graph dry, so that whatever it left unsettled is unreachable.
+///
+/// With `gates`, a target stops being waited for once only closed gates
+/// want it: the first label popped beyond a gate's radius decides the gate,
+/// and a target it was the last reason for loses its mark. Below the
+/// smallest undecided radius the loop is the plain one, one comparison per
+/// pop apart.
+///
+/// Every eager query of the crate — point, one-to-many, gated and path, on
+/// `β(e, t)` or on overlaid weights — is this loop; it is monomorphised per
+/// weight closure, so the closure costs nothing at run time.
 pub(crate) fn search(
     network: &RoadNetwork,
     source: NodeId,
     targets: &[NodeId],
+    mut gates: Option<&mut Gates<'_>>,
     space: &mut SearchSpace,
     edge_secs: impl Fn(EdgeId) -> f64,
-) {
+) -> f64 {
     space.begin(network.node_count());
     let mut remaining = 0usize;
     for &target in targets {
@@ -273,10 +288,21 @@ pub(crate) fn search(
             remaining += 1;
         }
     }
+    let mut horizon = gates.as_deref().map_or(f64::INFINITY, Gates::horizon);
     space.update(source.index(), 0.0, 0.0, NO_EDGE);
     space.push(0.0, source);
+    let mut reach = 0.0;
     while remaining > 0 {
-        let Some((cost, node)) = space.pop() else { break };
+        let Some((cost, node)) = space.pop() else { return f64::INFINITY };
+        reach = cost;
+        if cost > horizon {
+            let gates = gates.as_deref_mut().expect("only a gate sets a finite horizon");
+            remaining -= gates.pass(cost, space);
+            horizon = gates.horizon();
+            if remaining == 0 {
+                break;
+            }
+        }
         let i = node.index();
         if space.is_settled(i) || cost > space.dist(i) {
             continue;
@@ -300,6 +326,7 @@ pub(crate) fn search(
             }
         }
     }
+    reach
 }
 
 /// The static weight `β(e, t)` in seconds, as a [`search`] closure.
@@ -359,7 +386,7 @@ pub fn shortest_travel_time_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    search(network, source, &[target], space, beta_secs(network, t));
+    search(network, source, &[target], None, space, beta_secs(network, t));
     settled_time(space, target)
 }
 
@@ -383,7 +410,7 @@ pub fn shortest_path_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    search(network, source, &[target], space, beta_secs(network, t));
+    search(network, source, &[target], None, space, beta_secs(network, t));
     path_to(network, source, target, space)
 }
 
@@ -410,7 +437,7 @@ pub fn one_to_many_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    search(network, source, targets, space, beta_secs(network, t));
+    search(network, source, targets, None, space, beta_secs(network, t));
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -964,7 +991,7 @@ pub(crate) mod tests {
                     &net,
                     source,
                     t,
-                    |node| frame.distance_to(net.position(node)),
+                    |node| frame.distance_to(net.position(node), net.lat_trig(node)),
                     |adist, beta| (1.0 - gamma) * adist + gamma * beta / max_beta,
                     &mut space,
                 )

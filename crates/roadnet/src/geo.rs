@@ -82,11 +82,31 @@ pub fn bearing(s: GeoPoint, t: GeoPoint) -> f64 {
 /// bearing is undefined; we return 0.5 — a neutral value that neither favours
 /// nor penalises the candidate, matching the intent of Eq. 8.
 pub fn angular_distance(source: GeoPoint, dest: GeoPoint, candidate: GeoPoint) -> f64 {
-    AngularFrame::new(source, dest).distance_to(candidate)
+    AngularFrame::new(source, dest).distance_to(candidate, LatTrig::of(candidate.lat))
 }
 
 /// Closer than this (meters) two points count as one: no bearing between them.
 const COINCIDENT_M: f64 = 0.5;
+
+/// The cosine and sine of a latitude — the two terms of a bearing that
+/// depend on one endpoint alone. A [`RoadNetwork`](crate::RoadNetwork)
+/// keeps them for every node (`lat_trig`), so Eq. 8's per-node potential does
+/// not recompute them in every expansion that reaches the node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LatTrig {
+    /// `cos φ`.
+    pub cos: f64,
+    /// `sin φ`.
+    pub sin: f64,
+}
+
+impl LatTrig {
+    /// The terms of latitude `lat` (degrees), as [`bearing`] computes them.
+    pub fn of(lat: f64) -> Self {
+        let lat = lat.to_radians();
+        LatTrig { cos: lat.cos(), sin: lat.sin() }
+    }
+}
 
 /// A vehicle's half of [`angular_distance`]: the terms that depend only on
 /// where it stands and where it is heading, evaluated once so that Alg. 2's
@@ -96,8 +116,7 @@ const COINCIDENT_M: f64 = 0.5;
 #[derive(Clone, Copy, Debug)]
 pub struct AngularFrame {
     source: GeoPoint,
-    cos_lat: f64,
-    sin_lat: f64,
+    trig: LatTrig,
     /// `Θ(source, heading)`; `None` when the two coincide and every
     /// distance is the neutral 0.5.
     heading_bearing: Option<f64>,
@@ -106,11 +125,9 @@ pub struct AngularFrame {
 impl AngularFrame {
     /// The frame of a vehicle at `source` travelling towards `heading`.
     pub fn new(source: GeoPoint, heading: GeoPoint) -> Self {
-        let lat = source.lat.to_radians();
         AngularFrame {
             source,
-            cos_lat: lat.cos(),
-            sin_lat: lat.sin(),
+            trig: LatTrig::of(source.lat),
             heading_bearing: if haversine_meters(source, heading) < COINCIDENT_M {
                 None
             } else {
@@ -119,24 +136,47 @@ impl AngularFrame {
         }
     }
 
-    /// `adist` of `candidate` in this frame, in `[0, 1]`.
-    pub fn distance_to(&self, candidate: GeoPoint) -> f64 {
+    /// `adist` of `candidate`, whose latitude terms are `trig`, in this
+    /// frame, in `[0, 1]`.
+    ///
+    /// The coincidence haversine (three libm calls) runs only for a
+    /// candidate that [`Self::surely_apart`] cannot place a metre away, which
+    /// in a city is the handful of nodes next to the vehicle; the answer is
+    /// the three-point form's either way.
+    pub fn distance_to(&self, candidate: GeoPoint, trig: LatTrig) -> f64 {
         let Some(theta_heading) = self.heading_bearing else { return 0.5 };
-        let lat = candidate.lat.to_radians();
-        let (cos_lat, sin_lat) = (lat.cos(), lat.sin());
         let dlat = (candidate.lat - self.source.lat).to_radians();
         let dlon = (candidate.lon - self.source.lon).to_radians();
 
         // `haversine_meters(source, candidate)`…
-        let h = (dlat / 2.0).sin().powi(2) + self.cos_lat * cos_lat * (dlon / 2.0).sin().powi(2);
-        if 2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin() < COINCIDENT_M {
-            return 0.5;
+        if !self.surely_apart(dlat, dlon, trig.cos) {
+            let h =
+                (dlat / 2.0).sin().powi(2) + self.trig.cos * trig.cos * (dlon / 2.0).sin().powi(2);
+            if 2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin() < COINCIDENT_M {
+                return 0.5;
+            }
         }
         // …and `bearing(source, candidate)`, sharing the candidate's terms.
-        let x = cos_lat * dlon.sin();
-        let y = self.cos_lat * sin_lat - self.sin_lat * cos_lat * dlon.cos();
+        let x = trig.cos * dlon.sin();
+        let y = self.trig.cos * trig.sin - self.trig.sin * trig.cos * dlon.cos();
         let theta_candidate = x.atan2(y).rem_euclid(std::f64::consts::TAU);
         (1.0 - (theta_heading - theta_candidate).cos()) / 2.0
+    }
+
+    /// True when the haversine of `(dlat, dlon)` from the source is at least
+    /// twice [`COINCIDENT_M`], by two bounds that need no libm call: the
+    /// great-circle distance is at least `R·|Δφ|`, and for `|Δλ| ≤ π` its
+    /// `h` is at least `cos φ₁ · cos φ₂ · (Δλ / π)²` (`sin x ≥ 2x / π` on
+    /// `[0, π/2]`, `asin x ≥ x`). The factor of two leaves rounding — a few
+    /// ulps of `h` — no say; `|Δλ| > π` (across the antimeridian) always
+    /// falls through to the haversine.
+    #[inline]
+    fn surely_apart(&self, dlat: f64, dlon: f64, cos_lat: f64) -> bool {
+        use std::f64::consts::PI;
+        const APART: f64 = 2.0 * COINCIDENT_M / EARTH_RADIUS_M;
+        dlat.abs() >= APART
+            || (dlon.abs() <= PI
+                && self.trig.cos * cos_lat * (dlon / PI).powi(2) >= APART * APART / 4.0)
     }
 }
 
@@ -240,13 +280,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        let check = |source: GeoPoint, heading: GeoPoint, candidate: GeoPoint| {
-            let got = AngularFrame::new(source, heading).distance_to(candidate);
-            let want = reference_angular_distance(source, heading, candidate);
-            assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {heading:?} {candidate:?}");
-            assert_eq!(angular_distance(source, heading, candidate).to_bits(), want.to_bits());
-        };
-
         let mut rng = StdRng::seed_from_u64(0xA15);
         let anywhere = |rng: &mut StdRng| {
             GeoPoint::new(rng.random_range(-89.0..89.0), rng.random_range(-180.0..180.0))
@@ -294,7 +327,66 @@ mod tests {
         ] {
             check(source, heading, candidate);
         }
-        assert_eq!(AngularFrame::new(p, q).distance_to(inside), 0.5);
-        assert_ne!(AngularFrame::new(p, q).distance_to(outside), 0.5);
+        let frame = AngularFrame::new(p, q);
+        assert_eq!(frame.distance_to(inside, LatTrig::of(inside.lat)), 0.5);
+        assert_ne!(frame.distance_to(outside, LatTrig::of(outside.lat)), 0.5);
+    }
+
+    /// `AngularFrame::distance_to` against the reference, bit for bit.
+    fn check(source: GeoPoint, heading: GeoPoint, candidate: GeoPoint) {
+        let got =
+            AngularFrame::new(source, heading).distance_to(candidate, LatTrig::of(candidate.lat));
+        let want = reference_angular_distance(source, heading, candidate);
+        assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {heading:?} {candidate:?}");
+        assert_eq!(angular_distance(source, heading, candidate).to_bits(), want.to_bits());
+    }
+
+    /// Where the bound that skips the coincidence haversine decides: every
+    /// candidate 0.3 to 3 m from the source, north, south, east and west, at
+    /// the equator, at 60° and at 85° (where a degree of longitude is
+    /// 9.7 km), lands on the reference's side of 0.5 m — and pairs across
+    /// the antimeridian, where `|Δλ|` is near 2π for points metres apart.
+    #[test]
+    fn frame_distance_is_bit_identical_at_the_coincidence_boundary() {
+        let metres_per_degree = EARTH_RADIUS_M.to_radians();
+        let offsets = [0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0];
+        let (mut coincident, mut apart) = (0, 0);
+        for lat in [0.0, 60.0, 85.0, -60.0] {
+            let source = GeoPoint::new(lat, 77.6);
+            let per_lon_degree = metres_per_degree * lat.to_radians().cos();
+            let heading = GeoPoint::new(lat + 0.01, 77.61);
+            for metres in offsets {
+                let (dlat, dlon) = (metres / metres_per_degree, metres / per_lon_degree);
+                for candidate in [
+                    GeoPoint::new(lat + dlat, source.lon),
+                    GeoPoint::new(lat - dlat, source.lon),
+                    GeoPoint::new(lat, source.lon + dlon),
+                    GeoPoint::new(lat, source.lon - dlon),
+                    GeoPoint::new(lat + dlat / 2.0, source.lon + dlon / 2.0),
+                ] {
+                    check(source, heading, candidate);
+                    if AngularFrame::new(source, heading)
+                        .distance_to(candidate, LatTrig::of(candidate.lat))
+                        == 0.5
+                    {
+                        coincident += 1;
+                    } else {
+                        apart += 1;
+                    }
+                }
+            }
+        }
+        // Both sides of the boundary were visited.
+        assert!(coincident >= 8 && apart >= 8, "{coincident} coincident, {apart} apart");
+
+        // Across the antimeridian: `Δλ` is ±(2π − a few μrad).
+        let east = GeoPoint::new(-16.5, -179.999_995);
+        for metres in offsets {
+            let dlon = metres / (metres_per_degree * 16.5f64.to_radians().cos());
+            let west = GeoPoint::new(-16.5, 180.0 - (dlon - 0.000_005));
+            check(east, GeoPoint::new(-16.4, -179.9), west);
+            check(west, GeoPoint::new(-16.6, 179.9), east);
+            check(west, east, GeoPoint::new(-16.5 + metres / metres_per_degree, 179.9));
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! [`RoadNetworkBuilder`].
 
 use crate::congestion::{CongestionProfile, RoadClass};
-use crate::geo::GeoPoint;
+use crate::geo::{GeoPoint, LatTrig};
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
 use std::sync::Arc;
@@ -52,6 +52,8 @@ pub struct RoadNetwork {
 #[derive(Debug)]
 struct Inner {
     nodes: Vec<NodeRecord>,
+    /// [`RoadNetwork::lat_trig`], one per node, computed at build.
+    lat_trig: Vec<LatTrig>,
     edges: Vec<EdgeRecord>,
     /// CSR offsets: out-edges of node `u` are `edge_order[offsets[u]..offsets[u+1]]`.
     offsets: Vec<u32>,
@@ -95,6 +97,15 @@ impl RoadNetwork {
     /// Returns the geographic position of `node`.
     pub fn position(&self, node: NodeId) -> GeoPoint {
         self.node(node).position
+    }
+
+    /// `cos φ` and `sin φ` of `node`'s latitude, bit for bit what
+    /// [`LatTrig::of`] computes: kept per node (16 B each) because the
+    /// angular potential of Eq. 8 needs them for every node an expansion
+    /// reaches, in every expansion that reaches it.
+    #[inline]
+    pub fn lat_trig(&self, node: NodeId) -> LatTrig {
+        self.inner.lat_trig[node.index()]
     }
 
     /// Returns the record of `edge`.
@@ -292,9 +303,11 @@ impl RoadNetworkBuilder {
         let congestion = self.congestion.unwrap_or_default();
         let max_free_secs = self.edges.iter().map(|e| e.free_flow_secs).fold(0.0_f64, f64::max);
         let max_travel_time = Duration::from_secs_f64(max_free_secs * congestion.max_multiplier());
+        let lat_trig = self.nodes.iter().map(|node| LatTrig::of(node.position.lat)).collect();
         RoadNetwork {
             inner: Arc::new(Inner {
                 nodes: self.nodes,
+                lat_trig,
                 edges: self.edges,
                 offsets,
                 edge_order,
@@ -410,6 +423,17 @@ mod tests {
             let scanned = Duration::from_secs_f64(max_free * net.congestion().max_multiplier());
             assert_eq!(net.max_travel_time(), scanned);
             assert!(scanned > Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn lat_trig_is_what_the_bearing_computes() {
+        let net = crate::generators::RandomCityBuilder::new(40).seed(3).build();
+        for node in net.node_ids() {
+            let lat = net.position(node).lat.to_radians();
+            let trig = net.lat_trig(node);
+            assert_eq!(trig.cos.to_bits(), lat.cos().to_bits(), "{node}");
+            assert_eq!(trig.sin.to_bits(), lat.sin().to_bits(), "{node}");
         }
     }
 

@@ -51,6 +51,39 @@
 //! constant (`ROW_BUDGET_BYTES`, 640 KiB per engine), first come first kept
 //! with no eviction; a source seen for the first time is never given one.
 //!
+//! ## Gated sweeps
+//!
+//! [`ShortestPathEngine::gated_travel_times`] sweeps from one source to
+//! *required* targets and to the members of *gates* ([`GatedTargets`]): a
+//! gate opens when one of its triggers lies within its radius, and only the
+//! required targets and the members of open gates are answered. It is the
+//! vehicle's start row of the FoodGraph — committed stops required, one gate
+//! per offer with the first-mile bound as radius and the offer's
+//! restaurants as triggers — and it is the same path as
+//! [`ShortestPathEngine::travel_times_to_many`], which is a sweep with no
+//! gates:
+//!
+//! * the pair memo and the tree row answer first, and what they know decides
+//!   gates — a trigger known within the radius opens its gate, and a gate
+//!   whose triggers are all known to lie beyond it closes with no search;
+//! * the one search, for what is still unknown and still wanted, runs in the
+//!   Dijkstra kernel with the gates: the first label it pops beyond a gate's
+//!   radius decides the gate (everything nearer is settled by then), and a
+//!   member only closed gates wanted stops being waited for. The search ends
+//!   when nothing wanted is unsettled, so it never runs wider than the plain
+//!   sweep of the same targets, and usually stops at the radius;
+//! * only settled targets are memoised. A search that ended by closing gates
+//!   did not run dry: it writes no unreachable pair and no `ROW_UNREACHABLE`.
+//!   Of a target it stopped short of it knows only a *floor* — every node it
+//!   left unsettled is at least as far as its last label — which the pair
+//!   memo keeps as a negative entry: it answers no query, and lets the same
+//!   gate close from the memo the next time it is asked.
+//!
+//! The memo-free `Dijkstra` backend runs the same kernel with the gates;
+//! `HubLabels` answers every target and applies the same rule to its
+//! answers. So each backend opens exactly the gates its own plain sweep
+//! would, and answers what it answers bit for bit as that sweep does.
+//!
 //! Pairs and rows carry a `(generation, hour slot)` stamp. A *sweep* with
 //! another stamp moves the shard it touches on: the rows and the pair memo
 //! of the hour that has passed (or of the overlay generation that is gone)
@@ -74,6 +107,7 @@
 //! callers that drive their own [`Expansion`](crate::dijkstra::Expansion)s.
 
 use crate::dijkstra::{self, SearchSpace, NO_EDGE};
+use crate::gates::{Answer, GatedAnswers, GatedTargets, Gates};
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
@@ -175,12 +209,33 @@ impl Stamp {
     }
 }
 
-/// `(source, target) → seconds` (`f64::INFINITY` encodes "unreachable") on
-/// the weights of one stamp at a time.
+/// `(source, target) → seconds` on the weights of one stamp at a time: the
+/// travel time, `f64::INFINITY` for "unreachable", or a negative `-s` — a
+/// *floor* — for "at least `s`", which is all a gated search that stopped
+/// short of the target knows of it. A floor answers no query; it lets a
+/// later gated sweep close a gate whose triggers all lie beyond its radius
+/// without searching again.
 #[derive(Debug, Default)]
 struct PairMemo {
     stamp: Option<Stamp>,
     map: HashMap<(NodeId, NodeId), f64>,
+}
+
+impl PairMemo {
+    /// What is held for `pair`: its answer, or else the floor under it.
+    fn get(&self, pair: (NodeId, NodeId)) -> Option<Result<Option<Duration>, f64>> {
+        let &secs = self.map.get(&pair)?;
+        Some(if secs < 0.0 { Err(-secs) } else { Ok(decode(secs)) })
+    }
+
+    /// Remembers `secs`, encoded as above, for `pair`: an answer replaces
+    /// whatever was held, a floor only a lower floor.
+    fn remember(&mut self, pair: (NodeId, NodeId), secs: f64) {
+        let held = self.map.entry(pair).or_insert(secs);
+        if secs >= 0.0 || (*held < 0.0 && secs < *held) {
+            *held = secs;
+        }
+    }
 }
 
 /// One shard of what the engine remembers, by source node: the two pair
@@ -272,7 +327,7 @@ struct EngineMetrics {
     /// `engine.searches` — graph searches actually *run*: every point
     /// search, one-to-many sweep, overlay search and best-first expansion
     /// checks one space out of the pool. (The `backend` counters count the
-    /// pairs a search was run for, so a sweep of ten misses is ten there and
+    /// pairs a search answered, so a sweep of ten misses is ten there and
     /// one here.)
     searches: telemetry::Counter,
     /// `engine.foodgraph.sources` — rows swept by the FoodGraph's resolve
@@ -281,7 +336,8 @@ struct EngineMetrics {
     /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard memo
     /// traffic of the [`EngineKind::Cached`] backend. A pair read off a tree
     /// row is a hit, one the row does not reach and the pair memo does not
-    /// hold a miss.
+    /// hold (or holds only a floor under) a miss — in a gated sweep, only
+    /// while some gate still wants it.
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
     memo_misses: [telemetry::Counter; CACHE_SHARDS],
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
@@ -293,12 +349,17 @@ struct EngineMetrics {
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
     /// `engine.backend.{dijkstra,hub}.queries` — which backend answered
-    /// (the Dijkstra counter includes the cached backend's fill runs). Pairs
-    /// asked under an overlay are in neither: no backend answers those.
+    /// (the Dijkstra counter includes the cached backend's fill runs; a miss
+    /// a gated search stopped short of was answered by none). Pairs asked
+    /// under an overlay are in neither: no backend answers those.
     backend_dijkstra: telemetry::Counter,
     backend_hub: telemetry::Counter,
     /// `engine.index.build_ns` — lazy per-slot hub-label builds.
     index_build_ns: telemetry::Histogram,
+    /// `engine.gates.closed` — gates of gated sweeps that a search closed
+    /// before it reached any of their triggers: the offers a vehicle's start
+    /// row stopped short of.
+    gates_closed: telemetry::Counter,
 }
 
 impl EngineMetrics {
@@ -320,6 +381,7 @@ impl EngineMetrics {
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             backend_hub: telemetry::counter("engine.backend.hub.queries"),
             index_build_ns: telemetry::histogram("engine.index.build_ns"),
+            gates_closed: telemetry::counter("engine.gates.closed"),
         }
     }
 }
@@ -504,37 +566,74 @@ impl ShortestPathEngine {
         targets: &[NodeId],
         t: TimePoint,
     ) -> Vec<Option<Duration>> {
+        let answers = self.sweep(source, targets, None, t);
+        answers
+            .into_iter()
+            .map(|answer| answer.expect("a sweep with no gates answers all"))
+            .collect()
+    }
+
+    /// A gated sweep from `source` (see "Gated sweeps" above): travel times
+    /// to the required targets and to the members of every gate with a
+    /// trigger within its radius, and which gates those are — from a search
+    /// that stops once nothing still wanted is unsettled. Every pair asked
+    /// counts as a query, answered or not.
+    pub fn gated_travel_times(
+        &self,
+        source: NodeId,
+        asked: &GatedTargets,
+        t: TimePoint,
+    ) -> GatedAnswers {
+        let (nodes, layout) = asked.layout();
+        let mut gates = Gates::new(asked, &nodes, layout);
+        let answers = self.sweep(source, &nodes, Some(&mut gates), t);
+        self.inner.metrics.gates_closed.add(gates.closed_early);
+        gates.answers(&answers)
+    }
+
+    /// One sweep from `source` to `targets` on the configured backend and
+    /// the active overlay: an [`Answer`] per target, every one `gates` (when
+    /// given) still wants answered.
+    fn sweep(
+        &self,
+        source: NodeId,
+        targets: &[NodeId],
+        gates: Option<&mut Gates<'_>>,
+        t: TimePoint,
+    ) -> Vec<Answer> {
         self.inner.queries.fetch_add(targets.len() as u64, Ordering::Relaxed);
         self.inner.metrics.queries.add(targets.len() as u64);
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
             if !version.multipliers.is_empty() {
-                return self.overlaid_to_many(&version, source, targets, t);
+                return self.overlaid_to_many(&version, source, targets, gates, t);
             }
         }
-        self.baseline_to_many(source, targets, t)
+        self.baseline_to_many(source, targets, gates, t)
     }
 
     fn baseline_to_many(
         &self,
         source: NodeId,
         targets: &[NodeId],
+        gates: Option<&mut Gates<'_>>,
         t: TimePoint,
-    ) -> Vec<Option<Duration>> {
+    ) -> Vec<Answer> {
+        let beta = dijkstra::beta_secs(&self.inner.network, t);
         match self.inner.kind {
             EngineKind::Dijkstra => {
-                self.inner.metrics.backend_dijkstra.add(targets.len() as u64);
-                let mut space = self.search_space();
-                dijkstra::one_to_many_in(&self.inner.network, source, targets, t, &mut space)
+                let (answers, searched) = self.searched(source, targets, gates, beta);
+                self.inner.metrics.backend_dijkstra.add(searched);
+                answers
             }
             EngineKind::Cached => {
-                let beta = dijkstra::beta_secs(&self.inner.network, t);
-                self.memo_to_many(false, Stamp::new(0, t), source, targets, beta)
+                self.memo_to_many(false, Stamp::new(0, t), source, targets, gates, beta)
             }
+            // Exact answers for every target; the gates are decided on them.
             EngineKind::HubLabels => {
                 self.inner.metrics.backend_hub.add(targets.len() as u64);
                 let index = self.labels_for(t.hour_slot());
-                targets.iter().map(|&target| index.travel_time(source, target)).collect()
+                targets.iter().map(|&target| Some(index.travel_time(source, target))).collect()
             }
         }
     }
@@ -547,22 +646,33 @@ impl ShortestPathEngine {
         version: &OverlayVersion,
         source: NodeId,
         targets: &[NodeId],
+        gates: Option<&mut Gates<'_>>,
         t: TimePoint,
-    ) -> Vec<Option<Duration>> {
+    ) -> Vec<Answer> {
+        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
         if self.inner.kind == EngineKind::Dijkstra {
-            let mut space = self.search_space();
-            return overlay::one_to_many_overlaid_in(
-                &self.inner.network,
-                &version.multipliers,
-                source,
-                targets,
-                t,
-                &mut space,
-            );
+            return self.searched(source, targets, gates, overlaid).0;
         }
         let stamp = Stamp::new(version.generation, t);
-        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
-        self.memo_to_many(true, stamp, source, targets, overlaid)
+        self.memo_to_many(true, stamp, source, targets, gates, overlaid)
+    }
+
+    /// The memo-free sweep of the reference backend: one search for every
+    /// target `gates` wants, and how many targets it answered.
+    fn searched(
+        &self,
+        source: NodeId,
+        targets: &[NodeId],
+        mut gates: Option<&mut Gates<'_>>,
+        edge_secs: impl Fn(EdgeId) -> f64,
+    ) -> (Vec<Answer>, u64) {
+        let mut out = vec![None; targets.len()];
+        let missing = missing(targets, &out, gates.as_deref_mut());
+        let mut space = self.search_space();
+        let reach =
+            dijkstra::search(&self.inner.network, source, &missing, gates, &mut space, edge_secs);
+        let answered = read_back(&space, reach, targets, &mut out, |_, _| {});
+        (out, answered)
     }
 
     /// Shortest path with node sequence and length: one pooled-space
@@ -674,10 +784,12 @@ impl ShortestPathEngine {
     }
 
     /// Counts `hits` and `misses` of one memoised query from a source of
-    /// shard `shard`: under an overlay in the overlay memo's counters, else
-    /// in the static memo's and — a static miss is a pair Dijkstra answers
-    /// — the backend's.
-    fn count_memo(&self, overlaid: bool, shard: usize, hits: u64, misses: u64) {
+    /// shard `shard`, and the misses its search `answered`: under an overlay
+    /// in the overlay memo's counters, else in the static memo's and — what
+    /// a search answers on the static weights Dijkstra answers — the
+    /// backend's. A plain search answers every miss; a gated one may stop
+    /// short of a miss that only a closed gate wanted.
+    fn count_memo(&self, overlaid: bool, shard: usize, hits: u64, misses: u64, answered: u64) {
         let metrics = &self.inner.metrics;
         if overlaid {
             metrics.overlay_hits.add(hits);
@@ -685,7 +797,7 @@ impl ShortestPathEngine {
         } else {
             metrics.memo_hits[shard].add(hits);
             metrics.memo_misses[shard].add(misses);
-            metrics.backend_dijkstra.add(misses);
+            metrics.backend_dijkstra.add(answered);
         }
     }
 
@@ -711,23 +823,24 @@ impl ShortestPathEngine {
             shard.roll_to(overlaid, stamp, false, &inner.rows_used);
             let MemoShard { pairs, rows_stamp, rows, path } = &mut *shard;
             let pairs = &pairs[memo];
-            let known = pairs.map.get(&(source, target)).filter(|_| pairs.stamp == Some(stamp));
-            if let Some(&secs) = known {
-                self.count_memo(overlaid, shard_index, 1, 0);
-                return decode(secs);
+            let known = pairs.get((source, target)).filter(|_| pairs.stamp == Some(stamp));
+            if let Some(Ok(answer)) = known {
+                self.count_memo(overlaid, shard_index, 1, 0, 0);
+                return answer;
             }
             let row = rows.get(&source).filter(|_| *rows_stamp == Some(stamp));
             if let Some(answer) =
                 row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
             {
                 inner.metrics.rows_hits.inc();
-                self.count_memo(overlaid, shard_index, 1, 0);
+                self.count_memo(overlaid, shard_index, 1, 0, 0);
                 return answer;
             }
         }
-        self.count_memo(overlaid, shard_index, 0, 1);
+        self.count_memo(overlaid, shard_index, 0, 1, 1);
         let mut space = self.search_space();
-        dijkstra::search(&inner.network, source, &[target], &mut space, &edge_secs);
+        let reach =
+            dijkstra::search(&inner.network, source, &[target], None, &mut space, &edge_secs);
         let answer = dijkstra::settled_time(&space, target);
         // Only remember under the stamp the search ran on: the overlay may
         // have been swapped, or a sweep have rolled the hour, meanwhile.
@@ -737,7 +850,7 @@ impl ShortestPathEngine {
         }
         if shard.rows_stamp == Some(stamp) {
             if let Some(row) = shard.rows.get_mut(&source) {
-                grow(row, &space, answer.is_none());
+                grow(row, &space, reach == f64::INFINITY);
             }
         }
         answer
@@ -745,22 +858,24 @@ impl ShortestPathEngine {
 
     /// [`Self::memo_travel_time`] for several targets: what the pair memo
     /// and the row know, then a single one-to-many search, run with no lock
-    /// held, for the targets they do not. A source the memo already knew
-    /// (≥ 1 hit) that still has a miss stands still while its stops change:
-    /// it is given a tree row, budget permitting, which the search it had
-    /// to run anyway fills as far as it settled.
+    /// held, for the targets they do not — less, when `gates` are given,
+    /// those only gates that what is known closes wanted. A source the memo
+    /// already knew (≥ 1 hit) that still has a miss stands still while its
+    /// stops change: it is given a tree row, budget permitting, which the
+    /// search it had to run anyway fills as far as it settled.
     fn memo_to_many(
         &self,
         overlaid: bool,
         stamp: Stamp,
         source: NodeId,
         targets: &[NodeId],
+        mut gates: Option<&mut Gates<'_>>,
         edge_secs: impl Fn(EdgeId) -> f64,
-    ) -> Vec<Option<Duration>> {
+    ) -> Vec<Answer> {
         let inner = &*self.inner;
         let shard_index = Self::shard(source);
         let memo = usize::from(overlaid);
-        let mut out: Vec<Option<Option<Duration>>> = vec![None; targets.len()];
+        let mut out: Vec<Answer> = vec![None; targets.len()];
         // A self-pair is answered without the memo: neither hit nor miss,
         // as in `travel_time`.
         let (mut hits, mut row_hits) = (0, 0);
@@ -769,39 +884,40 @@ impl ShortestPathEngine {
             shard.roll_to(overlaid, stamp, true, &inner.rows_used);
             let MemoShard { pairs, rows, path, .. } = &mut *shard;
             let row = rows.get(&source);
-            for (answer, &target) in out.iter_mut().zip(targets) {
+            for (i, (answer, &target)) in out.iter_mut().zip(targets).enumerate() {
                 if source == target {
                     *answer = Some(Some(Duration::ZERO));
-                } else if let Some(&secs) = pairs[memo].map.get(&(source, target)) {
-                    *answer = Some(decode(secs));
+                    continue;
+                }
+                let held = pairs[memo].get((source, target));
+                if let Some(Ok(known)) = held {
+                    *answer = Some(known);
                     hits += 1;
                 } else if let Some(known) =
                     row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
                 {
                     *answer = Some(known);
                     row_hits += 1;
+                } else if let (Some(Err(floor)), Some(gates)) = (held, gates.as_deref_mut()) {
+                    gates.floor(i, floor);
                 }
             }
         }
-        let missing: Vec<NodeId> =
-            targets.iter().zip(&out).filter(|(_, o)| o.is_none()).map(|(&n, _)| n).collect();
+        let missing = missing(targets, &out, gates.as_deref_mut());
         inner.metrics.rows_hits.add(row_hits);
-        self.count_memo(overlaid, shard_index, hits + row_hits, missing.len() as u64);
+        let mut answered = 0;
         if !missing.is_empty() {
             let mut space = self.search_space();
-            dijkstra::search(&inner.network, source, &missing, &mut space, &edge_secs);
+            let reach =
+                dijkstra::search(&inner.network, source, &missing, gates, &mut space, &edge_secs);
             let mut shard = lock(inner.memo[shard_index].lock());
             let MemoShard { pairs, rows_stamp, rows, .. } = &mut *shard;
             let memoise = pairs[memo].stamp == Some(stamp);
-            let mut ran_dry = false;
-            for (slot, &target) in out.iter_mut().zip(targets).filter(|(o, _)| o.is_none()) {
-                let answer = dijkstra::settled_time(&space, target);
+            answered = read_back(&space, reach, targets, &mut out, |target, secs| {
                 if memoise {
-                    pairs[memo].map.insert((source, target), encode(answer));
+                    pairs[memo].remember((source, target), secs);
                 }
-                ran_dry |= answer.is_none();
-                *slot = Some(answer);
-            }
+            });
             if *rows_stamp == Some(stamp) {
                 if hits + row_hits > 0 && !rows.contains_key(&source) && self.reserve_row() {
                     debug_assert!(inner.network.edge_count() < ROW_UNREACHABLE as usize);
@@ -810,11 +926,12 @@ impl ShortestPathEngine {
                     inner.metrics.rows_admitted.inc();
                 }
                 if let Some(row) = rows.get_mut(&source) {
-                    grow(row, &space, ran_dry);
+                    grow(row, &space, reach == f64::INFINITY);
                 }
             }
         }
-        out.into_iter().map(|o| o.expect("all targets answered")).collect()
+        self.count_memo(overlaid, shard_index, hits + row_hits, missing.len() as u64, answered);
+        out
     }
 
     /// Takes one row out of the engine's budget, if one is left.
@@ -880,6 +997,47 @@ fn decode(secs: f64) -> Option<Duration> {
     } else {
         None
     }
+}
+
+/// The targets a sweep has to search for: those `known` does not answer,
+/// less — once `gates` have decided what the known answers decide — those no
+/// gate still in play wants.
+fn missing(targets: &[NodeId], known: &[Answer], gates: Option<&mut Gates<'_>>) -> Vec<NodeId> {
+    let unknown = targets.iter().zip(known).enumerate().filter(|(_, (_, known))| known.is_none());
+    match gates {
+        None => unknown.map(|(_, (&target, _))| target).collect(),
+        Some(gates) => {
+            gates.decide(known);
+            unknown.filter(|&(i, _)| gates.wanted(i)).map(|(_, (&target, _))| target).collect()
+        }
+    }
+}
+
+/// Reads what a search that reached `reach` in `space` found into the
+/// targets `out` does not know yet, handing `found` what it learns of each,
+/// encoded as [`PairMemo`] holds it: a settled target's travel time; that a
+/// target is unreachable, once the search ran the reachable graph dry; or
+/// else — a target a gated search stopped short of, which stays unknown —
+/// the floor `reach` under it. Returns how many targets it answered.
+fn read_back(
+    space: &SearchSpace,
+    reach: f64,
+    targets: &[NodeId],
+    out: &mut [Answer],
+    mut found: impl FnMut(NodeId, f64),
+) -> u64 {
+    let mut answered = 0;
+    for (slot, &target) in out.iter_mut().zip(targets).filter(|(known, _)| known.is_none()) {
+        let answer = dijkstra::settled_time(space, target);
+        if answer.is_some() || reach == f64::INFINITY {
+            found(target, encode(answer));
+            *slot = Some(answer);
+            answered += 1;
+        } else if reach > 0.0 {
+            found(target, -reach);
+        }
+    }
+    answered
 }
 
 impl std::fmt::Debug for ShortestPathEngine {
@@ -975,8 +1133,8 @@ mod tests {
 
     /// What one engine has counted: `engine.searches`, every
     /// `engine.backend.*` counter summed, `[hits, misses]` of the static
-    /// memo (all shards) and of the overlay memo, and `[hits, admitted]` of
-    /// the tree rows.
+    /// memo (all shards) and of the overlay memo, `[hits, admitted]` of
+    /// the tree rows, and `engine.gates.closed`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Counts {
         searches: u64,
@@ -984,6 +1142,7 @@ mod tests {
         memo: [u64; 2],
         overlay: [u64; 2],
         rows: [u64; 2],
+        gates_closed: u64,
     }
 
     /// An engine whose counters count into a registry of its own, and a
@@ -1002,6 +1161,7 @@ mod tests {
         metrics.overlay_misses = registry.counter("overlay.misses");
         metrics.rows_hits = registry.counter("rows.hits");
         metrics.rows_admitted = registry.counter("rows.admitted");
+        metrics.gates_closed = registry.counter("gates.closed");
         let read = move || {
             let snapshot = registry.snapshot();
             let count = |name| snapshot.counter(name).expect("registered");
@@ -1011,6 +1171,7 @@ mod tests {
                 memo: [count("memo.hits"), count("memo.misses")],
                 overlay: [count("overlay.hits"), count("overlay.misses")],
                 rows: [count("rows.hits"), count("rows.admitted")],
+                gates_closed: count("gates.closed"),
             }
         };
         (engine, read)
@@ -1118,6 +1279,51 @@ mod tests {
                 reference_bits(&net, overlay.as_ref(), NodeId(5), &near, t)[0]
             );
             assert_eq!((counts().searches, counts().rows[1]), (4, 1));
+        }
+    }
+
+    /// A gated sweep from a corner of a grid: the gate whose trigger is the
+    /// nearest target opens, the one whose trigger is the far corner closes
+    /// when the search passes its radius — counted in `engine.gates.closed`
+    /// — and its members go unanswered. Asked again, the memoised answers
+    /// and the floor the first search left under the far corner decide
+    /// both gates with no search, on the static memo and on the overlay memo
+    /// of an indexed backend; the memo-free backend searches, and closes the
+    /// gate early, every time.
+    #[test]
+    fn a_gated_sweep_closes_the_gates_it_passes_and_counts_them() {
+        let net = GridCityBuilder::new(8, 8).build();
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (source, required, near, far) = (NodeId(0), NodeId(1), NodeId(9), NodeId(63));
+        let answered = [required, near, NodeId(10)];
+        for (kind, overlaid) in [
+            (EngineKind::Cached, false),
+            (EngineKind::HubLabels, true),
+            (EngineKind::Dijkstra, false),
+        ] {
+            let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
+            let want = reference_bits(&net, overlay.as_ref(), source, &answered, t);
+            let radius = Duration::from_secs_f64(f64::from_bits(want[1].expect("connected")));
+            let mut asked = GatedTargets::new();
+            asked.require([required]);
+            assert_eq!(asked.gate(radius, [near], [NodeId(10)]), 0);
+            assert_eq!(asked.gate(radius, [far], [NodeId(62)]), 1);
+
+            let (engine, counts) = metered(&net, kind);
+            if let Some(overlay) = &overlay {
+                engine.set_overlay(overlay.clone());
+            }
+            let memo_free = kind == EngineKind::Dijkstra;
+            for round in 1..=2u64 {
+                let got = engine.gated_travel_times(source, &asked, t);
+                assert_eq!(got.opened, [true, false], "{kind:?}, round {round}");
+                assert_eq!(got.targets, answered, "{kind:?}, round {round}");
+                let got: Vec<_> = got.travel_times.into_iter().map(bits).collect();
+                assert_eq!(got, want, "{kind:?}, round {round}");
+                let searched = if memo_free { round } else { 1 };
+                assert_eq!((counts().searches, counts().gates_closed), (searched, searched));
+                assert_eq!(engine.query_count(), 5 * round, "every pair asked is a query");
+            }
         }
     }
 

@@ -22,6 +22,9 @@
 //! * [`ShortestPathEngine`] — a façade that picks between plain Dijkstra, a
 //!   memoising cache and hub labels, so callers do not care which backend
 //!   answers a query; path queries are one Dijkstra on every backend.
+//! * [`gates`] — gated sweeps: one-to-many queries whose conditional targets
+//!   are answered only when a trigger of theirs lies within a radius (the
+//!   FoodGraph's first-mile bound), searched no further than that decides.
 //! * [`TrafficOverlay`] — live edge-speed perturbations (incidents, rain,
 //!   localized slowdowns; multipliers `≥ 1`, so roads slow but never close)
 //!   layered over the static weights; the engine renders the installed
@@ -32,7 +35,8 @@
 //!   that replace the proprietary OpenStreetMap/Swiggy extracts used in the
 //!   paper's evaluation.
 //! * [`geo`] — haversine distances, bearings (Definition 10) and the angular
-//!   distance used by the vehicle-sensitive edge weight (Eq. 8).
+//!   distance used by the vehicle-sensitive edge weight (Eq. 8); the network
+//!   keeps each node's latitude terms ([`LatTrig`]) for it.
 //!
 //! ## Quick example
 //!
@@ -53,6 +57,7 @@
 
 pub mod congestion;
 pub mod dijkstra;
+pub mod gates;
 pub mod generators;
 pub mod geo;
 pub mod graph;
@@ -65,7 +70,8 @@ pub mod timeofday;
 pub use congestion::{CongestionProfile, RoadClass};
 pub use dijkstra::{Expansion, PathResult, SearchSpace};
 pub use foodmatch_matching::parallel_map;
-pub use geo::{angular_distance, bearing, haversine_meters, AngularFrame, GeoPoint};
+pub use gates::{GatedAnswers, GatedTargets};
+pub use geo::{angular_distance, bearing, haversine_meters, AngularFrame, GeoPoint, LatTrig};
 pub use graph::{EdgeRecord, NodeRecord, RoadNetwork, RoadNetworkBuilder};
 pub use hub_labels::HubLabelIndex;
 pub use ids::{EdgeId, NodeId};

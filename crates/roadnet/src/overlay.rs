@@ -109,7 +109,7 @@ pub fn shortest_travel_time_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    search(network, source, &[target], space, overlaid_secs(network, multipliers, t));
+    search(network, source, &[target], None, space, overlaid_secs(network, multipliers, t));
     settled_time(space, target)
 }
 
@@ -123,7 +123,7 @@ pub fn one_to_many_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    search(network, source, targets, space, overlaid_secs(network, multipliers, t));
+    search(network, source, targets, None, space, overlaid_secs(network, multipliers, t));
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -137,7 +137,7 @@ pub fn shortest_path_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    search(network, source, &[target], space, overlaid_secs(network, multipliers, t));
+    search(network, source, &[target], None, space, overlaid_secs(network, multipliers, t));
     path_to(network, source, target, space)
 }
 

@@ -12,6 +12,11 @@
 //! * `shortest_path` is the same path on every backend — nodes, travel time
 //!   and length, to the bit — because every backend answers it with the
 //!   same Dijkstra;
+//! * a gated sweep (`gated_travel_times`) opens a gate exactly when one of
+//!   its triggers lies within its radius on the backend's own plain sweep,
+//!   answers the required targets and the members of open gates bit for bit
+//!   as that sweep does, leaves the rest unanswered, and leaves nothing
+//!   behind that a later query could read as an answer;
 //! * multi-threaded dispatch (`DispatchConfig::num_threads > 1`) produces
 //!   bit-for-bit the same assignments and simulation metrics as the serial
 //!   path.
@@ -328,6 +333,174 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
             }
         }
     }
+}
+
+/// The contract of a gated sweep (`gated_travel_times`), on every backend,
+/// with and without an overlay, from a cold engine, from one that already
+/// knows half the pairs, and from a source with a tree row: a gate opens
+/// exactly when one of its triggers lies within its radius on that
+/// backend's own plain sweep — a trigger at exactly the radius opens it, one
+/// a float step beyond closes it, the island closes it — and the required
+/// targets and the members of open gates read, bit for bit, what the plain
+/// sweep reads, while a member only closed gates asked for is not answered.
+/// Afterwards plain sweeps and point queries from the same source answer
+/// those members exactly: what a gated search stopped short of is never
+/// remembered as anything but unknown.
+#[test]
+fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
+    use foodmatch_roadnet::{Duration, GatedTargets};
+    let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
+    let t = TimePoint::from_hms(12, 40, 0);
+    let (mut opened, mut closed, mut unanswered) = (0, 0, 0);
+    let networks = [
+        with_island(&RandomCityBuilder::new(150).seed(3).build()),
+        with_island(&RandomCityBuilder::new(90).seed(29).build()),
+    ];
+    for (which, (network, island)) in networks.iter().enumerate() {
+        let mut overlay = TrafficOverlay::new();
+        for edge in network.edge_ids().step_by(3) {
+            overlay.slow_edge(edge, 1.7);
+        }
+        let n = network.node_count() as u32;
+        let everything: Vec<NodeId> = network.node_ids().collect();
+        for kind in EngineKind::ALL {
+            for overlaid in [false, true] {
+                let fresh = || {
+                    let engine = ShortestPathEngine::new(network.clone(), kind);
+                    if overlaid {
+                        engine.set_overlay(overlay.clone());
+                    }
+                    engine
+                };
+                let mut rng = StdRng::seed_from_u64(0x6A7E + which as u64);
+                for round in 0..9 {
+                    let context =
+                        format!("network {which}, {kind:?}, overlay {overlaid}, round {round}");
+                    // The island is a node too, and never a source.
+                    let source = NodeId(rng.random_range(0..n - 1));
+                    let plain = fresh().travel_times_to_many(source, &everything, t);
+                    let secs = |node: NodeId| {
+                        plain[node.index()].map_or(f64::INFINITY, |d| d.as_secs_f64())
+                    };
+                    let draw = |rng: &mut StdRng, count: usize| -> Vec<NodeId> {
+                        (0..count).map(|_| NodeId(rng.random_range(0..n))).collect()
+                    };
+
+                    // Two gates on one trigger: radius exactly its distance,
+                    // and one float step short of it. They share a member,
+                    // and the closed one lists a required node.
+                    let required = draw(&mut rng, 3);
+                    let edge = draw(&mut rng, 8)
+                        .into_iter()
+                        .find(|&node| node != source && secs(node).is_finite())
+                        .unwrap_or(required[0]);
+                    let at = secs(edge);
+                    let mut gates: Vec<(f64, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
+                    if at.is_finite() && at > 0.0 {
+                        let shared = draw(&mut rng, 1);
+                        let others = [shared.clone(), draw(&mut rng, 2)].concat();
+                        gates.push((at, vec![edge], others));
+                        let short = f64::from_bits(at.to_bits() - 1);
+                        let others = [shared, vec![required[1]], draw(&mut rng, 1)].concat();
+                        gates.push((short, vec![edge], others));
+                    }
+                    // Random gates, radius the distance of a random node: one
+                    // or two triggers, sometimes the island or the source.
+                    for _ in 0..6 {
+                        let count = rng.random_range(1..3);
+                        let mut triggers = draw(&mut rng, count);
+                        match rng.random_range(0..6) {
+                            0 => triggers.push(*island),
+                            1 => triggers.push(source),
+                            _ => {}
+                        }
+                        let radius = secs(draw(&mut rng, 1)[0]).min(1e5);
+                        let count = rng.random_range(0..3);
+                        gates.push((radius, triggers, draw(&mut rng, count)));
+                    }
+                    // A gate with no trigger never opens.
+                    gates.push((1e5, Vec::new(), draw(&mut rng, 1)));
+
+                    let mut asked = GatedTargets::new();
+                    asked.require(required.iter().copied());
+                    for (radius, triggers, others) in &gates {
+                        let radius = Duration::from_secs_f64(*radius);
+                        asked.gate(radius, triggers.iter().copied(), others.iter().copied());
+                    }
+                    let engine = fresh();
+                    match round % 3 {
+                        0 => {}
+                        // Half the pairs known before the sweep.
+                        1 => {
+                            for (_, triggers, others) in gates.iter().step_by(2) {
+                                for &node in triggers.iter().chain(others) {
+                                    let _ = engine.travel_time(source, node, t);
+                                }
+                            }
+                        }
+                        // A source the memo knew, still missing: a tree row.
+                        _ => {
+                            let _ = engine.travel_times_to_many(source, &draw(&mut rng, 2), t);
+                            let _ = engine.travel_times_to_many(source, &draw(&mut rng, 3), t);
+                        }
+                    }
+                    let got = engine.gated_travel_times(source, &asked, t);
+
+                    let want_open: Vec<bool> = gates
+                        .iter()
+                        .map(|(radius, triggers, _)| triggers.iter().any(|&tr| secs(tr) <= *radius))
+                        .collect();
+                    assert_eq!(got.opened, want_open, "{context}");
+                    if at.is_finite() && at > 0.0 {
+                        assert_eq!(&got.opened[..2], [true, false], "{context}: at the radius");
+                    }
+                    let mut want: Vec<NodeId> = required.clone();
+                    for ((_, triggers, others), _) in
+                        gates.iter().zip(&want_open).filter(|(_, o)| **o)
+                    {
+                        want.extend(triggers.iter().chain(others));
+                    }
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(got.targets, want, "{context}");
+                    for (&node, &answer) in got.targets.iter().zip(&got.travel_times) {
+                        assert_eq!(bits(answer), bits(plain[node.index()]), "{context}: {node}");
+                    }
+                    opened += want_open.iter().filter(|&&open| open).count();
+                    closed += want_open.iter().filter(|&&open| !open).count();
+
+                    // Afterwards, the members nobody answered: half by point
+                    // query, then all of them by a plain sweep.
+                    let mut left_out: Vec<NodeId> = gates
+                        .iter()
+                        .flat_map(|(_, triggers, others)| triggers.iter().chain(others))
+                        .copied()
+                        .filter(|node| want.binary_search(node).is_err())
+                        .collect();
+                    left_out.sort_unstable();
+                    left_out.dedup();
+                    unanswered += left_out.len();
+                    for &node in left_out.iter().step_by(2) {
+                        let point = engine.travel_time(source, node, t);
+                        assert_eq!(
+                            bits(point),
+                            bits(plain[node.index()]),
+                            "{context}: point {node}"
+                        );
+                    }
+                    let swept = engine.travel_times_to_many(source, &left_out, t);
+                    for (&node, answer) in left_out.iter().zip(swept) {
+                        assert_eq!(
+                            bits(answer),
+                            bits(plain[node.index()]),
+                            "{context}: swept {node}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(opened > 100 && closed > 100 && unanswered > 100, "{opened} / {closed} / {unanswered}");
 }
 
 #[test]
