@@ -97,7 +97,7 @@ fn telemetry_lookups_are_flagged_outside_constructors() {
 fn clippy_allows_must_say_why() {
     let source = fixture("reasoned_allow.rs");
     // No path set: test files are held to it like library code.
-    for path in ["crates/roadnet/src/hub_labels.rs", "tests/recovery_equivalence.rs"] {
+    for path in ["crates/roadnet/src/index.rs", "tests/recovery_equivalence.rs"] {
         let (diagnostics, _) = scan_source(path, &source);
         assert_eq!(
             rule_lines(&diagnostics),

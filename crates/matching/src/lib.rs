@@ -27,8 +27,9 @@
 //!   point in tests and ablation benchmarks.
 //!
 //! The crate is deliberately free of food-delivery concepts: it is a
-//! reusable assignment-problem library (and the workspace's dependency-free
-//! leaf — `parallel_map` lives here so every layer above can share it).
+//! reusable assignment-problem library (and a leaf of the workspace, over
+//! `foodmatch-telemetry` only — `parallel_map` lives here so every layer
+//! above can share it).
 //!
 //! ```
 //! use foodmatch_matching::{AssignmentSolver, Decomposed, SparseCostMatrix};

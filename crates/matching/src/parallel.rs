@@ -15,9 +15,9 @@
 //! every worker writes only its own chunk, and results come back in input
 //! order.
 //!
-//! This is the function's one home — `foodmatch-matching` is the workspace's
-//! dependency-free leaf crate; `foodmatch_roadnet::parallel_map` and
-//! `foodmatch_core::parallel_map` are plain re-exports of it.
+//! This is the function's one home — `foodmatch-matching` is a leaf crate
+//! (it depends only on `foodmatch-telemetry`);
+//! `foodmatch_core::parallel_map` is a plain re-export of it.
 
 /// Maps `f` over `items` with up to `threads` scoped workers, returning
 /// results in input order (the closure also receives the item's index).

@@ -9,8 +9,8 @@
 //!   optionally returning the node sequence.
 //! * [`one_to_many`] — distances from one source to a set of targets with a
 //!   single partial Dijkstra run (used heavily by the cost model).
-//! * [`one_to_all`] — a full shortest-path tree (used to build hub labels and
-//!   reference results in tests).
+//! * [`one_to_all`] — a full shortest-path tree (reference results in the
+//!   generator tests).
 //! * [`Expansion`] — a lazy best-first iterator yielding nodes in ascending
 //!   distance from a source, which is exactly the primitive Algorithm 2 needs
 //!   to find the `k` nearest batch start nodes of a vehicle, and which also

@@ -10,13 +10,15 @@
 //! required target and every member of a gate still in play is settled,
 //! instead of running out to the farthest stop of an offer it will drop.
 //! [`ShortestPathEngine::gated_travel_times`](crate::ShortestPathEngine::gated_travel_times)
-//! runs one; `index.rs` ("Gated sweeps") says how each backend answers it.
+//! runs one; `index.rs` ("Gated sweeps") says how the memo and the search
+//! answer it.
 //!
 //! A gate *opens* when a trigger lies at most `radius` from the source and
 //! *closes* otherwise. A member is answered when it is required or a member
 //! of an open gate, and left unanswered when only closed gates asked for it.
 //! Which gates open and what the answered targets read is a function of the
-//! distances alone, so every backend reports the same.
+//! distances alone, so a cold engine, a warm one and the plain sweep report
+//! the same.
 
 use crate::dijkstra::SearchSpace;
 use crate::ids::NodeId;
@@ -150,7 +152,7 @@ enum State {
 
 /// One gated sweep in flight: flat arrays over the sorted, distinct target
 /// list the sweep runs on (`nodes`), which the memo pass, the search kernel
-/// and the backends' read-back index alike.
+/// and the read-back index alike.
 ///
 /// A gate is decided by what is known of its triggers — open on one at most
 /// `radius` away, closed when all are known to lie beyond it — and, during a

@@ -1,34 +1,26 @@
-//! A unified façade over the shortest-path backends.
+//! The distance oracle: one memoising Dijkstra engine.
 //!
 //! Higher layers (route planning, batching, FoodGraph construction, the
 //! simulator) issue a very large number of `SP(u, v, t)` queries. The paper
-//! accelerates these with hub labels; we expose three interchangeable
-//! engines behind [`ShortestPathEngine`]:
-//!
-//! * [`EngineKind::Dijkstra`] — no index, every query runs Dijkstra. Baseline
-//!   and reference implementation.
-//! * [`EngineKind::Cached`] — Dijkstra plus a memo of what its searches
-//!   found, one hour slot at a time: `(source, target) → travel time` pairs,
-//!   which pay off because dispatch repeatedly asks about the same
-//!   restaurant/customer nodes within a window, and behind them the **tree
-//!   rows** of sources that *repeat* (below), which pay off because a
-//!   vehicle that stands still, and every restaurant, is swept again window
-//!   after window with a few new targets each time. The memo is sharded 16
-//!   ways by source node so parallel dispatch workers don't serialise on one
-//!   lock, and the lock is never held across the fallback Dijkstra run.
-//! * [`EngineKind::HubLabels`] — exact hub labels built lazily per hour slot
-//!   (see [`crate::hub_labels`]); distances only, each the sum of two label
-//!   halves, so it agrees with the other two to a tolerance rather than bit
-//!   for bit.
+//! answers them from hub labels; [`ShortestPathEngine`] returns the same
+//! distances from Dijkstra plus a memo of what its searches found, one hour
+//! slot at a time: `(source, target) → travel time` pairs, which pay off
+//! because dispatch repeatedly asks about the same restaurant/customer nodes
+//! within a window, and behind them the **tree rows** of sources that
+//! *repeat* (below), which pay off because a vehicle that stands still, and
+//! every restaurant, is swept again window after window with a few new
+//! targets each time. The memo is sharded 16 ways by source node so parallel
+//! dispatch workers don't serialise on one lock, and the lock is never held
+//! across the fallback Dijkstra run. A miss is one run of the kernel the
+//! free functions of [`crate::dijkstra`] and [`crate::overlay`] run, so every
+//! answer is theirs bit for bit.
 //!
 //! Path queries ([`ShortestPathEngine::shortest_path`]) are one pooled
-//! Dijkstra on every backend. While a [`TrafficOverlay`] is installed
-//! ([`ShortestPathEngine::set_overlay`]) the backends differ only in whether
-//! they memoise: the static memo and the index answer on weights that no
-//! longer hold, so they are not asked, and a miss of the generation-stamped
-//! overlay memo — pairs and rows, the same two layers read by the same code
-//! — is one Dijkstra on the overlaid weights on every backend (`Dijkstra`
-//! keeps no memo at all).
+//! Dijkstra. While a [`TrafficOverlay`] is installed
+//! ([`ShortestPathEngine::set_overlay`]) the static memo answers on weights
+//! that no longer hold, so it is not asked, and a miss of the
+//! generation-stamped overlay memo — pairs and rows, the same two layers
+//! read by the same code — is one Dijkstra on the overlaid weights.
 //!
 //! ## Tree rows
 //!
@@ -79,26 +71,23 @@
 //!   memo keeps as a negative entry: it answers no query, and lets the same
 //!   gate close from the memo the next time it is asked.
 //!
-//! The memo-free `Dijkstra` backend runs the same kernel with the gates;
-//! `HubLabels` answers every target and applies the same rule to its
-//! answers. So each backend opens exactly the gates its own plain sweep
-//! would, and answers what it answers bit for bit as that sweep does.
+//! So a gated sweep opens exactly the gates the plain sweep would, and
+//! answers what it answers bit for bit as that sweep does.
 //!
 //! Pairs and rows carry a `(generation, hour slot)` stamp. A *sweep* with
 //! another stamp moves the shard it touches on: the rows and the pair memo
 //! of the hour that has passed (or of the overlay generation that is gone)
-//! are dropped — which is what pays for the rows; the indexes keep their 24
-//! slots. A *point query* for another hour than the stamped one answers by
-//! search and leaves no trace: `submit_order` asks an order's SDT at
-//! `placed_at`, which trails the window's `t` across an hour boundary, and
-//! must not cost the new hour its memo. The static pair memo survives
-//! overlay episodes of the same hour; rows do not (there is one set,
-//! behind whichever pair memo is live).
+//! are dropped — which is what pays for the rows. A *point query* for
+//! another hour than the stamped one answers by search and leaves no trace:
+//! `submit_order` asks an order's SDT at `placed_at`, which trails the
+//! window's `t` across an hour boundary, and must not cost the new hour its
+//! memo. The static pair memo survives overlay episodes of the same hour;
+//! rows do not (there is one set, behind whichever pair memo is live).
 //!
 //! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
-//! taken through the crate's poison-recovering `lock`, and a `OnceLock` per
-//! lazily built index) so FoodGraph construction can fan out per-vehicle work
-//! across threads while sharing one engine. Dijkstra fallbacks run in pooled
+//! taken through the crate's poison-recovering `lock`, and atomics) so
+//! FoodGraph construction can fan out per-vehicle work across threads while
+//! sharing one engine. Dijkstra fallbacks run in pooled
 //! [`SearchSpace`]s (checked out per query, returned on drop), so steady-state
 //! queries perform no allocation beyond their output and the memo's growth:
 //! admitting a source allocates its one row, a row hit allocates nothing
@@ -109,16 +98,15 @@
 use crate::dijkstra::{self, SearchSpace, NO_EDGE};
 use crate::gates::{Answer, GatedAnswers, GatedTargets, Gates};
 use crate::graph::RoadNetwork;
-use crate::hub_labels::HubLabelIndex;
 use crate::ids::{EdgeId, NodeId};
 use crate::lock;
 use crate::overlay::{self, TrafficOverlay};
-use crate::timeofday::{Duration, HourSlot, TimePoint};
+use crate::timeofday::{Duration, TimePoint};
 use foodmatch_telemetry as telemetry;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of shards of the per-slot memo cache. Shard choice hashes only the
 /// source node, so a one-to-many fill for one source stays within one shard.
@@ -127,24 +115,6 @@ const CACHE_SHARDS: usize = 16;
 /// Upper bound on pooled search spaces (≈ the largest plausible worker
 /// fan-out; beyond it, spaces are simply dropped).
 const MAX_POOLED_SPACES: usize = 64;
-
-/// Which backend a [`ShortestPathEngine`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EngineKind {
-    /// Plain Dijkstra per query.
-    Dijkstra,
-    /// Dijkstra with a per-hour-slot memoisation cache.
-    Cached,
-    /// Lazily built exact hub labels per hour slot.
-    HubLabels,
-}
-
-impl EngineKind {
-    /// All engine kinds, in documentation order (useful for equivalence
-    /// tests and per-backend benchmarks).
-    pub const ALL: [EngineKind; 3] =
-        [EngineKind::Dijkstra, EngineKind::Cached, EngineKind::HubLabels];
-}
 
 /// What every tree row of one engine may hold together, in bytes: a row is
 /// one `u32` per network node, so an engine keeps `ROW_BUDGET_BYTES / 4 /
@@ -163,7 +133,7 @@ const ROW_UNREACHABLE: u32 = u32::MAX - 2;
 
 /// The engine's current traffic overlay, stamped with a generation counter.
 /// Swapping the overlay bumps the generation, which invalidates every
-/// memoised overlay answer without touching the per-slot indexes.
+/// memoised overlay answer without touching the static memo.
 #[derive(Debug)]
 struct OverlayVersion {
     generation: u64,
@@ -326,36 +296,31 @@ struct EngineMetrics {
     queries: telemetry::Counter,
     /// `engine.searches` — graph searches actually *run*: every point
     /// search, one-to-many sweep, overlay search and best-first expansion
-    /// checks one space out of the pool. (The `backend` counters count the
+    /// checks one space out of the pool. (The `backend` counter counts the
     /// pairs a search answered, so a sweep of ten misses is ten there and
     /// one here.)
     searches: telemetry::Counter,
     /// `engine.foodgraph.sources` — rows swept by the FoodGraph's resolve
     /// phase, reported through [`ShortestPathEngine::note_foodgraph_sources`].
     foodgraph_sources: telemetry::Counter,
-    /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard memo
-    /// traffic of the [`EngineKind::Cached`] backend. A pair read off a tree
-    /// row is a hit, one the row does not reach and the pair memo does not
-    /// hold (or holds only a floor under) a miss — in a gated sweep, only
-    /// while some gate still wants it.
+    /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard static
+    /// memo traffic. A pair read off a tree row is a hit, one the row does
+    /// not reach and the pair memo does not hold (or holds only a floor
+    /// under) a miss — in a gated sweep, only while some gate still wants it.
     memo_hits: [telemetry::Counter; CACHE_SHARDS],
     memo_misses: [telemetry::Counter; CACHE_SHARDS],
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
-    /// overlay memo traffic (every backend but `Dijkstra`), rows included.
+    /// overlay memo traffic, rows included.
     overlay_hits: telemetry::Counter,
     overlay_misses: telemetry::Counter,
     /// `engine.rows.hits` — the hits above that a tree row answered;
     /// `engine.rows.admitted` — rows allocated.
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
-    /// `engine.backend.{dijkstra,hub}.queries` — which backend answered
-    /// (the Dijkstra counter includes the cached backend's fill runs; a miss
-    /// a gated search stopped short of was answered by none). Pairs asked
-    /// under an overlay are in neither: no backend answers those.
+    /// `engine.backend.dijkstra.queries` — static-memo misses a search
+    /// answered (a miss a gated search stopped short of was answered by
+    /// none). Pairs asked under an overlay are not in it.
     backend_dijkstra: telemetry::Counter,
-    backend_hub: telemetry::Counter,
-    /// `engine.index.build_ns` — lazy per-slot hub-label builds.
-    index_build_ns: telemetry::Histogram,
     /// `engine.gates.closed` — gates of gated sweeps that a search closed
     /// before it reached any of their triggers: the offers a vehicle's start
     /// row stopped short of.
@@ -379,8 +344,6 @@ impl EngineMetrics {
             rows_hits: telemetry::counter("engine.rows.hits"),
             rows_admitted: telemetry::counter("engine.rows.admitted"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
-            backend_hub: telemetry::counter("engine.backend.hub.queries"),
-            index_build_ns: telemetry::histogram("engine.index.build_ns"),
             gates_closed: telemetry::counter("engine.gates.closed"),
         }
     }
@@ -388,16 +351,12 @@ impl EngineMetrics {
 
 struct EngineInner {
     network: RoadNetwork,
-    kind: EngineKind,
     /// What the engine remembers of the searches it ran, sharded by source
-    /// node: the static pair memo of [`EngineKind::Cached`], the overlay
-    /// pair memo of every backend but `Dijkstra`, and the tree rows
+    /// node: the static pair memo, the overlay pair memo, and the tree rows
     /// behind both.
     memo: [Mutex<MemoShard>; CACHE_SHARDS],
     /// Tree rows allocated across all shards, against [`ROW_BUDGET_BYTES`].
     rows_used: AtomicUsize,
-    /// Lazily built hub-label indexes for [`EngineKind::HubLabels`].
-    labels: [OnceLock<HubLabelIndex>; HourSlot::COUNT],
     /// Pool of reusable Dijkstra search spaces.
     spaces: Mutex<Vec<SearchSpace>>,
     /// The active traffic overlay (empty at generation 0). Swapped whole so
@@ -411,15 +370,13 @@ struct EngineInner {
 }
 
 impl ShortestPathEngine {
-    /// Creates an engine of the given kind over `network`.
-    pub fn new(network: RoadNetwork, kind: EngineKind) -> Self {
+    /// Creates the engine over `network`, its memo empty.
+    pub fn cached(network: RoadNetwork) -> Self {
         ShortestPathEngine {
             inner: Arc::new(EngineInner {
                 network,
-                kind,
                 memo: std::array::from_fn(|_| Mutex::new(MemoShard::default())),
                 rows_used: AtomicUsize::new(0),
-                labels: std::array::from_fn(|_| OnceLock::new()),
                 spaces: Mutex::new(Vec::new()),
                 overlay: RwLock::new(Arc::new(OverlayVersion {
                     generation: 0,
@@ -432,30 +389,9 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Convenience constructor for a plain-Dijkstra engine.
-    pub fn dijkstra(network: RoadNetwork) -> Self {
-        Self::new(network, EngineKind::Dijkstra)
-    }
-
-    /// Convenience constructor for a caching engine (the default used by the
-    /// experiments).
-    pub fn cached(network: RoadNetwork) -> Self {
-        Self::new(network, EngineKind::Cached)
-    }
-
-    /// Convenience constructor for a hub-label engine.
-    pub fn hub_labels(network: RoadNetwork) -> Self {
-        Self::new(network, EngineKind::HubLabels)
-    }
-
     /// The underlying road network.
     pub fn network(&self) -> &RoadNetwork {
         &self.inner.network
-    }
-
-    /// Which backend this engine uses.
-    pub fn kind(&self) -> EngineKind {
-        self.inner.kind
     }
 
     /// Number of point-to-point queries answered so far (for benchmarks).
@@ -497,43 +433,14 @@ impl ShortestPathEngine {
                 return self.overlaid_travel_time(&version, source, target, t);
             }
         }
-        self.baseline_travel_time(source, target, t)
-    }
-
-    /// The unperturbed answer from the configured backend.
-    fn baseline_travel_time(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        t: TimePoint,
-    ) -> Option<Duration> {
-        match self.inner.kind {
-            EngineKind::Dijkstra => {
-                self.inner.metrics.backend_dijkstra.inc();
-                let mut space = self.search_space();
-                dijkstra::shortest_travel_time_in(
-                    &self.inner.network,
-                    source,
-                    target,
-                    t,
-                    &mut space,
-                )
-            }
-            EngineKind::Cached => {
-                let beta = dijkstra::beta_secs(&self.inner.network, t);
-                self.memo_travel_time(false, Stamp::new(0, t), source, target, beta)
-            }
-            EngineKind::HubLabels => {
-                self.inner.metrics.backend_hub.inc();
-                self.labels_for(t.hour_slot()).travel_time(source, target)
-            }
-        }
+        let beta = dijkstra::beta_secs(&self.inner.network, t);
+        self.memo_travel_time(false, Stamp::new(0, t), source, target, beta)
     }
 
     /// Overlay-aware point query: a remembered answer under the overlay's
     /// generation stamp, or else one exact Dijkstra on the overlaid weights
-    /// — the cost of a plain memo miss. The configured index is not asked:
-    /// it answers on the static weights, which the search has no use for.
+    /// — the cost of a plain memo miss. The static memo is not asked: it
+    /// answers on the static weights, which the search has no use for.
     fn overlaid_travel_time(
         &self,
         version: &OverlayVersion,
@@ -541,25 +448,13 @@ impl ShortestPathEngine {
         target: NodeId,
         t: TimePoint,
     ) -> Option<Duration> {
-        if self.inner.kind == EngineKind::Dijkstra {
-            // The reference backend stays memo-free.
-            let mut space = self.search_space();
-            return overlay::shortest_travel_time_overlaid_in(
-                &self.inner.network,
-                &version.multipliers,
-                source,
-                target,
-                t,
-                &mut space,
-            );
-        }
         let stamp = Stamp::new(version.generation, t);
         let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
         self.memo_travel_time(true, stamp, source, target, overlaid)
     }
 
-    /// Travel times from `source` to several `targets` in a single backend
-    /// pass where the backend supports it.
+    /// Travel times from `source` to several `targets`: what the memo knows,
+    /// then one search for the rest.
     pub fn travel_times_to_many(
         &self,
         source: NodeId,
@@ -591,9 +486,9 @@ impl ShortestPathEngine {
         gates.answers(&answers)
     }
 
-    /// One sweep from `source` to `targets` on the configured backend and
-    /// the active overlay: an [`Answer`] per target, every one `gates` (when
-    /// given) still wants answered.
+    /// One sweep from `source` to `targets` on the active overlay: an
+    /// [`Answer`] per target, every one `gates` (when given) still wants
+    /// answered.
     fn sweep(
         &self,
         source: NodeId,
@@ -609,33 +504,8 @@ impl ShortestPathEngine {
                 return self.overlaid_to_many(&version, source, targets, gates, t);
             }
         }
-        self.baseline_to_many(source, targets, gates, t)
-    }
-
-    fn baseline_to_many(
-        &self,
-        source: NodeId,
-        targets: &[NodeId],
-        gates: Option<&mut Gates<'_>>,
-        t: TimePoint,
-    ) -> Vec<Answer> {
         let beta = dijkstra::beta_secs(&self.inner.network, t);
-        match self.inner.kind {
-            EngineKind::Dijkstra => {
-                let (answers, searched) = self.searched(source, targets, gates, beta);
-                self.inner.metrics.backend_dijkstra.add(searched);
-                answers
-            }
-            EngineKind::Cached => {
-                self.memo_to_many(false, Stamp::new(0, t), source, targets, gates, beta)
-            }
-            // Exact answers for every target; the gates are decided on them.
-            EngineKind::HubLabels => {
-                self.inner.metrics.backend_hub.add(targets.len() as u64);
-                let index = self.labels_for(t.hour_slot());
-                targets.iter().map(|&target| Some(index.travel_time(source, target))).collect()
-            }
-        }
+        self.memo_to_many(false, Stamp::new(0, t), source, targets, gates, beta)
     }
 
     /// Overlay-aware one-to-many: what is remembered under the overlay's
@@ -650,34 +520,13 @@ impl ShortestPathEngine {
         t: TimePoint,
     ) -> Vec<Answer> {
         let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
-        if self.inner.kind == EngineKind::Dijkstra {
-            return self.searched(source, targets, gates, overlaid).0;
-        }
         let stamp = Stamp::new(version.generation, t);
         self.memo_to_many(true, stamp, source, targets, gates, overlaid)
     }
 
-    /// The memo-free sweep of the reference backend: one search for every
-    /// target `gates` wants, and how many targets it answered.
-    fn searched(
-        &self,
-        source: NodeId,
-        targets: &[NodeId],
-        mut gates: Option<&mut Gates<'_>>,
-        edge_secs: impl Fn(EdgeId) -> f64,
-    ) -> (Vec<Answer>, u64) {
-        let mut out = vec![None; targets.len()];
-        let missing = missing(targets, &out, gates.as_deref_mut());
-        let mut space = self.search_space();
-        let reach =
-            dijkstra::search(&self.inner.network, source, &missing, gates, &mut space, edge_secs);
-        let answered = read_back(&space, reach, targets, &mut out, |_, _| {});
-        (out, answered)
-    }
-
     /// Shortest path with node sequence and length: one pooled-space
-    /// Dijkstra whatever the backend (the hub labels hold distances, not
-    /// paths). Counted in [`Self::query_count`] like the other entry points.
+    /// Dijkstra (the memo holds distances, not paths). Counted in
+    /// [`Self::query_count`] like the other entry points.
     pub fn shortest_path(
         &self,
         source: NodeId,
@@ -704,24 +553,14 @@ impl ShortestPathEngine {
         dijkstra::shortest_path_in(&self.inner.network, source, target, t, &mut space)
     }
 
-    /// Forces construction of the per-slot index for `slot` (no-op for the
-    /// index-free engine kinds). Useful to move index construction out of
-    /// measured sections in benchmarks.
-    pub fn warm_up(&self, slot: HourSlot) {
-        if self.inner.kind == EngineKind::HubLabels {
-            self.labels_for(slot);
-        }
-    }
-
     /// Installs `overlay` as the active traffic perturbation, bumping the
     /// overlay generation. This is the one place that holds both the overlay
     /// and the network, so it renders the sparse map into this generation's
     /// table of one multiplier per edge (`O(E)`, once per change of the
     /// disruption set). Subsequent queries are answered exactly on the
     /// perturbed weights, each overlay-memo miss by one Dijkstra over that
-    /// table, whatever the configured backend — the per-slot indexes are
-    /// neither rebuilt nor consulted; memoised overlay answers from earlier
-    /// generations are invalidated by their generation stamp.
+    /// table — the static memo is not consulted; memoised overlay answers
+    /// from earlier generations are invalidated by their generation stamp.
     ///
     /// Swapping the overlay while other threads query is safe (each query
     /// works on a consistent snapshot), but the caller is responsible for the
@@ -785,10 +624,9 @@ impl ShortestPathEngine {
 
     /// Counts `hits` and `misses` of one memoised query from a source of
     /// shard `shard`, and the misses its search `answered`: under an overlay
-    /// in the overlay memo's counters, else in the static memo's and — what
-    /// a search answers on the static weights Dijkstra answers — the
-    /// backend's. A plain search answers every miss; a gated one may stop
-    /// short of a miss that only a closed gate wanted.
+    /// in the overlay memo's counters, else in the static memo's and in
+    /// `engine.backend.dijkstra.queries`. A plain search answers every miss;
+    /// a gated one may stop short of a miss that only a closed gate wanted.
     fn count_memo(&self, overlaid: bool, shard: usize, hits: u64, misses: u64, answered: u64) {
         let metrics = &self.inner.metrics;
         if overlaid {
@@ -944,16 +782,6 @@ impl ShortestPathEngine {
             })
             .is_ok()
     }
-
-    /// The hub labels of `slot`, built by the first caller to ask; callers
-    /// that arrive while it builds wait for it.
-    fn labels_for(&self, slot: HourSlot) -> &HubLabelIndex {
-        self.inner.labels[slot.index()].get_or_init(|| {
-            let _span = telemetry::span("engine", "hub_labels.build");
-            let _build = self.inner.metrics.index_build_ns.timer();
-            HubLabelIndex::build(&self.inner.network, slot)
-        })
-    }
 }
 
 /// A [`SearchSpace`] checked out of a [`ShortestPathEngine`]'s pool; derefs
@@ -1043,7 +871,6 @@ fn read_back(
 impl std::fmt::Debug for ShortestPathEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShortestPathEngine")
-            .field("kind", &self.inner.kind)
             .field("nodes", &self.inner.network.node_count())
             .field("queries", &self.query_count())
             .finish()
@@ -1068,30 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree() {
-        let net = GridCityBuilder::new(6, 6).build();
-        let t = TimePoint::from_hms(13, 15, 0);
-        let reference = ShortestPathEngine::dijkstra(net.clone());
-        let cached = ShortestPathEngine::cached(net.clone());
-        let labels = ShortestPathEngine::hub_labels(net.clone());
-        for (a, b) in sample_pairs(&net) {
-            let expected = reference.travel_time(a, b, t);
-            for engine in [&cached, &labels] {
-                let got = engine.travel_time(a, b, t);
-                match (expected, got) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => assert!(
-                        (x.as_secs_f64() - y.as_secs_f64()).abs() < 1e-6,
-                        "{a}->{b}: {x:?} vs {y:?} with {:?}",
-                        engine.kind()
-                    ),
-                    other => panic!("{a}->{b}: {other:?} with {:?}", engine.kind()),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cached_engine_answers_repeat_queries_identically() {
         let net = GridCityBuilder::new(5, 5).build();
         let engine = ShortestPathEngine::cached(net.clone());
@@ -1107,12 +910,12 @@ mod tests {
         let net = GridCityBuilder::new(5, 4).build();
         let t = TimePoint::from_hms(12, 0, 0);
         let targets: Vec<NodeId> = net.node_ids().step_by(3).collect();
-        for kind in EngineKind::ALL {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            let batch = engine.travel_times_to_many(NodeId(1), &targets, t);
-            for (i, &target) in targets.iter().enumerate() {
-                assert_eq!(batch[i], engine.travel_time(NodeId(1), target, t), "kind {kind:?}");
-            }
+        let engine = ShortestPathEngine::cached(net.clone());
+        let batch = engine.travel_times_to_many(NodeId(1), &targets, t);
+        for (i, &target) in targets.iter().enumerate() {
+            let reference = dijkstra::shortest_travel_time(&net, NodeId(1), target, t);
+            assert_eq!(bits(batch[i]), bits(reference), "{target}");
+            assert_eq!(bits(engine.travel_time(NodeId(1), target, t)), bits(reference));
         }
     }
 
@@ -1125,14 +928,14 @@ mod tests {
         let _ = engine.travel_time(NodeId(0), NodeId(3), t);
         let targets: Vec<NodeId> = vec![NodeId(3), NodeId(7), NodeId(0), NodeId(11)];
         let batch = engine.travel_times_to_many(NodeId(0), &targets, t);
-        let reference = ShortestPathEngine::dijkstra(net);
         for (i, &target) in targets.iter().enumerate() {
-            assert_eq!(batch[i], reference.travel_time(NodeId(0), target, t));
+            let reference = dijkstra::shortest_travel_time(&net, NodeId(0), target, t);
+            assert_eq!(bits(batch[i]), bits(reference), "{target}");
         }
     }
 
-    /// What one engine has counted: `engine.searches`, every
-    /// `engine.backend.*` counter summed, `[hits, misses]` of the static
+    /// What one engine has counted: `engine.searches`,
+    /// `engine.backend.dijkstra.queries`, `[hits, misses]` of the static
     /// memo (all shards) and of the overlay memo, `[hits, admitted]` of
     /// the tree rows, and `engine.gates.closed`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -1148,13 +951,12 @@ mod tests {
     /// An engine whose counters count into a registry of its own, and a
     /// reader of them. The process-global recorder is not used: engines
     /// built by tests on other threads would count into it.
-    fn metered(net: &RoadNetwork, kind: EngineKind) -> (ShortestPathEngine, impl Fn() -> Counts) {
+    fn metered(net: &RoadNetwork) -> (ShortestPathEngine, impl Fn() -> Counts) {
         let registry = telemetry::Telemetry::new();
-        let mut engine = ShortestPathEngine::new(net.clone(), kind);
+        let mut engine = ShortestPathEngine::cached(net.clone());
         let metrics = &mut Arc::get_mut(&mut engine.inner).expect("not yet shared").metrics;
         metrics.searches = registry.counter("searches");
         metrics.backend_dijkstra = registry.counter("backend");
-        metrics.backend_hub = registry.counter("backend");
         metrics.memo_hits = std::array::from_fn(|_| registry.counter("memo.hits"));
         metrics.memo_misses = std::array::from_fn(|_| registry.counter("memo.misses"));
         metrics.overlay_hits = registry.counter("overlay.hits");
@@ -1186,10 +988,9 @@ mod tests {
         let net = GridCityBuilder::new(5, 4).build();
         let t = TimePoint::from_hms(9, 0, 0);
         let (source, a, b) = (NodeId(6), NodeId(2), NodeId(17));
-        // The static memo, then the overlay memo of an indexed backend.
+        // The static memo, then the overlay memo.
         for overlaid in [false, true] {
-            let kind = if overlaid { EngineKind::HubLabels } else { EngineKind::Cached };
-            let (engine, counts) = metered(&net, kind);
+            let (engine, counts) = metered(&net);
             let counted = || if overlaid { counts().overlay } else { counts().memo };
             if overlaid {
                 engine.set_overlay(slowdown_overlay(&net, 2.0));
@@ -1207,8 +1008,8 @@ mod tests {
         }
     }
 
-    /// `source → targets` on a fresh reference engine in the same overlay
-    /// state, as bits.
+    /// `source → targets` by the memo-free one-to-many of `overlay` (or of
+    /// the static weights), as bits.
     fn reference_bits(
         net: &RoadNetwork,
         overlay: Option<&crate::TrafficOverlay>,
@@ -1216,18 +1017,25 @@ mod tests {
         targets: &[NodeId],
         t: TimePoint,
     ) -> Vec<Option<u64>> {
-        let reference = ShortestPathEngine::dijkstra(net.clone());
-        if let Some(overlay) = overlay {
-            reference.set_overlay(overlay.clone());
-        }
-        reference.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+        let answers = match overlay {
+            Some(overlay) => overlay::one_to_many_overlaid_in(
+                net,
+                &overlay.edge_multipliers(net),
+                source,
+                targets,
+                t,
+                &mut SearchSpace::new(),
+            ),
+            None => dijkstra::one_to_many(net, source, targets, t),
+        };
+        answers.into_iter().map(bits).collect()
     }
 
-    /// The life of a row on the static memo and on the overlay memo of an
-    /// indexed backend: never for a first-time source, admitted by the sweep
-    /// that finds the source known and still misses, and from then on every
-    /// node that sweep's search settled is answered without a search, as a
-    /// hit of the memo the query runs on and of no backend.
+    /// The life of a row on the static memo and on the overlay memo: never
+    /// for a first-time source, admitted by the sweep that finds the source
+    /// known and still misses, and from then on every node that sweep's
+    /// search settled is answered without a search, as a hit of the memo
+    /// the query runs on and of no backend search.
     #[test]
     fn a_source_that_repeats_is_given_a_row_and_the_row_answers_without_a_search() {
         let (net, island) = with_island(&GridCityBuilder::new(8, 8).build());
@@ -1235,9 +1043,8 @@ mod tests {
         let t = TimePoint::from_hms(9, 0, 0);
         let (source, near, far) = (NodeId(0), [NodeId(9), NodeId(18)], NodeId(63));
         for overlaid in [false, true] {
-            let kind = if overlaid { EngineKind::HubLabels } else { EngineKind::Cached };
             let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
-            let (engine, counts) = metered(&net, kind);
+            let (engine, counts) = metered(&net);
             if let Some(overlay) = &overlay {
                 engine.set_overlay(overlay.clone());
             }
@@ -1287,20 +1094,15 @@ mod tests {
     /// when the search passes its radius — counted in `engine.gates.closed`
     /// — and its members go unanswered. Asked again, the memoised answers
     /// and the floor the first search left under the far corner decide
-    /// both gates with no search, on the static memo and on the overlay memo
-    /// of an indexed backend; the memo-free backend searches, and closes the
-    /// gate early, every time.
+    /// both gates with no search, on the static memo and on the overlay
+    /// memo.
     #[test]
     fn a_gated_sweep_closes_the_gates_it_passes_and_counts_them() {
         let net = GridCityBuilder::new(8, 8).build();
         let t = TimePoint::from_hms(12, 30, 0);
         let (source, required, near, far) = (NodeId(0), NodeId(1), NodeId(9), NodeId(63));
         let answered = [required, near, NodeId(10)];
-        for (kind, overlaid) in [
-            (EngineKind::Cached, false),
-            (EngineKind::HubLabels, true),
-            (EngineKind::Dijkstra, false),
-        ] {
+        for overlaid in [false, true] {
             let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
             let want = reference_bits(&net, overlay.as_ref(), source, &answered, t);
             let radius = Duration::from_secs_f64(f64::from_bits(want[1].expect("connected")));
@@ -1309,19 +1111,22 @@ mod tests {
             assert_eq!(asked.gate(radius, [near], [NodeId(10)]), 0);
             assert_eq!(asked.gate(radius, [far], [NodeId(62)]), 1);
 
-            let (engine, counts) = metered(&net, kind);
+            let (engine, counts) = metered(&net);
             if let Some(overlay) = &overlay {
                 engine.set_overlay(overlay.clone());
             }
-            let memo_free = kind == EngineKind::Dijkstra;
-            for round in 1..=2u64 {
+            let memo = || if overlaid { counts().overlay } else { counts().memo };
+            let other = || if overlaid { counts().memo } else { counts().overlay };
+            // Cold, all five pairs miss; warm, the three answered ones hit
+            // and the floor closes the far gate, so its two wait for nothing.
+            for (round, counted) in [(1u64, [0, 5]), (2, [3, 5])] {
                 let got = engine.gated_travel_times(source, &asked, t);
-                assert_eq!(got.opened, [true, false], "{kind:?}, round {round}");
-                assert_eq!(got.targets, answered, "{kind:?}, round {round}");
+                assert_eq!(got.opened, [true, false], "overlaid: {overlaid}, round {round}");
+                assert_eq!(got.targets, answered, "overlaid: {overlaid}, round {round}");
                 let got: Vec<_> = got.travel_times.into_iter().map(bits).collect();
-                assert_eq!(got, want, "{kind:?}, round {round}");
-                let searched = if memo_free { round } else { 1 };
-                assert_eq!((counts().searches, counts().gates_closed), (searched, searched));
+                assert_eq!(got, want, "overlaid: {overlaid}, round {round}");
+                assert_eq!((counts().searches, counts().gates_closed), (1, 1));
+                assert_eq!((memo(), other()), (counted, [0, 0]), "overlaid: {overlaid}");
                 assert_eq!(engine.query_count(), 5 * round, "every pair asked is a query");
             }
         }
@@ -1338,7 +1143,7 @@ mod tests {
         let n = net.node_count();
         let budget = (ROW_BUDGET_BYTES / 4 / n) as u64;
         assert!((budget as usize) < n, "the grid must outnumber the rows");
-        let (engine, counts) = metered(&net, EngineKind::Cached);
+        let (engine, counts) = metered(&net);
         let all: Vec<NodeId> = net.node_ids().collect();
         let next = |source: NodeId| NodeId((source.0 + 1) % n as u32);
         for (round, hour) in [(1u64, 12), (2, 13)] {
@@ -1376,7 +1181,7 @@ mod tests {
         let net = GridCityBuilder::new(8, 8).build();
         let (noon, one) = (TimePoint::from_hms(12, 10, 0), TimePoint::from_hms(13, 0, 0));
         let (source, targets) = (NodeId(0), [NodeId(9), NodeId(63)]);
-        let (engine, counts) = metered(&net, EngineKind::Cached);
+        let (engine, counts) = metered(&net);
         let sweep = |targets: &[NodeId], t| -> Vec<Option<u64>> {
             engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
         };
@@ -1413,7 +1218,6 @@ mod tests {
     fn cached_engine_is_consistent_across_sources_in_different_shards() {
         let net = GridCityBuilder::new(6, 6).build();
         let engine = ShortestPathEngine::cached(net.clone());
-        let reference = ShortestPathEngine::dijkstra(net.clone());
         let t = TimePoint::from_hms(13, 0, 0);
         // Sweep every node as a source so every shard gets traffic; repeat to
         // exercise the hit path too.
@@ -1421,8 +1225,8 @@ mod tests {
             for source in net.node_ids() {
                 let target = NodeId((source.0 + 7) % net.node_count() as u32);
                 assert_eq!(
-                    engine.travel_time(source, target, t),
-                    reference.travel_time(source, target, t)
+                    bits(engine.travel_time(source, target, t)),
+                    bits(dijkstra::shortest_travel_time(&net, source, target, t))
                 );
             }
         }
@@ -1432,48 +1236,31 @@ mod tests {
     fn shortest_path_follows_the_backend_and_counts_queries() {
         let net = GridCityBuilder::new(5, 5).build();
         let t = TimePoint::from_hms(12, 0, 0);
-        let reference = ShortestPathEngine::dijkstra(net.clone());
-        let expected = reference.shortest_path(NodeId(0), NodeId(24), t).unwrap();
-        assert!(reference.query_count() >= 1, "shortest_path must count as a query");
-        for kind in EngineKind::ALL {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            let before = engine.query_count();
-            let got = engine.shortest_path(NodeId(0), NodeId(24), t).unwrap();
-            assert!(engine.query_count() > before, "kind {kind:?} must count path queries");
-            // Every backend answers a path with the same search: the same
-            // path, to the bit.
-            assert_eq!(got.nodes, expected.nodes, "kind {kind:?}");
-            assert_eq!(bits(Some(got.travel_time)), bits(Some(expected.travel_time)), "{kind:?}");
-            assert_eq!(got.length_m.to_bits(), expected.length_m.to_bits(), "kind {kind:?}");
-        }
+        let expected = dijkstra::shortest_path(&net, NodeId(0), NodeId(24), t).unwrap();
+        let engine = ShortestPathEngine::cached(net.clone());
+        let got = engine.shortest_path(NodeId(0), NodeId(24), t).unwrap();
+        assert_eq!(engine.query_count(), 1, "shortest_path must count as a query");
+        // The engine answers a path with the memo-free search: the same
+        // path, to the bit.
+        assert_eq!(got.nodes, expected.nodes);
+        assert_eq!(bits(Some(got.travel_time)), bits(Some(expected.travel_time)));
+        assert_eq!(got.length_m.to_bits(), expected.length_m.to_bits());
     }
 
     #[test]
     fn engine_is_shareable_across_threads() {
         let net = GridCityBuilder::new(6, 6).build();
-        for kind in [EngineKind::HubLabels, EngineKind::Cached] {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            let t = TimePoint::from_hms(12, 0, 0);
-            let expected = engine.travel_time(NodeId(0), NodeId(35), t);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let engine = engine.clone();
-                    scope.spawn(move || {
-                        assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), expected);
-                    });
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn warm_up_builds_indexes_once() {
-        let net = GridCityBuilder::new(4, 4).build();
-        let engine = ShortestPathEngine::hub_labels(net);
-        engine.warm_up(HourSlot::new(12));
-        // Second warm-up must not panic or rebuild into inconsistency.
-        engine.warm_up(HourSlot::new(12));
-        assert!(engine.travel_time(NodeId(0), NodeId(15), TimePoint::from_hms(12, 5, 0)).is_some());
+        let engine = ShortestPathEngine::cached(net.clone());
+        let t = TimePoint::from_hms(12, 0, 0);
+        let expected = engine.travel_time(NodeId(0), NodeId(35), t);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let engine = engine.clone();
+                scope.spawn(move || {
+                    assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), expected);
+                });
+            }
+        });
     }
 
     fn slowdown_overlay(net: &RoadNetwork, factor: f64) -> crate::TrafficOverlay {
@@ -1489,46 +1276,41 @@ mod tests {
         let (net, island) = with_island(&GridCityBuilder::new(6, 6).build());
         let t = TimePoint::from_hms(13, 15, 0);
         let overlay = slowdown_overlay(&net, 2.5);
-        // Reference: plain-Dijkstra engine with the same overlay (pinned
-        // against a rebuilt network in the overlay module's own tests).
-        // Every backend runs that same search on a miss, so answers agree
-        // to the bit, not to a tolerance.
-        let reference = ShortestPathEngine::dijkstra(net.clone());
-        reference.set_overlay(overlay.clone());
-        for kind in [EngineKind::Cached, EngineKind::HubLabels] {
-            let (engine, counted) = metered(&net, kind);
-            engine.set_overlay(overlay.clone());
-            for (a, b) in sample_pairs(&net) {
-                let expected = reference.travel_time(a, b, t);
-                assert_eq!(bits(engine.travel_time(a, b, t)), bits(expected), "{a}->{b} {kind:?}");
-            }
-            // Repeat queries hit the overlay memo and stay identical.
-            let (a, b) = (NodeId(0), NodeId(35));
-            assert_eq!(engine.travel_time(a, b, t), reference.travel_time(a, b, t));
-
-            // No street reaches the island, and no baseline answer is there
-            // to say so: the one search runs the reachable graph dry, `None`
-            // is memoised, and reachable targets of the same sweep are what
-            // they are without the island in it.
-            let targets = [NodeId(29), island, NodeId(8), NodeId(22)];
-            let before = counted();
-            assert_eq!(engine.travel_time(NodeId(4), island, t), None, "{kind:?}");
-            let swept = engine.travel_times_to_many(NodeId(13), &targets, t);
-            let cold = counted();
-            assert_eq!(swept[1], None, "{kind:?}");
-            let expected = reference.travel_times_to_many(NodeId(13), &targets, t);
-            for (got, want) in swept.iter().zip(expected) {
-                assert_eq!(bits(*got), bits(want), "{kind:?}");
-            }
-            assert_eq!(cold.searches, before.searches + 2, "{kind:?}");
-            assert_eq!(cold.overlay[1], before.overlay[1] + 5);
-            // Asked again, both are overlay-memo hits: no space checked out.
-            assert_eq!(engine.travel_time(NodeId(4), island, t), None);
-            assert_eq!(engine.travel_times_to_many(NodeId(13), &targets, t), swept);
-            let warm = Counts { overlay: [cold.overlay[0] + 5, cold.overlay[1]], ..cold };
-            assert_eq!(counted(), warm, "{kind:?}");
-            assert_eq!((warm.backend, warm.memo), (0, [0, 0]), "no index and no static memo asked");
+        // Reference: the memo-free overlaid search (pinned against a rebuilt
+        // network in the overlay module's own tests). The engine runs that
+        // same search on a miss, so answers agree to the bit, not to a
+        // tolerance.
+        let reference =
+            |a: NodeId, targets: &[NodeId]| reference_bits(&net, Some(&overlay), a, targets, t);
+        let (engine, counted) = metered(&net);
+        engine.set_overlay(overlay.clone());
+        for (a, b) in sample_pairs(&net) {
+            assert_eq!(bits(engine.travel_time(a, b, t)), reference(a, &[b])[0], "{a}->{b}");
         }
+        // Repeat queries hit the overlay memo and stay identical.
+        let (a, b) = (NodeId(0), NodeId(35));
+        assert_eq!(bits(engine.travel_time(a, b, t)), reference(a, &[b])[0]);
+
+        // No street reaches the island, and no baseline answer is there to
+        // say so: the one search runs the reachable graph dry, `None` is
+        // memoised, and reachable targets of the same sweep are what they
+        // are without the island in it.
+        let targets = [NodeId(29), island, NodeId(8), NodeId(22)];
+        let before = counted();
+        assert_eq!(engine.travel_time(NodeId(4), island, t), None);
+        let swept = engine.travel_times_to_many(NodeId(13), &targets, t);
+        let cold = counted();
+        assert_eq!(swept[1], None);
+        let got: Vec<_> = swept.iter().copied().map(bits).collect();
+        assert_eq!(got, reference(NodeId(13), &targets));
+        assert_eq!(cold.searches, before.searches + 2);
+        assert_eq!(cold.overlay[1], before.overlay[1] + 5);
+        // Asked again, both are overlay-memo hits: no space checked out.
+        assert_eq!(engine.travel_time(NodeId(4), island, t), None);
+        assert_eq!(engine.travel_times_to_many(NodeId(13), &targets, t), swept);
+        let warm = Counts { overlay: [cold.overlay[0] + 5, cold.overlay[1]], ..cold };
+        assert_eq!(counted(), warm);
+        assert_eq!((warm.backend, warm.memo), (0, [0, 0]), "no static memo asked");
     }
 
     /// With an overlay active a miss is one search and nothing else: no
@@ -1538,30 +1320,24 @@ mod tests {
         let net = GridCityBuilder::new(6, 6).build();
         let t = TimePoint::from_hms(9, 0, 0);
         let targets: Vec<NodeId> = (10..18).map(NodeId).collect();
-        for kind in [EngineKind::Cached, EngineKind::HubLabels] {
-            let (engine, counted) = metered(&net, kind);
-            engine.set_overlay(slowdown_overlay(&net, 2.0));
-            let point = engine.travel_time(NodeId(0), NodeId(35), t);
-            assert_eq!(
-                counted(),
-                Counts { searches: 1, overlay: [0, 1], ..Counts::default() },
-                "cold point query, {kind:?}"
-            );
-            let swept = engine.travel_times_to_many(NodeId(3), &targets, t);
-            assert_eq!(
-                counted(),
-                Counts { searches: 2, overlay: [0, 9], ..Counts::default() },
-                "cold 8-target sweep, {kind:?}"
-            );
-            // Repeated, they add only hits.
-            assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), point);
-            assert_eq!(engine.travel_times_to_many(NodeId(3), &targets, t), swept);
-            assert_eq!(
-                counted(),
-                Counts { searches: 2, overlay: [9, 9], ..Counts::default() },
-                "warm, {kind:?}"
-            );
-        }
+        let (engine, counted) = metered(&net);
+        engine.set_overlay(slowdown_overlay(&net, 2.0));
+        let point = engine.travel_time(NodeId(0), NodeId(35), t);
+        assert_eq!(
+            counted(),
+            Counts { searches: 1, overlay: [0, 1], ..Counts::default() },
+            "cold point query"
+        );
+        let swept = engine.travel_times_to_many(NodeId(3), &targets, t);
+        assert_eq!(
+            counted(),
+            Counts { searches: 2, overlay: [0, 9], ..Counts::default() },
+            "cold 8-target sweep"
+        );
+        // Repeated, they add only hits.
+        assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), point);
+        assert_eq!(engine.travel_times_to_many(NodeId(3), &targets, t), swept);
+        assert_eq!(counted(), Counts { searches: 2, overlay: [9, 9], ..Counts::default() }, "warm");
     }
 
     #[test]
@@ -1570,13 +1346,13 @@ mod tests {
         let t = TimePoint::from_hms(12, 0, 0);
         let overlay = slowdown_overlay(&net, 1.7);
         let targets: Vec<NodeId> = net.node_ids().step_by(3).collect();
-        for kind in EngineKind::ALL {
-            let engine = ShortestPathEngine::new(net.clone(), kind);
-            engine.set_overlay(overlay.clone());
-            let batch = engine.travel_times_to_many(NodeId(1), &targets, t);
-            for (i, &target) in targets.iter().enumerate() {
-                assert_eq!(batch[i], engine.travel_time(NodeId(1), target, t), "kind {kind:?}");
-            }
+        let engine = ShortestPathEngine::cached(net.clone());
+        engine.set_overlay(overlay.clone());
+        let batch = engine.travel_times_to_many(NodeId(1), &targets, t);
+        let want = reference_bits(&net, Some(&overlay), NodeId(1), &targets, t);
+        for (i, &target) in targets.iter().enumerate() {
+            assert_eq!(bits(batch[i]), want[i], "{target}");
+            assert_eq!(bits(engine.travel_time(NodeId(1), target, t)), want[i], "{target}");
         }
     }
 
@@ -1597,8 +1373,10 @@ mod tests {
         assert!(engine.has_overlay());
         assert_eq!(engine.overlay_generation(), 1);
         let perturbed = engine.travel_time(NodeId(0), NodeId(24), t).unwrap();
-        assert!(
-            (perturbed.as_secs_f64() - 2.0 * baseline.as_secs_f64()).abs() < 1e-6,
+        // Doubling every weight doubles every label exactly: the same tree.
+        assert_eq!(
+            perturbed.as_secs_f64().to_bits(),
+            (2.0 * baseline.as_secs_f64()).to_bits(),
             "uniform 2x slowdown must double the travel time"
         );
 
@@ -1612,28 +1390,35 @@ mod tests {
     fn overlay_memo_is_invalidated_by_generation() {
         let net = GridCityBuilder::new(5, 5).build();
         let t = TimePoint::from_hms(12, 0, 0);
-        let engine = ShortestPathEngine::hub_labels(net.clone());
+        let (engine, counted) = metered(&net);
         let mut mild = crate::TrafficOverlay::new();
         let mut severe = crate::TrafficOverlay::new();
         for eid in net.edge_ids() {
             mild.slow_edge(eid, 1.5);
             severe.slow_edge(eid, 3.0);
         }
-        engine.set_overlay(mild);
-        let first = engine.travel_time(NodeId(0), NodeId(24), t).unwrap();
-        engine.set_overlay(severe);
-        let second = engine.travel_time(NodeId(0), NodeId(24), t).unwrap();
-        assert!(
-            (second.as_secs_f64() - first.as_secs_f64() * 2.0).abs() < 1e-6,
+        let (a, b) = (NodeId(0), NodeId(24));
+        engine.set_overlay(mild.clone());
+        let first = bits(engine.travel_time(a, b, t));
+        assert_eq!(first, reference_bits(&net, Some(&mild), a, &[b], t)[0]);
+        assert_eq!(bits(engine.travel_time(a, b, t)), first);
+        assert_eq!((counted().overlay, counted().memo), ([1, 1], [0, 0]));
+        engine.set_overlay(severe.clone());
+        let second = bits(engine.travel_time(a, b, t));
+        assert_eq!(
+            second,
+            reference_bits(&net, Some(&severe), a, &[b], t)[0],
             "stale memo entries must not survive an overlay swap"
         );
+        assert_ne!(second, first);
+        assert_eq!((counted().overlay, counted().memo), ([1, 2], [0, 0]), "a miss, not a hit");
     }
 
     #[test]
     fn edge_travel_time_applies_the_overlay_multiplier() {
         let net = GridCityBuilder::new(3, 3).build();
         let t = TimePoint::from_hms(8, 0, 0);
-        let engine = ShortestPathEngine::dijkstra(net.clone());
+        let engine = ShortestPathEngine::cached(net.clone());
         let edge = net.edge_ids().next().unwrap();
         let base = engine.edge_travel_time(edge, t);
         assert_eq!(base, net.travel_time(edge, t));
@@ -1641,7 +1426,7 @@ mod tests {
         overlay.slow_edge(edge, 2.5);
         engine.set_overlay(overlay);
         let slowed = engine.edge_travel_time(edge, t);
-        assert!((slowed.as_secs_f64() - 2.5 * base.as_secs_f64()).abs() < 1e-9);
+        assert_eq!(slowed.as_secs_f64().to_bits(), (base.as_secs_f64() * 2.5).to_bits());
         // Unperturbed edges are untouched.
         let other = net.edge_ids().nth(1).unwrap();
         assert_eq!(engine.edge_travel_time(other, t), net.travel_time(other, t));
@@ -1664,9 +1449,11 @@ mod tests {
         }
         engine.set_overlay(overlay);
         let rerouted = engine.shortest_path(NodeId(0), NodeId(24), t).unwrap();
-        assert!(rerouted.travel_time.as_secs_f64() <= perturbed_reference_secs + 1e-9);
+        // A Dijkstra label is at most the left-to-right sum along any path,
+        // and a weight multiplied by ≥ 1 is no smaller: both hold exactly.
+        assert!(rerouted.travel_time.as_secs_f64() <= perturbed_reference_secs);
         assert!(
-            rerouted.travel_time.as_secs_f64() + 1e-9 >= reference.travel_time.as_secs_f64(),
+            rerouted.travel_time >= reference.travel_time,
             "slowdowns can never make a path faster"
         );
     }
@@ -1674,10 +1461,11 @@ mod tests {
     #[test]
     fn pooled_spaces_are_recycled() {
         let net = GridCityBuilder::new(4, 4).build();
-        let engine = ShortestPathEngine::dijkstra(net);
+        let engine = ShortestPathEngine::cached(net);
         let t = TimePoint::from_hms(10, 0, 0);
-        for _ in 0..8 {
-            let _ = engine.travel_time(NodeId(0), NodeId(15), t);
+        // Eight point misses, one search each.
+        for target in 8..16 {
+            let _ = engine.travel_time(NodeId(0), NodeId(target), t);
         }
         // After serial queries the pool must hold exactly one grown space.
         let pool = lock(engine.inner.spaces.lock());

@@ -17,11 +17,11 @@
 //!   and path queries over one eager search kernel, and a lazy best-first
 //!   [`dijkstra::Expansion`] iterator used by the sparsified FoodGraph
 //!   construction (Algorithm 2 in the paper).
-//! * [`HubLabelIndex`] — a pruned hub-labelling distance oracle standing in
-//!   for the hierarchical hub labels the paper uses for fast distance queries.
-//! * [`ShortestPathEngine`] — a façade that picks between plain Dijkstra, a
-//!   memoising cache and hub labels, so callers do not care which backend
-//!   answers a query; path queries are one Dijkstra on every backend.
+//! * [`ShortestPathEngine`] — the distance oracle: the same Dijkstra behind a
+//!   memo of pairs and shortest-path trees, one hour slot at a time, which
+//!   answers what the paper asks of its hub labels with the distances the
+//!   free functions of [`dijkstra`] give, bit for bit; path queries are one
+//!   Dijkstra.
 //! * [`gates`] — gated sweeps: one-to-many queries whose conditional targets
 //!   are answered only when a trigger of theirs lies within a radius (the
 //!   FoodGraph's first-mile bound), searched no further than that decides.
@@ -41,15 +41,18 @@
 //! ## Quick example
 //!
 //! ```
-//! use foodmatch_roadnet::{generators::GridCityBuilder, ShortestPathEngine, TimePoint};
+//! use foodmatch_roadnet::{dijkstra, generators::GridCityBuilder, ShortestPathEngine, TimePoint};
 //!
 //! let network = GridCityBuilder::new(6, 6).build();
-//! let engine = ShortestPathEngine::dijkstra(network.clone());
+//! let engine = ShortestPathEngine::cached(network.clone());
 //! let a = network.node_ids().next().unwrap();
 //! let b = network.node_ids().last().unwrap();
 //! let t = TimePoint::from_hms(12, 30, 0);
 //! let travel = engine.travel_time(a, b, t).expect("grid is connected");
 //! assert!(travel.as_secs_f64() > 0.0);
+//! // The memo-free search answers the same, to the bit.
+//! let reference = dijkstra::shortest_travel_time(&network, a, b, t).unwrap();
+//! assert_eq!(travel.as_secs_f64().to_bits(), reference.as_secs_f64().to_bits());
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +64,6 @@ pub mod gates;
 pub mod generators;
 pub mod geo;
 pub mod graph;
-pub mod hub_labels;
 pub mod ids;
 pub mod index;
 pub mod overlay;
@@ -69,13 +71,11 @@ pub mod timeofday;
 
 pub use congestion::{CongestionProfile, RoadClass};
 pub use dijkstra::{Expansion, PathResult, SearchSpace};
-pub use foodmatch_matching::parallel_map;
 pub use gates::{GatedAnswers, GatedTargets};
 pub use geo::{angular_distance, bearing, haversine_meters, AngularFrame, GeoPoint, LatTrig};
 pub use graph::{EdgeRecord, NodeRecord, RoadNetwork, RoadNetworkBuilder};
-pub use hub_labels::HubLabelIndex;
 pub use ids::{EdgeId, NodeId};
-pub use index::{EngineKind, ShortestPathEngine};
+pub use index::ShortestPathEngine;
 pub use overlay::TrafficOverlay;
 pub use timeofday::{Duration, HourSlot, TimePoint};
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's road network is *dynamic*: edge travel times are refreshed
 //! from live speeds as the day unfolds. Rebuilding a per-hour-slot index
-//! (the hub labels) on every refresh would be absurdly expensive, so
+//! (the paper's hub labels) on every refresh would be absurdly expensive, so
 //! perturbations are instead expressed as a [`TrafficOverlay`]
 //! — a sparse map `EdgeId → multiplier ≥ 1` layered on top of the static
 //! `β(e, t)` weights. The effective weight of a perturbed edge is
@@ -15,9 +15,9 @@
 //! `β × 1.0` is `β` bit for bit), and a query under an active overlay that
 //! the engine's overlay memo cannot answer is **one** exact Dijkstra on the
 //! overlaid weights — the same kernel as an unperturbed search, paying one
-//! indexed load more per relaxed edge. The
-//! indexes are neither rebuilt nor asked: an answer on the static weights
-//! says nothing a search that stops at its last target needs. A generation
+//! indexed load more per relaxed edge. The static memo is not asked: an
+//! answer on the static weights says nothing a search that stops at its
+//! last target needs. A generation
 //! counter on the engine invalidates memoised overlay answers, and the
 //! rendered table with them, when the overlay changes.
 //!

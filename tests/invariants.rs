@@ -10,8 +10,7 @@ use foodmatch_core::{batch_orders, DispatchConfig, Order, OrderId};
 use foodmatch_matching::{greedy, hungarian, CostMatrix};
 use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{
-    angular_distance, dijkstra, CongestionProfile, GeoPoint, HourSlot, HubLabelIndex, NodeId,
-    ShortestPathEngine, TimePoint,
+    angular_distance, dijkstra, CongestionProfile, GeoPoint, NodeId, ShortestPathEngine, TimePoint,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,38 +68,32 @@ fn hungarian_is_optimal_and_beats_greedy() {
     }
 }
 
-/// Shortest-path travel times satisfy the triangle inequality and all
-/// engines (Dijkstra, cached, hub labels) agree.
+/// Shortest-path travel times satisfy the triangle inequality, and the
+/// engine agrees bit for bit with the memo-free search and its path.
 #[test]
 fn shortest_paths_satisfy_triangle_inequality() {
     let (network, _) = test_grid();
-    let engine = ShortestPathEngine::dijkstra(network.clone());
-    // Hub labels depend only on the hour slot; build each of the 24 at most
-    // once across the 48 cases.
-    let mut labels_by_hour: std::collections::HashMap<u32, HubLabelIndex> =
-        std::collections::HashMap::new();
+    let engine = ShortestPathEngine::cached(network.clone());
     let mut rng = StdRng::seed_from_u64(0xF00D_0002);
     for case in 0..CASES {
         let hour = rng.random_range(0u32..24);
         let t = TimePoint::from_hms(hour, 15, 0);
-        let labels = labels_by_hour
-            .entry(hour)
-            .or_insert_with(|| HubLabelIndex::build(&network, HourSlot::new(hour as u8)));
         let a = NodeId(rng.random_range(0u32..36));
         let b = NodeId(rng.random_range(0u32..36));
         let c = NodeId(rng.random_range(0u32..36));
         let ab = engine.travel_time(a, b, t).unwrap().as_secs_f64();
         let bc = engine.travel_time(b, c, t).unwrap().as_secs_f64();
         let ac = engine.travel_time(a, c, t).unwrap().as_secs_f64();
+        // `ab + bc` rounds once more than the search's own sums do.
         assert!(
             ac <= ab + bc + 1e-6,
             "case {case}: triangle inequality violated: {ac} > {ab} + {bc}"
         );
-        let hl_ab = labels.travel_time(a, b).unwrap().as_secs_f64();
-        assert!((hl_ab - ab).abs() < 1e-6, "case {case}: hub labels disagree with dijkstra");
+        let reference = dijkstra::shortest_travel_time(&network, a, b, t).unwrap();
+        assert_eq!(reference.as_secs_f64().to_bits(), ab.to_bits(), "case {case}");
         // Dijkstra path reconstruction agrees with the distance.
         let path = dijkstra::shortest_path(&network, a, b, t).unwrap();
-        assert!((path.travel_time.as_secs_f64() - ab).abs() < 1e-6, "case {case}");
+        assert_eq!(path.travel_time.as_secs_f64().to_bits(), ab.to_bits(), "case {case}");
     }
 }
 

@@ -1,22 +1,22 @@
 //! Oracle equivalence and parallel-dispatch determinism.
 //!
-//! The dispatcher treats the three shortest-path backends as interchangeable,
-//! so any divergence between them is silent data corruption: costs change,
-//! matchings change, and no assertion in the higher layers would notice.
-//! These tests pin the contract from the outside:
+//! The dispatcher trusts the engine's memo — pairs, tree rows, gated sweeps
+//! and the overlay memo — to answer exactly what a fresh search would, so
+//! any divergence is silent data corruption: costs change, matchings change,
+//! and no assertion in the higher layers would notice. These tests pin the
+//! contract from the outside, against the memo-free free functions of
+//! `dijkstra` and `overlay`, which run the engine's search kernel:
 //!
-//! * `Cached` answers `travel_time` and `travel_times_to_many` bit for bit
-//!   as `Dijkstra` does, and `HubLabels` — distances only, each the sum of
-//!   two label halves — to within `1e-6` s (both including `None` for
-//!   unreachable pairs), on seeded random networks across hour slots;
-//! * `shortest_path` is the same path on every backend — nodes, travel time
-//!   and length, to the bit — because every backend answers it with the
-//!   same Dijkstra;
+//! * `travel_time` and `travel_times_to_many` answer bit for bit as those
+//!   functions do (including `None` for unreachable pairs), on seeded random
+//!   networks across hour slots, with and without a traffic overlay;
+//! * `shortest_path` is their path — nodes, travel time and length, to the
+//!   bit;
 //! * a gated sweep (`gated_travel_times`) opens a gate exactly when one of
-//!   its triggers lies within its radius on the backend's own plain sweep,
-//!   answers the required targets and the members of open gates bit for bit
-//!   as that sweep does, leaves the rest unanswered, and leaves nothing
-//!   behind that a later query could read as an answer;
+//!   its triggers lies within its radius on the plain sweep, answers the
+//!   required targets and the members of open gates bit for bit as that
+//!   sweep does, leaves the rest unanswered, and leaves nothing behind that
+//!   a later query could read as an answer;
 //! * multi-threaded dispatch (`DispatchConfig::num_threads > 1`) produces
 //!   bit-for-bit the same assignments and simulation metrics as the serial
 //!   path.
@@ -28,9 +28,10 @@ use foodmatch_core::{
 };
 use foodmatch_roadnet::generators::RandomCityBuilder;
 use foodmatch_roadnet::graph::RoadNetworkBuilder;
+use foodmatch_roadnet::overlay::{one_to_many_overlaid_in, shortest_path_overlaid_in};
 use foodmatch_roadnet::{
-    EngineKind, GeoPoint, NodeId, RoadClass, RoadNetwork, ShortestPathEngine, TimePoint,
-    TrafficOverlay,
+    dijkstra, Duration, GeoPoint, NodeId, RoadClass, RoadNetwork, SearchSpace, ShortestPathEngine,
+    TimePoint, TrafficOverlay,
 };
 use foodmatch_sim::Simulation;
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
@@ -48,21 +49,39 @@ fn sample_pairs(network: &RoadNetwork, seed: u64, count: usize) -> Vec<(NodeId, 
     pairs
 }
 
-/// `got`, answered by a `kind` engine, against the `Dijkstra` engine's
-/// `expected`: bit for bit, but for the distance-only `HubLabels`, whose
-/// answer is the sum of two label halves and so is held to `1e-6` s.
-fn assert_same_duration(
-    kind: EngineKind,
-    expected: Option<foodmatch_roadnet::Duration>,
-    got: Option<foodmatch_roadnet::Duration>,
-    context: &str,
-) {
+/// What the memo-free search answers from `source` to `targets` at `t`: on
+/// the overlaid weights of `overlay` when one is given, else on `β(e, t)`.
+fn reference(
+    network: &RoadNetwork,
+    overlay: Option<&TrafficOverlay>,
+    source: NodeId,
+    targets: &[NodeId],
+    t: TimePoint,
+) -> Vec<Option<Duration>> {
+    match overlay {
+        Some(overlay) => {
+            let multipliers = overlay.edge_multipliers(network);
+            one_to_many_overlaid_in(
+                network,
+                &multipliers,
+                source,
+                targets,
+                t,
+                &mut SearchSpace::new(),
+            )
+        }
+        None => dijkstra::one_to_many(network, source, targets, t),
+    }
+}
+
+fn bits(d: Option<Duration>) -> Option<u64> {
+    d.map(|d| d.as_secs_f64().to_bits())
+}
+
+/// `got`, the engine's answer, against the memo-free `expected`: bit for bit.
+fn assert_same_duration(expected: Option<Duration>, got: Option<Duration>, context: &str) {
     match (expected, got) {
         (None, None) => {}
-        (Some(a), Some(b)) if kind == EngineKind::HubLabels => assert!(
-            (a.as_secs_f64() - b.as_secs_f64()).abs() < 1e-6,
-            "{context}: {a:?} vs {b:?} (HubLabels, the distance-only backend)"
-        ),
         (Some(a), Some(b)) => assert_eq!(
             a.as_secs_f64().to_bits(),
             b.as_secs_f64().to_bits(),
@@ -77,22 +96,13 @@ fn all_backends_agree_on_seeded_random_networks() {
     for (nodes, seed, hour) in [(60usize, 11u64, 13u32), (90, 23, 20), (45, 5, 4)] {
         let network = RandomCityBuilder::new(nodes).seed(seed).build();
         let t = TimePoint::from_hms(hour, 10, 0);
-        let reference = ShortestPathEngine::dijkstra(network.clone());
-        let others: Vec<ShortestPathEngine> = EngineKind::ALL
-            .into_iter()
-            .filter(|&k| k != EngineKind::Dijkstra)
-            .map(|k| ShortestPathEngine::new(network.clone(), k))
-            .collect();
+        let engine = ShortestPathEngine::cached(network.clone());
         for (a, b) in sample_pairs(&network, seed ^ 0xD15_BA7C4, 80) {
-            let expected = reference.travel_time(a, b, t);
-            for engine in &others {
-                assert_same_duration(
-                    engine.kind(),
-                    expected,
-                    engine.travel_time(a, b, t),
-                    &format!("{nodes} nodes seed {seed}: {a}->{b} with {:?}", engine.kind()),
-                );
-            }
+            assert_same_duration(
+                dijkstra::shortest_travel_time(&network, a, b, t),
+                engine.travel_time(a, b, t),
+                &format!("{nodes} nodes seed {seed}: {a}->{b}"),
+            );
         }
     }
 }
@@ -118,25 +128,17 @@ fn all_backends_agree_on_one_to_many_including_unreachable() {
 
     let t = TimePoint::from_hms(12, 0, 0);
     let targets: Vec<NodeId> = network.node_ids().collect();
-    let reference = ShortestPathEngine::dijkstra(network.clone());
-    for kind in EngineKind::ALL {
-        let engine = ShortestPathEngine::new(network.clone(), kind);
-        for &source in &targets {
-            let expected = reference.travel_times_to_many(source, &targets, t);
-            let got = engine.travel_times_to_many(source, &targets, t);
-            for (i, &target) in targets.iter().enumerate() {
-                assert_same_duration(
-                    kind,
-                    expected[i],
-                    got[i],
-                    &format!("{source}->{target} with {kind:?}"),
-                );
-            }
+    let engine = ShortestPathEngine::cached(network.clone());
+    for &source in &targets {
+        let expected = dijkstra::one_to_many(&network, source, &targets, t);
+        let got = engine.travel_times_to_many(source, &targets, t);
+        for (i, &target) in targets.iter().enumerate() {
+            assert_same_duration(expected[i], got[i], &format!("{source}->{target}"));
         }
     }
     // Sanity: the island structure really produces unreachable pairs.
-    assert_eq!(reference.travel_time(nodes[9], nodes[0], t), None);
-    assert!(reference.travel_time(nodes[0], nodes[9], t).is_some());
+    assert_eq!(dijkstra::shortest_travel_time(&network, nodes[9], nodes[0], t), None);
+    assert!(dijkstra::shortest_travel_time(&network, nodes[0], nodes[9], t).is_some());
 }
 
 /// Two clusters joined by a one-way bridge: pairs against the bridge are
@@ -154,11 +156,11 @@ fn bridged_network() -> RoadNetwork {
 
 /// The premise the FoodGraph's per-vehicle sweep rests on: one
 /// `travel_times_to_many(s, T)` is, bit for bit, `T.map(|t| travel_time(s,
-/// t))` — on every backend, with and without a traffic overlay, with
-/// duplicate targets, with the source among the targets, with unreachable
-/// targets, and whether the pairs are memoised yet or not. The sweep and the
-/// point queries run on separate engines so neither can answer from a memo
-/// the other filled.
+/// t))` and the memo-free one-to-many — with and without a traffic overlay,
+/// with duplicate targets, with the source among the targets, with
+/// unreachable targets, and whether the pairs are memoised yet or not. The
+/// sweep and the point queries run on separate engines so neither can answer
+/// from a memo the other filled.
 #[test]
 fn one_to_many_sweep_equals_point_queries_bit_for_bit() {
     let t = TimePoint::from_hms(19, 20, 0);
@@ -170,39 +172,35 @@ fn one_to_many_sweep_equals_point_queries_bit_for_bit() {
         }
         let mut rng = StdRng::seed_from_u64(0x5EEB);
         let n = network.node_count() as u32;
-        for kind in EngineKind::ALL {
-            for overlaid in [false, true] {
-                let engine = |warm: &[(NodeId, NodeId)]| {
-                    let engine = ShortestPathEngine::new(network.clone(), kind);
-                    if overlaid {
-                        engine.set_overlay(overlay.clone());
-                    }
-                    for &(a, b) in warm {
-                        let _ = engine.travel_time(a, b, t);
-                    }
-                    engine
-                };
-                for _ in 0..12 {
-                    let source = NodeId(rng.random_range(0..n));
-                    let mut targets: Vec<NodeId> = (0..rng.random_range(1..24))
-                        .map(|_| NodeId(rng.random_range(0..n)))
-                        .collect();
-                    targets.push(source);
-                    targets.push(targets[0]); // a duplicate
-                                              // Half the pairs are already memoised when the sweep runs.
-                    let warm: Vec<(NodeId, NodeId)> =
-                        targets.iter().step_by(2).map(|&target| (source, target)).collect();
-                    let swept = engine(&warm).travel_times_to_many(source, &targets, t);
-                    let point = engine(&[]);
-                    for (&target, swept) in targets.iter().zip(swept) {
-                        let expected = point.travel_time(source, target, t);
-                        assert_eq!(
-                            swept.map(|d| d.as_secs_f64().to_bits()),
-                            expected.map(|d| d.as_secs_f64().to_bits()),
-                            "{source}->{target} with {kind:?}, overlay {overlaid}"
-                        );
-                        unreachable += usize::from(expected.is_none());
-                    }
+        for overlaid in [false, true] {
+            let engine = |warm: &[(NodeId, NodeId)]| {
+                let engine = ShortestPathEngine::cached(network.clone());
+                if overlaid {
+                    engine.set_overlay(overlay.clone());
+                }
+                for &(a, b) in warm {
+                    let _ = engine.travel_time(a, b, t);
+                }
+                engine
+            };
+            for _ in 0..12 {
+                let source = NodeId(rng.random_range(0..n));
+                let mut targets: Vec<NodeId> =
+                    (0..rng.random_range(1..24)).map(|_| NodeId(rng.random_range(0..n))).collect();
+                targets.push(source);
+                targets.push(targets[0]); // a duplicate
+                                          // Half the pairs are already memoised when the sweep runs.
+                let warm: Vec<(NodeId, NodeId)> =
+                    targets.iter().step_by(2).map(|&target| (source, target)).collect();
+                let swept = engine(&warm).travel_times_to_many(source, &targets, t);
+                let want = reference(&network, overlaid.then_some(&overlay), source, &targets, t);
+                let point = engine(&[]);
+                for ((&target, swept), want) in targets.iter().zip(swept).zip(want) {
+                    let expected = point.travel_time(source, target, t);
+                    let context = format!("{source}->{target}, overlay {overlaid}");
+                    assert_eq!(bits(swept), bits(expected), "{context}");
+                    assert_eq!(bits(swept), bits(want), "{context}: memo-free");
+                    unreachable += usize::from(expected.is_none());
                 }
             }
         }
@@ -225,11 +223,11 @@ fn with_island(network: &RoadNetwork) -> (RoadNetwork, NodeId) {
     (b.build(), island)
 }
 
-/// The premise of the engine's tree rows: what a `Cached` engine answers
-/// from a source that *repeats* — out of the pair memo, out of the tree its
+/// The premise of the engine's tree rows: what the engine answers from a
+/// source that *repeats* — out of the pair memo, out of the tree its
 /// earlier searches left behind, or out of a new search merged into that
-/// tree — is, bit for bit, what a fresh `Dijkstra` engine in the same
-/// overlay state answers. One engine per network lives through target sets
+/// tree — is, bit for bit, what the memo-free search on the same weights
+/// answers. One engine per network lives through target sets
 /// that grow, shrink, repeat and overlap, point queries in between, an hour
 /// rollover and back, and two overlay generations and their removal; a node
 /// no street reaches is `None` in every round (an unsettled node must never
@@ -237,7 +235,6 @@ fn with_island(network: &RoadNetwork) -> (RoadNetwork, NodeId) {
 /// overlay survives into the next.
 #[test]
 fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
-    let bits = |d: Option<foodmatch_roadnet::Duration>| d.map(|d| d.as_secs_f64().to_bits());
     let overlay_on = |network: &RoadNetwork, every: usize, factor: f64| {
         let mut overlay = TrafficOverlay::new();
         for edge in network.edge_ids().step_by(every) {
@@ -274,8 +271,9 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
                 engine.set_overlay(overlay.cloned().unwrap_or_default());
                 installed = overlay;
             }
-            let reference = ShortestPathEngine::dijkstra(network.clone());
-            reference.set_overlay(overlay.cloned().unwrap_or_default());
+            let memo_free = |from: NodeId, targets: &[NodeId], at| {
+                reference(network, overlay, from, targets, at)
+            };
             let context = |what: &str| format!("network {which}, state {state}, {what}");
 
             let mut draw = |count: usize| -> Vec<NodeId> {
@@ -295,7 +293,7 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
             ];
             for (round, targets) in rounds.iter().enumerate() {
                 let got = engine.travel_times_to_many(source, targets, t);
-                let want = reference.travel_times_to_many(source, targets, t);
+                let want = memo_free(source, targets, t);
                 for ((&target, got), want) in targets.iter().zip(got).zip(want) {
                     assert_eq!(
                         bits(got),
@@ -310,14 +308,12 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
                 // Point queries in between: from the row's source (one of
                 // them at an hour that trails the sweeps') and from another.
                 for target in draw(3).into_iter().chain([*island]) {
-                    for (from, at) in [
-                        (source, t),
-                        (source, t - foodmatch_roadnet::Duration::from_mins(30.0)),
-                        (other, t),
-                    ] {
+                    for (from, at) in
+                        [(source, t), (source, t - Duration::from_mins(30.0)), (other, t)]
+                    {
                         assert_eq!(
                             bits(engine.travel_time(from, target, at)),
-                            bits(reference.travel_time(from, target, at)),
+                            bits(memo_free(from, &[target], at)[0]),
                             "{}",
                             context(&format!("round {round}, point {from}->{target}"))
                         );
@@ -335,11 +331,11 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
     }
 }
 
-/// The contract of a gated sweep (`gated_travel_times`), on every backend,
-/// with and without an overlay, from a cold engine, from one that already
-/// knows half the pairs, and from a source with a tree row: a gate opens
-/// exactly when one of its triggers lies within its radius on that
-/// backend's own plain sweep — a trigger at exactly the radius opens it, one
+/// The contract of a gated sweep (`gated_travel_times`), with and without an
+/// overlay, from a cold engine, from one that already knows half the pairs,
+/// and from a source with a tree row: a gate opens exactly when one of its
+/// triggers lies within its radius on the memo-free plain sweep — a trigger
+/// at exactly the radius opens it, one
 /// a float step beyond closes it, the island closes it — and the required
 /// targets and the members of open gates read, bit for bit, what the plain
 /// sweep reads, while a member only closed gates asked for is not answered.
@@ -348,8 +344,7 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
 /// remembered as anything but unknown.
 #[test]
 fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
-    use foodmatch_roadnet::{Duration, GatedTargets};
-    let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
+    use foodmatch_roadnet::GatedTargets;
     let t = TimePoint::from_hms(12, 40, 0);
     let (mut opened, mut closed, mut unanswered) = (0, 0, 0);
     let networks = [
@@ -363,139 +358,123 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
         }
         let n = network.node_count() as u32;
         let everything: Vec<NodeId> = network.node_ids().collect();
-        for kind in EngineKind::ALL {
-            for overlaid in [false, true] {
-                let fresh = || {
-                    let engine = ShortestPathEngine::new(network.clone(), kind);
-                    if overlaid {
-                        engine.set_overlay(overlay.clone());
-                    }
-                    engine
+        for overlaid in [false, true] {
+            let installed = overlaid.then_some(&overlay);
+            let mut rng = StdRng::seed_from_u64(0x6A7E + which as u64);
+            for round in 0..27 {
+                let context = format!("network {which}, overlay {overlaid}, round {round}");
+                // The island is a node too, and never a source.
+                let source = NodeId(rng.random_range(0..n - 1));
+                let plain = reference(network, installed, source, &everything, t);
+                let secs =
+                    |node: NodeId| plain[node.index()].map_or(f64::INFINITY, |d| d.as_secs_f64());
+                let draw = |rng: &mut StdRng, count: usize| -> Vec<NodeId> {
+                    (0..count).map(|_| NodeId(rng.random_range(0..n))).collect()
                 };
-                let mut rng = StdRng::seed_from_u64(0x6A7E + which as u64);
-                for round in 0..9 {
-                    let context =
-                        format!("network {which}, {kind:?}, overlay {overlaid}, round {round}");
-                    // The island is a node too, and never a source.
-                    let source = NodeId(rng.random_range(0..n - 1));
-                    let plain = fresh().travel_times_to_many(source, &everything, t);
-                    let secs = |node: NodeId| {
-                        plain[node.index()].map_or(f64::INFINITY, |d| d.as_secs_f64())
-                    };
-                    let draw = |rng: &mut StdRng, count: usize| -> Vec<NodeId> {
-                        (0..count).map(|_| NodeId(rng.random_range(0..n))).collect()
-                    };
 
-                    // Two gates on one trigger: radius exactly its distance,
-                    // and one float step short of it. They share a member,
-                    // and the closed one lists a required node.
-                    let required = draw(&mut rng, 3);
-                    let edge = draw(&mut rng, 8)
-                        .into_iter()
-                        .find(|&node| node != source && secs(node).is_finite())
-                        .unwrap_or(required[0]);
-                    let at = secs(edge);
-                    let mut gates: Vec<(f64, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-                    if at.is_finite() && at > 0.0 {
-                        let shared = draw(&mut rng, 1);
-                        let others = [shared.clone(), draw(&mut rng, 2)].concat();
-                        gates.push((at, vec![edge], others));
-                        let short = f64::from_bits(at.to_bits() - 1);
-                        let others = [shared, vec![required[1]], draw(&mut rng, 1)].concat();
-                        gates.push((short, vec![edge], others));
+                // Two gates on one trigger: radius exactly its distance,
+                // and one float step short of it. They share a member,
+                // and the closed one lists a required node.
+                let required = draw(&mut rng, 3);
+                let edge = draw(&mut rng, 8)
+                    .into_iter()
+                    .find(|&node| node != source && secs(node).is_finite())
+                    .unwrap_or(required[0]);
+                let at = secs(edge);
+                let mut gates: Vec<(f64, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
+                if at.is_finite() && at > 0.0 {
+                    let shared = draw(&mut rng, 1);
+                    let others = [shared.clone(), draw(&mut rng, 2)].concat();
+                    gates.push((at, vec![edge], others));
+                    let short = f64::from_bits(at.to_bits() - 1);
+                    let others = [shared, vec![required[1]], draw(&mut rng, 1)].concat();
+                    gates.push((short, vec![edge], others));
+                }
+                // Random gates, radius the distance of a random node: one
+                // or two triggers, sometimes the island or the source.
+                for _ in 0..6 {
+                    let count = rng.random_range(1..3);
+                    let mut triggers = draw(&mut rng, count);
+                    match rng.random_range(0..6) {
+                        0 => triggers.push(*island),
+                        1 => triggers.push(source),
+                        _ => {}
                     }
-                    // Random gates, radius the distance of a random node: one
-                    // or two triggers, sometimes the island or the source.
-                    for _ in 0..6 {
-                        let count = rng.random_range(1..3);
-                        let mut triggers = draw(&mut rng, count);
-                        match rng.random_range(0..6) {
-                            0 => triggers.push(*island),
-                            1 => triggers.push(source),
-                            _ => {}
-                        }
-                        let radius = secs(draw(&mut rng, 1)[0]).min(1e5);
-                        let count = rng.random_range(0..3);
-                        gates.push((radius, triggers, draw(&mut rng, count)));
-                    }
-                    // A gate with no trigger never opens.
-                    gates.push((1e5, Vec::new(), draw(&mut rng, 1)));
+                    let radius = secs(draw(&mut rng, 1)[0]).min(1e5);
+                    let count = rng.random_range(0..3);
+                    gates.push((radius, triggers, draw(&mut rng, count)));
+                }
+                // A gate with no trigger never opens.
+                gates.push((1e5, Vec::new(), draw(&mut rng, 1)));
 
-                    let mut asked = GatedTargets::new();
-                    asked.require(required.iter().copied());
-                    for (radius, triggers, others) in &gates {
-                        let radius = Duration::from_secs_f64(*radius);
-                        asked.gate(radius, triggers.iter().copied(), others.iter().copied());
-                    }
-                    let engine = fresh();
-                    match round % 3 {
-                        0 => {}
-                        // Half the pairs known before the sweep.
-                        1 => {
-                            for (_, triggers, others) in gates.iter().step_by(2) {
-                                for &node in triggers.iter().chain(others) {
-                                    let _ = engine.travel_time(source, node, t);
-                                }
+                let mut asked = GatedTargets::new();
+                asked.require(required.iter().copied());
+                for (radius, triggers, others) in &gates {
+                    let radius = Duration::from_secs_f64(*radius);
+                    asked.gate(radius, triggers.iter().copied(), others.iter().copied());
+                }
+                let engine = ShortestPathEngine::cached(network.clone());
+                if overlaid {
+                    engine.set_overlay(overlay.clone());
+                }
+                match round % 3 {
+                    0 => {}
+                    // Half the pairs known before the sweep.
+                    1 => {
+                        for (_, triggers, others) in gates.iter().step_by(2) {
+                            for &node in triggers.iter().chain(others) {
+                                let _ = engine.travel_time(source, node, t);
                             }
                         }
-                        // A source the memo knew, still missing: a tree row.
-                        _ => {
-                            let _ = engine.travel_times_to_many(source, &draw(&mut rng, 2), t);
-                            let _ = engine.travel_times_to_many(source, &draw(&mut rng, 3), t);
-                        }
                     }
-                    let got = engine.gated_travel_times(source, &asked, t);
+                    // A source the memo knew, still missing: a tree row.
+                    _ => {
+                        let _ = engine.travel_times_to_many(source, &draw(&mut rng, 2), t);
+                        let _ = engine.travel_times_to_many(source, &draw(&mut rng, 3), t);
+                    }
+                }
+                let got = engine.gated_travel_times(source, &asked, t);
 
-                    let want_open: Vec<bool> = gates
-                        .iter()
-                        .map(|(radius, triggers, _)| triggers.iter().any(|&tr| secs(tr) <= *radius))
-                        .collect();
-                    assert_eq!(got.opened, want_open, "{context}");
-                    if at.is_finite() && at > 0.0 {
-                        assert_eq!(&got.opened[..2], [true, false], "{context}: at the radius");
-                    }
-                    let mut want: Vec<NodeId> = required.clone();
-                    for ((_, triggers, others), _) in
-                        gates.iter().zip(&want_open).filter(|(_, o)| **o)
-                    {
-                        want.extend(triggers.iter().chain(others));
-                    }
-                    want.sort_unstable();
-                    want.dedup();
-                    assert_eq!(got.targets, want, "{context}");
-                    for (&node, &answer) in got.targets.iter().zip(&got.travel_times) {
-                        assert_eq!(bits(answer), bits(plain[node.index()]), "{context}: {node}");
-                    }
-                    opened += want_open.iter().filter(|&&open| open).count();
-                    closed += want_open.iter().filter(|&&open| !open).count();
+                let want_open: Vec<bool> = gates
+                    .iter()
+                    .map(|(radius, triggers, _)| triggers.iter().any(|&tr| secs(tr) <= *radius))
+                    .collect();
+                assert_eq!(got.opened, want_open, "{context}");
+                if at.is_finite() && at > 0.0 {
+                    assert_eq!(&got.opened[..2], [true, false], "{context}: at the radius");
+                }
+                let mut want: Vec<NodeId> = required.clone();
+                for ((_, triggers, others), _) in gates.iter().zip(&want_open).filter(|(_, o)| **o)
+                {
+                    want.extend(triggers.iter().chain(others));
+                }
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(got.targets, want, "{context}");
+                for (&node, &answer) in got.targets.iter().zip(&got.travel_times) {
+                    assert_eq!(bits(answer), bits(plain[node.index()]), "{context}: {node}");
+                }
+                opened += want_open.iter().filter(|&&open| open).count();
+                closed += want_open.iter().filter(|&&open| !open).count();
 
-                    // Afterwards, the members nobody answered: half by point
-                    // query, then all of them by a plain sweep.
-                    let mut left_out: Vec<NodeId> = gates
-                        .iter()
-                        .flat_map(|(_, triggers, others)| triggers.iter().chain(others))
-                        .copied()
-                        .filter(|node| want.binary_search(node).is_err())
-                        .collect();
-                    left_out.sort_unstable();
-                    left_out.dedup();
-                    unanswered += left_out.len();
-                    for &node in left_out.iter().step_by(2) {
-                        let point = engine.travel_time(source, node, t);
-                        assert_eq!(
-                            bits(point),
-                            bits(plain[node.index()]),
-                            "{context}: point {node}"
-                        );
-                    }
-                    let swept = engine.travel_times_to_many(source, &left_out, t);
-                    for (&node, answer) in left_out.iter().zip(swept) {
-                        assert_eq!(
-                            bits(answer),
-                            bits(plain[node.index()]),
-                            "{context}: swept {node}"
-                        );
-                    }
+                // Afterwards, the members nobody answered: half by point
+                // query, then all of them by a plain sweep.
+                let mut left_out: Vec<NodeId> = gates
+                    .iter()
+                    .flat_map(|(_, triggers, others)| triggers.iter().chain(others))
+                    .copied()
+                    .filter(|node| want.binary_search(node).is_err())
+                    .collect();
+                left_out.sort_unstable();
+                left_out.dedup();
+                unanswered += left_out.len();
+                for &node in left_out.iter().step_by(2) {
+                    let point = engine.travel_time(source, node, t);
+                    assert_eq!(bits(point), bits(plain[node.index()]), "{context}: point {node}");
+                }
+                let swept = engine.travel_times_to_many(source, &left_out, t);
+                for (&node, answer) in left_out.iter().zip(swept) {
+                    assert_eq!(bits(answer), bits(plain[node.index()]), "{context}: swept {node}");
                 }
             }
         }
@@ -507,16 +486,31 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
 fn shortest_path_agrees_across_backends() {
     let network = RandomCityBuilder::new(70).seed(31).build();
     let t = TimePoint::from_hms(13, 30, 0);
-    let reference = ShortestPathEngine::dijkstra(network.clone());
-    for kind in EngineKind::ALL {
-        let engine = ShortestPathEngine::new(network.clone(), kind);
+    let overlay = {
+        let mut overlay = TrafficOverlay::new();
+        for edge in network.edge_ids().step_by(4) {
+            overlay.slow_edge(edge, 2.2);
+        }
+        overlay
+    };
+    let multipliers = overlay.edge_multipliers(&network);
+    let mut space = SearchSpace::new();
+    let engine = ShortestPathEngine::cached(network.clone());
+    for overlaid in [false, true] {
+        if overlaid {
+            engine.set_overlay(overlay.clone());
+        }
         for (a, b) in sample_pairs(&network, 7, 40) {
-            let expected = reference.shortest_path(a, b, t);
+            let expected = if overlaid {
+                shortest_path_overlaid_in(&network, &multipliers, a, b, t, &mut space)
+            } else {
+                dijkstra::shortest_path(&network, a, b, t)
+            };
             let got = engine.shortest_path(a, b, t);
             match (expected, got) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
-                    let context = format!("{a}->{b} with {kind:?}: {x:?} vs {y:?}");
+                    let context = format!("{a}->{b}, overlay {overlaid}: {x:?} vs {y:?}");
                     assert_eq!(y.nodes, x.nodes, "{context}");
                     assert_eq!(
                         y.travel_time.as_secs_f64().to_bits(),
@@ -527,7 +521,7 @@ fn shortest_path_agrees_across_backends() {
                     assert_eq!(y.nodes.first(), Some(&a), "{context}");
                     assert_eq!(y.nodes.last(), Some(&b), "{context}");
                 }
-                other => panic!("{a}->{b} with {kind:?}: {other:?}"),
+                other => panic!("{a}->{b}, overlay {overlaid}: {other:?}"),
             }
         }
     }
@@ -625,18 +619,15 @@ fn parallel_simulation_reproduces_serial_metrics() {
     assert!((serial.total_km() - parallel.total_km()).abs() < 1e-9);
 }
 
-/// Engines must count path queries like the other entry points (the fixed
-/// `shortest_path` accounting).
+/// The engine must count path queries like the other entry points (the
+/// fixed `shortest_path` accounting).
 #[test]
 fn every_backend_counts_path_queries() {
     let network = RandomCityBuilder::new(40).seed(2).build();
     let t = TimePoint::from_hms(12, 0, 0);
     let nodes: Vec<NodeId> = network.node_ids().collect();
-    for kind in EngineKind::ALL {
-        let engine = ShortestPathEngine::new(network.clone(), kind);
-        let before = engine.query_count();
-        let _ = engine.shortest_path(nodes[0], nodes[nodes.len() - 1], t);
-        let _ = engine.travel_time(nodes[1], nodes[2], t);
-        assert_eq!(engine.query_count(), before + 2, "kind {kind:?}");
-    }
+    let engine = ShortestPathEngine::cached(network.clone());
+    let _ = engine.shortest_path(nodes[0], nodes[nodes.len() - 1], t);
+    let _ = engine.travel_time(nodes[1], nodes[2], t);
+    assert_eq!(engine.query_count(), 2);
 }
