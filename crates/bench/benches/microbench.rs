@@ -302,10 +302,11 @@ fn bench_foodgraph(c: &mut Criterion) {
         })
     });
     // The `metro_single` shape: one lunch window of the 65 km metro, its
-    // 250 couriers all under way (each towards another's start), Alg. 2's
-    // angular expansion under the metro's 15-minute first mile, which most
-    // of what an expansion reaches lies beyond. Each iteration runs on a
-    // cold engine, as a fleet that moves finds its start rows.
+    // 250 couriers all under way (each towards another's start) under the
+    // metro's 15-minute first mile. Each courier's gated sweep over every
+    // batch finds the few inside that mile — none, for many — and Alg. 2's
+    // angular expansion runs only until it has reached them. Each iteration
+    // runs on a cold engine, as a fleet that moves finds its start rows.
     let metro = MetroScenario::generate(MetroOptions::lunch_peak(7));
     let config = metro.config();
     let t = TimePoint::from_hms(12, 30, 0);

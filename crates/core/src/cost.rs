@@ -149,8 +149,9 @@ fn committed_stops(vehicle: &VehicleSnapshot) -> impl Iterator<Item = NodeId> + 
 /// What [`collect`] keeps of one vehicle for the rest of the window: plain
 /// values, so the phases share nothing else.
 pub(crate) struct Shortlist {
-    /// How many offers the vehicle was given (each counts as one marginal-
-    /// cost evaluation, whatever filter it drops out at).
+    /// How many offers the vehicle was given — all it was asked about, or
+    /// those Alg. 2's expansion reached (each counts as one marginal-cost
+    /// evaluation, whatever filter it drops out at).
     pub(crate) offered: usize,
     /// The offers still in the running, in the order they were given.
     survivors: Vec<usize>,
@@ -163,6 +164,24 @@ pub(crate) struct Shortlist {
     /// tables start as clones of it; an idle vehicle's start empty, so none
     /// is kept for it.
     committed_block: Option<Box<LegTable>>,
+}
+
+impl Shortlist {
+    /// The offers still in the running, in the order they were given.
+    pub(crate) fn survivors(&self) -> &[usize] {
+        &self.survivors
+    }
+
+    /// Narrows the shortlist to `reached`, the offers the vehicle is given
+    /// after all: only they are counted as offered, and only those of them
+    /// still in the running stay in it. The vehicle's row keeps the stops of
+    /// offers it dropped; nothing reads them.
+    pub(crate) fn keep_reached(&mut self, reached: &[usize]) {
+        self.offered = reached.len();
+        let mut reached = reached.to_vec();
+        reached.sort_unstable();
+        self.survivors.retain(|offer| reached.binary_search(offer).is_ok());
+    }
 }
 
 /// Phase 1 of pricing, per vehicle: which of `offered` (indices into
@@ -183,6 +202,11 @@ pub(crate) struct Shortlist {
 ///
 /// Nothing is swept for an offer's own stops here: most offers fail the
 /// first mile, and a far-away batch's legs are one-off memo misses.
+///
+/// The FoodGraph asks this over every batch, *before* Alg. 2's expansion:
+/// the survivors are then the batches inside the first mile, and the
+/// expansion stops once it has reached all of them
+/// ([`Shortlist::keep_reached`]). `marginal_cost` asks it over one offer.
 pub(crate) fn collect(
     vehicle: &VehicleSnapshot,
     offered: &[usize],

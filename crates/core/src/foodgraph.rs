@@ -13,12 +13,23 @@
 //! edge and their true marginal cost is never computed, which is where the
 //! quadratic construction cost is saved.
 //!
+//! The first-mile bound (§V-B) prices every batch whose restaurants all lie
+//! beyond `max_first_mile` of the vehicle at Ω, whatever the expansion says.
+//! So the vehicle is asked the first mile *before* it expands: one gated
+//! sweep over every batch it has the capacity for yields the set F of
+//! batches inside the bound, and the expansion stops as soon as it has
+//! reached every batch of F — or at the cap, whichever comes first. What it
+//! would have reached after that fails the first mile, so the graph is the
+//! one the uncut expansion gives, edge for edge; a vehicle with nothing
+//! inside its first mile does not expand at all.
+//!
 //! A window's graph is built in three phases that share nothing but plain
 //! values (`cost.rs` holds them; `marginal_cost` is the same three over one
-//! vehicle): **collect** per vehicle — the expansion, the vehicle's own
-//! one-to-many row, capacity → first mile → `Cost(v, O_v)`; **resolve** once
-//! — every stop → stop leg the surviving pairs will read, one search per
-//! distinct stop of the window; **price** per vehicle — table plans only.
+//! vehicle): **collect** per vehicle — the vehicle's own one-to-many row,
+//! capacity → first mile → `Cost(v, O_v)` over every batch, then the
+//! expansion; **resolve** once — every stop → stop leg the surviving pairs
+//! will read, one search per distinct stop of the window; **price** per
+//! vehicle — table plans only.
 
 use crate::batching::Batch;
 use crate::config::DispatchConfig;
@@ -29,7 +40,7 @@ use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
 use foodmatch_matching::SparseCostMatrix;
 use foodmatch_roadnet::dijkstra::{Expansion, Settled};
-use foodmatch_roadnet::{AngularFrame, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::{AngularFrame, NodeId, ShortestPathEngine, TimePoint};
 use std::collections::HashMap;
 
 /// Cost discount (seconds) applied per batch order that the vehicle already
@@ -49,8 +60,9 @@ pub struct FoodGraph {
     /// Quickest route plans for every feasible (batch, vehicle) edge, keyed
     /// by `(row, col)`.
     pub routes: HashMap<(usize, usize), EvaluatedRoute>,
-    /// Number of marginal-cost evaluations performed (the dominant cost of
-    /// FoodGraph construction; reported by the scalability benchmarks).
+    /// Number of marginal-cost evaluations: per vehicle with spare capacity,
+    /// the offers the expansion reached before it stopped (every batch, on
+    /// the dense graph), whatever filter each then dropped out at.
     pub evaluations: usize,
 }
 
@@ -103,11 +115,7 @@ pub fn build_food_graph(
         return FoodGraph { vehicle_ids, costs, routes: HashMap::new(), evaluations: 0 };
     }
 
-    // Index batches by the node where their route plan starts.
-    let mut batches_by_start: HashMap<foodmatch_roadnet::NodeId, Vec<usize>> = HashMap::new();
-    for (row, batch) in batches.iter().enumerate() {
-        batches_by_start.entry(batch.first_pickup()).or_default().push(row);
-    }
+    let batches_by_start = batches_by_start(batches);
     let offers: Vec<&[Order]> = batches.iter().map(|batch| batch.orders.as_slice()).collect();
     let degree_cap = config.degree_cap(batches.len(), vehicles.len());
 
@@ -118,24 +126,14 @@ pub fn build_food_graph(
     // the calling thread where a spawn would cost more than the work itself.
     let worker_count = if vehicles.len() < 8 { 1 } else { config.effective_threads() };
 
-    // Collect (the body of Algorithm 2's outer loop): the rows each vehicle
-    // reaches first, filtered by what only that vehicle can answer. A vehicle
-    // with no spare capacity cannot take any batch; it skips the expansion
-    // entirely and every edge of its column stays at Ω.
+    // Collect (the body of Algorithm 2's outer loop). A vehicle with no
+    // spare capacity cannot take any batch; it is asked nothing, and every
+    // edge of its column stays at Ω.
     let shortlists: Vec<Option<Shortlist>> = {
         let _span = foodmatch_telemetry::span("engine", "foodgraph.collect");
         parallel_map(vehicles, worker_count, |_, vehicle| {
             vehicle.has_capacity(config).then(|| {
-                let rows = candidate_rows(
-                    vehicle,
-                    batches,
-                    &batches_by_start,
-                    engine,
-                    t,
-                    config,
-                    degree_cap,
-                );
-                collect(vehicle, &rows, &offers, engine, t, config)
+                shortlist(vehicle, &offers, &batches_by_start, engine, t, config, degree_cap)
             })
         })
     };
@@ -183,26 +181,56 @@ pub fn build_food_graph(
     FoodGraph { vehicle_ids, costs, routes, evaluations }
 }
 
-/// The batch rows one vehicle gets a marginal-cost evaluation for, in
-/// evaluation order: every row for the dense graph, otherwise the first
-/// `degree_cap` batches a best-first expansion from the vehicle reaches.
-fn candidate_rows(
+/// The batch rows by the node where their route plans start.
+fn batches_by_start(batches: &[Batch]) -> HashMap<NodeId, Vec<usize>> {
+    let mut by_start: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    for (row, batch) in batches.iter().enumerate() {
+        by_start.entry(batch.first_pickup()).or_default().push(row);
+    }
+    by_start
+}
+
+/// Collect for one vehicle with spare capacity: everything only it can
+/// answer, asked over every batch (`cost.rs::collect` — one gated sweep, so
+/// its survivors are F, the batches inside the first mile), then, when the
+/// degree cap is below the batch count, Alg. 2's expansion, which stops once
+/// it has reached every row of F. The vehicle is offered the rows it
+/// reached, and keeps those of them in F.
+fn shortlist(
     vehicle: &VehicleSnapshot,
-    batches: &[Batch],
-    batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
+    offers: &[&[Order]],
+    batches_by_start: &HashMap<NodeId, Vec<usize>>,
     engine: &ShortestPathEngine,
     t: TimePoint,
     config: &DispatchConfig,
     degree_cap: usize,
-) -> Vec<usize> {
-    if degree_cap == usize::MAX || degree_cap >= batches.len() {
-        // Dense construction: evaluate every batch (the vanilla-KM path and
-        // the "no BFS" ablation).
-        return (0..batches.len()).collect();
+) -> Shortlist {
+    let every_offer: Vec<usize> = (0..offers.len()).collect();
+    let mut shortlist = collect(vehicle, &every_offer, offers, engine, t, config);
+    // `degree_cap` is `usize::MAX` for the dense graph (the vanilla-KM path
+    // and the "no BFS" ablation): every batch is offered, nothing expands.
+    if degree_cap < offers.len() {
+        let inside = shortlist.survivors();
+        let reached =
+            candidate_rows(vehicle, batches_by_start, engine, t, config, degree_cap, inside);
+        shortlist.keep_reached(&reached);
     }
+    shortlist
+}
 
-    // Sparsified construction (Algorithm 2): best-first expansion from the
-    // vehicle's location, in a pooled search space so the per-vehicle
+/// The batch rows a best-first expansion from the vehicle reaches first, in
+/// the order it reaches them: the first `degree_cap`, or fewer once every row
+/// of `inside` (sorted) is among them.
+fn candidate_rows(
+    vehicle: &VehicleSnapshot,
+    batches_by_start: &HashMap<NodeId, Vec<usize>>,
+    engine: &ShortestPathEngine,
+    t: TimePoint,
+    config: &DispatchConfig,
+    degree_cap: usize,
+    inside: &[usize],
+) -> Vec<usize> {
+    // The expansion runs in a pooled search space, so the per-vehicle
     // searches reuse one set of arrays instead of allocating.
     let network = engine.network();
     let mut space = engine.search_space();
@@ -224,33 +252,42 @@ fn candidate_rows(
                 |adist, beta| (1.0 - gamma) * adist + gamma * beta / max_beta,
                 &mut space,
             );
-            rows_reached_first(expansion, batches_by_start, degree_cap)
+            rows_reached_first(expansion, batches_by_start, degree_cap, inside)
         }
         // By travel time: stop expanding once even the quickest path exceeds
-        // the first-mile bound, as no batch out there can be feasible.
+        // the first-mile bound. This cut is not the one `inside` makes: a
+        // batch of F whose first pickup lies beyond the bound (another of its
+        // restaurants lies inside) is never reached, as it never was.
         None => {
             let expansion = Expansion::new_in(network, vehicle.location, t, &mut space)
                 .take_while(|settled| settled.travel_time <= config.max_first_mile);
-            rows_reached_first(expansion, batches_by_start, degree_cap)
+            rows_reached_first(expansion, batches_by_start, degree_cap, inside)
         }
     }
 }
 
-/// The first `degree_cap` batch rows whose plans start at a node `expansion`
-/// settles, in the order it settles them.
+/// The batch rows whose plans start at a node `expansion` settles, in the
+/// order it settles them, until `degree_cap` of them are reached or every
+/// row of `inside` (sorted) is. A row it would reach after the last of
+/// `inside` is not in it — an Ω edge the vehicle need not be offered.
 fn rows_reached_first(
     mut expansion: impl Iterator<Item = Settled>,
-    batches_by_start: &HashMap<foodmatch_roadnet::NodeId, Vec<usize>>,
+    batches_by_start: &HashMap<NodeId, Vec<usize>>,
     degree_cap: usize,
+    inside: &[usize],
 ) -> Vec<usize> {
     let mut rows = Vec::new();
-    // The cap is tested *before* advancing: settling one more node relaxes
-    // its out-edges (and prices their heads, under Eq. 8) for nothing.
-    while rows.len() < degree_cap {
+    let mut unreached = inside.len();
+    // Both are tested *before* advancing: settling one more node relaxes its
+    // out-edges (and prices their heads, under Eq. 8) for nothing.
+    while rows.len() < degree_cap && unreached > 0 {
         let Some(settled) = expansion.next() else { break };
         let Some(starting_here) = batches_by_start.get(&settled.node) else { continue };
         let room = degree_cap - rows.len();
-        rows.extend(starting_here.iter().take(room));
+        for &row in starting_here.iter().take(room) {
+            unreached -= usize::from(inside.binary_search(&row).is_ok());
+            rows.push(row);
+        }
     }
     rows
 }
@@ -262,7 +299,7 @@ mod tests {
     use crate::cost::MarginalCost;
     use crate::order::{Order, OrderId};
     use foodmatch_roadnet::generators::GridCityBuilder;
-    use foodmatch_roadnet::{CongestionProfile, Duration, NodeId};
+    use foodmatch_roadnet::{CongestionProfile, Duration};
 
     fn setup() -> (ShortestPathEngine, GridCityBuilder) {
         let b =
@@ -423,8 +460,28 @@ mod tests {
         );
     }
 
-    /// The FoodGraph as it was built before any leg was shared: the same
-    /// candidate rows, each priced by its own reference `marginal_cost` call.
+    /// Alg. 2's rows with the cap only, as they were before the first-mile
+    /// cut: every batch for the dense graph, else the first `cap` batches the
+    /// expansion reaches. With every row inside, the cut cannot stop it
+    /// before it has reached every batch there is.
+    fn uncut_rows(
+        vehicle: &VehicleSnapshot,
+        batches: &[Batch],
+        engine: &ShortestPathEngine,
+        t: TimePoint,
+        config: &DispatchConfig,
+        cap: usize,
+    ) -> Vec<usize> {
+        let every_row: Vec<usize> = (0..batches.len()).collect();
+        if cap >= batches.len() {
+            return every_row;
+        }
+        candidate_rows(vehicle, &batches_by_start(batches), engine, t, config, cap, &every_row)
+    }
+
+    /// The FoodGraph as it was built before any leg was shared and before
+    /// the first-mile cut: the uncut candidate rows, each priced by its own
+    /// reference `marginal_cost` call.
     fn per_pair_reference(
         batches: &[Batch],
         vehicles: &[VehicleSnapshot],
@@ -439,16 +496,12 @@ mod tests {
             routes: HashMap::new(),
             evaluations: 0,
         };
-        let mut by_start: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (row, batch) in batches.iter().enumerate() {
-            by_start.entry(batch.first_pickup()).or_default().push(row);
-        }
         let cap = config.degree_cap(batches.len(), vehicles.len());
         for (col, vehicle) in vehicles.iter().enumerate() {
             if !vehicle.has_capacity(config) {
                 continue;
             }
-            for row in candidate_rows(vehicle, batches, &by_start, engine, t, config, cap) {
+            for row in uncut_rows(vehicle, batches, engine, t, config, cap) {
                 graph.evaluations += 1;
                 let orders = &batches[row].orders;
                 let price =
@@ -509,7 +562,7 @@ mod tests {
         let committed = |id: u64, r: usize, c: usize, picked_up: bool| {
             crate::vehicle::CommittedOrder { order: order(100 + id, at(r), at(c)), picked_up }
         };
-        let mut vehicles = vehicles_at(&(0..14).map(|i| at(3 * i + 1)).collect::<Vec<_>>());
+        let mut vehicles = vehicles_at(&(0..15).map(|i| at(3 * i + 1)).collect::<Vec<_>>());
         vehicles[1].location = orders[0].restaurant; // standing on a batch's first pickup
         vehicles[2].committed = vec![committed(0, 2, 20, false)];
         vehicles[3].committed = vec![committed(1, 4, 21, true)];
@@ -556,6 +609,8 @@ mod tests {
         // one of them loaded.
         vehicles[8].location = b.node_at(1, 6);
         vehicles[9].location = b.node_at(6, 1);
+        // A courier under way with no batch inside the tightest first mile.
+        vehicles[14].location = b.node_at(4, 4);
 
         let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
         let plain =
@@ -575,13 +630,9 @@ mod tests {
         let beyond =
             |vehicle: &VehicleSnapshot, node| first_mile(vehicle, node) > metro.max_first_mile;
         let (mut candidates, mut too_far) = (0, 0);
-        let mut by_start: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (row, batch) in batches.iter().enumerate() {
-            by_start.entry(batch.first_pickup()).or_default().push(row);
-        }
         let cap = metro.degree_cap(batches.len(), vehicles.len());
         for vehicle in vehicles.iter().filter(|v| v.heading.is_some() && v.has_capacity(&metro)) {
-            for row in candidate_rows(vehicle, &batches, &by_start, &engine, t, &metro, cap) {
+            for row in uncut_rows(vehicle, &batches, &engine, t, &metro, cap) {
                 candidates += 1;
                 too_far +=
                     usize::from(batches[row].orders.iter().all(|o| beyond(vehicle, o.restaurant)));
@@ -591,7 +642,7 @@ mod tests {
         for (name, config) in [
             ("dense", dense),
             ("plain", plain),
-            ("angular", angular),
+            ("angular", angular.clone()),
             ("tight", tight),
             ("metro", metro.clone()),
         ] {
@@ -600,7 +651,12 @@ mod tests {
                 let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
                 let reference = per_pair_reference(&batches, &vehicles, &engine, t, &config);
                 let what = format!("{name}, {num_threads} threads");
-                assert_eq!(graph.evaluations, reference.evaluations, "{what}");
+                // The cut offers fewer rows, never more, and only where the
+                // first mile is tight enough for the expansion to outrun it.
+                assert!(graph.evaluations <= reference.evaluations, "{what}");
+                if name == "metro" {
+                    assert!(graph.evaluations < reference.evaluations, "{what}");
+                }
                 assert!(graph.explicit_edges() < graph.evaluations, "{what}: all feasible");
                 assert_eq!(graph.routes, reference.routes, "{what}");
                 // The loaded vehicle prices several single orders (all of
@@ -650,6 +706,36 @@ mod tests {
                 }
             }
         }
+
+        // The cut, courier by courier. One with no batch inside `metro`'s
+        // first mile is offered nothing, where the uncut expansion ran to
+        // the cap, and its column is all Ω.
+        let offers: Vec<&[Order]> = batches.iter().map(|batch| batch.orders.as_slice()).collect();
+        let by_start = batches_by_start(&batches);
+        let stranded = &vehicles[14];
+        assert!(stranded.heading.is_some() && stranded.has_capacity(&metro));
+        assert!(batches
+            .iter()
+            .flat_map(|batch| &batch.orders)
+            .all(|o| beyond(stranded, o.restaurant)));
+        let graph = build_food_graph(&batches, &vehicles, &engine, t, &metro);
+        let omega = metro.rejection_penalty_secs;
+        assert!((0..batches.len()).all(|row| graph.cost(row, 14) == omega));
+        assert_eq!(shortlist(stranded, &offers, &by_start, &engine, t, &metro, cap).offered, 0);
+        assert_eq!(uncut_rows(stranded, &batches, &engine, t, &metro, cap).len(), cap);
+        // One whose cap fills before it has reached every batch inside the
+        // first mile is offered exactly the uncut rows.
+        let cap = angular.degree_cap(batches.len(), vehicles.len());
+        let courier = &vehicles[8];
+        let every_row: Vec<usize> = (0..batches.len()).collect();
+        let inside = collect(courier, &every_row, &offers, &engine, t, &angular);
+        let inside = inside.survivors();
+        let rows = candidate_rows(courier, &by_start, &engine, t, &angular, cap, inside);
+        assert_eq!(rows.len(), cap);
+        assert!(inside.iter().any(|row| !rows.contains(row)), "the cap fills first");
+        assert_eq!(rows, uncut_rows(courier, &batches, &engine, t, &angular, cap));
+        let offered = shortlist(courier, &offers, &by_start, &engine, t, &angular, cap);
+        assert_eq!(offered.offered, cap);
     }
 
     #[test]

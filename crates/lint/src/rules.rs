@@ -35,7 +35,8 @@ pub const RULES: [(&str, &str); 5] = [
     ),
     (
         WALL_CLOCK_HYGIENE,
-        "Instant::now/SystemTime::now only in telemetry, bench, or recorder-gated spans",
+        "Instant::now/SystemTime::now only in telemetry, bench, or recorder-gated spans; \
+         thread::sleep only in telemetry or bench",
     ),
     (
         TELEMETRY_HANDLE_DISCIPLINE,
@@ -504,22 +505,26 @@ pub fn check_panic_free_durability(ctx: &FileContext<'_>, out: &mut Vec<Diagnost
     }
 }
 
-/// Rule 3: `Instant::now` / `SystemTime::now` in clock-sensitive crates.
-/// The one sanctioned idiom outside telemetry/bench is the lazily
-/// evaluated recorder gate `flag.then(Instant::now)`.
+/// Rule 3: `Instant::now` / `SystemTime::now` and `thread::sleep` in
+/// clock-sensitive crates. The one sanctioned wall-clock read outside
+/// telemetry/bench is the lazily evaluated recorder gate
+/// `flag.then(Instant::now)`; a wall-clock wait has none.
 pub fn check_wall_clock_hygiene(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if !clock_sensitive(ctx.rel_path) {
         return;
     }
     let tokens = &ctx.tokens;
     for (i, token) in tokens.iter().enumerate() {
-        let clock_type = token.is_ident("Instant") || token.is_ident("SystemTime");
-        let now_call = clock_type
-            && i + 3 < tokens.len()
-            && tokens[i + 1].is_punct(':')
-            && tokens[i + 2].is_punct(':')
-            && tokens[i + 3].is_ident("now");
-        if !now_call || ctx.in_test_region(token.line) {
+        let path_to = |name| {
+            i + 3 < tokens.len()
+                && tokens[i + 1].is_punct(':')
+                && tokens[i + 2].is_punct(':')
+                && tokens[i + 3].is_ident(name)
+        };
+        let now_call =
+            (token.is_ident("Instant") || token.is_ident("SystemTime")) && path_to("now");
+        let sleep_call = token.is_ident("thread") && path_to("sleep");
+        if !(now_call || sleep_call) || ctx.in_test_region(token.line) {
             continue;
         }
         // `timed.then(Instant::now)`: only evaluated when the recorder-
@@ -528,18 +533,25 @@ pub fn check_wall_clock_hygiene(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>
             && tokens[i - 1].is_punct('(')
             && tokens[i - 2].is_ident("then")
             && tokens[i - 3].is_punct('.');
-        if recorder_gated {
+        if now_call && recorder_gated {
             continue;
         }
+        let message = if sleep_call {
+            "`thread::sleep` outside telemetry/bench; a run must not wait on the wall clock — \
+             advance the simulated clock, or block on the event being waited for"
+                .to_string()
+        } else {
+            format!(
+                "`{}::now` outside telemetry/bench; gate it behind a recorder-liveness \
+                 flag (`flag.then(Instant::now)`) or move the measurement into telemetry",
+                token.text
+            )
+        };
         out.push(Diagnostic {
             rule: WALL_CLOCK_HYGIENE,
             path: ctx.rel_path.to_string(),
             line: token.line,
-            message: format!(
-                "`{}::now` outside telemetry/bench; gate it behind a recorder-liveness \
-                 flag (`flag.then(Instant::now)`) or move the measurement into telemetry",
-                token.text
-            ),
+            message,
         });
     }
 }

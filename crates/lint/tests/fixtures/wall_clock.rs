@@ -12,3 +12,7 @@ pub fn gated(timed: bool) -> Option<Instant> {
 pub fn stamp() -> std::time::SystemTime {
     std::time::SystemTime::now()
 }
+
+pub fn nap() {
+    std::thread::sleep(std::time::Duration::from_millis(1));
+}

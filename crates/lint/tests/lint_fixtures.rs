@@ -66,9 +66,9 @@ fn wall_clock_reads_are_flagged_unless_recorder_gated() {
     let (diagnostics, _) = scan_source("crates/simulator/src/clock_fixture.rs", &source);
     assert_eq!(
         rule_lines(&diagnostics),
-        vec![(WALL_CLOCK_HYGIENE, 4), (WALL_CLOCK_HYGIENE, 13)],
-        "Instant::now and SystemTime::now flagged; the `.then(Instant::now)` \
-         gate at line 9 must escape: {diagnostics:#?}"
+        vec![(WALL_CLOCK_HYGIENE, 4), (WALL_CLOCK_HYGIENE, 13), (WALL_CLOCK_HYGIENE, 17)],
+        "Instant::now, SystemTime::now and thread::sleep flagged; the \
+         `.then(Instant::now)` gate at line 9 must escape: {diagnostics:#?}"
     );
 }
 

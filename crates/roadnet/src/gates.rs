@@ -204,6 +204,19 @@ impl<'a> Gates<'a> {
         self.floor[i] = secs;
     }
 
+    /// Per target, whether it is a trigger of some gate: the targets whose
+    /// floors [`Self::decide`] reads.
+    pub(crate) fn triggers(&self) -> Vec<bool> {
+        let mut triggers = vec![false; self.nodes.len()];
+        for g in 0..self.state.len() {
+            let (start, triggers_end, _) = self.asked.span(g);
+            for &trigger in &self.member_at[start..triggers_end] {
+                triggers[trigger as usize] = true;
+            }
+        }
+        triggers
+    }
+
     /// Decides every undecided gate that `known` (one [`Answer`] per target)
     /// and the floors decide: open on a trigger within the radius, closed
     /// when every trigger is known to lie beyond it (or to be unreachable).

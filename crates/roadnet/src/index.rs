@@ -67,9 +67,12 @@
 //! * only settled targets are memoised. A search that ended by closing gates
 //!   did not run dry: it writes no unreachable pair and no `ROW_UNREACHABLE`.
 //!   Of a target it stopped short of it knows only a *floor* — every node it
-//!   left unsettled is at least as far as its last label — which the pair
-//!   memo keeps as a negative entry: it answers no query, and lets the same
-//!   gate close from the memo the next time it is asked.
+//!   left unsettled is at least as far as its last label. The pair memo keeps
+//!   the floor of a gate's *trigger* as a negative entry: it answers no
+//!   query, and lets the same gate close from the memo the next time it is
+//!   asked. A gate's other members get none — nothing decides on their
+//!   floors — so a fleet whose every offer is a gate does not fill the memo
+//!   with the customers of the offers it dropped.
 //!
 //! So a gated sweep opens exactly the gates the plain sweep would, and
 //! answers what it answers bit for bit as that sweep does.
@@ -746,12 +749,19 @@ impl ShortestPathEngine {
         let mut answered = 0;
         if !missing.is_empty() {
             let mut space = self.search_space();
-            let reach =
-                dijkstra::search(&inner.network, source, &missing, gates, &mut space, &edge_secs);
+            let reach = dijkstra::search(
+                &inner.network,
+                source,
+                &missing,
+                gates.as_deref_mut(),
+                &mut space,
+                &edge_secs,
+            );
+            let triggers = gates.as_deref().map_or_else(Vec::new, Gates::triggers);
             let mut shard = lock(inner.memo[shard_index].lock());
             let MemoShard { pairs, rows_stamp, rows, .. } = &mut *shard;
             let memoise = pairs[memo].stamp == Some(stamp);
-            answered = read_back(&space, reach, targets, &mut out, |target, secs| {
+            answered = read_back(&space, reach, targets, &mut out, &triggers, |target, secs| {
                 if memoise {
                     pairs[memo].remember((source, target), secs);
                 }
@@ -846,22 +856,26 @@ fn missing(targets: &[NodeId], known: &[Answer], gates: Option<&mut Gates<'_>>) 
 /// encoded as [`PairMemo`] holds it: a settled target's travel time; that a
 /// target is unreachable, once the search ran the reachable graph dry; or
 /// else — a target a gated search stopped short of, which stays unknown —
-/// the floor `reach` under it. Returns how many targets it answered.
+/// the floor `reach` under it, if `triggers` marks it: a floor only ever
+/// decides a gate, so one under a target no gate is triggered by would be a
+/// memo entry nothing reads. Returns how many targets it answered.
 fn read_back(
     space: &SearchSpace,
     reach: f64,
     targets: &[NodeId],
     out: &mut [Answer],
+    triggers: &[bool],
     mut found: impl FnMut(NodeId, f64),
 ) -> u64 {
     let mut answered = 0;
-    for (slot, &target) in out.iter_mut().zip(targets).filter(|(known, _)| known.is_none()) {
+    let unknown = out.iter_mut().zip(targets).enumerate().filter(|(_, (known, _))| known.is_none());
+    for (i, (slot, &target)) in unknown {
         let answer = dijkstra::settled_time(space, target);
         if answer.is_some() || reach == f64::INFINITY {
             found(target, encode(answer));
             *slot = Some(answer);
             answered += 1;
-        } else if reach > 0.0 {
+        } else if reach > 0.0 && triggers.get(i) == Some(&true) {
             found(target, -reach);
         }
     }
@@ -1130,6 +1144,37 @@ mod tests {
                 assert_eq!(engine.query_count(), 5 * round, "every pair asked is a query");
             }
         }
+    }
+
+    /// A gated search that stops short of a closed gate floors the gate's
+    /// trigger — the offer's restaurant — in the pair memo and not its other
+    /// member — the customer, whose floor no gate reads — and the next sweep
+    /// from that source closes the gate off the floor without searching.
+    #[test]
+    fn a_closed_gate_floors_its_trigger_and_not_its_other_members() {
+        let net = GridCityBuilder::new(8, 8).build();
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (source, near, restaurant, customer) = (NodeId(0), NodeId(9), NodeId(63), NodeId(62));
+        let radius = dijkstra::shortest_travel_time(&net, source, near, t).expect("connected");
+        let mut asked = GatedTargets::new();
+        asked.gate(radius, [near], []);
+        asked.gate(radius, [restaurant], [customer]);
+        let (engine, counts) = metered(&net);
+        let held = |target| {
+            let shard = lock(engine.inner.memo[ShortestPathEngine::shard(source)].lock());
+            shard.pairs[0].get((source, target))
+        };
+        let first = engine.gated_travel_times(source, &asked, t);
+        assert_eq!(first.opened, [true, false]);
+        assert_eq!((counts().searches, counts().gates_closed), (1, 1));
+        let floor = match held(restaurant) {
+            Some(Err(floor)) => floor,
+            other => panic!("the restaurant holds {other:?}, not a floor"),
+        };
+        assert!(floor > radius.as_secs_f64());
+        assert_eq!(held(customer), None);
+        assert_eq!(engine.gated_travel_times(source, &asked, t), first);
+        assert_eq!((counts().searches, counts().gates_closed), (1, 1), "closed off the floor");
     }
 
     /// One constant budgets the rows of an engine: on a grid too large for
