@@ -2,7 +2,8 @@
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
 //! warm shortest-path queries on the one engine, a cold oracle miss with and
 //! without a traffic overlay installed, a source that repeats (tree rows),
-//! Kuhn–Munkres matching, order batching, sparsified (by travel time and by
+//! Kuhn–Munkres matching, order batching (a City A window on a warm engine,
+//! one metro window on a cold one), sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
 //! fleet, and one metro window of couriers under way), Eq. 8's per-node
 //! angular potential, and one full FoodMatch window.
@@ -224,12 +225,35 @@ fn bench_solver(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `metro_single` shape: the 65 km metro, the last 30 orders placed by
+/// 12:30 of its lunch peak, that time, and its config.
+fn metro_window() -> (MetroScenario, Vec<Order>, TimePoint, DispatchConfig) {
+    let metro = MetroScenario::generate(MetroOptions::lunch_peak(7));
+    let config = metro.config();
+    let t = TimePoint::from_hms(12, 30, 0);
+    let mut orders: Vec<Order> =
+        metro.orders.iter().copied().filter(|o| o.placed_at <= t).collect();
+    orders.drain(..orders.len().saturating_sub(30));
+    (metro, orders, t, config)
+}
+
 fn bench_batching(c: &mut Criterion) {
     let (window, engine, config) = lunch_window(CityId::A, 24);
     let mut group = c.benchmark_group("batching");
     group.sample_size(10);
     group.bench_function("cluster_24_orders", |b| {
         b.iter(|| black_box(batch_orders(&window.orders, &engine, window.time, &config)))
+    });
+    // One metro lunch window on a cold engine, as a window whose orders are
+    // new finds it: the restaurant pass, the stop table over each component's
+    // stops, and the clustering.
+    let (metro, orders, t, config) = metro_window();
+    group.bench_function("metro_window", |b| {
+        b.iter_batched(
+            || ShortestPathEngine::cached(metro.network.clone()),
+            |engine| batch_orders(&orders, &engine, t, &config),
+            BatchSize::SmallInput,
+        )
     });
     group.finish();
 }
@@ -307,13 +331,9 @@ fn bench_foodgraph(c: &mut Criterion) {
     // batch finds the few inside that mile — none, for many — and Alg. 2's
     // angular expansion runs only until it has reached them. Each iteration
     // runs on a cold engine, as a fleet that moves finds its start rows.
-    let metro = MetroScenario::generate(MetroOptions::lunch_peak(7));
-    let config = metro.config();
-    let t = TimePoint::from_hms(12, 30, 0);
-    let placed: Vec<Order> = metro.orders.iter().copied().filter(|o| o.placed_at <= t).collect();
-    let orders = &placed[placed.len().saturating_sub(30)..];
+    let (metro, orders, t, config) = metro_window();
     let batches =
-        batch_orders(orders, &ShortestPathEngine::cached(metro.network.clone()), t, &config);
+        batch_orders(&orders, &ShortestPathEngine::cached(metro.network.clone()), t, &config);
     let fleet = &metro.vehicle_starts;
     let couriers: Vec<VehicleSnapshot> = fleet
         .iter()

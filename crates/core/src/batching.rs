@@ -12,9 +12,32 @@
 //! threshold `η` or no merge is feasible. Theorem 2 guarantees the average
 //! cost never decreases, so termination is monotone.
 //!
-//! The oracle is asked once per window: one one-to-many sweep per distinct
-//! stop fills a stop-to-stop table ([`LegRows`]), and every plan of the
-//! clustering — singletons, merge candidates, per-merge refreshes — reads it.
+//! The oracle is asked once per window, and only for the legs a merge could
+//! read: one one-to-many sweep per distinct stop fills a stop-to-stop table
+//! ([`LegRows`]) over the stops of that stop's *component*, and every plan of
+//! the clustering — singletons, merge candidates, per-merge refreshes — reads
+//! it. Two orders share a component when a chain of restaurants, each within
+//! `R = s + MAXO·η` (plus one second for rounding) of the next in one
+//! direction or the other, joins theirs, where `s = max (ready_o − t)⁺` over
+//! the window; one gated sweep per distinct restaurant finds the chains.
+//!
+//! **Why no merge crosses components.** Take clusters A and B, all orders
+//! pending, the simulated vehicle free at `t`, and say the merged plan starts
+//! in A. Its first stop is a restaurant of A and the first B stop it reaches
+//! is a restaurant of B, so every B order is picked up at or after `t + D`,
+//! `D = min SP(a, b)` over restaurants `a` of A and `b` of B; an order's XDT
+//! is its delivery less `ready_o + SP(r, c)`, and no tour from `r` to `c` is
+//! shorter than `SP(r, c)`, so `XDT_o ≥ (t + D − ready_o)⁺`. Keeping only A's
+//! stops leaves a plan for A, so A's orders cost at least `Cost(A)`.
+//! `Cost(B)` is `Σ (t − ready_o)⁺` (a singleton only waits for its food) plus
+//! the weights of the merges that built B, each `≤ η·size` by the gate. So
+//! the weight of the merge is at least `|B|·(D − s) − η·S_B`, with `S_B` the
+//! sum of the sizes of B's merges (`≤ |B|(|B| + 1)/2 − 1`, and `|B| < MAXO`),
+//! and passing the gate `weight ≤ η·|A ∪ B|` needs
+//! `D ≤ s + η·(|A ∪ B| + S_B)/|B| ≤ s + MAXO·η`. The same holds with A and B
+//! swapped. Clusters of different components have every restaurant pair
+//! farther apart than `R` both ways, so no merge of theirs passes the gate:
+//! skipping them changes nothing, and their legs are never swept.
 
 use crate::config::DispatchConfig;
 use crate::legs::{LegRows, MIN_FAN_OUT};
@@ -24,9 +47,9 @@ use crate::route::{
     engine_legs, plan_on_table, plan_optimal_route_free_start, EvaluatedRoute, LegTable,
     PlannedOrder,
 };
-use foodmatch_roadnet::{NodeId, ShortestPathEngine, TimePoint};
+use foodmatch_roadnet::{Duration, GatedTargets, NodeId, ShortestPathEngine, TimePoint};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A batch of orders to be assigned to a single vehicle, together with the
 /// quickest route plan of its simulated vehicle.
@@ -129,23 +152,102 @@ fn singletons(
     BatchingOutcome { batches, unplannable, merges: 0, final_avg_cost_secs }
 }
 
-/// Travel times between every pair of stops of one window's orders: one
-/// [`LegRows`] row per stop, each to every stop, where per-pair leg tables
-/// would search from the same stop once per pairing. A merged cluster's stops
-/// are a subset of the window's, so everything Algorithm 1 plans after the
-/// sweep reads these rows and never the engine.
+/// The window's components (see the module header), and the travel times
+/// between every two stops of one component: one [`LegRows`] row per stop, to
+/// every stop of its component(s), where per-pair leg tables would search
+/// from the same stop once per pairing. Legs across components are not swept.
+/// A cluster never leaves its component, so everything Algorithm 1 plans
+/// after the sweep reads these rows and never the engine.
 fn sweep_stop_legs(
     orders: &[Order],
     engine: &ShortestPathEngine,
     t: TimePoint,
+    config: &DispatchConfig,
     threads: usize,
-) -> LegRows {
+) -> (Components, LegRows) {
     let _span = foodmatch_telemetry::span("engine", "batching.sweep");
-    let mut stops: Vec<NodeId> = orders.iter().flat_map(|o| [o.restaurant, o.customer]).collect();
-    stops.sort_unstable();
-    stops.dedup();
-    let wanted = stops.iter().map(|&from| (from, stops.clone())).collect();
-    LegRows::sweep(wanted, engine, t, threads)
+    let components = Components::of_window(orders, engine, t, config, threads);
+    let mut stops: Vec<Vec<NodeId>> = vec![Vec::new(); components.restaurants.len()];
+    for o in orders {
+        stops[components.of(o.restaurant)].extend([o.restaurant, o.customer]);
+    }
+    let mut wanted: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for stops in &mut stops {
+        stops.sort_unstable();
+        stops.dedup();
+        for &from in stops.iter() {
+            wanted.entry(from).or_default().extend(&*stops);
+        }
+    }
+    (components, LegRows::sweep(wanted, engine, t, threads))
+}
+
+/// The window's distinct restaurants, sorted, and the component each lies
+/// in (the index of its component's first restaurant).
+struct Components {
+    restaurants: Vec<NodeId>,
+    root: Vec<usize>,
+}
+
+impl Components {
+    /// One gated sweep per distinct restaurant, all asking the same gates:
+    /// one per distinct restaurant, of radius `R = s + MAXO·η + 1 s`,
+    /// triggered by that restaurant, over the customers of its orders. A gate
+    /// opens when its restaurant lies within `R` of the sweep's, which joins
+    /// the two. A sweep's own gate opens at its source, so its customers — its
+    /// orders' SDT legs — are answered too, and the stop table finds them in
+    /// the memo.
+    fn of_window(
+        orders: &[Order],
+        engine: &ShortestPathEngine,
+        t: TimePoint,
+        config: &DispatchConfig,
+        threads: usize,
+    ) -> Self {
+        let _span = foodmatch_telemetry::span("engine", "batching.near");
+        let slack = orders.iter().map(|o| o.ready_at().saturating_since(t).as_secs_f64());
+        let slack = slack.fold(0.0, f64::max);
+        let eta_secs = config.batching_threshold.as_secs_f64();
+        let reach =
+            Duration::from_secs_f64(slack + config.max_orders_per_vehicle as f64 * eta_secs + 1.0);
+        let mut served: Vec<(NodeId, NodeId)> =
+            orders.iter().map(|o| (o.restaurant, o.customer)).collect();
+        served.sort_unstable();
+        let mut asked = GatedTargets::new();
+        let mut restaurants = Vec::new();
+        for there in served.chunk_by(|a, b| a.0 == b.0) {
+            restaurants.push(there[0].0);
+            asked.gate(reach, [there[0].0], there.iter().map(|&(_, customer)| customer));
+        }
+        let threads = if restaurants.len() >= MIN_FAN_OUT { threads } else { 1 };
+        let opened = parallel_map(&restaurants, threads, |_, &from| {
+            engine.gated_travel_times(from, &asked, t).opened
+        });
+
+        let mut root: Vec<usize> = (0..restaurants.len()).collect();
+        fn find(root: &mut [usize], mut i: usize) -> usize {
+            while root[i] != i {
+                root[i] = root[root[i]];
+                i = root[i];
+            }
+            i
+        }
+        for (i, opened) in opened.iter().enumerate() {
+            for j in (0..opened.len()).filter(|&j| opened[j]) {
+                let (a, b) = (find(&mut root, i), find(&mut root, j));
+                root[a.max(b)] = a.min(b);
+            }
+        }
+        for i in 0..root.len() {
+            root[i] = find(&mut root, i);
+        }
+        Components { restaurants, root }
+    }
+
+    /// The component of the window's restaurant `restaurant`.
+    fn of(&self, restaurant: NodeId) -> usize {
+        self.root[self.restaurants.binary_search(&restaurant).expect("a restaurant of the window")]
+    }
 }
 
 /// The quickest free-start plan serving `orders` (all pending), with travel
@@ -175,9 +277,10 @@ pub fn batch_orders(
         let threads = if orders.len() >= MIN_FAN_OUT { threads } else { 1 };
         return singleton_batches_with_threads(orders, engine, t, threads);
     }
-    // The N row sweeps — one graph search each — dominate the stage and are
-    // its only engine calls; everything below reads `stop_legs`.
-    let stop_legs = sweep_stop_legs(orders, engine, t, threads);
+    // The sweeps — one graph search each, per restaurant and then per stop —
+    // dominate the stage and are its only engine calls; everything below
+    // reads `stop_legs`.
+    let (components, stop_legs) = sweep_stop_legs(orders, engine, t, config, threads);
     let _span = foodmatch_telemetry::span("engine", "batching.cluster");
     let seed =
         singletons(orders, orders.iter().map(|&o| plan_free_start(t, &[o], stop_legs.legs(None))));
@@ -194,13 +297,19 @@ pub fn batch_orders(
     let mut active = clusters.len();
     let mut total_cost: f64 = clusters.iter().flatten().map(Batch::cost_secs).sum();
     let mut merges = 0usize;
+    // A merge never leaves its component, so a slot keeps its component.
+    let component: Vec<usize> =
+        clusters.iter().flatten().map(|c| components.of(c.orders[0].restaurant)).collect();
 
     // A candidate is a ≤ 6-stop table plan, about a microsecond: the pair
     // loops stay on the calling thread, where a spawn would cost more than
-    // the work. The heap's total order breaks every tie by (i, j), so the
-    // merge sequence depends only on the candidates, not on their order.
+    // the work. Pairs across components are never planned: no merge of
+    // theirs passes the gate (module header), and their legs were not swept.
+    // The heap's total order breaks every tie by (i, j), so the merge
+    // sequence depends only on the candidates, not on their order.
     let mut heap: BinaryHeap<MergeCandidate> = (0..clusters.len())
         .flat_map(|i| ((i + 1)..clusters.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| component[i] == component[j])
         .filter_map(|(i, j)| candidate_for(&clusters, &versions, i, j, &stop_legs, t, config))
         .collect();
 
@@ -239,8 +348,10 @@ pub fn batch_orders(
         let slot = candidate.i;
         clusters[slot] = Some(candidate.merged);
         versions[slot] += 1;
-        // Refresh the merged cluster's edges to every survivor.
-        for other in (0..clusters.len()).filter(|&other| other != slot) {
+        // Refresh the merged cluster's edges to every survivor of its
+        // component.
+        let near = |&other: &usize| other != slot && component[other] == component[slot];
+        for other in (0..clusters.len()).filter(near) {
             let (a, b) = (slot.min(other), slot.max(other));
             heap.extend(candidate_for(&clusters, &versions, a, b, &stop_legs, t, config));
         }
@@ -308,7 +419,7 @@ fn candidate_for(
     let (Some(a), Some(b)) = (&clusters[i], &clusters[j]) else { return None };
     let (weight, merged) = merged_batch(a, b, t, config, stop_legs.legs(None))?;
     // Per-merge quality gate, this reproduction's one interpretation of
-    // Algorithm 1 (README, "Batching: one oracle sweep per stop"): a merge
+    // Algorithm 1 (README, "Batching: one stop table per component"): a merge
     // that by itself adds more extra delivery time than the quality threshold
     // η per order can never be "orders that suffer no long detour" (§IV-B).
     // Algorithm 1 as written only checks the *average* cost before merging,
@@ -564,29 +675,48 @@ mod tests {
         }
     }
 
+    fn t() -> TimePoint {
+        TimePoint::from_hms(13, 0, 0)
+    }
+
     /// Oracle queries one call makes on a fresh engine, and its outcome.
     fn queries_of(orders: &[Order], config: &DispatchConfig) -> (u64, BatchingOutcome) {
         let (engine, _) = setup();
-        let outcome = batch_orders(orders, &engine, TimePoint::from_hms(13, 0, 0), config);
+        let outcome = batch_orders(orders, &engine, t(), config);
         (engine.query_count(), outcome)
     }
 
     #[test]
-    fn one_call_asks_the_oracle_once_per_pair_of_distinct_stops() {
+    fn a_split_window_asks_no_leg_across_its_components() {
         let (_, b) = setup();
-        // Three far-apart orders, 6 distinct stops, nothing merges.
-        let apart = vec![
-            order(1, b.node_at(0, 0), b.node_at(0, 3)),
-            order(2, b.node_at(7, 7), b.node_at(7, 4)),
-            order(3, b.node_at(0, 7), b.node_at(3, 7)),
+        // Two groups of three orders in opposite corners, ≥ 12 blocks (435 s)
+        // apart. With no food to wait for and the default η, two restaurants
+        // join only within R = 3 · 60 s + 1 s: five blocks (181.2 s) is
+        // already too far, so the groups are two components.
+        let ready = |id, r, c| Order::new(OrderId(id), r, c, t(), 1, Duration::ZERO);
+        let window = vec![
+            ready(1, b.node_at(0, 0), b.node_at(0, 3)),
+            ready(2, b.node_at(0, 0), b.node_at(1, 3)),
+            ready(3, b.node_at(1, 0), b.node_at(2, 2)),
+            ready(4, b.node_at(7, 7), b.node_at(7, 4)),
+            ready(5, b.node_at(7, 7), b.node_at(6, 4)),
+            ready(6, b.node_at(6, 7), b.node_at(5, 5)),
         ];
-        let (queries, outcome) = queries_of(&apart, &default_config());
-        assert_eq!(outcome.merges, 0);
-        assert_eq!(queries, 6 * 6);
+        let (queries, outcome) = queries_of(&window, &default_config());
+        assert!(outcome.merges >= 2, "only {} merges", outcome.merges);
+        // Each of the 4 restaurants' gated sweeps asks for all 10 stops, then
+        // each group's 5 stops are swept to each other and not to the other
+        // group's: 2 · 5², where one table over the window was 10².
+        assert_eq!(queries, 4 * 10 + 2 * 5 * 5);
+    }
 
+    #[test]
+    fn a_compact_crowd_is_answered_by_its_sweeps_alone() {
+        let (_, b) = setup();
         // Thirty orders from two restaurants to a row of 8 doors each, under
-        // a generous η: every merge and every per-merge refresh plans from
-        // the matrix, so twenty merges cost the same 18² as none would.
+        // a generous η: one component. Every merge and every per-merge
+        // refresh plans from the table, so twenty merges cost the sweeps —
+        // both restaurants' over the 18 stops, then 18² — as none would.
         let crowd: Vec<Order> = (0..30)
             .map(|i| {
                 let side = (i % 2) as usize;
@@ -597,11 +727,11 @@ mod tests {
             DispatchConfig { batching_threshold: Duration::from_mins(60.0), ..default_config() };
         let (queries, outcome) = queries_of(&crowd, &generous);
         assert!(outcome.merges >= 10, "only {} merges", outcome.merges);
-        assert_eq!(queries, 18 * 18);
+        assert_eq!(queries, 2 * 18 + 18 * 18);
 
-        // Without batching no matrix is built: the singleton path as it is.
+        // Without batching no table is built: the singleton path as it is.
         let (engine, _) = setup();
-        singleton_batches_with_threads(&crowd, &engine, TimePoint::from_hms(13, 0, 0), 1);
+        singleton_batches_with_threads(&crowd, &engine, t(), 1);
         let unbatched = DispatchConfig { use_batching: false, ..default_config() };
         assert_eq!(queries_of(&crowd, &unbatched).0, engine.query_count());
         assert_eq!(engine.query_count(), 30 * 4);

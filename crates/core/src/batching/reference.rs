@@ -171,35 +171,36 @@ mod pinned_to_reference {
     /// Connected to nothing.
     const ISLAND: NodeId = NodeId(GRID * GRID + 1);
 
-    /// A 7×7 grid under the default (time-dependent) congestion profile whose
-    /// edge lengths come from a three-value set, so that many plans tie, plus
-    /// a one-way dead end and an island for the unreachable cases; optionally
-    /// with every fifth edge slowed by an overlay. Deterministic in `seed`, so
-    /// the reference and the new path each get an engine of their own over
-    /// the same network and neither warms the other's memo.
-    fn engine(seed: u64, overlay: bool) -> ShortestPathEngine {
+    /// A `grid`×`grid` grid under the default (time-dependent) congestion
+    /// profile whose edge lengths come from a three-value set, so that many
+    /// plans tie, plus a one-way dead end and an island (the two nodes after
+    /// the grid's) for the unreachable cases; optionally with every fifth edge
+    /// slowed by an overlay. Deterministic in `seed`, so the reference and the
+    /// new path each get an engine of their own over the same network and
+    /// neither warms the other's memo.
+    fn engine(seed: u64, overlay: bool, grid: u32) -> ShortestPathEngine {
         let mut rng = Rng(seed);
         let mut b = RoadNetworkBuilder::new();
-        for i in 0..GRID * GRID + 2 {
-            b.add_node(GeoPoint::new(0.002 * f64::from(i / GRID), 0.002 * f64::from(i % GRID)));
+        for i in 0..grid * grid + 2 {
+            b.add_node(GeoPoint::new(0.002 * f64::from(i / grid), 0.002 * f64::from(i % grid)));
         }
         let mut street = |b: &mut RoadNetworkBuilder, u: u32, v: u32| {
             let length = [200.0, 300.0, 450.0][rng.below(3) as usize];
             let class = if rng.chance(25) { RoadClass::Arterial } else { RoadClass::Local };
             b.add_bidirectional(NodeId(u), NodeId(v), length, class);
         };
-        for row in 0..GRID {
-            for col in 0..GRID {
-                let u = row * GRID + col;
-                if col + 1 < GRID {
+        for row in 0..grid {
+            for col in 0..grid {
+                let u = row * grid + col;
+                if col + 1 < grid {
                     street(&mut b, u, u + 1);
                 }
-                if row + 1 < GRID {
-                    street(&mut b, u, u + GRID);
+                if row + 1 < grid {
+                    street(&mut b, u, u + grid);
                 }
             }
         }
-        b.add_edge(NodeId(GRID * GRID - 1), DEAD_END, 250.0, RoadClass::Local);
+        b.add_edge(NodeId(grid * grid - 1), NodeId(grid * grid), 250.0, RoadClass::Local);
         let engine = ShortestPathEngine::cached(b.build());
         if overlay {
             let mut slowed = TrafficOverlay::new();
@@ -276,7 +277,8 @@ mod pinned_to_reference {
             let orders = window(&mut rng, len, times[0]);
             for overlay in [false, true] {
                 let seed = 0x5EED + round as u64;
-                let (new_engine, old_engine) = (engine(seed, overlay), engine(seed, overlay));
+                let (new_engine, old_engine) =
+                    (engine(seed, overlay, GRID), engine(seed, overlay, GRID));
                 for t in times {
                     for eta in etas {
                         for num_threads in [1, 4] {
@@ -323,5 +325,109 @@ mod pinned_to_reference {
         assert!(unplannable > 10, "only {unplannable} unplannable orders");
         assert!(gate_rejected > 100, "only {gate_rejected} gate-rejected pairs");
         assert!(maxi_refused > 20, "only {maxi_refused} MAXI-refused pairs");
+    }
+
+    /// The split windows' grid: wide enough that its corners lie farther
+    /// apart than `s + MAXO·η` for the two smaller η.
+    const SPLIT_GRID: u32 = 24;
+    const CORNERS: [(u32, u32); 3] = [(3, 3), (20, 20), (3, 20)];
+
+    /// Windows around two or three corners of the split grid, each with the
+    /// seed of its engines: every order's restaurant lies within a block of
+    /// its corner and its customer within two, and its food is ready in the
+    /// five minutes after `t` (mostly: the order was placed up to three
+    /// minutes before), so the window falls apart into components unless η
+    /// is large, and its first merges are cheap.
+    fn split_windows(t: TimePoint) -> Vec<(u64, Vec<Order>)> {
+        let mut rng = Rng(0x5917);
+        let windows = [(6, 2), (9, 3), (12, 2), (16, 3), (20, 3)];
+        let windows = windows.into_iter().zip(0x5917..).map(|((len, corners), seed)| {
+            let orders = (0..len).map(|id| {
+                let (row, col) = CORNERS[rng.below(corners) as usize];
+                let mut near = |blocks: u32| {
+                    let span = u64::from(2 * blocks + 1);
+                    let (dr, dc) = (rng.below(span) as u32, rng.below(span) as u32);
+                    NodeId((row + dr - blocks) * SPLIT_GRID + col + dc - blocks)
+                };
+                let (restaurant, customer) = (near(1), near(2));
+                let placed_at = t - Duration::from_secs_f64(rng.below(180) as f64);
+                let prep_time = Duration::from_mins(3.0 + rng.below(3) as f64);
+                // At most 2 items, so that MAXI = 10 never binds before MAXO.
+                let items = 1 + rng.below(2) as u32;
+                Order::new(OrderId(id), restaurant, customer, placed_at, items, prep_time)
+            });
+            (seed, orders.collect())
+        });
+        windows.collect()
+    }
+
+    /// MAXO 3 and 5, each under η = 0, 60 s and 60 min.
+    fn split_configs() -> Vec<DispatchConfig> {
+        let etas = [Duration::ZERO, Duration::from_secs_f64(60.0), Duration::from_mins(60.0)];
+        let maxos = [3, 5].into_iter();
+        let configs = maxos.flat_map(|max_orders_per_vehicle| {
+            etas.map(|batching_threshold| DispatchConfig {
+                batching_threshold,
+                max_orders_per_vehicle,
+                num_threads: 1,
+                ..Default::default()
+            })
+        });
+        configs.collect()
+    }
+
+    #[test]
+    fn matrix_path_matches_the_per_pair_path_on_split_windows() {
+        let t = TimePoint::from_hms(12, 59, 40);
+        let (mut split, mut split_merges) = (0, 0);
+        for (seed, orders) in split_windows(t) {
+            for overlay in [false, true] {
+                let (new_engine, old_engine) =
+                    (engine(seed, overlay, SPLIT_GRID), engine(seed, overlay, SPLIT_GRID));
+                for config in split_configs() {
+                    let what = format!(
+                        "seed {seed}, overlay {overlay}, MAXO {}, η {:?}: {orders:?}",
+                        config.max_orders_per_vehicle, config.batching_threshold
+                    );
+                    let new = batch_orders(&orders, &new_engine, t, &config);
+                    let old = batch_orders_per_pair(&orders, &old_engine, t, &config);
+                    assert_same(&new, &old, &what);
+                    let components = Components::of_window(&orders, &old_engine, t, &config, 1);
+                    if components.root.iter().any(|&root| root != 0) {
+                        split += 1;
+                        split_merges += old.merges;
+                    }
+                }
+            }
+        }
+        // 60 runs, 40 under the two smaller η; η = 60 min never splits one.
+        assert!(split >= 30, "only {split} split windows");
+        assert!(split_merges > 100, "only {split_merges} merges inside split windows");
+    }
+
+    #[test]
+    fn no_two_singletons_of_different_components_pass_the_gate() {
+        let t = TimePoint::from_hms(12, 59, 40);
+        let mut apart = 0;
+        for (seed, orders) in split_windows(t) {
+            for overlay in [false, true] {
+                let engine = engine(seed, overlay, SPLIT_GRID);
+                let singles = singleton_batches(&orders, &engine, t).batches;
+                for config in split_configs() {
+                    let components = Components::of_window(&orders, &engine, t, &config, 1);
+                    let component = |batch: &Batch| components.of(batch.orders[0].restaurant);
+                    let gate = config.batching_threshold.as_secs_f64() * 2.0;
+                    for (i, a) in singles.iter().enumerate() {
+                        for b in singles[i + 1..].iter().filter(|&b| component(a) != component(b)) {
+                            let (weight, _) = merge_weight(a, b, &engine, t, &config)
+                                .expect("two orders of at most 2 items and reachable stops");
+                            assert!(weight > gate, "seed {seed}, {config:?}: {weight} ≤ {gate}");
+                            apart += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(apart > 1000, "only {apart} pairs across components");
     }
 }

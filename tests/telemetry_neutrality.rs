@@ -276,6 +276,18 @@ fn telemetry_is_strictly_observational() {
     for name in ["foodgraph.build", "foodgraph.collect", "foodgraph.resolve", "foodgraph.price"] {
         assert!(names.contains(name), "trace is missing the {name} span");
     }
+    // Alg. 1's restaurant pass runs inside its oracle sweep (times are
+    // truncated to whole microseconds, so an end may overhang by one).
+    let named = |name: &'static str| events.iter().filter(move |e| e.name == name);
+    assert!(named("batching.near").next().is_some(), "trace is missing the batching.near span");
+    for near in named("batching.near") {
+        assert!(
+            named("batching.sweep").any(|sweep| sweep.tid == near.tid
+                && sweep.start_us <= near.start_us
+                && near.start_us + near.dur_us <= sweep.start_us + sweep.dur_us + 1),
+            "batching.near outside every batching.sweep"
+        );
+    }
     let snap = recorder.telemetry.snapshot();
     assert!(snap.counter("engine.queries").unwrap_or(0) > 0, "engine recorded no queries");
     assert!(
