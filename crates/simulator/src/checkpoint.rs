@@ -6,9 +6,9 @@
 //! itineraries, the event-schedule cursor with its active disruption set,
 //! the metrics so far) under a write-ahead-log stamp. A
 //! [`RouterCheckpoint`] is the sharded analogue for a
-//! [`DispatchRouter`](crate::DispatchRouter): one service checkpoint per
-//! zone plus the router's own state (zone membership maps, lockstep clock,
-//! termination flag).
+//! [`DispatchRouter`](crate::DispatchRouter): one container for N run
+//! states, one per zone, plus the vehicle→zone routing map, under one
+//! stamp. The router keeps no clock of its own, so none is stored.
 //!
 //! What a checkpoint deliberately does **not** contain: the road network
 //! and zone map (deployment configuration, rebuilt deterministically), the
@@ -27,7 +27,7 @@
 //! dispatcher shapes persist through the same container, one file:
 //!
 //! ```text
-//! [8-byte magic "FMCKPT03"] [u64 payload length] [u32 CRC-32 of payload] [payload]
+//! [8-byte magic "FMCKPT04"] [u64 payload length] [u32 CRC-32 of payload] [payload]
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
@@ -36,11 +36,11 @@
 //! magic, short file, checksum mismatch, invalid payload) surfaces as a
 //! typed [`CheckpointError`] — never a panic, never silently wrong state.
 
-use crate::step::RunState;
+use crate::step::{require, Clock, RunState};
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
-use foodmatch_core::{DispatchConfig, OrderId, VehicleId};
+use foodmatch_core::VehicleId;
 use foodmatch_roadnet::TimePoint;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Magic prefix of every checkpoint file (8 bytes, versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT03";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT04";
 
 /// A typed failure loading or storing a checkpoint. Corrupt or truncated
 /// files are always reported through one of these variants — reading a
@@ -205,8 +205,8 @@ impl Codec for ServiceCheckpoint {
 }
 
 /// The complete run state of one [`DispatchRouter`](crate::DispatchRouter):
-/// the router's own state (zone membership maps, lockstep clock,
-/// termination flag) plus one [`ServiceCheckpoint`] per zone shard.
+/// a routing map (the zone of every vehicle seen so far) plus one run state
+/// per zone shard. No router clock is stored: it is the latest shard clock.
 ///
 /// Obtained from [`DispatchRouter::checkpoint`](crate::DispatchRouter::checkpoint);
 /// turned back into a live router by
@@ -217,19 +217,14 @@ impl Codec for ServiceCheckpoint {
 pub struct RouterCheckpoint {
     /// Write-ahead-log position, as on [`ServiceCheckpoint::wal_seq`].
     pub wal_seq: u64,
-    pub(crate) config: DispatchConfig,
-    pub(crate) window_close: TimePoint,
-    pub(crate) drain_end: TimePoint,
-    pub(crate) finished: bool,
-    pub(crate) order_zone: BTreeMap<OrderId, u32>,
     pub(crate) vehicle_zone: BTreeMap<VehicleId, u32>,
-    pub(crate) shards: Vec<ServiceCheckpoint>,
+    pub(crate) shards: Vec<RunState>,
 }
 
 impl RouterCheckpoint {
     /// The router clock at the moment the checkpoint was taken.
     pub fn clock(&self) -> TimePoint {
-        self.window_close
+        Clock::lockstep(self.shards.iter().map(RunState::clock)).now
     }
 
     /// Number of zone shards in the checkpoint.
@@ -239,33 +234,47 @@ impl RouterCheckpoint {
 
     /// Whether the checkpointed router had already finished.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.shards.iter().all(|state| state.finished)
     }
 }
 
+/// Decoding validates what the router relies on: at least one shard, every
+/// vehicle routed to one, disjoint order books, one configuration, horizon
+/// and clock.
 impl Codec for RouterCheckpoint {
     fn encode(&self, out: &mut Vec<u8>) {
         self.wal_seq.encode(out);
-        self.config.encode(out);
-        self.window_close.encode(out);
-        self.drain_end.encode(out);
-        self.finished.encode(out);
-        self.order_zone.encode(out);
         self.vehicle_zone.encode(out);
         self.shards.encode(out);
     }
 
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(RouterCheckpoint {
+        let checkpoint = RouterCheckpoint {
             wal_seq: Codec::decode(reader)?,
-            config: Codec::decode(reader)?,
-            window_close: Codec::decode(reader)?,
-            drain_end: Codec::decode(reader)?,
-            finished: Codec::decode(reader)?,
-            order_zone: Codec::decode(reader)?,
             vehicle_zone: Codec::decode(reader)?,
             shards: Codec::decode(reader)?,
-        })
+        };
+        let RouterCheckpoint { vehicle_zone, shards, .. } = &checkpoint;
+        let Some(first) = shards.first() else {
+            return Err(DecodeError::Invalid("router checkpoint holds no shard".to_string()));
+        };
+        require(vehicle_zone.values().all(|&zone| (zone as usize) < shards.len()), || {
+            format!("a vehicle is routed past the {} shards", shards.len())
+        })?;
+        let mut ids = BTreeSet::new();
+        require(shards.iter().flat_map(|s| s.book.keys()).all(|&id| ids.insert(id)), || {
+            "an order id appears in two shard books".to_string()
+        })?;
+        let horizon = |s: &RunState| (s.start, s.end, s.drain_end);
+        require(
+            shards.iter().all(|s| s.config == first.config && horizon(s) == horizon(first)),
+            || "shards disagree on configuration or horizon".to_string(),
+        )?;
+        let now = checkpoint.clock();
+        require(shards.iter().all(|s| s.finished || s.window_close == now), || {
+            format!("an unfinished shard's clock is behind the router clock {now:?}")
+        })?;
+        Ok(checkpoint)
     }
 }
 
@@ -321,10 +330,6 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 /// atomically to `path`.
 pub fn save_checkpoint<C: Codec>(path: impl AsRef<Path>, state: &C) -> Result<(), CheckpointError> {
     let _span = foodmatch_telemetry::span("checkpoint", "save");
-    // lint: allow(telemetry-handle-discipline) — free function with no
-    // struct to cache a handle in; runs once per checkpoint save, not per
-    // window, and must bind whatever recorder is installed at call time.
-    let _timer = foodmatch_telemetry::histogram("checkpoint.save_ns").timer();
     atomic_write(path.as_ref(), &seal(&state.to_bytes()))
 }
 
@@ -333,9 +338,6 @@ pub fn save_checkpoint<C: Codec>(path: impl AsRef<Path>, state: &C) -> Result<()
 /// [`CheckpointError`].
 pub fn load_checkpoint<C: Codec>(path: impl AsRef<Path>) -> Result<C, CheckpointError> {
     let _span = foodmatch_telemetry::span("checkpoint", "restore");
-    // lint: allow(telemetry-handle-discipline) — free function, once per
-    // restore; see `save_checkpoint`.
-    let _timer = foodmatch_telemetry::histogram("checkpoint.restore_ns").timer();
     let bytes = fs::read(path.as_ref())?;
     let payload = unseal(&bytes)?;
     Ok(C::from_bytes(payload)?)
@@ -565,7 +567,7 @@ mod tests {
     use super::*;
     use crate::router::{DispatchRouter, ZoneMap};
     use foodmatch_core::policies::GreedyPolicy;
-    use foodmatch_core::Order;
+    use foodmatch_core::{DispatchConfig, Order, OrderId};
     use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
     use foodmatch_roadnet::generators::GridCityBuilder;
     use foodmatch_roadnet::{CongestionProfile, Duration, NodeId};
@@ -622,7 +624,67 @@ mod tests {
         let shard = router.snapshot().zones[0].1;
         assert!(shard.queued > 0 && shard.in_flight > 0 && shard.traffic_active, "{shard:?}");
         let checkpoint = router.checkpoint();
-        (checkpoint.shards[0].clone(), checkpoint)
+        (ServiceCheckpoint { wal_seq: 0, state: checkpoint.shards[0].clone() }, checkpoint)
+    }
+
+    /// The reason decoding refuses the mid-run router checkpoint once
+    /// `damage` has been done to it.
+    fn refusal(damage: impl FnOnce(&mut RouterCheckpoint)) -> String {
+        let (_, mut checkpoint) = mid_run_checkpoints();
+        assert!(RouterCheckpoint::from_bytes(&checkpoint.to_bytes()).is_ok());
+        damage(&mut checkpoint);
+        match RouterCheckpoint::from_bytes(&checkpoint.to_bytes()) {
+            Err(DecodeError::Invalid(reason)) => reason,
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_router_checkpoint_without_shards_is_refused() {
+        let reason = refusal(|c| c.shards.clear());
+        assert!(reason.contains("no shard"), "{reason}");
+    }
+
+    #[test]
+    fn a_vehicle_routed_past_the_shards_is_refused() {
+        let reason = refusal(|c| {
+            c.vehicle_zone.insert(VehicleId(0), 99);
+        });
+        assert!(reason.contains("past the 2 shards"), "{reason}");
+    }
+
+    #[test]
+    fn an_order_in_two_shard_books_is_refused() {
+        let reason = refusal(|c| {
+            let order = c.shards[0].orders[0];
+            let entry = c.shards[0].book[&order.id];
+            c.shards[1].orders.push(order);
+            c.shards[1].book.insert(order.id, entry);
+        });
+        assert!(reason.contains("two shard books"), "{reason}");
+    }
+
+    #[test]
+    fn shards_that_disagree_on_configuration_or_horizon_are_refused() {
+        let damages: [fn(&mut RunState); 4] = [
+            |s| s.config.rejection_deadline += Duration::from_mins(1.0),
+            |s| s.start = s.start - Duration::from_mins(1.0),
+            |s| s.end += Duration::from_mins(1.0),
+            |s| s.drain_end += Duration::from_mins(1.0),
+        ];
+        for damage in damages {
+            let reason = refusal(|c| damage(&mut c.shards[1]));
+            assert!(reason.contains("disagree"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn an_unfinished_shard_behind_the_clock_is_refused() {
+        let reason = refusal(|c| {
+            let shard = &mut c.shards[1];
+            shard.window_close = shard.window_close - shard.config.accumulation_window;
+        });
+        assert!(reason.contains("behind the router clock"), "{reason}");
     }
 
     /// Every one-byte flip and every truncation of a checkpoint *file* is a
@@ -687,10 +749,10 @@ mod tests {
         // A well-formed container of the previous format is refused by its
         // magic, never decoded.
         let mut previous = sealed.clone();
-        previous[..8].copy_from_slice(b"FMCKPT02");
+        previous[..8].copy_from_slice(b"FMCKPT03");
         assert!(matches!(
             unseal(&previous),
-            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT02"
+            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT03"
         ));
 
         let mut truncated = sealed.clone();

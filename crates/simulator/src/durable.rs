@@ -160,6 +160,9 @@ pub struct DurableDispatch<T: WalTarget> {
     log: WriteAheadLog,
     fail_point: Option<FailPoint>,
     crashed: bool,
+    /// `checkpoint.capture_ns` — the dispatch thread's only checkpoint stall
+    /// (the persist phase runs on the background worker).
+    capture_ns: foodmatch_telemetry::Histogram,
 }
 
 impl<T: WalTarget> DurableDispatch<T> {
@@ -167,7 +170,8 @@ impl<T: WalTarget> DurableDispatch<T> {
     /// next sequence number — pass a fresh log for a fresh run, or a log
     /// reopened with [`WriteAheadLog::open`] after recovery replay.
     pub fn new(target: T, log: WriteAheadLog) -> Self {
-        DurableDispatch { target, log, fail_point: None, crashed: false }
+        let capture_ns = foodmatch_telemetry::histogram("checkpoint.capture_ns");
+        DurableDispatch { target, log, fail_point: None, crashed: false, capture_ns }
     }
 
     /// Installs (or clears) a fault-injection point. Testing hook; never
@@ -236,13 +240,7 @@ impl<T: WalTarget> DurableDispatch<T> {
     /// state *ahead* of the durable log, and the lost records would be
     /// re-driven on top of state that already contains them.
     pub fn checkpoint(&mut self) -> Result<T::Checkpoint, WalError> {
-        // `checkpoint.capture_ns` is the only stall the dispatch thread
-        // pays under background checkpointing — the persist phase
-        // (serialise + fsync + rename) runs on the worker.
-        // lint: allow(telemetry-handle-discipline) — once per checkpoint
-        // capture, not per window; `DurableDispatch` holds no metrics
-        // struct and the handle must bind the recorder live at call time.
-        let _capture = foodmatch_telemetry::histogram("checkpoint.capture_ns").timer();
+        let _capture = self.capture_ns.timer();
         self.log.flush()?;
         let mut checkpoint = self.target.take_checkpoint();
         T::stamp_wal_seq(&mut checkpoint, self.log.acked_seq());

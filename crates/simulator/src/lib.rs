@@ -16,57 +16,48 @@
 //!
 //! ## The four entry points
 //!
-//! The dispatch loop has one implementation — the private `step` module:
-//! a `RunState` that lists the run's fields once (with their `Codec`) and
+//! The dispatch loop has one implementation — the private `step` module: a
+//! `RunState` that lists the run's fields once (with their `Codec`),
 //! `RunState::step_window`, one accumulation window as a function of
-//! `(state, engine, policy)` with no recorder, log or filesystem under it —
-//! and four drivers, from batch replay to a crash-safe deployment:
+//! `(state, engine, policy)` with no recorder, log or filesystem under it,
+//! and `advance_windows`, the one window clock that decides which windows
+//! close — and four entry points, from batch replay to a crash-safe service:
 //!
 //! * **Batch** — [`Simulation`] wraps a pre-materialized scenario and
 //!   [`Simulation::run`] replays it through a fresh service, start to drain.
-//!   Use this for the paper's experiments and any offline comparison; the
-//!   batch and streaming drivers are pinned bit-identical by
-//!   `tests/service_equivalence.rs`.
-//! * **Streaming** — [`DispatchService`] is the thin shell over that step
-//!   (engine, policy, state, telemetry handles), exposed as a streaming
-//!   API: [`DispatchService::submit_order`] and
-//!   [`DispatchService::ingest_event`] feed demand and disruptions in as
-//!   they happen (returning typed [`SubmitOutcome`] / [`IngestOutcome`]
-//!   verdicts), [`DispatchService::advance_to`] steps the clock and
-//!   returns typed [`DispatchOutput`] events (assignments, pickups,
-//!   deliveries, rejections, cancellations, window statistics), and
+//!   Use this for the paper's experiments and any offline comparison;
+//!   `tests/service_equivalence.rs` pins it bit-identical to streaming.
+//! * **Streaming** — [`DispatchService`] is the thin shell over one run
+//!   state (engine, policy, telemetry handles).
+//!   [`DispatchService::submit_order`] and [`DispatchService::ingest_event`]
+//!   feed demand and disruptions in as they happen (typed [`SubmitOutcome`]
+//!   / [`IngestOutcome`] verdicts), [`DispatchService::advance_to`] steps
+//!   the clock and returns typed [`DispatchOutput`] events, and
 //!   [`DispatchService::snapshot`] / [`DispatchService::report`] expose the
-//!   operational state and metrics at any point mid-run. Use this when
-//!   demand is not known in advance: live sources, closed-loop experiments,
-//!   services.
-//! * **Sharded** — [`DispatchRouter`] scales the streaming surface to a
-//!   multi-zone metro: a [`ZoneMap`] partitions the road network into
-//!   dispatch zones, each zone runs its own independent [`DispatchService`]
-//!   shard, and the router routes orders by restaurant location, targets or
-//!   broadcasts disruption events by their
-//!   [`EventScope`](foodmatch_events::EventScope), and advances all shards
-//!   in lockstep (concurrently, with a deterministic merged output stream
-//!   of [`RoutedOutput`]s). A single-zone router is bit-identical to a bare
-//!   service; `tests/router_equivalence.rs` pins both that and
-//!   thread-count independence.
+//!   state and metrics mid-run. Use this when demand is not known in
+//!   advance: live sources, closed-loop experiments, services.
+//! * **Sharded** — [`DispatchRouter`] is the same surface over N run states
+//!   on one window clock, one per zone of a [`ZoneMap`]: orders route by
+//!   restaurant, disruption events by their
+//!   [`EventScope`](foodmatch_events::EventScope), and each window steps
+//!   every zone concurrently into one deterministic stream of
+//!   [`RoutedOutput`]s. `tests/router_equivalence.rs` pins a single-zone
+//!   router bit-identical to a bare service, and thread-count independence.
 //! * **Durable** — [`DurableDispatch`] wraps a service or router and makes
 //!   it crash-safe: every mutating call is appended to a checksummed
 //!   [`WriteAheadLog`] *before* it is applied, with a [`FlushPolicy`]
-//!   amortising the fsync across group-committed batches (per record or
-//!   per accumulation window — the acked/appended ledger makes the
-//!   durability lag explicit). The full dispatcher state (order book and
-//!   pools, fleet physics, event schedule, metrics)
-//!   checkpoints via [`DispatchService::checkpoint`] /
-//!   [`DispatchRouter::checkpoint`] — a clone of the run state — into one
-//!   atomically-written container file for either shape
-//!   ([`save_checkpoint`] / [`load_checkpoint`]) — off the
-//!   dispatch thread with [`BackgroundCheckpointer`], whose sealed
-//!   checkpoints anchor [log compaction](WriteAheadLog::compact_below) —
-//!   and recovery — restore the latest checkpoint, [`replay_wal`] the log
-//!   suffix — lands on the exact state and output stream of a valid prefix
-//!   run ending at a flush boundary. Torn log tails from a crash mid-flush
-//!   are truncated and tolerated; any other corruption is a typed
-//!   [`WalError`] / [`CheckpointError`], never a panic.
+//!   amortising the fsync (per record or per accumulation window — the
+//!   acked/appended ledger makes the durability lag explicit). The run
+//!   states checkpoint ([`DispatchService::checkpoint`] /
+//!   [`DispatchRouter::checkpoint`], a clone) into one atomically written
+//!   container file for either shape ([`save_checkpoint`] /
+//!   [`load_checkpoint`]), off the dispatch thread with
+//!   [`BackgroundCheckpointer`], whose sealed checkpoints anchor
+//!   [log compaction](WriteAheadLog::compact_below). Recovery — restore the
+//!   latest checkpoint, [`replay_wal`] the log suffix — lands on the exact
+//!   state and output stream of a valid prefix run ending at a flush
+//!   boundary. Torn log tails are truncated; any other corruption is a
+//!   typed [`WalError`] / [`CheckpointError`], never a panic.
 //!   `tests/recovery_equivalence.rs` pins recovery bit-identical across
 //!   policies, flush policies, crash points and both dispatcher shapes.
 //!

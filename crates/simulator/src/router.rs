@@ -1,33 +1,31 @@
-//! The sharded dispatch router: one metro, N per-zone [`DispatchService`]
-//! shards behind the façade of a single service.
+//! The sharded dispatch router: one metro, N per-zone run states on one
+//! window clock, behind the façade of a single service.
 //!
 //! The paper evaluates one dispatcher loop per city day; a metro deployment
-//! is many City-B-sized shards fanned out behind one API. PR 5's
-//! [`DispatchService`] owns all of its mutable state per instance, which
-//! makes sharding a pure composition problem: [`DispatchRouter`] holds a
+//! is many City-B-sized zones behind one API. [`DispatchRouter`] holds a
 //! [`ZoneMap`] (a partition of the road network's nodes into dispatch
-//! zones) plus one independent service per zone — each shard gets its *own*
-//! [`ShortestPathEngine`] over the shared network, because engine clones
-//! share the traffic overlay and zone-local incidents must not leak across
-//! shards.
+//! zones) plus one [`DispatchService`] shard per zone, each with its *own*
+//! [`ShortestPathEngine`] over the shared network: engine clones share the
+//! traffic overlay, and zone-local incidents must not leak across shards.
 //!
 //! The router exposes the same surface as a single service, so callers swap
 //! one for the other without restructuring:
 //!
 //! * [`submit_order`](DispatchRouter::submit_order) — routed to the zone
-//!   that owns the order's **restaurant** node (first-mile locality); the
-//!   router keeps a global duplicate guard and an order→zone map so later
-//!   order-targeted events find their shard.
+//!   that owns the order's **restaurant** node (first-mile locality). An id
+//!   any shard's order book holds is a duplicate router-wide, and the same
+//!   books route later order events to their shard.
 //! * [`ingest_event`](DispatchRouter::ingest_event) — routed by
 //!   [`EventScope`]: city-wide events broadcast to every shard; localized
 //!   incidents go to the zones whose bounding region the incident circle
 //!   touches; order/vehicle events go to the owning shard.
-//! * [`advance_to`](DispatchRouter::advance_to) — all shards advance in
-//!   lockstep, one accumulation window at a time, concurrently via
-//!   [`parallel_map`]; per-shard outputs come back merged into one
-//!   deterministic stream of [`RoutedOutput`]s tagged with their [`ZoneId`]
-//!   (window by window, zones in index order — bit-identical for every
-//!   thread count).
+//! * [`advance_to`](DispatchRouter::advance_to) — the router keeps no clock
+//!   of its own: the service's window clock (`step.rs`) ticks every shard
+//!   one window at a time, the shards of a window concurrently via
+//!   [`parallel_map`]. The router's clock is the latest shard clock. Outputs
+//!   merge into one stream of [`RoutedOutput`]s tagged with their
+//!   [`ZoneId`] (window by window, zones in index order — bit-identical for
+//!   every thread count).
 //! * [`snapshot`](DispatchRouter::snapshot) /
 //!   [`report`](DispatchRouter::report) — aggregated across shards, with
 //!   the per-zone breakdown retained.
@@ -39,10 +37,9 @@
 use crate::checkpoint::{RestoreError, RouterCheckpoint};
 use crate::metrics::{SimulationReport, WindowStats, MAX_TRACKED_LOAD};
 use crate::service::{
-    AdvanceOutcome, AdvanceStatus, DispatchOutput, DispatchService, IngestOutcome, ServiceSnapshot,
-    SubmitOutcome,
+    AdvanceOutcome, DispatchOutput, DispatchService, IngestOutcome, ServiceSnapshot, SubmitOutcome,
 };
-use crate::step::{assert_fleet_on_network, names_node_outside};
+use crate::step::{advance_windows, assert_fleet_on_network, names_node_outside, Clock, Tick};
 use foodmatch_core::{parallel_map, DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId};
 use foodmatch_events::{DisruptionEvent, EventScope};
 use foodmatch_roadnet::{
@@ -300,14 +297,10 @@ pub struct DispatchRouter<P: DispatchPolicy> {
     /// items immutably); there is no lock contention — each shard is locked
     /// by exactly one worker at a time.
     shards: Vec<Mutex<DispatchService<P>>>,
-    order_zone: BTreeMap<OrderId, u32>,
+    /// Every known vehicle's zone. A vehicle joining mid-run is routed when
+    /// ingested, before its event fires and puts it in a shard's fleet.
     vehicle_zone: BTreeMap<VehicleId, u32>,
     config: DispatchConfig,
-    threads: usize,
-    delta: Duration,
-    window_close: TimePoint,
-    drain_end: TimePoint,
-    finished: bool,
     metrics: RouterMetrics,
 }
 
@@ -361,7 +354,6 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
         end: TimePoint,
         drain_limit: Duration,
     ) -> Self {
-        assert!(zones.zone_count() > 0, "a router needs at least one zone");
         assert!(
             zones.zones().iter().any(|z| z.node_count > 0),
             "a router needs at least one non-empty zone"
@@ -394,20 +386,12 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
                 ))
             })
             .collect();
-        let threads = config.effective_threads();
-        let delta = config.accumulation_window;
         DispatchRouter {
             zones,
             network: network.clone(),
             shards,
-            order_zone: BTreeMap::new(),
             vehicle_zone,
             config,
-            threads,
-            delta,
-            window_close: start,
-            drain_end: end + drain_limit,
-            finished: false,
             metrics: RouterMetrics::acquire(),
         }
     }
@@ -418,20 +402,16 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// outside every zone. Duplicate detection is router-global: an id
     /// submitted to one zone is a duplicate in every other zone too.
     pub fn submit_order(&mut self, order: Order) -> SubmitOutcome {
-        if self.finished {
+        if self.is_finished() {
             return SubmitOutcome::ServiceFinished;
         }
         let Some(zone) = self.zones.zone_of(order.restaurant) else {
             return SubmitOutcome::NoZoneForLocation;
         };
-        if self.order_zone.contains_key(&order.id) {
+        if self.shard_of_order(order.id).is_some() {
             return SubmitOutcome::Duplicate;
         }
-        let outcome = self.shard_mut(zone.index()).submit_order(order);
-        if outcome.is_accepted() {
-            self.order_zone.insert(order.id, zone.0);
-        }
-        outcome
+        self.shard_mut(zone.index()).submit_order(order)
     }
 
     /// Streams one disruption event into the router, delivered by its
@@ -447,34 +427,28 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// * vehicle events go to the owning zone; an on-shift event for a
     ///   brand-new vehicle joins the zone of its start location.
     pub fn ingest_event(&mut self, event: DisruptionEvent) -> IngestOutcome {
-        if self.finished {
+        if self.is_finished() {
             return IngestOutcome::ServiceFinished;
         }
         if names_node_outside(&event, self.network.node_count()) {
             return IngestOutcome::NoZoneForLocation;
         }
         match event.scope() {
-            EventScope::CityWide => self.ingest_into_all(event),
+            EventScope::CityWide => self.ingest_into(0..self.shards.len(), event),
             EventScope::Localized { center, radius_m } => {
                 let position = self.network.position(center);
                 let touched = self.zones.zones_touching(position, radius_m);
                 if touched.is_empty() {
                     return IngestOutcome::NoZoneForLocation;
                 }
-                let mut outcome = IngestOutcome::ServiceFinished;
-                for zone in touched {
-                    if self.shard_mut(zone.index()).ingest_event(event).is_accepted() {
-                        outcome = IngestOutcome::Accepted;
-                    }
-                }
-                outcome
+                self.ingest_into(touched.into_iter().map(ZoneId::index), event)
             }
-            EventScope::Order(order) => match self.order_zone.get(&order).copied() {
-                Some(zone) => self.shard_mut(zone as usize).ingest_event(event),
+            EventScope::Order(order) => match self.shard_of_order(order) {
+                Some(zone) => self.shard_mut(zone).ingest_event(event),
                 // Never submitted here: broadcast — every shard ignores
                 // cancellations/delays for ids it does not know, preserving
                 // the single-service semantics for out-of-order streams.
-                None => self.ingest_into_all(event),
+                None => self.ingest_into(0..self.shards.len(), event),
             },
             EventScope::Vehicle { vehicle, location } => {
                 if let Some(zone) = self.vehicle_zone.get(&vehicle).copied() {
@@ -493,16 +467,21 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
                     },
                     // Off-shift for a vehicle no shard knows: accepted and
                     // inert, as in the bare service.
-                    None => self.ingest_into_all(event),
+                    None => self.ingest_into(0..self.shards.len(), event),
                 }
             }
         }
     }
 
-    fn ingest_into_all(&mut self, event: DisruptionEvent) -> IngestOutcome {
+    /// Ingests `event` into the `zones`' shards; accepted if any accepts it.
+    fn ingest_into(
+        &mut self,
+        zones: impl Iterator<Item = usize>,
+        event: DisruptionEvent,
+    ) -> IngestOutcome {
         let mut outcome = IngestOutcome::ServiceFinished;
-        for shard in &mut self.shards {
-            if shard.get_mut().expect("shard lock").ingest_event(event).is_accepted() {
+        for zone in zones {
+            if self.shard_mut(zone).ingest_event(event).is_accepted() {
                 outcome = IngestOutcome::Accepted;
             }
         }
@@ -511,59 +490,36 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
 
     /// Advances every shard in lockstep to `until`, one accumulation window
     /// at a time, and returns the merged output stream. Windows are
-    /// processed whole, exactly as in [`DispatchService::advance_to`]; the
-    /// shards of each window run concurrently (`config.num_threads` wide)
-    /// and their outputs are appended in zone order, so the stream is
-    /// bit-identical for every thread count.
+    /// processed whole, by the same window clock as
+    /// [`DispatchService::advance_to`]; the shards of each window run
+    /// concurrently (`config.num_threads` wide) and their outputs are
+    /// appended in zone order, so the stream is bit-identical for every
+    /// thread count.
     ///
     /// Returns the same typed [`AdvanceOutcome`] as the bare service (with
     /// zone-tagged outputs): a target behind the router clock reports
-    /// [`AdvanceStatus::OutOfOrder`] instead of silently doing nothing.
+    /// [`AdvanceStatus::OutOfOrder`](crate::AdvanceStatus::OutOfOrder)
+    /// instead of silently doing nothing.
     pub fn advance_to(&mut self, until: TimePoint) -> AdvanceOutcome<RoutedOutput> {
-        if self.finished {
-            return AdvanceOutcome::finished();
-        }
-        if until < self.window_close {
-            return AdvanceOutcome::out_of_order(until, self.window_close);
-        }
-        let mut out = Vec::new();
-        let mut advanced = false;
-        while !self.finished {
-            let next_close = self.window_close + self.delta;
-            if next_close > self.drain_end {
-                // Crossing the drain boundary finalizes every shard (the
-                // same advance a bare service performs internally).
-                self.fan_out(self.drain_end, &mut out);
-                self.finished = true;
-                advanced = true;
-                break;
-            }
-            if next_close > until {
-                break;
-            }
-            self.fan_out(next_close, &mut out);
-            self.window_close = next_close;
-            advanced = true;
-            if self.shards.iter_mut().all(|s| s.get_mut().expect("shard lock").is_finished()) {
-                self.finished = true;
-            }
-        }
-        let status = if advanced { AdvanceStatus::Advanced } else { AdvanceStatus::Pending };
-        AdvanceOutcome::new(out, status)
+        advance_windows(self.clock(), until, |tick, out| {
+            self.fan_out(tick, out);
+            self.is_finished()
+        })
     }
 
-    /// Advances one lockstep step: every shard to `until`, concurrently when
-    /// the configuration allows, outputs tagged and appended in zone order.
-    fn fan_out(&mut self, until: TimePoint, out: &mut Vec<RoutedOutput>) {
+    /// Steps one tick on every shard, concurrently when the configuration
+    /// allows, outputs tagged and appended in zone order.
+    fn fan_out(&mut self, tick: Tick, out: &mut Vec<RoutedOutput>) {
         let _step = self.metrics.advance_ns.timer();
         // Per-shard wall time is only read when a recorder is live; the
         // measurement is observational — outputs are identical either way.
         let timed = self.metrics.shard_advance_ns.is_live();
         let per_shard: Vec<(Vec<DispatchOutput>, u64)> =
-            parallel_map(&self.shards, self.threads, |zi, shard| {
+            parallel_map(&self.shards, self.config.effective_threads(), |zi, shard| {
                 let _span = foodmatch_telemetry::span_dyn("shard", || format!("zone{zi}"));
                 let started = timed.then(Instant::now);
-                let outputs = shard.lock().expect("shard lock").advance_to(until).into_outputs();
+                let mut outputs = Vec::new();
+                shard.lock().expect("shard lock").tick(tick, &mut outputs);
                 let nanos = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
                 (outputs, nanos)
             });
@@ -587,23 +543,35 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// Drives the router to completion (through the drain phase) and
     /// returns the final report.
     pub fn run_to_completion(&mut self) -> RouterReport {
-        let _ = self.advance_to(self.drain_end);
+        let _ = self.advance_to(self.drain_deadline());
         self.report()
     }
 
     /// The instant past which [`Self::advance_to`] finalizes every shard.
     pub fn drain_deadline(&self) -> TimePoint {
-        self.drain_end
+        self.clock().drain_end
     }
 
     /// True once every shard has terminated and the report is final.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.clock().finished
     }
 
-    /// The router clock (close time of the last lockstep window).
+    /// The router clock: the latest shard clock.
     pub fn now(&self) -> TimePoint {
-        self.window_close
+        self.clock().now
+    }
+
+    /// The shards' one window clock.
+    fn clock(&self) -> Clock {
+        Clock::lockstep(self.shards.iter().map(|s| s.lock().expect("shard lock").state.clock()))
+    }
+
+    /// The shard whose order book holds `order` (the books are disjoint).
+    fn shard_of_order(&self, order: OrderId) -> Option<usize> {
+        self.shards
+            .iter()
+            .position(|s| s.lock().expect("shard lock").state.book.contains_key(&order))
     }
 
     /// The dispatcher configuration every shard runs under.
@@ -627,8 +595,8 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             .collect();
         let sum = |f: fn(&ServiceSnapshot) -> usize| zones.iter().map(|(_, s)| f(s)).sum();
         RouterSnapshot {
-            now: self.window_close,
-            finished: self.finished,
+            now: zones.iter().map(|(_, s)| s.now).max().expect("at least one zone"),
+            finished: zones.iter().all(|(_, s)| s.finished),
             submitted: sum(|s| s.submitted),
             queued: sum(|s| s.queued),
             pending: sum(|s| s.pending),
@@ -657,27 +625,19 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     }
 
     /// Captures the complete deployment state as a [`RouterCheckpoint`]:
-    /// one [`ServiceCheckpoint`](crate::checkpoint::ServiceCheckpoint) per
-    /// zone shard plus the router's own state (zone-membership maps,
-    /// lockstep clock, termination flag). Restore with
-    /// [`DispatchRouter::restore`] — same network, same zone map, same
-    /// policy factory — to resume the run bit-identically.
+    /// every zone shard's run state plus the vehicle→zone routing map.
+    /// Restore with [`DispatchRouter::restore`] — same network, same zone
+    /// map, same policy factory — to resume the run bit-identically.
     ///
     /// As on the service, `wal_seq` is zero; a
     /// [`DurableDispatch`](crate::durable::DurableDispatch) stamps the log
     /// position on top.
     pub fn checkpoint(&self) -> RouterCheckpoint {
-        let shards =
-            self.shards.iter().map(|s| s.lock().expect("shard lock").checkpoint()).collect();
+        let shards = self.shards.iter().map(|s| s.lock().expect("shard lock").state.clone());
         RouterCheckpoint {
             wal_seq: 0,
-            config: self.config.clone(),
-            window_close: self.window_close,
-            drain_end: self.drain_end,
-            finished: self.finished,
-            order_zone: self.order_zone.clone(),
             vehicle_zone: self.vehicle_zone.clone(),
-            shards,
+            shards: shards.collect(),
         }
     }
 
@@ -705,25 +665,17 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
             .zones()
             .iter()
             .zip(&checkpoint.shards)
-            .map(|(zone, shard)| {
+            .map(|(zone, state)| {
                 let engine = ShortestPathEngine::cached(network.clone());
-                Mutex::new(DispatchService::restore(engine, make_policy(zone.id), shard))
+                Mutex::new(DispatchService::wrap(engine, make_policy(zone.id), state.clone()))
             })
             .collect();
-        let threads = checkpoint.config.effective_threads();
-        let delta = checkpoint.config.accumulation_window;
         Ok(DispatchRouter {
             zones,
             network: network.clone(),
             shards,
-            order_zone: checkpoint.order_zone.clone(),
             vehicle_zone: checkpoint.vehicle_zone.clone(),
-            config: checkpoint.config.clone(),
-            threads,
-            delta,
-            window_close: checkpoint.window_close,
-            drain_end: checkpoint.drain_end,
-            finished: checkpoint.finished,
+            config: checkpoint.shards[0].config.clone(),
             metrics: RouterMetrics::acquire(),
         })
     }

@@ -18,12 +18,13 @@
 //!   [`report`](DispatchService::report) — point-in-time operational state
 //!   and metrics, available mid-run without disturbing the service.
 //!
-//! The service is a thin shell. The run's state and the window step itself
-//! live in the private `step` module (`RunState::step_window`: one function
-//! of state, engine and policy, with no recorder, log or filesystem under
-//! it); this file adds the typed outcomes, the telemetry handles and spans
-//! around each call, the `advance_to` loop that decides which windows close,
-//! and checkpoint capture / restore, which are a clone and a wrap. Stepping
+//! The service is a thin shell. The run's state, the window step and the
+//! window clock live in the private `step` module (`RunState::step_window`:
+//! one function of state, engine and policy, with no recorder, log or
+//! filesystem under it; `advance_windows`: the loop that decides which
+//! windows close, shared with the router); this file adds the typed
+//! outcomes, the telemetry handles and spans around each call, and
+//! checkpoint capture / restore, which are a clone and a wrap. Stepping
 //! is explicit (`&mut self`) — there is no interior mutability to reason
 //! about. The batch driver `Simulation::run` is a thin wrapper that submits
 //! the scenario's streams up front and drains the service to completion; a
@@ -52,7 +53,7 @@
 
 use crate::checkpoint::ServiceCheckpoint;
 use crate::metrics::{SimulationReport, WindowStats};
-use crate::step::{assert_fleet_on_network, RunState};
+use crate::step::{advance_windows, assert_fleet_on_network, RunState, Tick};
 use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId};
 use foodmatch_events::DisruptionEvent;
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
@@ -150,21 +151,6 @@ pub struct AdvanceOutcome<T = DispatchOutput> {
 }
 
 impl<T> AdvanceOutcome<T> {
-    pub(crate) fn new(outputs: Vec<T>, status: AdvanceStatus) -> Self {
-        AdvanceOutcome { outputs, status }
-    }
-
-    pub(crate) fn finished() -> Self {
-        AdvanceOutcome { outputs: Vec::new(), status: AdvanceStatus::Finished }
-    }
-
-    pub(crate) fn out_of_order(requested: TimePoint, clock: TimePoint) -> Self {
-        AdvanceOutcome {
-            outputs: Vec::new(),
-            status: AdvanceStatus::OutOfOrder { requested, clock },
-        }
-    }
-
     /// True when no outputs were produced.
     pub fn is_empty(&self) -> bool {
         self.outputs.is_empty()
@@ -304,7 +290,7 @@ pub struct ServiceSnapshot {
 pub struct DispatchService<P: DispatchPolicy> {
     engine: ShortestPathEngine,
     policy: P,
-    state: RunState,
+    pub(crate) state: RunState,
     metrics: ServiceMetrics,
 }
 
@@ -368,7 +354,7 @@ impl<P: DispatchPolicy> DispatchService<P> {
     }
 
     /// The shell around `state`, with the engine's overlay made to match it.
-    fn wrap(engine: ShortestPathEngine, policy: P, mut state: RunState) -> Self {
+    pub(crate) fn wrap(engine: ShortestPathEngine, policy: P, mut state: RunState) -> Self {
         state.install_overlay(&engine);
         DispatchService { engine, policy, state, metrics: ServiceMetrics::acquire() }
     }
@@ -416,33 +402,27 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// write-ahead log) can detect a misordered input stream.
     pub fn advance_to(&mut self, until: TimePoint) -> AdvanceOutcome {
         let _timer = self.metrics.advance_ns.timer();
+        advance_windows(self.state.clock(), until, |tick, out| {
+            self.tick(tick, out);
+            self.state.finished
+        })
+    }
+
+    /// Steps one tick of the window clock (a window, or the drain); a
+    /// finished service ignores it. The router fans this out over shards.
+    pub(crate) fn tick(&mut self, tick: Tick, out: &mut Vec<DispatchOutput>) {
         if self.state.finished {
-            return AdvanceOutcome::finished();
+            return;
         }
-        if until < self.state.window_close {
-            return AdvanceOutcome::out_of_order(until, self.state.window_close);
-        }
-        let delta = self.state.config.accumulation_window;
-        let mut out = Vec::new();
-        let mut advanced = false;
-        while !self.state.finished {
-            let next_close = self.state.window_close + delta;
-            if next_close > self.state.drain_end {
-                self.state.finalize(&self.engine, &mut out);
-                advanced = true;
-                break;
+        match tick {
+            Tick::Close(close) => {
+                let _span = foodmatch_telemetry::span("service", "window");
+                let _timer = self.metrics.window_ns.timer();
+                self.metrics.windows.inc();
+                self.state.step_window(close, &self.engine, &mut self.policy, out);
             }
-            if next_close > until {
-                break;
-            }
-            let _span = foodmatch_telemetry::span("service", "window");
-            let _timer = self.metrics.window_ns.timer();
-            self.metrics.windows.inc();
-            self.state.step_window(next_close, &self.engine, &mut self.policy, &mut out);
-            advanced = true;
+            Tick::Drain => self.state.finalize(&self.engine, out),
         }
-        let status = if advanced { AdvanceStatus::Advanced } else { AdvanceStatus::Pending };
-        AdvanceOutcome::new(out, status)
     }
 
     /// Drives the service to completion (through the drain phase) and
@@ -537,16 +517,11 @@ impl<P: DispatchPolicy> DispatchService<P> {
     /// windows by the [`DispatchPolicy`] contract). Nothing derived is
     /// stored, and if the checkpoint was taken under an active traffic
     /// disruption the engine's overlay is re-rendered and re-installed, so
-    /// the restored service sees the same perturbed travel times.
-    ///
-    /// # Panics
-    /// Panics when the checkpoint's configuration is invalid — impossible
-    /// for checkpoints produced by [`checkpoint`](Self::checkpoint) or
-    /// decoded through [`Codec`](foodmatch_core::Codec) (both validate).
+    /// the restored service sees the same perturbed travel times. The
+    /// configuration needs no check here: [`checkpoint`](Self::checkpoint)
+    /// and [`Codec`](foodmatch_core::Codec) decoding both validate it.
     pub fn restore(engine: ShortestPathEngine, policy: P, checkpoint: &ServiceCheckpoint) -> Self {
-        let state = checkpoint.state.clone();
-        state.config.validate().expect("invalid dispatch configuration in checkpoint");
-        Self::wrap(engine, policy, state)
+        Self::wrap(engine, policy, checkpoint.state.clone())
     }
 }
 

@@ -1,5 +1,5 @@
-//! The window step: a run's state, listed once, and the one loop that
-//! moves it.
+//! The window step: a run's state, listed once, the one step that moves it,
+//! and the one clock that decides when it moves.
 //!
 //! [`RunState`] is everything a dispatch run owns — configuration, horizon,
 //! clock, arrival queue, order book, pending pool, fleet, event schedule and
@@ -12,6 +12,10 @@
 //! adds telemetry, and the durable wrapper and the checkpoint container sit
 //! on top of that.
 //!
+//! [`advance_windows`] is the one loop around the step: which windows close
+//! by a target instant, and when the drain ends the run. The service runs
+//! it over one state, the router over N that share one [`Clock`].
+//!
 //! An order's life is one [`OrderEntry`] in the order book, keyed by id in a
 //! `BTreeMap` (so iteration and encoding are key-ordered by construction).
 //! Its [`OrderPhase`] says how far it got; which pool or vehicle holds an
@@ -20,7 +24,7 @@
 
 use crate::fleet::{CarriedOrder, FleetEvent, VehicleState};
 use crate::metrics::{MetricsCollector, WindowStats};
-use crate::service::{DispatchOutput, IngestOutcome, SubmitOutcome};
+use crate::service::{AdvanceOutcome, AdvanceStatus, DispatchOutput, IngestOutcome, SubmitOutcome};
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
 use foodmatch_core::route::{plan_optimal_route, PlannedOrder};
 use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId, WindowSnapshot};
@@ -70,7 +74,7 @@ pub(crate) struct RunState {
     /// cursor `next_order`.
     pub(crate) orders: Vec<Order>,
     pub(crate) next_order: usize,
-    book: BTreeMap<OrderId, OrderEntry>,
+    pub(crate) book: BTreeMap<OrderId, OrderEntry>,
     pub(crate) pending: Vec<Order>,
     pub(crate) vehicles: Vec<VehicleState>,
     pub(crate) schedule: EventSchedule,
@@ -105,6 +109,16 @@ impl RunState {
             schedule: EventSchedule::new(Vec::new()),
             collector: MetricsCollector::new(policy_name, 0, end - start),
             finished: false,
+        }
+    }
+
+    /// Where this run stands on the window clock.
+    pub(crate) fn clock(&self) -> Clock {
+        Clock {
+            now: self.window_close,
+            finished: self.finished,
+            delta: self.config.accumulation_window,
+            drain_end: self.drain_end,
         }
     }
 
@@ -529,6 +543,71 @@ impl RunState {
     }
 }
 
+/// One tick of the window clock: the window closing at an instant, or the
+/// drain that finalizes the run once the next close passes its deadline.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Tick {
+    Close(TimePoint),
+    Drain,
+}
+
+/// Where a dispatcher stands on the window clock: the close of its last
+/// window, whether it has finished, Δ and the drain deadline.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Clock {
+    pub(crate) now: TimePoint,
+    pub(crate) finished: bool,
+    pub(crate) delta: Duration,
+    pub(crate) drain_end: TimePoint,
+}
+
+impl Clock {
+    /// The one clock of run states ticked together: the latest close (where
+    /// every unfinished state stands), finished once every state is.
+    pub(crate) fn lockstep(clocks: impl IntoIterator<Item = Clock>) -> Clock {
+        let merge = |a: Clock, b: Clock| Clock {
+            now: a.now.max(b.now),
+            finished: a.finished && b.finished,
+            ..a
+        };
+        clocks.into_iter().reduce(merge).expect("at least one run state")
+    }
+}
+
+/// The accumulation-window loop, from `clock` to `until`: every window that
+/// closes by `until` is ticked whole, then the drain once the next close
+/// passes the deadline. `tick` steps the dispatcher and says whether it has
+/// now finished. A target behind the clock steps nothing and is refused.
+pub(crate) fn advance_windows<T>(
+    clock: Clock,
+    until: TimePoint,
+    mut tick: impl FnMut(Tick, &mut Vec<T>) -> bool,
+) -> AdvanceOutcome<T> {
+    let (mut outputs, mut now) = (Vec::new(), clock.now);
+    let status = if clock.finished {
+        AdvanceStatus::Finished
+    } else if until < now {
+        AdvanceStatus::OutOfOrder { requested: until, clock: now }
+    } else {
+        let mut status = AdvanceStatus::Pending;
+        loop {
+            let next_close = now + clock.delta;
+            if next_close > clock.drain_end {
+                tick(Tick::Drain, &mut outputs);
+                break AdvanceStatus::Advanced;
+            }
+            if next_close > until {
+                break status;
+            }
+            (now, status) = (next_close, AdvanceStatus::Advanced);
+            if tick(Tick::Close(now), &mut outputs) {
+                break status;
+            }
+        }
+    };
+    AdvanceOutcome { outputs, status }
+}
+
 /// True when `event` places a vehicle, or centers an incident, on a node
 /// that is not one of the network's `nodes` — input to refuse at the door
 /// (the window that fired it would index past the node table).
@@ -583,7 +662,7 @@ fn replan_vehicle(vehicle: &mut VehicleState, now: TimePoint, engine: &ShortestP
     vehicle.install_plan(carried, &route, now, engine);
 }
 
-fn require(cond: bool, msg: impl FnOnce() -> String) -> Result<(), DecodeError> {
+pub(crate) fn require(cond: bool, msg: impl FnOnce() -> String) -> Result<(), DecodeError> {
     if cond {
         Ok(())
     } else {
@@ -739,25 +818,23 @@ mod tests {
         TimePoint::from_hms(12, 0, 0) + Duration::from_mins(mins)
     }
 
-    /// The shell's `advance_to` loop without the shell: every window that
-    /// closes by `until`, or the whole run.
+    /// The window clock without the shell: every window that closes by
+    /// `until`, or the whole run.
     fn drive<P: DispatchPolicy + ?Sized>(
         state: &mut RunState,
         engine: &ShortestPathEngine,
         policy: &mut P,
         until: Option<TimePoint>,
     ) -> Vec<DispatchOutput> {
-        let mut out = Vec::new();
-        while !state.finished {
-            let next_close = state.window_close + state.config.accumulation_window;
-            if next_close > state.drain_end {
-                state.finalize(engine, &mut out);
-            } else if until.is_some_and(|until| next_close > until) {
-                break;
-            } else {
-                state.step_window(next_close, engine, policy, &mut out);
+        let until = until.unwrap_or(state.drain_end);
+        let mut out = advance_windows(state.clock(), until, |tick, out| {
+            match tick {
+                Tick::Close(close) => state.step_window(close, engine, policy, out),
+                Tick::Drain => state.finalize(engine, out),
             }
-        }
+            state.finished
+        })
+        .into_outputs();
         out.retain(|o| !matches!(o, WindowClosed { .. }));
         out
     }

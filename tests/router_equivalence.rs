@@ -15,9 +15,11 @@
 //! (`compute_secs` and the derived `overflown` flag) are normalised before
 //! comparing — they measure the host machine, not the dispatch outcome.
 
+use foodmatch_core::Codec;
 use foodmatch_core::{DispatchConfig, PolicyKind};
 use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
 use foodmatch_roadnet::Duration;
+use foodmatch_sim::RouterCheckpoint;
 use foodmatch_sim::{
     DispatchOutput, DispatchRouter, RoutedOutput, SimulationReport, ZoneId, ZoneMap,
 };
@@ -227,5 +229,66 @@ fn multi_zone_router_is_thread_count_independent() {
             normalized(report_b),
             "{zone_a}: per-zone reports must not depend on the thread count"
         );
+    }
+}
+
+/// The router keeps no clock of its own: at every tick its clock is the
+/// latest zone clock and it has finished exactly when every zone has —
+/// also on the ticks where some zones have finished and others have not.
+/// A checkpoint taken on such a tick resumes the run identically.
+#[test]
+fn the_router_clock_is_the_latest_zone_clock_and_resumes_from_a_mixed_tick() {
+    let mut options = MetroOptions::lunch_peak(9);
+    options.orders = 140;
+    let metro = MetroScenario::generate(options);
+    let config = DispatchConfig { num_threads: 2, ..metro.config() };
+    let mut router = DispatchRouter::new(
+        &metro.network,
+        metro.zone_map(),
+        metro.vehicle_starts.clone(),
+        |_| PolicyKind::FoodMatch.build(),
+        config,
+        options.start,
+        options.end,
+        Duration::from_hours(2.0),
+    );
+    for order in &metro.orders {
+        assert!(router.submit_order(*order).is_accepted());
+    }
+
+    let (mut outputs, mut mixed) = (Vec::new(), None);
+    while !router.is_finished() {
+        let tick = router.now() + router.config().accumulation_window;
+        outputs.extend(router.advance_to(tick));
+        let zones = router.snapshot().zones;
+        assert_eq!(Some(router.now()), zones.iter().map(|(_, z)| z.now).max());
+        let finished = zones.iter().filter(|(_, z)| z.finished).count();
+        assert_eq!(router.is_finished(), finished == zones.len());
+        if mixed.is_none() && finished > 0 && finished < zones.len() {
+            mixed = Some((router.checkpoint().to_bytes(), outputs.len()));
+        }
+    }
+    let (bytes, emitted) = mixed.expect("some tick has finished and unfinished zones");
+
+    let checkpoint =
+        RouterCheckpoint::from_bytes(&bytes).expect("decode the mixed-tick checkpoint");
+    let mut restored = DispatchRouter::restore(
+        &metro.network,
+        metro.zone_map(),
+        |_| PolicyKind::FoodMatch.build(),
+        &checkpoint,
+    )
+    .expect("restore");
+    assert!(!restored.is_finished());
+    let rest = drain_router(&mut restored);
+    let tagged = |outs: &[RoutedOutput]| -> Vec<(ZoneId, DispatchOutput)> {
+        let zones = outs.iter().map(|o| o.zone);
+        zones.zip(normalized_outputs(outs.iter().map(|o| o.output).collect())).collect()
+    };
+    assert_eq!(tagged(&rest), tagged(&outputs[emitted..]), "the rest of the routed stream");
+    for ((zone, resumed), (_, uninterrupted)) in
+        restored.report().zones.into_iter().zip(router.report().zones)
+    {
+        assert_eq!(normalized(resumed), normalized(uninterrupted), "{zone}: report");
     }
 }
