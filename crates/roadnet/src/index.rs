@@ -9,11 +9,12 @@
 //! within a window, and behind them the **tree rows** of sources that
 //! *repeat* (below), which pay off because a vehicle that stands still, and
 //! every restaurant, is swept again window after window with a few new
-//! targets each time. The memo is sharded 16 ways by source node so parallel
-//! dispatch workers don't serialise on one lock, and the lock is never held
-//! across the fallback Dijkstra run. A miss is one run of the kernel the
-//! free functions of [`crate::dijkstra`] and [`crate::overlay`] run, so every
-//! answer is theirs bit for bit.
+//! targets each time. The memo is sharded 16 ways by source node — one
+//! shard measured no faster on any benchmark workload, and ≈ 0.5 MiB larger
+//! in peak RSS on the metro grid (README, "The distance oracle") — and a
+//! shard's lock is never held across the fallback Dijkstra run. A miss is
+//! one run of the kernel the free functions of [`crate::dijkstra`] and
+//! [`crate::overlay`] run, so every answer is theirs bit for bit.
 //!
 //! Path queries ([`ShortestPathEngine::shortest_path`]) are one pooled
 //! Dijkstra. While a [`TrafficOverlay`] is installed
@@ -77,21 +78,21 @@
 //! So a gated sweep opens exactly the gates the plain sweep would, and
 //! answers what it answers bit for bit as that sweep does.
 //!
-//! Pairs and rows carry a `(generation, hour slot)` stamp. A *sweep* with
-//! another stamp moves the shard it touches on: the rows and the pair memo
-//! of the hour that has passed (or of the overlay generation that is gone)
-//! are dropped — which is what pays for the rows. A *point query* for
-//! another hour than the stamped one answers by search and leaves no trace:
-//! `submit_order` asks an order's SDT at `placed_at`, which trails the
-//! window's `t` across an hour boundary, and must not cost the new hour its
-//! memo. The static pair memo survives overlay episodes of the same hour;
-//! rows do not (there is one set, behind whichever pair memo is live).
+//! A point query ([`ShortestPathEngine::travel_time`]) is a one-target
+//! sweep, so the memo has one query path. Pairs and rows carry a
+//! `(generation, hour slot)` stamp, and any query with another stamp moves
+//! the shard it touches on: the rows and the pair memo of the hour that has
+//! passed (or of the overlay generation that is gone) are dropped — which
+//! is what pays for the rows. The static pair memo survives overlay
+//! episodes of the same hour; rows do not (there is one set, behind
+//! whichever pair memo is live).
 //!
 //! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
 //! taken through the crate's poison-recovering `lock`, and atomics) so
 //! FoodGraph construction can fan out per-vehicle work across threads while
 //! sharing one engine. Dijkstra fallbacks run in pooled
-//! [`SearchSpace`]s (checked out per query, returned on drop), so steady-state
+//! [`SearchSpace`]s (checked out per query, returned on drop — the pool
+//! holds as many as were ever checked out at once), so steady-state
 //! queries perform no allocation beyond their output and the memo's growth:
 //! admitting a source allocates its one row, a row hit allocates nothing
 //! (the path scratch lives in the shard);
@@ -114,10 +115,6 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Number of shards of the per-slot memo cache. Shard choice hashes only the
 /// source node, so a one-to-many fill for one source stays within one shard.
 const CACHE_SHARDS: usize = 16;
-
-/// Upper bound on pooled search spaces (≈ the largest plausible worker
-/// fan-out; beyond it, spaces are simply dropped).
-const MAX_POOLED_SPACES: usize = 64;
 
 /// What every tree row of one engine may hold together, in bytes: a row is
 /// one `u32` per network node, so an engine keeps `ROW_BUDGET_BYTES / 4 /
@@ -162,23 +159,14 @@ impl Stamp {
         Stamp { generation, slot: t.hour_slot().index() }
     }
 
-    /// Moves `held` on to `asked` if this query may, returning true when it
-    /// did and what was held under the old stamp has to go. Sweeps move a
-    /// memo on to their own stamp; a point query only claims a memo that
-    /// holds nothing it could still use — never one stamped with another
-    /// hour of the same weights, because an order's SDT is asked at
-    /// `placed_at`, which trails the window's `t` across an hour boundary,
-    /// and one such query must not cost the hour its memo. Afterwards the
-    /// memo answers the query exactly when `*held == Some(asked)`.
-    fn roll(held: &mut Option<Stamp>, asked: Stamp, sweep: bool) -> bool {
-        let rolls = match *held {
-            None => true,
-            Some(stamp) => stamp != asked && (sweep || stamp.generation != asked.generation),
-        };
-        if rolls {
-            *held = Some(asked);
-        }
-        rolls
+    /// Moves `held` on to `asked`, returning true when it did and what was
+    /// held under the old stamp has to go. Every query, a point query as
+    /// much as a sweep, moves the memo on to its own stamp, so a query for
+    /// a trailing hour (an order's SDT asked at a `placed_at` before the
+    /// hour turned) costs the new hour its memo — which changed no count on
+    /// any benchmark workload.
+    fn roll(held: &mut Option<Stamp>, asked: Stamp) -> bool {
+        held.replace(asked) != Some(asked)
     }
 }
 
@@ -232,13 +220,13 @@ impl MemoShard {
     /// Prepares the rows and the pair memo of that kind of weights for a
     /// query on `stamp` (see [`Stamp::roll`]), handing the rows it drops
     /// back to the engine's budget.
-    fn roll_to(&mut self, overlaid: bool, stamp: Stamp, sweep: bool, rows_used: &AtomicUsize) {
-        if Stamp::roll(&mut self.rows_stamp, stamp, sweep) {
+    fn roll_to(&mut self, overlaid: bool, stamp: Stamp, rows_used: &AtomicUsize) {
+        if Stamp::roll(&mut self.rows_stamp, stamp) {
             rows_used.fetch_sub(self.rows.len(), Ordering::Relaxed);
             self.rows.clear();
         }
         let memo = &mut self.pairs[usize::from(overlaid)];
-        if Stamp::roll(&mut memo.stamp, stamp, sweep) {
+        if Stamp::roll(&mut memo.stamp, stamp) {
             memo.map.clear();
         }
     }
@@ -306,12 +294,12 @@ struct EngineMetrics {
     /// `engine.foodgraph.sources` — rows swept by the FoodGraph's resolve
     /// phase, reported through [`ShortestPathEngine::note_foodgraph_sources`].
     foodgraph_sources: telemetry::Counter,
-    /// `engine.memo.hits.shardNN` / `.misses.shardNN` — per-shard static
-    /// memo traffic. A pair read off a tree row is a hit, one the row does
-    /// not reach and the pair memo does not hold (or holds only a floor
-    /// under) a miss — in a gated sweep, only while some gate still wants it.
-    memo_hits: [telemetry::Counter; CACHE_SHARDS],
-    memo_misses: [telemetry::Counter; CACHE_SHARDS],
+    /// `engine.memo.hits` / `.misses` — static memo traffic, all shards. A
+    /// pair read off a tree row is a hit, one the row does not reach and the
+    /// pair memo does not hold (or holds only a floor under) a miss — in a
+    /// gated sweep, only while some gate still wants it.
+    memo_hits: telemetry::Counter,
+    memo_misses: telemetry::Counter,
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
     /// overlay memo traffic, rows included.
     overlay_hits: telemetry::Counter,
@@ -336,12 +324,8 @@ impl EngineMetrics {
             queries: telemetry::counter("engine.queries"),
             searches: telemetry::counter("engine.searches"),
             foodgraph_sources: telemetry::counter("engine.foodgraph.sources"),
-            memo_hits: std::array::from_fn(|i| {
-                telemetry::counter(&format!("engine.memo.hits.shard{i:02}"))
-            }),
-            memo_misses: std::array::from_fn(|i| {
-                telemetry::counter(&format!("engine.memo.misses.shard{i:02}"))
-            }),
+            memo_hits: telemetry::counter("engine.memo.hits"),
+            memo_misses: telemetry::counter("engine.memo.misses"),
             overlay_hits: telemetry::counter("engine.overlay_memo.hits"),
             overlay_misses: telemetry::counter("engine.overlay_memo.misses"),
             rows_hits: telemetry::counter("engine.rows.hits"),
@@ -424,36 +408,9 @@ impl ShortestPathEngine {
     /// `SP(source, target, t)`: shortest travel time at time `t`, or `None`
     /// if the target is unreachable. When a [`TrafficOverlay`] is active the
     /// answer is exact on the perturbed weights (see [`Self::set_overlay`]).
+    /// A one-target sweep: the memo has one query path.
     pub fn travel_time(&self, source: NodeId, target: NodeId, t: TimePoint) -> Option<Duration> {
-        self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.queries.inc();
-        if source == target {
-            return Some(Duration::ZERO);
-        }
-        if self.inner.overlay_active.load(Ordering::Acquire) {
-            let version = self.overlay_version();
-            if !version.multipliers.is_empty() {
-                return self.overlaid_travel_time(&version, source, target, t);
-            }
-        }
-        let beta = dijkstra::beta_secs(&self.inner.network, t);
-        self.memo_travel_time(false, Stamp::new(0, t), source, target, beta)
-    }
-
-    /// Overlay-aware point query: a remembered answer under the overlay's
-    /// generation stamp, or else one exact Dijkstra on the overlaid weights
-    /// — the cost of a plain memo miss. The static memo is not asked: it
-    /// answers on the static weights, which the search has no use for.
-    fn overlaid_travel_time(
-        &self,
-        version: &OverlayVersion,
-        source: NodeId,
-        target: NodeId,
-        t: TimePoint,
-    ) -> Option<Duration> {
-        let stamp = Stamp::new(version.generation, t);
-        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
-        self.memo_travel_time(true, stamp, source, target, overlaid)
+        self.sweep(source, &[target], None, t)[0].expect("a sweep with no gates answers all")
     }
 
     /// Travel times from `source` to several `targets`: what the memo knows,
@@ -491,7 +448,9 @@ impl ShortestPathEngine {
 
     /// One sweep from `source` to `targets` on the active overlay: an
     /// [`Answer`] per target, every one `gates` (when given) still wants
-    /// answered.
+    /// answered. Under an overlay it runs on the overlay memo, stamped with
+    /// the overlay's generation, and its search on the overlaid weights; the
+    /// static memo is not asked — it answers on weights that no longer hold.
     fn sweep(
         &self,
         source: NodeId,
@@ -504,27 +463,13 @@ impl ShortestPathEngine {
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
             if !version.multipliers.is_empty() {
-                return self.overlaid_to_many(&version, source, targets, gates, t);
+                let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
+                let stamp = Stamp::new(version.generation, t);
+                return self.memo_sweep(true, stamp, source, targets, gates, overlaid);
             }
         }
         let beta = dijkstra::beta_secs(&self.inner.network, t);
-        self.memo_to_many(false, Stamp::new(0, t), source, targets, gates, beta)
-    }
-
-    /// Overlay-aware one-to-many: what is remembered under the overlay's
-    /// generation stamp, then one Dijkstra on the overlaid weights for all
-    /// the targets that is not.
-    fn overlaid_to_many(
-        &self,
-        version: &OverlayVersion,
-        source: NodeId,
-        targets: &[NodeId],
-        gates: Option<&mut Gates<'_>>,
-        t: TimePoint,
-    ) -> Vec<Answer> {
-        let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
-        let stamp = Stamp::new(version.generation, t);
-        self.memo_to_many(true, stamp, source, targets, gates, overlaid)
+        self.memo_sweep(false, Stamp::new(0, t), source, targets, gates, beta)
     }
 
     /// Shortest path with node sequence and length: one pooled-space
@@ -589,12 +534,6 @@ impl ShortestPathEngine {
         self.inner.overlay_active.load(Ordering::Acquire)
     }
 
-    /// The current overlay generation (starts at 0, bumped by every
-    /// [`Self::set_overlay`] / [`Self::clear_overlay`]).
-    pub fn overlay_generation(&self) -> u64 {
-        lock(self.inner.overlay.read()).generation
-    }
-
     /// The traversal time of a single edge at time `t` under the active
     /// overlay: `β(e, t) × multiplier(e)`. This is what the simulator uses to
     /// move vehicles, so fleet physics and the distance oracle always agree.
@@ -625,86 +564,35 @@ impl ShortestPathEngine {
         (source.0.wrapping_mul(0x9E37_79B1) >> 28) as usize % CACHE_SHARDS
     }
 
-    /// Counts `hits` and `misses` of one memoised query from a source of
-    /// shard `shard`, and the misses its search `answered`: under an overlay
-    /// in the overlay memo's counters, else in the static memo's and in
-    /// `engine.backend.dijkstra.queries`. A plain search answers every miss;
-    /// a gated one may stop short of a miss that only a closed gate wanted.
-    fn count_memo(&self, overlaid: bool, shard: usize, hits: u64, misses: u64, answered: u64) {
+    /// Counts `hits` and `misses` of one memoised sweep, and the misses its
+    /// search `answered`: under an overlay in the overlay memo's counters,
+    /// else in the static memo's and in `engine.backend.dijkstra.queries`.
+    /// A plain search answers every miss; a gated one may stop short of a
+    /// miss that only a closed gate wanted.
+    fn count_memo(&self, overlaid: bool, hits: u64, misses: u64, answered: u64) {
         let metrics = &self.inner.metrics;
         if overlaid {
             metrics.overlay_hits.add(hits);
             metrics.overlay_misses.add(misses);
         } else {
-            metrics.memo_hits[shard].add(hits);
-            metrics.memo_misses[shard].add(misses);
+            metrics.memo_hits.add(hits);
+            metrics.memo_misses.add(misses);
             metrics.backend_dijkstra.add(answered);
         }
     }
 
-    /// A memoised point query on the weights `stamp` names, which
-    /// `edge_secs` prices: the pair memo (a probe, ≈ 40 ns), `source`'s tree
-    /// row (a walk, ≈ 200 ns on City B), or else one search with no lock
-    /// held — concurrent fills of the same pair are idempotent (both insert
-    /// the same exact answer) — whose answer is memoised and whose settled
-    /// nodes grow the row, if the source has one.
-    fn memo_travel_time(
-        &self,
-        overlaid: bool,
-        stamp: Stamp,
-        source: NodeId,
-        target: NodeId,
-        edge_secs: impl Fn(EdgeId) -> f64,
-    ) -> Option<Duration> {
-        let inner = &*self.inner;
-        let shard_index = Self::shard(source);
-        let memo = usize::from(overlaid);
-        {
-            let mut shard = lock(inner.memo[shard_index].lock());
-            shard.roll_to(overlaid, stamp, false, &inner.rows_used);
-            let MemoShard { pairs, rows_stamp, rows, path } = &mut *shard;
-            let pairs = &pairs[memo];
-            let known = pairs.get((source, target)).filter(|_| pairs.stamp == Some(stamp));
-            if let Some(Ok(answer)) = known {
-                self.count_memo(overlaid, shard_index, 1, 0, 0);
-                return answer;
-            }
-            let row = rows.get(&source).filter(|_| *rows_stamp == Some(stamp));
-            if let Some(answer) =
-                row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
-            {
-                inner.metrics.rows_hits.inc();
-                self.count_memo(overlaid, shard_index, 1, 0, 0);
-                return answer;
-            }
-        }
-        self.count_memo(overlaid, shard_index, 0, 1, 1);
-        let mut space = self.search_space();
-        let reach =
-            dijkstra::search(&inner.network, source, &[target], None, &mut space, &edge_secs);
-        let answer = dijkstra::settled_time(&space, target);
-        // Only remember under the stamp the search ran on: the overlay may
-        // have been swapped, or a sweep have rolled the hour, meanwhile.
-        let mut shard = lock(inner.memo[shard_index].lock());
-        if shard.pairs[memo].stamp == Some(stamp) {
-            shard.pairs[memo].map.insert((source, target), encode(answer));
-        }
-        if shard.rows_stamp == Some(stamp) {
-            if let Some(row) = shard.rows.get_mut(&source) {
-                grow(row, &space, reach == f64::INFINITY);
-            }
-        }
-        answer
-    }
-
-    /// [`Self::memo_travel_time`] for several targets: what the pair memo
-    /// and the row know, then a single one-to-many search, run with no lock
-    /// held, for the targets they do not — less, when `gates` are given,
-    /// those only gates that what is known closes wanted. A source the memo
+    /// The one memoised query path, on the weights `stamp` names, which
+    /// `edge_secs` prices: per target the pair memo (a probe, ≈ 40 ns), then
+    /// `source`'s tree row (a walk, ≈ 200 ns on City B), then a single
+    /// one-to-many search, run with no lock held, for the targets they do
+    /// not know — less, when `gates` are given, those only gates that what
+    /// is known closes wanted. Concurrent fills of the same pair are
+    /// idempotent (both remember the same exact answer). A source the memo
     /// already knew (≥ 1 hit) that still has a miss stands still while its
     /// stops change: it is given a tree row, budget permitting, which the
-    /// search it had to run anyway fills as far as it settled.
-    fn memo_to_many(
+    /// search it had to run anyway fills as far as it settled. A point query
+    /// is a one-target sweep, so its miss has no hit and admits no row.
+    fn memo_sweep(
         &self,
         overlaid: bool,
         stamp: Stamp,
@@ -717,12 +605,11 @@ impl ShortestPathEngine {
         let shard_index = Self::shard(source);
         let memo = usize::from(overlaid);
         let mut out: Vec<Answer> = vec![None; targets.len()];
-        // A self-pair is answered without the memo: neither hit nor miss,
-        // as in `travel_time`.
+        // A self-pair is answered without the memo: neither hit nor miss.
         let (mut hits, mut row_hits) = (0, 0);
         {
             let mut shard = lock(inner.memo[shard_index].lock());
-            shard.roll_to(overlaid, stamp, true, &inner.rows_used);
+            shard.roll_to(overlaid, stamp, &inner.rows_used);
             let MemoShard { pairs, rows, path, .. } = &mut *shard;
             let row = rows.get(&source);
             for (i, (answer, &target)) in out.iter_mut().zip(targets).enumerate() {
@@ -778,7 +665,7 @@ impl ShortestPathEngine {
                 }
             }
         }
-        self.count_memo(overlaid, shard_index, hits + row_hits, missing.len() as u64, answered);
+        self.count_memo(overlaid, hits + row_hits, missing.len() as u64, answered);
         out
     }
 
@@ -817,10 +704,7 @@ impl DerefMut for PooledSpace {
 impl Drop for PooledSpace {
     fn drop(&mut self) {
         if let Some(space) = self.space.take() {
-            let mut pool = lock(self.engine.spaces.lock());
-            if pool.len() < MAX_POOLED_SPACES {
-                pool.push(space);
-            }
+            lock(self.engine.spaces.lock()).push(space);
         }
     }
 }
@@ -971,8 +855,8 @@ mod tests {
         let metrics = &mut Arc::get_mut(&mut engine.inner).expect("not yet shared").metrics;
         metrics.searches = registry.counter("searches");
         metrics.backend_dijkstra = registry.counter("backend");
-        metrics.memo_hits = std::array::from_fn(|_| registry.counter("memo.hits"));
-        metrics.memo_misses = std::array::from_fn(|_| registry.counter("memo.misses"));
+        metrics.memo_hits = registry.counter("memo.hits");
+        metrics.memo_misses = registry.counter("memo.misses");
         metrics.overlay_hits = registry.counter("overlay.hits");
         metrics.overlay_misses = registry.counter("overlay.misses");
         metrics.rows_hits = registry.counter("rows.hits");
@@ -1217,46 +1101,84 @@ mod tests {
         }
     }
 
-    /// A sweep of another hour moves the shard on — rows and pairs of the
-    /// hour that has passed are gone, so coming back searches again and
-    /// answers the same bits — while a point query of another hour answers
-    /// by search and leaves the memo as it was.
+    /// A query of another hour moves the shard on, a point query as much as
+    /// a sweep: the row of the hour that has passed goes back to the budget
+    /// and its pairs are dropped, so coming back searches again — and
+    /// answers the same bits.
     #[test]
-    fn a_sweep_rolls_the_hour_and_a_point_query_does_not() {
+    fn a_query_of_another_hour_moves_the_memo_on() {
         let net = GridCityBuilder::new(8, 8).build();
-        let (noon, one) = (TimePoint::from_hms(12, 10, 0), TimePoint::from_hms(13, 0, 0));
+        let noon = TimePoint::from_hms(12, 10, 0);
         let (source, targets) = (NodeId(0), [NodeId(9), NodeId(63)]);
-        let (engine, counts) = metered(&net);
-        let sweep = |targets: &[NodeId], t| -> Vec<Option<u64>> {
-            engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
-        };
-        let first = sweep(&targets[..1], noon);
-        let grown = sweep(&targets, noon);
-        assert_eq!(grown, reference_bits(&net, None, source, &targets, noon));
-        assert_eq!((counts().searches, counts().rows[1]), (2, 1));
-        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 1);
+        // A trailing point query (an order's SDT asked at a `placed_at`
+        // before the hour turned), or the sweep of the next hour.
+        let (trailing, next) = (TimePoint::from_hms(11, 59, 0), TimePoint::from_hms(13, 0, 0));
+        for (point, other) in [(true, trailing), (false, next)] {
+            let (engine, counts) = metered(&net);
+            let sweep = |targets: &[NodeId], t| -> Vec<Option<u64>> {
+                engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+            };
+            let rows_used = || engine.inner.rows_used.load(Ordering::Relaxed);
+            let first = sweep(&targets[..1], noon);
+            let grown = sweep(&targets, noon);
+            assert_eq!(grown, reference_bits(&net, None, source, &targets, noon));
+            assert_eq!((counts().searches, counts().rows[1], rows_used()), (2, 1, 1));
 
-        // A trailing point query (an order placed before the hour turned
-        // and submitted after it) searches every time and clears nothing.
-        let trailing = TimePoint::from_hms(11, 59, 0);
-        for searches in [3, 4] {
-            assert_eq!(
-                bits(engine.travel_time(source, targets[0], trailing)),
-                reference_bits(&net, None, source, &targets, trailing)[0]
-            );
-            assert_eq!(counts().searches, searches);
+            let asked = if point {
+                vec![bits(engine.travel_time(source, targets[0], other))]
+            } else {
+                sweep(&targets[..1], other)
+            };
+            assert_eq!(asked, reference_bits(&net, None, source, &targets[..1], other));
+            assert_ne!(asked[..], grown[..1], "another hour, other weights");
+            assert_eq!((counts().searches, rows_used()), (3, 0), "point: {point}");
+
+            // Noon, asked again, starts over: search, then admission.
+            assert_eq!(sweep(&targets[..1], noon), first);
+            assert_eq!(counts().searches, 4, "point: {point}");
+            assert_eq!(sweep(&targets, noon), grown);
+            assert_eq!((counts().searches, counts().rows[1], rows_used()), (5, 2, 1));
         }
-        assert_eq!(sweep(&targets, noon), grown);
-        assert_eq!((counts().searches, counts().memo), (4, [3, 4]));
+    }
 
-        // The sweep of the next hour drops noon's row and pairs ...
-        assert_ne!(sweep(&targets, one), grown, "another hour, other weights");
-        assert_eq!(counts().searches, 5);
-        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 0);
-        // ... so noon, asked again, starts over: search, then admission.
-        assert_eq!(sweep(&targets[..1], noon), first);
-        assert_eq!(sweep(&targets, noon), grown);
-        assert_eq!((counts().searches, counts().rows[1]), (7, 2));
+    /// A point query is a one-target sweep: two engines run one script, one
+    /// asking each pair through `travel_time` and the other through
+    /// `travel_times_to_many` with that one target, and agree on every
+    /// answer and every count — cold, warm, off a tree row, to the island,
+    /// for a trailing hour (after which both memos hold that hour, not
+    /// noon) and under an overlay.
+    #[test]
+    fn a_point_query_is_a_one_target_sweep() {
+        let (net, island) = with_island(&GridCityBuilder::new(8, 8).build());
+        let (noon, trailing) = (TimePoint::from_hms(12, 10, 0), TimePoint::from_hms(11, 59, 0));
+        let source = NodeId(0);
+        let (point, point_counts) = metered(&net);
+        let (swept, swept_counts) = metered(&net);
+        let ask = |what: &str, target: NodeId, t: TimePoint| {
+            let got = bits(point.travel_time(source, target, t));
+            assert_eq!(got, bits(swept.travel_times_to_many(source, &[target], t)[0]), "{what}");
+            assert_eq!(point_counts(), swept_counts(), "{what}");
+            assert_eq!(point.query_count(), swept.query_count(), "{what}");
+        };
+        ask("cold", NodeId(9), noon);
+        ask("warm", NodeId(9), noon);
+        ask("self-pair", source, noon);
+        // Known and still missing: the sweep both ask admits a row.
+        for engine in [&point, &swept] {
+            engine.travel_times_to_many(source, &[NodeId(9), NodeId(63)], noon);
+        }
+        ask("off the row", NodeId(27), noon);
+        assert_eq!(point_counts().rows, [1, 1], "the row answered");
+        ask("the island", island, noon);
+        ask("trailing hour", NodeId(9), trailing);
+        ask("noon again", NodeId(27), noon);
+        assert_eq!(point_counts().rows, [1, 1], "the trailing hour dropped the row");
+        for engine in [&point, &swept] {
+            engine.set_overlay(slowdown_overlay(&net, 2.0));
+        }
+        ask("overlay, cold", NodeId(63), noon);
+        ask("overlay, warm", NodeId(63), noon);
+        assert_eq!(point_counts().overlay, [1, 1]);
     }
 
     #[test]
@@ -1407,7 +1329,6 @@ mod tests {
         let t = TimePoint::from_hms(12, 0, 0);
         let engine = ShortestPathEngine::cached(net.clone());
         let baseline = engine.travel_time(NodeId(0), NodeId(24), t).unwrap();
-        assert_eq!(engine.overlay_generation(), 0);
         assert!(!engine.has_overlay());
 
         let mut overlay = crate::TrafficOverlay::new();
@@ -1416,7 +1337,6 @@ mod tests {
         }
         engine.set_overlay(overlay);
         assert!(engine.has_overlay());
-        assert_eq!(engine.overlay_generation(), 1);
         let perturbed = engine.travel_time(NodeId(0), NodeId(24), t).unwrap();
         // Doubling every weight doubles every label exactly: the same tree.
         assert_eq!(
@@ -1427,7 +1347,6 @@ mod tests {
 
         engine.clear_overlay();
         assert!(!engine.has_overlay());
-        assert_eq!(engine.overlay_generation(), 2);
         assert_eq!(engine.travel_time(NodeId(0), NodeId(24), t), Some(baseline));
     }
 

@@ -104,7 +104,7 @@ impl TelemetrySnapshot {
     }
 
     /// Sum of every counter whose name starts with `prefix` — e.g.
-    /// `counter_sum("engine.memo.hits")` totals the per-shard series.
+    /// `counter_sum("engine.backend.")` totals every backend's series.
     pub fn counter_sum(&self, prefix: &str) -> u64 {
         self.counters.iter().filter(|(n, _)| n.starts_with(prefix)).map(|&(_, v)| v).sum()
     }
