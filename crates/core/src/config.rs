@@ -6,9 +6,8 @@
 //! 45-minute maximum first mile, `Δ = 3 min`, `η = 60 s`, `γ = 0.5`,
 //! `k = 200 × |O(ℓ)|/|V(ℓ)|`.
 
-use foodmatch_matching::{Assignment, AssignmentSolver, Decomposed, SparseCostMatrix};
+use foodmatch_matching::{AssignmentSolver, Decomposed};
 use foodmatch_roadnet::Duration;
-use foodmatch_telemetry as telemetry;
 use std::fmt;
 
 /// Why a [`DispatchConfig`] was rejected by [`DispatchConfig::validate`].
@@ -85,8 +84,9 @@ pub struct DispatchConfig {
     /// guarantee bounds the vehicle-to-restaurant distance); pairs further
     /// apart than this get an Ω edge.
     pub max_first_mile: Duration,
-    /// Enable the batching stage (Alg. 1). Disabled for the KM baseline and
-    /// the ablation study.
+    /// Enable the batching stage (Alg. 1). Off, every order is a batch of
+    /// its own — the bottom rung of the ablation (vanilla KM, see
+    /// [`DispatchConfig::as_vanilla_km`]).
     pub use_batching: bool,
     /// Enable reshuffling of assigned-but-not-picked-up orders (§IV-D2).
     pub use_reshuffle: bool,
@@ -178,27 +178,19 @@ impl DispatchConfig {
         }
     }
 
-    /// Convenience: the rejection penalty as a [`Duration`].
-    pub fn rejection_penalty(&self) -> Duration {
-        Duration::from_secs_f64(self.rejection_penalty_secs)
-    }
-
     /// Instantiates the assignment solver of the matching stage (§IV-A):
     /// the FoodGraph sharded by connected component, every shard solved by
     /// sparse Kuhn–Munkres, shards fanned out over the dispatch width (the
-    /// result is identical for every width). While a telemetry recorder is
-    /// installed the solver is wrapped so that each solve is timed.
+    /// result is identical for every width). The solver times its own
+    /// solves while a telemetry recorder is installed.
     pub fn build_solver(&self) -> Box<dyn AssignmentSolver> {
-        let solver = Decomposed::new(self.effective_threads());
-        if telemetry::active() {
-            Box::new(InstrumentedSolver::new(solver))
-        } else {
-            Box::new(solver)
-        }
+        Box::new(Decomposed::new(self.effective_threads()))
     }
 
     /// Returns a copy configured as the plain Kuhn–Munkres baseline (§IV-A):
     /// no batching, no reshuffling, full FoodGraph, no angular distance.
+    /// `KuhnMunkresPolicy` is the FOODMATCH stages run under it; Fig. 7(a)
+    /// adds the three contributions back one rung at a time.
     pub fn as_vanilla_km(&self) -> Self {
         DispatchConfig {
             use_batching: false,
@@ -207,34 +199,6 @@ impl DispatchConfig {
             use_angular_distance: false,
             ..self.clone()
         }
-    }
-}
-
-/// Observational wrapper [`DispatchConfig::build_solver`] adds while a
-/// telemetry recorder is installed: times every `solve` into
-/// `matching.solve_ns.<solver>` and opens a `solver`-category span.
-/// Delegates `name()` untouched and never inspects or alters the assignment.
-struct InstrumentedSolver {
-    inner: Decomposed,
-    solve_ns: telemetry::Histogram,
-}
-
-impl InstrumentedSolver {
-    fn new(inner: Decomposed) -> Self {
-        let solve_ns = telemetry::histogram(&format!("matching.solve_ns.{}", inner.name()));
-        InstrumentedSolver { inner, solve_ns }
-    }
-}
-
-impl AssignmentSolver for InstrumentedSolver {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        let _span = telemetry::span("solver", self.inner.name());
-        let _timer = self.solve_ns.timer();
-        self.inner.solve(costs)
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::config::DispatchConfig;
 use crate::legs::{LegRow, LegRows};
 use crate::order::Order;
-use crate::route::{plan_on_table, plan_optimal_route, EvaluatedRoute, LegTable, PlannedOrder};
+use crate::route::{plan_on_table, LegTable, PlannedOrder};
 use crate::vehicle::VehicleSnapshot;
 use foodmatch_roadnet::{Duration, GatedTargets, NodeId, ShortestPathEngine, TimePoint};
 use std::collections::BTreeMap;
@@ -44,41 +44,16 @@ fn stops_of(batch: &[Order]) -> impl Iterator<Item = NodeId> + '_ {
     batch.iter().flat_map(|o| [o.restaurant, o.customer])
 }
 
-/// The quickest route plan (and its XDT cost) for a vehicle serving its
-/// committed orders plus `extra`, starting from its snapped location at `t`.
-///
-/// Returns `None` when some stop is unreachable. Capacity constraints are
-/// *not* checked here — see [`marginal_cost`].
-pub fn vehicle_plan(
-    vehicle: &VehicleSnapshot,
-    extra: &[Order],
-    engine: &ShortestPathEngine,
-    t: TimePoint,
-) -> Option<EvaluatedRoute> {
-    plan_optimal_route(vehicle.location, t, &planned_orders(vehicle, extra), engine)
-}
-
-/// `Cost(v, O_v)` (Eq. 4): the total XDT of the vehicle's committed orders
-/// under its quickest route plan, in seconds. Zero when the vehicle is idle.
-pub fn vehicle_cost(
-    vehicle: &VehicleSnapshot,
-    engine: &ShortestPathEngine,
-    t: TimePoint,
-) -> Option<f64> {
-    vehicle_plan(vehicle, &[], engine, t).map(|r| r.cost_secs)
-}
-
 /// Outcome of a marginal-cost evaluation for assigning a batch of orders to a
 /// vehicle.
 #[derive(Clone, Debug)]
 pub enum MarginalCost {
     /// The assignment is feasible; `cost_secs` is `mCost` (Definition 9 /
-    /// Eq. 7) and `route` is the vehicle's new quickest route plan.
+    /// Eq. 7). No route plan comes with it: the simulator replans every
+    /// vehicle it assigns to from scratch.
     Feasible {
         /// The marginal cost in seconds of extra delivery time.
         cost_secs: f64,
-        /// The quickest route plan serving committed plus new orders.
-        route: EvaluatedRoute,
     },
     /// The assignment violates a constraint (capacity, reachability, or the
     /// first-mile bound) and must be priced at Ω.
@@ -90,9 +65,7 @@ impl MarginalCost {
     /// feasible, `Ω` otherwise (the `w(o, v)` of §IV-A).
     pub fn edge_weight(&self, config: &DispatchConfig) -> f64 {
         match self {
-            MarginalCost::Feasible { cost_secs, .. } => {
-                cost_secs.min(config.rejection_penalty_secs)
-            }
+            MarginalCost::Feasible { cost_secs } => cost_secs.min(config.rejection_penalty_secs),
             MarginalCost::Infeasible => config.rejection_penalty_secs,
         }
     }
@@ -105,7 +78,7 @@ impl MarginalCost {
     /// The marginal cost if feasible.
     pub fn cost_secs(&self) -> Option<f64> {
         match self {
-            MarginalCost::Feasible { cost_secs, .. } => Some(*cost_secs),
+            MarginalCost::Feasible { cost_secs } => Some(*cost_secs),
             MarginalCost::Infeasible => None,
         }
     }
@@ -133,7 +106,7 @@ pub fn marginal_cost(
     let shortlist = collect(vehicle, &[0], &offers, engine, t, config);
     let resolved = resolve([(vehicle, &shortlist)], &offers, engine, t, 1);
     match price(vehicle, &shortlist, &offers, &resolved, t).pop() {
-        Some((_, cost_secs, route)) => MarginalCost::Feasible { cost_secs, route },
+        Some((_, cost_secs)) => MarginalCost::Feasible { cost_secs },
         None => MarginalCost::Infeasible,
     }
 }
@@ -319,18 +292,19 @@ pub(crate) fn resolve<'a>(
     LegRows::sweep(wanted, engine, t, threads)
 }
 
-/// Phase 3 of pricing, per vehicle: `(offer, mCost, route)` for every
-/// survivor that has a plan, in the order the offers were given. One table
-/// per survivor — the committed block cloned, extended from the vehicle's
-/// row and the resolved rows — and one `Cost(v, O_v ∪ offer)` plan on it.
-/// No engine in sight: every leg was asked for in the first two phases.
+/// Phase 3 of pricing, per vehicle: `(offer, mCost)` for every survivor
+/// that has a plan, in the order the offers were given. One table per
+/// survivor — the committed block cloned, extended from the vehicle's row
+/// and the resolved rows — and one `Cost(v, O_v ∪ offer)` plan on it, of
+/// which only the cost is kept. No engine in sight: every leg was asked for
+/// in the first two phases.
 pub(crate) fn price(
     vehicle: &VehicleSnapshot,
     shortlist: &Shortlist,
     offers: &[&[Order]],
     resolved: &LegRows,
     t: TimePoint,
-) -> Vec<(usize, f64, EvaluatedRoute)> {
+) -> Vec<(usize, f64)> {
     let mut planned = planned_orders(vehicle, &[]);
     let committed = planned.len();
     let empty = LegTable::new(Some(vehicle.location));
@@ -345,7 +319,7 @@ pub(crate) fn price(
             planned.extend(offers[offer].iter().copied().map(PlannedOrder::pending));
             table.extend(&planned[committed..], &mut legs);
             let route = plan_on_table(&table, t, &planned)?;
-            Some((offer, route.cost_secs - shortlist.base_secs, route))
+            Some((offer, route.cost_secs - shortlist.base_secs))
         })
         .collect()
 }
@@ -384,7 +358,7 @@ pub(crate) fn reference_marginal_cost(
     let Some(with_extra) = plan(extra) else {
         return MarginalCost::Infeasible;
     };
-    MarginalCost::Feasible { cost_secs: with_extra.cost_secs - base, route: with_extra }
+    MarginalCost::Feasible { cost_secs: with_extra.cost_secs - base }
 }
 
 #[cfg(test)]
@@ -422,13 +396,6 @@ mod tests {
         let o = order(1, b.node_at(0, 0), b.node_at(0, 3), 10.0);
         let sdt = shortest_delivery_time(&o, &engine, o.placed_at).unwrap();
         assert!((sdt.as_secs_f64() - (600.0 + 3.0 * edge_secs())).abs() < 1e-6);
-    }
-
-    #[test]
-    fn idle_vehicle_has_zero_cost() {
-        let (engine, b) = setup();
-        let v = VehicleSnapshot::idle(VehicleId(1), b.node_at(3, 3));
-        assert_eq!(vehicle_cost(&v, &engine, TimePoint::from_hms(12, 0, 0)), Some(0.0));
     }
 
     #[test]
@@ -599,13 +566,12 @@ mod tests {
         for (row, offer) in offers.iter().enumerate() {
             let want = reference_marginal_cost(&vehicle, &[*offer], &engine, t, &config);
             assert_eq!(want.is_feasible(), offer.id != far.id && offer.id != heavy.id);
-            let MarginalCost::Feasible { cost_secs: want_secs, route: want_route } = want else {
+            let MarginalCost::Feasible { cost_secs: want_secs } = want else {
                 continue;
             };
-            let (got_row, got_secs, got_route) = priced.next().expect("a price per survivor");
+            let (got_row, got_secs) = priced.next().expect("a price per survivor");
             assert_eq!(got_row, row);
             assert_eq!(got_secs.to_bits(), want_secs.to_bits(), "{}", offer.id);
-            assert_eq!(got_route, want_route, "{}", offer.id);
         }
         assert!(priced.next().is_none(), "an offer that dropped out was priced");
     }
@@ -627,18 +593,7 @@ mod tests {
     #[test]
     fn edge_weight_caps_at_omega() {
         let config = DispatchConfig { rejection_penalty_secs: 100.0, ..Default::default() };
-        let feasible = MarginalCost::Feasible {
-            cost_secs: 250.0,
-            route: EvaluatedRoute {
-                plan: crate::route::RoutePlan::empty(),
-                cost_secs: 250.0,
-                driving_time: Duration::ZERO,
-                waiting_time: Duration::ZERO,
-                deliveries: Vec::new(),
-                start_node: NodeId(0),
-                finish_at: TimePoint::MIDNIGHT,
-            },
-        };
+        let feasible = MarginalCost::Feasible { cost_secs: 250.0 };
         assert_eq!(feasible.edge_weight(&config), 100.0);
     }
 }

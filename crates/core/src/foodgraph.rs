@@ -36,7 +36,6 @@ use crate::config::DispatchConfig;
 use crate::cost::{collect, price, resolve, Shortlist};
 use crate::order::Order;
 use crate::parallel_map;
-use crate::route::EvaluatedRoute;
 use crate::vehicle::{VehicleId, VehicleSnapshot};
 use foodmatch_matching::SparseCostMatrix;
 use foodmatch_roadnet::dijkstra::{Expansion, Settled};
@@ -50,16 +49,15 @@ const INCUMBENCY_BONUS_SECS: f64 = 60.0;
 /// The bipartite assignment graph for one accumulation window.
 ///
 /// Rows of the cost matrix are batches, columns are vehicles, entries are
-/// `min(mCost, Ω)` (Ω for pairs that were pruned or are infeasible).
+/// `min(mCost, Ω)` (Ω for pairs that were pruned or are infeasible). The
+/// graph holds prices only: a priced pair's route plan is not kept, since
+/// the simulator replans every vehicle it assigns to from scratch.
 #[derive(Debug)]
 pub struct FoodGraph {
     /// Vehicle ids in column order.
     pub vehicle_ids: Vec<VehicleId>,
     /// The (sparse) cost matrix: rows = batches, columns = vehicles.
     pub costs: SparseCostMatrix,
-    /// Quickest route plans for every feasible (batch, vehicle) edge, keyed
-    /// by `(row, col)`.
-    pub routes: HashMap<(usize, usize), EvaluatedRoute>,
     /// Number of marginal-cost evaluations: per vehicle with spare capacity,
     /// the offers the expansion reached before it stopped (every batch, on
     /// the dense graph), whatever filter each then dropped out at.
@@ -112,7 +110,7 @@ pub fn build_food_graph(
             vehicles.len().max(1),
             config.rejection_penalty_secs,
         );
-        return FoodGraph { vehicle_ids, costs, routes: HashMap::new(), evaluations: 0 };
+        return FoodGraph { vehicle_ids, costs, evaluations: 0 };
     }
 
     let batches_by_start = batches_by_start(batches);
@@ -157,12 +155,11 @@ pub fn build_food_graph(
 
     let mut costs =
         SparseCostMatrix::new(batches.len(), vehicles.len(), config.rejection_penalty_secs);
-    let mut routes = HashMap::new();
     let mut evaluations = 0;
     for (col, (shortlist, priced)) in shortlists.iter().zip(priced).enumerate() {
         evaluations += shortlist.as_ref().map_or(0, |shortlist| shortlist.offered);
         // Infeasible pairs keep the implicit Ω edge.
-        for (row, cost_secs, route) in priced.into_iter().flatten() {
+        for (row, cost_secs) in priced.into_iter().flatten() {
             // Incumbency tie-break: when reshuffling re-offers orders the
             // vehicle already holds, near-equal costs must not bounce the
             // order to a different vehicle every window (that would reset
@@ -174,11 +171,10 @@ pub fn build_food_graph(
             let weight = (cost_secs - INCUMBENCY_BONUS_SECS * incumbency as f64)
                 .min(config.rejection_penalty_secs);
             costs.set(row, col, weight);
-            routes.insert((row, col), route);
         }
     }
 
-    FoodGraph { vehicle_ids, costs, routes, evaluations }
+    FoodGraph { vehicle_ids, costs, evaluations }
 }
 
 /// The batch rows by the node where their route plans start.
@@ -300,6 +296,7 @@ mod tests {
     use crate::order::{Order, OrderId};
     use foodmatch_roadnet::generators::GridCityBuilder;
     use foodmatch_roadnet::{CongestionProfile, Duration};
+    use std::collections::BTreeSet;
 
     fn setup() -> (ShortestPathEngine, GridCityBuilder) {
         let b =
@@ -309,6 +306,11 @@ mod tests {
 
     fn order(id: u64, r: NodeId, c: NodeId) -> Order {
         Order::new(OrderId(id), r, c, TimePoint::from_hms(12, 30, 0), 1, Duration::from_mins(8.0))
+    }
+
+    /// The `(row, col)` pairs the graph priced: its explicit cost entries.
+    fn priced(graph: &FoodGraph) -> BTreeSet<(usize, usize)> {
+        graph.costs.entries().iter().map(|&(row, col, _)| (row, col)).collect()
     }
 
     fn vehicles_at(nodes: &[NodeId]) -> Vec<VehicleSnapshot> {
@@ -334,9 +336,8 @@ mod tests {
         assert_eq!(graph.batch_count(), 2);
         assert_eq!(graph.vehicle_count(), 3);
         // Every (batch, vehicle) pair on a connected free-flow grid is
-        // feasible, so all six edges carry a true cost and a route.
+        // feasible, so all six edges carry a true cost.
         assert_eq!(graph.costs.explicit_entries(), 6);
-        assert_eq!(graph.routes.len(), 6);
         assert_eq!(graph.evaluations, 6);
         let dense = graph.costs.to_dense();
         for r in 0..2 {
@@ -493,7 +494,6 @@ mod tests {
         let mut graph = FoodGraph {
             vehicle_ids: vehicles.iter().map(|v| v.id).collect(),
             costs: SparseCostMatrix::new(batches.len(), vehicles.len(), omega),
-            routes: HashMap::new(),
             evaluations: 0,
         };
         let cap = config.degree_cap(batches.len(), vehicles.len());
@@ -506,11 +506,10 @@ mod tests {
                 let orders = &batches[row].orders;
                 let price =
                     crate::cost::reference_marginal_cost(vehicle, orders, engine, t, config);
-                if let MarginalCost::Feasible { cost_secs, route } = price {
+                if let MarginalCost::Feasible { cost_secs } = price {
                     let held = orders.iter().filter(|o| vehicle.tentative.contains(&o.id)).count();
                     let weight = (cost_secs - INCUMBENCY_BONUS_SECS * held as f64).min(omega);
                     graph.costs.set(row, col, weight);
-                    graph.routes.insert((row, col), route);
                 }
             }
         }
@@ -658,11 +657,11 @@ mod tests {
                     assert!(graph.evaluations < reference.evaluations, "{what}");
                 }
                 assert!(graph.explicit_edges() < graph.evaluations, "{what}: all feasible");
-                assert_eq!(graph.routes, reference.routes, "{what}");
+                let pairs = priced(&graph);
+                assert_eq!(pairs, priced(&reference), "{what}");
                 // The loaded vehicle prices several single orders (all of
                 // them when dense, all but the far ones when tight).
-                let priced_for_10 =
-                    (0..batches.len()).filter(|&row| graph.routes.contains_key(&(row, 10))).count();
+                let priced_for_10 = pairs.iter().filter(|&&(_, col)| col == 10).count();
                 match name {
                     "dense" => assert_eq!(priced_for_10, lone.len(), "{what}"),
                     "tight" => assert!((2..lone.len()).contains(&priced_for_10), "{what}"),
@@ -682,13 +681,13 @@ mod tests {
                     );
                     let near_start = !beyond(&vehicles[col], split.first_pickup());
                     if name == "tight" || (name == "metro" && near_start) {
-                        assert!(graph.routes.contains_key(&(split_row, col)), "{what}: {col}");
+                        assert!(pairs.contains(&(split_row, col)), "{what}: {col}");
                     }
                 }
                 if name == "metro" {
                     // Survivors whose customers lie beyond the first mile, and
                     // a loaded courier with a committed stop beyond it.
-                    let far_customers = graph.routes.keys().filter(|&&(row, col)| {
+                    let far_customers = pairs.iter().filter(|&&(row, col)| {
                         batches[row].orders.iter().any(|o| beyond(&vehicles[col], o.customer))
                     });
                     assert!(far_customers.count() >= 2, "{what}");
@@ -696,7 +695,7 @@ mod tests {
                         .committed
                         .iter()
                         .any(|c| beyond(&vehicles[9], c.order.customer)));
-                    assert!(graph.routes.keys().any(|&(_, col)| col == 9), "{what}");
+                    assert!(pairs.iter().any(|&(_, col)| col == 9), "{what}");
                 }
                 for row in 0..batches.len() {
                     for col in 0..vehicles.len() {
@@ -744,7 +743,7 @@ mod tests {
         let t = TimePoint::from_hms(12, 30, 0);
         let config = DispatchConfig::default();
         let graph = build_food_graph(&[], &vehicles_at(&[b.node_at(0, 0)]), &engine, t, &config);
-        assert_eq!(graph.routes.len(), 0);
+        assert_eq!(graph.explicit_edges(), 0);
         assert_eq!(graph.evaluations, 0);
     }
 

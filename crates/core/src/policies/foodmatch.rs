@@ -20,7 +20,8 @@
 //!
 //! Every optimisation is individually toggleable through
 //! [`DispatchConfig`], which is what the ablation experiment (Fig. 7(a))
-//! sweeps.
+//! sweeps. With all of them off ([`DispatchConfig::as_vanilla_km`]) these
+//! stages are vanilla KM, which is how `KuhnMunkresPolicy` runs.
 
 use crate::batching::{batch_orders, BatchingOutcome};
 use crate::config::DispatchConfig;

@@ -1,23 +1,20 @@
 //! The vanilla Kuhn–Munkres policy of §IV-A.
 //!
-//! Orders are *not* batched: the FoodGraph has one row per order and one
-//! column per vehicle, every edge weight is computed (no best-first
-//! sparsification), and the minimum-weight matching of the complete bipartite
-//! graph decides the window's assignment. Pairs whose matched edge carries
-//! the rejection penalty Ω are treated as unassigned — matching an order to a
-//! vehicle it cannot feasibly serve would be worse than letting it wait for
-//! the next window.
-//!
-//! The matching itself routes through
-//! [`DispatchConfig::build_solver`]: infeasible pairs stay implicit Ω entries
-//! of a [`SparseCostMatrix`], which the solver skips entirely — at the same
-//! total cost as the classic full-matrix Kuhn–Munkres run.
+//! Vanilla KM is the bottom rung of the FOODMATCH pipeline, not a second
+//! pipeline: it runs [`FoodMatchPolicy`]'s stages under
+//! [`DispatchConfig::as_vanilla_km`], so orders are *not* batched (one
+//! FoodGraph row per order, one column per vehicle), every edge weight is
+//! computed (no best-first sparsification, no angular distance), and the
+//! minimum-weight matching of the complete bipartite graph decides the
+//! window's assignment. Pairs whose matched edge carries the rejection
+//! penalty Ω are treated as unassigned — matching an order to a vehicle it
+//! cannot feasibly serve would be worse than letting it wait for the next
+//! window. Fig. 7(a) adds batching, sparsification and angular distance back
+//! on top of this rung one at a time.
 
 use crate::config::DispatchConfig;
-use crate::cost::marginal_cost;
-use crate::policies::{outcome_from_assignments, DispatchPolicy};
-use crate::window::{AssignmentOutcome, VehicleAssignment, WindowSnapshot};
-use foodmatch_matching::SparseCostMatrix;
+use crate::policies::{DispatchPolicy, FoodMatchPolicy};
+use crate::window::{AssignmentOutcome, WindowSnapshot};
 use foodmatch_roadnet::ShortestPathEngine;
 
 /// The vanilla Kuhn–Munkres assignment policy (§IV-A).
@@ -44,38 +41,14 @@ impl DispatchPolicy for KuhnMunkresPolicy {
         engine: &ShortestPathEngine,
         config: &DispatchConfig,
     ) -> AssignmentOutcome {
-        if window.orders.is_empty() || window.vehicles.is_empty() {
-            return AssignmentOutcome::all_unassigned(window);
-        }
-
-        let omega = config.rejection_penalty_secs;
-        let mut costs = SparseCostMatrix::new(window.orders.len(), window.vehicles.len(), omega);
-        for (row, order) in window.orders.iter().enumerate() {
-            for (col, vehicle) in window.vehicles.iter().enumerate() {
-                let weight = marginal_cost(vehicle, &[*order], engine, window.time, config)
-                    .edge_weight(config);
-                if weight < omega {
-                    costs.set(row, col, weight);
-                }
-            }
-        }
-        let matching = config.build_solver().solve(&costs);
-
-        let assignments: Vec<VehicleAssignment> = matching
-            .pairs()
-            .filter(|&(row, col)| costs.get(row, col) < omega)
-            .map(|(row, col)| VehicleAssignment {
-                vehicle: window.vehicles[col].id,
-                orders: vec![window.orders[row].id],
-            })
-            .collect();
-        outcome_from_assignments(window, assignments)
+        FoodMatchPolicy::new().assign(window, engine, &config.as_vanilla_km())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::marginal_cost;
     use crate::order::{Order, OrderId};
     use crate::policies::GreedyPolicy;
     use crate::vehicle::{VehicleId, VehicleSnapshot};
@@ -197,5 +170,121 @@ mod tests {
         let outcome = KuhnMunkresPolicy::new().assign(&window, &engine, &DispatchConfig::default());
         assert!(outcome.assignments.is_empty());
         assert!(outcome.unassigned.is_empty());
+    }
+
+    /// The least `Σ w(o, v) + Ω · unmatched` over every matching of the first
+    /// `next..` orders to the vehicles not yet `taken` (one order a vehicle),
+    /// where `w` is the `weights[order][vehicle]` edge weight.
+    fn cheapest_matching(weights: &[Vec<f64>], next: usize, taken: &mut [bool], omega: f64) -> f64 {
+        let Some(row) = weights.get(next) else { return 0.0 };
+        let mut best = omega + cheapest_matching(weights, next + 1, taken, omega);
+        for col in 0..taken.len() {
+            if !taken[col] {
+                taken[col] = true;
+                let rest = cheapest_matching(weights, next + 1, taken, omega);
+                best = best.min(row[col] + rest);
+                taken[col] = false;
+            }
+        }
+        best
+    }
+
+    /// A seeded xorshift stream for the enumeration test's windows.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    #[test]
+    fn km_matches_exhaustive_enumeration() {
+        use crate::vehicle::CommittedOrder;
+        use foodmatch_roadnet::{GeoPoint, RoadClass, RoadNetworkBuilder};
+        // A 6×6 street grid of uneven lengths, plus an island no road reaches.
+        const GRID: u32 = 6;
+        let mut rng = Draws(0x9e37_79b9_7f4a_7c15);
+        let mut builder = RoadNetworkBuilder::new();
+        for i in 0..GRID * GRID + 1 {
+            let (row, col) = (f64::from(i / GRID), f64::from(i % GRID));
+            builder.add_node(GeoPoint::new(0.002 * row, 0.002 * col));
+        }
+        let lengths = [200.0, 320.0, 470.0];
+        for u in 0..GRID * GRID {
+            for v in [u + 1, u + GRID] {
+                if (v == u + 1 && v % GRID == 0) || v >= GRID * GRID {
+                    continue;
+                }
+                let length = lengths[rng.below(3) as usize];
+                builder.add_bidirectional(NodeId(u), NodeId(v), length, RoadClass::Local);
+            }
+        }
+        let island = NodeId(GRID * GRID);
+        let engine = ShortestPathEngine::cached(builder.build());
+        let config = DispatchConfig::default();
+        let omega = config.rejection_penalty_secs;
+        let t = TimePoint::from_hms(12, 0, 0);
+        let node = |rng: &mut Draws| NodeId(rng.below(u64::from(GRID * GRID)) as u32);
+        let order_at = |rng: &mut Draws, id: u64| {
+            let (restaurant, customer) = (node(rng), node(rng));
+            let placed_at = t - Duration::from_mins(rng.below(6) as f64);
+            let prep = Duration::from_mins(2.0 + rng.below(10) as f64);
+            Order::new(OrderId(id), restaurant, customer, placed_at, 1, prep)
+        };
+
+        let (mut loaded, mut rectangular) = (0, 0);
+        for window_id in 0..40 {
+            let order_count = 1 + rng.below(5) as usize;
+            let vehicle_count = 1 + rng.below(5) as usize;
+            rectangular += usize::from(order_count != vehicle_count);
+            let mut orders: Vec<Order> =
+                (0..order_count).map(|i| order_at(&mut rng, i as u64)).collect();
+            if window_id % 4 == 0 {
+                // A customer no road reaches: Ω for every vehicle.
+                orders[0].customer = island;
+            }
+            let mut vehicles = Vec::new();
+            for i in 0..vehicle_count {
+                let mut vehicle = VehicleSnapshot::idle(VehicleId(i as u32), node(&mut rng));
+                // Half the fleet carries up to a full load, some of it on board.
+                let load = if rng.below(2) == 0 { rng.below(4) } else { 0 };
+                for j in 0..load {
+                    let order = order_at(&mut rng, 100 + 10 * i as u64 + j);
+                    let picked_up = rng.below(2) == 0;
+                    vehicle.committed.push(CommittedOrder { order, picked_up });
+                }
+                loaded += usize::from(load > 0);
+                vehicles.push(vehicle);
+            }
+
+            let weights: Vec<Vec<f64>> = orders
+                .iter()
+                .map(|o| {
+                    let price = |v| marginal_cost(v, &[*o], &engine, t, &config);
+                    vehicles.iter().map(|v| price(v).edge_weight(&config)).collect()
+                })
+                .collect();
+            let window = WindowSnapshot::new(t, orders.clone(), vehicles.clone());
+            let outcome = KuhnMunkresPolicy::new().assign(&window, &engine, &config);
+            outcome.validate(&window).unwrap();
+            let mut got = omega * outcome.unassigned.len() as f64;
+            for assignment in &outcome.assignments {
+                assert_eq!(assignment.orders.len(), 1, "window {window_id}: one order a vehicle");
+                let row = orders.iter().position(|o| o.id == assignment.orders[0]).unwrap();
+                let col = vehicles.iter().position(|v| v.id == assignment.vehicle).unwrap();
+                assert!(weights[row][col] < omega, "window {window_id}: an Ω pair was assigned");
+                got += weights[row][col];
+            }
+            let want = cheapest_matching(&weights, 0, &mut vec![false; vehicle_count], omega);
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "window {window_id}: {got} vs {want}"
+            );
+        }
+        assert!(loaded >= 20 && rectangular >= 20, "{loaded} loaded, {rectangular} rectangular");
     }
 }

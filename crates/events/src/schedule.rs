@@ -15,7 +15,6 @@
 use crate::event::{DisruptionEvent, EventKind, TrafficDisruption};
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
 use foodmatch_roadnet::{EdgeId, RoadNetwork, TimePoint, TrafficOverlay};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The outcome of advancing a schedule to a window boundary.
 #[derive(Clone, Debug, Default)]
@@ -25,15 +24,6 @@ pub struct WindowEvents {
     /// True when the set of active traffic disruptions changed (a disruption
     /// started or cleared), i.e. when the engine's overlay must be replaced.
     pub traffic_changed: bool,
-}
-
-/// One disruption's rendered footprint, cached for incremental updates.
-#[derive(Clone, Debug)]
-struct RenderedDisruption {
-    /// The disruption this footprint belongs to.
-    disruption: TrafficDisruption,
-    /// Every edge the disruption perturbs (its factor applies to all).
-    edges: Vec<EdgeId>,
 }
 
 /// A sorted stream of [`DisruptionEvent`]s plus the active-traffic state
@@ -46,12 +36,6 @@ pub struct EventSchedule {
     cursor: usize,
     /// Traffic disruptions currently in force.
     active: Vec<TrafficDisruption>,
-    /// The disruptions whose footprints are folded into `edge_mult`, in the
-    /// order they were active at the last [`render_overlay`](Self::render_overlay).
-    rendered: Vec<RenderedDisruption>,
-    /// Running per-edge worst multiplier of everything in `rendered`; ordered,
-    /// so the overlay is rendered from it in edge-id order.
-    edge_mult: BTreeMap<EdgeId, f64>,
 }
 
 impl EventSchedule {
@@ -60,13 +44,7 @@ impl EventSchedule {
     pub fn new(mut events: Vec<DisruptionEvent>) -> Self {
         // Stable sort: ties keep their input order.
         events.sort_by_key(|e| e.at);
-        EventSchedule {
-            events,
-            cursor: 0,
-            active: Vec::new(),
-            rendered: Vec::new(),
-            edge_mult: BTreeMap::new(),
-        }
+        EventSchedule { events, cursor: 0, active: Vec::new() }
     }
 
     /// Streams one more event into the schedule, preserving the replay
@@ -136,16 +114,13 @@ impl EventSchedule {
     }
 
     /// Renders the active traffic set as a [`TrafficOverlay`] over `network`
-    /// by rebuilding from scratch — `O(active × (V + E))`.
+    /// from scratch — `O(active × (V + E))`, paid only when the active set
+    /// changed.
     ///
     /// A localized disruption affects every edge whose *both* endpoints lie
     /// within `radius_m` (straight-line) of its centre; a city-wide one
     /// affects every edge. Overlapping disruptions combine by taking the
     /// worst factor per edge.
-    ///
-    /// This is the reference renderer; the simulator uses the diff-based
-    /// [`render_overlay`](Self::render_overlay), which debug-asserts
-    /// agreement with this one on every call.
     pub fn overlay(&self, network: &RoadNetwork) -> TrafficOverlay {
         let mut overlay = TrafficOverlay::new();
         for disruption in &self.active {
@@ -155,81 +130,9 @@ impl EventSchedule {
         }
         overlay
     }
-
-    /// Renders the active traffic set as a [`TrafficOverlay`] by applying
-    /// only the *diffs* since the previous render: footprints of newly
-    /// activated disruptions are folded in, footprints of expired ones are
-    /// retired and only their edges re-maximised over the survivors. Steady
-    /// churn therefore costs `O(changed footprints)` instead of
-    /// `O(active × E)` per change.
-    ///
-    /// The rendered result is identical to [`overlay`](Self::overlay)
-    /// (debug-asserted), so the two can be used interchangeably; only the
-    /// incremental state kept between calls differs.
-    pub fn render_overlay(&mut self, network: &RoadNetwork) -> TrafficOverlay {
-        // Diff the previously rendered list against the active list. The
-        // active list only ever drops entries (order-preserving retain) and
-        // appends new ones, so a single forward walk aligns the two.
-        let mut ai = 0usize;
-        let mut kept: Vec<RenderedDisruption> = Vec::with_capacity(self.active.len());
-        let mut expired: Vec<RenderedDisruption> = Vec::new();
-        for entry in self.rendered.drain(..) {
-            if ai < self.active.len() && entry.disruption == self.active[ai] {
-                kept.push(entry);
-                ai += 1;
-            } else {
-                expired.push(entry);
-            }
-        }
-        self.rendered = kept;
-
-        // Retire expired footprints: drop their edges, then re-maximise just
-        // those edges over the surviving footprints.
-        if !expired.is_empty() {
-            let affected: BTreeSet<EdgeId> =
-                expired.iter().flat_map(|e| e.edges.iter().copied()).collect();
-            for eid in &affected {
-                self.edge_mult.remove(eid);
-            }
-            for survivor in &self.rendered {
-                for eid in &survivor.edges {
-                    if affected.contains(eid) {
-                        let slot = self.edge_mult.entry(*eid).or_insert(1.0);
-                        *slot = slot.max(survivor.disruption.factor);
-                    }
-                }
-            }
-        }
-
-        // Fold in newly activated footprints.
-        for disruption in self.active[ai..].iter().copied() {
-            let edges = disruption_footprint(network, &disruption);
-            for &eid in &edges {
-                let slot = self.edge_mult.entry(eid).or_insert(1.0);
-                *slot = slot.max(disruption.factor);
-            }
-            self.rendered.push(RenderedDisruption { disruption, edges });
-        }
-
-        let mut overlay = TrafficOverlay::new();
-        for (&eid, &factor) in &self.edge_mult {
-            overlay.slow_edge(eid, factor);
-        }
-        debug_assert_eq!(
-            overlay,
-            self.overlay(network),
-            "diffed overlay must agree with the full rebuild"
-        );
-        overlay
-    }
 }
 
-/// The schedule's durable state is `(events, cursor, active)`. The
-/// incremental render cache (`rendered`, `edge_mult`) is deliberately *not*
-/// serialised: a decoded schedule starts with an empty cache, so the next
-/// [`EventSchedule::render_overlay`] folds every active footprint in as new
-/// — which produces exactly the same overlay as the cache would have
-/// (debug-asserted against the full rebuild on every render).
+/// The schedule's state is `(events, cursor, active)`, all of it encoded.
 impl Codec for EventSchedule {
     fn encode(&self, out: &mut Vec<u8>) {
         self.events.encode(out);
@@ -251,13 +154,7 @@ impl Codec for EventSchedule {
                 "schedule events are not sorted by timestamp".to_string(),
             ));
         }
-        Ok(EventSchedule {
-            events,
-            cursor,
-            active,
-            rendered: Vec::new(),
-            edge_mult: BTreeMap::new(),
-        })
+        Ok(EventSchedule { events, cursor, active })
     }
 }
 
@@ -416,71 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_render_tracks_the_full_rebuild_through_a_lifecycle() {
-        let b = GridCityBuilder::new(6, 6).spacing_m(250.0);
-        let net = b.build();
-        let incident_a = TrafficDisruption::localized(
-            DisruptionCause::Incident,
-            b.node_at(0, 0),
-            400.0,
-            2.0,
-            t(12, 30),
-        );
-        let incident_b = TrafficDisruption::localized(
-            DisruptionCause::Incident,
-            b.node_at(5, 5),
-            400.0,
-            3.0,
-            t(13, 0),
-        );
-        let rain = TrafficDisruption::city_wide(DisruptionCause::Rain, 1.4, t(13, 30));
-        let mut schedule = EventSchedule::new(vec![
-            DisruptionEvent::new(t(12, 0), EventKind::Traffic(incident_a)),
-            DisruptionEvent::new(t(12, 10), EventKind::Traffic(incident_b)),
-            DisruptionEvent::new(t(12, 40), EventKind::Traffic(rain)),
-        ]);
-        // Walk the whole lifecycle: 2 activations, an overlapping city-wide
-        // activation, then staggered expiries down to empty. At every step
-        // the diffed render must equal the from-scratch rebuild.
-        for minutes in [5, 15, 35, 45, 55, 65, 95] {
-            schedule.advance_to(t(12, 0) + foodmatch_roadnet::Duration::from_mins(minutes as f64));
-            let incremental = schedule.render_overlay(&net);
-            let rebuilt = schedule.overlay(&net);
-            assert_eq!(incremental, rebuilt, "diverged at +{minutes} min");
-        }
-        assert!(!schedule.traffic_active());
-        assert!(schedule.render_overlay(&net).is_empty());
-    }
-
-    #[test]
-    fn incremental_render_handles_skipped_renders() {
-        // The simulator only renders when the active set changed, but the
-        // diff must also absorb several changes batched between renders.
-        let net = GridCityBuilder::new(4, 4).build();
-        let first = TrafficDisruption::city_wide(DisruptionCause::Rain, 1.5, t(12, 10));
-        let second = TrafficDisruption::localized(
-            DisruptionCause::Incident,
-            NodeId(5),
-            10_000.0,
-            2.5,
-            t(12, 40),
-        );
-        let mut schedule = EventSchedule::new(vec![
-            DisruptionEvent::new(t(12, 0), EventKind::Traffic(first)),
-            DisruptionEvent::new(t(12, 20), EventKind::Traffic(second)),
-        ]);
-        schedule.advance_to(t(12, 5));
-        // Skip rendering the first activation; advance through the first
-        // expiry and the second activation, then render once.
-        schedule.advance_to(t(12, 25));
-        let overlay = schedule.render_overlay(&net);
-        assert_eq!(overlay, schedule.overlay(&net));
-        for eid in net.edge_ids() {
-            assert_eq!(overlay.multiplier(eid), 2.5);
-        }
-    }
-
-    #[test]
     fn decoded_schedule_resumes_mid_stream_with_equal_overlays() {
         let net = GridCityBuilder::new(4, 4).build();
         let rain = TrafficDisruption::city_wide(DisruptionCause::Rain, 1.4, t(13, 30));
@@ -489,16 +321,13 @@ mod tests {
             DisruptionEvent::new(t(12, 20), EventKind::OrderCancelled { order: OrderId(1) }),
             DisruptionEvent::new(t(12, 40), EventKind::OrderCancelled { order: OrderId(2) }),
         ]);
-        // Advance mid-stream (rain active, one cancellation fired) and
-        // render once so the incremental cache is warm — the cache must not
-        // leak into the encoding.
+        // Advance mid-stream: rain active, one cancellation fired.
         schedule.advance_to(t(12, 25));
-        let _ = schedule.render_overlay(&net);
 
         let mut restored = EventSchedule::from_bytes(&schedule.to_bytes()).unwrap();
         assert_eq!(restored.events(), schedule.events());
         assert_eq!(restored.active_traffic(), schedule.active_traffic());
-        assert_eq!(restored.render_overlay(&net), schedule.render_overlay(&net));
+        assert_eq!(restored.overlay(&net), schedule.overlay(&net));
         // Both fire the same remaining suffix.
         let a = schedule.advance_to(t(13, 0)).fired;
         let b = restored.advance_to(t(13, 0)).fired;
@@ -534,7 +363,7 @@ mod tests {
             NodeId(0),
             10_000.0,
             2.5,
-            t(14, 0),
+            t(13, 0),
         );
         let mut schedule = EventSchedule::new(vec![
             DisruptionEvent::new(t(12, 0), EventKind::Traffic(rain)),
@@ -549,5 +378,15 @@ mod tests {
         for eid in net.edge_ids() {
             assert_eq!(overlay.multiplier(eid), 2.5);
         }
+        // Once the incident expires, every edge falls back to the rain alone;
+        // once the rain does too, nothing is slowed.
+        assert!(schedule.advance_to(t(13, 30)).traffic_changed);
+        let overlay = schedule.overlay(&net);
+        assert_eq!(overlay.len(), net.edge_count());
+        for eid in net.edge_ids() {
+            assert_eq!(overlay.multiplier(eid), 1.4);
+        }
+        assert!(schedule.advance_to(t(14, 5)).traffic_changed);
+        assert!(schedule.overlay(&net).is_empty());
     }
 }

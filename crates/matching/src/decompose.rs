@@ -161,11 +161,13 @@ pub struct Decomposed {
     metrics: DecomposedMetrics,
 }
 
-/// `matching.components` / `matching.component_size` handles, acquired once
-/// at construction (inert without a recorder) so `solve` never touches the
-/// registry — the per-window hot path does handle *use* only.
+/// `matching.solve_ns.decomposed-sparse-km` / `matching.components` /
+/// `matching.component_size` handles, acquired once at construction (inert
+/// without a recorder) so `solve` never touches the registry — the
+/// per-window hot path does handle *use* only.
 #[derive(Clone, Debug)]
 struct DecomposedMetrics {
+    solve_ns: foodmatch_telemetry::Histogram,
     components: foodmatch_telemetry::Histogram,
     component_size: foodmatch_telemetry::Histogram,
 }
@@ -173,6 +175,7 @@ struct DecomposedMetrics {
 impl DecomposedMetrics {
     fn acquire() -> Self {
         DecomposedMetrics {
+            solve_ns: foodmatch_telemetry::histogram("matching.solve_ns.decomposed-sparse-km"),
             components: foodmatch_telemetry::histogram("matching.components"),
             component_size: foodmatch_telemetry::histogram("matching.component_size"),
         }
@@ -183,7 +186,8 @@ impl Decomposed {
     /// A solver whose per-component solves fan out over at most `threads`
     /// workers (`<= 1` solves components serially); the result is
     /// bit-identical for every value. Telemetry handles bind to the recorder
-    /// installed at construction time.
+    /// installed at construction time: each solve is timed into
+    /// `matching.solve_ns.decomposed-sparse-km` under a `solver` span.
     pub fn new(threads: usize) -> Self {
         Decomposed { threads: threads.max(1), metrics: DecomposedMetrics::acquire() }
     }
@@ -195,6 +199,8 @@ impl AssignmentSolver for Decomposed {
     }
 
     fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
+        let _span = foodmatch_telemetry::span("solver", self.name());
+        let _timer = self.metrics.solve_ns.timer();
         debug_assert_entries_at_most_default(costs);
         let omega = costs.default_cost();
         let components = decompose(costs);

@@ -23,8 +23,8 @@
 //! * [`DenseKm`] / [`hungarian::solve`] — the serial dense Kuhn–Munkres
 //!   solver (`O(n²·m)` with potentials); the fully general test reference.
 //! * [`CostMatrix`] / [`SparseCostMatrix`] — dense and sparse cost storage.
-//! * [`greedy::solve`] — the locally-optimal matcher used as a reference
-//!   point in tests and ablation benchmarks.
+//! * [`greedy::solve`] — the locally-optimal matcher the tests bound the
+//!   Kuhn–Munkres solvers against (their total cost never exceeds its).
 //!
 //! The crate is deliberately free of food-delivery concepts: it is a
 //! reusable assignment-problem library (and a leaf of the workspace, over

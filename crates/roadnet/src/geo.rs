@@ -34,11 +34,6 @@ impl GeoPoint {
     pub fn distance_m(self, other: GeoPoint) -> f64 {
         haversine_meters(self, other)
     }
-
-    /// Initial great-circle bearing towards `other`, in radians in `[0, 2π)`.
-    pub fn bearing_to(self, other: GeoPoint) -> f64 {
-        bearing(self, other)
-    }
 }
 
 /// Haversine (great-circle) distance between two points, in meters.

@@ -176,11 +176,6 @@ impl RoadNetwork {
         }
         best
     }
-
-    /// Total length of all edges, in meters. Useful for workload statistics.
-    pub fn total_edge_length_m(&self) -> f64 {
-        self.inner.edges.iter().map(|e| e.length_m).sum()
-    }
 }
 
 /// Incremental builder for [`RoadNetwork`].

@@ -15,8 +15,8 @@
 //! policy (stateless across windows by the
 //! [`DispatchPolicy`](foodmatch_core::DispatchPolicy) contract), the
 //! engine's memo caches (performance state — queries re-memoise), and the
-//! schedule's rendered-overlay cache (rebuilt on restore and debug-asserted
-//! equal). Restoring therefore needs the same network, zones and policy the
+//! engine's overlay (re-rendered from the schedule's active disruptions on
+//! restore). Restoring therefore needs the same network, zones and policy the
 //! original run was created with; everything else round-trips bit-exactly.
 //!
 //! ## On-disk format
@@ -225,11 +225,6 @@ impl RouterCheckpoint {
     /// The router clock at the moment the checkpoint was taken.
     pub fn clock(&self) -> TimePoint {
         Clock::lockstep(self.shards.iter().map(RunState::clock)).now
-    }
-
-    /// Number of zone shards in the checkpoint.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Whether the checkpointed router had already finished.

@@ -455,12 +455,6 @@ impl<P: DispatchPolicy> DispatchService<P> {
         self.state.start
     }
 
-    /// When the workload horizon ends; the drain phase runs after this until
-    /// [`drain_deadline`](Self::drain_deadline).
-    pub fn horizon_end(&self) -> TimePoint {
-        self.state.end
-    }
-
     /// The dispatcher configuration the service runs under.
     pub fn config(&self) -> &DispatchConfig {
         &self.state.config

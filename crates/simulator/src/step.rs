@@ -130,7 +130,7 @@ impl RunState {
             engine.clear_overlay();
         }
         if self.schedule.traffic_active() {
-            engine.set_overlay(self.schedule.render_overlay(engine.network()));
+            engine.set_overlay(self.schedule.overlay(engine.network()));
         }
     }
 
@@ -409,11 +409,8 @@ impl RunState {
         let window_open = window_close - self.config.accumulation_window;
         let fired = self.schedule.advance_to(window_close);
         if fired.traffic_changed {
-            // Diff-based render: only changed disruption footprints are
-            // reapplied (debug-asserted against a full rebuild).
-            let overlay = self.schedule.render_overlay(engine.network());
             if self.schedule.traffic_active() {
-                engine.set_overlay(overlay);
+                engine.set_overlay(self.schedule.overlay(engine.network()));
             } else {
                 engine.clear_overlay();
             }

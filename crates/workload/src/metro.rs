@@ -21,7 +21,6 @@
 //! smaller shard count — the way the router benchmark scales 1 → 2 → 4
 //! shards over an *identical* workload.
 
-use crate::source::ReplayOrderSource;
 use foodmatch_core::{DispatchConfig, DispatchPolicy, Order, OrderId, VehicleId};
 use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{Duration, GeoPoint, NodeId, RoadNetwork, TimePoint};
@@ -207,11 +206,6 @@ impl MetroScenario {
             self.options.end,
             Duration::from_hours(2.0),
         )
-    }
-
-    /// The order stream as a replayable source for tick-driven drivers.
-    pub fn order_source(&self) -> ReplayOrderSource {
-        ReplayOrderSource::new(self.orders.clone())
     }
 }
 

@@ -100,7 +100,8 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
         let lone = marginal_cost(&vehicle, &batch.orders, &scratch, t, &config);
         assert_eq!(lone.is_feasible(), survives(offer), "{}", offer.id);
         assert_eq!(graph.cost(row, 0).to_bits(), lone.edge_weight(&config).to_bits());
-        assert_eq!(graph.routes.contains_key(&(row, 0)), survives(offer));
+        let explicit = graph.costs.entries().iter().any(|&(r, col, _)| (r, col) == (row, 0));
+        assert_eq!(explicit, survives(offer));
     }
 
     // Every (committed stop, surviving stop) leg is in the memo now; none to
