@@ -9,13 +9,22 @@
 //! The adjacency structure is CSR-like (a flat edge array plus per-node
 //! offsets) so that neighbour iteration during Dijkstra touches contiguous
 //! memory. Networks are immutable once built; construction goes through
-//! [`RoadNetworkBuilder`].
+//! [`RoadNetworkBuilder`]. The reverse table — each node's in-edges, and
+//! each edge's ordinal among its head's ([`InEdges`]) — is what the
+//! oracle's tree rows store a parent as; it is built on first use, not by
+//! the builder.
 
 use crate::congestion::{CongestionProfile, RoadClass};
 use crate::geo::{GeoPoint, LatTrig};
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The most edges one node may be the head of ([`RoadNetworkBuilder::build`]
+/// panics beyond it): a tree row stores a parent as its ordinal among the
+/// node's in-edges in one byte, and keeps the three values above
+/// `MAX_IN_DEGREE - 1` for its markers.
+pub const MAX_IN_DEGREE: usize = 253;
 
 /// Metadata stored for every node (road intersection).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,6 +72,65 @@ struct Inner {
     /// [`RoadNetwork::max_travel_time`]: a constant of the (immutable)
     /// network, so the O(E) scan runs once, at build.
     max_travel_time: Duration,
+    /// [`RoadNetwork::in_edges`], built by the first call: only the
+    /// oracle's tree rows read it, so building a network does not pay for it.
+    in_edges: OnceLock<InEdges>,
+}
+
+/// The reverse of the CSR layout: each node's in-edges in edge-id order, and
+/// each edge's position among its head's — its *in-ordinal*, which fits in
+/// a byte because no node has more than [`MAX_IN_DEGREE`] in-edges.
+#[derive(Debug)]
+pub(crate) struct InEdges {
+    /// In-edges of node `v` are `order[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    order: Vec<InEdge>,
+    /// Per edge, its index in its head's slice of `order`.
+    ordinal: Vec<u8>,
+}
+
+/// One entry of [`InEdges`]: the edge and its tail, side by side, so that a
+/// tree walk steps from a node to its parent with one load past the offset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct InEdge {
+    pub(crate) edge: EdgeId,
+    pub(crate) tail: NodeId,
+}
+
+impl InEdges {
+    fn of(network: &Inner) -> Self {
+        let node_count = network.nodes.len();
+        let mut offsets = vec![0u32; node_count + 1];
+        for edge in &network.edges {
+            offsets[edge.to.index() + 1] += 1;
+        }
+        for i in 0..node_count {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut order = vec![InEdge { edge: EdgeId(0), tail: NodeId(0) }; network.edges.len()];
+        let mut ordinal = vec![0u8; network.edges.len()];
+        for (idx, edge) in network.edges.iter().enumerate() {
+            let head = edge.to.index();
+            let slot = cursor[head] as usize;
+            order[slot] = InEdge { edge: EdgeId::from_index(idx), tail: edge.from };
+            ordinal[idx] = (slot - offsets[head] as usize) as u8;
+            cursor[head] += 1;
+        }
+        InEdges { offsets, order, ordinal }
+    }
+
+    /// The in-edge of `node` at `ordinal` (what [`Self::in_ordinal`] gave).
+    #[inline]
+    pub(crate) fn in_edge(&self, node: NodeId, ordinal: u8) -> InEdge {
+        self.order[self.offsets[node.index()] as usize + usize::from(ordinal)]
+    }
+
+    /// `edge`'s position among the in-edges of its head.
+    #[inline]
+    pub(crate) fn in_ordinal(&self, edge: EdgeId) -> u8 {
+        self.ordinal[edge.index()]
+    }
 }
 
 impl RoadNetwork {
@@ -126,6 +194,12 @@ impl RoadNetwork {
         let lo = self.inner.offsets[node.index()] as usize;
         let hi = self.inner.offsets[node.index() + 1] as usize;
         self.inner.edge_order[lo..hi].iter().map(move |&eid| (eid, &self.inner.edges[eid.index()]))
+    }
+
+    /// Every node's in-edges and every edge's in-ordinal, built by the
+    /// first call and shared by every clone of the network.
+    pub(crate) fn in_edges(&self) -> &InEdges {
+        self.inner.in_edges.get_or_init(|| InEdges::of(&self.inner))
     }
 
     /// Out-degree of `node`.
@@ -273,15 +347,25 @@ impl RoadNetworkBuilder {
     /// Finalises the builder into an immutable [`RoadNetwork`].
     ///
     /// # Panics
-    /// Panics if no nodes were added.
+    /// Panics if no nodes were added, or if a node is the head of more than
+    /// [`MAX_IN_DEGREE`] edges.
     pub fn build(self) -> RoadNetwork {
         assert!(!self.nodes.is_empty(), "a road network needs at least one node");
         let node_count = self.nodes.len();
 
-        // Counting sort of edges by tail node into a CSR layout.
+        // Counting sort of edges by tail node into a CSR layout. The same
+        // pass counts in-edges, saturating at a byte, for `MAX_IN_DEGREE`: a
+        // counter per edge in `add_edge` cost the metro grid twice as much.
         let mut counts = vec![0u32; node_count + 1];
+        let mut in_degrees = vec![0u8; node_count];
         for edge in &self.edges {
             counts[edge.from.index() + 1] += 1;
+            let in_degree = &mut in_degrees[edge.to.index()];
+            *in_degree = in_degree.saturating_add(1);
+        }
+        if let Some(node) = in_degrees.iter().position(|&d| usize::from(d) > MAX_IN_DEGREE) {
+            let node = NodeId::from_index(node);
+            panic!("node {node} is the head of more edges than a node may be, {MAX_IN_DEGREE}");
         }
         for i in 0..node_count {
             counts[i + 1] += counts[i];
@@ -308,6 +392,7 @@ impl RoadNetworkBuilder {
                 edge_order,
                 congestion,
                 max_travel_time,
+                in_edges: OnceLock::new(),
             }),
         }
     }
@@ -447,6 +532,64 @@ mod tests {
         let a = b.add_node(GeoPoint::new(0.0, 0.0));
         let c = b.add_node(GeoPoint::new(0.0, 0.01));
         b.add_edge(a, c, 0.0, RoadClass::Local);
+    }
+
+    /// A network of `in_degree` edges into one node, each from a node of
+    /// its own.
+    fn fan_in(in_degree: usize) -> (RoadNetwork, NodeId) {
+        let mut b = RoadNetworkBuilder::new();
+        let hub = b.add_node(GeoPoint::new(0.0, 0.0));
+        for i in 0..in_degree {
+            let tail = b.add_node(GeoPoint::new(0.001 * (i + 1) as f64, 0.0));
+            b.add_edge(tail, hub, 100.0, RoadClass::Local);
+        }
+        (b.build(), hub)
+    }
+
+    #[test]
+    fn a_node_may_be_the_head_of_max_in_degree_edges() {
+        let (net, hub) = fan_in(MAX_IN_DEGREE);
+        let in_edges = net.in_edges();
+        let last = u8::try_from(MAX_IN_DEGREE - 1).expect("an ordinal fits in a byte");
+        let InEdge { edge, tail } = in_edges.in_edge(hub, last);
+        assert_eq!((net.edge(edge).to, in_edges.in_ordinal(edge)), (hub, last));
+        assert_eq!(tail, NodeId::from_index(MAX_IN_DEGREE));
+    }
+
+    #[test]
+    #[should_panic(expected = "node n0 is the head of more edges than a node may be, 253")]
+    fn a_node_with_one_in_edge_too_many_does_not_build() {
+        fan_in(MAX_IN_DEGREE + 1);
+    }
+
+    /// Every edge is found again at its ordinal among its head's in-edges,
+    /// on a City B-sized generated city (1 200 nodes, 7 km radius) and on a
+    /// network with parallel edges.
+    #[test]
+    fn every_edge_is_the_in_edge_at_its_ordinal() {
+        let city = crate::generators::RandomCityBuilder::new(1200).radius_m(7_000.0).seed(0xB);
+        let mut parallel = RoadNetworkBuilder::new();
+        let a = parallel.add_node(GeoPoint::new(0.0, 0.0));
+        let c = parallel.add_node(GeoPoint::new(0.0, 0.01));
+        parallel.add_edge(a, c, 900.0, RoadClass::Local);
+        parallel.add_edge(a, c, 800.0, RoadClass::Arterial);
+        parallel.add_edge(c, a, 700.0, RoadClass::Local);
+        for net in [city.build(), parallel.build(), tiny_network()] {
+            let in_edges = net.in_edges();
+            let mut seen = vec![0usize; net.node_count()];
+            for e in net.edge_ids() {
+                let EdgeRecord { from, to: head, .. } = *net.edge(e);
+                let found = in_edges.in_edge(head, in_edges.in_ordinal(e));
+                assert_eq!(found, InEdge { edge: e, tail: from }, "{e}");
+                seen[head.index()] += 1;
+            }
+            // Ordinals of one head are 0.. its in-degree, in edge-id order.
+            for node in net.node_ids() {
+                let ids: Vec<EdgeId> =
+                    (0..seen[node.index()]).map(|o| in_edges.in_edge(node, o as u8).edge).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{node}");
+            }
+        }
     }
 
     #[test]

@@ -31,18 +31,23 @@
 //! So what one search *settled* answers later targets bit for bit. When a
 //! sweep finds its source already known to the memo (≥ 1 hit) and still has
 //! a miss, the search it has to run anyway leaves behind the parent edge of
-//! every node it settled — one `u32` per network node, with markers for the
-//! source, for "not settled yet" and, once a search has run the reachable
-//! graph dry, for "unreachable". Later sweeps and point queries from that
-//! source probe the pair memo first (≈ 40 ns; a walk is ≈ 200 ns on City B
-//! — `repeat_source` in the micro-benchmarks), then walk the parents back
-//! and re-sum the very closure the search priced edges with (`β(e, t)`, or
-//! `β × multiplier` under an overlay); targets the tree does not reach fall
-//! back to the same target-bounded search as before, whose settled nodes
-//! are merged into the row in place. The engine never runs a search it would
-//! not have run without rows, nor a wider one. Rows are budgeted by one
-//! constant (`ROW_BUDGET_BYTES`, 640 KiB per engine), first come first kept
-//! with no eviction; a source seen for the first time is never given one.
+//! every node it settled — one byte per network node: the parent edge's
+//! ordinal among the node's in-edges (the network's in-edge table; the
+//! builder caps a node's in-degree at [`MAX_IN_DEGREE`]), or one of the
+//! three values above the ordinals, markers for the source, for "not
+//! settled yet" and, once a search has run the reachable graph dry, for
+//! "unreachable". Later sweeps and point queries from that source
+//! probe the pair memo first (≈ 40 ns; a walk is ≈ 200 ns on City B —
+//! `repeat_source` in the micro-benchmarks), then walk the parents back —
+//! ordinal to in-edge to its tail — and re-sum the very closure the search
+//! priced edges with (`β(e, t)`, or `β × multiplier` under an overlay);
+//! targets the tree does not reach fall back to the same target-bounded
+//! search as before, whose settled nodes are merged into the row in place.
+//! The engine never runs a search it would not have run without rows, nor a
+//! wider one. Rows are budgeted by one constant (`ROW_BUDGET_BYTES`,
+//! 640 KiB per engine), first come first kept with no eviction; a source
+//! seen for the first time is never given one, and a known source the
+//! budget refuses is counted (`engine.rows.refused`).
 //!
 //! ## Gated sweeps
 //!
@@ -101,7 +106,7 @@
 
 use crate::dijkstra::{self, SearchSpace, NO_EDGE};
 use crate::gates::{Answer, GatedAnswers, GatedTargets, Gates};
-use crate::graph::RoadNetwork;
+use crate::graph::{InEdge, InEdges, RoadNetwork, MAX_IN_DEGREE};
 use crate::ids::{EdgeId, NodeId};
 use crate::lock;
 use crate::overlay::{self, TrafficOverlay};
@@ -117,19 +122,20 @@ use std::sync::{Arc, Mutex, RwLock};
 const CACHE_SHARDS: usize = 16;
 
 /// What every tree row of one engine may hold together, in bytes: a row is
-/// one `u32` per network node, so an engine keeps `ROW_BUDGET_BYTES / 4 /
-/// node_count` of them (136 on City B, 65 on the metro grid), first come
+/// one byte per network node, so an engine keeps `ROW_BUDGET_BYTES /
+/// node_count` of them (546 on City B, 262 on the metro grid), first come
 /// first kept — an evicting policy thrashes the moment the sources that
 /// repeat outnumber the rows, because a fleet cycles through every window.
 const ROW_BUDGET_BYTES: usize = 640 * 1024;
 
-/// Tree-row markers beside parent edge ids: the row's own source (what a
-/// search stamps its source with), a node no search from the source has
-/// settled yet, and a node no street reaches — known only once a search
-/// has run the reachable graph dry. Edge ids stay below all three.
-const ROW_SOURCE: u32 = NO_EDGE;
-const ROW_UNSETTLED: u32 = u32::MAX - 1;
-const ROW_UNREACHABLE: u32 = u32::MAX - 2;
+/// Tree-row markers beside in-edge ordinals: the row's own source, a node no
+/// search from the source has settled yet, and a node no street reaches —
+/// known only once a search has run the reachable graph dry. Ordinals stay
+/// below all three: the builder caps a node's in-edges at `MAX_IN_DEGREE`.
+const ROW_SOURCE: u8 = u8::MAX;
+const ROW_UNSETTLED: u8 = u8::MAX - 1;
+const ROW_UNREACHABLE: u8 = u8::MAX - 2;
+const _: () = assert!(MAX_IN_DEGREE == ROW_UNREACHABLE as usize);
 
 /// The engine's current traffic overlay, stamped with a generation counter.
 /// Swapping the overlay bumps the generation, which invalidates every
@@ -210,10 +216,10 @@ struct MemoShard {
     pairs: [PairMemo; 2],
     rows_stamp: Option<Stamp>,
     /// Source → its shortest-path tree as far as searches from it have
-    /// settled it: per node the parent edge id or a `ROW_*` marker.
-    rows: HashMap<NodeId, Box<[u32]>>,
+    /// settled it: per node the parent edge's in-ordinal or a `ROW_*` marker.
+    rows: HashMap<NodeId, Box<[u8]>>,
     /// Scratch of [`walk`]: the edges of one tree path, target first.
-    path: Vec<u32>,
+    path: Vec<EdgeId>,
 }
 
 impl MemoShard {
@@ -237,34 +243,38 @@ impl MemoShard {
 /// Dijkstra's label of a node is the left-to-right sum of `edge_secs` along
 /// its tree path, whatever the targets were and however far the search ran.
 fn walk(
-    row: &[u32],
-    network: &RoadNetwork,
+    row: &[u8],
+    in_edges: &InEdges,
     target: NodeId,
-    path: &mut Vec<u32>,
+    path: &mut Vec<EdgeId>,
     edge_secs: impl Fn(EdgeId) -> f64,
 ) -> Option<Option<Duration>> {
     path.clear();
-    let mut parent = row[target.index()];
-    while parent != ROW_SOURCE {
-        match parent {
+    let mut node = target;
+    loop {
+        match row[node.index()] {
+            ROW_SOURCE => break,
             ROW_UNSETTLED => return None,
             ROW_UNREACHABLE => return Some(None),
-            edge => {
+            ordinal => {
+                let InEdge { edge, tail } = in_edges.in_edge(node, ordinal);
                 path.push(edge);
-                parent = row[network.edge(EdgeId(edge)).from.index()];
+                node = tail;
             }
         }
     }
-    let secs = path.iter().rev().fold(0.0, |secs, &edge| secs + edge_secs(EdgeId(edge)));
+    let secs = path.iter().rev().fold(0.0, |secs, &edge| secs + edge_secs(edge));
     Some(Some(Duration::from_secs_f64(secs)))
 }
 
-/// Merges what the search in `space` settled into its source's `row`;
-/// `ran_dry` says the search exhausted the reachable graph (it ended with a
-/// target unsettled), so whatever is still unsettled is unreachable.
-fn grow(row: &mut [u32], space: &SearchSpace, ran_dry: bool) {
+/// Merges what the search in `space` settled into its source's `row`, each
+/// parent edge as its in-ordinal; `ran_dry` says the search exhausted the
+/// reachable graph (it ended with a target unsettled), so whatever is still
+/// unsettled is unreachable.
+fn grow(row: &mut [u8], in_edges: &InEdges, space: &SearchSpace, ran_dry: bool) {
     for (node, parent) in space.settled_parents() {
-        row[node] = parent;
+        row[node] =
+            if parent == NO_EDGE { ROW_SOURCE } else { in_edges.in_ordinal(EdgeId(parent)) };
     }
     if ran_dry {
         for parent in row.iter_mut().filter(|parent| **parent == ROW_UNSETTLED) {
@@ -305,9 +315,12 @@ struct EngineMetrics {
     overlay_hits: telemetry::Counter,
     overlay_misses: telemetry::Counter,
     /// `engine.rows.hits` — the hits above that a tree row answered;
-    /// `engine.rows.admitted` — rows allocated.
+    /// `engine.rows.admitted` — rows allocated; `engine.rows.refused` —
+    /// searches from a known source that wanted a row and found the budget
+    /// spent.
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
+    rows_refused: telemetry::Counter,
     /// `engine.backend.dijkstra.queries` — static-memo misses a search
     /// answered (a miss a gated search stopped short of was answered by
     /// none). Pairs asked under an overlay are not in it.
@@ -330,6 +343,7 @@ impl EngineMetrics {
             overlay_misses: telemetry::counter("engine.overlay_memo.misses"),
             rows_hits: telemetry::counter("engine.rows.hits"),
             rows_admitted: telemetry::counter("engine.rows.admitted"),
+            rows_refused: telemetry::counter("engine.rows.refused"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             gates_closed: telemetry::counter("engine.gates.closed"),
         }
@@ -602,6 +616,7 @@ impl ShortestPathEngine {
         edge_secs: impl Fn(EdgeId) -> f64,
     ) -> Vec<Answer> {
         let inner = &*self.inner;
+        let in_edges = inner.network.in_edges();
         let shard_index = Self::shard(source);
         let memo = usize::from(overlaid);
         let mut out: Vec<Answer> = vec![None; targets.len()];
@@ -622,7 +637,7 @@ impl ShortestPathEngine {
                     *answer = Some(known);
                     hits += 1;
                 } else if let Some(known) =
-                    row.and_then(|row| walk(row, &inner.network, target, path, &edge_secs))
+                    row.and_then(|row| walk(row, in_edges, target, path, &edge_secs))
                 {
                     *answer = Some(known);
                     row_hits += 1;
@@ -654,14 +669,17 @@ impl ShortestPathEngine {
                 }
             });
             if *rows_stamp == Some(stamp) {
-                if hits + row_hits > 0 && !rows.contains_key(&source) && self.reserve_row() {
-                    debug_assert!(inner.network.edge_count() < ROW_UNREACHABLE as usize);
-                    let nodes = inner.network.node_count();
-                    rows.insert(source, vec![ROW_UNSETTLED; nodes].into_boxed_slice());
-                    inner.metrics.rows_admitted.inc();
+                if hits + row_hits > 0 && !rows.contains_key(&source) {
+                    if self.reserve_row() {
+                        let nodes = inner.network.node_count();
+                        rows.insert(source, vec![ROW_UNSETTLED; nodes].into_boxed_slice());
+                        inner.metrics.rows_admitted.inc();
+                    } else {
+                        inner.metrics.rows_refused.inc();
+                    }
                 }
                 if let Some(row) = rows.get_mut(&source) {
-                    grow(row, &space, reach == f64::INFINITY);
+                    grow(row, in_edges, &space, reach == f64::INFINITY);
                 }
             }
         }
@@ -671,7 +689,7 @@ impl ShortestPathEngine {
 
     /// Takes one row out of the engine's budget, if one is left.
     fn reserve_row(&self) -> bool {
-        let budget = ROW_BUDGET_BYTES / 4 / self.inner.network.node_count().max(1);
+        let budget = ROW_BUDGET_BYTES / self.inner.network.node_count().max(1);
         self.inner
             .rows_used
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
@@ -835,7 +853,7 @@ mod tests {
     /// What one engine has counted: `engine.searches`,
     /// `engine.backend.dijkstra.queries`, `[hits, misses]` of the static
     /// memo (all shards) and of the overlay memo, `[hits, admitted]` of
-    /// the tree rows, and `engine.gates.closed`.
+    /// the tree rows, `engine.rows.refused` and `engine.gates.closed`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Counts {
         searches: u64,
@@ -843,6 +861,7 @@ mod tests {
         memo: [u64; 2],
         overlay: [u64; 2],
         rows: [u64; 2],
+        refused: u64,
         gates_closed: u64,
     }
 
@@ -861,6 +880,7 @@ mod tests {
         metrics.overlay_misses = registry.counter("overlay.misses");
         metrics.rows_hits = registry.counter("rows.hits");
         metrics.rows_admitted = registry.counter("rows.admitted");
+        metrics.rows_refused = registry.counter("rows.refused");
         metrics.gates_closed = registry.counter("gates.closed");
         let read = move || {
             let snapshot = registry.snapshot();
@@ -871,6 +891,7 @@ mod tests {
                 memo: [count("memo.hits"), count("memo.misses")],
                 overlay: [count("overlay.hits"), count("overlay.misses")],
                 rows: [count("rows.hits"), count("rows.admitted")],
+                refused: count("rows.refused"),
                 gates_closed: count("gates.closed"),
             }
         };
@@ -1062,15 +1083,16 @@ mod tests {
     }
 
     /// One constant budgets the rows of an engine: on a grid too large for
-    /// every source to have one, exactly `ROW_BUDGET_BYTES / 4 / n` are
+    /// every source to have one, exactly `ROW_BUDGET_BYTES / n` are
     /// admitted, first come first kept, and a refused source goes on as it
-    /// would have without rows — the same searches, no more and no wider.
-    /// The hour moving on hands the budget back.
+    /// would have without rows — the same searches, no more and no wider —
+    /// and is counted in `engine.rows.refused`. The hour moving on hands the
+    /// budget back.
     #[test]
     fn the_row_budget_admits_its_share_and_refuses_the_rest() {
-        let net = GridCityBuilder::new(24, 24).build();
+        let net = GridCityBuilder::new(30, 30).build();
         let n = net.node_count();
-        let budget = (ROW_BUDGET_BYTES / 4 / n) as u64;
+        let budget = (ROW_BUDGET_BYTES / n) as u64;
         assert!((budget as usize) < n, "the grid must outnumber the rows");
         let (engine, counts) = metered(&net);
         let all: Vec<NodeId> = net.node_ids().collect();
@@ -1089,6 +1111,7 @@ mod tests {
             }
             let swept = counts();
             assert_eq!(swept.rows[1], round * budget);
+            assert_eq!(swept.refused, round * (n as u64 - budget));
             assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed) as u64, budget);
             assert_eq!(swept.searches, round * 2 * n as u64);
             // Everything is known now, with or without a row: no search.

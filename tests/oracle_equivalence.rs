@@ -331,6 +331,82 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
     }
 }
 
+/// A tree row stores a node's parent as the parent edge's ordinal among the
+/// node's in-edges. On this network the ordinals that matter are not 0: the
+/// hub's four in-edges are added nearest-last (its tree parent is in-edge
+/// 3), and of two parallel edges `hub → x` the long one comes first (`x`'s
+/// parent is in-edge 1; in-edge 0 leads from the same tail to another sum).
+/// Cold sweeps, sweeps off the row the second sweep admits, and point
+/// queries read, bit for bit, what the memo-free search reads — on the
+/// static weights and under an overlay that leaves the tree as it is.
+#[test]
+fn a_tree_row_walks_the_in_edge_it_stored_not_the_first() {
+    let mut builder = RoadNetworkBuilder::new();
+    let [s, a, b, c, d, hub, x, y] = [0u32, 1, 2, 3, 4, 5, 6, 7]
+        .map(|i| builder.add_node(GeoPoint::new(0.0, 0.002 * f64::from(i))));
+    // Forward edges first, so every node's in-edge 0 comes from nearer the
+    // source; the edges back towards it add in-edges no tree takes.
+    for (tail, length) in [(a, 500.0), (b, 600.0), (c, 700.0)] {
+        builder.add_edge(s, tail, length, RoadClass::Local);
+    }
+    builder.add_edge(s, d, 200.0, RoadClass::Arterial);
+    let mut into_hub = Vec::new();
+    for (tail, length, class) in [
+        (a, 400.0, RoadClass::Local),
+        (b, 400.0, RoadClass::Local),
+        (c, 400.0, RoadClass::Collector),
+        (d, 300.0, RoadClass::Arterial),
+    ] {
+        into_hub.push(builder.add_edge(tail, hub, length, class));
+    }
+    let long = builder.add_edge(hub, x, 2000.0, RoadClass::Local);
+    let short = builder.add_edge(hub, x, 300.0, RoadClass::Arterial);
+    builder.add_edge(x, y, 400.0, RoadClass::Local);
+    for (tail, head) in [(y, x), (x, hub), (hub, d), (d, s), (a, s), (b, s), (c, s)] {
+        builder.add_edge(tail, head, 350.0, RoadClass::Collector);
+    }
+    let network = builder.build();
+    let everything: Vec<NodeId> = network.node_ids().collect();
+    let t = TimePoint::from_hms(12, 20, 0);
+    let mut overlay = TrafficOverlay::new();
+    overlay.slow_edge(into_hub[0], 3.0);
+    overlay.slow_edge(long, 2.0);
+    overlay.slow_edge(short, 1.5);
+
+    for overlaid in [false, true] {
+        let overlay = overlaid.then_some(&overlay);
+        let want = |targets: &[NodeId]| -> Vec<Option<u64>> {
+            reference(&network, overlay, s, targets, t).into_iter().map(bits).collect()
+        };
+        // In-edge 0 of `x` would read `hub`'s label plus the long edge.
+        let [at_hub, at_x] = [want(&[hub])[0], want(&[x])[0]].map(|b| f64::from_bits(b.unwrap()));
+        let multiplier = if overlaid { 2.0 } else { 1.0 };
+        let long_way = at_hub + network.travel_time(long, t).as_secs_f64() * multiplier;
+        assert!(at_x < long_way, "overlaid: {overlaid}: the short parallel edge is the parent");
+
+        let engine = ShortestPathEngine::cached(network.clone());
+        if let Some(overlay) = overlay {
+            engine.set_overlay(overlay.clone());
+        }
+        let sweep = |targets: &[NodeId]| -> Vec<Option<u64>> {
+            engine.travel_times_to_many(s, targets, t).into_iter().map(bits).collect()
+        };
+        // Cold: no row. Then known and still missing `y`, the farthest
+        // node: a row, and the search that fills it settles every node.
+        assert_eq!(sweep(&[a]), want(&[a]), "cold, overlaid: {overlaid}");
+        assert_eq!(sweep(&[a, y]), want(&[a, y]), "admitting, overlaid: {overlaid}");
+        // Off the row: nodes settled on the way and never asked.
+        for target in [hub, x, c, d] {
+            assert_eq!(
+                bits(engine.travel_time(s, target, t)),
+                want(&[target])[0],
+                "point {s}->{target}, overlaid: {overlaid}"
+            );
+        }
+        assert_eq!(sweep(&everything), want(&everything), "row sweep, overlaid: {overlaid}");
+    }
+}
+
 /// The contract of a gated sweep (`gated_travel_times`), with and without an
 /// overlay, from a cold engine, from one that already knows half the pairs,
 /// and from a source with a tree row: a gate opens exactly when one of its
