@@ -138,7 +138,10 @@ fn bench_repeat_source(c: &mut Criterion) {
     // (admission — the search for the 8 new ones leaves a tree row behind)
     // and rounds 3+ (the row answers what it has settled and grows by the
     // occasional search; by the time every node has been asked once a round
-    // is 40 tree walks, to be read against 40 × `roadnet.probe_hit_ns`).
+    // is 40 tree walks, to be read against 40 × `roadnet.probe_hit_ns`),
+    // and `resume`: a source whose row reaches the median node, asked for 8
+    // targets in its farthest quarter — beyond the row's reach, so one
+    // search, which resumes the row instead of starting over.
     let (network, nodes, incident) = city_b_with_incident();
     let t = TimePoint::from_hms(13, 0, 0);
     let (source, stops) = nodes.split_first().expect("a city has nodes");
@@ -178,6 +181,34 @@ fn bench_repeat_source(c: &mut Criterion) {
                 r += 1;
                 ask(&engine, r)
             })
+        });
+
+        // The nodes the source reaches, nearest first, on this condition's
+        // weights (ranked by an engine of their own).
+        let ranking = ShortestPathEngine::cached(network.clone());
+        if let Some(overlay) = overlay {
+            ranking.set_overlay(overlay.clone());
+        }
+        let secs = ranking.travel_times_to_many(*source, &nodes, t);
+        let mut ranked: Vec<(f64, NodeId)> = (secs.iter().zip(&nodes))
+            .filter_map(|(secs, &node)| Some((secs.as_ref()?.as_secs_f64(), node)))
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let eight = |from: usize| -> Vec<NodeId> {
+            ranked[from..from + 8].iter().map(|&(_, node)| node).collect()
+        };
+        let m = ranked.len();
+        let (near, median, far) = (eight(m / 8), ranked[m / 2].1, eight(3 * m / 4));
+        group.bench_function(&format!("{condition}/resume"), |b| {
+            b.iter_batched(
+                || {
+                    forget(&engine);
+                    engine.travel_times_to_many(*source, &near, t);
+                    engine.travel_times_to_many(*source, &[near[0], median], t);
+                },
+                |()| black_box(engine.travel_times_to_many(*source, &far, t)),
+                BatchSize::SmallInput,
+            )
         });
     }
     group.finish();

@@ -25,8 +25,11 @@
 //! ([`crate::gates`]) — is a few lines over one kernel, `search`: Dijkstra
 //! under an edge-weight closure, run until the marked targets are settled
 //! (or, gated, until only targets no open gate wants are left), read back by
-//! `settled_time` or walked back by `path_to`. A change to the search loop
-//! lands there once.
+//! `settled_time` or walked back by `path_to`. It starts from one of two
+//! seeds: the source alone, or the engine's *tree row* of the source — what
+//! earlier searches from it on the same weights settled — which it settles
+//! again at the labels they popped and resumes from. A change to the search
+//! loop lands there once.
 //! [`Expansion`] is the only other loop, and stays one on purpose: it is
 //! lazy (the caller decides when to stop, so it relaxes a node *before*
 //! yielding it), and it carries two weights per label — the order it settles
@@ -45,7 +48,7 @@
 //! touches the allocator in steady state.
 
 use crate::gates::Gates;
-use crate::graph::RoadNetwork;
+use crate::graph::{InEdge, RoadNetwork, MAX_IN_DEGREE};
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
 use std::cmp::Ordering;
@@ -53,6 +56,15 @@ use std::collections::BinaryHeap;
 
 /// Sentinel for "no parent edge recorded".
 pub(crate) const NO_EDGE: u32 = u32::MAX;
+
+/// Tree-row markers beside in-edge ordinals: the row's own source, a node no
+/// search from the source has settled yet, and a node no street reaches —
+/// known only once a search has run the reachable graph dry. Ordinals stay
+/// below all three: the builder caps a node's in-edges at `MAX_IN_DEGREE`.
+pub(crate) const ROW_SOURCE: u8 = u8::MAX;
+pub(crate) const ROW_UNSETTLED: u8 = u8::MAX - 1;
+pub(crate) const ROW_UNREACHABLE: u8 = u8::MAX - 2;
+const _: () = assert!(MAX_IN_DEGREE == ROW_UNREACHABLE as usize);
 
 /// The result of a point-to-point shortest-path query.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,6 +129,12 @@ pub struct SearchSpace {
     targeted: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
+    /// The tree row a [`Seed::Row`] search resumes, copied in through
+    /// [`Self::row_buffer`], and whether the current search did; and the
+    /// seed's scratch, one tree path.
+    row: Vec<u8>,
+    resumed: bool,
+    path: Vec<(usize, InEdge)>,
 }
 
 impl SearchSpace {
@@ -157,13 +175,65 @@ impl SearchSpace {
         self.heap.clear();
     }
 
+    /// The buffer a [`Seed::Row`] search reads its row from, `n` bytes: the
+    /// caller copies a tree row in. It grows once and is then reused.
+    pub(crate) fn row_buffer(&mut self, n: usize) -> &mut [u8] {
+        self.row.resize(n, ROW_UNSETTLED);
+        &mut self.row[..n]
+    }
+
     #[inline]
     pub(crate) fn dist(&self, i: usize) -> f64 {
-        if self.touched[i] == self.generation {
+        if self.is_labelled(i) {
             self.dist[i]
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Whether the current search has given `i` a label: every node it
+    /// reached but those a row seed settled and nothing needed the label of.
+    #[inline]
+    fn is_labelled(&self, i: usize) -> bool {
+        self.touched[i] == self.generation
+    }
+
+    /// The label of `node`, on the row of a [`Seed::Row`] search: climbs its
+    /// tree path to the source or to a node already labelled, then labels
+    /// the nodes on the way down, each its tail's label plus `edge_secs` of
+    /// its parent edge — left to right, as the search that settled it
+    /// summed.
+    fn label_on_row(
+        &mut self,
+        network: &RoadNetwork,
+        node: usize,
+        edge_secs: &impl Fn(EdgeId) -> f64,
+    ) -> f64 {
+        let in_edges = network.in_edges();
+        let mut path = std::mem::take(&mut self.path);
+        let mut at = node;
+        while !self.is_labelled(at) {
+            match self.row[at] {
+                ROW_SOURCE => self.update(at, 0.0, 0.0, NO_EDGE),
+                ordinal => {
+                    let in_edge = in_edges.in_edge(NodeId::from_index(at), ordinal);
+                    path.push((at, in_edge));
+                    at = in_edge.tail.index();
+                }
+            }
+        }
+        while let Some((at, InEdge { edge, tail })) = path.pop() {
+            let label = self.dist(tail.index()) + edge_secs(edge);
+            self.update(at, label, label, edge.0);
+        }
+        self.path = path;
+        self.dist(node)
+    }
+
+    /// The row the current search resumed, if it is a [`Seed::Row`] search:
+    /// what it knows of the nodes the seed settled.
+    pub(crate) fn resumed_row(&self) -> Option<&[u8]> {
+        self.resumed.then_some(&self.row[..])
     }
 
     #[inline]
@@ -213,12 +283,17 @@ impl SearchSpace {
     }
 
     /// `(node index, parent stamp)` of every node the current search has
-    /// settled, in node order — the source's stamp is [`NO_EDGE`]. A settled
-    /// node's label and parent are final: a longer search from the same
-    /// source on the same weights is the same pop sequence run further.
+    /// settled and labelled, in node order — the source's stamp is
+    /// [`NO_EDGE`]; a row seed's nodes that were never labelled are in
+    /// [`Self::resumed_row`] instead. A settled node's label and parent are
+    /// final: a longer search from the same source on the same weights is
+    /// the same pop sequence run further.
     pub(crate) fn settled_parents(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let settled = self.settled.iter().zip(&self.parent).enumerate();
-        settled.filter(|(_, (&stamp, _))| stamp == self.generation).map(|(i, (_, &p))| (i, p))
+        let settled = self.settled.iter().zip(&self.touched).zip(&self.parent).enumerate();
+        let settled = settled.filter(|(_, ((&settled, &touched), _))| {
+            settled == self.generation && touched == self.generation
+        });
+        settled.map(|(i, (_, &parent))| (i, parent))
     }
 
     /// Marks `i` as a target of the current search; false if already marked.
@@ -256,13 +331,42 @@ impl SearchSpace {
     }
 }
 
-/// The eager search kernel: Dijkstra from `source` under `edge_secs`, run
+/// Where a [`search`] starts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Seed {
+    /// A fresh search: the source alone, at label 0.
+    Source(NodeId),
+    /// A resumed search: the tree row in the space's [`row
+    /// buffer`](SearchSpace::row_buffer) — per node its parent edge's
+    /// ordinal among the node's in-edges, or a `ROW_*` marker — left by
+    /// earlier searches from its source on the same weights. Its nodes are
+    /// settled again, none of them popped, and the out-edges that leave the
+    /// row are relaxed; the search goes on from there. A seeded node gets a
+    /// label only when one of those edges, or a target, needs it: its tail's
+    /// label plus `edge_secs` of its parent edge, which is the label the
+    /// search that settled it popped (and what the engine's walk re-sums).
+    Row,
+}
+
+/// What a [`search`] did: `reach`, the last label it popped, which no node
+/// it left unsettled is nearer than — infinite when it ran the reachable
+/// graph dry, so that whatever it left unsettled is unreachable — and how
+/// many nodes it `settled` by popping them (a row seed's are not counted).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Searched {
+    pub(crate) reach: f64,
+    pub(crate) settled: u64,
+}
+
+/// The eager search kernel: Dijkstra from `seed` under `edge_secs`, run
 /// until every node of `targets` is settled or the reachable graph is
 /// exhausted. Answers stay in `space` for [`settled_time`] and [`path_to`].
 ///
-/// Returns how far the search reached: the last label it popped, which no
-/// node it left unsettled is nearer than — infinite when it ran the
-/// reachable graph dry, so that whatever it left unsettled is unreachable.
+/// Resuming a row answers what the fresh search answers, bit for bit: a
+/// row's settled set is a prefix of the fresh search's pop sequence, and
+/// `fl(a + w)` is monotone in `a`, so the labels are the same fixpoint
+/// whatever the order nodes settle in — a tie that picks another parent
+/// still sums to the same bits.
 ///
 /// With `gates`, a target stops being waited for once only closed gates
 /// want it: the first label popped beyond a gate's radius decides the gate,
@@ -275,26 +379,37 @@ impl SearchSpace {
 /// weight closure, so the closure costs nothing at run time.
 pub(crate) fn search(
     network: &RoadNetwork,
-    source: NodeId,
+    seed: Seed,
     targets: &[NodeId],
     mut gates: Option<&mut Gates<'_>>,
     space: &mut SearchSpace,
     edge_secs: impl Fn(EdgeId) -> f64,
-) -> f64 {
+) -> Searched {
     space.begin(network.node_count());
+    space.resumed = matches!(seed, Seed::Row);
+    match seed {
+        Seed::Source(source) => {
+            space.update(source.index(), 0.0, 0.0, NO_EDGE);
+            space.push(0.0, source);
+        }
+        Seed::Row => seed_row(network, space, &edge_secs),
+    }
     let mut remaining = 0usize;
     for &target in targets {
-        if space.mark_target(target.index()) {
-            remaining += 1;
+        let i = target.index();
+        if !space.is_settled(i) {
+            remaining += usize::from(space.mark_target(i));
+        } else {
+            space.label_on_row(network, i, &edge_secs);
         }
     }
     let mut horizon = gates.as_deref().map_or(f64::INFINITY, Gates::horizon);
-    space.update(source.index(), 0.0, 0.0, NO_EDGE);
-    space.push(0.0, source);
-    let mut reach = 0.0;
+    let mut searched = Searched { reach: 0.0, settled: 0 };
     while remaining > 0 {
-        let Some((cost, node)) = space.pop() else { return f64::INFINITY };
-        reach = cost;
+        let Some((cost, node)) = space.pop() else {
+            return Searched { reach: f64::INFINITY, ..searched };
+        };
+        searched.reach = cost;
         if cost > horizon {
             let gates = gates.as_deref_mut().expect("only a gate sets a finite horizon");
             remaining -= gates.pass(cost, space);
@@ -308,17 +423,61 @@ pub(crate) fn search(
             continue;
         }
         space.settle(i);
+        searched.settled += 1;
         if space.take_target(i) {
             remaining -= 1;
             if remaining == 0 {
                 break;
             }
         }
-        for (eid, edge) in network.out_edges(node) {
+        relax(network, space, node, cost, &edge_secs);
+    }
+    searched
+}
+
+/// Relaxes the out-edges of `node`, settled at `cost`, into the queue.
+#[inline]
+fn relax(
+    network: &RoadNetwork,
+    space: &mut SearchSpace,
+    node: NodeId,
+    cost: f64,
+    edge_secs: &impl Fn(EdgeId) -> f64,
+) {
+    for (eid, edge) in network.out_edges(node) {
+        let to = edge.to.index();
+        if space.is_settled(to) {
+            continue;
+        }
+        let next = cost + edge_secs(eid);
+        if next < space.dist(to) {
+            space.update(to, next, next, eid.0);
+            space.push(next, edge.to);
+        }
+    }
+}
+
+/// The [`Seed::Row`] seed: settles every node on the row, then relaxes the
+/// out-edges that leave it. Only a node with such an edge needs its label,
+/// so labels are summed on demand ([`SearchSpace::label_on_row`]).
+fn seed_row(network: &RoadNetwork, space: &mut SearchSpace, edge_secs: &impl Fn(EdgeId) -> f64) {
+    let n = space.row.len();
+    for node in 0..n {
+        if space.row[node] != ROW_UNSETTLED && space.row[node] != ROW_UNREACHABLE {
+            space.settle(node);
+        }
+    }
+    for node in 0..n {
+        if !space.is_settled(node) {
+            continue;
+        }
+        let mut cost = None;
+        for (eid, edge) in network.out_edges(NodeId::from_index(node)) {
             let to = edge.to.index();
             if space.is_settled(to) {
                 continue;
             }
+            let cost = *cost.get_or_insert_with(|| space.label_on_row(network, node, edge_secs));
             let next = cost + edge_secs(eid);
             if next < space.dist(to) {
                 space.update(to, next, next, eid.0);
@@ -326,7 +485,6 @@ pub(crate) fn search(
             }
         }
     }
-    reach
 }
 
 /// The static weight `β(e, t)` in seconds, as a [`search`] closure.
@@ -386,7 +544,7 @@ pub fn shortest_travel_time_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    search(network, source, &[target], None, space, beta_secs(network, t));
+    search(network, Seed::Source(source), &[target], None, space, beta_secs(network, t));
     settled_time(space, target)
 }
 
@@ -410,7 +568,7 @@ pub fn shortest_path_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    search(network, source, &[target], None, space, beta_secs(network, t));
+    search(network, Seed::Source(source), &[target], None, space, beta_secs(network, t));
     path_to(network, source, target, space)
 }
 
@@ -437,7 +595,7 @@ pub fn one_to_many_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    search(network, source, targets, None, space, beta_secs(network, t));
+    search(network, Seed::Source(source), targets, None, space, beta_secs(network, t));
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -469,7 +627,7 @@ pub struct Settled {
 /// The scratch space an [`Expansion`] runs in: its own, or one borrowed from
 /// a caller (e.g. the engine's pool) so repeated expansions don't allocate.
 enum SpaceSlot<'a> {
-    Owned(SearchSpace),
+    Owned(Box<SearchSpace>),
     Borrowed(&'a mut SearchSpace),
 }
 
@@ -510,7 +668,7 @@ impl<'a> Expansion<'a> {
     /// Starts a best-first expansion from `source` using the temporal edge
     /// weight `β(e, t)`.
     pub fn new(network: &'a RoadNetwork, source: NodeId, t: TimePoint) -> Self {
-        Self::build(network, source, t, None, SpaceSlot::Owned(SearchSpace::new()))
+        Self::build(network, source, t, None, SpaceSlot::Owned(Box::default()))
     }
 
     /// [`Expansion::new`] running inside a caller-provided space.

@@ -257,18 +257,27 @@ impl<'a> Gates<'a> {
     }
 
     /// A search in `space` has just popped `label`: every undecided gate of
-    /// a smaller radius is decided — open if it settled a trigger, closed if
-    /// not — and a member only closed gates wanted loses its target mark.
-    /// Returns how many marked targets that unmarked.
+    /// a smaller radius is decided — open if it settled a trigger at a label
+    /// within the radius, closed if not — and a member only closed gates
+    /// wanted loses its target mark. Returns how many marked targets that
+    /// unmarked.
+    ///
+    /// A fresh search has settled nothing beyond the radius by then, so for
+    /// it "settled" alone would do; a search resumed from a tree row may
+    /// have been seeded with nodes far beyond it, so the label is checked.
     pub(crate) fn pass(&mut self, label: f64, space: &mut SearchSpace) -> usize {
         let mut unmarked = 0;
         for g in 0..self.state.len() {
-            if self.state[g] != State::Undecided || self.asked.gates[g].radius >= label {
+            let radius = self.asked.gates[g].radius;
+            if self.state[g] != State::Undecided || radius >= label {
                 continue;
             }
             let (start, triggers_end, _) = self.asked.span(g);
-            let triggers = &self.member_at[start..triggers_end];
-            if triggers.iter().any(|&t| space.is_settled(self.nodes[t as usize].index())) {
+            let within = |&t: &u32| {
+                let i = self.nodes[t as usize].index();
+                space.is_settled(i) && space.dist(i) <= radius
+            };
+            if self.member_at[start..triggers_end].iter().any(within) {
                 self.state[g] = State::Open;
             } else {
                 self.closed_early += 1;

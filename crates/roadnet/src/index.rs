@@ -33,21 +33,32 @@
 //! a miss, the search it has to run anyway leaves behind the parent edge of
 //! every node it settled — one byte per network node: the parent edge's
 //! ordinal among the node's in-edges (the network's in-edge table; the
-//! builder caps a node's in-degree at [`MAX_IN_DEGREE`]), or one of the
+//! builder caps a node's in-degree at
+//! [`MAX_IN_DEGREE`](crate::graph::MAX_IN_DEGREE)), or one of the
 //! three values above the ordinals, markers for the source, for "not
 //! settled yet" and, once a search has run the reachable graph dry, for
 //! "unreachable". Later sweeps and point queries from that source
 //! probe the pair memo first (≈ 40 ns; a walk is ≈ 200 ns on City B —
 //! `repeat_source` in the micro-benchmarks), then walk the parents back —
 //! ordinal to in-edge to its tail — and re-sum the very closure the search
-//! priced edges with (`β(e, t)`, or `β × multiplier` under an overlay);
-//! targets the tree does not reach fall back to the same target-bounded
-//! search as before, whose settled nodes are merged into the row in place.
-//! The engine never runs a search it would not have run without rows, nor a
-//! wider one. Rows are budgeted by one constant (`ROW_BUDGET_BYTES`,
-//! 640 KiB per engine), first come first kept with no eviction; a source
-//! seen for the first time is never given one, and a known source the
-//! budget refuses is counted (`engine.rows.refused`).
+//! priced edges with (`β(e, t)`, or `β × multiplier` under an overlay).
+//!
+//! A row also keeps its **reach**, the largest label its searches popped (∞
+//! once one ran dry): no node it has not settled is nearer. For targets the
+//! tree does not reach, the search *resumes* the row instead of starting
+//! over (`engine.rows.resumed`): the row, copied into the search's pooled
+//! space, is settled again without a pop — a node's label summed only when
+//! an edge leaving the row needs it — and the search goes on from the
+//! frontier, to the same targets, and merges what it settled into the row.
+//! That search settles (`engine.settled`) only nodes the row lacks, and the
+//! labels are the fresh search's bit for bit (`dijkstra`, "Two loops"). The
+//! engine never runs a search it would not have run without rows, nor one
+//! that reaches farther than the fresh one: a gate the reach decides costs
+//! no search (below), and every search that runs is one the fresh engine
+//! would run past every label below the reach. Rows are budgeted by one
+//! constant (`ROW_BUDGET_BYTES`, 640 KiB per engine), first come first kept
+//! with no eviction; a source seen for the first time is never given one,
+//! and a known source the budget refuses is counted (`engine.rows.refused`).
 //!
 //! ## Gated sweeps
 //!
@@ -63,13 +74,21 @@
 //!
 //! * the pair memo and the tree row answer first, and what they know decides
 //!   gates — a trigger known within the radius opens its gate, and a gate
-//!   whose triggers are all known to lie beyond it closes with no search;
+//!   whose triggers are all known to lie beyond it closes with no search. A
+//!   trigger the row has not settled is known to lie at least its reach
+//!   away, so every gate of a radius below the reach is decided here;
 //! * the one search, for what is still unknown and still wanted, runs in the
-//!   Dijkstra kernel with the gates: the first label it pops beyond a gate's
-//!   radius decides the gate (everything nearer is settled by then), and a
-//!   member only closed gates wanted stops being waited for. The search ends
-//!   when nothing wanted is unsettled, so it never runs wider than the plain
-//!   sweep of the same targets, and usually stops at the radius;
+//!   Dijkstra kernel with the gates, resuming the row if the source has one:
+//!   the first label it pops beyond a gate's radius decides the gate
+//!   (everything nearer is settled by then) — open only on a trigger settled
+//!   at a label within the radius, since a resumed search starts with row
+//!   nodes settled beyond it — and a member only closed gates wanted stops
+//!   being waited for. The search ends when nothing wanted is unsettled, so
+//!   it never runs wider than the plain sweep of the same targets, and
+//!   usually stops at the radius. A gate still undecided has a radius of at
+//!   least the row's reach, and a target still unknown lies at least that
+//!   far, so a fresh search would pop every label below the reach anyway:
+//!   resuming can only save work;
 //! * only settled targets are memoised. A search that ended by closing gates
 //!   did not run dry: it writes no unreachable pair and no `ROW_UNREACHABLE`.
 //!   Of a target it stopped short of it knows only a *floor* — every node it
@@ -100,13 +119,17 @@
 //! holds as many as were ever checked out at once), so steady-state
 //! queries perform no allocation beyond their output and the memo's growth:
 //! admitting a source allocates its one row, a row hit allocates nothing
-//! (the path scratch lives in the shard);
+//! (the path scratch lives in the shard), and a resumed search copies its
+//! row into a buffer of the pooled space, checked out only when a search
+//! runs;
 //! [`ShortestPathEngine::search_space`] hands the same pooled spaces to
 //! callers that drive their own [`Expansion`](crate::dijkstra::Expansion)s.
 
-use crate::dijkstra::{self, SearchSpace, NO_EDGE};
+use crate::dijkstra::{
+    self, SearchSpace, Seed, NO_EDGE, ROW_SOURCE, ROW_UNREACHABLE, ROW_UNSETTLED,
+};
 use crate::gates::{Answer, GatedAnswers, GatedTargets, Gates};
-use crate::graph::{InEdge, InEdges, RoadNetwork, MAX_IN_DEGREE};
+use crate::graph::{InEdge, InEdges, RoadNetwork};
 use crate::ids::{EdgeId, NodeId};
 use crate::lock;
 use crate::overlay::{self, TrafficOverlay};
@@ -127,15 +150,6 @@ const CACHE_SHARDS: usize = 16;
 /// first kept — an evicting policy thrashes the moment the sources that
 /// repeat outnumber the rows, because a fleet cycles through every window.
 const ROW_BUDGET_BYTES: usize = 640 * 1024;
-
-/// Tree-row markers beside in-edge ordinals: the row's own source, a node no
-/// search from the source has settled yet, and a node no street reaches —
-/// known only once a search has run the reachable graph dry. Ordinals stay
-/// below all three: the builder caps a node's in-edges at `MAX_IN_DEGREE`.
-const ROW_SOURCE: u8 = u8::MAX;
-const ROW_UNSETTLED: u8 = u8::MAX - 1;
-const ROW_UNREACHABLE: u8 = u8::MAX - 2;
-const _: () = assert!(MAX_IN_DEGREE == ROW_UNREACHABLE as usize);
 
 /// The engine's current traffic overlay, stamped with a generation counter.
 /// Swapping the overlay bumps the generation, which invalidates every
@@ -215,9 +229,8 @@ impl PairMemo {
 struct MemoShard {
     pairs: [PairMemo; 2],
     rows_stamp: Option<Stamp>,
-    /// Source → its shortest-path tree as far as searches from it have
-    /// settled it: per node the parent edge's in-ordinal or a `ROW_*` marker.
-    rows: HashMap<NodeId, Box<[u8]>>,
+    /// Source → its tree row.
+    rows: HashMap<NodeId, TreeRow>,
     /// Scratch of [`walk`]: the edges of one tree path, target first.
     path: Vec<EdgeId>,
 }
@@ -236,6 +249,17 @@ impl MemoShard {
             memo.map.clear();
         }
     }
+}
+
+/// A source's shortest-path tree as far as searches from it have settled
+/// it: per node the parent edge's in-ordinal or a `ROW_*` marker
+/// ([`crate::dijkstra`]), and `reach`, the largest label those searches
+/// popped — infinite once one ran dry. No node the row has not settled is
+/// nearer than `reach`.
+#[derive(Debug)]
+struct TreeRow {
+    parents: Box<[u8]>,
+    reach: f64,
 }
 
 /// Reads `target` off a tree row: `None` when no search has settled it
@@ -267,17 +291,30 @@ fn walk(
     Some(Some(Duration::from_secs_f64(secs)))
 }
 
-/// Merges what the search in `space` settled into its source's `row`, each
-/// parent edge as its in-ordinal; `ran_dry` says the search exhausted the
-/// reachable graph (it ended with a target unsettled), so whatever is still
-/// unsettled is unreachable.
-fn grow(row: &mut [u8], in_edges: &InEdges, space: &SearchSpace, ran_dry: bool) {
-    for (node, parent) in space.settled_parents() {
-        row[node] =
-            if parent == NO_EDGE { ROW_SOURCE } else { in_edges.in_ordinal(EdgeId(parent)) };
+/// Merges what the search in `space` settled, up to `reach`, into its
+/// source's `row`: the row it resumed, if it did, and each parent edge of
+/// a node it labelled as its in-ordinal. A node the row holds already keeps
+/// its parent: any parent a search on these weights gave it sums to the
+/// same label. An infinite `reach` says the search exhausted the reachable
+/// graph (it ended with a target unsettled), so whatever is still unsettled
+/// is unreachable.
+fn grow(row: &mut TreeRow, in_edges: &InEdges, space: &SearchSpace, reach: f64) {
+    if let Some(seed) = space.resumed_row() {
+        for (held, &seeded) in row.parents.iter_mut().zip(seed) {
+            if *held == ROW_UNSETTLED {
+                *held = seeded;
+            }
+        }
     }
-    if ran_dry {
-        for parent in row.iter_mut().filter(|parent| **parent == ROW_UNSETTLED) {
+    for (node, parent) in space.settled_parents() {
+        if row.parents[node] == ROW_UNSETTLED {
+            row.parents[node] =
+                if parent == NO_EDGE { ROW_SOURCE } else { in_edges.in_ordinal(EdgeId(parent)) };
+        }
+    }
+    row.reach = row.reach.max(reach);
+    if reach == f64::INFINITY {
+        for parent in row.parents.iter_mut().filter(|parent| **parent == ROW_UNSETTLED) {
             *parent = ROW_UNREACHABLE;
         }
     }
@@ -321,6 +358,12 @@ struct EngineMetrics {
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
     rows_refused: telemetry::Counter,
+    /// `engine.rows.resumed` — searches seeded from a tree row, which
+    /// settle the row's nodes again without popping them.
+    rows_resumed: telemetry::Counter,
+    /// `engine.settled` — nodes the memo's searches settled by popping
+    /// them; a row seed's are not counted.
+    settled: telemetry::Counter,
     /// `engine.backend.dijkstra.queries` — static-memo misses a search
     /// answered (a miss a gated search stopped short of was answered by
     /// none). Pairs asked under an overlay are not in it.
@@ -344,6 +387,8 @@ impl EngineMetrics {
             rows_hits: telemetry::counter("engine.rows.hits"),
             rows_admitted: telemetry::counter("engine.rows.admitted"),
             rows_refused: telemetry::counter("engine.rows.refused"),
+            rows_resumed: telemetry::counter("engine.rows.resumed"),
+            settled: telemetry::counter("engine.settled"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             gates_closed: telemetry::counter("engine.gates.closed"),
         }
@@ -600,7 +645,10 @@ impl ShortestPathEngine {
     /// `source`'s tree row (a walk, ≈ 200 ns on City B), then a single
     /// one-to-many search, run with no lock held, for the targets they do
     /// not know — less, when `gates` are given, those only gates that what
-    /// is known closes wanted. Concurrent fills of the same pair are
+    /// is known closes wanted; the row's `reach` floors every target it has
+    /// not settled, so a gate of a smaller radius is decided here. A search
+    /// from a source with a row resumes the row, copied into the search's
+    /// pooled space under the lock. Concurrent fills of the same pair are
     /// idempotent (both remember the same exact answer). A source the memo
     /// already knew (≥ 1 hit) that still has a miss stands still while its
     /// stops change: it is given a tree row, budget permitting, which the
@@ -622,7 +670,7 @@ impl ShortestPathEngine {
         let mut out: Vec<Answer> = vec![None; targets.len()];
         // A self-pair is answered without the memo: neither hit nor miss.
         let (mut hits, mut row_hits) = (0, 0);
-        {
+        let (missing, search) = {
             let mut shard = lock(inner.memo[shard_index].lock());
             shard.roll_to(overlaid, stamp, &inner.rows_used);
             let MemoShard { pairs, rows, path, .. } = &mut *shard;
@@ -637,28 +685,50 @@ impl ShortestPathEngine {
                     *answer = Some(known);
                     hits += 1;
                 } else if let Some(known) =
-                    row.and_then(|row| walk(row, in_edges, target, path, &edge_secs))
+                    row.and_then(|row| walk(&row.parents, in_edges, target, path, &edge_secs))
                 {
                     *answer = Some(known);
                     row_hits += 1;
-                } else if let (Some(Err(floor)), Some(gates)) = (held, gates.as_deref_mut()) {
-                    gates.floor(i, floor);
+                } else if let Some(gates) = gates.as_deref_mut() {
+                    let held = held.and_then(Result::err).unwrap_or(0.0);
+                    let floor = row.map_or(held, |row| held.max(row.reach));
+                    if floor > 0.0 {
+                        gates.floor(i, floor);
+                    }
                 }
             }
-        }
-        let missing = missing(targets, &out, gates.as_deref_mut());
+            let missing = missing(targets, &out, gates.as_deref_mut());
+            // Only a search that will run checks a space out; it resumes the
+            // row, if there is one, from a copy in the space.
+            let search = (!missing.is_empty()).then(|| {
+                let mut space = self.search_space();
+                let seed = match row {
+                    Some(row) => {
+                        space.row_buffer(row.parents.len()).copy_from_slice(&row.parents);
+                        Seed::Row
+                    }
+                    None => Seed::Source(source),
+                };
+                (space, seed)
+            });
+            (missing, search)
+        };
         inner.metrics.rows_hits.add(row_hits);
         let mut answered = 0;
-        if !missing.is_empty() {
-            let mut space = self.search_space();
-            let reach = dijkstra::search(
+        if let Some((mut space, seed)) = search {
+            let searched = dijkstra::search(
                 &inner.network,
-                source,
+                seed,
                 &missing,
                 gates.as_deref_mut(),
                 &mut space,
                 &edge_secs,
             );
+            let reach = searched.reach;
+            inner.metrics.settled.add(searched.settled);
+            if matches!(seed, Seed::Row) {
+                inner.metrics.rows_resumed.inc();
+            }
             let triggers = gates.as_deref().map_or_else(Vec::new, Gates::triggers);
             let mut shard = lock(inner.memo[shard_index].lock());
             let MemoShard { pairs, rows_stamp, rows, .. } = &mut *shard;
@@ -671,15 +741,15 @@ impl ShortestPathEngine {
             if *rows_stamp == Some(stamp) {
                 if hits + row_hits > 0 && !rows.contains_key(&source) {
                     if self.reserve_row() {
-                        let nodes = inner.network.node_count();
-                        rows.insert(source, vec![ROW_UNSETTLED; nodes].into_boxed_slice());
+                        let parents = vec![ROW_UNSETTLED; inner.network.node_count()];
+                        rows.insert(source, TreeRow { parents: parents.into(), reach: 0.0 });
                         inner.metrics.rows_admitted.inc();
                     } else {
                         inner.metrics.rows_refused.inc();
                     }
                 }
                 if let Some(row) = rows.get_mut(&source) {
-                    grow(row, in_edges, &space, reach == f64::INFINITY);
+                    grow(row, in_edges, &space, reach);
                 }
             }
         }
@@ -853,7 +923,8 @@ mod tests {
     /// What one engine has counted: `engine.searches`,
     /// `engine.backend.dijkstra.queries`, `[hits, misses]` of the static
     /// memo (all shards) and of the overlay memo, `[hits, admitted]` of
-    /// the tree rows, `engine.rows.refused` and `engine.gates.closed`.
+    /// the tree rows, `engine.rows.refused`, `engine.gates.closed`,
+    /// `engine.rows.resumed` and `engine.settled`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Counts {
         searches: u64,
@@ -863,6 +934,8 @@ mod tests {
         rows: [u64; 2],
         refused: u64,
         gates_closed: u64,
+        resumed: u64,
+        settled: u64,
     }
 
     /// An engine whose counters count into a registry of its own, and a
@@ -882,6 +955,8 @@ mod tests {
         metrics.rows_admitted = registry.counter("rows.admitted");
         metrics.rows_refused = registry.counter("rows.refused");
         metrics.gates_closed = registry.counter("gates.closed");
+        metrics.rows_resumed = registry.counter("rows.resumed");
+        metrics.settled = registry.counter("settled");
         let read = move || {
             let snapshot = registry.snapshot();
             let count = |name| snapshot.counter(name).expect("registered");
@@ -893,6 +968,8 @@ mod tests {
                 rows: [count("rows.hits"), count("rows.admitted")],
                 refused: count("rows.refused"),
                 gates_closed: count("gates.closed"),
+                resumed: count("rows.resumed"),
+                settled: count("settled"),
             }
         };
         (engine, read)
@@ -1124,6 +1201,183 @@ mod tests {
         }
     }
 
+    /// The row of `source` as its shard holds it: per node its marker or
+    /// in-ordinal, and its reach; `None` when it has none.
+    fn row_of(engine: &ShortestPathEngine, source: NodeId) -> Option<(Vec<u8>, f64)> {
+        let shard = lock(engine.inner.memo[ShortestPathEngine::shard(source)].lock());
+        shard.rows.get(&source).map(|row| (row.parents.to_vec(), row.reach))
+    }
+
+    /// A random city (no two edges weigh the same, so no labels tie), a
+    /// source, and its nodes nearest first with their travel times.
+    fn by_distance(t: TimePoint) -> (RoadNetwork, NodeId, Vec<(NodeId, f64)>) {
+        let net = crate::generators::RandomCityBuilder::new(160).seed(5).build();
+        let source = NodeId(3);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let mut nodes: Vec<(NodeId, f64)> = dijkstra::one_to_many(&net, source, &all, t)
+            .into_iter()
+            .zip(&all)
+            .filter_map(|(secs, &node)| Some((node, secs?.as_secs_f64())))
+            .collect();
+        nodes.sort_by(|a, b| a.1.total_cmp(&b.1));
+        (net, source, nodes)
+    }
+
+    /// Gives `source` a row whose search ran out to `reached`: a first
+    /// sweep makes the source known, the second admits the row.
+    fn rowed(engine: &ShortestPathEngine, source: NodeId, reached: NodeId, t: TimePoint) {
+        let near = engine.network().out_edges(source).next().expect("a street").1.to;
+        engine.travel_times_to_many(source, &[near], t);
+        engine.travel_times_to_many(source, &[near, reached], t);
+        assert!(row_of(engine, source).is_some(), "the second sweep admits the row");
+    }
+
+    /// The row's reach floors every node it has not settled, so a gate of a
+    /// smaller radius is decided under the lock: closed when its triggers
+    /// are off the row or on it beyond the radius, open on one on the row
+    /// within it — and the sweep costs no search, and closes no gate a
+    /// search passed (`engine.gates.closed`), on the static memo and on the
+    /// overlay memo.
+    #[test]
+    fn a_gate_the_rows_reach_decides_costs_no_search() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let at = |rank: usize| nodes[rank];
+        let (reached, reach) = at(nodes.len() / 2);
+        for overlaid in [false, true] {
+            let (engine, counts) = metered(&net);
+            if overlaid {
+                // A uniform slowdown: the same tree, every label doubled.
+                let mut overlay = crate::TrafficOverlay::new();
+                net.edge_ids().for_each(|edge| overlay.slow_edge(edge, 2.0));
+                engine.set_overlay(overlay);
+            }
+            let scale = if overlaid { 2.0 } else { 1.0 };
+            rowed(&engine, source, reached, t);
+            let (_, row_reach) = row_of(&engine, source).expect("a row");
+            assert_eq!(row_reach, reach * scale, "overlaid: {overlaid}");
+            let radius = Duration::from_secs_f64(scale * at(nodes.len() / 4).1);
+            let (on_row_far, off_row) = (at(nodes.len() / 3).0, at(nodes.len() - 1).0);
+            let mut asked = GatedTargets::new();
+            asked.require([at(10).0]);
+            asked.gate(radius, [at(20).0, off_row], [at(nodes.len() - 2).0]);
+            asked.gate(radius, [on_row_far, off_row], [at(nodes.len() - 3).0]);
+            let before = counts();
+            let got = engine.gated_travel_times(source, &asked, t);
+            assert_eq!(got.opened, [true, false], "overlaid: {overlaid}");
+            let want: Vec<NodeId> = [at(10).0, at(20).0, off_row, at(nodes.len() - 2).0]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(got.targets, want);
+            let overlay = overlaid.then(|| {
+                let mut overlay = crate::TrafficOverlay::new();
+                net.edge_ids().for_each(|edge| overlay.slow_edge(edge, 2.0));
+                overlay
+            });
+            let got_bits: Vec<_> = got.travel_times.into_iter().map(bits).collect();
+            assert_eq!(got_bits, reference_bits(&net, overlay.as_ref(), source, &want, t));
+            // The open gate's off-row members took one resumed search; the
+            // closed gate cost nothing.
+            let after = counts();
+            assert_eq!((after.searches, after.resumed), (before.searches + 1, before.resumed + 1));
+            assert_eq!(after.gates_closed, before.gates_closed, "closed by the row, not a search");
+
+            // The closed gate alone: no search at all.
+            let mut closed = GatedTargets::new();
+            closed.gate(radius, [on_row_far, off_row], [at(nodes.len() - 3).0]);
+            let got = engine.gated_travel_times(source, &closed, t);
+            assert_eq!((got.opened, got.targets), (vec![false], vec![]));
+            assert_eq!(counts().searches, after.searches, "overlaid: {overlaid}");
+        }
+    }
+
+    /// A search from a source with a row resumes it: the row's nodes are
+    /// settled again without a pop, so what `engine.settled` counts is
+    /// exactly the nodes the row lacked — on this network, where no labels
+    /// tie, the fresh search's settled count less the row's.
+    #[test]
+    fn a_resumed_search_settles_only_the_nodes_the_row_lacked() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (reached, far) = (nodes[nodes.len() / 3].0, nodes[nodes.len() * 3 / 4].0);
+        let (engine, counts) = metered(&net);
+        rowed(&engine, source, reached, t);
+        let (row, _) = row_of(&engine, source).expect("a row");
+        let on_row = row.iter().filter(|&&parent| parent != ROW_UNSETTLED).count() as u64;
+        let (fresh, fresh_counts) = metered(&net);
+        fresh.travel_times_to_many(source, &[far], t);
+        let before = counts();
+        let got = engine.travel_times_to_many(source, &[far], t);
+        assert_eq!(bits(got[0]), bits(fresh.travel_time(source, far, t)));
+        let after = counts();
+        assert_eq!((after.searches, after.resumed), (before.searches + 1, before.resumed + 1));
+        assert_eq!(after.settled - before.settled, fresh_counts().settled - on_row);
+        assert!(on_row > 10 && after.settled - before.settled > 10, "both sides did some work");
+    }
+
+    /// A query of another hour drops the row, and its reach with it: back
+    /// at noon, a gate the old reach decided takes a search again, fresh,
+    /// and the row is admitted anew.
+    #[test]
+    fn an_hour_roll_drops_the_row_and_its_reach() {
+        let noon = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(noon);
+        let (engine, counts) = metered(&net);
+        rowed(&engine, source, nodes[nodes.len() / 2].0, noon);
+        let radius = Duration::from_secs_f64(nodes[nodes.len() / 4].1);
+        let mut asked = GatedTargets::new();
+        asked.gate(radius, [nodes[nodes.len() - 1].0], []);
+        let searches = counts().searches;
+        assert_eq!(engine.gated_travel_times(source, &asked, noon).opened, [false]);
+        assert_eq!(counts().searches, searches, "the reach decided it");
+
+        engine.travel_time(source, nodes[1].0, TimePoint::from_hms(13, 0, 0));
+        assert_eq!(row_of(&engine, source), None, "the row went with its hour");
+        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 0);
+        let before = counts();
+        assert_eq!(engine.gated_travel_times(source, &asked, noon).opened, [false]);
+        let after = counts();
+        assert_eq!((after.searches, after.resumed), (before.searches + 1, before.resumed));
+        assert_eq!(after.gates_closed, before.gates_closed + 1, "a search closed it");
+    }
+
+    /// The kernel's half of the gate contract. A search resumed from a row
+    /// wider than a gate's radius starts with row nodes settled beyond the
+    /// radius, so `Gates::pass` must open the gate only on a trigger settled
+    /// within it. The engine never hands the kernel such a gate — the row's
+    /// reach decides it first — so this drives the kernel itself, with the
+    /// gate undecided and its one trigger on the row beyond the radius.
+    #[test]
+    fn a_resumed_search_opens_no_gate_on_a_row_node_beyond_its_radius() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (m, n) = (nodes.len(), net.node_count());
+        let edge_secs = dijkstra::beta_secs(&net, t);
+        let mut space = SearchSpace::new();
+        let fresh = Seed::Source(source);
+        let searched =
+            dijkstra::search(&net, fresh, &[nodes[m / 2].0], None, &mut space, &edge_secs);
+        let mut row = TreeRow { parents: vec![ROW_UNSETTLED; n].into(), reach: 0.0 };
+        grow(&mut row, net.in_edges(), &space, searched.reach);
+
+        let (radius, trigger) = (nodes[m / 4].1, nodes[m / 3].0);
+        assert_ne!(row.parents[trigger.index()], ROW_UNSETTLED, "the trigger is on the row");
+        let mut asked = GatedTargets::new();
+        asked.require([nodes[m * 3 / 4].0]);
+        asked.gate(Duration::from_secs_f64(radius), [trigger], [nodes[m - 1].0]);
+        let (targets, layout) = asked.layout();
+        let mut gates = Gates::new(&asked, &targets, layout);
+        space.row_buffer(n).copy_from_slice(&row.parents);
+        dijkstra::search(&net, Seed::Row, &targets, Some(&mut gates), &mut space, &edge_secs);
+        let known: Vec<Answer> =
+            targets.iter().map(|&node| Some(dijkstra::settled_time(&space, node))).collect();
+        let got = gates.answers(&known);
+        assert_eq!(got.opened, [false], "the trigger lies beyond the radius");
+        assert_eq!(got.targets, [nodes[m * 3 / 4].0]);
+    }
+
     /// A query of another hour moves the shard on, a point query as much as
     /// a sweep: the row of the hour that has passed goes back to the budget
     /// and its pairs are dropped, so coming back searches again — and
@@ -1312,6 +1566,8 @@ mod tests {
         let targets: Vec<NodeId> = (10..18).map(NodeId).collect();
         let (engine, counted) = metered(&net);
         engine.set_overlay(slowdown_overlay(&net, 2.0));
+        // What the searches settled is counted too, and is not the point.
+        let counted = || Counts { settled: 0, ..counted() };
         let point = engine.travel_time(NodeId(0), NodeId(35), t);
         assert_eq!(
             counted(),

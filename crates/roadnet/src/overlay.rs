@@ -26,7 +26,7 @@
 //! a perturbed edge is slow, not closed — so a pair is reachable under an
 //! overlay exactly when it is without one.
 
-use crate::dijkstra::{path_to, search, settled_time, PathResult, SearchSpace};
+use crate::dijkstra::{path_to, search, settled_time, PathResult, SearchSpace, Seed};
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, TimePoint};
@@ -109,7 +109,14 @@ pub fn shortest_travel_time_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<Duration> {
-    search(network, source, &[target], None, space, overlaid_secs(network, multipliers, t));
+    search(
+        network,
+        Seed::Source(source),
+        &[target],
+        None,
+        space,
+        overlaid_secs(network, multipliers, t),
+    );
     settled_time(space, target)
 }
 
@@ -123,7 +130,14 @@ pub fn one_to_many_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Vec<Option<Duration>> {
-    search(network, source, targets, None, space, overlaid_secs(network, multipliers, t));
+    search(
+        network,
+        Seed::Source(source),
+        targets,
+        None,
+        space,
+        overlaid_secs(network, multipliers, t),
+    );
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
@@ -137,7 +151,14 @@ pub fn shortest_path_overlaid_in(
     t: TimePoint,
     space: &mut SearchSpace,
 ) -> Option<PathResult> {
-    search(network, source, &[target], None, space, overlaid_secs(network, multipliers, t));
+    search(
+        network,
+        Seed::Source(source),
+        &[target],
+        None,
+        space,
+        overlaid_secs(network, multipliers, t),
+    );
     path_to(network, source, target, space)
 }
 

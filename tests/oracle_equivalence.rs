@@ -12,6 +12,10 @@
 //!   networks across hour slots, with and without a traffic overlay;
 //! * `shortest_path` is their path — nodes, travel time and length, to the
 //!   bit;
+//! * a search from a source with a tree row resumes the row instead of
+//!   starting over, and answers what the fresh search answers — past the
+//!   row's reach, on networks whose labels tie, and gated, where the row's
+//!   reach decides a gate only as the plain sweep would;
 //! * a gated sweep (`gated_travel_times`) opens a gate exactly when one of
 //!   its triggers lies within its radius on the plain sweep, answers the
 //!   required targets and the members of open gates bit for bit as that
@@ -556,6 +560,200 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
         }
     }
     assert!(opened > 100 && closed > 100 && unanswered > 100, "{opened} / {closed} / {unanswered}");
+}
+
+/// `network`'s nodes that `source` reaches, nearest first, by the memo-free
+/// search on `overlay`'s weights (or the static ones).
+fn nearest_first(
+    network: &RoadNetwork,
+    overlay: Option<&TrafficOverlay>,
+    source: NodeId,
+    t: TimePoint,
+) -> Vec<NodeId> {
+    let everything: Vec<NodeId> = network.node_ids().collect();
+    let secs = reference(network, overlay, source, &everything, t);
+    let mut reached: Vec<(f64, NodeId)> = (secs.into_iter().zip(everything))
+        .filter_map(|(secs, node)| Some((secs?.as_secs_f64(), node)))
+        .collect();
+    reached.sort_by(|a, b| a.0.total_cmp(&b.0));
+    reached.into_iter().map(|(_, node)| node).collect()
+}
+
+/// The engine of `network` on `overlay`'s weights, with a tree row for
+/// `source` that a narrow sweep left: its search ran out to `reached`.
+fn engine_with_narrow_row(
+    network: &RoadNetwork,
+    overlay: Option<&TrafficOverlay>,
+    source: NodeId,
+    near: NodeId,
+    reached: NodeId,
+    t: TimePoint,
+) -> ShortestPathEngine {
+    let engine = ShortestPathEngine::cached(network.clone());
+    if let Some(overlay) = overlay {
+        engine.set_overlay(overlay.clone());
+    }
+    // First seen: a search, no row. Known and still missing: the row.
+    engine.travel_times_to_many(source, &[near], t);
+    engine.travel_times_to_many(source, &[near, reached], t);
+    engine
+}
+
+/// A search from a source with a tree row resumes the row: what the row
+/// settled is settled again at the labels it re-sums, and the search goes
+/// on from the frontier. A row a narrow sweep left, then a wider plain
+/// sweep past its reach, point queries farther still (each resuming the
+/// row the one before grew), and the island, read bit for bit what the
+/// memo-free search reads — on random cities, on a free-flow grid whose
+/// labels tie (so a resumed search may pick another tree parent than the
+/// fresh one did), with and without an overlay.
+#[test]
+fn a_resumed_search_answers_past_the_rows_reach_like_a_fresh_one() {
+    let t = TimePoint::from_hms(12, 50, 0);
+    let grid = foodmatch_roadnet::generators::GridCityBuilder::new(12, 12)
+        .major_every(0)
+        .congestion(foodmatch_roadnet::CongestionProfile::free_flow())
+        .build();
+    let networks = [
+        with_island(&RandomCityBuilder::new(180).seed(13).build()),
+        with_island(&RandomCityBuilder::new(120).seed(71).build()),
+        with_island(&grid),
+    ];
+    for (which, (network, island)) in networks.iter().enumerate() {
+        // Every edge slowed alike keeps the grid's ties; a third of them
+        // slowed moves the random cities' trees.
+        let mut overlay = TrafficOverlay::new();
+        let every = if which == 2 { 1 } else { 3 };
+        for edge in network.edge_ids().step_by(every) {
+            overlay.slow_edge(edge, 2.0);
+        }
+        let mut rng = StdRng::seed_from_u64(0x2E5E + which as u64);
+        for overlaid in [false, true] {
+            let overlay = overlaid.then_some(&overlay);
+            for round in 0..6 {
+                let context = format!("network {which}, overlaid {overlaid}, round {round}");
+                let n = network.node_count() - 1;
+                let source = NodeId(rng.random_range(0..n as u32));
+                let ranked = nearest_first(network, overlay, source, t);
+                let m = ranked.len();
+                let (near, reached) = (ranked[1], ranked[rng.random_range(m / 8..m / 3)]);
+                let engine = engine_with_narrow_row(network, overlay, source, near, reached, t);
+                let want = |targets: &[NodeId]| -> Vec<Option<u64>> {
+                    reference(network, overlay, source, targets, t).into_iter().map(bits).collect()
+                };
+                let swept = |targets: &[NodeId]| -> Vec<Option<u64>> {
+                    engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
+                };
+                // Wider: on the row, just past it, and far beyond it.
+                let wider: Vec<NodeId> =
+                    (0..8).map(|_| ranked[rng.random_range(0..m * 2 / 3)]).collect();
+                assert_eq!(swept(&wider), want(&wider), "{context}: the wider sweep");
+                for _ in 0..6 {
+                    let beyond = ranked[rng.random_range(m / 2..m)];
+                    let got = bits(engine.travel_time(source, beyond, t));
+                    assert_eq!(got, want(&[beyond])[0], "{context}: point {source}->{beyond}");
+                }
+                assert_eq!(engine.travel_time(source, *island, t), None, "{context}: island");
+                assert_eq!(swept(&ranked), want(&ranked), "{context}: the whole tree");
+            }
+        }
+    }
+}
+
+/// A gated sweep from a source with a tree row: the row's reach floors
+/// every node it has not settled, so a gate whose radius is below the reach
+/// is decided with no search — here closed, with one trigger on the row
+/// beyond the radius and one off it — and a gate beyond the reach is
+/// decided by the search that resumes the row, which passes the radius
+/// with row nodes settled far beyond it. `opened` is the plain sweep's, and
+/// the answered targets read its bits, with and without an overlay.
+#[test]
+fn a_gated_sweep_from_a_row_opens_what_the_plain_sweep_opens() {
+    use foodmatch_roadnet::GatedTargets;
+    let t = TimePoint::from_hms(12, 40, 0);
+    let (mut by_the_row, mut by_the_search) = (0, 0);
+    let networks = [
+        with_island(&RandomCityBuilder::new(160).seed(23).build()),
+        with_island(&RandomCityBuilder::new(110).seed(61).build()),
+    ];
+    for (which, (network, island)) in networks.iter().enumerate() {
+        let mut overlay = TrafficOverlay::new();
+        for edge in network.edge_ids().step_by(2) {
+            overlay.slow_edge(edge, 1.8);
+        }
+        let mut rng = StdRng::seed_from_u64(0x6A7E5 + which as u64);
+        for overlaid in [false, true] {
+            let overlay = overlaid.then_some(&overlay);
+            for round in 0..10 {
+                let context = format!("network {which}, overlaid {overlaid}, round {round}");
+                let n = network.node_count() - 1;
+                let source = NodeId(rng.random_range(0..n as u32));
+                let everything: Vec<NodeId> = network.node_ids().collect();
+                let plain = reference(network, overlay, source, &everything, t);
+                let secs =
+                    |node: NodeId| plain[node.index()].map_or(f64::INFINITY, |d| d.as_secs_f64());
+                let ranked = nearest_first(network, overlay, source, t);
+                let m = ranked.len();
+                let at = |lo: usize, hi: usize, rng: &mut StdRng| ranked[rng.random_range(lo..hi)];
+                let reached = at(m / 3, m / 2, &mut rng);
+                let engine =
+                    engine_with_narrow_row(network, overlay, source, ranked[1], reached, t);
+
+                // Below the reach: one trigger on the row beyond the radius,
+                // one off the row; then the same with one within it.
+                let radius = secs(at(m / 8, m / 4, &mut rng));
+                let on_row_beyond = ranked
+                    .iter()
+                    .copied()
+                    .find(|&node| secs(node) > radius && secs(node) < secs(reached));
+                let on_row_beyond = on_row_beyond.unwrap_or(reached);
+                let off_row = at(m * 3 / 4, m, &mut rng);
+                let mut gates: Vec<(f64, Vec<NodeId>, Vec<NodeId>)> = vec![
+                    (radius, vec![on_row_beyond, off_row], vec![at(m / 2, m, &mut rng)]),
+                    (radius, vec![off_row, at(0, m / 8, &mut rng)], vec![at(m / 2, m, &mut rng)]),
+                ];
+                // Beyond the reach: decided by the search, one trigger within
+                // the radius or none, the island among them.
+                for _ in 0..4 {
+                    let radius = secs(at(m / 2, m, &mut rng));
+                    let mut triggers = vec![at(m / 2, m, &mut rng), at(m / 3, m, &mut rng)];
+                    if rng.random_range(0..3) == 0 {
+                        triggers.push(*island);
+                    }
+                    gates.push((radius, triggers, vec![at(0, m, &mut rng)]));
+                }
+                let required = vec![at(m / 2, m, &mut rng), at(0, m / 3, &mut rng)];
+                let mut asked = GatedTargets::new();
+                asked.require(required.iter().copied());
+                for (radius, triggers, others) in &gates {
+                    let radius = Duration::from_secs_f64(*radius);
+                    asked.gate(radius, triggers.iter().copied(), others.iter().copied());
+                }
+                let got = engine.gated_travel_times(source, &asked, t);
+
+                let want_open: Vec<bool> = gates
+                    .iter()
+                    .map(|(radius, triggers, _)| triggers.iter().any(|&tr| secs(tr) <= *radius))
+                    .collect();
+                assert_eq!(got.opened, want_open, "{context}");
+                assert!(!got.opened[0], "{context}: the row's reach closes it");
+                let mut want: Vec<NodeId> = required.clone();
+                for ((_, triggers, others), _) in gates.iter().zip(&want_open).filter(|(_, o)| **o)
+                {
+                    want.extend(triggers.iter().chain(others));
+                }
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(got.targets, want, "{context}");
+                for (&node, &answer) in got.targets.iter().zip(&got.travel_times) {
+                    assert_eq!(bits(answer), bits(plain[node.index()]), "{context}: {node}");
+                }
+                by_the_row += 2;
+                by_the_search += gates.len() - 2;
+            }
+        }
+    }
+    assert!(by_the_row >= 80 && by_the_search >= 160, "{by_the_row} / {by_the_search}");
 }
 
 #[test]
