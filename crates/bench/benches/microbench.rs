@@ -8,13 +8,12 @@
 //! fleet, and one metro window of couriers under way), Eq. 8's per-node
 //! angular potential, and one full FoodMatch window.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use foodmatch_core::{
     batch_orders, build_food_graph, CommittedOrder, DispatchConfig, DispatchPolicy,
     FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, Order, OrderId, VehicleSnapshot,
     WindowSnapshot,
 };
-use foodmatch_matching::{solve_hungarian, CostMatrix};
 use foodmatch_roadnet::{
     AngularFrame, Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint, TrafficOverlay,
 };
@@ -214,30 +213,8 @@ fn bench_repeat_source(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hungarian(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hungarian");
-    let mut rng = StdRng::seed_from_u64(5);
-    for size in [10usize, 40, 120] {
-        let matrix = CostMatrix::from_fn(size, size, |_, _| rng.random_range(0.0..1_000.0));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &matrix, |b, matrix| {
-            b.iter(|| black_box(solve_hungarian(matrix)))
-        });
-    }
-    // Tall matrices (rows > cols) exercise the index-swapped view that
-    // replaced the clone-and-transpose path.
-    for (rows, cols) in [(120usize, 30usize), (300, 60)] {
-        let matrix = CostMatrix::from_fn(rows, cols, |_, _| rng.random_range(0.0..1_000.0));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("tall_{rows}x{cols}")),
-            &matrix,
-            |b, matrix| b.iter(|| black_box(solve_hungarian(matrix))),
-        );
-    }
-    group.finish();
-}
-
 fn bench_solver(c: &mut Criterion) {
-    use foodmatch_matching::{AssignmentSolver, Decomposed, SparseCostMatrix};
+    use foodmatch_matching::{Decomposed, SparseCostMatrix};
     // A sparse window-shaped instance: 200 batches × 90 vehicles, ~8 finite
     // edges per vehicle, Ω everywhere else.
     let mut rng = StdRng::seed_from_u64(17);
@@ -252,7 +229,7 @@ fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("assignment_solver");
     group.sample_size(10);
     let solver = Decomposed::new(4);
-    group.bench_function(solver.name(), |b| b.iter(|| black_box(solver.solve(&costs))));
+    group.bench_function(Decomposed::NAME, |b| b.iter(|| black_box(solver.solve(&costs))));
     group.finish();
 }
 
@@ -430,7 +407,6 @@ criterion_group!(
     bench_shortest_paths,
     bench_overlay_miss,
     bench_repeat_source,
-    bench_hungarian,
     bench_solver,
     bench_batching,
     bench_foodgraph,

@@ -162,7 +162,7 @@ fn merge_weight_per_pair(
 
 mod pinned_to_reference {
     use super::*;
-    use crate::route::reference::Rng;
+    use crate::route::exhaustive::Rng;
     use foodmatch_roadnet::{Duration, GeoPoint, RoadClass, RoadNetworkBuilder, TrafficOverlay};
 
     const GRID: u32 = 7;

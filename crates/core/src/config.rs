@@ -6,7 +6,7 @@
 //! 45-minute maximum first mile, `Δ = 3 min`, `η = 60 s`, `γ = 0.5`,
 //! `k = 200 × |O(ℓ)|/|V(ℓ)|`.
 
-use foodmatch_matching::{AssignmentSolver, Decomposed};
+use foodmatch_matching::Decomposed;
 use foodmatch_roadnet::Duration;
 use std::fmt;
 
@@ -183,8 +183,8 @@ impl DispatchConfig {
     /// sparse Kuhn–Munkres, shards fanned out over the dispatch width (the
     /// result is identical for every width). The solver times its own
     /// solves while a telemetry recorder is installed.
-    pub fn build_solver(&self) -> Box<dyn AssignmentSolver> {
-        Box::new(Decomposed::new(self.effective_threads()))
+    pub fn build_solver(&self) -> Decomposed {
+        Decomposed::new(self.effective_threads())
     }
 
     /// Returns a copy configured as the plain Kuhn–Munkres baseline (§IV-A):
@@ -218,7 +218,8 @@ mod tests {
         assert_eq!(c.rejection_deadline.as_mins_f64(), 30.0);
         assert_eq!(c.max_first_mile.as_mins_f64(), 45.0);
         assert_eq!(c.num_threads, 0, "default dispatch fan-out is auto");
-        assert_eq!(c.build_solver().name(), "decomposed-sparse-km", "sharded sparse KM");
+        // The `solver` span label and the `matching.solve_ns.*` histogram.
+        assert_eq!(Decomposed::NAME, "decomposed-sparse-km", "sharded sparse KM");
         assert!(c.effective_threads() >= 1);
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         assert_eq!(

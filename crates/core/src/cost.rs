@@ -326,8 +326,8 @@ pub(crate) fn price(
 
 /// `marginal_cost` as it was before the leg table: point queries for the
 /// first mile, then the committed set and the extended set each planned from
-/// scratch by the enumerating reference planner. What the three pricing
-/// phases must reproduce, price for price.
+/// scratch by the brute-force planner. What the three pricing phases must
+/// reproduce, price for price.
 #[cfg(test)]
 pub(crate) fn reference_marginal_cost(
     vehicle: &VehicleSnapshot,
@@ -336,7 +336,7 @@ pub(crate) fn reference_marginal_cost(
     t: TimePoint,
     config: &DispatchConfig,
 ) -> MarginalCost {
-    use crate::route::reference::plan_route_inner;
+    use crate::route::exhaustive::plan_exhaustively;
     if extra.is_empty() {
         return MarginalCost::Infeasible;
     }
@@ -350,7 +350,7 @@ pub(crate) fn reference_marginal_cost(
         _ => return MarginalCost::Infeasible,
     }
     let plan = |extra| {
-        plan_route_inner(Some(vehicle.location), t, &planned_orders(vehicle, extra), engine)
+        plan_exhaustively(Some(vehicle.location), t, &planned_orders(vehicle, extra), engine)
     };
     let Some(base) = plan(&[]).map(|r| r.cost_secs) else {
         return MarginalCost::Infeasible;

@@ -339,10 +339,9 @@ mod tests {
         // feasible, so all six edges carry a true cost.
         assert_eq!(graph.costs.explicit_entries(), 6);
         assert_eq!(graph.evaluations, 6);
-        let dense = graph.costs.to_dense();
         for r in 0..2 {
             for c in 0..3 {
-                assert!(dense.get(r, c) < config.rejection_penalty_secs);
+                assert!(graph.costs.get(r, c) < config.rejection_penalty_secs);
             }
         }
     }
@@ -362,10 +361,9 @@ mod tests {
             vehicles_at(&[b.node_at(0, 0), b.node_at(2, 0), b.node_at(4, 0), b.node_at(6, 0)]);
         let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
         // Each vehicle has at most one explicit (non-Ω) edge.
-        let dense = graph.costs.to_dense();
         for c in 0..4 {
             let explicit =
-                (0..4).filter(|&r| dense.get(r, c) < config.rejection_penalty_secs).count();
+                (0..4).filter(|&r| graph.costs.get(r, c) < config.rejection_penalty_secs).count();
             assert!(explicit <= 1, "vehicle {c} has {explicit} explicit edges");
         }
         // Sparsification must have saved marginal-cost evaluations.
@@ -387,7 +385,6 @@ mod tests {
         let vehicles = vehicles_at(&[b.node_at(0, 0)]);
         let k = config.degree_cap(batches.len(), vehicles.len());
         let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
-        let dense = graph.costs.to_dense();
 
         // Rank batches by network distance from the vehicle.
         let mut by_distance: Vec<(f64, usize)> = batches
@@ -405,7 +402,7 @@ mod tests {
         let closest: Vec<usize> = by_distance.iter().take(k).map(|&(_, r)| r).collect();
 
         for row in 0..batches.len() {
-            if dense.get(row, 0) < config.rejection_penalty_secs {
+            if graph.costs.get(row, 0) < config.rejection_penalty_secs {
                 assert!(
                     closest.contains(&row),
                     "batch {row} got a real edge but is not among the {k} closest"
@@ -447,15 +444,14 @@ mod tests {
         let mut vehicle = VehicleSnapshot::idle(VehicleId(0), b.node_at(3, 3));
         vehicle.heading = Some(b.node_at(3, 4));
         let graph = build_food_graph(&batches, &[vehicle], &engine, t, &config);
-        let dense = graph.costs.to_dense();
         let east_row = batches.iter().position(|batch| batch.orders[0].id == OrderId(1)).unwrap();
         let west_row = 1 - east_row;
         assert!(
-            dense.get(east_row, 0) < config.rejection_penalty_secs,
+            graph.costs.get(east_row, 0) < config.rejection_penalty_secs,
             "east batch should be reachable"
         );
         assert_eq!(
-            dense.get(west_row, 0),
+            graph.costs.get(west_row, 0),
             config.rejection_penalty_secs,
             "west batch should be pruned"
         );
@@ -762,11 +758,9 @@ mod tests {
         let parallel = build_food_graph(&batches, &vehicles, &engine, t, &config);
         let serial_vehicles = &vehicles[..7]; // below the threshold ⇒ serial path
         let serial = build_food_graph(&batches, serial_vehicles, &engine, t, &config);
-        let dense_parallel = parallel.costs.to_dense();
-        let dense_serial = serial.costs.to_dense();
         for r in 0..batches.len() {
             for c in 0..serial_vehicles.len() {
-                assert_eq!(dense_parallel.get(r, c).to_bits(), dense_serial.get(r, c).to_bits());
+                assert_eq!(parallel.costs.get(r, c).to_bits(), serial.costs.get(r, c).to_bits());
             }
         }
     }

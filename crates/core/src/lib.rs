@@ -73,7 +73,7 @@ pub use codec::{crc32, ByteReader, Codec, DecodeError};
 pub use config::{ConfigError, DispatchConfig};
 pub use cost::{marginal_cost, shortest_delivery_time, MarginalCost};
 pub use foodgraph::{build_food_graph, FoodGraph};
-pub use foodmatch_matching::{parallel_map, AssignmentSolver};
+pub use foodmatch_matching::parallel_map;
 pub use order::{Order, OrderId};
 pub use policies::{
     DispatchPolicy, FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, PolicyKind, ReyesPolicy,

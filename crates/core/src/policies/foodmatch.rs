@@ -255,37 +255,4 @@ mod tests {
         assert!(outcome.assignments.is_empty());
         assert!(outcome.unassigned.is_empty());
     }
-
-    #[test]
-    fn every_solver_kind_serves_the_same_number_of_orders() {
-        use foodmatch_matching::{AssignmentSolver, DenseKm};
-        let (engine, b) = setup();
-        let t = TimePoint::from_hms(13, 0, 0);
-        let orders: Vec<Order> = (0..6)
-            .map(|i| order(i, b.node_at((i % 3) as usize * 2, 1), b.node_at(5, i as usize), t))
-            .collect();
-        let window = WindowSnapshot::new(
-            t,
-            orders,
-            vec![
-                VehicleSnapshot::idle(VehicleId(0), b.node_at(0, 0)),
-                VehicleSnapshot::idle(VehicleId(1), b.node_at(7, 7)),
-                VehicleSnapshot::idle(VehicleId(2), b.node_at(3, 3)),
-            ],
-        );
-        // The policy's solver against the dense reference on the same graph.
-        let config = DispatchConfig::default();
-        let outcome = FoodMatchPolicy::new().assign(&window, &engine, &config);
-        outcome.validate(&window).unwrap();
-        let BatchingOutcome { batches, .. } = batch_orders(&window.orders, &engine, t, &config);
-        let graph = build_food_graph(&batches, &window.vehicles, &engine, t, &config);
-        let reference: usize = DenseKm
-            .solve(&graph.costs)
-            .pairs()
-            .filter(|&(row, col)| graph.costs.get(row, col) < config.rejection_penalty_secs)
-            .map(|(row, _)| batches[row].order_ids().len())
-            .sum();
-        assert!(reference > 0);
-        assert_eq!(outcome.assigned_order_count(), reference);
-    }
 }

@@ -21,7 +21,7 @@
 //!   min_dense = Ω·min(rows, cols) + Σ_components min-matching(component)
 //! ```
 //!
-//! Each per-component subproblem is handed to [`SparseKm`] as its own
+//! Each per-component subproblem is handed to [`sparse_km::solve`] as its own
 //! sparse matrix (same default Ω), so the shard's optimum — its sub-Ω
 //! pairs — is exactly the component's term. Stitching the per-component
 //! sub-Ω pairs back together and re-padding therefore reproduces the dense
@@ -36,8 +36,8 @@
 
 use crate::matrix::{Assignment, SparseCostMatrix};
 use crate::parallel::parallel_map;
-use crate::solver::{debug_assert_entries_at_most_default, pad_assignment, AssignmentSolver};
-use crate::sparse_km::SparseKm;
+use crate::solver::{debug_assert_entries_at_most_default, pad_assignment};
+use crate::sparse_km;
 
 /// One connected component of the finite-cost bipartite graph.
 #[derive(Clone, Debug)]
@@ -152,7 +152,7 @@ pub fn decompose(costs: &SparseCostMatrix) -> Vec<Component> {
 }
 
 /// The dispatch solver: shards the instance by connected component, solves
-/// each component independently with [`SparseKm`] — in parallel — and
+/// each component independently with [`sparse_km::solve`] — in parallel — and
 /// stitches the per-component assignments back together. Exact (see the
 /// module docs for the proof sketch).
 #[derive(Clone, Debug)]
@@ -183,6 +183,9 @@ impl DecomposedMetrics {
 }
 
 impl Decomposed {
+    /// The name the solver reports its `solver` span under.
+    pub const NAME: &'static str = "decomposed-sparse-km";
+
     /// A solver whose per-component solves fan out over at most `threads`
     /// workers (`<= 1` solves components serially); the result is
     /// bit-identical for every value. Telemetry handles bind to the recorder
@@ -191,15 +194,11 @@ impl Decomposed {
     pub fn new(threads: usize) -> Self {
         Decomposed { threads: threads.max(1), metrics: DecomposedMetrics::acquire() }
     }
-}
 
-impl AssignmentSolver for Decomposed {
-    fn name(&self) -> &'static str {
-        "decomposed-sparse-km"
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        let _span = foodmatch_telemetry::span("solver", self.name());
+    /// Computes a minimum-cost assignment of `min(rows, cols)` pairs,
+    /// bit-identical for every thread count.
+    pub fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
+        let _span = foodmatch_telemetry::span("solver", Self::NAME);
         let _timer = self.metrics.solve_ns.timer();
         debug_assert_entries_at_most_default(costs);
         let omega = costs.default_cost();
@@ -215,14 +214,14 @@ impl AssignmentSolver for Decomposed {
         // Small instances or a single component: skip the sharding overhead.
         if components.len() <= 1 {
             let solved = match components.into_iter().next() {
-                Some(only) => stitch_component(&only, SparseKm.solve(&only.matrix), omega),
+                Some(only) => stitch_component(&only, sparse_km::solve(&only.matrix), omega),
                 None => Vec::new(),
             };
             return pad_assignment(costs.rows(), costs.cols(), omega, &solved);
         }
         let per_component: Vec<Vec<(usize, usize, f64)>> =
             parallel_map(&components, self.threads, |_, component| {
-                stitch_component(component, SparseKm.solve(&component.matrix), omega)
+                stitch_component(component, sparse_km::solve(&component.matrix), omega)
             });
         let mut useful: Vec<(usize, usize, f64)> = per_component.into_iter().flatten().collect();
         useful.sort_by_key(|&(r, _, _)| r);
@@ -249,7 +248,6 @@ fn stitch_component(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::DenseKm;
 
     fn block_diagonal() -> SparseCostMatrix {
         // Two 2×2 blocks plus an isolated row/column pair of Ω only.
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn decomposed_matches_the_monolithic_solve() {
         let costs = block_diagonal();
-        let whole = DenseKm.solve(&costs);
+        let whole = sparse_km::solve(&costs);
         for threads in [1, 2, 4] {
             let sharded = Decomposed::new(threads).solve(&costs);
             assert!((sharded.total_cost - whole.total_cost).abs() < 1e-9);

@@ -8,23 +8,22 @@
 //! using the Bourgeois–Lassalle extension to rectangular matrices
 //! (reference [19]) because the number of batches and the number of
 //! vehicles rarely agree. After Algorithm 2's sparsification most
-//! (batch, vehicle) pairs sit at the rejection penalty Ω, so dispatch runs
-//! one solver that exploits that sparsity, and keeps the dense algorithm as
-//! the reference the tests compare it against:
+//! (batch, vehicle) pairs sit at the rejection penalty Ω, so the crate has
+//! one solver, built on that sparsity:
 //!
-//! * [`AssignmentSolver`] — the solver trait: sparse matrix in,
-//!   [`Assignment`] out, deterministic.
 //! * [`Decomposed`] — the dispatch solver: shards the instance by connected
 //!   component of the finite-cost graph ([`decompose`]) and solves the
-//!   components with [`SparseKm`] in parallel via
+//!   components with [`sparse_km::solve`] in parallel via
 //!   [`parallel::parallel_map`], exactly.
-//! * [`SparseKm`] — Kuhn–Munkres via successive shortest paths directly on
-//!   the explicit entries; never materialises the Ω cells.
-//! * [`DenseKm`] / [`hungarian::solve`] — the serial dense Kuhn–Munkres
-//!   solver (`O(n²·m)` with potentials); the fully general test reference.
-//! * [`CostMatrix`] / [`SparseCostMatrix`] — dense and sparse cost storage.
-//! * [`greedy::solve`] — the locally-optimal matcher the tests bound the
-//!   Kuhn–Munkres solvers against (their total cost never exceeds its).
+//! * [`sparse_km::solve`] — Kuhn–Munkres via successive shortest paths
+//!   directly on the explicit entries; never materialises the Ω cells.
+//! * [`SparseCostMatrix`] / [`Assignment`] — the sparse cost storage and the
+//!   result, padded to `min(rows, cols)` pairs by the convention in
+//!   [`solver`].
+//!
+//! Its ground truth is in `tests/solver_equivalence.rs`: exhaustive
+//! enumeration on small instances and a residual-graph optimality
+//! certificate on every instance.
 //!
 //! The crate is deliberately free of food-delivery concepts: it is a
 //! reusable assignment-problem library (and a leaf of the workspace, over
@@ -32,7 +31,7 @@
 //! above can share it).
 //!
 //! ```
-//! use foodmatch_matching::{AssignmentSolver, Decomposed, SparseCostMatrix};
+//! use foodmatch_matching::{Decomposed, SparseCostMatrix};
 //!
 //! // Three batches, three vehicles; most pairs are at Ω = 3600 s.
 //! let mut costs = SparseCostMatrix::new(3, 3, 3600.0);
@@ -50,16 +49,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod decompose;
-pub mod greedy;
-pub mod hungarian;
 pub mod matrix;
 pub mod parallel;
 pub mod solver;
 pub mod sparse_km;
 
 pub use decompose::{decompose, Component, Decomposed};
-pub use hungarian::solve as solve_hungarian;
-pub use matrix::{Assignment, CostMatrix, SparseCostMatrix};
+pub use matrix::{Assignment, SparseCostMatrix};
 pub use parallel::parallel_map;
-pub use solver::{AssignmentSolver, DenseKm};
-pub use sparse_km::SparseKm;

@@ -1,123 +1,13 @@
-//! Dense and sparse cost matrices plus the assignment result type.
-
-use std::fmt;
-
-/// A dense rectangular cost matrix with `rows × cols` finite entries.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CostMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl CostMatrix {
-    /// Creates a matrix filled with `fill`.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero or `fill` is not finite.
-    pub fn filled(rows: usize, cols: usize, fill: f64) -> Self {
-        assert!(rows > 0 && cols > 0, "cost matrix dimensions must be positive");
-        assert!(fill.is_finite(), "cost entries must be finite");
-        CostMatrix { rows, cols, data: vec![fill; rows * cols] }
-    }
-
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    /// Panics if the rows are empty, ragged, or contain non-finite values.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "cost matrix needs at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "cost matrix needs at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "all rows must have the same length");
-            for &value in row {
-                assert!(value.is_finite(), "cost entries must be finite, got {value}");
-                data.push(value);
-            }
-        }
-        CostMatrix { rows: rows.len(), cols, data }
-    }
-
-    /// Creates a matrix by evaluating `cost(row, col)` for every cell.
-    pub fn from_fn(rows: usize, cols: usize, mut cost: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut matrix = CostMatrix::filled(rows, cols, 0.0);
-        for r in 0..rows {
-            for c in 0..cols {
-                matrix.set(r, c, cost(r, c));
-            }
-        }
-        matrix
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The cost at `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "cost matrix index out of bounds");
-        self.data[row * self.cols + col]
-    }
-
-    /// Sets the cost at `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics if the indices are out of bounds or `value` is not finite.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.rows && col < self.cols, "cost matrix index out of bounds");
-        assert!(value.is_finite(), "cost entries must be finite, got {value}");
-        self.data[row * self.cols + col] = value;
-    }
-
-    /// The transposed matrix.
-    pub fn transposed(&self) -> CostMatrix {
-        let mut t = CostMatrix::filled(self.cols, self.rows, 0.0);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-}
-
-impl fmt::Display for CostMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if c > 0 {
-                    write!(f, "\t")?;
-                }
-                write!(f, "{:.2}", self.get(r, c))?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
+//! The sparse cost matrix and the assignment result type.
 
 /// A sparse cost matrix: only explicitly set entries differ from a default
 /// cost (the rejection penalty Ω in the FoodGraph).
 ///
 /// The sparsified FoodGraph of Algorithm 2 produces exactly this structure:
 /// each vehicle has true marginal-cost edges to at most `k` batches and
-/// Ω-edges to every other batch. The sparse solvers
-/// ([`SparseKm`](crate::SparseKm), [`Decomposed`](crate::Decomposed))
-/// operate on this representation directly, without ever materialising the
-/// Ω entries.
+/// Ω-edges to every other batch. The solver ([`Decomposed`](crate::Decomposed),
+/// over [`sparse_km::solve`](crate::sparse_km::solve)) works on this
+/// representation directly, without ever materialising the Ω entries.
 #[derive(Clone, Debug)]
 pub struct SparseCostMatrix {
     rows: usize,
@@ -203,15 +93,6 @@ impl SparseCostMatrix {
     pub fn entries(&self) -> &[(usize, usize, f64)] {
         &self.entries
     }
-
-    /// Materialises the sparse matrix into a dense [`CostMatrix`].
-    pub fn to_dense(&self) -> CostMatrix {
-        let mut dense = CostMatrix::filled(self.rows, self.cols, self.default_cost);
-        for &(r, c, v) in &self.entries {
-            dense.set(r, c, v);
-        }
-        dense
-    }
 }
 
 /// The result of a bipartite assignment.
@@ -264,43 +145,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_rows_and_get_set() {
-        let mut m = CostMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m.get(1, 0), 3.0);
-        m.set(1, 0, 9.0);
-        assert_eq!(m.get(1, 0), 9.0);
-    }
-
-    #[test]
-    fn from_fn_evaluates_every_cell() {
-        let m = CostMatrix::from_fn(2, 3, |r, c| (r * 10 + c) as f64);
-        assert_eq!(m.get(1, 2), 12.0);
-        assert_eq!(m.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn transpose_swaps_dimensions() {
-        let m = CostMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = m.transposed();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn sparse_to_dense_applies_default_and_overrides() {
+    fn sparse_set_and_get_apply_default_and_overrides() {
         let mut s = SparseCostMatrix::new(2, 3, 100.0);
         s.set(0, 1, 5.0);
         s.set(1, 2, 7.0);
         s.set(0, 1, 4.0); // later write wins, in place
-        let d = s.to_dense();
-        assert_eq!(d.get(0, 0), 100.0);
-        assert_eq!(d.get(0, 1), 4.0);
-        assert_eq!(d.get(1, 2), 7.0);
         assert_eq!(s.explicit_entries(), 2, "duplicate writes collapse to one cell");
+        assert_eq!(s.entries(), &[(0, 1, 4.0), (1, 2, 7.0)]);
         assert_eq!(s.get(0, 1), 4.0);
+        assert_eq!(s.get(1, 2), 7.0);
         assert_eq!(s.get(0, 0), 100.0, "unset cells read the default");
     }
 
@@ -326,19 +179,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "cost entries must be finite")]
     fn non_finite_entry_rejected() {
-        let _ = CostMatrix::from_rows(&[vec![f64::INFINITY]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "all rows must have the same length")]
-    fn ragged_rows_rejected() {
-        let _ = CostMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]);
+        SparseCostMatrix::new(1, 1, 100.0).set(0, 0, f64::INFINITY);
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn out_of_bounds_get_panics() {
-        let m = CostMatrix::filled(2, 2, 0.0);
-        let _ = m.get(2, 0);
+        let _ = SparseCostMatrix::new(2, 2, 100.0).get(2, 0);
     }
 }

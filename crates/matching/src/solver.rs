@@ -1,73 +1,36 @@
-//! The assignment-solver interface and its dense reference.
+//! What a solve returns: the assignment contract and its padding.
 //!
 //! The matching stage (§IV-A) asks one question: given a sparse cost matrix
 //! between order batches (rows) and vehicles (columns) whose unset entries
 //! carry the rejection penalty Ω, return a minimum-cost assignment of
 //! `min(rows, cols)` pairs. Dispatch answers it with one chain,
 //! [`Decomposed`](crate::Decomposed): shard by connected component, solve
-//! every shard with [`SparseKm`](crate::SparseKm), Kuhn–Munkres over the
-//! explicit entries. [`DenseKm`] answers it over *all* cells and is what the
-//! tests compare that chain against.
+//! every shard with [`sparse_km::solve`](crate::sparse_km::solve),
+//! Kuhn–Munkres over the explicit entries in `O(t·(E + V) log V)`, never
+//! touching the Ω cells. Both require the FoodGraph invariant that explicit
+//! entries never exceed the default cost Ω (Algorithm 2 clamps every edge
+//! weight with `min(·, Ω)`).
 //!
-//! | Solver | Complexity | Role |
-//! |---|---|---|
-//! | [`SparseKm`](crate::SparseKm) | `O(t·(E + V) log V)` over explicit entries | solves each shard; never touches the Ω cells¹ |
-//! | [`Decomposed`](crate::Decomposed) | `SparseKm` per connected component, in parallel | the dispatch solver¹ |
-//! | [`DenseKm`] | `O(n²·m)` over all cells | test reference; arbitrary matrices (entries may exceed Ω) |
-//!
-//! ¹ requires the FoodGraph invariant that explicit entries never exceed the
-//! default cost Ω (Algorithm 2 clamps every edge weight with `min(·, Ω)`).
-//! [`DenseKm`] has no such precondition.
+//! The ground truth the tests hold the solver to lives in
+//! `tests/solver_equivalence.rs`: exhaustive enumeration on small
+//! instances, and on every instance a residual-graph optimality certificate
+//! (no negative cycle, by Bellman–Ford).
 //!
 //! ## The rejection-padding convention
 //!
-//! All solvers return an [`Assignment`] with exactly `min(rows, cols)`
-//! matched pairs and a `total_cost` equal to the dense optimum: pairs the
-//! solver left at the rejection penalty are padded in deterministically
-//! (free rows and free columns paired in ascending index order, Ω each).
-//! Consumers that only want the *useful* pairs filter on
-//! `costs.get(row, col) < Ω`, exactly as they would against a dense matrix.
+//! Every solve returns an [`Assignment`] with exactly `min(rows, cols)`
+//! matched pairs and a `total_cost` equal to the optimum over all cells:
+//! pairs the solver left at the rejection penalty are padded in
+//! deterministically (free rows and free columns paired in ascending index
+//! order, Ω each). Consumers that only want the *useful* pairs filter on
+//! `costs.get(row, col) < Ω`.
 
-use crate::hungarian;
 use crate::matrix::{Assignment, SparseCostMatrix};
-
-/// A minimum-cost bipartite assignment solver over sparse cost matrices.
-///
-/// Implementations must be deterministic: the same matrix must always
-/// produce the same [`Assignment`], bit for bit, regardless of thread count
-/// or environment.
-pub trait AssignmentSolver: Send + Sync {
-    /// Short human-readable solver name used in reports and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// Computes a minimum-cost assignment of `min(rows, cols)` pairs.
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment;
-}
-
-/// The reference: densify the matrix (materialising every Ω entry) and run
-/// the serial rectangular Kuhn–Munkres solver on it.
-///
-/// This is the only solver with no precondition on the explicit entries —
-/// cells larger than the default cost are honoured — and the implementation
-/// the sparse chain is equivalence-tested against.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DenseKm;
-
-impl AssignmentSolver for DenseKm {
-    fn name(&self) -> &'static str {
-        "dense-km"
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        hungarian::solve(&costs.to_dense())
-    }
-}
 
 /// Assembles the canonical [`Assignment`] from the useful (below-default)
 /// pairs a sparse solver matched: fills both directions, then pads with
 /// default-cost pairs — free rows and free columns in ascending index order —
-/// until `min(rows, cols)` pairs are matched, mirroring the perfect matching
-/// a dense solver would return.
+/// until `min(rows, cols)` pairs are matched.
 pub(crate) fn pad_assignment(
     rows: usize,
     cols: usize,
@@ -112,30 +75,18 @@ pub(crate) fn pad_assignment(
 
 /// In debug builds, checks the sparse-solver precondition that no explicit
 /// entry exceeds the default cost (the FoodGraph invariant; see the module
-/// docs). [`DenseKm`] is the escape hatch for matrices that violate it.
+/// docs).
 pub(crate) fn debug_assert_entries_at_most_default(costs: &SparseCostMatrix) {
     debug_assert!(
         costs.entries().iter().all(|&(_, _, v)| v <= costs.default_cost()),
-        "sparse solvers require explicit entries <= default cost; use DenseKm otherwise"
+        "the solver requires explicit entries <= default cost"
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Decomposed, SparseKm};
-
-    #[test]
-    fn dense_km_matches_the_bare_hungarian_solver() {
-        let mut costs = SparseCostMatrix::new(2, 3, 100.0);
-        costs.set(0, 1, 5.0);
-        costs.set(1, 0, 7.0);
-        let via_trait = DenseKm.solve(&costs);
-        let direct = hungarian::solve(&costs.to_dense());
-        assert_eq!(via_trait, direct);
-        assert_eq!(via_trait.matched_pairs(), 2);
-        assert!((via_trait.total_cost - 12.0).abs() < 1e-9);
-    }
+    use crate::{sparse_km, Decomposed};
 
     #[test]
     fn padding_fills_to_the_dense_matching_size() {
@@ -162,12 +113,9 @@ mod tests {
         costs.set(0, 1, 1.0);
         costs.set(1, 0, 2.0);
         costs.set(2, 2, 5.0);
-        let sharded = Decomposed::new(2);
-        let solvers: [&dyn AssignmentSolver; 3] = [&sharded, &SparseKm, &DenseKm];
-        for solver in solvers {
-            let a = solver.solve(&costs);
-            assert_eq!(a.matched_pairs(), 3, "{}", solver.name());
-            assert!((a.total_cost - 8.0).abs() < 1e-9, "{}: {}", solver.name(), a.total_cost);
+        for a in [Decomposed::new(2).solve(&costs), sparse_km::solve(&costs)] {
+            assert_eq!(a.matched_pairs(), 3);
+            assert!((a.total_cost - 8.0).abs() < 1e-9, "{}", a.total_cost);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Sparse Kuhn–Munkres: minimum-cost assignment without densifying Ω.
 //!
-//! The dense solver spends `O(rows²·cols)` touching every cell, most of
-//! which carry the rejection penalty Ω in a sparsified FoodGraph. This
-//! solver never materialises those cells. It exploits the *rejection
+//! A dense Kuhn–Munkres solver spends `O(rows²·cols)` touching every cell,
+//! most of which carry the rejection penalty Ω in a sparsified FoodGraph.
+//! This solver never materialises those cells. It exploits the *rejection
 //! reduction*: for a matrix whose explicit entries never exceed the default
 //! cost Ω (the FoodGraph invariant — Algorithm 2 clamps with `min(·, Ω)`),
 //! the dense optimum over perfect matchings of size `t = min(rows, cols)`
@@ -35,7 +35,7 @@
 //! best true cost is settled before the stop: the selected target, the
 //! augmenting path, and the potential updates (all settled nodes carry
 //! final distances; unsettled ones sit above the update cap) are
-//! bit-for-bit the ones the exhaustive search produces.
+//! bit-for-bit the ones a search that runs the heap dry produces.
 //!
 //! Complexity: `O(t · (E + V) log V)` with `E` the explicit entries and
 //! `V = rows + cols` — independent of the Ω fill; early termination removes
@@ -45,7 +45,7 @@
 //!
 //! ## Pooled scratch
 //!
-//! The dispatch loop calls this solver once per window per shard, on
+//! The dispatch loop calls [`solve`] once per window per shard, on
 //! matrices of similar shape every time. All working state — adjacency,
 //! matching and potential arrays, the Dijkstra heap and its distance array
 //! — lives in a thread-local [`Scratch`] pool, so repeated solves on a
@@ -58,25 +58,17 @@
 //! the results stay bit-identical to the unpooled solver's.
 
 use crate::matrix::{Assignment, SparseCostMatrix};
-use crate::solver::{debug_assert_entries_at_most_default, pad_assignment, AssignmentSolver};
+use crate::solver::{debug_assert_entries_at_most_default, pad_assignment};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The sparse Kuhn–Munkres solver. See the module docs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SparseKm;
-
-impl AssignmentSolver for SparseKm {
-    fn name(&self) -> &'static str {
-        "sparse-km"
-    }
-
-    fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
-        debug_assert_entries_at_most_default(costs);
-        let useful = min_weight_matching(costs);
-        pad_assignment(costs.rows(), costs.cols(), costs.default_cost(), &useful)
-    }
+/// Sparse Kuhn–Munkres: a minimum-cost assignment of `min(rows, cols)`
+/// pairs, padded by the rejection convention. See the module docs.
+pub fn solve(costs: &SparseCostMatrix) -> Assignment {
+    debug_assert_entries_at_most_default(costs);
+    let useful = min_weight_matching(costs);
+    pad_assignment(costs.rows(), costs.cols(), costs.default_cost(), &useful)
 }
 
 /// Min-heap entry: smallest distance first, ties on the lower node index.
@@ -339,26 +331,11 @@ fn min_weight_matching_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::DenseKm;
-
-    fn assert_matches_dense(costs: &SparseCostMatrix) {
-        let sparse = SparseKm.solve(costs);
-        let dense = DenseKm.solve(costs);
-        assert!(
-            (sparse.total_cost - dense.total_cost).abs() < 1e-6,
-            "sparse {} vs dense {}\n{}",
-            sparse.total_cost,
-            dense.total_cost,
-            costs.to_dense()
-        );
-        assert_eq!(sparse.matched_pairs(), dense.matched_pairs());
-        assert!(sparse.is_consistent());
-    }
 
     #[test]
     fn empty_matrix_is_all_rejections() {
         let costs = SparseCostMatrix::new(3, 2, 100.0);
-        let a = SparseKm.solve(&costs);
+        let a = solve(&costs);
         assert_eq!(a.matched_pairs(), 2);
         assert!((a.total_cost - 200.0).abs() < 1e-9);
     }
@@ -371,7 +348,7 @@ mod tests {
         costs.set(0, 0, 0.0);
         costs.set(0, 1, 1.0);
         costs.set(1, 0, 1.0);
-        let a = SparseKm.solve(&costs);
+        let a = solve(&costs);
         assert!((a.total_cost - 2.0).abs() < 1e-9);
         assert_eq!(a.row_to_col, vec![Some(1), Some(0)]);
     }
@@ -382,53 +359,8 @@ mod tests {
         // the solver must not prefer it over the padding.
         let mut costs = SparseCostMatrix::new(1, 2, 50.0);
         costs.set(0, 1, 50.0);
-        let a = SparseKm.solve(&costs);
+        let a = solve(&costs);
         assert!((a.total_cost - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn agrees_with_dense_km_on_random_sparse_instances() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..300 {
-            let rows = rng.random_range(1..=7);
-            let cols = rng.random_range(1..=7);
-            let mut costs = SparseCostMatrix::new(rows, cols, 1000.0);
-            for r in 0..rows {
-                for c in 0..cols {
-                    if rng.random_range(0.0..1.0) < 0.45 {
-                        costs.set(r, c, rng.random_range(0.0..900.0));
-                    }
-                }
-            }
-            assert_matches_dense(&costs);
-        }
-    }
-
-    #[test]
-    fn agrees_with_dense_km_on_larger_early_terminating_instances() {
-        // Bigger, very sparse instances: the regime where the early
-        // termination skips most of each round's heap. Equal-index ties are
-        // seeded deliberately (costs drawn from a coarse grid).
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1234);
-        for round in 0..8 {
-            let rows = 30 + round * 5;
-            let cols = 25 + round * 4;
-            let mut costs = SparseCostMatrix::new(rows, cols, 600.0);
-            for r in 0..rows {
-                for c in 0..cols {
-                    if rng.random_range(0.0..1.0) < 0.06 {
-                        costs.set(r, c, (rng.random_range(0..12) * 50) as f64);
-                    }
-                }
-            }
-            assert_matches_dense(&costs);
-            // Determinism: repeated solves return identical assignments.
-            assert_eq!(SparseKm.solve(&costs), SparseKm.solve(&costs));
-        }
     }
 
     #[test]
@@ -458,25 +390,6 @@ mod tests {
             let pooled = min_weight_matching(costs);
             let pristine = min_weight_matching_in(&mut Scratch::default(), costs);
             assert_eq!(pooled, pristine);
-            assert_matches_dense(costs);
-        }
-    }
-
-    #[test]
-    fn agrees_with_dense_km_on_fully_dense_instances() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..50 {
-            let rows = rng.random_range(1..=6);
-            let cols = rng.random_range(1..=6);
-            let mut costs = SparseCostMatrix::new(rows, cols, 500.0);
-            for r in 0..rows {
-                for c in 0..cols {
-                    costs.set(r, c, rng.random_range(0.0..499.0));
-                }
-            }
-            assert_matches_dense(&costs);
         }
     }
 }

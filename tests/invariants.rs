@@ -7,7 +7,6 @@
 
 use foodmatch_core::route::{plan_optimal_route, plan_optimal_route_free_start, PlannedOrder};
 use foodmatch_core::{batch_orders, DispatchConfig, Order, OrderId};
-use foodmatch_matching::{greedy, hungarian, CostMatrix};
 use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{
     angular_distance, dijkstra, CongestionProfile, GeoPoint, NodeId, ShortestPathEngine, TimePoint,
@@ -23,49 +22,6 @@ fn test_grid() -> (foodmatch_roadnet::RoadNetwork, GridCityBuilder) {
     let builder =
         GridCityBuilder::new(6, 6).congestion(CongestionProfile::metropolitan()).major_every(3);
     (builder.build(), builder)
-}
-
-/// Hungarian matching is optimal: no injection of the smaller side into the
-/// larger achieves a lower total cost, and greedy never beats it.
-#[test]
-fn hungarian_is_optimal_and_beats_greedy() {
-    let mut rng = StdRng::seed_from_u64(0xF00D_0001);
-    for case in 0..CASES {
-        let rows = rng.random_range(1usize..5);
-        let cols = rng.random_range(1usize..5);
-        let values: Vec<f64> = (0..25).map(|_| rng.random_range(0.0f64..500.0)).collect();
-        let matrix = CostMatrix::from_fn(rows, cols, |r, c| values[(r * 5 + c) % values.len()]);
-        let optimal = hungarian::solve(&matrix);
-        let greedy = greedy::solve(&matrix);
-        assert_eq!(optimal.matched_pairs(), rows.min(cols), "case {case}");
-        assert!(
-            optimal.total_cost <= greedy.total_cost + 1e-9,
-            "case {case}: hungarian {} beaten by greedy {}",
-            optimal.total_cost,
-            greedy.total_cost
-        );
-        assert!(optimal.is_consistent(), "case {case}");
-
-        // Exhaustive check against every injection of rows into columns.
-        let smaller = rows.min(cols);
-        let mut best = f64::INFINITY;
-        let indices: Vec<usize> = (0..rows.max(cols)).collect();
-        permute(&indices, smaller, &mut Vec::new(), &mut |perm| {
-            let cost: f64 = perm
-                .iter()
-                .enumerate()
-                .map(|(i, &j)| if rows <= cols { matrix.get(i, j) } else { matrix.get(j, i) })
-                .sum();
-            if cost < best {
-                best = cost;
-            }
-        });
-        assert!(
-            (optimal.total_cost - best).abs() < 1e-6,
-            "case {case}: hungarian {} vs exhaustive {best}",
-            optimal.total_cost
-        );
-    }
 }
 
 /// Shortest-path travel times satisfy the triangle inequality, and the
@@ -203,26 +159,5 @@ fn batching_preserves_orders_and_capacity() {
             assert!(batch.cost_secs() >= -1e-6, "case {case}: negative batch cost");
         }
         assert!(outcome.final_avg_cost_secs >= -1e-6, "case {case}");
-    }
-}
-
-/// Enumerates all injective mappings of `0..k` into `indices`, calling
-/// `visit` with each mapping.
-fn permute(
-    indices: &[usize],
-    k: usize,
-    current: &mut Vec<usize>,
-    visit: &mut impl FnMut(&[usize]),
-) {
-    if current.len() == k {
-        visit(current);
-        return;
-    }
-    for &index in indices {
-        if !current.contains(&index) {
-            current.push(index);
-            permute(indices, k, current, visit);
-            current.pop();
-        }
     }
 }

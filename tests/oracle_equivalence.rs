@@ -848,13 +848,11 @@ fn parallel_foodgraph_matches_serial_bit_for_bit() {
     let parallel_config = DispatchConfig { num_threads: 4, ..Default::default() };
     let parallel = build_food_graph(&batches, &window.vehicles, &engine, t, &parallel_config);
     assert_eq!(serial.evaluations, parallel.evaluations);
-    let dense_serial = serial.costs.to_dense();
-    let dense_parallel = parallel.costs.to_dense();
     for r in 0..batches.len() {
         for c in 0..window.vehicles.len() {
             assert_eq!(
-                dense_serial.get(r, c).to_bits(),
-                dense_parallel.get(r, c).to_bits(),
+                serial.costs.get(r, c).to_bits(),
+                parallel.costs.get(r, c).to_bits(),
                 "cost ({r},{c}) differs between serial and parallel construction"
             );
         }

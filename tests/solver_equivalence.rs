@@ -1,73 +1,178 @@
-//! Equivalence, ground truth and determinism of the assignment solver.
+//! Ground truth and determinism of the assignment solver.
 //!
 //! The contract under test: the dispatch solver
-//! (`DispatchConfig::build_solver`, [`Decomposed`]: components → [`SparseKm`]
-//! per shard) returns an assignment of `min(rows, cols)` pairs whose total
-//! cost is the optimum — checked against the dense rectangular Kuhn–Munkres
-//! reference ([`DenseKm`]) on random instances and against exhaustive
-//! enumeration on tiny ones — and is bit-identical for every thread count.
+//! (`DispatchConfig::build_solver`, [`Decomposed`]: components →
+//! [`sparse_km::solve`] per shard) returns an assignment of
+//! `min(rows, cols)` pairs whose total cost is the optimum, and is
+//! bit-identical for every thread count. The optimum is checked two ways,
+//! neither of them a second solver: exhaustive enumeration on instances
+//! small enough to enumerate, and on every instance an optimality
+//! certificate — the residual graph of the returned assignment has no
+//! negative cycle.
 
-use foodmatch_core::DispatchConfig;
-use foodmatch_matching::{
-    decompose, solve_hungarian, AssignmentSolver, CostMatrix, Decomposed, DenseKm,
-    SparseCostMatrix, SparseKm,
+use foodmatch_core::{
+    batch_orders, build_food_graph, DispatchConfig, DispatchPolicy, FoodMatchPolicy, Order,
+    VehicleSnapshot, WindowSnapshot,
 };
+use foodmatch_matching::{decompose, sparse_km, Assignment, Decomposed, SparseCostMatrix};
+use foodmatch_roadnet::{ShortestPathEngine, TimePoint};
+use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const OMEGA: f64 = 7_200.0;
 
-/// A random sparse instance; `integer` restricts costs to whole seconds so
-/// that totals of distinct matchings differ by at least one.
-fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostMatrix {
-    let rows = rng.random_range(1..=10);
-    let cols = rng.random_range(1..=10);
-    let mut costs = SparseCostMatrix::new(rows, cols, OMEGA);
+/// `rows × cols` cells, each set with probability `density` to a cost
+/// `draw` picks (every cell when `density` is 1, none when it is 0, with no
+/// coin flipped).
+fn sparse_instance(
+    rng: &mut StdRng,
+    (rows, cols): (usize, usize),
+    omega: f64,
+    density: f64,
+    draw: impl Fn(&mut StdRng) -> f64,
+) -> SparseCostMatrix {
+    let mut costs = SparseCostMatrix::new(rows, cols, omega);
     for r in 0..rows {
         for c in 0..cols {
-            if rng.random_range(0.0..1.0) < density {
-                let cost = if integer {
-                    rng.random_range(0..7_000) as f64
-                } else {
-                    rng.random_range(0.0..7_000.0)
-                };
-                costs.set(r, c, cost);
+            if density >= 1.0 || (density > 0.0 && rng.random_range(0.0..1.0) < density) {
+                costs.set(r, c, draw(rng));
             }
         }
     }
     costs
 }
 
-/// The dispatch solver as the policies build it, its per-shard solver run
-/// on the whole instance, and the dense reference.
-fn solvers() -> Vec<Box<dyn AssignmentSolver>> {
-    vec![DispatchConfig::default().build_solver(), Box::new(SparseKm), Box::new(DenseKm)]
+/// A random instance of up to 10 × 10; `integer` restricts costs to whole
+/// seconds so that totals of distinct matchings differ by at least one.
+fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostMatrix {
+    let shape = (rng.random_range(1..=10), rng.random_range(1..=10));
+    sparse_instance(rng, shape, OMEGA, density, |rng| {
+        if integer {
+            rng.random_range(0..7_000) as f64
+        } else {
+            rng.random_range(0.0..7_000.0)
+        }
+    })
 }
 
-fn assert_matches_dense(costs: &SparseCostMatrix, solver: &dyn AssignmentSolver, tol: f64) {
-    let dense = solve_hungarian(&costs.to_dense());
-    let solved = solver.solve(costs);
-    assert!(
-        (solved.total_cost - dense.total_cost).abs() <= tol,
-        "{}: total {} vs dense {} on\n{}",
-        solver.name(),
-        solved.total_cost,
-        dense.total_cost,
-        costs.to_dense()
-    );
-    assert_eq!(solved.matched_pairs(), costs.rows().min(costs.cols()), "{}", solver.name());
-    assert!(solved.is_consistent(), "{}", solver.name());
+/// The dispatch solver as the policies build it, and its per-shard solver
+/// run on the whole instance.
+fn solve_both(costs: &SparseCostMatrix) -> [(&'static str, Assignment); 2] {
+    [
+        ("dispatch solver", DispatchConfig::default().build_solver().solve(costs)),
+        ("sparse KM", sparse_km::solve(costs)),
+    ]
+}
+
+/// The optimum by exhaustive enumeration: the cheapest way to match every
+/// line of the shorter side to a distinct line of the longer one, Ω cells
+/// included (at most 720 matchings on a 6 × 6 instance).
+fn brute_force_optimum(costs: &SparseCostMatrix) -> f64 {
+    /// The cheapest completion from line `line` of the shorter side on.
+    fn explore(
+        cost: &dyn Fn(usize, usize) -> f64,
+        line: usize,
+        lines: usize,
+        used: &mut [bool],
+    ) -> f64 {
+        if line == lines {
+            return 0.0;
+        }
+        let mut best = f64::INFINITY;
+        for other in 0..used.len() {
+            if !used[other] {
+                used[other] = true;
+                best = best.min(cost(line, other) + explore(cost, line + 1, lines, used));
+                used[other] = false;
+            }
+        }
+        best
+    }
+    let wide = costs.rows() <= costs.cols();
+    let (short, long) =
+        if wide { (costs.rows(), costs.cols()) } else { (costs.cols(), costs.rows()) };
+    let cost = |i: usize, j: usize| if wide { costs.get(i, j) } else { costs.get(j, i) };
+    explore(&cost, 0, short, &mut vec![false; long])
+}
+
+/// Number of matchings [`brute_force_optimum`] enumerates.
+fn matchings(costs: &SparseCostMatrix) -> usize {
+    let (short, long) = (costs.rows().min(costs.cols()), costs.rows().max(costs.cols()));
+    (long - short + 1..=long).try_fold(1usize, usize::checked_mul).unwrap_or(usize::MAX)
+}
+
+/// The optimality certificate: whether some assignment of as many pairs
+/// costs less than `solved`. An assignment of `min(rows, cols)` pairs is a
+/// flow of that value through source → rows → columns → sink, and a flow is
+/// cheapest for its value iff its residual graph has no negative cycle.
+/// Bellman–Ford looks for one, every node starting at distance 0: a
+/// relaxation still possible after `V` passes closes a cycle. Relaxations
+/// that gain less than 1e-6 are ignored, so rounding noise is no cycle.
+fn improvable(costs: &SparseCostMatrix, solved: &Assignment) -> bool {
+    let (n, m) = (costs.rows(), costs.cols());
+    let (source, sink) = (n + m, n + m + 1);
+    let mut arcs: Vec<(usize, usize, f64)> = Vec::new();
+    for r in 0..n {
+        arcs.push(if solved.row_to_col[r].is_some() { (r, source, 0.0) } else { (source, r, 0.0) });
+        for c in 0..m {
+            let cost = costs.get(r, c);
+            // A matched pair can be undone, any other pair added.
+            arcs.push(if solved.row_to_col[r] == Some(c) {
+                (n + c, r, -cost)
+            } else {
+                (r, n + c, cost)
+            });
+        }
+    }
+    for c in 0..m {
+        arcs.push(if solved.col_to_row[c].is_some() {
+            (sink, n + c, 0.0)
+        } else {
+            (n + c, sink, 0.0)
+        });
+    }
+    let mut dist = vec![0.0; n + m + 2];
+    for _ in 0..dist.len() {
+        let mut relaxed = false;
+        for &(u, v, w) in &arcs {
+            if dist[u] + w < dist[v] - 1e-6 {
+                dist[v] = dist[u] + w;
+                relaxed = true;
+            }
+        }
+        if !relaxed {
+            return false;
+        }
+    }
+    true
+}
+
+/// Asserts that `solved` is a minimum-cost assignment of `costs`: a
+/// consistent matching of `min(rows, cols)` pairs whose `total_cost` is its
+/// pairs' sum (within `tol`), with no negative residual cycle, and — when
+/// the instance is small enough to enumerate — the enumerated optimum.
+fn assert_optimal(costs: &SparseCostMatrix, solved: &Assignment, tol: f64, what: &str) {
+    assert!(solved.is_consistent(), "{what}");
+    assert_eq!(solved.matched_pairs(), costs.rows().min(costs.cols()), "{what}");
+    let sum: f64 = solved.pairs().map(|(r, c)| costs.get(r, c)).sum();
+    assert!((solved.total_cost - sum).abs() <= tol, "{what}: total {} vs {sum}", solved.total_cost);
+    assert!(!improvable(costs, solved), "{what}: a cheaper assignment exists on {costs:?}");
+    if matchings(costs) <= 5_040 {
+        let optimum = brute_force_optimum(costs);
+        let off = (solved.total_cost - optimum).abs();
+        assert!(off <= tol, "{what}: total {} vs optimum {optimum}", solved.total_cost);
+    }
 }
 
 #[test]
-fn km_family_agrees_with_dense_on_random_real_valued_instances() {
+fn solver_is_optimal_on_random_real_valued_instances() {
     let mut rng = StdRng::seed_from_u64(0xF00D_CAFE);
-    let solvers = solvers();
     for trial in 0..250usize {
         let density = [0.1, 0.3, 0.6][trial % 3];
         let costs = random_instance(&mut rng, density, false);
-        for solver in &solvers {
-            assert_matches_dense(&costs, solver.as_ref(), 1e-6);
+        for (name, solved) in solve_both(&costs) {
+            assert_optimal(&costs, &solved, 1e-6, &format!("{name}, trial {trial}"));
         }
     }
 }
@@ -75,14 +180,13 @@ fn km_family_agrees_with_dense_on_random_real_valued_instances() {
 #[test]
 fn every_solver_kind_is_exact_on_random_integer_instances() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let solvers = solvers();
     for trial in 0..150usize {
         let density = [0.15, 0.45, 0.8][trial % 3];
         let costs = random_instance(&mut rng, density, true);
-        for solver in &solvers {
+        for (name, solved) in solve_both(&costs) {
             // Integer totals differ by >= 1, so 0.5 separates "picked an
             // optimal matching" from any suboptimal one.
-            assert_matches_dense(&costs, solver.as_ref(), 0.5);
+            assert_optimal(&costs, &solved, 0.5, &format!("{name}, trial {trial}"));
         }
     }
 }
@@ -90,33 +194,103 @@ fn every_solver_kind_is_exact_on_random_integer_instances() {
 #[test]
 fn rectangular_extremes_and_degenerate_shapes_agree() {
     let mut rng = StdRng::seed_from_u64(7_777);
-    let solvers = solvers();
     // Very wide and very tall shapes, fully dense and nearly empty.
     for &(rows, cols) in &[(1usize, 12usize), (12, 1), (2, 9), (9, 2), (8, 8)] {
         for density in [0.0, 1.0] {
-            let mut costs = SparseCostMatrix::new(rows, cols, OMEGA);
-            for r in 0..rows {
-                for c in 0..cols {
-                    if density == 1.0 {
-                        costs.set(r, c, rng.random_range(0..5_000) as f64);
-                    }
-                }
-            }
-            for solver in &solvers {
-                assert_matches_dense(&costs, solver.as_ref(), 0.5);
+            let costs = sparse_instance(&mut rng, (rows, cols), OMEGA, density, |rng| {
+                rng.random_range(0..5_000) as f64
+            });
+            for (name, solved) in solve_both(&costs) {
+                assert_optimal(&costs, &solved, 0.5, &format!("{name}, {rows}×{cols}"));
             }
         }
     }
 }
 
 #[test]
+fn sparse_km_is_optimal_on_random_sparse_instances() {
+    let mut rng = StdRng::seed_from_u64(42);
+    for trial in 0..300 {
+        let shape = (rng.random_range(1..=7), rng.random_range(1..=7));
+        let costs =
+            sparse_instance(&mut rng, shape, 1000.0, 0.45, |rng| rng.random_range(0.0..900.0));
+        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("trial {trial}"));
+    }
+}
+
+#[test]
+fn sparse_km_is_optimal_on_larger_early_terminating_instances() {
+    // Bigger, very sparse instances: the regime where the early termination
+    // skips most of each round's heap. Equal-index ties are seeded
+    // deliberately (costs drawn from a coarse grid).
+    let mut rng = StdRng::seed_from_u64(1234);
+    for round in 0..8 {
+        let shape = (30 + round * 5, 25 + round * 4);
+        let costs = sparse_instance(&mut rng, shape, 600.0, 0.06, |rng| {
+            (rng.random_range(0..12) * 50) as f64
+        });
+        let solved = sparse_km::solve(&costs);
+        assert_optimal(&costs, &solved, 1e-6, &format!("round {round}"));
+        // Determinism: repeated solves return identical assignments.
+        assert_eq!(solved, sparse_km::solve(&costs));
+    }
+    // Alternating large and small shapes, so each solve reuses pooled
+    // scratch that a differently shaped solve left behind.
+    let mut rng = StdRng::seed_from_u64(99);
+    for round in 0..6 {
+        let shape = if round % 2 == 0 { (40, 35) } else { (3, 4) };
+        let costs = sparse_instance(&mut rng, shape, 700.0, 0.2, |rng| {
+            (rng.random_range(0..14) * 50) as f64
+        });
+        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("interleaved {round}"));
+    }
+}
+
+#[test]
+fn sparse_km_is_optimal_on_fully_dense_instances() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for trial in 0..50 {
+        let shape = (rng.random_range(1..=6), rng.random_range(1..=6));
+        let costs =
+            sparse_instance(&mut rng, shape, 500.0, 1.0, |rng| rng.random_range(0.0..499.0));
+        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("trial {trial}"));
+    }
+}
+
+#[test]
+fn the_certificate_rejects_worsened_assignments() {
+    // Swap the columns of two rows of an optimal assignment; whenever that
+    // costs more, the certificate must find the cheaper one.
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let mut caught = 0;
+    for trial in 0..40 {
+        let shape = (rng.random_range(2..=40), rng.random_range(2..=40));
+        let costs =
+            sparse_instance(&mut rng, shape, OMEGA, 0.2, |rng| rng.random_range(0..7_000) as f64);
+        let optimal = sparse_km::solve(&costs);
+        let (a, b) = (rng.random_range(0..shape.0), rng.random_range(0..shape.0));
+        let mut worse = optimal.clone();
+        worse.row_to_col.swap(a, b);
+        worse.col_to_row = vec![None; shape.1];
+        for (r, c) in worse.pairs().collect::<Vec<_>>() {
+            worse.col_to_row[c] = Some(r);
+        }
+        worse.total_cost = worse.pairs().map(|(r, c)| costs.get(r, c)).sum();
+        if worse.total_cost > optimal.total_cost + 0.5 {
+            assert!(improvable(&costs, &worse), "trial {trial}: worse assignment certified");
+            caught += 1;
+        }
+    }
+    assert!(caught >= 20, "only {caught} worsened assignments to catch");
+}
+
+#[test]
 fn all_omega_instances_reduce_to_pure_rejection_padding() {
     let costs = SparseCostMatrix::new(6, 4, OMEGA);
     assert!(decompose(&costs).is_empty());
-    for solver in solvers() {
-        let solved = solver.solve(&costs);
+    for (name, solved) in solve_both(&costs) {
         assert_eq!(solved.matched_pairs(), 4);
-        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{}", solver.name());
+        assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{name}");
     }
 }
 
@@ -128,9 +302,59 @@ fn explicit_entries_at_omega_never_beat_rejection() {
     costs.set(0, 0, OMEGA);
     costs.set(1, 1, 120.0);
     costs.set(2, 1, 60.0);
-    for solver in solvers() {
-        let solved = solver.solve(&costs);
-        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{}", solver.name());
+    for (name, solved) in solve_both(&costs) {
+        assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{name}");
+    }
+}
+
+#[test]
+fn foodgraph_of_a_real_window_is_solved_optimally() {
+    // The orders of one accumulation window of a generated City B lunch,
+    // every vehicle idle at its start: batched, priced into a FoodGraph both
+    // sparsified and dense, and solved.
+    let scenario = Scenario::generate(
+        CityId::B,
+        ScenarioOptions {
+            seed: 9,
+            start: TimePoint::from_hms(12, 0, 0),
+            end: TimePoint::from_hms(13, 0, 0),
+            vehicle_fraction: 1.0,
+        },
+    );
+    let t = TimePoint::from_hms(12, 14, 0);
+    let window_start = t - scenario.city.preset.delta;
+    let orders: Vec<Order> = scenario
+        .orders
+        .iter()
+        .copied()
+        .filter(|o| o.placed_at >= window_start && o.placed_at < t)
+        .collect();
+    let vehicles: Vec<VehicleSnapshot> =
+        scenario.vehicle_starts.iter().map(|&(id, node)| VehicleSnapshot::idle(id, node)).collect();
+    let engine = ShortestPathEngine::cached(scenario.city.network.clone());
+    let window = WindowSnapshot::new(t, orders, vehicles);
+    assert_eq!(window.orders.len(), 14);
+
+    let sparsified = DispatchConfig::default();
+    let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
+    for config in [sparsified, dense] {
+        let batches = batch_orders(&window.orders, &engine, t, &config).batches;
+        let graph = build_food_graph(&batches, &window.vehicles, &engine, t, &config);
+        let solved = config.build_solver().solve(&graph.costs);
+        let what = format!("{} batches × {} vehicles", batches.len(), window.vehicles.len());
+        assert_optimal(&graph.costs, &solved, 1e-6, &what);
+
+        // The policy serves exactly the orders of the certified solve's
+        // sub-Ω pairs.
+        let served: usize = solved
+            .pairs()
+            .filter(|&(row, col)| graph.costs.get(row, col) < config.rejection_penalty_secs)
+            .map(|(row, _)| batches[row].orders.len())
+            .sum();
+        assert!(served > 0, "{what}");
+        let outcome = FoodMatchPolicy::new().assign(&window, &engine, &config);
+        outcome.validate(&window).unwrap();
+        assert_eq!(outcome.assigned_order_count(), served, "{what}");
     }
 }
 
@@ -198,31 +422,6 @@ fn component_sharding_partitions_rows_and_columns() {
     }
 }
 
-/// The optimum by exhaustive enumeration: the cheapest way to match every
-/// line of the shorter side to a distinct line of the longer one, Ω cells
-/// included (at most 720 matchings on a 6 × 6 instance).
-fn brute_force_optimum(costs: &CostMatrix) -> f64 {
-    fn explore(costs: &CostMatrix, row: usize, used: &mut [bool]) -> f64 {
-        if row == costs.rows() {
-            return 0.0;
-        }
-        let mut best = f64::INFINITY;
-        for col in 0..costs.cols() {
-            if !used[col] {
-                used[col] = true;
-                best = best.min(costs.get(row, col) + explore(costs, row + 1, used));
-                used[col] = false;
-            }
-        }
-        best
-    }
-    if costs.rows() <= costs.cols() {
-        explore(costs, 0, &mut vec![false; costs.cols()])
-    } else {
-        explore(&costs.transposed(), 0, &mut vec![false; costs.rows()])
-    }
-}
-
 #[test]
 fn dispatch_solver_matches_exhaustive_enumeration_on_tiny_instances() {
     let mut rng = StdRng::seed_from_u64(0x0B5E55ED);
@@ -258,16 +457,17 @@ fn dispatch_solver_matches_exhaustive_enumeration_on_tiny_instances() {
             }
         }
 
-        let optimum = brute_force_optimum(&costs.to_dense());
+        let optimum = brute_force_optimum(&costs);
         let solved = solver.solve(&costs);
         if integer {
-            assert_eq!(solved.total_cost, optimum, "trial {trial} on\n{}", costs.to_dense());
+            assert_eq!(solved.total_cost, optimum, "trial {trial} on {costs:?}");
         } else {
             let off = (solved.total_cost - optimum).abs();
-            assert!(off <= 1e-9, "trial {trial}: off by {off} on\n{}", costs.to_dense());
+            assert!(off <= 1e-9, "trial {trial}: off by {off} on {costs:?}");
         }
         assert_eq!(solved.matched_pairs(), rows.min(cols), "trial {trial}");
         assert!(solved.is_consistent(), "trial {trial}");
+        assert!(!improvable(&costs, &solved), "trial {trial}");
         for threads in [1, 2, 4] {
             assert_eq!(Decomposed::new(threads).solve(&costs), solved, "trial {trial}");
         }
