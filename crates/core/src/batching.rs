@@ -44,12 +44,10 @@ use crate::legs::{LegRows, MIN_FAN_OUT};
 use crate::order::{Order, OrderId};
 use crate::parallel_map;
 use crate::route::{
-    engine_legs, plan_on_table, plan_optimal_route_free_start, EvaluatedRoute, LegTable,
-    PlannedOrder,
+    plan_on_table, plan_optimal_route_free_start, EvaluatedRoute, LegTable, PlannedOrder,
 };
 use foodmatch_roadnet::{Duration, GatedTargets, NodeId, ShortestPathEngine, TimePoint};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// A batch of orders to be assigned to a single vehicle, together with the
 /// quickest route plan of its simulated vehicle.
@@ -105,8 +103,6 @@ pub struct BatchingOutcome {
     pub unplannable: Vec<Order>,
     /// Number of merges performed.
     pub merges: usize,
-    /// The average batch cost when clustering stopped, in seconds.
-    pub final_avg_cost_secs: f64,
 }
 
 /// Wraps every order in its own singleton batch without any clustering.
@@ -123,7 +119,7 @@ pub fn singleton_batches(
 /// [`singleton_batches`] with the per-order route planning fanned out across
 /// `threads` scoped workers (results are merged in input order, so every
 /// thread count yields the same outcome).
-pub fn singleton_batches_with_threads(
+fn singleton_batches_with_threads(
     orders: &[Order],
     engine: &ShortestPathEngine,
     t: TimePoint,
@@ -148,8 +144,7 @@ fn singletons(
             None => unplannable.push(order),
         }
     }
-    let final_avg_cost_secs = average_cost(&batches);
-    BatchingOutcome { batches, unplannable, merges: 0, final_avg_cost_secs }
+    BatchingOutcome { batches, unplannable, merges: 0 }
 }
 
 /// The window's components (see the module header), and the travel times
@@ -290,27 +285,24 @@ pub fn batch_orders(
     let unplannable = seed.unplannable;
     let eta_secs = config.batching_threshold.as_secs_f64();
 
-    // Clusters are slots that may be emptied by merges; `version` lets the
-    // lazy heap detect stale candidates.
+    // Clusters are slots that may be emptied by merges. A merge never leaves
+    // its component, so a slot keeps its component.
     let mut clusters: Vec<Option<Batch>> = seed.batches.into_iter().map(Some).collect();
-    let mut versions: Vec<u64> = vec![0; clusters.len()];
     let mut active = clusters.len();
     let mut total_cost: f64 = clusters.iter().flatten().map(Batch::cost_secs).sum();
     let mut merges = 0usize;
-    // A merge never leaves its component, so a slot keeps its component.
     let component: Vec<usize> =
         clusters.iter().flatten().map(|c| components.of(c.orders[0].restaurant)).collect();
 
-    // A candidate is a ≤ 6-stop table plan, about a microsecond: the pair
-    // loops stay on the calling thread, where a spawn would cost more than
-    // the work. Pairs across components are never planned: no merge of
-    // theirs passes the gate (module header), and their legs were not swept.
-    // The heap's total order breaks every tie by (i, j), so the merge
-    // sequence depends only on the candidates, not on their order.
-    let mut heap: BinaryHeap<MergeCandidate> = (0..clusters.len())
+    // The gated merge of every two live slots `i < j` of one component. A
+    // merge is a ≤ 6-stop table plan, about a microsecond: the pair loops
+    // stay on the calling thread, where a spawn would cost more than the
+    // work. Pairs across components are never planned: no merge of theirs
+    // passes the gate (module header), and their legs were not swept.
+    let mut table: BTreeMap<(usize, usize), (f64, Batch)> = (0..clusters.len())
         .flat_map(|i| ((i + 1)..clusters.len()).map(move |j| (i, j)))
         .filter(|&(i, j)| component[i] == component[j])
-        .filter_map(|(i, j)| candidate_for(&clusters, &versions, i, j, &stop_legs, t, config))
+        .filter_map(|(i, j)| Some(((i, j), gated_merge(&clusters, i, j, &stop_legs, t, config)?)))
         .collect();
 
     while active > 1 {
@@ -318,104 +310,46 @@ pub fn batch_orders(
         if avg > eta_secs {
             break;
         }
-        // Pop candidates until a non-stale one appears.
-        let candidate = loop {
-            match heap.pop() {
-                Some(c) => {
-                    let fresh = clusters[c.i].is_some()
-                        && clusters[c.j].is_some()
-                        && versions[c.i] == c.version_i
-                        && versions[c.j] == c.version_j;
-                    if fresh {
-                        break Some(c);
-                    }
-                }
-                None => break None,
-            }
-        };
-        let Some(candidate) = candidate else { break };
+        // The cheapest merge; `min_by` keeps the first of equals, so ties go
+        // to the first (i, j).
+        let cheapest = table
+            .iter()
+            .min_by(|(_, (a, _)), (_, (b, _))| a.partial_cmp(b).expect("weights are never NaN"));
+        let Some((&(i, j), _)) = cheapest else { break };
+        let (_, merged) = table.remove(&(i, j)).expect("a tabled pair");
+        table.retain(|&(a, b), _| a != i && a != j && b != i && b != j);
 
-        // Perform the merge recorded in the candidate.
-        let left = clusters[candidate.i].take().expect("fresh candidate");
-        let right = clusters[candidate.j].take().expect("fresh candidate");
-        versions[candidate.i] += 1;
-        versions[candidate.j] += 1;
+        let left = clusters[i].take().expect("a live slot");
+        let right = clusters[j].take().expect("a live slot");
         total_cost -= left.cost_secs() + right.cost_secs();
-        total_cost += candidate.merged.cost_secs();
+        total_cost += merged.cost_secs();
         active -= 1;
         merges += 1;
-
-        let slot = candidate.i;
-        clusters[slot] = Some(candidate.merged);
-        versions[slot] += 1;
-        // Refresh the merged cluster's edges to every survivor of its
-        // component.
-        let near = |&other: &usize| other != slot && component[other] == component[slot];
-        for other in (0..clusters.len()).filter(near) {
-            let (a, b) = (slot.min(other), slot.max(other));
-            heap.extend(candidate_for(&clusters, &versions, a, b, &stop_legs, t, config));
+        clusters[i] = Some(merged);
+        // Replan the merged slot's row within its component.
+        for other in (0..clusters.len()).filter(|&o| o != i && component[o] == component[i]) {
+            let (a, b) = (i.min(other), i.max(other));
+            if let Some(merge) = gated_merge(&clusters, a, b, &stop_legs, t, config) {
+                table.insert((a, b), merge);
+            }
         }
     }
 
     let batches: Vec<Batch> = clusters.into_iter().flatten().collect();
-    let final_avg_cost_secs = average_cost(&batches);
-    BatchingOutcome { batches, unplannable, merges, final_avg_cost_secs }
+    BatchingOutcome { batches, unplannable, merges }
 }
 
-fn average_cost(batches: &[Batch]) -> f64 {
-    if batches.is_empty() {
-        0.0
-    } else {
-        batches.iter().map(Batch::cost_secs).sum::<f64>() / batches.len() as f64
-    }
-}
-
-/// A candidate merge of clusters `i` and `j`, with the merged batch already
-/// planned so that accepting the candidate is O(1).
-struct MergeCandidate {
-    weight: f64,
-    i: usize,
-    j: usize,
-    version_i: u64,
-    version_j: u64,
-    merged: Batch,
-}
-
-impl PartialEq for MergeCandidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.weight == other.weight && self.i == other.i && self.j == other.j
-    }
-}
-impl Eq for MergeCandidate {}
-impl PartialOrd for MergeCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on weight (BinaryHeap is a max-heap), ties broken by ids
-        // for determinism.
-        other
-            .weight
-            .partial_cmp(&self.weight)
-            .expect("weights are never NaN")
-            .then_with(|| (other.i, other.j).cmp(&(self.i, self.j)))
-    }
-}
-
-/// Evaluates the merge of clusters `i` and `j` into a heap candidate, or
-/// `None` when either slot is empty, the merge is infeasible or it fails the
-/// quality gate.
-fn candidate_for(
+/// The merge of slots `i` and `j` with its Eq. 5 weight, or `None` when
+/// either slot is empty, the merge is infeasible or it fails the quality
+/// gate.
+fn gated_merge(
     clusters: &[Option<Batch>],
-    versions: &[u64],
     i: usize,
     j: usize,
     stop_legs: &LegRows,
     t: TimePoint,
     config: &DispatchConfig,
-) -> Option<MergeCandidate> {
+) -> Option<(f64, Batch)> {
     let (Some(a), Some(b)) = (&clusters[i], &clusters[j]) else { return None };
     let (weight, merged) = merged_batch(a, b, t, config, stop_legs.legs(None))?;
     // Per-merge quality gate, this reproduction's one interpretation of
@@ -430,23 +364,12 @@ fn candidate_for(
     if weight > config.batching_threshold.as_secs_f64() * merged.len() as f64 {
         return None;
     }
-    Some(MergeCandidate { weight, i, j, version_i: versions[i], version_j: versions[j], merged })
+    Some((weight, merged))
 }
 
 /// Computes the order-graph edge weight between two batches (Eq. 5) and the
 /// merged batch, or `None` if the merge is infeasible (capacity or
-/// unreachable stops).
-pub fn merge_weight(
-    a: &Batch,
-    b: &Batch,
-    engine: &ShortestPathEngine,
-    t: TimePoint,
-    config: &DispatchConfig,
-) -> Option<(f64, Batch)> {
-    merged_batch(a, b, t, config, engine_legs(engine, t))
-}
-
-/// [`merge_weight`] with the merged plan's travel times read from `legs`.
+/// unreachable stops). The merged plan's travel times are read from `legs`.
 fn merged_batch(
     a: &Batch,
     b: &Batch,
@@ -469,13 +392,15 @@ fn merged_batch(
 }
 
 #[cfg(test)]
-mod reference;
+mod definition;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{engine_legs, exhaustive::Rng};
     use foodmatch_roadnet::generators::GridCityBuilder;
-    use foodmatch_roadnet::{CongestionProfile, Duration};
+    use foodmatch_roadnet::TrafficOverlay;
+    use foodmatch_roadnet::{CongestionProfile, GeoPoint, RoadClass, RoadNetworkBuilder};
 
     fn setup() -> (ShortestPathEngine, GridCityBuilder) {
         let b =
@@ -523,7 +448,7 @@ mod tests {
         let outcome = batch_orders(&orders, &engine, t, &default_config());
         assert_eq!(outcome.merges, 0);
         assert_eq!(outcome.batches.len(), 3);
-        assert!(outcome.final_avg_cost_secs < 1.0);
+        assert!(outcome.batches.iter().all(|batch| batch.cost_secs() < 1.0));
     }
 
     #[test]
@@ -620,7 +545,6 @@ mod tests {
             assert!(batch.cost_secs().abs() < 1e-6);
             assert_eq!(batch.first_pickup(), batch.orders[0].restaurant);
         }
-        assert!(outcome.final_avg_cost_secs.abs() < 1e-6);
     }
 
     #[test]
@@ -647,7 +571,7 @@ mod tests {
         for (a, c) in pairs {
             let sa = singleton_batches(&[a], &engine, t).batches.remove(0);
             let sb = singleton_batches(&[c], &engine, t).batches.remove(0);
-            let (w, merged) = merge_weight(&sa, &sb, &engine, t, &config).unwrap();
+            let (w, merged) = merged_batch(&sa, &sb, t, &config, engine_legs(&engine, t)).unwrap();
             assert!(w >= -1e-6, "negative merge weight {w}");
             assert!(
                 (merged.cost_secs() - (sa.cost_secs() + sb.cost_secs() + w)).abs() < 1e-6,
@@ -735,5 +659,129 @@ mod tests {
         let unbatched = DispatchConfig { use_batching: false, ..default_config() };
         assert_eq!(queries_of(&crowd, &unbatched).0, engine.query_count());
         assert_eq!(engine.query_count(), 30 * 4);
+    }
+
+    /// A `grid`×`grid` grid under the default (time-dependent) congestion
+    /// profile whose edge lengths come from a three-value set, so that many
+    /// plans tie, plus a one-way dead end and an island (the two nodes after
+    /// the grid's) for the unreachable cases; optionally with every fifth edge
+    /// slowed by an overlay. Deterministic in `seed`, so that two paths under
+    /// comparison each get an engine of their own and neither warms the
+    /// other's memo.
+    pub(super) fn seeded_engine(seed: u64, overlay: bool, grid: u32) -> ShortestPathEngine {
+        let mut rng = Rng(seed);
+        let mut b = RoadNetworkBuilder::new();
+        for i in 0..grid * grid + 2 {
+            b.add_node(GeoPoint::new(0.002 * f64::from(i / grid), 0.002 * f64::from(i % grid)));
+        }
+        let mut street = |b: &mut RoadNetworkBuilder, u: u32, v: u32| {
+            let length = [200.0, 300.0, 450.0][rng.below(3) as usize];
+            let class = if rng.chance(25) { RoadClass::Arterial } else { RoadClass::Local };
+            b.add_bidirectional(NodeId(u), NodeId(v), length, class);
+        };
+        for row in 0..grid {
+            for col in 0..grid {
+                let u = row * grid + col;
+                if col + 1 < grid {
+                    street(&mut b, u, u + 1);
+                }
+                if row + 1 < grid {
+                    street(&mut b, u, u + grid);
+                }
+            }
+        }
+        b.add_edge(NodeId(grid * grid - 1), NodeId(grid * grid), 250.0, RoadClass::Local);
+        let engine = ShortestPathEngine::cached(b.build());
+        if overlay {
+            let mut slowed = TrafficOverlay::new();
+            for edge in engine.network().edge_ids().step_by(5) {
+                slowed.slow_edge(edge, 2.5);
+            }
+            engine.set_overlay(slowed);
+        }
+        engine
+    }
+
+    /// The split windows' grid: wide enough that its corners lie farther
+    /// apart than `s + MAXO·η` for the two smaller η.
+    pub(super) const SPLIT_GRID: u32 = 24;
+    const CORNERS: [(u32, u32); 3] = [(3, 3), (20, 20), (3, 20)];
+
+    /// One window per `(len, corners)` of `shapes`, drawn from `seed`: `len`
+    /// orders around the split grid's first `corners` corners, each window
+    /// with the seed of its engines. Every order's restaurant lies
+    /// within a block of its corner and its customer within two, and its
+    /// food is ready in the five minutes after `t` (mostly: the order was
+    /// placed up to three minutes before), so the window falls apart into
+    /// components unless η is large, and its first merges are cheap.
+    pub(super) fn split_windows(
+        t: TimePoint,
+        shapes: &[(u64, u64)],
+        seed: u64,
+    ) -> Vec<(u64, Vec<Order>)> {
+        let mut rng = Rng(seed);
+        let windows = shapes.iter().zip(seed..).map(|(&(len, corners), seed)| {
+            let orders = (0..len).map(|id| {
+                let (row, col) = CORNERS[rng.below(corners) as usize];
+                let mut near = |blocks: u32| {
+                    let span = u64::from(2 * blocks + 1);
+                    let (dr, dc) = (rng.below(span) as u32, rng.below(span) as u32);
+                    NodeId((row + dr - blocks) * SPLIT_GRID + col + dc - blocks)
+                };
+                let (restaurant, customer) = (near(1), near(2));
+                let placed_at = t - Duration::from_secs_f64(rng.below(180) as f64);
+                let prep_time = Duration::from_mins(3.0 + rng.below(3) as f64);
+                // At most 2 items, so that MAXI = 10 never binds before MAXO.
+                let items = 1 + rng.below(2) as u32;
+                Order::new(OrderId(id), restaurant, customer, placed_at, items, prep_time)
+            });
+            (seed, orders.collect())
+        });
+        windows.collect()
+    }
+
+    /// The split windows of 6 to 20 orders that the tests share.
+    pub(super) const SPLIT_SHAPES: [(u64, u64); 5] = [(6, 2), (9, 3), (12, 2), (16, 3), (20, 3)];
+
+    /// MAXO 3 and 5, each under η = 0, 60 s and 60 min.
+    pub(super) fn split_configs() -> Vec<DispatchConfig> {
+        let etas = [Duration::ZERO, Duration::from_secs_f64(60.0), Duration::from_mins(60.0)];
+        let maxos = [3, 5].into_iter();
+        let configs = maxos.flat_map(|max_orders_per_vehicle| {
+            etas.map(|batching_threshold| DispatchConfig {
+                batching_threshold,
+                max_orders_per_vehicle,
+                num_threads: 1,
+                ..Default::default()
+            })
+        });
+        configs.collect()
+    }
+
+    #[test]
+    fn no_two_singletons_of_different_components_pass_the_gate() {
+        let t = TimePoint::from_hms(12, 59, 40);
+        let mut apart = 0;
+        for (seed, orders) in split_windows(t, &SPLIT_SHAPES, 0x5917) {
+            for overlay in [false, true] {
+                let engine = seeded_engine(seed, overlay, SPLIT_GRID);
+                let singles = singleton_batches(&orders, &engine, t).batches;
+                for config in split_configs() {
+                    let components = Components::of_window(&orders, &engine, t, &config, 1);
+                    let component = |batch: &Batch| components.of(batch.orders[0].restaurant);
+                    let gate = config.batching_threshold.as_secs_f64() * 2.0;
+                    for (i, a) in singles.iter().enumerate() {
+                        for b in singles[i + 1..].iter().filter(|&b| component(a) != component(b)) {
+                            let (weight, _) =
+                                merged_batch(a, b, t, &config, engine_legs(&engine, t))
+                                    .expect("two orders of at most 2 items and reachable stops");
+                            assert!(weight > gate, "seed {seed}, {config:?}: {weight} ≤ {gate}");
+                            apart += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(apart > 1000, "only {apart} pairs across components");
     }
 }
