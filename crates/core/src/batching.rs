@@ -14,7 +14,7 @@
 //!
 //! The oracle is asked once per window, and only for the legs a merge could
 //! read: one one-to-many sweep per distinct stop fills a stop-to-stop table
-//! ([`LegRows`]) over the stops of that stop's *component*, and every plan of
+//! (`LegRows`) over the stops of that stop's *component*, and every plan of
 //! the clustering — singletons, merge candidates, per-merge refreshes — reads
 //! it. Two orders share a component when a chain of restaurants, each within
 //! `R = s + MAXO·η` (plus one second for rounding) of the next in one

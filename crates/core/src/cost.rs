@@ -119,6 +119,15 @@ fn committed_stops(vehicle: &VehicleSnapshot) -> impl Iterator<Item = NodeId> + 
     })
 }
 
+/// The committed stops a tour can drive to first: the restaurant of every
+/// order yet to be collected, the customer of every order on board.
+fn committed_first_legs(vehicle: &VehicleSnapshot) -> impl Iterator<Item = NodeId> + '_ {
+    vehicle
+        .committed
+        .iter()
+        .map(|c| if c.picked_up { c.order.customer } else { c.order.restaurant })
+}
+
 /// What [`collect`] keeps of one vehicle for the rest of the window: plain
 /// values, so the phases share nothing else.
 pub(crate) struct Shortlist {
@@ -128,8 +137,10 @@ pub(crate) struct Shortlist {
     pub(crate) offered: usize,
     /// The offers still in the running, in the order they were given.
     survivors: Vec<usize>,
-    /// The vehicle's own row: to its committed stops and to the stops of
-    /// every offer it has the capacity for.
+    /// The vehicle's own row: to every stop a tour can drive to first — a
+    /// committed pending restaurant, an on-board customer, the restaurants
+    /// of the offers inside the first mile — and, where the vehicle stands
+    /// on a stop, to the pending customers a tour can leave it for.
     start: LegRow,
     /// `Cost(v, O_v)` in seconds.
     base_secs: f64,
@@ -163,13 +174,19 @@ impl Shortlist {
 /// `Cost(v, O_v)`, the order pricing has always checked in:
 ///
 /// 1. one *gated* sweep from the vehicle (`roadnet/src/index.rs`, "Gated
-///    sweeps"). Its committed stops are required. Every offer it has the
-///    capacity for is a gate of radius `max_first_mile`, triggered by the
-///    offer's restaurants, over the offer's stops. A gate opens exactly when
-///    `min SP(v, r) ≤ max_first_mile` over the offer's restaurants — the
-///    first-mile filter — and the sweep stops short of the stops of the
-///    offers that fail it: the vehicle's row leaves them out, so reading one
-///    panics instead of pricing on a leg nobody asked for;
+///    sweeps") for the legs a [`LegTable`] reads from the start: first legs
+///    only, to a pickup or to food on board. Its committed pending
+///    restaurants and on-board customers are required. Every offer it has
+///    the capacity for is a gate of radius `max_first_mile` whose members
+///    are its triggers, the offer's restaurants. A tour leaves the vehicle
+///    for a pending customer only where it stands on a stop: then its
+///    committed pending customers are required too (on a committed stop or
+///    a survivor's stop), and an offer's customers are members of its gate
+///    (on a committed stop or one of the offer's own). A gate opens exactly
+///    when `min SP(v, r) ≤ max_first_mile` over the offer's restaurants —
+///    the first-mile filter — and the sweep stops short of the offers that
+///    fail it: the vehicle's row leaves them out, so reading one panics
+///    instead of pricing on a leg nobody asked for;
 /// 2. `Cost(v, O_v)`, planned once on the committed block's table (one sweep
 ///    per committed stop, over the committed stops only).
 ///
@@ -193,13 +210,23 @@ pub(crate) fn collect(
         .copied()
         .filter(|&offer| !offers[offer].is_empty() && vehicle.can_take(offers[offer], config))
         .collect();
-    let members = survivors.iter().map(|&offer| 2 * offers[offer].len()).sum();
+    // A tour leaves the vehicle for a pickup or for food on board; it leaves
+    // it for a pending customer only once it has made a stop where the
+    // vehicle stands. So only a vehicle on a stop is asked for customers.
+    let here = vehicle.location;
+    let on_committed = committed_stops(vehicle).any(|stop| stop == here);
+    let on_offer = |offer: usize| stops_of(offers[offer]).any(|stop| stop == here);
+    let members = survivors.iter().map(|&offer| offers[offer].len()).sum();
     let mut asked = GatedTargets::with_capacity(survivors.len(), members);
-    asked.require(committed_stops(vehicle));
+    asked.require(committed_first_legs(vehicle));
+    if on_committed || survivors.iter().any(|&offer| on_offer(offer)) {
+        asked.require(vehicle.committed.iter().filter(|c| !c.picked_up).map(|c| c.order.customer));
+    }
     for &offer in &survivors {
         let orders = offers[offer];
+        let customers = if on_committed || on_offer(offer) { orders } else { &[] };
         let restaurants = orders.iter().map(|o| o.restaurant);
-        asked.gate(config.max_first_mile, restaurants, orders.iter().map(|o| o.customer));
+        asked.gate(config.max_first_mile, restaurants, customers.iter().map(|o| o.customer));
     }
     let (start, opened) = LegRow::gated(vehicle.location, &asked, engine, t);
     // The 45-minute delivery guarantee bounds the vehicle-to-restaurant
@@ -251,11 +278,13 @@ pub(crate) fn collect(
 ///
 /// * an offer's stop → that offer's own stops, and the committed stops of
 ///   every loaded vehicle the offer is still in the running for;
-/// * a committed stop (other than where its vehicle stands — that is the
-///   vehicle's own row) → the stops of every offer its vehicle still has in
+/// * a committed stop → the stops of every offer its vehicle still has in
 ///   the running.
 ///
-/// Only survivors are resolved for. Distances are the same Dijkstra values
+/// A vehicle's tables read the legs out of the node it stands on from its
+/// own row, never from these: where that node is a stop, [`collect`] asked
+/// the row for the stops a tour can leave it for, customers included. Only
+/// survivors are resolved for. Distances are the same Dijkstra values
 /// whatever the target set, so grouping changes no price — only how many
 /// searches start from the same stop.
 pub(crate) fn resolve<'a>(
@@ -574,6 +603,67 @@ mod tests {
             assert_eq!(got_secs.to_bits(), want_secs.to_bits(), "{}", offer.id);
         }
         assert!(priced.next().is_none(), "an offer that dropped out was priced");
+    }
+
+    /// The vehicle's row holds the legs its tables read and no others: the
+    /// first legs — committed pending restaurants, on-board customers, the
+    /// restaurants of the offers inside the first mile — and, of a vehicle
+    /// standing on a stop, the pending customers a tour can leave it for.
+    #[test]
+    fn the_start_row_holds_exactly_the_legs_the_tables_read() {
+        let b = GridCityBuilder::new(8, 8);
+        let engine = ShortestPathEngine::cached(b.build());
+        let t = TimePoint::from_hms(19, 30, 0);
+        let at = |r, c| b.node_at(r, c);
+        let on_board = order(1, at(0, 0), at(3, 0), 4.0);
+        let pending = order(2, at(2, 1), at(0, 3), 9.0);
+        let near = order(10, at(1, 2), at(2, 3), 5.0);
+        let other = order(11, at(3, 2), at(1, 4), 7.0);
+        let far = order(12, at(7, 7), at(7, 5), 6.0);
+        let offers: [&[Order]; 3] = [&[near], &[other], &[far]];
+        let every_customer = [pending.customer, near.customer, other.customer];
+        let standing = [
+            (at(1, 1), vec![]),            // off every stop
+            (on_board.restaurant, vec![]), // no longer a stop
+            (pending.restaurant, every_customer.to_vec()),
+            (pending.customer, every_customer.to_vec()),
+            (near.restaurant, vec![pending.customer, near.customer]),
+            (near.customer, vec![pending.customer, near.customer]),
+        ];
+        let first_mile = |here, node| engine.travel_time(here, node, t).unwrap();
+        let bound = standing.iter().map(|&(here, _)| first_mile(here, far.restaurant)).min();
+        let config = DispatchConfig {
+            max_first_mile: Duration::from_secs_f64(bound.unwrap().as_secs_f64() - 1.0),
+            ..Default::default()
+        };
+        for (here, customers) in standing {
+            let what = format!("vehicle at {here}");
+            for o in [near, other] {
+                assert!(first_mile(here, o.restaurant) < config.max_first_mile, "{what}");
+            }
+            let mut vehicle = VehicleSnapshot::idle(VehicleId(1), here);
+            vehicle.committed = vec![
+                CommittedOrder { order: on_board, picked_up: true },
+                CommittedOrder { order: pending, picked_up: false },
+            ];
+            let cold = ShortestPathEngine::cached(b.build());
+            let shortlist = collect(&vehicle, &[0, 1, 2], &offers, &cold, t, &config);
+            assert_eq!(shortlist.survivors(), [0, 1], "{what}");
+            let first_legs =
+                [pending.restaurant, on_board.customer, near.restaurant, other.restaurant];
+            let mut want: Vec<NodeId> = first_legs.into_iter().chain(customers).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(shortlist.start.stops(), want, "{what}");
+
+            let resolved = resolve([(&vehicle, &shortlist)], &offers, &cold, t, 1);
+            let priced = price(&vehicle, &shortlist, &offers, &resolved, t);
+            assert_eq!(priced.len(), 2, "{what}");
+            for (offer, got) in priced {
+                let want = reference_marginal_cost(&vehicle, offers[offer], &engine, t, &config);
+                assert_eq!(Some(got.to_bits()), want.cost_secs().map(f64::to_bits), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -606,6 +606,17 @@ mod tests {
         vehicles[9].location = b.node_at(6, 1);
         // A courier under way with no batch inside the tightest first mile.
         vehicles[14].location = b.node_at(4, 4);
+        // A loaded courier standing on a batch's customer, and one on its own
+        // pending order's customer: the start is a stop, so the tables read
+        // legs from it to pending customers too.
+        vehicles[2].location = orders[5].customer;
+        vehicles[12].location = vehicles[12].committed[0].order.customer;
+        let on_a_customer = batches.iter().position(|batch| batch.orders.contains(&orders[5]));
+        let on_a_customer = on_a_customer.expect("every order is batched");
+        assert!(batches
+            .iter()
+            .flat_map(|batch| &batch.orders)
+            .all(|o| o.restaurant != orders[5].customer));
 
         let dense = DispatchConfig { use_bfs_sparsification: false, ..Default::default() };
         let plain =
@@ -659,7 +670,11 @@ mod tests {
                 // them when dense, all but the far ones when tight).
                 let priced_for_10 = pairs.iter().filter(|&&(_, col)| col == 10).count();
                 match name {
-                    "dense" => assert_eq!(priced_for_10, lone.len(), "{what}"),
+                    "dense" => {
+                        assert_eq!(priced_for_10, lone.len(), "{what}");
+                        assert!(pairs.contains(&(on_a_customer, 2)), "{what}");
+                        assert!(pairs.iter().any(|&(_, col)| col == 12), "{what}");
+                    }
                     "tight" => assert!((2..lone.len()).contains(&priced_for_10), "{what}"),
                     "metro" => {}
                     _ => assert!(priced_for_10 >= 2, "{what}"),

@@ -6,12 +6,14 @@
 //! while extending tables. A [`LegRow`] is one such sweep, a [`LegRows`] a
 //! set of them; Algorithm 1's stop table, a vehicle's start row and the
 //! FoodGraph's resolve phase all produce these and read them through
-//! [`LegRows::legs`]. A start row is a *gated* sweep ([`LegRow::gated`]):
-//! it holds the legs to the stops of the offers within the first mile, and
-//! not the others. They live for one call of the stage that swept them:
-//! the engine's memo — `(source, target)` pairs, and the shortest-path tree
-//! of every source that repeats (`roadnet/src/index.rs`, "Tree rows") —
-//! stays the only cache across windows.
+//! [`LegRows::legs`]. A start row is a *gated* sweep ([`LegRow::gated`])
+//! for the only legs a table reads from the start, the first ones: to the
+//! committed pickups, the food on board and the restaurants of the offers
+//! within the first mile (to the customers too, from a start that is a
+//! stop), and not the others. They live for one call of the stage that
+//! swept them: the engine's memo — `(source, target)` pairs, and the
+//! shortest-path tree of every source that repeats (`roadnet/src/index.rs`,
+//! "Tree rows") — stays the only cache across windows.
 
 use crate::parallel_map;
 use crate::route::engine_legs;
@@ -62,6 +64,12 @@ impl LegRow {
         let secs =
             answers.travel_times.iter().map(|d| d.map_or(f64::INFINITY, Duration::as_secs_f64));
         (LegRow { from, to: answers.targets, secs: secs.collect() }, answers.opened)
+    }
+
+    /// The stops the row holds, sorted and distinct.
+    #[cfg(test)]
+    pub(crate) fn stops(&self) -> &[NodeId] {
+        &self.to
     }
 
     /// `SP(from, stop, t)` in seconds.

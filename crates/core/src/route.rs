@@ -211,9 +211,12 @@ const MAX_PLAN_NODES: usize = MAX_PLAN_STOPS + 1;
 /// Rows are "from", columns are "to". The start node has a row but **no
 /// column**: no tour returns to where the vehicle stands, and because
 /// vehicles move every window a stop → start leg would be a fresh Dijkstra
-/// each time. The one exception is a vehicle standing *on* a stop node (at
-/// the restaurant or customer): start and stop then intern to index 0 and
-/// that column is filled like any other stop's.
+/// each time. Its row holds **first legs only** — to a pickup, or to the
+/// customer of food on board — since a tour leaves the start once and a
+/// pending customer is never its first stop. The one exception is a vehicle
+/// standing *on* a stop node (at the restaurant or customer): start and stop
+/// then intern to index 0, whose row and column are filled like any other
+/// stop's.
 #[derive(Clone)]
 pub(crate) struct LegTable {
     nodes: [NodeId; MAX_PLAN_NODES],
@@ -222,6 +225,10 @@ pub(crate) struct LegTable {
     /// plans, where every node is a stop).
     anchored: bool,
     start_is_stop: bool,
+    /// Of an anchored table, the columns a first leg can reach, and the
+    /// columns its start row holds: one bit per table index.
+    first_legs: u16,
+    start_row: u16,
     secs: [[f64; MAX_PLAN_NODES]; MAX_PLAN_NODES],
     orders: usize,
     /// Per order: the table index of its restaurant (unset while the food is
@@ -239,6 +246,8 @@ impl LegTable {
             len: usize::from(start.is_some()),
             anchored: start.is_some(),
             start_is_stop: false,
+            first_legs: 0,
+            start_row: 0,
             secs: [[f64::INFINITY; MAX_PLAN_NODES]; MAX_PLAN_NODES],
             orders: 0,
             pickup: [0; MAX_PLAN_ORDERS],
@@ -250,7 +259,9 @@ impl LegTable {
     /// Appends `orders` to the plan and fills exactly the legs they add:
     /// `legs(from, to, out)` must write `SP(from, to[j], t)` to `out[j]`.
     /// Legs among nodes already present are kept, so a vehicle's committed
-    /// block is filled once and cloned per candidate batch.
+    /// block is filled once and cloned per candidate batch. While the start
+    /// is not a stop its row is asked for first legs only; once a stop lands
+    /// on it, the cells skipped before are asked for too.
     ///
     /// # Panics
     /// Panics if the table would hold more than five orders.
@@ -271,9 +282,14 @@ impl LegTable {
                 self.pickup[k] = self.intern(planned.order.restaurant);
             }
             self.dropoff[k] = self.intern(planned.order.customer);
+            let first_stop = if planned.picked_up { self.dropoff[k] } else { self.pickup[k] };
+            self.first_legs |= 1 << first_stop;
         }
         let first = self.first_column();
-        for i in 0..self.len {
+        if self.anchored {
+            self.fill_start_row(&mut legs);
+        }
+        for i in usize::from(self.anchored)..self.len {
             // Rows that predate this call already hold their old columns…
             let new_columns = if i < old_len { old_len..self.len } else { first..self.len };
             if !new_columns.is_empty() {
@@ -297,6 +313,27 @@ impl LegTable {
             };
         }
         self.orders += orders.len();
+    }
+
+    /// Asks for the start row's cells a tour can read and the row does not
+    /// hold yet: the first legs, or every column once the start is a stop.
+    fn fill_start_row(&mut self, legs: &mut impl FnMut(NodeId, &[NodeId], &mut [f64])) {
+        let readable = if self.start_is_stop { (1 << self.len) - 1 } else { self.first_legs };
+        let missing = readable & !self.start_row;
+        if missing == 0 {
+            return;
+        }
+        self.start_row |= missing;
+        let (mut columns, mut to, mut n) = ([0; MAX_PLAN_NODES], [NodeId(0); MAX_PLAN_NODES], 0);
+        for c in (0..self.len).filter(|&c| missing >> c & 1 == 1) {
+            (columns[n], to[n]) = (c, self.nodes[c]);
+            n += 1;
+        }
+        let mut out = [f64::INFINITY; MAX_PLAN_NODES];
+        legs(self.nodes[0], &to[..n], &mut out[..n]);
+        for (&c, secs) in columns[..n].iter().zip(out) {
+            self.secs[0][c] = secs;
+        }
     }
 
     /// Linear intern: at most 11 nodes, so a scan beats any map.

@@ -227,12 +227,52 @@ mod pinned_to_brute_force {
     struct Coverage {
         unplannable: usize,
         on_a_stop: usize,
+        on_a_later_stop: usize,
         tied: usize,
         negative: usize,
     }
 
-    /// Plans `cases` seeded instances on `engine` with both planners and
-    /// both starts, and pins them to the brute force.
+    /// Whether a tour for `orders` stops at `node`.
+    fn is_a_stop(node: NodeId, orders: &[PlannedOrder]) -> bool {
+        orders
+            .iter()
+            .any(|p| p.order.customer == node || !p.picked_up && p.order.restaurant == node)
+    }
+
+    /// The anchored plan on a table extended in two steps, `orders[..split]`
+    /// then the rest — as pricing extends a vehicle's committed block with an
+    /// offer — from a leg source that asserts the start row is asked for
+    /// first legs only (a pickup, or the customer of food on board) while the
+    /// start is not a stop.
+    fn plan_in_two_steps(
+        start: NodeId,
+        t: TimePoint,
+        orders: &[PlannedOrder],
+        split: usize,
+        engine: &ShortestPathEngine,
+    ) -> Option<EvaluatedRoute> {
+        let mut table = LegTable::new(Some(start));
+        for so_far in [&orders[..split], orders] {
+            let start_is_stop = is_a_stop(start, so_far);
+            let first_legs: Vec<NodeId> = so_far
+                .iter()
+                .map(|p| if p.picked_up { p.order.customer } else { p.order.restaurant })
+                .collect();
+            let mut legs = engine_legs(engine, t);
+            table.extend(&so_far[table.orders..], |from, to, out| {
+                if from == start && !start_is_stop {
+                    for node in to {
+                        assert!(first_legs.contains(node), "start row asked for {from} → {node}");
+                    }
+                }
+                legs(from, to, out);
+            });
+        }
+        plan_on_table(&table, t, orders)
+    }
+
+    /// Plans `cases` seeded instances on `engine` with both planners, both
+    /// starts and a two-step table, and pins them to the brute force.
     fn pin(rng: &mut Rng, engine: &ShortestPathEngine, cases: usize, seen: &mut Coverage) {
         let t = TimePoint::from_hms(12, 30, 0);
         for case in 0..cases {
@@ -247,12 +287,18 @@ mod pinned_to_brute_force {
             let what = format!("case {case}: start {start}, {orders:?}");
 
             let anchored = plan_optimal_route(start, t, &orders, engine);
-            assert_same(&anchored, &plan_exhaustively(Some(start), t, &orders, engine), &what);
+            let truth = plan_exhaustively(Some(start), t, &orders, engine);
+            assert_same(&anchored, &truth, &what);
             let free = plan_optimal_route_free_start(t, &orders, engine);
             assert_same(&free, &plan_exhaustively(None, t, &orders, engine), &what);
+            let split = rng.below(orders.len() as u64 + 1) as usize;
+            let stepwise = plan_in_two_steps(start, t, &orders, split, engine);
+            assert_same(&stepwise, &truth, &format!("{what}, split at {split}"));
 
             seen.unplannable += usize::from(anchored.is_none());
             seen.on_a_stop += usize::from(anchored.is_some() && stops.contains(&start));
+            seen.on_a_later_stop +=
+                usize::from(!is_a_stop(start, &orders[..split]) && is_a_stop(start, &orders));
             seen.negative += usize::from(
                 [&anchored, &free].iter().any(|r| r.as_ref().is_some_and(|r| r.cost_secs < 0.0)),
             );
@@ -277,6 +323,8 @@ mod pinned_to_brute_force {
         // The generator must actually reach the cases it exists for.
         assert!(seen.unplannable > 100, "only {} unplannable instances", seen.unplannable);
         assert!(seen.on_a_stop > 500, "only {} plans start on a stop node", seen.on_a_stop);
+        let later = seen.on_a_later_stop;
+        assert!(later > 100, "only {later} starts become a stop in the second step");
         assert!(seen.tied > 50, "only {} instances decided by the first-found rule", seen.tied);
         assert!(seen.negative > 500, "only {} instances plan a negative cost", seen.negative);
     }

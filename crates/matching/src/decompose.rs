@@ -28,7 +28,7 @@
 //! optimum, because the per-shard solver is exact.
 //!
 //! Components are independent, so they are solved concurrently through the
-//! shared deterministic [`parallel_map`](crate::parallel::parallel_map):
+//! shared deterministic [`parallel_map`]:
 //! results come back in component order and each component's solve is
 //! single-threaded, so the stitched assignment is bit-identical for every
 //! thread count. This sharding is also the enabling step for NUMA-aware

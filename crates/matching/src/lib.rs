@@ -6,13 +6,13 @@
 //! The paper assigns order batches to vehicles by building a bipartite
 //! "FoodGraph" and computing a minimum-weight perfect matching (§IV-A),
 //! using the Bourgeois–Lassalle extension to rectangular matrices
-//! (reference [19]) because the number of batches and the number of
+//! (reference \[19\]) because the number of batches and the number of
 //! vehicles rarely agree. After Algorithm 2's sparsification most
 //! (batch, vehicle) pairs sit at the rejection penalty Ω, so the crate has
 //! one solver, built on that sparsity:
 //!
 //! * [`Decomposed`] — the dispatch solver: shards the instance by connected
-//!   component of the finite-cost graph ([`decompose`]) and solves the
+//!   component of the finite-cost graph ([`decompose()`]) and solves the
 //!   components with [`sparse_km::solve`] in parallel via
 //!   [`parallel::parallel_map`], exactly.
 //! * [`sparse_km::solve`] — Kuhn–Munkres via successive shortest paths

@@ -48,7 +48,7 @@
 //! The dispatch loop calls [`solve`] once per window per shard, on
 //! matrices of similar shape every time. All working state — adjacency,
 //! matching and potential arrays, the Dijkstra heap and its distance array
-//! — lives in a thread-local [`Scratch`] pool, so repeated solves on a
+//! — lives in a thread-local `Scratch` pool, so repeated solves on a
 //! thread are allocation-free once the pool has grown to the workload's
 //! high-water mark (the same idiom as `roadnet::dijkstra::SearchSpace`).
 //! The per-round distance reset is O(1) via generation stamps: a slot's

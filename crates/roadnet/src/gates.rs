@@ -4,11 +4,13 @@
 //! The FoodGraph prices an offer for a vehicle only when the vehicle can
 //! reach one of the offer's restaurants within the first-mile bound (§V-B):
 //! beyond it the pair is an Ω edge, whatever its stops cost. A [`GatedTargets`]
-//! says exactly that to the oracle — committed stops are *required*, each
-//! offer is a *gate* with the bound as radius, its restaurants as triggers
-//! and its stops as members — so the sweep from the vehicle stops once every
-//! required target and every member of a gate still in play is settled,
-//! instead of running out to the farthest stop of an offer it will drop.
+//! says exactly that to the oracle — the committed stops a tour can drive
+//! to first are *required*, and each offer is a *gate* with the bound as
+//! radius and its restaurants as triggers and members (its customers too,
+//! for a vehicle standing on a stop) — so the sweep from the vehicle stops
+//! once every required target and every member of a gate still in play is
+//! settled, instead of running out to the farthest restaurant of an offer
+//! it will drop.
 //! [`ShortestPathEngine::gated_travel_times`](crate::ShortestPathEngine::gated_travel_times)
 //! runs one; `index.rs` ("Gated sweeps") says how the memo and the search
 //! answer it.

@@ -135,7 +135,7 @@ impl AngularFrame {
     /// frame, in `[0, 1]`.
     ///
     /// The coincidence haversine (three libm calls) runs only for a
-    /// candidate that [`Self::surely_apart`] cannot place a metre away, which
+    /// candidate that `surely_apart` cannot place a metre away, which
     /// in a city is the handful of nodes next to the vehicle; the answer is
     /// the three-point form's either way.
     pub fn distance_to(&self, candidate: GeoPoint, trig: LatTrig) -> f64 {

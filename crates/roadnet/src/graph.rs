@@ -10,7 +10,7 @@
 //! offsets) so that neighbour iteration during Dijkstra touches contiguous
 //! memory. Networks are immutable once built; construction goes through
 //! [`RoadNetworkBuilder`]. The reverse table — each node's in-edges, and
-//! each edge's ordinal among its head's ([`InEdges`]) — is what the
+//! each edge's ordinal among its head's (`InEdges`) — is what the
 //! oracle's tree rows store a parent as; it is built on first use, not by
 //! the builder.
 

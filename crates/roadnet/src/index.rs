@@ -66,9 +66,9 @@
 //! *required* targets and to the members of *gates* ([`GatedTargets`]): a
 //! gate opens when one of its triggers lies within its radius, and only the
 //! required targets and the members of open gates are answered. It is the
-//! vehicle's start row of the FoodGraph — committed stops required, one gate
-//! per offer with the first-mile bound as radius and the offer's
-//! restaurants as triggers — and it is the same path as
+//! vehicle's start row of the FoodGraph — the first legs of its committed
+//! orders required, one gate per offer with the first-mile bound as radius
+//! and the offer's restaurants as triggers — and it is the same path as
 //! [`ShortestPathEngine::travel_times_to_many`], which is a sweep with no
 //! gates:
 //!

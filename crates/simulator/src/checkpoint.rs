@@ -22,7 +22,7 @@
 //! ## On-disk format
 //!
 //! Checkpoints encode through the deterministic
-//! [`Codec`](foodmatch_core::Codec) (maps in key order, floats as raw
+//! [`Codec`] (maps in key order, floats as raw
 //! IEEE-754 bits), so the same state always produces the same bytes. Both
 //! dispatcher shapes persist through the same container, one file:
 //!

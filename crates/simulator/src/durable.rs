@@ -1,8 +1,8 @@
 //! Crash-safe dispatch: the durable wrapper tying a dispatcher to its
 //! write-ahead log, plus the fault-injection hook and recovery replay.
 //!
-//! [`DurableDispatch`] wraps a [`DispatchService`](crate::DispatchService)
-//! or [`DispatchRouter`](crate::DispatchRouter) (anything implementing
+//! [`DurableDispatch`] wraps a [`DispatchService`]
+//! or [`DispatchRouter`] (anything implementing
 //! [`WalTarget`]) and enforces the write-ahead contract on every mutating
 //! call: the input is framed and checksummed into the [`WriteAheadLog`]
 //! *first*, and only then applied. Under a group-commit

@@ -433,7 +433,7 @@ impl<P: DispatchPolicy> DispatchService<P> {
         self.report()
     }
 
-    /// The instant past which [`advance_to`] gives up on undelivered orders
+    /// The instant past which [`advance_to`](Self::advance_to) gives up on undelivered orders
     /// and finalizes the run.
     pub fn drain_deadline(&self) -> TimePoint {
         self.state.drain_end

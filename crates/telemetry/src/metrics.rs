@@ -30,7 +30,7 @@ const EXACT: u64 = SUBS * 2;
 /// 16 exact bins + 60 octaves × 8 sub-buckets.
 pub const BUCKETS: usize = (EXACT + (63 - SUB_BITS as u64) * SUBS) as usize;
 
-/// Maps a sample to its bucket index. Exact below [`EXACT`]; above, the
+/// Maps a sample to its bucket index. Exact below `EXACT`; above, the
 /// top `SUB_BITS + 1` significant bits select the bin.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
