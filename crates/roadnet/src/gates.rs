@@ -170,9 +170,9 @@ pub(crate) struct Gates<'a> {
     /// Per target: how many gates that are not closed list it, plus how
     /// many times it is required. Zero: nobody wants it answered any more.
     pins: Vec<u32>,
-    /// Per target not answered: a travel time it is known not to beat.
-    /// Empty until the memo holds such a floor for one.
-    floor: Vec<f64>,
+    /// A travel time no target left unanswered by the memo beats: the reach
+    /// of the source's tree row, 0 when it has none.
+    pub(crate) floor: f64,
     state: Vec<State>,
     /// Gates a search closed before it reached any of their triggers.
     pub(crate) closed_early: u64,
@@ -188,7 +188,7 @@ impl<'a> Gates<'a> {
             nodes,
             member_at,
             pins,
-            floor: Vec::new(),
+            floor: 0.0,
             state: vec![State::Undecided; asked.gates.len()],
             closed_early: 0,
         }
@@ -200,28 +200,9 @@ impl<'a> Gates<'a> {
         self.pins[i] > 0
     }
 
-    /// Notes that target `i`, not answered, is at least `secs` away.
-    pub(crate) fn floor(&mut self, i: usize, secs: f64) {
-        self.floor.resize(self.nodes.len(), 0.0);
-        self.floor[i] = secs;
-    }
-
-    /// Per target, whether it is a trigger of some gate: the targets whose
-    /// floors [`Self::decide`] reads.
-    pub(crate) fn triggers(&self) -> Vec<bool> {
-        let mut triggers = vec![false; self.nodes.len()];
-        for g in 0..self.state.len() {
-            let (start, triggers_end, _) = self.asked.span(g);
-            for &trigger in &self.member_at[start..triggers_end] {
-                triggers[trigger as usize] = true;
-            }
-        }
-        triggers
-    }
-
     /// Decides every undecided gate that `known` (one [`Answer`] per target)
-    /// and the floors decide: open on a trigger within the radius, closed
-    /// when every trigger is known to lie beyond it (or to be unreachable).
+    /// and the floor decide: open on a trigger within the radius, closed when
+    /// every trigger is known to lie beyond it (or to be unreachable).
     pub(crate) fn decide(&mut self, known: &[Answer]) {
         for g in 0..self.state.len() {
             if self.state[g] != State::Undecided {
@@ -237,9 +218,7 @@ impl<'a> Gates<'a> {
                         break;
                     }
                     Some(_) => {}
-                    None => {
-                        all_known &= self.floor.get(trigger as usize).is_some_and(|&f| f > radius)
-                    }
+                    None => all_known &= self.floor > radius,
                 }
             }
             if self.state[g] == State::Undecided && all_known {

@@ -9,12 +9,10 @@
 //! within a window, and behind them the **tree rows** of sources that
 //! *repeat* (below), which pay off because a vehicle that stands still, and
 //! every restaurant, is swept again window after window with a few new
-//! targets each time. The memo is sharded 16 ways by source node — one
-//! shard measured no faster on any benchmark workload, and ≈ 0.5 MiB larger
-//! in peak RSS on the metro grid (README, "The distance oracle") — and a
-//! shard's lock is never held across the fallback Dijkstra run. A miss is
-//! one run of the kernel the free functions of [`crate::dijkstra`] and
-//! [`crate::overlay`] run, so every answer is theirs bit for bit.
+//! targets each time. The memo's one lock is never held across the fallback
+//! Dijkstra run. A miss is one run of the kernel the free functions of
+//! [`crate::dijkstra`] and [`crate::overlay`] run, so every answer is theirs
+//! bit for bit.
 //!
 //! Path queries ([`ShortestPathEngine::shortest_path`]) are one pooled
 //! Dijkstra. While a [`TrafficOverlay`] is installed
@@ -91,13 +89,6 @@
 //!   resuming can only save work;
 //! * only settled targets are memoised. A search that ended by closing gates
 //!   did not run dry: it writes no unreachable pair and no `ROW_UNREACHABLE`.
-//!   Of a target it stopped short of it knows only a *floor* — every node it
-//!   left unsettled is at least as far as its last label. The pair memo keeps
-//!   the floor of a gate's *trigger* as a negative entry: it answers no
-//!   query, and lets the same gate close from the memo the next time it is
-//!   asked. A gate's other members get none — nothing decides on their
-//!   floors — so a fleet whose every offer is a gate does not fill the memo
-//!   with the customers of the offers it dropped.
 //!
 //! So a gated sweep opens exactly the gates the plain sweep would, and
 //! answers what it answers bit for bit as that sweep does.
@@ -105,7 +96,7 @@
 //! A point query ([`ShortestPathEngine::travel_time`]) is a one-target
 //! sweep, so the memo has one query path. Pairs and rows carry a
 //! `(generation, hour slot)` stamp, and any query with another stamp moves
-//! the shard it touches on: the rows and the pair memo of the hour that has
+//! the memo on: the rows and the pair memo of the hour that has
 //! passed (or of the overlay generation that is gone) are dropped — which
 //! is what pays for the rows. The static pair memo survives overlay
 //! episodes of the same hour; rows do not (there is one set, behind
@@ -119,7 +110,7 @@
 //! holds as many as were ever checked out at once), so steady-state
 //! queries perform no allocation beyond their output and the memo's growth:
 //! admitting a source allocates its one row, a row hit allocates nothing
-//! (the path scratch lives in the shard), and a resumed search copies its
+//! (the path scratch lives in the memo), and a resumed search copies its
 //! row into a buffer of the pooled space, checked out only when a search
 //! runs;
 //! [`ShortestPathEngine::search_space`] hands the same pooled spaces to
@@ -137,12 +128,8 @@ use crate::timeofday::{Duration, TimePoint};
 use foodmatch_telemetry as telemetry;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Number of shards of the per-slot memo cache. Shard choice hashes only the
-/// source node, so a one-to-many fill for one source stays within one shard.
-const CACHE_SHARDS: usize = 16;
 
 /// What every tree row of one engine may hold together, in bytes: a row is
 /// one byte per network node, so an engine keeps `ROW_BUDGET_BYTES /
@@ -191,11 +178,7 @@ impl Stamp {
 }
 
 /// `(source, target) → seconds` on the weights of one stamp at a time: the
-/// travel time, `f64::INFINITY` for "unreachable", or a negative `-s` — a
-/// *floor* — for "at least `s`", which is all a gated search that stopped
-/// short of the target knows of it. A floor answers no query; it lets a
-/// later gated sweep close a gate whose triggers all lie beyond its radius
-/// without searching again.
+/// travel time, or `f64::INFINITY` for "unreachable".
 #[derive(Debug, Default)]
 struct PairMemo {
     stamp: Option<Stamp>,
@@ -203,45 +186,38 @@ struct PairMemo {
 }
 
 impl PairMemo {
-    /// What is held for `pair`: its answer, or else the floor under it.
-    fn get(&self, pair: (NodeId, NodeId)) -> Option<Result<Option<Duration>, f64>> {
-        let &secs = self.map.get(&pair)?;
-        Some(if secs < 0.0 { Err(-secs) } else { Ok(decode(secs)) })
+    /// The answer held for `pair`, if any.
+    fn get(&self, pair: (NodeId, NodeId)) -> Option<Option<Duration>> {
+        self.map.get(&pair).copied().map(decode)
     }
 
-    /// Remembers `secs`, encoded as above, for `pair`: an answer replaces
-    /// whatever was held, a floor only a lower floor.
-    fn remember(&mut self, pair: (NodeId, NodeId), secs: f64) {
-        let held = self.map.entry(pair).or_insert(secs);
-        if secs >= 0.0 || (*held < 0.0 && secs < *held) {
-            *held = secs;
-        }
+    fn remember(&mut self, pair: (NodeId, NodeId), answer: Option<Duration>) {
+        self.map.insert(pair, encode(answer));
     }
 }
 
-/// One shard of what the engine remembers, by source node: the two pair
-/// memos — `pairs[0]` on the static weights, one hour at a time (kept
-/// across overlay episodes), `pairs[1]` on the active overlay generation —
-/// and, behind whichever the query runs on, the tree rows of the sources
-/// that repeat. Everything is probed, nothing iterated; a stamp that moves
-/// on clears lazily, on the first touch that notices.
+/// What the engine remembers: the two pair memos — `pairs[0]` on the
+/// static weights, one hour at a time (kept across overlay episodes),
+/// `pairs[1]` on the active overlay generation — and, behind whichever the
+/// query runs on, the tree rows of the sources that repeat. Everything is
+/// probed, nothing iterated; a stamp that moves on clears lazily, on the
+/// first touch that notices.
 #[derive(Debug, Default)]
-struct MemoShard {
+struct Memo {
     pairs: [PairMemo; 2],
     rows_stamp: Option<Stamp>,
-    /// Source → its tree row.
+    /// Source → its tree row; [`ROW_BUDGET_BYTES`] caps how many.
     rows: HashMap<NodeId, TreeRow>,
     /// Scratch of [`walk`]: the edges of one tree path, target first.
     path: Vec<EdgeId>,
 }
 
-impl MemoShard {
+impl Memo {
     /// Prepares the rows and the pair memo of that kind of weights for a
-    /// query on `stamp` (see [`Stamp::roll`]), handing the rows it drops
-    /// back to the engine's budget.
-    fn roll_to(&mut self, overlaid: bool, stamp: Stamp, rows_used: &AtomicUsize) {
+    /// query on `stamp` (see [`Stamp::roll`]); the rows it drops free their
+    /// share of the budget.
+    fn roll_to(&mut self, overlaid: bool, stamp: Stamp) {
         if Stamp::roll(&mut self.rows_stamp, stamp) {
-            rows_used.fetch_sub(self.rows.len(), Ordering::Relaxed);
             self.rows.clear();
         }
         let memo = &mut self.pairs[usize::from(overlaid)];
@@ -341,10 +317,10 @@ struct EngineMetrics {
     /// `engine.foodgraph.sources` — rows swept by the FoodGraph's resolve
     /// phase, reported through [`ShortestPathEngine::note_foodgraph_sources`].
     foodgraph_sources: telemetry::Counter,
-    /// `engine.memo.hits` / `.misses` — static memo traffic, all shards. A
-    /// pair read off a tree row is a hit, one the row does not reach and the
-    /// pair memo does not hold (or holds only a floor under) a miss — in a
-    /// gated sweep, only while some gate still wants it.
+    /// `engine.memo.hits` / `.misses` — static memo traffic. A pair read off
+    /// a tree row is a hit, one the row does not reach and the pair memo does
+    /// not hold a miss — in a gated sweep, only while some gate still wants
+    /// it.
     memo_hits: telemetry::Counter,
     memo_misses: telemetry::Counter,
     /// `engine.overlay_memo.hits` / `.misses` — generation-stamped
@@ -397,12 +373,9 @@ impl EngineMetrics {
 
 struct EngineInner {
     network: RoadNetwork,
-    /// What the engine remembers of the searches it ran, sharded by source
-    /// node: the static pair memo, the overlay pair memo, and the tree rows
-    /// behind both.
-    memo: [Mutex<MemoShard>; CACHE_SHARDS],
-    /// Tree rows allocated across all shards, against [`ROW_BUDGET_BYTES`].
-    rows_used: AtomicUsize,
+    /// What the engine remembers of the searches it ran: the static pair
+    /// memo, the overlay pair memo, and the tree rows behind both.
+    memo: Mutex<Memo>,
     /// Pool of reusable Dijkstra search spaces.
     spaces: Mutex<Vec<SearchSpace>>,
     /// The active traffic overlay (empty at generation 0). Swapped whole so
@@ -421,8 +394,7 @@ impl ShortestPathEngine {
         ShortestPathEngine {
             inner: Arc::new(EngineInner {
                 network,
-                memo: std::array::from_fn(|_| Mutex::new(MemoShard::default())),
-                rows_used: AtomicUsize::new(0),
+                memo: Mutex::new(Memo::default()),
                 spaces: Mutex::new(Vec::new()),
                 overlay: RwLock::new(Arc::new(OverlayVersion {
                     generation: 0,
@@ -440,7 +412,8 @@ impl ShortestPathEngine {
         &self.inner.network
     }
 
-    /// Number of point-to-point queries answered so far (for benchmarks).
+    /// Number of `(source, target)` pairs asked so far, answered or not (for
+    /// benchmarks).
     pub fn query_count(&self) -> u64 {
         self.inner.queries.load(Ordering::Relaxed)
     }
@@ -616,13 +589,6 @@ impl ShortestPathEngine {
         lock(self.inner.overlay.read()).clone()
     }
 
-    #[inline]
-    fn shard(source: NodeId) -> usize {
-        // Fibonacci-style multiplicative hash of the source node; targets are
-        // deliberately ignored so one-to-many fills stay within one shard.
-        (source.0.wrapping_mul(0x9E37_79B1) >> 28) as usize % CACHE_SHARDS
-    }
-
     /// Counts `hits` and `misses` of one memoised sweep, and the misses its
     /// search `answered`: under an overlay in the overlay memo's counters,
     /// else in the static memo's and in `engine.backend.dijkstra.queries`.
@@ -665,23 +631,19 @@ impl ShortestPathEngine {
     ) -> Vec<Answer> {
         let inner = &*self.inner;
         let in_edges = inner.network.in_edges();
-        let shard_index = Self::shard(source);
-        let memo = usize::from(overlaid);
+        let kind = usize::from(overlaid);
         let mut out: Vec<Answer> = vec![None; targets.len()];
         // A self-pair is answered without the memo: neither hit nor miss.
         let (mut hits, mut row_hits) = (0, 0);
         let (missing, search) = {
-            let mut shard = lock(inner.memo[shard_index].lock());
-            shard.roll_to(overlaid, stamp, &inner.rows_used);
-            let MemoShard { pairs, rows, path, .. } = &mut *shard;
+            let mut memo = lock(inner.memo.lock());
+            memo.roll_to(overlaid, stamp);
+            let Memo { pairs, rows, path, .. } = &mut *memo;
             let row = rows.get(&source);
-            for (i, (answer, &target)) in out.iter_mut().zip(targets).enumerate() {
+            for (answer, &target) in out.iter_mut().zip(targets) {
                 if source == target {
                     *answer = Some(Some(Duration::ZERO));
-                    continue;
-                }
-                let held = pairs[memo].get((source, target));
-                if let Some(Ok(known)) = held {
+                } else if let Some(known) = pairs[kind].get((source, target)) {
                     *answer = Some(known);
                     hits += 1;
                 } else if let Some(known) =
@@ -689,13 +651,10 @@ impl ShortestPathEngine {
                 {
                     *answer = Some(known);
                     row_hits += 1;
-                } else if let Some(gates) = gates.as_deref_mut() {
-                    let held = held.and_then(Result::err).unwrap_or(0.0);
-                    let floor = row.map_or(held, |row| held.max(row.reach));
-                    if floor > 0.0 {
-                        gates.floor(i, floor);
-                    }
                 }
+            }
+            if let Some(gates) = gates.as_deref_mut() {
+                gates.floor = row.map_or(0.0, |row| row.reach);
             }
             let missing = missing(targets, &out, gates.as_deref_mut());
             // Only a search that will run checks a space out; it resumes the
@@ -716,31 +675,25 @@ impl ShortestPathEngine {
         inner.metrics.rows_hits.add(row_hits);
         let mut answered = 0;
         if let Some((mut space, seed)) = search {
-            let searched = dijkstra::search(
-                &inner.network,
-                seed,
-                &missing,
-                gates.as_deref_mut(),
-                &mut space,
-                &edge_secs,
-            );
+            let searched =
+                dijkstra::search(&inner.network, seed, &missing, gates, &mut space, &edge_secs);
             let reach = searched.reach;
             inner.metrics.settled.add(searched.settled);
             if matches!(seed, Seed::Row) {
                 inner.metrics.rows_resumed.inc();
             }
-            let triggers = gates.as_deref().map_or_else(Vec::new, Gates::triggers);
-            let mut shard = lock(inner.memo[shard_index].lock());
-            let MemoShard { pairs, rows_stamp, rows, .. } = &mut *shard;
-            let memoise = pairs[memo].stamp == Some(stamp);
-            answered = read_back(&space, reach, targets, &mut out, &triggers, |target, secs| {
+            let mut memo = lock(inner.memo.lock());
+            let Memo { pairs, rows_stamp, rows, .. } = &mut *memo;
+            let memoise = pairs[kind].stamp == Some(stamp);
+            answered = read_back(&space, reach, targets, &mut out, |target, answer| {
                 if memoise {
-                    pairs[memo].remember((source, target), secs);
+                    pairs[kind].remember((source, target), answer);
                 }
             });
             if *rows_stamp == Some(stamp) {
                 if hits + row_hits > 0 && !rows.contains_key(&source) {
-                    if self.reserve_row() {
+                    let budget = ROW_BUDGET_BYTES / inner.network.node_count().max(1);
+                    if rows.len() < budget {
                         let parents = vec![ROW_UNSETTLED; inner.network.node_count()];
                         rows.insert(source, TreeRow { parents: parents.into(), reach: 0.0 });
                         inner.metrics.rows_admitted.inc();
@@ -755,17 +708,6 @@ impl ShortestPathEngine {
         }
         self.count_memo(overlaid, hits + row_hits, missing.len() as u64, answered);
         out
-    }
-
-    /// Takes one row out of the engine's budget, if one is left.
-    fn reserve_row(&self) -> bool {
-        let budget = ROW_BUDGET_BYTES / self.inner.network.node_count().max(1);
-        self.inner
-            .rows_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                (used < budget).then_some(used + 1)
-            })
-            .is_ok()
     }
 }
 
@@ -824,31 +766,24 @@ fn missing(targets: &[NodeId], known: &[Answer], gates: Option<&mut Gates<'_>>) 
 }
 
 /// Reads what a search that reached `reach` in `space` found into the
-/// targets `out` does not know yet, handing `found` what it learns of each,
-/// encoded as [`PairMemo`] holds it: a settled target's travel time; that a
-/// target is unreachable, once the search ran the reachable graph dry; or
-/// else — a target a gated search stopped short of, which stays unknown —
-/// the floor `reach` under it, if `triggers` marks it: a floor only ever
-/// decides a gate, so one under a target no gate is triggered by would be a
-/// memo entry nothing reads. Returns how many targets it answered.
+/// targets `out` does not know yet, handing `found` each answer: a settled
+/// target's travel time, or that a target is unreachable, once the search
+/// ran the reachable graph dry. A target a gated search stopped short of
+/// stays unknown. Returns how many targets it answered.
 fn read_back(
     space: &SearchSpace,
     reach: f64,
     targets: &[NodeId],
     out: &mut [Answer],
-    triggers: &[bool],
-    mut found: impl FnMut(NodeId, f64),
+    mut found: impl FnMut(NodeId, Option<Duration>),
 ) -> u64 {
     let mut answered = 0;
-    let unknown = out.iter_mut().zip(targets).enumerate().filter(|(_, (known, _))| known.is_none());
-    for (i, (slot, &target)) in unknown {
+    for (slot, &target) in out.iter_mut().zip(targets).filter(|(known, _)| known.is_none()) {
         let answer = dijkstra::settled_time(space, target);
         if answer.is_some() || reach == f64::INFINITY {
-            found(target, encode(answer));
+            found(target, answer);
             *slot = Some(answer);
             answered += 1;
-        } else if reach > 0.0 && triggers.get(i) == Some(&true) {
-            found(target, -reach);
         }
     }
     answered
@@ -922,7 +857,7 @@ mod tests {
 
     /// What one engine has counted: `engine.searches`,
     /// `engine.backend.dijkstra.queries`, `[hits, misses]` of the static
-    /// memo (all shards) and of the overlay memo, `[hits, admitted]` of
+    /// memo and of the overlay memo, `[hits, admitted]` of
     /// the tree rows, `engine.rows.refused`, `engine.gates.closed`,
     /// `engine.rows.resumed` and `engine.settled`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -1088,10 +1023,11 @@ mod tests {
     /// A gated sweep from a corner of a grid: the gate whose trigger is the
     /// nearest target opens, the one whose trigger is the far corner closes
     /// when the search passes its radius — counted in `engine.gates.closed`
-    /// — and its members go unanswered. Asked again, the memoised answers
-    /// and the floor the first search left under the far corner decide
-    /// both gates with no search, on the static memo and on the overlay
-    /// memo.
+    /// — and its members go unanswered, on the static memo and on the
+    /// overlay memo. The pair memo holds answers only, so the second sweep,
+    /// from a source known but with no row, searches again and is given a
+    /// row; the third finds the far corner off that row, whose reach lies
+    /// beyond the radius, and closes the far gate with no search.
     #[test]
     fn a_gated_sweep_closes_the_gates_it_passes_and_counts_them() {
         let net = GridCityBuilder::new(8, 8).build();
@@ -1113,27 +1049,36 @@ mod tests {
             }
             let memo = || if overlaid { counts().overlay } else { counts().memo };
             let other = || if overlaid { counts().memo } else { counts().overlay };
-            // Cold, all five pairs miss; warm, the three answered ones hit
-            // and the floor closes the far gate, so its two wait for nothing.
-            for (round, counted) in [(1u64, [0, 5]), (2, [3, 5])] {
+            // Round 1, cold: all five pairs miss. Round 2: the three
+            // answered ones hit, the far gate's two miss again, and the
+            // search admits a row. Round 3: the row's reach closes the far
+            // gate, so its two wait for nothing.
+            for (round, searches, closed, rows, counted) in
+                [(1u64, 1, 1, 0, [0, 5]), (2, 2, 2, 1, [3, 7]), (3, 2, 2, 1, [6, 7])]
+            {
                 let got = engine.gated_travel_times(source, &asked, t);
                 assert_eq!(got.opened, [true, false], "overlaid: {overlaid}, round {round}");
                 assert_eq!(got.targets, answered, "overlaid: {overlaid}, round {round}");
                 let got: Vec<_> = got.travel_times.into_iter().map(bits).collect();
                 assert_eq!(got, want, "overlaid: {overlaid}, round {round}");
-                assert_eq!((counts().searches, counts().gates_closed), (1, 1));
+                let searched = (counts().searches, counts().gates_closed, counts().rows[1]);
+                assert_eq!(
+                    searched,
+                    (searches, closed, rows),
+                    "overlaid: {overlaid}, round {round}"
+                );
                 assert_eq!((memo(), other()), (counted, [0, 0]), "overlaid: {overlaid}");
                 assert_eq!(engine.query_count(), 5 * round, "every pair asked is a query");
             }
         }
     }
 
-    /// A gated search that stops short of a closed gate floors the gate's
-    /// trigger — the offer's restaurant — in the pair memo and not its other
-    /// member — the customer, whose floor no gate reads — and the next sweep
-    /// from that source closes the gate off the floor without searching.
+    /// A gated search that stops short of a closed gate leaves nothing in
+    /// the pair memo of the gate's trigger — the offer's restaurant — nor of
+    /// its other member — the customer: the memo holds answers only, so the
+    /// next sweep from that source searches again.
     #[test]
-    fn a_closed_gate_floors_its_trigger_and_not_its_other_members() {
+    fn a_closed_gate_leaves_nothing_in_the_pair_memo() {
         let net = GridCityBuilder::new(8, 8).build();
         let t = TimePoint::from_hms(12, 30, 0);
         let (source, near, restaurant, customer) = (NodeId(0), NodeId(9), NodeId(63), NodeId(62));
@@ -1142,21 +1087,16 @@ mod tests {
         asked.gate(radius, [near], []);
         asked.gate(radius, [restaurant], [customer]);
         let (engine, counts) = metered(&net);
-        let held = |target| {
-            let shard = lock(engine.inner.memo[ShortestPathEngine::shard(source)].lock());
-            shard.pairs[0].get((source, target))
-        };
+        let held = |target| lock(engine.inner.memo.lock()).pairs[0].get((source, target));
         let first = engine.gated_travel_times(source, &asked, t);
         assert_eq!(first.opened, [true, false]);
         assert_eq!((counts().searches, counts().gates_closed), (1, 1));
-        let floor = match held(restaurant) {
-            Some(Err(floor)) => floor,
-            other => panic!("the restaurant holds {other:?}, not a floor"),
-        };
-        assert!(floor > radius.as_secs_f64());
-        assert_eq!(held(customer), None);
+        assert_eq!(held(near), Some(Some(radius)));
+        assert_eq!((held(restaurant), held(customer)), (None, None));
+        // Asked again, the gate takes a search again, and still nothing.
         assert_eq!(engine.gated_travel_times(source, &asked, t), first);
-        assert_eq!((counts().searches, counts().gates_closed), (1, 1), "closed off the floor");
+        assert_eq!((counts().searches, counts().gates_closed), (2, 2));
+        assert_eq!((held(restaurant), held(customer)), (None, None));
     }
 
     /// One constant budgets the rows of an engine: on a grid too large for
@@ -1189,7 +1129,7 @@ mod tests {
             let swept = counts();
             assert_eq!(swept.rows[1], round * budget);
             assert_eq!(swept.refused, round * (n as u64 - budget));
-            assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed) as u64, budget);
+            assert_eq!(lock(engine.inner.memo.lock()).rows.len() as u64, budget);
             assert_eq!(swept.searches, round * 2 * n as u64);
             // Everything is known now, with or without a row: no search.
             for &source in all.iter().step_by(7) {
@@ -1201,11 +1141,11 @@ mod tests {
         }
     }
 
-    /// The row of `source` as its shard holds it: per node its marker or
+    /// The row of `source` as the memo holds it: per node its marker or
     /// in-ordinal, and its reach; `None` when it has none.
     fn row_of(engine: &ShortestPathEngine, source: NodeId) -> Option<(Vec<u8>, f64)> {
-        let shard = lock(engine.inner.memo[ShortestPathEngine::shard(source)].lock());
-        shard.rows.get(&source).map(|row| (row.parents.to_vec(), row.reach))
+        let memo = lock(engine.inner.memo.lock());
+        memo.rows.get(&source).map(|row| (row.parents.to_vec(), row.reach))
     }
 
     /// A random city (no two edges weigh the same, so no labels tie), a
@@ -1335,7 +1275,7 @@ mod tests {
 
         engine.travel_time(source, nodes[1].0, TimePoint::from_hms(13, 0, 0));
         assert_eq!(row_of(&engine, source), None, "the row went with its hour");
-        assert_eq!(engine.inner.rows_used.load(Ordering::Relaxed), 0);
+        assert_eq!(lock(engine.inner.memo.lock()).rows.len(), 0);
         let before = counts();
         assert_eq!(engine.gated_travel_times(source, &asked, noon).opened, [false]);
         let after = counts();
@@ -1378,7 +1318,7 @@ mod tests {
         assert_eq!(got.targets, [nodes[m * 3 / 4].0]);
     }
 
-    /// A query of another hour moves the shard on, a point query as much as
+    /// A query of another hour moves the memo on, a point query as much as
     /// a sweep: the row of the hour that has passed goes back to the budget
     /// and its pairs are dropped, so coming back searches again — and
     /// answers the same bits.
@@ -1395,7 +1335,7 @@ mod tests {
             let sweep = |targets: &[NodeId], t| -> Vec<Option<u64>> {
                 engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
             };
-            let rows_used = || engine.inner.rows_used.load(Ordering::Relaxed);
+            let rows_used = || lock(engine.inner.memo.lock()).rows.len();
             let first = sweep(&targets[..1], noon);
             let grown = sweep(&targets, noon);
             assert_eq!(grown, reference_bits(&net, None, source, &targets, noon));
@@ -1459,12 +1399,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_engine_is_consistent_across_sources_in_different_shards() {
+    fn cached_engine_is_consistent_across_every_source() {
         let net = GridCityBuilder::new(6, 6).build();
         let engine = ShortestPathEngine::cached(net.clone());
         let t = TimePoint::from_hms(13, 0, 0);
-        // Sweep every node as a source so every shard gets traffic; repeat to
-        // exercise the hit path too.
+        // Sweep every node as a source; repeat to exercise the hit path too.
         for _ in 0..2 {
             for source in net.node_ids() {
                 let target = NodeId((source.0 + 7) % net.node_count() as u32);

@@ -413,7 +413,8 @@ fn a_tree_row_walks_the_in_edge_it_stored_not_the_first() {
 
 /// The contract of a gated sweep (`gated_travel_times`), with and without an
 /// overlay, from a cold engine, from one that already knows half the pairs,
-/// and from a source with a tree row: a gate opens exactly when one of its
+/// from a source with a tree row, and from one the same gated sweep was
+/// asked of twice before: a gate opens exactly when one of its
 /// triggers lies within its radius on the memo-free plain sweep — a trigger
 /// at exactly the radius opens it, one
 /// a float step beyond closes it, the island closes it — and the required
@@ -497,7 +498,7 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
                 if overlaid {
                     engine.set_overlay(overlay.clone());
                 }
-                match round % 3 {
+                match round % 4 {
                     0 => {}
                     // Half the pairs known before the sweep.
                     1 => {
@@ -508,9 +509,16 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
                         }
                     }
                     // A source the memo knew, still missing: a tree row.
-                    _ => {
+                    2 => {
                         let _ = engine.travel_times_to_many(source, &draw(&mut rng, 2), t);
                         let _ = engine.travel_times_to_many(source, &draw(&mut rng, 3), t);
+                    }
+                    // The same gated sweep, twice: its answers in the pair
+                    // memo, then a tree row of what it searched.
+                    _ => {
+                        for _ in 0..2 {
+                            let _ = engine.gated_travel_times(source, &asked, t);
+                        }
                     }
                 }
                 let got = engine.gated_travel_times(source, &asked, t);
