@@ -6,7 +6,8 @@
 //! Algorithm 2: in the paper ~95% of assignments fall within the closest 10%
 //! of orders.
 
-use crate::harness::{header, ExperimentContext};
+use crate::harness::ExperimentContext;
+use crate::ledger::Row;
 use foodmatch_core::{DispatchConfig, DispatchPolicy, KuhnMunkresPolicy, WindowSnapshot};
 use foodmatch_core::{VehicleId, VehicleSnapshot};
 use foodmatch_roadnet::ShortestPathEngine;
@@ -16,11 +17,9 @@ use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
 /// Runs KM over the windows of a City B lunch period (vehicles redrawn at
-/// random positions each window) and prints the CDF of assignment percentile
-/// ranks at 10%-wide buckets.
-pub fn run(ctx: &ExperimentContext) {
-    header("Fig. 4(a) — percentile rank of KM-assigned orders (City B)");
-
+/// random positions each window) and returns the CDF of assignment
+/// percentile ranks at 10%-wide buckets, and the number of assignments.
+pub fn run(ctx: &ExperimentContext) -> Vec<Row> {
     let scenario = Scenario::generate(CityId::B, ctx.comparison_options());
     let engine = ShortestPathEngine::cached(scenario.city.network.clone());
     let config =
@@ -73,12 +72,17 @@ pub fn run(ctx: &ExperimentContext) {
         }
     }
 
-    ranks.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    println!("{:>16} {:>16}", "Percentile rank", "Assignments (%)");
-    for bucket in (10..=100).step_by(10) {
-        let covered = ranks.iter().filter(|&&r| r <= bucket as f64).count();
-        let pct = if ranks.is_empty() { 0.0 } else { 100.0 * covered as f64 / ranks.len() as f64 };
-        println!("{:>15}% {:>16.1}", bucket, pct);
+    if ranks.is_empty() {
+        return Vec::new();
     }
-    println!("\n({} assignments measured)", ranks.len());
+    let mut rows: Vec<Row> = (10..=100)
+        .step_by(10)
+        .map(|bucket| {
+            let covered = ranks.iter().filter(|&&r| r <= bucket as f64).count();
+            let pct = 100.0 * covered as f64 / ranks.len() as f64;
+            Row::new(CityId::B, format!("rank<={bucket}%"), "assignments_pct", "%", pct)
+        })
+        .collect();
+    rows.push(Row::new(CityId::B, "all", "assignments", "count", ranks.len() as f64));
+    rows
 }

@@ -3,157 +3,123 @@
 //! Greedy (c–e), scalability (f–h) and per-timeslot improvement over KM
 //! (i–k).
 
-use crate::harness::{cell, header, improvement_pct, run_policies, ExperimentContext};
+use crate::harness::{improvement_pct, report_rows, run_policies, ExperimentContext};
+use crate::ledger::Row;
 use foodmatch_core::PolicyKind;
-use foodmatch_workload::Scenario;
+use foodmatch_workload::{Scenario, ScenarioOptions};
 
 /// Fig. 6(a): order-to-vehicle ratio per hourly timeslot for every city.
-pub fn fig6a(ctx: &ExperimentContext) {
-    header("Fig. 6(a) — order/vehicle ratio per timeslot");
-    let cities = ctx.swiggy_cities();
-    let scenarios: Vec<Scenario> = cities
-        .iter()
-        .map(|&c| Scenario::generate(c, foodmatch_workload::ScenarioOptions::full_day(ctx.seed)))
-        .collect();
-    print!("{:>8}", "Slot");
-    for city in &cities {
-        print!("{:>10}", city.name());
-    }
-    println!();
-    let ratios: Vec<[f64; 24]> =
-        scenarios.iter().map(|s| s.order_vehicle_ratio_by_slot()).collect();
-    for slot in 0..24 {
-        print!("{slot:>8}");
-        for ratio in &ratios {
-            print!("{}", cell(ratio[slot]));
+pub fn fig6a(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for city in ctx.swiggy_cities() {
+        let scenario = Scenario::generate(city, ScenarioOptions::full_day(ctx.seed));
+        for (slot, ratio) in scenario.order_vehicle_ratio_by_slot().into_iter().enumerate() {
+            rows.push(Row::new(city, format!("slot {slot}"), "orders_per_vehicle", "ratio", ratio));
         }
-        println!();
     }
+    rows
 }
 
 /// Fig. 6(b): XDT (hours/day) of FoodMatch vs the Reyes-style baseline on
-/// all four cities (the only experiment that includes GrubHub).
-pub fn fig6b(ctx: &ExperimentContext) {
-    header("Fig. 6(b) — XDT (hours/day): FoodMatch vs Reyes");
-    println!("{:<10} {:>12} {:>12} {:>10}", "City", "FoodMatch", "Reyes", "Ratio");
+/// all four cities (the only experiment that includes GrubHub), and their
+/// ratio where FoodMatch's XDT is not 0.
+pub fn fig6b(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
     for city in ctx.all_cities() {
-        let summaries = run_policies(
+        let reports = run_policies(
             city,
             ctx.comparison_options(),
             &[PolicyKind::FoodMatch, PolicyKind::Reyes],
-            |c| c,
         );
-        let fm = &summaries[&PolicyKind::FoodMatch];
-        let reyes = &summaries[&PolicyKind::Reyes];
-        let ratio = if fm.xdt_hours_per_day > 1e-9 {
-            reyes.xdt_hours_per_day / fm.xdt_hours_per_day
-        } else {
-            f64::INFINITY
-        };
-        println!(
-            "{:<10} {} {} {:>9.1}x",
-            city.name(),
-            cell(fm.xdt_hours_per_day),
-            cell(reyes.xdt_hours_per_day),
-            ratio
-        );
+        let fm = reports[&PolicyKind::FoodMatch].xdt_hours_per_day();
+        let reyes = reports[&PolicyKind::Reyes].xdt_hours_per_day();
+        rows.push(Row::new(city, "FoodMatch", "xdt_hours_per_day", "h/day", fm));
+        rows.push(Row::new(city, "Reyes", "xdt_hours_per_day", "h/day", reyes));
+        if fm > 1e-9 {
+            rows.push(Row::new(city, "Reyes", "xdt_ratio_to_foodmatch", "x", reyes / fm));
+        }
     }
+    rows
 }
 
-/// Fig. 6(c–e): XDT, Orders/Km and Waiting Time of FoodMatch vs Greedy.
-pub fn fig6cde(ctx: &ExperimentContext) {
-    header("Fig. 6(c-e) — FoodMatch vs Greedy: XDT, Orders/Km, Waiting Time");
-    println!(
-        "{:<10} {:>12} {:>12} | {:>10} {:>10} | {:>10} {:>10} | {:>12}",
-        "City", "XDT(FM)", "XDT(Greedy)", "O/Km(FM)", "O/Km(Gr)", "WT(FM)", "WT(Gr)", "XDT impr.%"
-    );
+/// Fig. 6(c–e): XDT, Orders/Km and Waiting Time of FoodMatch vs Greedy, and
+/// FoodMatch's XDT improvement over Greedy.
+pub fn fig6cde(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
     for city in ctx.swiggy_cities() {
-        let summaries = run_policies(
+        let reports = run_policies(
             city,
             ctx.comparison_options(),
             &[PolicyKind::FoodMatch, PolicyKind::Greedy],
-            |c| c,
         );
-        let fm = &summaries[&PolicyKind::FoodMatch];
-        let gr = &summaries[&PolicyKind::Greedy];
-        println!(
-            "{:<10} {} {} | {} {} | {} {} | {:>11.1}%",
-            city.name(),
-            cell(fm.xdt_hours_per_day),
-            cell(gr.xdt_hours_per_day),
-            cell(fm.orders_per_km),
-            cell(gr.orders_per_km),
-            cell(fm.waiting_hours_per_day),
-            cell(gr.waiting_hours_per_day),
-            improvement_pct(gr.xdt_hours_per_day, fm.xdt_hours_per_day, false)
-        );
+        let fm = &reports[&PolicyKind::FoodMatch];
+        let greedy = &reports[&PolicyKind::Greedy];
+        rows.extend(report_rows(city, "FoodMatch", fm));
+        if let Some(pct) =
+            improvement_pct(greedy.xdt_hours_per_day(), fm.xdt_hours_per_day(), false)
+        {
+            rows.push(Row::new(city, "FoodMatch", "xdt_improvement_pct", "%", pct));
+        }
+        rows.extend(report_rows(city, "Greedy", greedy));
     }
+    rows
 }
 
 /// Fig. 6(f–h): percentage of overflown windows (all slots and peak slots)
-/// and mean per-window running time for Greedy, vanilla KM and FoodMatch.
-pub fn fig6fgh(ctx: &ExperimentContext) {
-    header("Fig. 6(f-h) — overflown windows and running time");
-    println!(
-        "{:<10} {:<10} {:>14} {:>14} {:>18}",
-        "City", "Policy", "Overflow(all)%", "Overflow(peak)%", "Mean window (ms)"
-    );
+/// and mean per-window running time (a wall time) for Greedy, vanilla KM
+/// and FoodMatch.
+pub fn fig6fgh(ctx: &ExperimentContext) -> Vec<Row> {
+    let policies = [PolicyKind::Greedy, PolicyKind::KuhnMunkres, PolicyKind::FoodMatch];
+    let mut rows = Vec::new();
     for city in ctx.swiggy_cities() {
-        let summaries = run_policies(
-            city,
-            ctx.comparison_options(),
-            &[PolicyKind::Greedy, PolicyKind::KuhnMunkres, PolicyKind::FoodMatch],
-            |c| c,
-        );
-        for kind in [PolicyKind::Greedy, PolicyKind::KuhnMunkres, PolicyKind::FoodMatch] {
-            let s = &summaries[&kind];
-            println!(
-                "{:<10} {:<10} {:>14.1} {:>14.1} {:>18.1}",
-                city.name(),
-                s.policy,
-                s.overflow_pct,
-                s.overflow_peak_pct,
-                s.mean_compute_secs * 1_000.0
-            );
+        let reports = run_policies(city, ctx.comparison_options(), &policies);
+        for kind in policies {
+            let report = &reports[&kind];
+            let series = kind.name();
+            rows.push(Row::new(city, series, "overflow_pct", "%", report.overflow_pct(false)));
+            rows.push(Row::new(city, series, "overflow_peak_pct", "%", report.overflow_pct(true)));
+            let window_ms = report.mean_window_compute_secs() * 1_000.0;
+            rows.push(Row::new(city, series, "mean_window_ms", "ms", window_ms));
         }
     }
-    println!("\n(Absolute times are hardware-specific; the paper's claim is the ordering:");
-    println!(" FoodMatch fastest with no overflown windows, Greedy slowest.)");
+    rows
 }
 
 /// Fig. 6(i–k): improvement of FoodMatch over vanilla KM per hourly timeslot
-/// for XDT, Orders/Km and Waiting Time.
-pub fn fig6ijk(ctx: &ExperimentContext) {
-    header("Fig. 6(i-k) — improvement over KM per timeslot (XDT / O/Km / WT)");
+/// for XDT, Orders/Km and Waiting Time. A cell whose KM baseline is 0 has no
+/// row.
+pub fn fig6ijk(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
     for city in ctx.swiggy_cities() {
-        let summaries = run_policies(
+        let reports = run_policies(
             city,
             ctx.full_day_options(),
             &[PolicyKind::FoodMatch, PolicyKind::KuhnMunkres],
-            |c| c,
         );
-        let fm = &summaries[&PolicyKind::FoodMatch];
-        let km = &summaries[&PolicyKind::KuhnMunkres];
-        let fm_xdt = fm.report.xdt_hours_by_slot();
-        let km_xdt = km.report.xdt_hours_by_slot();
-        let fm_okm = fm.report.orders_per_km_by_slot();
-        let km_okm = km.report.orders_per_km_by_slot();
-        let fm_wt = fm.report.waiting_hours_by_slot();
-        let km_wt = km.report.waiting_hours_by_slot();
-
-        println!("\n{}:", city.name());
-        println!("{:>6} {:>14} {:>14} {:>14}", "Slot", "XDT impr.%", "O/Km impr.%", "WT impr.%");
+        let fm = &reports[&PolicyKind::FoodMatch];
+        let km = &reports[&PolicyKind::KuhnMunkres];
+        let metrics = [
+            ("xdt_improvement_pct", fm.xdt_hours_by_slot(), km.xdt_hours_by_slot(), false),
+            (
+                "orders_per_km_improvement_pct",
+                fm.orders_per_km_by_slot(),
+                km.orders_per_km_by_slot(),
+                true,
+            ),
+            (
+                "waiting_improvement_pct",
+                fm.waiting_hours_by_slot(),
+                km.waiting_hours_by_slot(),
+                false,
+            ),
+        ];
         for slot in 0..24 {
-            if km_xdt[slot] <= 1e-9 && km_wt[slot] <= 1e-9 {
-                continue; // empty overnight slots
+            for (metric, ours, baseline, higher_is_better) in &metrics {
+                if let Some(pct) = improvement_pct(baseline[slot], ours[slot], *higher_is_better) {
+                    rows.push(Row::new(city, format!("slot {slot}"), metric, "%", pct));
+                }
             }
-            println!(
-                "{:>6} {:>14.1} {:>14.1} {:>14.1}",
-                slot,
-                improvement_pct(km_xdt[slot], fm_xdt[slot], false),
-                improvement_pct(km_okm[slot], fm_okm[slot], true),
-                improvement_pct(km_wt[slot], fm_wt[slot], false),
-            );
         }
     }
+    rows
 }

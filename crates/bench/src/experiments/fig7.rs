@@ -1,63 +1,49 @@
 //! Figure 7: the ablation study (a) and the fleet-size study (b–e).
 
-use crate::harness::{cell, header, improvement_pct, run_city, run_policies, ExperimentContext};
+use crate::harness::{improvement_pct, report_rows, run_city, sweep, ExperimentContext};
+use crate::ledger::Row;
 use foodmatch_core::{DispatchConfig, PolicyKind};
 
 /// Fig. 7(a): layered ablation — Batching & Reshuffling (B&R), plus
-/// best-first sparsification (BFS), plus angular distance (A) — reported as
-/// XDT improvement over vanilla KM.
-pub fn fig7a(ctx: &ExperimentContext) {
-    header("Fig. 7(a) — ablation: XDT improvement over KM");
-    println!("{:<10} {:>10} {:>14} {:>18}", "City", "B&R %", "B&R+BFS %", "B&R+BFS+A %");
+/// best-first sparsification (BFS), plus angular distance (A) — each
+/// variant's standard rows and its XDT improvement over vanilla KM.
+pub fn fig7a(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
     for city in ctx.swiggy_cities() {
         // All variants run on the same scenario; only the config toggles vary.
-        let km = run_policies(city, ctx.comparison_options(), &[PolicyKind::KuhnMunkres], |c| c)
-            .remove(&PolicyKind::KuhnMunkres)
-            .expect("km summary");
-        let variant = |use_bfs: bool, use_angular: bool| {
-            run_city(city, ctx.comparison_options(), PolicyKind::FoodMatch, |c| DispatchConfig {
-                use_batching: true,
-                use_reshuffle: true,
-                use_bfs_sparsification: use_bfs,
-                use_angular_distance: use_angular,
-                ..c
-            })
-        };
-        let br = variant(false, false);
-        let br_bfs = variant(true, false);
-        let br_bfs_a = variant(true, true);
-        println!(
-            "{:<10} {:>10.1} {:>14.1} {:>18.1}",
-            city.name(),
-            improvement_pct(km.xdt_hours_per_day, br.xdt_hours_per_day, false),
-            improvement_pct(km.xdt_hours_per_day, br_bfs.xdt_hours_per_day, false),
-            improvement_pct(km.xdt_hours_per_day, br_bfs_a.xdt_hours_per_day, false),
-        );
+        let km = run_city(city, ctx.comparison_options(), PolicyKind::KuhnMunkres, |c| c);
+        rows.extend(report_rows(city, "KM", &km));
+        for (series, use_bfs, use_angular) in
+            [("B&R", false, false), ("B&R+BFS", true, false), ("B&R+BFS+A", true, true)]
+        {
+            let variant = run_city(city, ctx.comparison_options(), PolicyKind::FoodMatch, |c| {
+                DispatchConfig {
+                    use_batching: true,
+                    use_reshuffle: true,
+                    use_bfs_sparsification: use_bfs,
+                    use_angular_distance: use_angular,
+                    ..c
+                }
+            });
+            rows.extend(report_rows(city, series, &variant));
+            let gain = improvement_pct(km.xdt_hours_per_day(), variant.xdt_hours_per_day(), false);
+            if let Some(pct) = gain {
+                rows.push(Row::new(city, series, "xdt_improvement_pct", "%", pct));
+            }
+        }
     }
+    rows
 }
 
 /// Fig. 7(b–e): FoodMatch with 20%–100% of the fleet on duty — XDT, O/Km,
 /// waiting time and rejection rate.
-pub fn fig7bcde(ctx: &ExperimentContext) {
-    header("Fig. 7(b-e) — impact of the number of vehicles (FoodMatch)");
+pub fn fig7bcde(ctx: &ExperimentContext) -> Vec<Row> {
     let fractions: &[f64] = if ctx.quick { &[0.2, 0.6, 1.0] } else { &[0.2, 0.4, 0.6, 0.8, 1.0] };
-    println!(
-        "{:<10} {:>10} {:>12} {:>10} {:>12} {:>14}",
-        "City", "Vehicles%", "XDT (h/d)", "O/Km", "WT (h/d)", "Rejections %"
-    );
-    for city in ctx.swiggy_cities() {
-        for &fraction in fractions {
-            let options = ctx.comparison_options().with_vehicle_fraction(fraction);
-            let summary = run_city(city, options, PolicyKind::FoodMatch, |c| c);
-            println!(
-                "{:<10} {:>9.0}% {} {} {} {:>13.1}%",
-                city.name(),
-                fraction * 100.0,
-                cell(summary.xdt_hours_per_day),
-                cell(summary.orders_per_km),
-                cell(summary.waiting_hours_per_day),
-                summary.rejection_pct
-            );
-        }
-    }
+    sweep(
+        &ctx.swiggy_cities(),
+        fractions,
+        |f| (format!("fleet={f}"), ctx.comparison_options().with_vehicle_fraction(f)),
+        |_, c| c,
+        false,
+    )
 }

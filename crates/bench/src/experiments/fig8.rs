@@ -1,85 +1,47 @@
 //! Figure 8: parameter sweeps over the batching threshold η (a–c), the
-//! accumulation window Δ (d–g) and the vehicle degree cap k (h–k).
+//! accumulation window Δ (d–g) and the vehicle degree cap k (h–k). Each
+//! point also reports its total policy compute time, a wall time.
 
-use crate::harness::{cell, header, run_city, ExperimentContext};
-use foodmatch_core::{DispatchConfig, PolicyKind};
+use crate::harness::{sweep, ExperimentContext};
+use crate::ledger::Row;
+use foodmatch_core::DispatchConfig;
 use foodmatch_roadnet::Duration;
 
-fn sweep_header(extra: &str) {
-    println!(
-        "{:<10} {:>10} {:>12} {:>10} {:>12} {:>16}",
-        "City", extra, "XDT (h/d)", "O/Km", "WT (h/d)", "Total compute (s)"
-    );
-}
-
-/// Fig. 8(a–c): XDT, O/Km and WT as the batching quality threshold η grows.
-pub fn fig8_eta(ctx: &ExperimentContext) {
-    header("Fig. 8(a-c) — impact of the batching threshold eta");
+/// Fig. 8(a–c): XDT, O/Km and WT as the batching quality threshold η (s) grows.
+pub fn fig8_eta(ctx: &ExperimentContext) -> Vec<Row> {
     let etas: &[f64] =
         if ctx.quick { &[30.0, 60.0, 120.0] } else { &[30.0, 60.0, 90.0, 120.0, 150.0] };
-    sweep_header("eta (s)");
-    for city in ctx.swiggy_cities() {
-        for &eta in etas {
-            let summary = run_city(city, ctx.sweep_options(), PolicyKind::FoodMatch, |c| {
-                DispatchConfig { batching_threshold: Duration::from_secs_f64(eta), ..c }
-            });
-            println!(
-                "{:<10} {:>10.0} {} {} {} {:>16.1}",
-                city.name(),
-                eta,
-                cell(summary.xdt_hours_per_day),
-                cell(summary.orders_per_km),
-                cell(summary.waiting_hours_per_day),
-                summary.report.total_compute_secs()
-            );
-        }
-    }
+    sweep(
+        &ctx.swiggy_cities(),
+        etas,
+        |eta| (format!("eta={eta}"), ctx.sweep_options()),
+        |eta, c| DispatchConfig { batching_threshold: Duration::from_secs_f64(eta), ..c },
+        true,
+    )
 }
 
 /// Fig. 8(d–g): XDT, O/Km, WT and running time as the accumulation window Δ
 /// grows from 1 to 4 minutes.
-pub fn fig8_delta(ctx: &ExperimentContext) {
-    header("Fig. 8(d-g) — impact of the accumulation window Delta");
+pub fn fig8_delta(ctx: &ExperimentContext) -> Vec<Row> {
     let deltas: &[f64] = if ctx.quick { &[1.0, 3.0] } else { &[1.0, 2.0, 3.0, 4.0] };
-    sweep_header("Delta (m)");
-    for city in ctx.swiggy_cities() {
-        for &minutes in deltas {
-            let summary = run_city(city, ctx.sweep_options(), PolicyKind::FoodMatch, |c| {
-                DispatchConfig { accumulation_window: Duration::from_mins(minutes), ..c }
-            });
-            println!(
-                "{:<10} {:>10.0} {} {} {} {:>16.1}",
-                city.name(),
-                minutes,
-                cell(summary.xdt_hours_per_day),
-                cell(summary.orders_per_km),
-                cell(summary.waiting_hours_per_day),
-                summary.report.total_compute_secs()
-            );
-        }
-    }
+    sweep(
+        &ctx.swiggy_cities(),
+        deltas,
+        |minutes| (format!("delta={minutes}"), ctx.sweep_options()),
+        |minutes, c| DispatchConfig { accumulation_window: Duration::from_mins(minutes), ..c },
+        true,
+    )
 }
 
 /// Fig. 8(h–k): XDT, O/Km, WT and running time as the per-vehicle degree cap
 /// factor k grows.
-pub fn fig8_k(ctx: &ExperimentContext) {
-    header("Fig. 8(h-k) — impact of the FoodGraph degree cap k");
+pub fn fig8_k(ctx: &ExperimentContext) -> Vec<Row> {
     let ks: &[f64] = if ctx.quick { &[50.0, 200.0] } else { &[50.0, 100.0, 200.0, 300.0] };
-    sweep_header("k factor");
-    for city in ctx.swiggy_cities() {
-        for &k in ks {
-            let summary = run_city(city, ctx.sweep_options(), PolicyKind::FoodMatch, |c| {
-                DispatchConfig { k_factor: k, ..c }
-            });
-            println!(
-                "{:<10} {:>10.0} {} {} {} {:>16.1}",
-                city.name(),
-                k,
-                cell(summary.xdt_hours_per_day),
-                cell(summary.orders_per_km),
-                cell(summary.waiting_hours_per_day),
-                summary.report.total_compute_secs()
-            );
-        }
-    }
+    sweep(
+        &ctx.swiggy_cities(),
+        ks,
+        |k| (format!("k={k}"), ctx.sweep_options()),
+        |k, c| DispatchConfig { k_factor: k, ..c },
+        true,
+    )
 }

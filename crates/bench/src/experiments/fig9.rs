@@ -1,59 +1,34 @@
 //! Figure 9: impact of the angular-distance weight γ (a–c) and the rejection
 //! rate versus fleet size for three γ values on City B (d).
 
-use crate::harness::{cell, header, run_city, ExperimentContext};
-use foodmatch_core::{DispatchConfig, PolicyKind};
+use crate::harness::{sweep, ExperimentContext};
+use crate::ledger::Row;
+use foodmatch_core::DispatchConfig;
 use foodmatch_workload::CityId;
 
-/// Runs both halves of Figure 9.
-pub fn run(ctx: &ExperimentContext) {
-    fig9_abc(ctx);
-    fig9_d(ctx);
-}
-
-/// Fig. 9(a–c): XDT, O/Km and WT as γ sweeps from angular-dominated (0.1) to
-/// travel-time-dominated (0.9).
-pub fn fig9_abc(ctx: &ExperimentContext) {
-    header("Fig. 9(a-c) — impact of the angular weight gamma");
+/// Both halves of Figure 9. (a–c): XDT, O/Km and WT as γ sweeps from
+/// angular-dominated (0.1) to travel-time-dominated (0.9). (d): rejection
+/// rate versus fleet size for γ ∈ {0.1, 0.5, 0.9} on City B.
+pub fn run(ctx: &ExperimentContext) -> Vec<Row> {
     let gammas: &[f64] = if ctx.quick { &[0.1, 0.5, 0.9] } else { &[0.1, 0.25, 0.5, 0.75, 0.9] };
-    println!("{:<10} {:>8} {:>12} {:>10} {:>12}", "City", "gamma", "XDT (h/d)", "O/Km", "WT (h/d)");
-    for city in ctx.swiggy_cities() {
-        for &gamma in gammas {
-            let summary = run_city(city, ctx.sweep_options(), PolicyKind::FoodMatch, |c| {
-                DispatchConfig { gamma, ..c }
-            });
-            println!(
-                "{:<10} {:>8.2} {} {} {}",
-                city.name(),
-                gamma,
-                cell(summary.xdt_hours_per_day),
-                cell(summary.orders_per_km),
-                cell(summary.waiting_hours_per_day),
-            );
-        }
-    }
-}
-
-/// Fig. 9(d): rejection rate versus fleet size for γ ∈ {0.1, 0.5, 0.9} on
-/// City B.
-pub fn fig9_d(ctx: &ExperimentContext) {
-    header("Fig. 9(d) — rejection rate vs vehicles for three gammas (City B)");
+    let mut rows = sweep(
+        &ctx.swiggy_cities(),
+        gammas,
+        |gamma| (format!("gamma={gamma}"), ctx.sweep_options()),
+        |gamma, c| DispatchConfig { gamma, ..c },
+        false,
+    );
     let fractions: &[f64] = if ctx.quick { &[0.1, 0.3] } else { &[0.1, 0.2, 0.3] };
-    println!("{:<10} {:>10} {:>8} {:>14}", "City", "Vehicles%", "gamma", "Rejections %");
-    for &fraction in fractions {
-        for gamma in [0.1, 0.5, 0.9] {
-            let options = ctx.sweep_options().with_vehicle_fraction(fraction);
-            let summary = run_city(CityId::B, options, PolicyKind::FoodMatch, |c| DispatchConfig {
-                gamma,
-                ..c
-            });
-            println!(
-                "{:<10} {:>9.0}% {:>8.1} {:>13.1}%",
-                CityId::B.name(),
-                fraction * 100.0,
-                gamma,
-                summary.rejection_pct
-            );
-        }
-    }
+    let points: Vec<(f64, f64)> =
+        fractions.iter().flat_map(|&f| [0.1, 0.5, 0.9].map(|gamma| (f, gamma))).collect();
+    rows.extend(sweep(
+        &[CityId::B],
+        &points,
+        |(f, gamma)| {
+            (format!("fleet={f} gamma={gamma}"), ctx.sweep_options().with_vehicle_fraction(f))
+        },
+        |(_, gamma), c| DispatchConfig { gamma, ..c },
+        false,
+    ));
+    rows
 }

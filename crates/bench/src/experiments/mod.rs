@@ -1,6 +1,6 @@
-//! One module per paper table/figure. Every public function prints the
-//! regenerated rows/series to stdout; the `repro` binary maps experiment
-//! names to these functions.
+//! One module per paper table/figure. Every experiment returns its results
+//! as [`Row`]s and prints nothing; the `repro` binary maps experiment names
+//! to these functions, prints the rows and writes the ledger.
 
 pub mod disruptions;
 pub mod fig4a;
@@ -11,6 +11,7 @@ pub mod fig9;
 pub mod table2;
 
 use crate::harness::ExperimentContext;
+use crate::ledger::Row;
 
 /// An experiment of the paper's evaluation that the harness can regenerate.
 #[derive(Clone, Copy, Debug)]
@@ -19,15 +20,27 @@ pub struct Experiment {
     pub name: &'static str,
     /// What part of the paper it reproduces.
     pub description: &'static str,
-    /// The function that runs it.
-    pub run: fn(&ExperimentContext),
+    /// The function that runs it; its rows leave `experiment` empty.
+    pub run: fn(&ExperimentContext) -> Vec<Row>,
+}
+
+impl Experiment {
+    /// Runs the experiment and names it on each of its rows.
+    pub fn rows(&self, ctx: &ExperimentContext) -> Vec<Row> {
+        let mut rows = (self.run)(ctx);
+        for row in &mut rows {
+            row.experiment = self.name;
+        }
+        rows
+    }
 }
 
 /// The registry of all experiments, in paper order.
 pub const ALL: &[Experiment] = &[
     Experiment {
         name: "table2",
-        description: "Table II: dataset summary of the synthetic city presets",
+        description: "Table II: dataset summary of the synthetic city presets (volumes ≈1/50 of \
+                      the paper's; proportions and prep-time means match it)",
         run: table2::run,
     },
     Experiment {
@@ -131,6 +144,21 @@ mod tests {
         let names: Vec<&str> = ALL.iter().map(|e| e.name).collect();
         for expected in EXPECTED_NAMES {
             assert!(names.contains(&expected), "missing experiment {expected}");
+        }
+    }
+
+    #[test]
+    fn quick_rows_are_finite_and_keyed_once() {
+        let ctx = ExperimentContext { quick: true, ..Default::default() };
+        for name in ["table2", "fig6a"] {
+            let rows = find(name).expect("registered").rows(&ctx);
+            assert!(!rows.is_empty(), "{name} returned no rows");
+            let mut keys = std::collections::HashSet::new();
+            for row in &rows {
+                assert_eq!(row.experiment, name);
+                assert!(row.value.is_finite(), "{row:?}");
+                assert!(keys.insert((row.city, row.series.clone(), row.metric)), "{row:?} twice");
+            }
         }
     }
 

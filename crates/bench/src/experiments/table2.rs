@@ -1,31 +1,23 @@
 //! Table II: summary of the (synthetic) order-history datasets.
 
 use crate::harness::ExperimentContext;
+use crate::ledger::Row;
 use foodmatch_workload::{Scenario, ScenarioOptions};
 
-/// Prints one row per city preset: restaurants, vehicles, orders/day, mean
-/// prep time, road-network nodes and edges — the columns of Table II.
-pub fn run(ctx: &ExperimentContext) {
-    crate::harness::header("Table II — dataset summary (synthetic presets)");
-    println!(
-        "{:<10} {:>8} {:>10} {:>12} {:>16} {:>8} {:>8}",
-        "City", "# Rest.", "# Vehicles", "# Orders/day", "Prep (avg min)", "# Nodes", "# Edges"
-    );
+/// One line per city preset: restaurants, vehicles, orders/day, mean prep
+/// time, road-network nodes and edges — the columns of Table II.
+pub fn run(ctx: &ExperimentContext) -> Vec<Row> {
+    let mut rows = Vec::new();
     for city in ctx.all_cities() {
-        let scenario = Scenario::generate(city, ScenarioOptions::full_day(ctx.seed));
-        let row = scenario.table2_row();
-        println!(
-            "{:<10} {:>8} {:>10} {:>12} {:>16.2} {:>8} {:>8}",
-            city.name(),
-            row.restaurants,
-            row.vehicles,
-            row.orders,
-            row.avg_prep_mins,
-            row.nodes,
-            row.edges
-        );
+        let stats = Scenario::generate(city, ScenarioOptions::full_day(ctx.seed)).table2_row();
+        let mut push =
+            |metric, unit, value| rows.push(Row::new(city, "preset", metric, unit, value));
+        push("restaurants", "count", stats.restaurants as f64);
+        push("vehicles", "count", stats.vehicles as f64);
+        push("orders_per_day", "count", stats.orders as f64);
+        push("avg_prep_mins", "min", stats.avg_prep_mins);
+        push("nodes", "count", stats.nodes as f64);
+        push("edges", "count", stats.edges as f64);
     }
-    println!();
-    println!("(Volumes are scaled ≈1/50 of the paper's Table II; proportions and");
-    println!(" prep-time means match the paper — see crates/workload/src/city.rs.)");
+    rows
 }

@@ -1,6 +1,7 @@
-//! Shared plumbing for the experiment harness: scenario caching, policy
-//! runs, and summary extraction.
+//! Shared plumbing for the experiment harness: scenario options, policy
+//! runs, parameter sweeps and the standard rows of a run.
 
+use crate::ledger::Row;
 use foodmatch_core::{DispatchConfig, PolicyKind};
 use foodmatch_roadnet::TimePoint;
 use foodmatch_sim::SimulationReport;
@@ -11,23 +12,16 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct ExperimentContext {
     /// Seed of the synthetic "day" (the paper cross-validates over 6 days;
-    /// run the harness with several seeds to do the same).
+    /// `repro --seed 1,2,3` runs every experiment once per seed).
     pub seed: u64,
     /// Quick mode shrinks horizons and restricts the city list so that the
     /// whole suite finishes in minutes rather than hours.
     pub quick: bool,
-    /// Where machine-readable benchmark results should be written
-    /// (`--bench-out`); experiments that produce none ignore it.
-    pub bench_out: Option<std::path::PathBuf>,
-    /// Where the telemetry snapshot should be written after the run
-    /// (`--telemetry-out`); when set, `repro` installs a global recorder
-    /// before the first experiment starts.
-    pub telemetry_out: Option<std::path::PathBuf>,
 }
 
 impl Default for ExperimentContext {
     fn default() -> Self {
-        ExperimentContext { seed: 1, quick: false, bench_out: None, telemetry_out: None }
+        ExperimentContext { seed: 1, quick: false }
     }
 }
 
@@ -82,48 +76,6 @@ impl ExperimentContext {
     }
 }
 
-/// The headline numbers extracted from one simulation run.
-#[derive(Clone, Debug)]
-pub struct RunSummary {
-    /// City the run was on.
-    pub city: CityId,
-    /// Policy name.
-    pub policy: String,
-    /// Extra delivery time, hours per day.
-    pub xdt_hours_per_day: f64,
-    /// Orders per kilometre.
-    pub orders_per_km: f64,
-    /// Waiting time, hours per day.
-    pub waiting_hours_per_day: f64,
-    /// Rejected orders, percent of offered orders.
-    pub rejection_pct: f64,
-    /// Percentage of overflown windows (all slots).
-    pub overflow_pct: f64,
-    /// Percentage of overflown windows (peak slots only).
-    pub overflow_peak_pct: f64,
-    /// Mean per-window policy computation time, seconds.
-    pub mean_compute_secs: f64,
-    /// The full report, for experiments that need per-slot detail.
-    pub report: SimulationReport,
-}
-
-impl RunSummary {
-    fn from_report(city: CityId, report: SimulationReport) -> Self {
-        RunSummary {
-            city,
-            policy: report.policy.clone(),
-            xdt_hours_per_day: report.xdt_hours_per_day(),
-            orders_per_km: report.orders_per_km(),
-            waiting_hours_per_day: report.waiting_hours_per_day(),
-            rejection_pct: report.rejection_rate_pct(),
-            overflow_pct: report.overflow_pct(false),
-            overflow_peak_pct: report.overflow_pct(true),
-            mean_compute_secs: report.mean_window_compute_secs(),
-            report,
-        }
-    }
-}
-
 /// Runs `policy` on `city` with the scenario `options`, after applying
 /// `configure` to the city's default dispatcher configuration.
 pub fn run_city(
@@ -131,67 +83,87 @@ pub fn run_city(
     options: ScenarioOptions,
     policy: PolicyKind,
     configure: impl FnOnce(DispatchConfig) -> DispatchConfig,
-) -> RunSummary {
+) -> SimulationReport {
     let scenario = Scenario::generate(city, options);
     let config = configure(scenario.default_config());
     let simulation = scenario.into_simulation_with(config);
     let mut policy = policy.build();
-    let report = simulation.run(policy.as_mut());
-    RunSummary::from_report(city, report)
+    simulation.run(policy.as_mut())
 }
 
 /// Runs several policies on the *same* scenario so that comparisons are
-/// apples-to-apples, returning one summary per policy.
+/// apples-to-apples, returning one report per policy.
 pub fn run_policies(
     city: CityId,
     options: ScenarioOptions,
     policies: &[PolicyKind],
-    configure: impl Fn(DispatchConfig) -> DispatchConfig,
-) -> HashMap<PolicyKind, RunSummary> {
+) -> HashMap<PolicyKind, SimulationReport> {
     let scenario = Scenario::generate(city, options);
-    let config = configure(scenario.default_config());
-    let simulation = scenario.into_simulation_with(config);
+    let simulation = scenario.into_simulation();
     policies
         .iter()
         .map(|&kind| {
             let mut policy = kind.build();
-            let report = simulation.run(policy.as_mut());
-            (kind, RunSummary::from_report(city, report))
+            (kind, simulation.run(policy.as_mut()))
         })
         .collect()
 }
 
-/// Formats a floating point cell with a fixed width.
-pub fn cell(value: f64) -> String {
-    if value.abs() >= 1000.0 {
-        format!("{value:>10.0}")
-    } else if value.abs() >= 10.0 {
-        format!("{value:>10.1}")
-    } else {
-        format!("{value:>10.3}")
-    }
+/// The standard rows of one run: XDT, orders per km, waiting time and
+/// rejection rate.
+pub fn report_rows(city: CityId, series: &str, report: &SimulationReport) -> Vec<Row> {
+    vec![
+        Row::new(city, series, "xdt_hours_per_day", "h/day", report.xdt_hours_per_day()),
+        Row::new(city, series, "orders_per_km", "orders/km", report.orders_per_km()),
+        Row::new(city, series, "waiting_hours_per_day", "h/day", report.waiting_hours_per_day()),
+        Row::new(city, series, "rejection_pct", "%", report.rejection_rate_pct()),
+    ]
 }
 
-/// Prints a rule + header for an experiment section.
-pub fn header(title: &str) {
-    println!();
-    println!("================================================================");
-    println!("{title}");
-    println!("================================================================");
+/// A FoodMatch parameter sweep: one run per city and point, on the scenario
+/// `point` names, after `configure`. Each run gives its standard rows under
+/// the point's series label, plus the total policy compute time (a wall
+/// time) when `timed`.
+pub fn sweep<P: Copy>(
+    cities: &[CityId],
+    points: &[P],
+    point: impl Fn(P) -> (String, ScenarioOptions),
+    configure: impl Fn(P, DispatchConfig) -> DispatchConfig,
+    timed: bool,
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &city in cities {
+        for &p in points {
+            let (series, options) = point(p);
+            let report = run_city(city, options, PolicyKind::FoodMatch, |c| configure(p, c));
+            rows.extend(report_rows(city, &series, &report));
+            if timed {
+                rows.push(Row::new(
+                    city,
+                    series,
+                    "total_compute_s",
+                    "s",
+                    report.total_compute_secs(),
+                ));
+            }
+        }
+    }
+    rows
 }
 
 /// The improvement of `ours` over `baseline` in percent, following Eq. 9 of
 /// the paper (positive = FoodMatch better). For metrics where larger values
-/// are better (O/Km), pass `higher_is_better = true`.
-pub fn improvement_pct(baseline: f64, ours: f64, higher_is_better: bool) -> f64 {
+/// are better (O/Km), pass `higher_is_better = true`. `None` when the
+/// baseline is 0: there is no improvement over nothing.
+pub fn improvement_pct(baseline: f64, ours: f64, higher_is_better: bool) -> Option<f64> {
     if baseline.abs() < 1e-12 {
-        return 0.0;
+        return None;
     }
-    if higher_is_better {
+    Some(if higher_is_better {
         (ours - baseline) / baseline * 100.0
     } else {
         (baseline - ours) / baseline * 100.0
-    }
+    })
 }
 
 #[cfg(test)]
@@ -200,9 +172,9 @@ mod tests {
 
     #[test]
     fn improvement_follows_equation_9() {
-        assert!((improvement_pct(100.0, 70.0, false) - 30.0).abs() < 1e-9);
-        assert!((improvement_pct(0.5, 0.6, true) - 20.0).abs() < 1e-6);
-        assert_eq!(improvement_pct(0.0, 5.0, false), 0.0);
+        assert!((improvement_pct(100.0, 70.0, false).unwrap() - 30.0).abs() < 1e-9);
+        assert!((improvement_pct(0.5, 0.6, true).unwrap() - 20.0).abs() < 1e-6);
+        assert_eq!(improvement_pct(0.0, 5.0, false), None);
     }
 
     #[test]
@@ -215,13 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_fixed_width() {
-        assert_eq!(cell(1234.5).len(), 10);
-        assert_eq!(cell(12.34).len(), 10);
-        assert_eq!(cell(0.1234).len(), 10);
-    }
-
-    #[test]
     fn run_city_produces_a_consistent_summary() {
         let options = ScenarioOptions {
             seed: 3,
@@ -229,10 +194,11 @@ mod tests {
             end: TimePoint::from_hms(12, 30, 0),
             vehicle_fraction: 1.0,
         };
-        let summary = run_city(CityId::GrubHub, options, PolicyKind::FoodMatch, |c| c);
-        assert_eq!(summary.city, CityId::GrubHub);
-        assert_eq!(summary.policy, "FoodMatch");
-        assert!(summary.xdt_hours_per_day >= 0.0);
-        assert!(summary.report.total_orders > 0);
+        let report = run_city(CityId::GrubHub, options, PolicyKind::FoodMatch, |c| c);
+        assert_eq!(report.policy, "FoodMatch");
+        assert!(report.xdt_hours_per_day() >= 0.0);
+        assert!(report.total_orders > 0);
+        let rows = report_rows(CityId::GrubHub, "FoodMatch", &report);
+        assert!(rows.iter().all(|r| r.city == "GrubHub" && r.value.is_finite()));
     }
 }

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """CI guard on dispatch quality under disruptions.
 
-Compares a fresh ``repro disruptions --bench-out`` JSON against the committed
-``BENCH_disruptions.json`` and fails (exit 1) when any (policy, profile)
-run's ``xdt_hours_per_day`` grew by more than the threshold, or when a
-committed run is missing from the new file. XDT is a deterministic simulation
-output — policy quality, not wall-clock — so the comparison is
-hardware-independent and never skipped: a ``quick`` or ``seed`` mismatch
-between the two files is a CI misconfiguration and fails too.
+Compares the ``disruptions`` rows of a fresh ``repro --ledger-out`` ledger
+against the committed ``BENCH_disruptions.json`` ledger and fails (exit 1)
+when any run's ``xdt_hours_per_day`` grew by more than the threshold, when a
+committed run is missing from the new ledger, or when the baseline holds no
+XDT row at all. A run is keyed by (seed, city, series), the series being
+``policy/profile``. XDT is a deterministic simulation output — policy
+quality, not wall-clock — so the comparison is hardware-independent and
+never skipped: a ``quick`` or ``seeds`` mismatch between the two ledgers is
+a CI misconfiguration and fails too.
 
 Performance numbers are not checked here; they live in ``benchmark/``.
 
@@ -25,36 +27,44 @@ def load(path):
         return json.load(handle)
 
 
+def xdt_rows(ledger):
+    """The disruptions experiment's XDT per (seed, city, series)."""
+    return {
+        (row["seed"], row["city"], row["series"]): float(row["value"])
+        for row in ledger["rows"]
+        if row["experiment"] == "disruptions" and row["metric"] == "xdt_hours_per_day"
+    }
+
+
 def check_disruptions(new, baseline, threshold):
     """Returns the labels of the runs whose XDT regressed or went missing."""
-
-    def key(run):
-        return (run["policy"], run["profile"])
-
-    new_runs = {key(r): r for r in new["runs"]}
+    new_runs = xdt_rows(new)
+    old_runs = xdt_rows(baseline)
+    if not old_runs:
+        print("the baseline holds no disruptions XDT row")
+        return ["baseline empty"]
     failures = []
-    for old in baseline["runs"]:
-        policy, profile = key(old)
-        run = new_runs.get((policy, profile))
-        if run is None:
-            print(f"{policy:<10} {profile:<15} MISSING from the new run")
-            failures.append(f"{policy}/{profile} missing")
+    for (seed, city, series), old_xdt in old_runs.items():
+        label = f"seed {seed} {city} {series}"
+        new_xdt = new_runs.get((seed, city, series))
+        if new_xdt is None:
+            print(f"{label:<40} MISSING from the new run")
+            failures.append(f"{label} missing")
             continue
-        old_xdt, new_xdt = float(old["xdt_hours_per_day"]), float(run["xdt_hours_per_day"])
         growth = (new_xdt - old_xdt) / old_xdt if old_xdt > 0 else 0.0
         status = "REGRESSION" if growth > threshold else "ok"
         print(
-            f"{policy:<10} {profile:<15} baseline XDT {old_xdt:>8.3f} h/d  "
+            f"{label:<40} baseline XDT {old_xdt:>8.3f} h/d  "
             f"now {new_xdt:>8.3f} h/d  ({growth:+.1%}) {status}"
         )
         if growth > threshold:
-            failures.append(f"{policy}/{profile} XDT")
+            failures.append(f"{label} XDT")
     return failures
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("new", help="freshly generated BENCH_disruptions JSON")
+    parser.add_argument("new", help="freshly generated ledger (repro --ledger-out)")
     parser.add_argument("baseline", help="committed BENCH_disruptions.json")
     parser.add_argument(
         "--threshold",
@@ -67,11 +77,11 @@ def main():
     new = load(args.new)
     baseline = load(args.baseline)
 
-    mismatched = [k for k in ("quick", "seed") if new.get(k) != baseline.get(k)]
+    mismatched = [k for k in ("quick", "seeds") if new.get(k) != baseline.get(k)]
     if mismatched:
         for k in mismatched:
             print(f"FAIL: {k} differs (baseline {baseline.get(k)}, new {new.get(k)})")
-        print("the two files must come from the same `repro disruptions` invocation flags")
+        print("the two ledgers must come from the same `repro` --quick/--seed flags")
         return 1
 
     failures = check_disruptions(new, baseline, args.threshold)
