@@ -6,9 +6,10 @@
 //! one metro window on a cold one), sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
 //! fleet, and one metro window of couriers under way), Eq. 8's per-node
-//! angular potential, and one full FoodMatch window.
+//! angular potential, one full FoodMatch window, and the fixed cost of one
+//! `parallel_map` fan-out.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use foodmatch_core::{
     batch_orders, build_food_graph, CommittedOrder, DispatchConfig, DispatchPolicy,
     FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, Order, OrderId, VehicleSnapshot,
@@ -402,6 +403,26 @@ fn bench_window_assignment(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fixed cost of a fan-out: 16 no-op items, so what is timed is the
+/// spawning, the claiming and the placing of results — at width 1 (inline),
+/// width 2, and width 2 nested inside a width-2 fan-out over 2 items, the
+/// shape of a zone's stages inside the router's zone step.
+fn bench_parallel_map(c: &mut Criterion) {
+    use foodmatch_matching::parallel_map;
+    let items: Vec<u32> = (0..16).collect();
+    let mut group = c.benchmark_group("parallel_map");
+    for width in [1, 2] {
+        let id = BenchmarkId::new("overhead", format!("width{width}"));
+        group.bench_with_input(id, &width, |b, &width| {
+            b.iter(|| parallel_map(&items, width, |_, &x| black_box(x)))
+        });
+    }
+    group.bench_function("overhead/nested", |b| {
+        b.iter(|| parallel_map(&[(); 2], 2, |_, _| parallel_map(&items, 2, |_, &x| black_box(x))))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shortest_paths,
@@ -411,6 +432,7 @@ criterion_group!(
     bench_batching,
     bench_foodgraph,
     bench_angular_potential,
-    bench_window_assignment
+    bench_window_assignment,
+    bench_parallel_map
 );
 criterion_main!(benches);

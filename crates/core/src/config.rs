@@ -94,12 +94,16 @@ pub struct DispatchConfig {
     pub use_bfs_sparsification: bool,
     /// Enable the angular-distance component of the edge weight (Eq. 8).
     pub use_angular_distance: bool,
-    /// Worker threads for per-window dispatch (FoodGraph per-vehicle edge
-    /// construction, batch cost evaluation, and per-component assignment
-    /// solving). `0` means "use the machine's available parallelism"; `1`
-    /// reproduces the serial dispatch path bit-for-bit. Results are identical
-    /// for every value — the fan-out is deterministic — so this knob only
-    /// trades wall-clock for cores.
+    /// Dispatch width: the threads, the calling one included, that run
+    /// per-window work — the router's zone fan-out, the batching stage's
+    /// sweeps, the FoodGraph's collect, resolve and price phases, and
+    /// per-component assignment solving. The width bounds nested fan-outs
+    /// too: a stage fanned out inside a zone shares its zone's part of the
+    /// width instead of adding threads (`parallel_map`'s budget). `0` means
+    /// "use the machine's available parallelism"; `1` reproduces the serial
+    /// dispatch path bit-for-bit. Results are identical for every value —
+    /// the fan-out is deterministic — so this knob only trades wall-clock
+    /// for cores.
     pub num_threads: usize,
 }
 

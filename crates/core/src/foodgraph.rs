@@ -119,7 +119,7 @@ pub fn build_food_graph(
 
     // Three window-level phases that share nothing but plain values. The
     // per-vehicle ones fan out across scoped workers sharing the engine; the
-    // fan-out is deterministic (contiguous chunks merged in input order), so
+    // fan-out is deterministic (results placed back in input order), so
     // every thread count produces the same FoodGraph; tiny windows stay on
     // the calling thread where a spawn would cost more than the work itself.
     let worker_count = if vehicles.len() < 8 { 1 } else { config.effective_threads() };

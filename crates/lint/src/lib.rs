@@ -5,7 +5,8 @@
 //! telemetry neutrality — rests on invariants the compiler does not check:
 //! no hasher-ordered iteration on the output path, no panics in the code
 //! that runs mid-crash-recovery, no wall-clock reads outside telemetry, no
-//! telemetry registry lookups in per-window loops. This crate enforces them
+//! telemetry registry lookups in per-window loops, no thread started
+//! outside the one fan-out. This crate enforces them
 //! as typed diagnostics with `file:line`, a rule id, and a stable JSON
 //! report, over a hand-rolled token-level scanner ([`lexer`]) — std-only,
 //! no `syn`.

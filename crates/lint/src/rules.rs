@@ -15,6 +15,8 @@ pub const PANIC_FREE_DURABILITY: &str = "panic-free-durability";
 pub const WALL_CLOCK_HYGIENE: &str = "wall-clock-hygiene";
 /// Rule identifier for telemetry registry lookups outside constructors.
 pub const TELEMETRY_HANDLE_DISCIPLINE: &str = "telemetry-handle-discipline";
+/// Rule identifier for threads started anywhere but the one fan-out.
+pub const ONE_FAN_OUT: &str = "one-fan-out";
 /// Rule identifier for `#[allow(clippy::…)]` attributes that give no reason.
 pub const REASONED_ALLOW: &str = "reasoned-allow";
 /// Pseudo-rule for malformed waiver comments (never waivable itself).
@@ -24,7 +26,7 @@ pub const UNUSED_WAIVER: &str = "unused-waiver";
 
 /// Every real (waivable) rule with its one-line description, in report
 /// order.
-pub const RULES: [(&str, &str); 5] = [
+pub const RULES: [(&str, &str); 6] = [
     (
         NONDETERMINISTIC_ITERATION,
         "no HashMap/HashSet iteration in output-path code unless sorted before use",
@@ -41,6 +43,11 @@ pub const RULES: [(&str, &str); 5] = [
     (
         TELEMETRY_HANDLE_DISCIPLINE,
         "telemetry registry lookups only in constructors/restore, never per-window",
+    ),
+    (
+        ONE_FAN_OUT,
+        "thread::scope/spawn/Builder only in parallel_map and the checkpoint worker, \
+         so every fan-out shares the one dispatch width",
     ),
     (
         REASONED_ALLOW,
@@ -315,6 +322,17 @@ fn rule2_applies(path: &str) -> bool {
             | "crates/simulator/src/checkpoint.rs"
             | "crates/simulator/src/durable.rs"
     )
+}
+
+/// The two files that may start threads: the one fan-out and the
+/// background checkpoint worker.
+fn starts_threads(path: &str) -> bool {
+    matches!(path, "crates/matching/src/parallel.rs" | "crates/simulator/src/checkpoint.rs")
+}
+
+/// Integration-test files, whose threads are the test's own.
+fn is_test_file(path: &str) -> bool {
+    path.starts_with("tests/") || path.contains("/tests/")
 }
 
 /// Library crates, minus the two whose whole job is measuring time and the
@@ -601,7 +619,41 @@ pub fn check_telemetry_handle_discipline(ctx: &FileContext<'_>, out: &mut Vec<Di
     }
 }
 
-/// Rule 5: `#[allow(clippy::…)]` (inner `#![…]` and `cfg_attr` forms too)
+const THREAD_STARTERS: [&str; 3] = ["scope", "spawn", "Builder"];
+
+/// Rule 5: `thread::scope` / `thread::spawn` / `thread::Builder` outside
+/// `#[cfg(test)]` items and integration tests, anywhere but the two files
+/// that may start threads. `parallel_map` shares one width across nested
+/// fan-outs; a thread started elsewhere would run past it.
+pub fn check_one_fan_out(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
+    if starts_threads(ctx.rel_path) || is_test_file(ctx.rel_path) {
+        return;
+    }
+    let tokens = &ctx.tokens;
+    for (i, token) in tokens.iter().enumerate() {
+        let starter = token.is_ident("thread")
+            && i + 3 < tokens.len()
+            && tokens[i + 1].is_punct(':')
+            && tokens[i + 2].is_punct(':')
+            && tokens[i + 3].kind == TokenKind::Ident
+            && THREAD_STARTERS.contains(&tokens[i + 3].text.as_str());
+        if !starter || ctx.in_test_region(token.line) {
+            continue;
+        }
+        out.push(Diagnostic {
+            rule: ONE_FAN_OUT,
+            path: ctx.rel_path.to_string(),
+            line: token.line,
+            message: format!(
+                "`thread::{}` outside `parallel_map`; fan work out through \
+                 `foodmatch_matching::parallel_map` so it shares the dispatch width",
+                tokens[i + 3].text
+            ),
+        });
+    }
+}
+
+/// Rule 6: `#[allow(clippy::…)]` (inner `#![…]` and `cfg_attr` forms too)
 /// with neither a `reason = "…"` argument nor a trailing `// …` comment on
 /// the line the attribute closes on. Applies to every scanned file, tests
 /// included: a silenced lint outlives the code that needed it unless the
@@ -662,6 +714,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<Waiver
     check_panic_free_durability(&ctx, &mut found);
     check_wall_clock_hygiene(&ctx, &mut found);
     check_telemetry_handle_discipline(&ctx, &mut found);
+    check_one_fan_out(&ctx, &mut found);
     check_reasoned_allow(&ctx, &mut found);
     for diag in found {
         match waivers.iter_mut().find(|w| w.rule == diag.rule && w.covers_line == diag.line) {

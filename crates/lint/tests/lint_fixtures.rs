@@ -5,8 +5,8 @@
 //! self-scan — `fixtures` directories are excluded from `workspace_files`.
 
 use foodmatch_lint::rules::{
-    NONDETERMINISTIC_ITERATION, PANIC_FREE_DURABILITY, REASONED_ALLOW, TELEMETRY_HANDLE_DISCIPLINE,
-    UNUSED_WAIVER, WAIVER_SYNTAX, WALL_CLOCK_HYGIENE,
+    NONDETERMINISTIC_ITERATION, ONE_FAN_OUT, PANIC_FREE_DURABILITY, REASONED_ALLOW,
+    TELEMETRY_HANDLE_DISCIPLINE, UNUSED_WAIVER, WAIVER_SYNTAX, WALL_CLOCK_HYGIENE,
 };
 use foodmatch_lint::{scan_source, Diagnostic};
 use std::path::Path;
@@ -91,6 +91,31 @@ fn telemetry_lookups_are_flagged_outside_constructors() {
         "the lookup in `on_window` is per-window; the ones in `new` and \
          `with_gauge` are constructor-shaped: {diagnostics:#?}"
     );
+}
+
+#[test]
+fn threads_start_only_in_the_one_fan_out() {
+    let source = fixture("fan_out.rs");
+    for path in ["crates/core/src/batching.rs", "crates/bench/src/main.rs", "examples/demo.rs"] {
+        let (diagnostics, _) = scan_source(path, &source);
+        assert_eq!(
+            rule_lines(&diagnostics),
+            vec![(ONE_FAN_OUT, 2), (ONE_FAN_OUT, 6), (ONE_FAN_OUT, 7), (ONE_FAN_OUT, 18)],
+            "thread::scope, thread::spawn, thread::Builder and the imported \
+             module's scope; available_parallelism (line 12) and the \
+             #[cfg(test)] spawn (line 25) must escape: {diagnostics:#?}"
+        );
+    }
+    // The one fan-out, the checkpoint worker and integration tests may.
+    for path in [
+        "crates/matching/src/parallel.rs",
+        "crates/simulator/src/checkpoint.rs",
+        "tests/router_equivalence.rs",
+        "crates/lint/tests/self_scan.rs",
+    ] {
+        let (diagnostics, _) = scan_source(path, &source);
+        assert!(diagnostics.is_empty(), "{path} may start threads: {diagnostics:#?}");
+    }
 }
 
 #[test]

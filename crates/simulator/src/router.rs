@@ -22,7 +22,11 @@
 //! * [`advance_to`](DispatchRouter::advance_to) — the router keeps no clock
 //!   of its own: the service's window clock (`step.rs`) ticks every shard
 //!   one window at a time, the shards of a window concurrently via
-//!   [`parallel_map`]. The router's clock is the latest shard clock. Outputs
+//!   [`parallel_map`]: the calling thread and up to `num_threads − 1`
+//!   workers each claim the next unstepped zone until none is left, and a
+//!   zone's own stages run at the width its claimant was left (inline when
+//!   there are at least as many zones as threads). The router's clock is
+//!   the latest shard clock. Outputs
 //!   merge into one stream of [`RoutedOutput`]s tagged with their
 //!   [`ZoneId`] (window by window, zones in index order — bit-identical for
 //!   every thread count).
@@ -294,8 +298,8 @@ pub struct DispatchRouter<P: DispatchPolicy> {
     network: RoadNetwork,
     /// One independent service per zone. `Mutex` only so the lockstep
     /// fan-out can hand `&self.shards` to [`parallel_map`] (which takes the
-    /// items immutably); there is no lock contention — each shard is locked
-    /// by exactly one worker at a time.
+    /// items immutably); there is no lock contention — each shard is
+    /// claimed, and locked, by exactly one participant per window.
     shards: Vec<Mutex<DispatchService<P>>>,
     /// Every known vehicle's zone. A vehicle joining mid-run is routed when
     /// ingested, before its event fires and puts it in a shard's fleet.
@@ -491,10 +495,13 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// Advances every shard in lockstep to `until`, one accumulation window
     /// at a time, and returns the merged output stream. Windows are
     /// processed whole, by the same window clock as
-    /// [`DispatchService::advance_to`]; the shards of each window run
-    /// concurrently (`config.num_threads` wide) and their outputs are
-    /// appended in zone order, so the stream is bit-identical for every
-    /// thread count.
+    /// [`DispatchService::advance_to`]. The shards of each window run
+    /// concurrently, `config.num_threads` wide: the calling thread and the
+    /// workers claim zones one at a time, so a participant that finishes a
+    /// light zone takes the next one, and with `k` participants each zone's
+    /// stages fan out at most `num_threads / k` wide. Outputs are appended
+    /// in zone order, so the stream is bit-identical for every thread count
+    /// and every schedule.
     ///
     /// Returns the same typed [`AdvanceOutcome`] as the bare service (with
     /// zone-tagged outputs): a target behind the router clock reports

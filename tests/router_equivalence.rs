@@ -8,8 +8,9 @@
 //!   composition; one shard must add nothing.
 //! * A **multi-zone** router over the metro workload produces bit-identical
 //!   output streams and reports whether the lockstep fan-out runs on one
-//!   thread or four. Concurrency is an implementation detail, never an
-//!   outcome.
+//!   thread, two or eight, over 4 zones and over 2 (fewer zones than
+//!   threads, so the zones' own stages fan out too). Concurrency is an
+//!   implementation detail, never an outcome.
 //!
 //! As in `tests/service_equivalence.rs`, only wall-clock window fields
 //! (`compute_secs` and the derived `overflown` flag) are normalised before
@@ -169,39 +170,29 @@ fn multi_zone_router_is_thread_count_independent() {
         ),
     ];
 
-    let run = |threads: usize| -> (Vec<RoutedOutput>, Vec<(ZoneId, SimulationReport)>) {
-        let config = DispatchConfig { num_threads: threads, ..metro.config() };
-        let mut router = DispatchRouter::new(
-            &metro.network,
-            metro.zone_map(),
-            metro.vehicle_starts.clone(),
-            |_| PolicyKind::FoodMatch.build(),
-            config,
-            options.start,
-            options.end,
-            Duration::from_hours(2.0),
-        );
-        for order in &metro.orders {
-            assert!(router.submit_order(*order).is_accepted());
-        }
-        for &event in &events {
-            assert!(router.ingest_event(event).is_accepted());
-        }
-        let outputs = drain_router(&mut router);
-        (outputs, router.report().zones)
-    };
+    let run =
+        |zones: &ZoneMap, threads: usize| -> (Vec<RoutedOutput>, Vec<(ZoneId, SimulationReport)>) {
+            let config = DispatchConfig { num_threads: threads, ..metro.config() };
+            let mut router = DispatchRouter::new(
+                &metro.network,
+                zones.clone(),
+                metro.vehicle_starts.clone(),
+                |_| PolicyKind::FoodMatch.build(),
+                config,
+                options.start,
+                options.end,
+                Duration::from_hours(2.0),
+            );
+            for order in &metro.orders {
+                assert!(router.submit_order(*order).is_accepted());
+            }
+            for &event in &events {
+                assert!(router.ingest_event(event).is_accepted());
+            }
+            let outputs = drain_router(&mut router);
+            (outputs, router.report().zones)
+        };
 
-    let (serial_out, serial_zones) = run(1);
-    let (parallel_out, parallel_zones) = run(4);
-
-    assert!(
-        serial_out.iter().any(|o| matches!(o.output, DispatchOutput::Delivered { .. })),
-        "the metro day must deliver something"
-    );
-    let zones_seen: std::collections::HashSet<ZoneId> = serial_out.iter().map(|o| o.zone).collect();
-    assert!(zones_seen.len() > 1, "a metro day must touch more than one zone");
-
-    // The tagged output streams must agree element by element…
     let strip = |outs: Vec<RoutedOutput>| -> Vec<(ZoneId, DispatchOutput)> {
         outs.into_iter()
             .map(|o| match o.output {
@@ -214,21 +205,44 @@ fn multi_zone_router_is_thread_count_independent() {
             })
             .collect()
     };
-    assert_eq!(
-        strip(serial_out),
-        strip(parallel_out),
-        "the merged output stream must not depend on the thread count"
-    );
 
-    // …and so must every zone's report.
-    assert_eq!(serial_zones.len(), parallel_zones.len());
-    for ((zone_a, report_a), (zone_b, report_b)) in serial_zones.into_iter().zip(parallel_zones) {
-        assert_eq!(zone_a, zone_b);
-        assert_eq!(
-            normalized(report_a),
-            normalized(report_b),
-            "{zone_a}: per-zone reports must not depend on the thread count"
+    // The metro's 4 zones at widths 2 and 8, and 2 zones at width 8: there
+    // the zones are fewer than the width, so each zone's stages fan out on
+    // the width its participant was left. (`effective_threads` caps the
+    // width at the machine's cores.)
+    let four = metro.zone_map();
+    let two = metro.grouped_zone_map(2);
+    for (zones, widths) in [(&four, &[2, 8][..]), (&two, &[8][..])] {
+        let (serial_out, serial_zones) = run(zones, 1);
+        assert!(
+            serial_out.iter().any(|o| matches!(o.output, DispatchOutput::Delivered { .. })),
+            "the metro day must deliver something"
         );
+        let zones_seen: std::collections::HashSet<ZoneId> =
+            serial_out.iter().map(|o| o.zone).collect();
+        assert!(zones_seen.len() > 1, "a metro day must touch more than one zone");
+        for &threads in widths {
+            let (parallel_out, parallel_zones) = run(zones, threads);
+            let what = format!("{} zones, {threads} threads", zones.zone_count());
+            // The tagged output streams must agree element by element…
+            assert_eq!(
+                strip(serial_out.clone()),
+                strip(parallel_out),
+                "{what}: the merged output stream must not depend on the thread count"
+            );
+            // …and so must every zone's report.
+            assert_eq!(serial_zones.len(), parallel_zones.len());
+            for ((zone_a, report_a), (zone_b, report_b)) in
+                serial_zones.iter().cloned().zip(parallel_zones)
+            {
+                assert_eq!(zone_a, zone_b);
+                assert_eq!(
+                    normalized(report_a),
+                    normalized(report_b),
+                    "{what}, {zone_a}: per-zone reports must not depend on the thread count"
+                );
+            }
+        }
     }
 }
 
