@@ -46,7 +46,7 @@ pub const RULES: [(&str, &str); 6] = [
     ),
     (
         ONE_FAN_OUT,
-        "thread::scope/spawn/Builder only in parallel_map and the checkpoint worker, \
+        "thread::scope/spawn/Builder only in parallel_map, \
          so every fan-out shares the one dispatch width",
     ),
     (
@@ -324,10 +324,9 @@ fn rule2_applies(path: &str) -> bool {
     )
 }
 
-/// The two files that may start threads: the one fan-out and the
-/// background checkpoint worker.
+/// The one file that may start threads: the one fan-out.
 fn starts_threads(path: &str) -> bool {
-    matches!(path, "crates/matching/src/parallel.rs" | "crates/simulator/src/checkpoint.rs")
+    path == "crates/matching/src/parallel.rs"
 }
 
 /// Integration-test files, whose threads are the test's own.
@@ -622,7 +621,7 @@ pub fn check_telemetry_handle_discipline(ctx: &FileContext<'_>, out: &mut Vec<Di
 const THREAD_STARTERS: [&str; 3] = ["scope", "spawn", "Builder"];
 
 /// Rule 5: `thread::scope` / `thread::spawn` / `thread::Builder` outside
-/// `#[cfg(test)]` items and integration tests, anywhere but the two files
+/// `#[cfg(test)]` items and integration tests, anywhere but the one file
 /// that may start threads. `parallel_map` shares one width across nested
 /// fan-outs; a thread started elsewhere would run past it.
 pub fn check_one_fan_out(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {

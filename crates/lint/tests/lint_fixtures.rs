@@ -96,7 +96,12 @@ fn telemetry_lookups_are_flagged_outside_constructors() {
 #[test]
 fn threads_start_only_in_the_one_fan_out() {
     let source = fixture("fan_out.rs");
-    for path in ["crates/core/src/batching.rs", "crates/bench/src/main.rs", "examples/demo.rs"] {
+    for path in [
+        "crates/core/src/batching.rs",
+        "crates/simulator/src/checkpoint.rs",
+        "crates/bench/src/main.rs",
+        "examples/demo.rs",
+    ] {
         let (diagnostics, _) = scan_source(path, &source);
         assert_eq!(
             rule_lines(&diagnostics),
@@ -106,10 +111,9 @@ fn threads_start_only_in_the_one_fan_out() {
              #[cfg(test)] spawn (line 25) must escape: {diagnostics:#?}"
         );
     }
-    // The one fan-out, the checkpoint worker and integration tests may.
+    // The one fan-out and integration tests may.
     for path in [
         "crates/matching/src/parallel.rs",
-        "crates/simulator/src/checkpoint.rs",
         "tests/router_equivalence.rs",
         "crates/lint/tests/self_scan.rs",
     ] {

@@ -40,13 +40,13 @@ use crate::step::{require, Clock, RunState};
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
 use foodmatch_core::VehicleId;
 use foodmatch_roadnet::TimePoint;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
 
 /// Magic prefix of every checkpoint file (8 bytes, versioned).
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT04";
@@ -338,221 +338,97 @@ pub fn load_checkpoint<C: Codec>(path: impl AsRef<Path>) -> Result<C, Checkpoint
     Ok(C::from_bytes(payload)?)
 }
 
-/// One enqueued background save: the WAL sequence the checkpoint covers,
-/// plus the captured state itself.
-struct CheckpointJob<C> {
-    seq: u64,
-    state: C,
-}
-
-/// Cross-thread state shared between the dispatch side and the persist
-/// worker.
-struct CheckpointerShared {
-    /// Highest WAL sequence whose checkpoint is sealed on disk (0 until the
-    /// first seal; 0 is also the trivially-sealed empty prefix).
-    sealed_seq: AtomicU64,
-    /// Jobs enqueued but not yet persisted (or coalesced away).
-    pending: Mutex<usize>,
-    /// Signalled whenever `pending` drops.
-    idle: Condvar,
-    /// First persist failure, if any. Once set, later seals still proceed
-    /// (a transient disk error on one save does not doom the next), but the
-    /// error stays visible until [`BackgroundCheckpointer::take_error`].
-    error: Mutex<Option<String>>,
-}
-
-/// Locks a mutex, recovering from poisoning instead of panicking. A
-/// poisoned lock means some thread panicked while holding it; every value
-/// guarded here (a pending-job counter, an error slot) is valid in any
-/// intermediate state, so the durability layer keeps going rather than
-/// cascading the panic through crash recovery.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Two-phase background checkpointing: cheap in-thread *capture*
-/// (cloning the dispatcher's state — what
-/// [`DurableDispatch::checkpoint`](crate::DurableDispatch::checkpoint)
-/// returns), worker-thread *persist* (Codec-serialise, seal, atomic
-/// rename). The dispatch thread stalls only for the capture; the
-/// serialisation and fsync — the expensive phase — happen off-thread.
+/// Persists captured checkpoints to one container file on the calling
+/// thread. [`DurableDispatch::checkpoint`](crate::DurableDispatch::checkpoint)
+/// captures the state (a clone); [`save`](Self::save) seals it with
+/// [`save_checkpoint`] at the window boundary, as the write-ahead log's
+/// fsync already is.
 ///
-/// When saves arrive faster than the disk persists them, queued jobs are
-/// **coalesced**: the worker drains the queue and seals only the newest
-/// state (each checkpoint is a complete snapshot, so intermediate ones are
-/// dead weight the moment a newer capture exists). The skipped count is
-/// recorded on the `checkpoint.coalesced` counter.
-///
-/// [`sealed_seq`](Self::sealed_seq) publishes the newest checkpoint known
-/// safe on disk — the anchor [`WriteAheadLog::compact_below`](crate::WriteAheadLog::compact_below)
-/// may truncate the log to. Never compact past a sequence this has not
-/// published: the checkpoint covering the dropped prefix must exist before
-/// the prefix goes.
-///
-/// Dropping the checkpointer drains the queue and joins the worker, so an
-/// in-flight seal is never abandoned half-written (the atomic rename
-/// guarantees that even a hard kill leaves the previous file intact).
-pub struct BackgroundCheckpointer<C: Send + 'static> {
-    sender: Option<std::sync::mpsc::Sender<CheckpointJob<C>>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    shared: Arc<CheckpointerShared>,
+/// [`sealed_seq`](Self::sealed_seq) is the WAL sequence of the last save
+/// that returned `Ok` — the anchor
+/// [`WriteAheadLog::compact_below`](crate::WriteAheadLog::compact_below)
+/// may truncate the log to. Never compact past it: the checkpoint covering
+/// the dropped prefix must exist before the prefix goes. A failed save
+/// leaves it where it was and keeps its error for [`drain`](Self::drain);
+/// a later save can still succeed.
+pub struct Checkpointer<C: Codec> {
+    path: PathBuf,
+    sealed_seq: Cell<u64>,
+    failure: Cell<Option<String>>,
+    persist_ns: foodmatch_telemetry::Histogram,
+    codec: PhantomData<fn(&C)>,
 }
 
-impl<C: Send + 'static> fmt::Debug for BackgroundCheckpointer<C> {
+/// The name the benchmark rig still builds against; a `[benchmark]` change
+/// renames its uses to [`Checkpointer`] and deletes this alias (ROADMAP
+/// item 3).
+pub type BackgroundCheckpointer<C> = Checkpointer<C>;
+
+impl<C: Codec> fmt::Debug for Checkpointer<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackgroundCheckpointer")
+        f.debug_struct("Checkpointer")
+            .field("path", &self.path)
             .field("sealed_seq", &self.sealed_seq())
             .finish_non_exhaustive()
     }
 }
 
-impl BackgroundCheckpointer<ServiceCheckpoint> {
-    /// A background checkpointer persisting [`ServiceCheckpoint`]s to a
-    /// single container file via [`save_checkpoint`].
+impl Checkpointer<ServiceCheckpoint> {
+    /// A checkpointer of [`ServiceCheckpoint`]s at `path`. It never fails;
+    /// the `Result` is the benchmark rig's signature, and goes with the
+    /// [`BackgroundCheckpointer`] alias.
     pub fn service(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        Self::new(path, |path, state| save_checkpoint(path, state))
+        Ok(Self::new(path))
     }
 }
 
-impl BackgroundCheckpointer<RouterCheckpoint> {
-    /// A background checkpointer persisting [`RouterCheckpoint`]s to a
-    /// single container file via [`save_checkpoint`].
-    pub fn router(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        Self::new(path, |path, state| save_checkpoint(path, state))
-    }
-}
-
-impl<C: Send + 'static> BackgroundCheckpointer<C> {
-    /// Starts the persist worker, writing every sealed checkpoint to
-    /// `path` through `persist` (an atomic-rename writer such as
-    /// [`save_checkpoint`]). Fails with
-    /// [`CheckpointError::Io`] if the worker thread cannot be spawned.
-    pub fn new(
-        path: impl AsRef<Path>,
-        persist: fn(&Path, &C) -> Result<(), CheckpointError>,
-    ) -> Result<Self, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        let shared = Arc::new(CheckpointerShared {
-            sealed_seq: AtomicU64::new(0),
-            pending: Mutex::new(0),
-            idle: Condvar::new(),
-            error: Mutex::new(None),
-        });
-        let (sender, receiver) = std::sync::mpsc::channel::<CheckpointJob<C>>();
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("fm-checkpointer".to_string())
-            .spawn(move || {
-                let persist_ns = foodmatch_telemetry::histogram("checkpoint.persist_ns");
-                let sealed = foodmatch_telemetry::counter("checkpoint.sealed");
-                let coalesced = foodmatch_telemetry::counter("checkpoint.coalesced");
-                while let Ok(first) = receiver.recv() {
-                    // Coalesce: a newer complete snapshot obsoletes every
-                    // older queued one.
-                    let mut consumed = 1usize;
-                    let mut job = first;
-                    while let Ok(newer) = receiver.try_recv() {
-                        consumed += 1;
-                        job = newer;
-                    }
-                    if consumed > 1 {
-                        coalesced.add(consumed as u64 - 1);
-                    }
-                    let result = {
-                        let _span = foodmatch_telemetry::span("checkpoint", "persist");
-                        let _timer = persist_ns.timer();
-                        persist(&path, &job.state)
-                    };
-                    match result {
-                        Ok(()) => {
-                            worker_shared.sealed_seq.fetch_max(job.seq, Ordering::SeqCst);
-                            sealed.inc();
-                        }
-                        Err(e) => {
-                            let mut slot = lock_unpoisoned(&worker_shared.error);
-                            slot.get_or_insert_with(|| {
-                                format!("background checkpoint at seq {} failed: {e}", job.seq)
-                            });
-                        }
-                    }
-                    let mut pending = lock_unpoisoned(&worker_shared.pending);
-                    *pending = pending.saturating_sub(consumed);
-                    worker_shared.idle.notify_all();
-                }
-            })
-            .map_err(CheckpointError::Io)?;
-        Ok(BackgroundCheckpointer { sender: Some(sender), worker: Some(worker), shared })
-    }
-
-    /// Phase two: hands a captured checkpoint (covering WAL records below
-    /// `seq`) to the persist worker and returns immediately. `seq` must be
-    /// the value stamped on the checkpoint (its `wal_seq`).
-    /// The worker lives until `Drop` closes the channel, so a send only
-    /// fails if the worker thread died; that failure lands in the error
-    /// slot (surfaced by [`take_error`](Self::take_error) /
-    /// [`drain`](Self::drain)) rather than panicking the dispatch thread.
-    pub fn save(&self, seq: u64, state: C) {
-        let mut pending = lock_unpoisoned(&self.shared.pending);
-        *pending += 1;
-        drop(pending);
-        let sent = match self.sender.as_ref() {
-            Some(sender) => sender.send(CheckpointJob { seq, state }).is_ok(),
-            None => false,
-        };
-        if !sent {
-            let mut pending = lock_unpoisoned(&self.shared.pending);
-            *pending = pending.saturating_sub(1);
-            drop(pending);
-            lock_unpoisoned(&self.shared.error).get_or_insert_with(|| {
-                format!("checkpoint worker unavailable; save at seq {seq} dropped")
-            });
-            self.shared.idle.notify_all();
+impl<C: Codec> Checkpointer<C> {
+    /// A checkpointer writing every save to `path`. Nothing is sealed
+    /// until the first save succeeds.
+    pub fn new(path: impl AsRef<Path>) -> Self {
+        Checkpointer {
+            path: path.as_ref().to_path_buf(),
+            sealed_seq: Cell::new(0),
+            failure: Cell::new(None),
+            persist_ns: foodmatch_telemetry::histogram("checkpoint.persist_ns"),
+            codec: PhantomData,
         }
     }
 
-    /// Highest WAL sequence whose checkpoint is sealed on disk — safe to
+    /// Seals a captured checkpoint (covering WAL records below `seq`, the
+    /// value stamped on it as its `wal_seq`) before returning. On success
+    /// [`sealed_seq`](Self::sealed_seq) becomes `seq`; on failure it stays
+    /// put, and the first failure since the last [`drain`](Self::drain) is
+    /// kept for it.
+    pub fn save(&self, seq: u64, state: C) {
+        let saved = {
+            let _span = foodmatch_telemetry::span("checkpoint", "persist");
+            let _timer = self.persist_ns.timer();
+            save_checkpoint(&self.path, &state)
+        };
+        match saved {
+            Ok(()) => self.sealed_seq.set(seq),
+            Err(e) => {
+                let first = self.failure.take();
+                self.failure
+                    .set(first.or_else(|| Some(format!("checkpoint at seq {seq} failed: {e}"))));
+            }
+        }
+    }
+
+    /// The WAL sequence of the last save that returned `Ok` — safe to
     /// [compact](crate::WriteAheadLog::compact_below) the log below. Zero
     /// until the first seal (the empty prefix needs no checkpoint).
     pub fn sealed_seq(&self) -> u64 {
-        self.shared.sealed_seq.load(Ordering::SeqCst)
+        self.sealed_seq.get()
     }
 
-    /// Jobs enqueued but not yet persisted or coalesced.
-    pub fn pending(&self) -> usize {
-        *lock_unpoisoned(&self.shared.pending)
-    }
-
-    /// Takes the first persist failure, if one occurred. A failed save
-    /// never advances [`sealed_seq`](Self::sealed_seq), so compaction
-    /// anchored there stays safe even if the error goes unchecked.
-    pub fn take_error(&self) -> Option<String> {
-        lock_unpoisoned(&self.shared.error).take()
-    }
-
-    /// Blocks until every enqueued job is persisted (or coalesced away)
-    /// and returns the sealed sequence, or the first persist failure.
+    /// Returns the sealed sequence, or takes the first save failure since
+    /// the last call.
     pub fn drain(&self) -> Result<u64, String> {
-        let mut pending = lock_unpoisoned(&self.shared.pending);
-        while *pending > 0 {
-            pending =
-                self.shared.idle.wait(pending).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        drop(pending);
-        match self.take_error() {
-            Some(error) => Err(error),
+        match self.failure.take() {
+            Some(failure) => Err(failure),
             None => Ok(self.sealed_seq()),
-        }
-    }
-}
-
-impl<C: Send + 'static> Drop for BackgroundCheckpointer<C> {
-    fn drop(&mut self) {
-        // Close the channel so the worker drains the queue and exits, then
-        // join it: every enqueued seal completes (or reports its error)
-        // before the checkpointer is gone.
-        self.sender.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
         }
     }
 }
@@ -560,12 +436,15 @@ impl<C: Send + 'static> Drop for BackgroundCheckpointer<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{replay_wal, DurableDispatch};
     use crate::router::{DispatchRouter, ZoneMap};
+    use crate::service::{DispatchOutput, DispatchService};
+    use crate::wal::WriteAheadLog;
     use foodmatch_core::policies::GreedyPolicy;
     use foodmatch_core::{DispatchConfig, Order, OrderId};
     use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
     use foodmatch_roadnet::generators::GridCityBuilder;
-    use foodmatch_roadnet::{CongestionProfile, Duration, NodeId};
+    use foodmatch_roadnet::{CongestionProfile, Duration, NodeId, ShortestPathEngine};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -774,40 +653,158 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn background_checkpointer_seals_the_newest_state_and_publishes_its_seq() {
-        let dir = std::env::temp_dir().join(format!("fm-bgckpt-test-{}", std::process::id()));
+    /// An empty directory of the system's temporary directory, unique to
+    /// `name` and this process.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("fm-{name}-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
         fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("bg.ckpt");
-        let bg: BackgroundCheckpointer<u64> =
-            BackgroundCheckpointer::new(&path, |path, state| save_checkpoint(path, state))
-                .expect("spawn checkpoint worker");
-        assert_eq!(bg.sealed_seq(), 0, "nothing sealed yet");
-        // A burst of saves: the worker may coalesce, but the newest always
-        // lands, and sealed_seq only moves forward.
-        for seq in 1..=5u64 {
-            bg.save(seq, seq * 100);
+        dir
+    }
+
+    #[test]
+    fn a_save_is_sealed_on_disk_when_it_returns() {
+        let dir = scratch("ckpt-inline");
+        let path = dir.join("value.ckpt");
+        let checkpointer: Checkpointer<u64> = Checkpointer::new(&path);
+        assert_eq!(checkpointer.sealed_seq(), 0, "nothing sealed yet");
+        for seq in 1..=3u64 {
+            checkpointer.save(seq, seq * 100);
+            assert_eq!(load_checkpoint::<u64>(&path).expect("load"), seq * 100);
+            assert_eq!(checkpointer.sealed_seq(), seq);
         }
-        let sealed = bg.drain().expect("drain");
-        assert_eq!(sealed, 5);
-        assert_eq!(load_checkpoint::<u64>(&path).expect("load"), 500);
-        assert_eq!(bg.pending(), 0);
-        drop(bg);
+        assert_eq!(checkpointer.drain(), Ok(3));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn background_checkpointer_reports_persist_failures_without_advancing() {
-        let dir = std::env::temp_dir().join(format!("fm-bgckpt-err-{}", std::process::id()));
-        // The parent directory does not exist, so every atomic write fails.
-        let path = dir.join("missing").join("bg.ckpt");
-        let bg: BackgroundCheckpointer<u64> =
-            BackgroundCheckpointer::new(&path, |path, state| save_checkpoint(path, state))
-                .expect("spawn checkpoint worker");
-        bg.save(3, 42);
-        let err = bg.drain().expect_err("persist into a missing dir fails");
-        assert!(err.contains("seq 3"), "error names the failed seq: {err}");
-        assert_eq!(bg.sealed_seq(), 0, "a failed save never advances the seal");
+    fn a_failed_save_seals_nothing_and_drain_names_its_seq() {
+        let dir = scratch("ckpt-missing");
+        // The parent directory does not exist, so the atomic write fails.
+        let checkpointer: Checkpointer<u64> =
+            Checkpointer::new(dir.join("missing").join("value.ckpt"));
+        checkpointer.save(3, 42);
+        assert_eq!(checkpointer.sealed_seq(), 0, "a failed save never advances the seal");
+        let failure = checkpointer.drain().expect_err("a save into a missing directory fails");
+        assert!(failure.contains("seq 3"), "the failure names its seq: {failure}");
+        assert_eq!(checkpointer.drain(), Ok(0), "drain takes the failure");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_after_a_failed_one_still_seals() {
+        let dir = scratch("ckpt-retry");
+        let path = dir.join("missing").join("value.ckpt");
+        let checkpointer: Checkpointer<u64> = Checkpointer::new(&path);
+        checkpointer.save(3, 42);
+        fs::create_dir_all(dir.join("missing")).expect("create the missing directory");
+        checkpointer.save(5, 43);
+        assert_eq!(checkpointer.sealed_seq(), 5);
+        assert_eq!(load_checkpoint::<u64>(&path).expect("load"), 43);
+        let failure = checkpointer.drain().expect_err("the first failure is kept");
+        assert!(failure.contains("seq 3"), "{failure}");
+        assert_eq!(checkpointer.drain(), Ok(5));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Outputs with the wall-clock window fields zeroed, so two runs of the
+    /// same inputs compare equal.
+    fn settled(mut outputs: Vec<DispatchOutput>) -> Vec<DispatchOutput> {
+        for output in &mut outputs {
+            if let DispatchOutput::WindowClosed { stats } = output {
+                stats.compute_secs = 0.0;
+                stats.overflown = false;
+            }
+        }
+        outputs
+    }
+
+    /// A save that fails seals nothing, so compacting the log to
+    /// `sealed_seq` right after it keeps the suffix the previous checkpoint
+    /// needs, and a crash then recovers to the uninterrupted run.
+    #[test]
+    fn compaction_after_a_failed_save_keeps_the_previous_checkpoint_recoverable() {
+        let dir = scratch("ckpt-durable");
+        let (wal_path, path) = (dir.join("dispatch.wal"), dir.join("dispatch.ckpt"));
+        let grid = GridCityBuilder::new(8, 8).major_every(0);
+        let network = grid.congestion(CongestionProfile::free_flow()).build();
+        let engine = ShortestPathEngine::cached(network);
+        let start = TimePoint::from_hms(12, 0, 0);
+        let service = || {
+            DispatchService::new(
+                engine.clone(),
+                vec![(VehicleId(0), NodeId(0)), (VehicleId(1), NodeId(63))],
+                GreedyPolicy::new(),
+                DispatchConfig::default(),
+                start,
+                start + Duration::from_hours(1.0),
+                Duration::from_hours(2.0),
+            )
+        };
+        // Window k closes at `tick(k)` and brings order k, placed as it opens.
+        let tick = |k: u32| start + Duration::from_mins(3.0 * f64::from(k));
+        let order = |k: u32| {
+            let (restaurant, customer) = (NodeId((37 * k + 5) % 64), NodeId((11 * k + 3) % 64));
+            let prep = Duration::from_mins(4.0);
+            Order::new(OrderId(k.into()), restaurant, customer, tick(k - 1), 1, prep)
+        };
+        let finish = |service: &mut DispatchService<GreedyPolicy>| {
+            let mut outputs = Vec::new();
+            for k in 11..=12 {
+                assert!(service.submit_order(order(k)).is_accepted());
+                outputs.extend(service.advance_to(tick(k)).into_outputs());
+            }
+            outputs.extend(service.advance_to(service.drain_deadline()).into_outputs());
+            outputs
+        };
+
+        let mut golden = service();
+        let mut uninterrupted = Vec::new();
+        for k in 1..=10 {
+            assert!(golden.submit_order(order(k)).is_accepted());
+            uninterrupted.extend(golden.advance_to(tick(k)).into_outputs());
+        }
+        uninterrupted.extend(finish(&mut golden));
+
+        // Saves after windows 4 and 8; the second finds a directory where
+        // its temporary file goes, so its write fails.
+        let checkpointer: Checkpointer<ServiceCheckpoint> = Checkpointer::new(&path);
+        let log = WriteAheadLog::create(&wal_path).expect("create WAL");
+        let mut durable = DurableDispatch::new(service(), log);
+        let (mut emitted, mut sealed_outputs, mut seqs) = (Vec::new(), 0, Vec::new());
+        for k in 1..=10 {
+            assert!(durable.submit_order(order(k)).expect("log order").is_accepted());
+            emitted.extend(durable.advance_to(tick(k)).expect("log advance").into_outputs());
+            if k % 4 == 0 {
+                if k == 8 {
+                    fs::create_dir(path.with_extension("ckpt-tmp")).expect("block the save");
+                } else {
+                    sealed_outputs = emitted.len();
+                }
+                let checkpoint = durable.checkpoint().expect("capture");
+                seqs.push(checkpoint.wal_seq);
+                checkpointer.save(checkpoint.wal_seq, checkpoint);
+                durable.compact_log(checkpointer.sealed_seq()).expect("compact the WAL");
+            }
+        }
+        let sealed = checkpointer.sealed_seq();
+        assert_eq!(sealed, seqs[0], "the first save sealed, the second did not");
+        let failure = checkpointer.drain().expect_err("the blocked save fails");
+        assert!(failure.contains(&format!("seq {}", seqs[1])), "{failure}");
+
+        // Power cut: only the WAL and the first checkpoint survive.
+        drop(durable.into_parts());
+        let (_log, read) = WriteAheadLog::open(&wal_path).expect("reopen WAL");
+        let checkpoint: ServiceCheckpoint = load_checkpoint(&path).expect("load checkpoint");
+        assert_eq!(checkpoint.wal_seq, sealed);
+        let suffix = read.suffix_from(sealed).expect("compaction kept the sealed suffix");
+        let mut recovered =
+            DispatchService::restore(engine.clone(), GreedyPolicy::new(), &checkpoint);
+        let mut stream = emitted[..sealed_outputs].to_vec();
+        stream.extend(replay_wal(&mut recovered, suffix).expect("replay the WAL suffix"));
+        assert_eq!(settled(stream.clone()), settled(emitted));
+        stream.extend(finish(&mut recovered));
+        assert_eq!(settled(stream), settled(uninterrupted));
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -160,8 +160,9 @@ pub struct DurableDispatch<T: WalTarget> {
     log: WriteAheadLog,
     fail_point: Option<FailPoint>,
     crashed: bool,
-    /// `checkpoint.capture_ns` — the dispatch thread's only checkpoint stall
-    /// (the persist phase runs on the background worker).
+    /// `checkpoint.capture_ns` — the capture phase of a checkpoint; the
+    /// persist phase is timed by the [`Checkpointer`](crate::Checkpointer)
+    /// (`checkpoint.persist_ns`).
     capture_ns: foodmatch_telemetry::Histogram,
 }
 

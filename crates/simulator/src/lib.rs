@@ -51,8 +51,8 @@
 //!   states checkpoint ([`DispatchService::checkpoint`] /
 //!   [`DispatchRouter::checkpoint`], a clone) into one atomically written
 //!   container file for either shape ([`save_checkpoint`] /
-//!   [`load_checkpoint`]), off the dispatch thread with
-//!   [`BackgroundCheckpointer`], whose sealed checkpoints anchor
+//!   [`load_checkpoint`]), persisted at the window boundary by a
+//!   [`Checkpointer`], whose sealed checkpoints anchor
 //!   [log compaction](WriteAheadLog::compact_below). Recovery — restore the
 //!   latest checkpoint, [`replay_wal`] the log suffix — lands on the exact
 //!   state and output stream of a valid prefix run ending at a flush
@@ -130,8 +130,8 @@ mod step;
 pub mod wal;
 
 pub use checkpoint::{
-    load_checkpoint, save_checkpoint, BackgroundCheckpointer, CheckpointError, RestoreError,
-    RouterCheckpoint, ServiceCheckpoint,
+    load_checkpoint, save_checkpoint, BackgroundCheckpointer, CheckpointError, Checkpointer,
+    RestoreError, RouterCheckpoint, ServiceCheckpoint,
 };
 pub use durable::{replay_wal, DurableDispatch, FailMode, FailPoint, ReplayError, WalTarget};
 pub use engine::Simulation;

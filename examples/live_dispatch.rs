@@ -7,9 +7,9 @@
 //! — one fsync per accumulation window under `FlushPolicy::Window`), maybe
 //! ingest a disruption, advance one accumulation window and react to the
 //! typed output events. Every few windows the dispatch thread captures a
-//! cheap checkpoint and hands it to a `BackgroundCheckpointer` to persist
-//! off-thread; each sealed checkpoint then anchors a WAL compaction that
-//! drops the log prefix the checkpoint already covers. Forty minutes in the
+//! checkpoint and persists it through a `Checkpointer`; each sealed
+//! checkpoint then anchors a WAL compaction that drops the log prefix the
+//! checkpoint already covers. Forty minutes in the
 //! process "loses power": the in-memory dispatch state is dropped — along
 //! with any unflushed record group — and the service is rebuilt from the
 //! newest checkpoint plus a WAL replay, then resumes the same demand
@@ -23,8 +23,8 @@ use foodmatch_core::FoodMatchPolicy;
 use foodmatch_events::{DisruptionCause, DisruptionEvent, EventKind, TrafficDisruption};
 use foodmatch_roadnet::{Duration, TimePoint};
 use foodmatch_sim::{
-    load_checkpoint, replay_wal, BackgroundCheckpointer, DispatchOutput, DispatchService,
-    DurableDispatch, FlushPolicy, ServiceCheckpoint, WriteAheadLog,
+    load_checkpoint, replay_wal, Checkpointer, DispatchOutput, DispatchService, DurableDispatch,
+    FlushPolicy, ServiceCheckpoint, WriteAheadLog,
 };
 use foodmatch_workload::{CityId, OrderSource, PoissonOrderSource, Scenario, ScenarioOptions};
 
@@ -56,8 +56,7 @@ fn main() {
 
     // Durability: every submit/ingest/advance is framed and checksummed
     // into the WAL before the service applies it, group-committed with one
-    // fsync per accumulation window; the periodic background checkpoint
-    // bounds how much of the log a recovery has to replay, and each sealed
+    // fsync per accumulation window; the periodic checkpoint bounds how much of the log a recovery has to replay, and each sealed
     // checkpoint lets the WAL drop the prefix it covers.
     let dir = std::env::temp_dir().join(format!("fm-live-dispatch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -65,7 +64,7 @@ fn main() {
     let ckpt_path = dir.join("dispatch.ckpt");
     let log = WriteAheadLog::create_with(&wal_path, FlushPolicy::Window).expect("create WAL");
     let mut durable = DurableDispatch::new(sim.service(FoodMatchPolicy::new()), log);
-    let checkpointer = BackgroundCheckpointer::service(&ckpt_path).expect("spawn checkpointer");
+    let checkpointer = Checkpointer::new(&ckpt_path);
 
     // Half an hour in it starts raining; ten minutes later the power goes.
     let rain_at = sim.start + Duration::from_mins(30.0);
@@ -97,16 +96,14 @@ fn main() {
 
     // Simulated power cut: the in-memory dispatch state is gone, and so is
     // the unflushed record group — only the acked WAL prefix and the last
-    // sealed checkpoint survive on disk. (Dropping the checkpointer joins
-    // its worker; a real cut could also lose an in-flight seal, in which
-    // case the atomic rename leaves the previous checkpoint intact.)
+    // sealed checkpoint survive on disk. (A cut in the middle of a save
+    // leaves the previous checkpoint intact: the write is an atomic rename.)
     let appended = durable.appended_seq();
     let (service, mut log) = durable.into_parts();
     let lost_group = log.discard_unflushed();
     let acked = log.acked_seq();
     drop(log);
     drop(service);
-    drop(checkpointer);
     println!();
     println!(
         "-- power cut near {crash_at:?}: state lost at wal seq {appended}, \
@@ -139,7 +136,7 @@ fn main() {
     // The demand feed never died — resume it against the rebuilt service
     // and drain the day.
     let mut durable = DurableDispatch::new(service, log);
-    let checkpointer = BackgroundCheckpointer::service(&ckpt_path).expect("spawn checkpointer");
+    let checkpointer = Checkpointer::new(&ckpt_path);
     pump(&mut durable, &mut demand, None, &checkpointer);
     checkpointer.drain().expect("final checkpoint seals");
 
@@ -197,14 +194,13 @@ fn dashboard_line() -> String {
 
 /// Drives the durable service one accumulation window at a time until
 /// `stop` (or completion), submitting live demand through the WAL. Every
-/// five windows the dispatch thread captures a checkpoint (the only stall
-/// it pays) and hands it to the background worker; whatever the worker has
-/// sealed since then anchors a WAL compaction.
+/// five windows the dispatch thread captures a checkpoint and persists it;
+/// once it is sealed, it anchors a WAL compaction.
 fn pump(
     durable: &mut DurableService,
     demand: &mut PoissonOrderSource,
     stop: Option<TimePoint>,
-    checkpointer: &BackgroundCheckpointer<ServiceCheckpoint>,
+    checkpointer: &Checkpointer<ServiceCheckpoint>,
 ) {
     let mut windows = 0usize;
     while !durable.target().is_finished() {
@@ -253,14 +249,12 @@ fn pump(
             let checkpoint = durable.checkpoint().expect("capture checkpoint");
             let seq = checkpoint.wal_seq;
             checkpointer.save(seq, checkpoint);
-            println!("{tick:?}  checkpoint captured at wal seq {seq}, persisting in background");
-            // Compact the log below whatever the worker has sealed by now
-            // (possibly a previous capture — never past a durable seal).
+            // The seq the save just sealed — or, had it failed, the last
+            // one that did: never compact past a sealed checkpoint.
             let sealed = checkpointer.sealed_seq();
-            if sealed > 0 {
-                durable.compact_log(sealed).expect("compact WAL below the sealed checkpoint");
-                println!("{tick:?}  wal compacted below sealed seq {sealed}");
-            }
+            println!("{tick:?}  checkpoint at wal seq {seq} saved (sealed seq {sealed})");
+            durable.compact_log(sealed).expect("compact WAL below the sealed checkpoint");
+            println!("{tick:?}  wal compacted below sealed seq {sealed}");
         }
     }
 }
