@@ -183,9 +183,9 @@ impl DispatchConfig {
     }
 
     /// Instantiates the assignment solver of the matching stage (§IV-A):
-    /// the FoodGraph sharded by connected component, every shard solved by
-    /// sparse Kuhn–Munkres, shards fanned out over the dispatch width (the
-    /// result is identical for every width). The solver times its own
+    /// the FoodGraph sharded by connected component, each component's edge
+    /// list solved by sparse Kuhn–Munkres, components fanned out over the
+    /// dispatch width (the result is identical for every width). The solver times its own
     /// solves while a telemetry recorder is installed.
     pub fn build_solver(&self) -> Decomposed {
         Decomposed::new(self.effective_threads())

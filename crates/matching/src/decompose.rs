@@ -21,23 +21,23 @@
 //!   min_dense = Ω·min(rows, cols) + Σ_components min-matching(component)
 //! ```
 //!
-//! Each per-component subproblem is handed to [`sparse_km::solve`] as its own
-//! sparse matrix (same default Ω), so the shard's optimum — its sub-Ω
-//! pairs — is exactly the component's term. Stitching the per-component
-//! sub-Ω pairs back together and re-padding therefore reproduces the dense
-//! optimum, because the per-shard solver is exact.
+//! Each component carries its own sub-Ω edges in local indices, and the
+//! Kuhn–Munkres kernel in `sparse_km` (a private module) solves them as
+//! they are, with no matrix in between, so the component's optimum — its
+//! sub-Ω pairs — is exactly the component's term. Mapping those pairs back
+//! to global indices and re-padding therefore reproduces the dense optimum,
+//! because the kernel is exact.
 //!
 //! Components are independent, so they are solved concurrently through the
 //! shared deterministic [`parallel_map`]:
 //! results come back in component order and each component's solve is
-//! single-threaded, so the stitched assignment is bit-identical for every
-//! thread count. This sharding is also the enabling step for NUMA-aware
-//! dispatch later: whole components can be pinned to a socket.
+//! single-threaded, so the assignment is bit-identical for every thread
+//! count.
 
 use crate::matrix::{Assignment, SparseCostMatrix};
 use crate::parallel::parallel_map;
-use crate::solver::{debug_assert_entries_at_most_default, pad_assignment};
-use crate::sparse_km;
+use crate::solver::pad_assignment;
+use crate::sparse_km::min_weight_matching;
 
 /// One connected component of the finite-cost bipartite graph.
 #[derive(Clone, Debug)]
@@ -46,15 +46,10 @@ pub struct Component {
     pub rows: Vec<usize>,
     /// Global column indices in this component, ascending.
     pub cols: Vec<usize>,
-    /// The component's own sparse matrix (local indices, same default cost).
-    pub matrix: SparseCostMatrix,
-}
-
-impl Component {
-    /// Number of explicit sub-default entries in the component.
-    pub fn edges(&self) -> usize {
-        self.matrix.explicit_entries()
-    }
+    /// The component's sub-Ω entries as `(local row, local col, cost)`,
+    /// where local index `i` stands for `rows[i]` / `cols[i]`, in the
+    /// matrix's first-write order.
+    pub edges: Vec<(usize, usize, f64)>,
 }
 
 /// Finds the connected components of the finite-cost graph of `costs` via
@@ -83,10 +78,12 @@ pub fn decompose(costs: &SparseCostMatrix) -> Vec<Component> {
         }
         root
     }
-    let mut useful: Vec<(usize, usize, f64)> = Vec::new();
+    // Only rows/cols that carry at least one useful edge participate.
+    let mut used = vec![false; n + m];
     for &(r, c, v) in costs.entries() {
         if v < omega {
-            useful.push((r, c, v));
+            used[r] = true;
+            used[n + c] = true;
             let (a, b) = (find(&mut parent, r), find(&mut parent, n + c));
             if a != b {
                 // Union by smaller root id keeps roots deterministic.
@@ -96,65 +93,36 @@ pub fn decompose(costs: &SparseCostMatrix) -> Vec<Component> {
         }
     }
 
-    // Group rows and columns by root, in ascending order per component.
-    let mut component_of_root: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut components: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut row_slot: Vec<Option<(usize, usize)>> = vec![None; n]; // (component, local row)
-    let mut col_slot: Vec<Option<(usize, usize)>> = vec![None; m];
-    // Only rows/cols that carry at least one useful edge participate.
-    let mut row_used = vec![false; n];
-    let mut col_used = vec![false; m];
-    for &(r, c, _) in &useful {
-        row_used[r] = true;
-        col_used[c] = true;
-    }
-    for (r, &used) in row_used.iter().enumerate() {
-        if !used {
-            continue;
+    // Group rows, then columns, by root, ascending within each component;
+    // `local[x]` is node `x`'s index inside its component.
+    let mut component_of_root = vec![usize::MAX; n + m];
+    let mut local = vec![0; n + m];
+    let mut components: Vec<Component> = Vec::new();
+    for x in (0..n + m).filter(|&x| used[x]) {
+        let root = find(&mut parent, x);
+        if component_of_root[root] == usize::MAX {
+            debug_assert!(x < n, "a used column always shares a root with some used row");
+            component_of_root[root] = components.len();
+            components.push(Component { rows: Vec::new(), cols: Vec::new(), edges: Vec::new() });
         }
-        let root = find(&mut parent, r);
-        let idx = *component_of_root.entry(root).or_insert_with(|| {
-            components.push((Vec::new(), Vec::new()));
-            components.len() - 1
-        });
-        row_slot[r] = Some((idx, components[idx].0.len()));
-        components[idx].0.push(r);
+        let component = &mut components[component_of_root[root]];
+        let line = if x < n { &mut component.rows } else { &mut component.cols };
+        local[x] = line.len();
+        line.push(if x < n { x } else { x - n });
     }
-    for (c, &used) in col_used.iter().enumerate() {
-        if !used {
-            continue;
+    for &(r, c, v) in costs.entries() {
+        if v < omega {
+            let idx = component_of_root[find(&mut parent, r)];
+            components[idx].edges.push((local[r], local[n + c], v));
         }
-        let root = find(&mut parent, n + c);
-        let idx = *component_of_root
-            .get(&root)
-            .expect("a used column always shares a root with some used row");
-        col_slot[c] = Some((idx, components[idx].1.len()));
-        components[idx].1.push(c);
     }
-
-    let mut matrices: Vec<SparseCostMatrix> = components
-        .iter()
-        .map(|(rows, cols)| SparseCostMatrix::new(rows.len(), cols.len(), omega))
-        .collect();
-    for &(r, c, v) in &useful {
-        let (idx, lr) = row_slot[r].expect("useful rows are slotted");
-        let (cidx, lc) = col_slot[c].expect("useful cols are slotted");
-        debug_assert_eq!(idx, cidx, "an edge never crosses components");
-        matrices[idx].set(lr, lc, v);
-    }
-
     components
-        .into_iter()
-        .zip(matrices)
-        .map(|((rows, cols), matrix)| Component { rows, cols, matrix })
-        .collect()
 }
 
 /// The dispatch solver: shards the instance by connected component, solves
-/// each component independently with [`sparse_km::solve`] — in parallel — and
-/// stitches the per-component assignments back together. Exact (see the
-/// module docs for the proof sketch).
+/// each component's edges independently — in parallel — and maps the
+/// matched pairs back to global indices. Exact (see the module docs for the
+/// proof sketch).
 #[derive(Clone, Debug)]
 pub struct Decomposed {
     threads: usize,
@@ -200,8 +168,11 @@ impl Decomposed {
     pub fn solve(&self, costs: &SparseCostMatrix) -> Assignment {
         let _span = foodmatch_telemetry::span("solver", Self::NAME);
         let _timer = self.metrics.solve_ns.timer();
-        debug_assert_entries_at_most_default(costs);
         let omega = costs.default_cost();
+        debug_assert!(
+            costs.entries().iter().all(|&(_, _, v)| v <= omega),
+            "the solver requires explicit entries <= default cost"
+        );
         let components = decompose(costs);
         if self.metrics.components.is_live() {
             self.metrics.components.record(components.len() as u64);
@@ -211,38 +182,17 @@ impl Decomposed {
                     .record((component.rows.len() + component.cols.len()) as u64);
             }
         }
-        // Small instances or a single component: skip the sharding overhead.
-        if components.len() <= 1 {
-            let solved = match components.into_iter().next() {
-                Some(only) => stitch_component(&only, sparse_km::solve(&only.matrix), omega),
-                None => Vec::new(),
-            };
-            return pad_assignment(costs.rows(), costs.cols(), omega, &solved);
-        }
-        let per_component: Vec<Vec<(usize, usize, f64)>> =
-            parallel_map(&components, self.threads, |_, component| {
-                stitch_component(component, sparse_km::solve(&component.matrix), omega)
-            });
+        let per_component = parallel_map(&components, self.threads, |_, component| {
+            let (rows, cols) = (&component.rows, &component.cols);
+            min_weight_matching(rows.len(), cols.len(), omega, &component.edges)
+                .into_iter()
+                .map(|(lr, lc, cost)| (rows[lr], cols[lc], cost))
+                .collect::<Vec<_>>()
+        });
         let mut useful: Vec<(usize, usize, f64)> = per_component.into_iter().flatten().collect();
         useful.sort_by_key(|&(r, _, _)| r);
         pad_assignment(costs.rows(), costs.cols(), omega, &useful)
     }
-}
-
-/// Maps a component-local assignment's useful (sub-Ω) pairs back to global
-/// `(row, col, cost)` triples.
-fn stitch_component(
-    component: &Component,
-    local: Assignment,
-    omega: f64,
-) -> Vec<(usize, usize, f64)> {
-    local
-        .pairs()
-        .filter_map(|(lr, lc)| {
-            let cost = component.matrix.get(lr, lc);
-            (cost < omega).then(|| (component.rows[lr], component.cols[lc], cost))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -270,8 +220,8 @@ mod tests {
         assert_eq!(components[0].cols, vec![0, 1]);
         assert_eq!(components[1].rows, vec![2, 3]);
         assert_eq!(components[1].cols, vec![2, 3]);
-        assert_eq!(components[0].edges(), 3);
-        assert_eq!(components[1].edges(), 3);
+        assert_eq!(components[0].edges, vec![(0, 0, 1.0), (0, 1, 9.0), (1, 1, 2.0)]);
+        assert_eq!(components[1].edges, vec![(0, 0, 3.0), (1, 0, 1.0), (1, 1, 4.0)]);
         // Row 4 / col 4 carry no sub-Ω edge and belong to no component.
     }
 
@@ -283,18 +233,6 @@ mod tests {
         costs.set(1, 1, 2.0);
         let components = decompose(&costs);
         assert_eq!(components.len(), 2);
-    }
-
-    #[test]
-    fn decomposed_matches_the_monolithic_solve() {
-        let costs = block_diagonal();
-        let whole = sparse_km::solve(&costs);
-        for threads in [1, 2, 4] {
-            let sharded = Decomposed::new(threads).solve(&costs);
-            assert!((sharded.total_cost - whole.total_cost).abs() < 1e-9);
-            assert_eq!(sharded.matched_pairs(), whole.matched_pairs());
-            assert!(sharded.is_consistent());
-        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! one solver, built on that sparsity:
 //!
 //! * [`Decomposed`] — the dispatch solver: shards the instance by connected
-//!   component of the finite-cost graph ([`decompose()`]) and solves the
-//!   components with [`sparse_km::solve`] in parallel via
-//!   [`parallel::parallel_map`], exactly.
-//! * [`sparse_km::solve`] — Kuhn–Munkres via successive shortest paths
-//!   directly on the explicit entries; never materialises the Ω cells.
+//!   component of the finite-cost graph ([`decompose()`]) and solves each
+//!   component's edge list in parallel via [`parallel::parallel_map`],
+//!   exactly, with Kuhn–Munkres by successive shortest paths over the
+//!   explicit entries; it never materialises the Ω cells.
 //! * [`SparseCostMatrix`] / [`Assignment`] — the sparse cost storage and the
 //!   result, padded to `min(rows, cols)` pairs by the convention in
 //!   [`solver`].
@@ -52,7 +51,7 @@ pub mod decompose;
 pub mod matrix;
 pub mod parallel;
 pub mod solver;
-pub mod sparse_km;
+mod sparse_km;
 
 pub use decompose::{decompose, Component, Decomposed};
 pub use matrix::{Assignment, SparseCostMatrix};

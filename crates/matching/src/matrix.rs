@@ -5,9 +5,9 @@
 ///
 /// The sparsified FoodGraph of Algorithm 2 produces exactly this structure:
 /// each vehicle has true marginal-cost edges to at most `k` batches and
-/// Ω-edges to every other batch. The solver ([`Decomposed`](crate::Decomposed),
-/// over [`sparse_km::solve`](crate::sparse_km::solve)) works on this
-/// representation directly, without ever materialising the Ω entries.
+/// Ω-edges to every other batch. The solver ([`Decomposed`](crate::Decomposed))
+/// reads its explicit entries directly, without ever materialising the Ω
+/// entries.
 #[derive(Clone, Debug)]
 pub struct SparseCostMatrix {
     rows: usize,

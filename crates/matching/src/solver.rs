@@ -3,13 +3,12 @@
 //! The matching stage (§IV-A) asks one question: given a sparse cost matrix
 //! between order batches (rows) and vehicles (columns) whose unset entries
 //! carry the rejection penalty Ω, return a minimum-cost assignment of
-//! `min(rows, cols)` pairs. Dispatch answers it with one chain,
+//! `min(rows, cols)` pairs. Dispatch answers it with one path,
 //! [`Decomposed`](crate::Decomposed): shard by connected component, solve
-//! every shard with [`sparse_km::solve`](crate::sparse_km::solve),
-//! Kuhn–Munkres over the explicit entries in `O(t·(E + V) log V)`, never
-//! touching the Ω cells. Both require the FoodGraph invariant that explicit
-//! entries never exceed the default cost Ω (Algorithm 2 clamps every edge
-//! weight with `min(·, Ω)`).
+//! every component's sub-Ω edges with Kuhn–Munkres in
+//! `O(t·(E + V) log V)`, never touching the Ω cells. It requires the
+//! FoodGraph invariant that explicit entries never exceed the default cost
+//! Ω (Algorithm 2 clamps every edge weight with `min(·, Ω)`).
 //!
 //! The ground truth the tests hold the solver to lives in
 //! `tests/solver_equivalence.rs`: exhaustive enumeration on small
@@ -25,7 +24,7 @@
 //! order, Ω each). Consumers that only want the *useful* pairs filter on
 //! `costs.get(row, col) < Ω`.
 
-use crate::matrix::{Assignment, SparseCostMatrix};
+use crate::matrix::Assignment;
 
 /// Assembles the canonical [`Assignment`] from the useful (below-default)
 /// pairs a sparse solver matched: fills both directions, then pads with
@@ -73,20 +72,10 @@ pub(crate) fn pad_assignment(
     assignment
 }
 
-/// In debug builds, checks the sparse-solver precondition that no explicit
-/// entry exceeds the default cost (the FoodGraph invariant; see the module
-/// docs).
-pub(crate) fn debug_assert_entries_at_most_default(costs: &SparseCostMatrix) {
-    debug_assert!(
-        costs.entries().iter().all(|&(_, _, v)| v <= costs.default_cost()),
-        "the solver requires explicit entries <= default cost"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sparse_km, Decomposed};
+    use crate::{Decomposed, SparseCostMatrix};
 
     #[test]
     fn padding_fills_to_the_dense_matching_size() {
@@ -113,7 +102,7 @@ mod tests {
         costs.set(0, 1, 1.0);
         costs.set(1, 0, 2.0);
         costs.set(2, 2, 5.0);
-        for a in [Decomposed::new(2).solve(&costs), sparse_km::solve(&costs)] {
+        for a in [Decomposed::new(1).solve(&costs), Decomposed::new(2).solve(&costs)] {
             assert_eq!(a.matched_pairs(), 3);
             assert!((a.total_cost - 8.0).abs() < 1e-9, "{}", a.total_cost);
         }

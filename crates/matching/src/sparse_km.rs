@@ -45,10 +45,10 @@
 //!
 //! ## Pooled scratch
 //!
-//! The dispatch loop calls [`solve`] once per window per shard, on
-//! matrices of similar shape every time. All working state — adjacency,
-//! matching and potential arrays, the Dijkstra heap and its distance array
-//! — lives in a thread-local `Scratch` pool, so repeated solves on a
+//! The dispatch loop calls [`min_weight_matching`] once per window per
+//! component, on instances of similar shape every time. All working state
+//! — adjacency, matching and potential arrays, the Dijkstra heap and its
+//! distance array — lives in a thread-local `Scratch` pool, so repeated solves on a
 //! thread are allocation-free once the pool has grown to the workload's
 //! high-water mark (the same idiom as `roadnet::dijkstra::SearchSpace`).
 //! The per-round distance reset is O(1) via generation stamps: a slot's
@@ -57,19 +57,9 @@
 //! algorithm reads is (re)initialised per solve or stamped per round, and
 //! the results stay bit-identical to the unpooled solver's.
 
-use crate::matrix::{Assignment, SparseCostMatrix};
-use crate::solver::{debug_assert_entries_at_most_default, pad_assignment};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Sparse Kuhn–Munkres: a minimum-cost assignment of `min(rows, cols)`
-/// pairs, padded by the rejection convention. See the module docs.
-pub fn solve(costs: &SparseCostMatrix) -> Assignment {
-    debug_assert_entries_at_most_default(costs);
-    let useful = min_weight_matching(costs);
-    pad_assignment(costs.rows(), costs.cols(), costs.default_cost(), &useful)
-}
 
 /// Min-heap entry: smallest distance first, ties on the lower node index.
 #[derive(PartialEq)]
@@ -102,7 +92,7 @@ impl PartialOrd for HeapEntry {
 /// array resets per Dijkstra round in O(1) via generation stamps.
 #[derive(Default)]
 struct Scratch {
-    /// Per-row `(col, reduced weight)` lists; inner vectors are reused.
+    /// Per-row `(col, cost)` lists; inner vectors are reused.
     adj: Vec<Vec<(usize, f64)>>,
     match_row: Vec<Option<usize>>,
     match_col: Vec<Option<usize>>,
@@ -122,21 +112,28 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Computes the minimum-weight (most negative) matching over the explicit
-/// sub-Ω entries, returning the matched `(row, col, original cost)` triples
-/// sorted by row. Working state comes from the thread-local [`Scratch`]
-/// pool; only the returned triples allocate in steady state.
-fn min_weight_matching(costs: &SparseCostMatrix) -> Vec<(usize, usize, f64)> {
-    SCRATCH.with(|scratch| min_weight_matching_in(&mut scratch.borrow_mut(), costs))
+/// Computes the minimum-weight (most negative) matching of reduced weights
+/// `cost − omega` over `edges`, `(row, col, cost)` triples on `rows × cols`
+/// with every cost below `omega`, returning the matched triples sorted by
+/// row. Working state comes from the thread-local [`Scratch`] pool; only
+/// the returned triples allocate in steady state.
+pub(crate) fn min_weight_matching(
+    rows: usize,
+    cols: usize,
+    omega: f64,
+    edges: &[(usize, usize, f64)],
+) -> Vec<(usize, usize, f64)> {
+    SCRATCH
+        .with(|scratch| min_weight_matching_in(&mut scratch.borrow_mut(), rows, cols, omega, edges))
 }
 
 fn min_weight_matching_in(
     scratch: &mut Scratch,
-    costs: &SparseCostMatrix,
+    n: usize,
+    m: usize,
+    omega: f64,
+    edges: &[(usize, usize, f64)],
 ) -> Vec<(usize, usize, f64)> {
-    let n = costs.rows();
-    let m = costs.cols();
-    let omega = costs.default_cost();
     let Scratch {
         adj,
         match_row,
@@ -151,19 +148,18 @@ fn min_weight_matching_in(
         heap,
     } = scratch;
 
-    // Reduced weights w = c − Ω ≤ 0 on the explicit useful edges, sorted by
-    // column within each row so the result is independent of insertion
-    // order, built into the pooled row vectors.
+    // The edges with their original costs, sorted by column within each
+    // row so the result is independent of insertion order, built into the
+    // pooled row vectors. Every use takes the reduced weight `v − Ω < 0`.
     if adj.len() < n {
         adj.resize_with(n, Vec::new);
     }
     for row in adj[..n].iter_mut() {
         row.clear();
     }
-    for &(r, c, v) in costs.entries() {
-        if v < omega {
-            adj[r].push((c, v - omega));
-        }
+    for &(r, c, v) in edges {
+        debug_assert!(v < omega, "edges lie below the default cost");
+        adj[r].push((c, v));
     }
     for row in adj[..n].iter_mut() {
         row.sort_by_key(|&(c, _)| c);
@@ -182,9 +178,9 @@ fn min_weight_matching_in(
     pot_col.clear();
     pot_col.resize(m, 0.0);
     for row in &adj[..n] {
-        for &(c, w) in row {
-            if w < pot_col[c] {
-                pot_col[c] = w;
+        for &(c, v) in row {
+            if v - omega < pot_col[c] {
+                pot_col[c] = v - omega;
             }
         }
     }
@@ -245,11 +241,11 @@ fn min_weight_matching_in(
             }
             if node < n {
                 let r = node;
-                for &(c, w) in &adj[r] {
+                for &(c, v) in &adj[r] {
                     if match_row[r] == Some(c) {
                         continue; // matched edges only have a backward arc
                     }
-                    let reduced = (w + pot_row[r] - pot_col[c]).max(0.0);
+                    let reduced = (v - omega + pot_row[r] - pot_col[c]).max(0.0);
                     let nd = d + reduced;
                     if nd < read_dist(dist, stamp, n + c) {
                         dist[n + c] = nd;
@@ -268,12 +264,8 @@ fn min_weight_matching_in(
                 if let Some(r) = match_col[c] {
                     // Backward arc along the matched edge; its reduced cost is
                     // 0 up to floating-point noise.
-                    let w = adj[r]
-                        .iter()
-                        .find(|&&(cc, _)| cc == c)
-                        .map(|&(_, w)| w)
-                        .expect("matched edges come from the adjacency");
-                    let reduced = (-(w + pot_row[r] - pot_col[c])).max(0.0);
+                    let v = edge_cost(&adj[r], c);
+                    let reduced = (-(v - omega + pot_row[r] - pot_col[c])).max(0.0);
                     let nd = d + reduced;
                     if nd < read_dist(dist, stamp, r) {
                         dist[r] = nd;
@@ -325,17 +317,27 @@ fn min_weight_matching_in(
         }
     }
 
-    (0..n).filter_map(|r| match_row[r].map(|c| (r, c, costs.get(r, c)))).collect()
+    // The matched cost is read off the edge: `(v − Ω) + Ω` need not be `v`.
+    (0..n).filter_map(|r| match_row[r].map(|c| (r, c, edge_cost(&adj[r], c)))).collect()
+}
+
+/// The cost of the edge to column `c` in one row's adjacency.
+fn edge_cost(row: &[(usize, f64)], c: usize) -> f64 {
+    row.iter()
+        .find(|&&(cc, _)| cc == c)
+        .map(|&(_, v)| v)
+        .expect("matched edges come from the adjacency")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Decomposed, SparseCostMatrix};
 
     #[test]
     fn empty_matrix_is_all_rejections() {
-        let costs = SparseCostMatrix::new(3, 2, 100.0);
-        let a = solve(&costs);
+        assert!(min_weight_matching(3, 2, 100.0, &[]).is_empty());
+        let a = Decomposed::new(1).solve(&SparseCostMatrix::new(3, 2, 100.0));
         assert_eq!(a.matched_pairs(), 2);
         assert!((a.total_cost - 200.0).abs() < 1e-9);
     }
@@ -344,22 +346,18 @@ mod tests {
     fn picks_the_global_optimum_not_the_greedy_one() {
         // The paper's Example 5/6 shape: greedy takes the 0 edge and is then
         // forced into rejection; the optimum pays 1 + 1.
-        let mut costs = SparseCostMatrix::new(2, 2, 100.0);
-        costs.set(0, 0, 0.0);
-        costs.set(0, 1, 1.0);
-        costs.set(1, 0, 1.0);
-        let a = solve(&costs);
-        assert!((a.total_cost - 2.0).abs() < 1e-9);
-        assert_eq!(a.row_to_col, vec![Some(1), Some(0)]);
+        let edges = [(0, 0, 0.0), (0, 1, 1.0), (1, 0, 1.0)];
+        assert_eq!(min_weight_matching(2, 2, 100.0, &edges), vec![(0, 1, 1.0), (1, 0, 1.0)]);
     }
 
     #[test]
     fn leaves_worse_than_rejection_edges_alone() {
         // A single explicit edge exactly at Ω is no better than rejection;
-        // the solver must not prefer it over the padding.
+        // it never reaches the kernel, and the solve pads instead.
         let mut costs = SparseCostMatrix::new(1, 2, 50.0);
         costs.set(0, 1, 50.0);
-        let a = solve(&costs);
+        let a = Decomposed::new(1).solve(&costs);
+        assert_eq!(a.row_to_col, vec![Some(0)], "padding takes the first free column");
         assert!((a.total_cost - 50.0).abs() < 1e-9);
     }
 
@@ -376,19 +374,20 @@ mod tests {
         let mut instances = Vec::new();
         for round in 0..6 {
             let (rows, cols) = if round % 2 == 0 { (40, 35) } else { (3, 4) };
-            let mut costs = SparseCostMatrix::new(rows, cols, 700.0);
+            let mut edges = Vec::new();
             for r in 0..rows {
                 for c in 0..cols {
                     if rng.random_range(0.0..1.0) < 0.2 {
-                        costs.set(r, c, (rng.random_range(0..14) * 50) as f64);
+                        edges.push((r, c, (rng.random_range(0..14) * 50) as f64));
                     }
                 }
             }
-            instances.push(costs);
+            instances.push((rows, cols, edges));
         }
-        for costs in &instances {
-            let pooled = min_weight_matching(costs);
-            let pristine = min_weight_matching_in(&mut Scratch::default(), costs);
+        for (rows, cols, edges) in &instances {
+            let pooled = min_weight_matching(*rows, *cols, 700.0, edges);
+            let pristine =
+                min_weight_matching_in(&mut Scratch::default(), *rows, *cols, 700.0, edges);
             assert_eq!(pooled, pristine);
         }
     }

@@ -31,8 +31,9 @@
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
-//! renamed into place — so a crash mid-write leaves the previous checkpoint
-//! (or nothing), never a torn one and never a gap. Corruption anywhere (bad
+//! renamed into place and the directory fsynced — so a crash mid-write
+//! leaves the previous checkpoint (or nothing), never a torn one and never
+//! a gap. Corruption anywhere (bad
 //! magic, short file, checksum mismatch, invalid payload) surfaces as a
 //! typed [`CheckpointError`] — never a panic, never silently wrong state.
 
@@ -307,8 +308,9 @@ fn unseal(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
 }
 
 /// Writes `bytes` to `path` atomically: a temporary sibling is written,
-/// fsynced, then renamed over the destination, so a crash mid-write never
-/// leaves a torn file.
+/// fsynced, then renamed over the destination, and the rename is synced,
+/// so a crash never leaves a torn file and a returned save survives a
+/// power cut.
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let tmp = path.with_extension("ckpt-tmp");
     {
@@ -317,7 +319,20 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     Ok(())
+}
+
+/// Makes the directory entry of `path` durable — its creation, or a rename
+/// onto it — by syncing the directory that holds it (`.` for a bare file
+/// name). Without it a power cut can lose a rename whose file data was
+/// already synced.
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Serialises any checkpoint (`ServiceCheckpoint`, `RouterCheckpoint`, or
@@ -650,6 +665,22 @@ mod tests {
         // Overwrite goes through the same atomic rename.
         save_checkpoint(&path, &7u64).expect("overwrite");
         assert_eq!(load_checkpoint::<u64>(&path).expect("reload"), 7);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_working_directory() {
+        // The parent of a bare name is "", which cannot be opened.
+        assert_eq!(Path::new("value.ckpt").parent(), Some(Path::new("")));
+        sync_parent_dir(Path::new("value.ckpt")).expect("sync .");
+    }
+
+    #[test]
+    fn a_nested_path_syncs_the_directory_that_holds_it() {
+        let dir = scratch("ckpt-dir-sync");
+        sync_parent_dir(&dir.join("value.ckpt")).expect("sync the scratch directory");
+        let missing = dir.join("absent").join("value.ckpt");
+        assert!(sync_parent_dir(&missing).is_err(), "the parent itself is opened");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -58,6 +58,7 @@
 //!   reading stops with a hard, typed [`WalError`]. Never a panic, never a
 //!   silently wrong prefix.
 
+use crate::checkpoint::sync_parent_dir;
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
 use foodmatch_core::Order;
 use foodmatch_events::DisruptionEvent;
@@ -468,6 +469,7 @@ impl WriteAheadLog {
         let mut file = fs::File::create(&path)?;
         file.write_all(&header(0))?;
         file.sync_all()?;
+        sync_parent_dir(&path)?;
         Ok(WriteAheadLog {
             file,
             path,
@@ -626,6 +628,7 @@ impl WriteAheadLog {
             file.sync_all()?;
         }
         fs::rename(&tmp, &self.path)?;
+        sync_parent_dir(&self.path)?;
         self.file = fs::OpenOptions::new().append(true).open(&self.path)?;
         self.file.sync_all()?;
         self.base_seq = below;

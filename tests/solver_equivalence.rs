@@ -1,10 +1,11 @@
 //! Ground truth and determinism of the assignment solver.
 //!
 //! The contract under test: the dispatch solver
-//! (`DispatchConfig::build_solver`, [`Decomposed`]: components →
-//! [`sparse_km::solve`] per shard) returns an assignment of
-//! `min(rows, cols)` pairs whose total cost is the optimum, and is
-//! bit-identical for every thread count. The optimum is checked two ways,
+//! (`DispatchConfig::build_solver`, [`Decomposed`]: components, each
+//! component's edge list solved by sparse Kuhn–Munkres) returns an
+//! assignment of `min(rows, cols)` pairs whose total cost is the optimum,
+//! and is bit-identical for every thread count. Every property runs it at
+//! widths 1 and 4. The optimum is checked two ways,
 //! neither of them a second solver: exhaustive enumeration on instances
 //! small enough to enumerate, and on every instance an optimality
 //! certificate — the residual graph of the returned assignment has no
@@ -14,7 +15,7 @@ use foodmatch_core::{
     batch_orders, build_food_graph, DispatchConfig, DispatchPolicy, FoodMatchPolicy, Order,
     VehicleSnapshot, WindowSnapshot,
 };
-use foodmatch_matching::{decompose, sparse_km, Assignment, Decomposed, SparseCostMatrix};
+use foodmatch_matching::{decompose, Assignment, Decomposed, SparseCostMatrix};
 use foodmatch_roadnet::{ShortestPathEngine, TimePoint};
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
 use rand::rngs::StdRng;
@@ -56,13 +57,10 @@ fn random_instance(rng: &mut StdRng, density: f64, integer: bool) -> SparseCostM
     })
 }
 
-/// The dispatch solver as the policies build it, and its per-shard solver
-/// run on the whole instance.
-fn solve_both(costs: &SparseCostMatrix) -> [(&'static str, Assignment); 2] {
-    [
-        ("dispatch solver", DispatchConfig::default().build_solver().solve(costs)),
-        ("sparse KM", sparse_km::solve(costs)),
-    ]
+/// The dispatch solver at widths 1 and 4, set here because
+/// `DispatchConfig::build_solver` caps its width at the core count.
+fn solve_at_widths(costs: &SparseCostMatrix) -> [(&'static str, Assignment); 2] {
+    [("width 1", Decomposed::new(1).solve(costs)), ("width 4", Decomposed::new(4).solve(costs))]
 }
 
 /// The optimum by exhaustive enumeration: the cheapest way to match every
@@ -171,7 +169,7 @@ fn solver_is_optimal_on_random_real_valued_instances() {
     for trial in 0..250usize {
         let density = [0.1, 0.3, 0.6][trial % 3];
         let costs = random_instance(&mut rng, density, false);
-        for (name, solved) in solve_both(&costs) {
+        for (name, solved) in solve_at_widths(&costs) {
             assert_optimal(&costs, &solved, 1e-6, &format!("{name}, trial {trial}"));
         }
     }
@@ -183,7 +181,7 @@ fn every_solver_kind_is_exact_on_random_integer_instances() {
     for trial in 0..150usize {
         let density = [0.15, 0.45, 0.8][trial % 3];
         let costs = random_instance(&mut rng, density, true);
-        for (name, solved) in solve_both(&costs) {
+        for (name, solved) in solve_at_widths(&costs) {
             // Integer totals differ by >= 1, so 0.5 separates "picked an
             // optimal matching" from any suboptimal one.
             assert_optimal(&costs, &solved, 0.5, &format!("{name}, trial {trial}"));
@@ -200,7 +198,7 @@ fn rectangular_extremes_and_degenerate_shapes_agree() {
             let costs = sparse_instance(&mut rng, (rows, cols), OMEGA, density, |rng| {
                 rng.random_range(0..5_000) as f64
             });
-            for (name, solved) in solve_both(&costs) {
+            for (name, solved) in solve_at_widths(&costs) {
                 assert_optimal(&costs, &solved, 0.5, &format!("{name}, {rows}×{cols}"));
             }
         }
@@ -214,7 +212,9 @@ fn sparse_km_is_optimal_on_random_sparse_instances() {
         let shape = (rng.random_range(1..=7), rng.random_range(1..=7));
         let costs =
             sparse_instance(&mut rng, shape, 1000.0, 0.45, |rng| rng.random_range(0.0..900.0));
-        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("trial {trial}"));
+        for (name, solved) in solve_at_widths(&costs) {
+            assert_optimal(&costs, &solved, 1e-6, &format!("{name}, trial {trial}"));
+        }
     }
 }
 
@@ -229,10 +229,10 @@ fn sparse_km_is_optimal_on_larger_early_terminating_instances() {
         let costs = sparse_instance(&mut rng, shape, 600.0, 0.06, |rng| {
             (rng.random_range(0..12) * 50) as f64
         });
-        let solved = sparse_km::solve(&costs);
-        assert_optimal(&costs, &solved, 1e-6, &format!("round {round}"));
-        // Determinism: repeated solves return identical assignments.
-        assert_eq!(solved, sparse_km::solve(&costs));
+        let [(_, narrow), (_, wide)] = solve_at_widths(&costs);
+        assert_optimal(&costs, &narrow, 1e-6, &format!("round {round}"));
+        // Determinism: the width never changes the assignment.
+        assert_eq!(narrow, wide, "round {round}");
     }
     // Alternating large and small shapes, so each solve reuses pooled
     // scratch that a differently shaped solve left behind.
@@ -242,7 +242,9 @@ fn sparse_km_is_optimal_on_larger_early_terminating_instances() {
         let costs = sparse_instance(&mut rng, shape, 700.0, 0.2, |rng| {
             (rng.random_range(0..14) * 50) as f64
         });
-        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("interleaved {round}"));
+        for (name, solved) in solve_at_widths(&costs) {
+            assert_optimal(&costs, &solved, 1e-6, &format!("{name}, interleaved {round}"));
+        }
     }
 }
 
@@ -253,7 +255,9 @@ fn sparse_km_is_optimal_on_fully_dense_instances() {
         let shape = (rng.random_range(1..=6), rng.random_range(1..=6));
         let costs =
             sparse_instance(&mut rng, shape, 500.0, 1.0, |rng| rng.random_range(0.0..499.0));
-        assert_optimal(&costs, &sparse_km::solve(&costs), 1e-6, &format!("trial {trial}"));
+        for (name, solved) in solve_at_widths(&costs) {
+            assert_optimal(&costs, &solved, 1e-6, &format!("{name}, trial {trial}"));
+        }
     }
 }
 
@@ -267,7 +271,7 @@ fn the_certificate_rejects_worsened_assignments() {
         let shape = (rng.random_range(2..=40), rng.random_range(2..=40));
         let costs =
             sparse_instance(&mut rng, shape, OMEGA, 0.2, |rng| rng.random_range(0..7_000) as f64);
-        let optimal = sparse_km::solve(&costs);
+        let optimal = Decomposed::new(1).solve(&costs);
         let (a, b) = (rng.random_range(0..shape.0), rng.random_range(0..shape.0));
         let mut worse = optimal.clone();
         worse.row_to_col.swap(a, b);
@@ -288,7 +292,7 @@ fn the_certificate_rejects_worsened_assignments() {
 fn all_omega_instances_reduce_to_pure_rejection_padding() {
     let costs = SparseCostMatrix::new(6, 4, OMEGA);
     assert!(decompose(&costs).is_empty());
-    for (name, solved) in solve_both(&costs) {
+    for (name, solved) in solve_at_widths(&costs) {
         assert_eq!(solved.matched_pairs(), 4);
         assert!((solved.total_cost - 4.0 * OMEGA).abs() < 1e-9, "{name}");
     }
@@ -302,7 +306,7 @@ fn explicit_entries_at_omega_never_beat_rejection() {
     costs.set(0, 0, OMEGA);
     costs.set(1, 1, 120.0);
     costs.set(2, 1, 60.0);
-    for (name, solved) in solve_both(&costs) {
+    for (name, solved) in solve_at_widths(&costs) {
         assert!((solved.total_cost - (60.0 + 2.0 * OMEGA)).abs() < 1e-6, "{name}");
     }
 }
@@ -391,7 +395,7 @@ fn component_sharding_partitions_rows_and_columns() {
         let mut seen_cols = vec![false; costs.cols()];
         for component in &components {
             assert!(!component.rows.is_empty() && !component.cols.is_empty());
-            assert!(component.edges() > 0, "components carry at least one finite edge");
+            assert!(!component.edges.is_empty(), "components carry at least one finite edge");
             for &r in &component.rows {
                 assert!(!seen_rows[r], "row {r} appears in two components");
                 seen_rows[r] = true;
@@ -400,18 +404,22 @@ fn component_sharding_partitions_rows_and_columns() {
                 assert!(!seen_cols[c], "col {c} appears in two components");
                 seen_cols[c] = true;
             }
-            // The component's matrix holds exactly its global sub-matrix.
-            for (lr, &gr) in component.rows.iter().enumerate() {
-                for (lc, &gc) in component.cols.iter().enumerate() {
-                    let global = costs.get(gr, gc);
-                    let local = component.matrix.get(lr, lc);
-                    if global < OMEGA {
-                        assert_eq!(local, global);
-                    } else {
-                        assert_eq!(local, OMEGA, "cross entries stay at the default");
-                    }
-                }
-            }
+            // The component's edges are exactly its global sub-Ω entries,
+            // in the matrix's first-write order.
+            let mapped: Vec<_> = component
+                .edges
+                .iter()
+                .map(|&(lr, lc, v)| (component.rows[lr], component.cols[lc], v))
+                .collect();
+            let own: Vec<_> = costs
+                .entries()
+                .iter()
+                .copied()
+                .filter(|&(r, c, v)| {
+                    v < OMEGA && component.rows.contains(&r) && component.cols.contains(&c)
+                })
+                .collect();
+            assert_eq!(mapped, own);
         }
         // Every finite edge lands in some component.
         for &(r, c, v) in costs.entries() {
