@@ -65,11 +65,6 @@ pub struct FoodGraph {
 }
 
 impl FoodGraph {
-    /// Number of batch rows.
-    pub fn batch_count(&self) -> usize {
-        self.costs.rows()
-    }
-
     /// Number of vehicle columns.
     pub fn vehicle_count(&self) -> usize {
         self.costs.cols()
@@ -240,7 +235,7 @@ fn candidate_rows(
                 AngularFrame::new(network.position(vehicle.location), network.position(heading));
             let max_beta = network.max_travel_time().as_secs_f64().max(1e-9);
             let gamma = config.gamma;
-            let expansion = Expansion::with_potential_in(
+            let expansion = Expansion::with_potential(
                 network,
                 vehicle.location,
                 t,
@@ -255,7 +250,7 @@ fn candidate_rows(
         // batch of F whose first pickup lies beyond the bound (another of its
         // restaurants lies inside) is never reached, as it never was.
         None => {
-            let expansion = Expansion::new_in(network, vehicle.location, t, &mut space)
+            let expansion = Expansion::new(network, vehicle.location, t, &mut space)
                 .take_while(|settled| settled.travel_time <= config.max_first_mile);
             rows_reached_first(expansion, batches_by_start, degree_cap, inside)
         }
@@ -333,7 +328,7 @@ mod tests {
         let batches = singleton_batches(&orders, &engine, t).batches;
         let vehicles = vehicles_at(&[b.node_at(0, 0), b.node_at(7, 7), b.node_at(3, 3)]);
         let graph = build_food_graph(&batches, &vehicles, &engine, t, &config);
-        assert_eq!(graph.batch_count(), 2);
+        assert_eq!(graph.costs.rows(), 2);
         assert_eq!(graph.vehicle_count(), 3);
         // Every (batch, vehicle) pair on a connected free-flow grid is
         // feasible, so all six edges carry a true cost.

@@ -65,12 +65,6 @@ impl Order {
     pub fn ready_at(&self) -> TimePoint {
         self.placed_at + self.prep_time
     }
-
-    /// How long this order has been waiting for assignment at time `now`
-    /// (zero if `now` precedes the order).
-    pub fn age_at(&self, now: TimePoint) -> Duration {
-        now.saturating_since(self.placed_at)
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +86,6 @@ mod tests {
     fn ready_at_adds_prep_time() {
         let o = sample();
         assert_eq!(o.ready_at(), TimePoint::from_hms(12, 10, 0));
-    }
-
-    #[test]
-    fn age_is_clamped_before_placement() {
-        let o = sample();
-        assert_eq!(o.age_at(TimePoint::from_hms(11, 0, 0)), Duration::ZERO);
-        assert_eq!(o.age_at(TimePoint::from_hms(12, 5, 0)), Duration::from_mins(5.0));
     }
 
     #[test]

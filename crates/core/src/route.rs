@@ -61,11 +61,6 @@ impl RoutePlan {
         self.stops.is_empty()
     }
 
-    /// The node of the first stop, if any.
-    pub fn first_node(&self) -> Option<NodeId> {
-        self.stops.first().map(|s| s.node)
-    }
-
     /// The node of the first *pick-up* stop, if any — `π[1]^r` in the
     /// paper's notation, the anchor used by the sparsified FoodGraph.
     pub fn first_pickup_node(&self) -> Option<NodeId> {
@@ -742,7 +737,7 @@ mod tests {
         let r =
             plan_optimal_route_free_start(TimePoint::from_hms(12, 0, 0), &orders, &engine).unwrap();
         r.plan.validate(&orders).unwrap();
-        assert_eq!(r.start_node, r.plan.first_node().unwrap());
+        assert_eq!(r.start_node, r.plan.stops[0].node);
         assert_eq!(r.plan.stops[0].action, StopAction::Pickup);
     }
 

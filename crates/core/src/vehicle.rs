@@ -80,11 +80,6 @@ impl VehicleSnapshot {
         }
     }
 
-    /// Number of committed orders.
-    pub fn committed_orders(&self) -> usize {
-        self.committed.len()
-    }
-
     /// Total number of items across committed orders.
     pub fn committed_items(&self) -> u32 {
         self.committed.iter().map(|c| c.order.items).sum()
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn idle_vehicle_has_no_load() {
         let v = VehicleSnapshot::idle(VehicleId(1), NodeId(5));
-        assert_eq!(v.committed_orders(), 0);
+        assert!(v.committed.is_empty());
         assert_eq!(v.committed_items(), 0);
         assert!(v.has_capacity(&DispatchConfig::default()));
     }

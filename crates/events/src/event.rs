@@ -162,11 +162,6 @@ impl DisruptionEvent {
         DisruptionEvent { at, kind }
     }
 
-    /// True for traffic perturbations (the events that touch the overlay).
-    pub fn is_traffic(&self) -> bool {
-        matches!(self.kind, EventKind::Traffic(_))
-    }
-
     /// The zone-routing classification of this event (see [`EventScope`]).
     pub fn scope(&self) -> EventScope {
         match self.kind {
@@ -408,17 +403,5 @@ mod tests {
         assert!(matches!(TrafficDisruption::from_bytes(&bytes), Err(DecodeError::Invalid(_))));
         // An unknown event tag.
         assert!(matches!(EventKind::from_bytes(&[9]), Err(DecodeError::Invalid(_))));
-    }
-
-    #[test]
-    fn traffic_predicate_matches_kind() {
-        let t = TimePoint::from_hms(12, 0, 0);
-        let traffic = DisruptionEvent::new(
-            t,
-            EventKind::Traffic(TrafficDisruption::city_wide(DisruptionCause::Rain, 1.2, t)),
-        );
-        assert!(traffic.is_traffic());
-        let cancel = DisruptionEvent::new(t, EventKind::OrderCancelled { order: OrderId(1) });
-        assert!(!cancel.is_traffic());
     }
 }

@@ -79,11 +79,6 @@ impl EventSchedule {
         !self.active.is_empty()
     }
 
-    /// The traffic disruptions currently in force.
-    pub fn active_traffic(&self) -> &[TrafficDisruption] {
-        &self.active
-    }
-
     /// Advances the schedule to `now`: fires every event with `at <= now`
     /// (traffic events are absorbed into the active set, everything else is
     /// returned for the caller to apply) and expires active disruptions with
@@ -326,7 +321,7 @@ mod tests {
 
         let mut restored = EventSchedule::from_bytes(&schedule.to_bytes()).unwrap();
         assert_eq!(restored.events(), schedule.events());
-        assert_eq!(restored.active_traffic(), schedule.active_traffic());
+        assert_eq!(restored.active, schedule.active);
         assert_eq!(restored.overlay(&net), schedule.overlay(&net));
         // Both fire the same remaining suffix.
         let a = schedule.advance_to(t(13, 0)).fired;
@@ -370,7 +365,7 @@ mod tests {
             DisruptionEvent::new(t(12, 0), EventKind::Traffic(incident)),
         ]);
         schedule.advance_to(t(12, 5));
-        assert_eq!(schedule.active_traffic().len(), 2);
+        assert_eq!(schedule.active.len(), 2);
         let overlay = schedule.overlay(&net);
         assert_eq!(overlay.len(), net.edge_count());
         // The incident blankets the whole grid, so max-combination wins

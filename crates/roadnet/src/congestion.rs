@@ -91,19 +91,6 @@ impl CongestionProfile {
         CongestionProfile { multipliers }
     }
 
-    /// Builds a profile from an explicit table `multipliers[class][hour]`.
-    ///
-    /// # Panics
-    /// Panics if any multiplier is not finite or is below `1e-3`.
-    pub fn from_table(multipliers: [[f64; HourSlot::COUNT]; 3]) -> Self {
-        for row in &multipliers {
-            for &m in row {
-                assert!(m.is_finite() && m >= 1e-3, "invalid congestion multiplier {m}");
-            }
-        }
-        CongestionProfile { multipliers }
-    }
-
     /// The travel-time multiplier for `class` during `slot`.
     #[inline]
     pub fn multiplier(&self, class: RoadClass, slot: HourSlot) -> f64 {
@@ -176,13 +163,5 @@ mod tests {
         assert!(
             RoadClass::Collector.free_flow_speed_mps() > RoadClass::Local.free_flow_speed_mps()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid congestion multiplier")]
-    fn from_table_rejects_zero() {
-        let mut table = [[1.0; HourSlot::COUNT]; 3];
-        table[1][5] = 0.0;
-        let _ = CongestionProfile::from_table(table);
     }
 }

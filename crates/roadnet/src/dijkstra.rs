@@ -5,12 +5,11 @@
 //! treated as static for the duration of the query (the same snapshot
 //! semantics used when building the FoodGraph). This module provides:
 //!
-//! * [`shortest_travel_time`] / [`shortest_path`] — one-to-one queries,
-//!   optionally returning the node sequence.
-//! * [`one_to_many`] — distances from one source to a set of targets with a
-//!   single partial Dijkstra run (used heavily by the cost model).
-//! * [`one_to_all`] — a full shortest-path tree (reference results in the
-//!   generator tests).
+//! * [`one_to_many`] / [`shortest_path`] — the reference answers: travel
+//!   times from one source to a set of targets, and one quickest path, on
+//!   `β(e, t)` or on the weights of a [`TrafficOverlay`]. A point query is a
+//!   one-target sweep. The dispatcher asks [`crate::ShortestPathEngine`],
+//!   which is held to these bit for bit.
 //! * [`Expansion`] — a lazy best-first iterator yielding nodes in ascending
 //!   distance from a source, which is exactly the primitive Algorithm 2 needs
 //!   to find the `k` nearest batch start nodes of a vehicle, and which also
@@ -20,16 +19,15 @@
 //!
 //! ## Two loops
 //!
-//! Every eager query — the point, one-to-many and path functions here, their
-//! overlaid twins in [`crate::overlay`] and the engine's gated sweeps
-//! ([`crate::gates`]) — is a few lines over one kernel, `search`: Dijkstra
-//! under an edge-weight closure, run until the marked targets are settled
-//! (or, gated, until only targets no open gate wants are left), read back by
-//! `settled_time` or walked back by `path_to`. It starts from one of two
-//! seeds: the source alone, or the engine's *tree row* of the source — what
-//! earlier searches from it on the same weights settled — which it settles
-//! again at the labels they popped and resumes from. A change to the search
-//! loop lands there once.
+//! Every eager query — the two references here, the engine's sweeps, gated
+//! sweeps ([`crate::gates`]) and path queries — is a few lines over one
+//! kernel, `search`: Dijkstra under an edge-weight closure, run until the
+//! marked targets are settled (or, gated, until only targets no open gate
+//! wants are left), read back by `settled_time` or walked back by `path`.
+//! It starts from one of two seeds: the source alone, or the engine's *tree
+//! row* of the source — what earlier searches from it on the same weights
+//! settled — which it settles again at the labels they popped and resumes
+//! from. A change to the search loop lands there once.
 //! [`Expansion`] is the only other loop, and stays one on purpose: it is
 //! lazy (the caller decides when to stop, so it relaxes a node *before*
 //! yielding it), and it carries two weights per label — the order it settles
@@ -41,15 +39,16 @@
 //! per-query `vec![f64::INFINITY; n]` makes the allocator the bottleneck long
 //! before the graph search is. Every search therefore runs inside a reusable
 //! [`SearchSpace`]: flat distance/parent/settled arrays stamped with a
-//! *generation* counter, reset in O(1) by bumping the generation. Each public
-//! query has an `*_in` variant taking `&mut SearchSpace`; the plain variants
-//! allocate a throwaway space for convenience, and
-//! [`crate::ShortestPathEngine`] keeps a pool of spaces so its hot path never
-//! touches the allocator in steady state.
+//! *generation* counter, reset in O(1) by bumping the generation. The
+//! references allocate a throwaway space; the engine keeps a pool of spaces,
+//! hands one to each of its searches and to every [`Expansion`] through
+//! [`crate::ShortestPathEngine::search_space`], so its hot path never touches
+//! the allocator in steady state.
 
 use crate::gates::Gates;
 use crate::graph::{InEdge, RoadNetwork, MAX_IN_DEGREE};
 use crate::ids::{EdgeId, NodeId};
+use crate::overlay::{overlaid_secs, TrafficOverlay};
 use crate::timeofday::{Duration, TimePoint};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -121,7 +120,7 @@ pub struct SearchSpace {
     dist: Vec<f64>,
     time: Vec<f64>,
     parent: Vec<u32>,
-    /// Node potentials of an [`Expansion::with_potential_in`] search; slot
+    /// Node potentials of an [`Expansion::with_potential`] search; slot
     /// `i` is valid exactly when `touched[i]` carries the current generation.
     potential: Vec<f64>,
     touched: Vec<u32>,
@@ -139,13 +138,8 @@ pub struct SearchSpace {
 
 impl SearchSpace {
     /// Creates an empty search space; arrays grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of nodes the space is currently sized for.
-    pub fn node_capacity(&self) -> usize {
-        self.dist.len()
     }
 
     fn grow(&mut self, n: usize) {
@@ -376,7 +370,8 @@ pub(crate) struct Searched {
 ///
 /// Every eager query of the crate — point, one-to-many, gated and path, on
 /// `β(e, t)` or on overlaid weights — is this loop; it is monomorphised per
-/// weight closure, so the closure costs nothing at run time.
+/// weight closure, so the engine's closures cost nothing at run time (the
+/// memo-free references pass theirs boxed).
 pub(crate) fn search(
     network: &RoadNetwork,
     seed: Seed,
@@ -500,15 +495,18 @@ pub(crate) fn settled_time(space: &SearchSpace, node: NodeId) -> Option<Duration
     space.is_settled(i).then(|| Duration::from_secs_f64(space.dist(i)))
 }
 
-/// Walks parent edges from `target` back to `source` through the tree
-/// [`search`] left in `space`; `None` if `target` was not settled. The node
-/// sequence is the only allocation.
-pub(crate) fn path_to(
+/// The quickest path from `source` to `target` under `edge_secs`, searched
+/// in `space`: [`search`], then a walk of the parent edges back from
+/// `target`. `None` if `target` is unreachable. The node sequence is the
+/// only allocation.
+pub(crate) fn path(
     network: &RoadNetwork,
     source: NodeId,
     target: NodeId,
-    space: &SearchSpace,
+    space: &mut SearchSpace,
+    edge_secs: impl Fn(EdgeId) -> f64,
 ) -> Option<PathResult> {
+    search(network, Seed::Source(source), &[target], None, space, edge_secs);
     let travel_time = settled_time(space, target)?;
     let mut nodes = vec![target];
     let mut length_m = 0.0;
@@ -524,90 +522,50 @@ pub(crate) fn path_to(
     Some(PathResult { travel_time, length_m, nodes })
 }
 
-/// Shortest (quickest) travel time from `source` to `target` at time `t`, or
-/// `None` if `target` is unreachable. Allocates a throwaway [`SearchSpace`];
-/// hot paths should use [`shortest_travel_time_in`].
-pub fn shortest_travel_time(
-    network: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
+/// The weights a reference query runs on: `β(e, t)`, or its overlaid
+/// weights over `multipliers` ([`TrafficOverlay::edge_multipliers`]).
+fn reference_secs<'a>(
+    network: &'a RoadNetwork,
     t: TimePoint,
-) -> Option<Duration> {
-    shortest_travel_time_in(network, source, target, t, &mut SearchSpace::new())
+    multipliers: Option<&'a [f64]>,
+) -> Box<dyn Fn(EdgeId) -> f64 + 'a> {
+    match multipliers {
+        None => Box::new(beta_secs(network, t)),
+        Some(multipliers) => Box::new(overlaid_secs(network, multipliers, t)),
+    }
 }
 
-/// [`shortest_travel_time`] running inside a caller-provided space.
-pub fn shortest_travel_time_in(
-    network: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Option<Duration> {
-    search(network, Seed::Source(source), &[target], None, space, beta_secs(network, t));
-    settled_time(space, target)
-}
-
-/// Shortest path (node sequence, travel time, length) from `source` to
-/// `target` at time `t`, or `None` if unreachable.
-pub fn shortest_path(
-    network: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    t: TimePoint,
-) -> Option<PathResult> {
-    shortest_path_in(network, source, target, t, &mut SearchSpace::new())
-}
-
-/// [`shortest_path`] running inside a caller-provided space. The returned
-/// node sequence is the only allocation.
-pub fn shortest_path_in(
-    network: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Option<PathResult> {
-    search(network, Seed::Source(source), &[target], None, space, beta_secs(network, t));
-    path_to(network, source, target, space)
-}
-
-/// Travel times from `source` to each node in `targets` at time `t`.
-///
-/// Runs a single Dijkstra that stops as soon as every reachable target has
-/// been settled. Unreachable targets map to `None`.
+/// Travel times from `source` to each of `targets` at time `t`, on `β(e, t)`
+/// or, given an `overlay`, on its overlaid weights; `None` for an
+/// unreachable target. One Dijkstra in a throwaway space, stopped once every
+/// reachable target is settled. A point query is `one_to_many(.., &[b], ..)[0]`.
 pub fn one_to_many(
     network: &RoadNetwork,
     source: NodeId,
     targets: &[NodeId],
     t: TimePoint,
+    overlay: Option<&TrafficOverlay>,
 ) -> Vec<Option<Duration>> {
-    one_to_many_in(network, source, targets, t, &mut SearchSpace::new())
-}
-
-/// [`one_to_many`] running inside a caller-provided space. Target membership
-/// is tracked with generation-stamped marks, so apart from the output vector
-/// the query performs no allocation.
-pub fn one_to_many_in(
-    network: &RoadNetwork,
-    source: NodeId,
-    targets: &[NodeId],
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Vec<Option<Duration>> {
-    search(network, Seed::Source(source), targets, None, space, beta_secs(network, t));
+    let multipliers = overlay.map(|overlay| overlay.edge_multipliers(network));
+    let edge_secs = reference_secs(network, t, multipliers.as_deref());
+    let space = &mut SearchSpace::new();
+    search(network, Seed::Source(source), targets, None, space, edge_secs);
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
-/// Travel times from `source` to every node of the network at time `t`
-/// (`None` for unreachable nodes).
-pub fn one_to_all(network: &RoadNetwork, source: NodeId, t: TimePoint) -> Vec<Option<Duration>> {
-    let mut out = vec![None; network.node_count()];
-    out[source.index()] = Some(Duration::ZERO);
-    for settled in Expansion::new(network, source, t) {
-        out[settled.node.index()] = Some(settled.travel_time);
-    }
-    out
+/// The quickest path (node sequence, travel time, length) from `source` to
+/// `target` at time `t`, on the weights [`one_to_many`] reads; `None` if
+/// `target` is unreachable. One Dijkstra in a throwaway space.
+pub fn shortest_path(
+    network: &RoadNetwork,
+    source: NodeId,
+    target: NodeId,
+    t: TimePoint,
+    overlay: Option<&TrafficOverlay>,
+) -> Option<PathResult> {
+    let multipliers = overlay.map(|overlay| overlay.edge_multipliers(network));
+    let edge_secs = reference_secs(network, t, multipliers.as_deref());
+    path(network, source, target, &mut SearchSpace::new(), edge_secs)
 }
 
 /// A node settled by a best-first [`Expansion`], together with its distance
@@ -624,74 +582,53 @@ pub struct Settled {
     pub travel_time: Duration,
 }
 
-/// The scratch space an [`Expansion`] runs in: its own, or one borrowed from
-/// a caller (e.g. the engine's pool) so repeated expansions don't allocate.
-enum SpaceSlot<'a> {
-    Owned(Box<SearchSpace>),
-    Borrowed(&'a mut SearchSpace),
-}
-
-impl SpaceSlot<'_> {
-    #[inline]
-    fn get(&mut self) -> &mut SearchSpace {
-        match self {
-            SpaceSlot::Owned(space) => space,
-            SpaceSlot::Borrowed(space) => space,
-        }
-    }
-}
-
 /// Lazy best-first expansion of the road network from a source node.
 ///
 /// Yields nodes in non-decreasing order of accumulated weight. With the
 /// default weight (the temporal edge weight `β(e, t)`) this is plain
 /// Dijkstra; Algorithm 2 of the paper swaps in the vehicle-sensitive weight
-/// `α(v, e, t)` (Eq. 8) via [`Expansion::with_potential_in`], so nodes pop in
+/// `α(v, e, t)` (Eq. 8) via [`Expansion::with_potential`], so nodes pop in
 /// an order that blends travel time with angular distance while the true
 /// travel time along the tree path is still tracked for cost computations.
 ///
-/// The `*_in` constructors run the expansion inside a caller-provided
-/// [`SearchSpace`] so per-vehicle expansions in the FoodGraph hot loop reuse
-/// one set of arrays instead of allocating per vehicle.
+/// An expansion runs inside a caller's [`SearchSpace`] — one of the engine's
+/// pool ([`crate::ShortestPathEngine::search_space`]) — so per-vehicle
+/// expansions in the FoodGraph hot loop reuse one set of arrays instead of
+/// allocating per vehicle.
 pub struct Expansion<'a, P = fn(NodeId) -> f64, W = fn(f64, f64) -> f64> {
     network: &'a RoadNetwork,
     t: TimePoint,
     /// `(potential, weight)` of a custom-weight expansion; `None` means
     /// "use β(e, t)".
     custom: Option<(P, W)>,
-    space: SpaceSlot<'a>,
+    space: &'a mut SearchSpace,
     yielded_source: bool,
     source: NodeId,
 }
 
 impl<'a> Expansion<'a> {
-    /// Starts a best-first expansion from `source` using the temporal edge
-    /// weight `β(e, t)`.
-    pub fn new(network: &'a RoadNetwork, source: NodeId, t: TimePoint) -> Self {
-        Self::build(network, source, t, None, SpaceSlot::Owned(Box::default()))
-    }
-
-    /// [`Expansion::new`] running inside a caller-provided space.
-    pub fn new_in(
+    /// Starts a best-first expansion from `source`, inside `space`, using the
+    /// temporal edge weight `β(e, t)`.
+    pub fn new(
         network: &'a RoadNetwork,
         source: NodeId,
         t: TimePoint,
         space: &'a mut SearchSpace,
     ) -> Self {
-        Self::build(network, source, t, None, SpaceSlot::Borrowed(space))
+        Self::build(network, source, t, None, space)
     }
 }
 
 impl<'a, P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Expansion<'a, P, W> {
-    /// Starts a best-first expansion from `source`, inside a caller-provided
-    /// space, in which an edge `e = (u, u')` weighs
-    /// `weight(potential(u'), β(e, t))` (must be non-negative and finite).
+    /// Starts a best-first expansion from `source`, inside `space`, in which
+    /// an edge `e = (u, u')` weighs `weight(potential(u'), β(e, t))` (must be
+    /// non-negative and finite).
     ///
     /// `potential` is evaluated at most once per node per expansion, however
     /// many edges into the node are relaxed, and kept in the space: the place
     /// for whatever the weight needs that depends on the head node alone
     /// (Eq. 8's angular distance — a dozen transcendental calls).
-    pub fn with_potential_in(
+    pub fn with_potential(
         network: &'a RoadNetwork,
         source: NodeId,
         t: TimePoint,
@@ -699,7 +636,7 @@ impl<'a, P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Expansion<'a, P, W> {
         weight: W,
         space: &'a mut SearchSpace,
     ) -> Self {
-        Self::build(network, source, t, Some((potential, weight)), SpaceSlot::Borrowed(space))
+        Self::build(network, source, t, Some((potential, weight)), space)
     }
 
     fn build(
@@ -707,17 +644,16 @@ impl<'a, P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Expansion<'a, P, W> {
         source: NodeId,
         t: TimePoint,
         custom: Option<(P, W)>,
-        mut space: SpaceSlot<'a>,
+        space: &'a mut SearchSpace,
     ) -> Self {
-        let inner = space.get();
-        inner.begin(network.node_count());
-        inner.update(source.index(), 0.0, 0.0, NO_EDGE);
-        inner.push(0.0, source);
+        space.begin(network.node_count());
+        space.update(source.index(), 0.0, 0.0, NO_EDGE);
+        space.push(0.0, source);
         Expansion { network, t, custom, space, yielded_source: false, source }
     }
 
     fn relax(&mut self, node: NodeId) {
-        let space = self.space.get();
+        let space = &mut *self.space;
         let base_w = space.dist(node.index());
         let base_t = space.time_of(node.index());
         for (eid, edge) in self.network.out_edges(node) {
@@ -748,7 +684,7 @@ impl<P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Iterator for Expansion<'_, P,
     fn next(&mut self) -> Option<Settled> {
         if !self.yielded_source {
             self.yielded_source = true;
-            self.space.get().settle(self.source.index());
+            self.space.settle(self.source.index());
             // Relax the source's out-edges before yielding it so that the
             // iterator is usable even if the caller stops immediately after.
             let source = self.source;
@@ -756,15 +692,14 @@ impl<P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Iterator for Expansion<'_, P,
             return Some(Settled { node: self.source, weight: 0.0, travel_time: Duration::ZERO });
         }
         loop {
-            let space = self.space.get();
-            let (cost, node) = space.pop()?;
+            let (cost, node) = self.space.pop()?;
             let i = node.index();
-            if space.is_settled(i) || cost > space.dist(i) {
+            if self.space.is_settled(i) || cost > self.space.dist(i) {
                 continue;
             }
-            space.settle(i);
+            self.space.settle(i);
             self.relax(node);
-            let travel_time = Duration::from_secs_f64(self.space.get().time_of(node.index()));
+            let travel_time = Duration::from_secs_f64(self.space.time_of(i));
             return Some(Settled { node, weight: cost, travel_time });
         }
     }
@@ -804,11 +739,16 @@ pub(crate) mod tests {
         1000.0 / RoadClass::Local.free_flow_speed_mps()
     }
 
+    /// The reference point query: a one-target sweep.
+    fn point(net: &RoadNetwork, source: NodeId, target: NodeId, t: TimePoint) -> Option<Duration> {
+        one_to_many(net, source, &[target], t, None)[0]
+    }
+
     #[test]
     fn travel_time_matches_manhattan_distance_on_grid() {
         let net = grid_2x3();
         let t = TimePoint::from_hms(10, 0, 0);
-        let d = shortest_travel_time(&net, NodeId(0), NodeId(5), t).unwrap();
+        let d = point(&net, NodeId(0), NodeId(5), t).unwrap();
         assert!((d.as_secs_f64() - 3.0 * edge_secs()).abs() < 1e-6);
     }
 
@@ -816,14 +756,14 @@ pub(crate) mod tests {
     fn source_equals_target_is_zero() {
         let net = grid_2x3();
         let t = TimePoint::MIDNIGHT;
-        assert_eq!(shortest_travel_time(&net, NodeId(2), NodeId(2), t), Some(Duration::ZERO));
+        assert_eq!(point(&net, NodeId(2), NodeId(2), t), Some(Duration::ZERO));
     }
 
     #[test]
     fn path_reconstruction_is_consistent() {
         let net = grid_2x3();
         let t = TimePoint::from_hms(8, 0, 0);
-        let path = shortest_path(&net, NodeId(0), NodeId(5), t).unwrap();
+        let path = shortest_path(&net, NodeId(0), NodeId(5), t, None).unwrap();
         assert_eq!(path.nodes.first(), Some(&NodeId(0)));
         assert_eq!(path.nodes.last(), Some(&NodeId(5)));
         assert_eq!(path.nodes.len(), 4);
@@ -849,8 +789,8 @@ pub(crate) mod tests {
         let d = b.add_node(GeoPoint::new(0.0, 0.2));
         b.add_edge(a, c, 100.0, RoadClass::Local);
         let net = b.build();
-        assert_eq!(shortest_travel_time(&net, a, d, TimePoint::MIDNIGHT), None);
-        assert!(shortest_path(&net, a, d, TimePoint::MIDNIGHT).is_none());
+        assert_eq!(point(&net, a, d, TimePoint::MIDNIGHT), None);
+        assert!(shortest_path(&net, a, d, TimePoint::MIDNIGHT, None).is_none());
     }
 
     #[test]
@@ -858,9 +798,9 @@ pub(crate) mod tests {
         let net = grid_2x3();
         let t = TimePoint::from_hms(13, 0, 0);
         let targets = [NodeId(1), NodeId(4), NodeId(5), NodeId(0)];
-        let batch = one_to_many(&net, NodeId(0), &targets, t);
+        let batch = one_to_many(&net, NodeId(0), &targets, t, None);
         for (i, &target) in targets.iter().enumerate() {
-            let single = shortest_travel_time(&net, NodeId(0), target, t);
+            let single = point(&net, NodeId(0), target, t);
             assert_eq!(batch[i], single, "mismatch for {target}");
         }
     }
@@ -870,10 +810,15 @@ pub(crate) mod tests {
         let net = grid_2x3();
         let t = TimePoint::from_hms(13, 0, 0);
         let targets = [NodeId(4), NodeId(4), NodeId(0), NodeId(0)];
-        let batch = one_to_many(&net, NodeId(0), &targets, t);
+        let batch = one_to_many(&net, NodeId(0), &targets, t, None);
         assert_eq!(batch[0], batch[1]);
         assert_eq!(batch[2], Some(Duration::ZERO));
         assert_eq!(batch[3], Some(Duration::ZERO));
+    }
+
+    /// Number of nodes `space` is currently sized for.
+    pub(crate) fn node_capacity(space: &SearchSpace) -> usize {
+        space.dist.len()
     }
 
     /// `net` plus one node no street reaches; edge ids are unchanged.
@@ -890,18 +835,13 @@ pub(crate) mod tests {
         (b.build(), island)
     }
 
-    /// The six eager entry points are bodies over [`search`]; this pins that
-    /// point, sweep and path read it alike, bit for bit, on `β` and on
-    /// overlaid weights.
+    /// The references are bodies over [`search`]; this pins that point,
+    /// sweep and path read it alike, bit for bit, on `β` and on overlaid
+    /// weights.
     #[test]
     fn point_sweep_and_path_agree_bit_for_bit_on_beta_and_overlaid_weights() {
         use crate::generators::RandomCityBuilder;
-        use crate::overlay::{
-            one_to_many_overlaid_in, shortest_path_overlaid_in, shortest_travel_time_overlaid_in,
-            TrafficOverlay,
-        };
         let t = TimePoint::from_hms(19, 30, 0);
-        let space = &mut SearchSpace::new();
         let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
         for seed in [3usize, 11, 29] {
             let city = RandomCityBuilder::new(120).seed(seed as u64).build();
@@ -910,32 +850,21 @@ pub(crate) mod tests {
             for eid in net.edge_ids().step_by(3) {
                 slowed.slow_edge(eid, 2.5);
             }
-            let slowed = slowed.edge_multipliers(&net);
             let n = city.node_count();
             let source = NodeId::from_index(seed);
             let (a, b) = (NodeId::from_index(n / 2), NodeId::from_index(n - 1));
-            let point = |overlay: Option<&[f64]>, target, space: &mut _| match overlay {
-                None => shortest_travel_time_in(&net, source, target, t, space),
-                Some(o) => shortest_travel_time_overlaid_in(&net, o, source, target, t, space),
-            };
-            let sweep = |overlay: Option<&[f64]>, targets: &[NodeId], space: &mut _| match overlay {
-                None => one_to_many_in(&net, source, targets, t, space),
-                Some(o) => one_to_many_overlaid_in(&net, o, source, targets, t, space),
-            };
-            let path = |overlay: Option<&[f64]>, target, space: &mut _| match overlay {
-                None => shortest_path_in(&net, source, target, t, space),
-                Some(o) => shortest_path_overlaid_in(&net, o, source, target, t, space),
-            };
+            let sweep =
+                |overlay, targets: &[NodeId]| one_to_many(&net, source, targets, t, overlay);
 
             // Rows: a self-pair, a duplicated target, an unreachable one.
             let targets = [source, a, b, a, island];
-            for overlay in [None, Some(&slowed[..])] {
-                let swept = sweep(overlay, &targets, space);
+            for overlay in [None, Some(&slowed)] {
+                let swept = sweep(overlay, &targets);
                 assert_eq!(swept[0], Some(Duration::ZERO));
                 for (&target, &swept) in targets.iter().zip(&swept) {
                     assert_eq!(swept.is_some(), target != island, "seed {seed}, {target}");
-                    assert_eq!(bits(point(overlay, target, space)), bits(swept));
-                    let walked = path(overlay, target, space);
+                    assert_eq!(bits(sweep(overlay, &[target])[0]), bits(swept));
+                    let walked = shortest_path(&net, source, target, t, overlay);
                     assert_eq!(bits(walked.as_ref().map(|p| p.travel_time)), bits(swept));
                     if let Some(walked) = walked {
                         assert_eq!(walked.nodes.first(), Some(&source));
@@ -944,18 +873,36 @@ pub(crate) mod tests {
                 }
                 // Exhausting the graph for the island (nothing stops the
                 // search early) leaves every reachable answer as it was.
-                assert_eq!(sweep(overlay, &targets[..4], space), swept[..4]);
+                assert_eq!(sweep(overlay, &targets[..4]), swept[..4]);
             }
         }
     }
 
+    /// An expansion under `β` is Dijkstra run to exhaustion: it settles
+    /// every reachable node, and each at the reference travel time to the
+    /// bit, whatever searches ran in its space before.
     #[test]
-    fn one_to_all_covers_connected_grid() {
-        let net = grid_2x3();
-        let d = one_to_all(&net, NodeId(0), TimePoint::MIDNIGHT);
-        assert_eq!(d.len(), 6);
-        assert!(d.iter().all(|x| x.is_some()));
-        assert_eq!(d[0], Some(Duration::ZERO));
+    fn a_beta_expansion_settles_every_node_at_the_reference_time() {
+        use crate::generators::{GridCityBuilder, RandomCityBuilder};
+        let t = TimePoint::from_hms(18, 45, 0);
+        let bits = |answers: &[Option<Duration>]| {
+            answers.iter().map(|d| d.map(|d| d.as_secs_f64().to_bits())).collect::<Vec<_>>()
+        };
+        let mut space = SearchSpace::new();
+        let city = RandomCityBuilder::new(150).seed(7).build();
+        let grid = GridCityBuilder::new(6, 7).congestion(CongestionProfile::metropolitan()).build();
+        for net in [with_island(&city).0, grid] {
+            let all: Vec<NodeId> = net.node_ids().collect();
+            for source in net.node_ids().step_by(9) {
+                let want = one_to_many(&net, source, &all, t, None);
+                let mut got = vec![None; net.node_count()];
+                for settled in Expansion::new(&net, source, t, &mut space) {
+                    assert_eq!(got[settled.node.index()], None, "{source}: settled twice");
+                    got[settled.node.index()] = Some(settled.travel_time);
+                }
+                assert_eq!(bits(&got), bits(&want), "{source}");
+            }
+        }
     }
 
     #[test]
@@ -964,48 +911,39 @@ pub(crate) mod tests {
         let t = TimePoint::from_hms(9, 0, 0);
         let mut space = SearchSpace::new();
         // Interleave different query types in one space; results must match
-        // the allocating reference implementations every time.
+        // the references, which search a fresh space, every time.
         for round in 0..3 {
             for s in 0..net.node_count() {
                 let source = NodeId(s as u32);
                 let target = NodeId(((s + round + 1) % net.node_count()) as u32);
+                let beta = beta_secs(&net, t);
+                search(&net, Seed::Source(source), &[target], None, &mut space, &beta);
                 assert_eq!(
-                    shortest_travel_time_in(&net, source, target, t, &mut space),
-                    shortest_travel_time(&net, source, target, t),
+                    settled_time(&space, target),
+                    point(&net, source, target, t),
                     "round {round}, {source}->{target}"
                 );
                 let targets: Vec<NodeId> = net.node_ids().collect();
+                search(&net, Seed::Source(source), &targets, None, &mut space, &beta);
                 assert_eq!(
-                    one_to_many_in(&net, source, &targets, t, &mut space),
-                    one_to_many(&net, source, &targets, t)
+                    targets.iter().map(|&target| settled_time(&space, target)).collect::<Vec<_>>(),
+                    one_to_many(&net, source, &targets, t, None)
                 );
                 assert_eq!(
-                    shortest_path_in(&net, source, target, t, &mut space),
-                    shortest_path(&net, source, target, t)
+                    path(&net, source, target, &mut space, &beta),
+                    shortest_path(&net, source, target, t, None)
                 );
             }
         }
-        assert_eq!(space.node_capacity(), net.node_count());
-    }
-
-    #[test]
-    fn expansion_in_borrowed_space_matches_owned() {
-        let net = grid_2x3();
-        let t = TimePoint::MIDNIGHT;
-        let mut space = SearchSpace::new();
-        for _ in 0..2 {
-            let borrowed: Vec<Settled> =
-                Expansion::new_in(&net, NodeId(0), t, &mut space).collect();
-            let owned: Vec<Settled> = Expansion::new(&net, NodeId(0), t).collect();
-            assert_eq!(borrowed, owned);
-        }
+        assert_eq!(node_capacity(&space), net.node_count());
     }
 
     #[test]
     fn expansion_yields_nodes_in_nondecreasing_order() {
         let net = grid_2x3();
+        let space = &mut SearchSpace::new();
         let weights: Vec<f64> =
-            Expansion::new(&net, NodeId(0), TimePoint::MIDNIGHT).map(|s| s.weight).collect();
+            Expansion::new(&net, NodeId(0), TimePoint::MIDNIGHT, space).map(|s| s.weight).collect();
         assert_eq!(weights.len(), 6);
         for pair in weights.windows(2) {
             assert!(pair[0] <= pair[1] + 1e-12);
@@ -1018,7 +956,7 @@ pub(crate) mod tests {
         let t = TimePoint::MIDNIGHT;
         // A weight that strongly prefers edges leading to higher node ids.
         let mut space = SearchSpace::new();
-        let expansion = Expansion::with_potential_in(
+        let expansion = Expansion::with_potential(
             &net,
             NodeId(0),
             t,
@@ -1032,12 +970,12 @@ pub(crate) mod tests {
             if settled.node != NodeId(0) {
                 // Travel time along the chosen tree path can never beat the
                 // true shortest travel time.
-                let best = shortest_travel_time(&net, NodeId(0), settled.node, t).unwrap();
+                let best = point(&net, NodeId(0), settled.node, t).unwrap();
                 assert!(settled.travel_time.as_secs_f64() + 1e-9 >= best.as_secs_f64());
             }
         }
         let by_travel_time: Vec<NodeId> =
-            Expansion::new(&net, NodeId(0), t).map(|s| s.node).collect();
+            Expansion::new(&net, NodeId(0), t, &mut space).map(|s| s.node).collect();
         assert_eq!(order.len(), by_travel_time.len());
         assert_ne!(order, by_travel_time);
     }
@@ -1145,7 +1083,7 @@ pub(crate) mod tests {
                     (1.0 - gamma) * adist + gamma * beta / max_beta
                 });
                 let frame = AngularFrame::new(source_pos, heading_pos);
-                let got: Vec<Settled> = Expansion::with_potential_in(
+                let got: Vec<Settled> = Expansion::with_potential(
                     &net,
                     source,
                     t,
@@ -1185,7 +1123,7 @@ pub(crate) mod tests {
             let scale = 1.0 + round as f64;
             let potential_of = |node: NodeId| scale * f64::from(node.0 % 7);
             let evaluations = RefCell::new(vec![0u32; n]);
-            let got: Vec<Settled> = Expansion::with_potential_in(
+            let got: Vec<Settled> = Expansion::with_potential(
                 &net,
                 source,
                 t,
@@ -1214,7 +1152,14 @@ pub(crate) mod tests {
 
             // A β search in between leaves touched nodes without a potential;
             // the next round must not read those slots either.
-            let _ = one_to_many_in(&net, NodeId(3), &[NodeId(40)], t, &mut space);
+            search(
+                &net,
+                Seed::Source(NodeId(3)),
+                &[NodeId(40)],
+                None,
+                &mut space,
+                beta_secs(&net, t),
+            );
         }
     }
 
@@ -1225,8 +1170,8 @@ pub(crate) mod tests {
         let c = b.add_node(GeoPoint::new(0.0, 0.02));
         b.add_bidirectional(a, c, 2000.0, RoadClass::Arterial);
         let net = b.build();
-        let night = shortest_travel_time(&net, a, c, TimePoint::from_hms(3, 0, 0)).unwrap();
-        let dinner = shortest_travel_time(&net, a, c, TimePoint::from_hms(20, 0, 0)).unwrap();
+        let night = point(&net, a, c, TimePoint::from_hms(3, 0, 0)).unwrap();
+        let dinner = point(&net, a, c, TimePoint::from_hms(20, 0, 0)).unwrap();
         assert!(dinner > night);
     }
 }

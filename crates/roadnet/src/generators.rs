@@ -390,9 +390,10 @@ mod tests {
     #[test]
     fn grid_is_strongly_connected() {
         let net = GridCityBuilder::new(5, 5).build();
-        let d = dijkstra::one_to_all(&net, NodeId(0), TimePoint::MIDNIGHT);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let d = dijkstra::one_to_many(&net, NodeId(0), &all, TimePoint::MIDNIGHT, None);
         assert!(d.iter().all(Option::is_some));
-        let back = dijkstra::one_to_all(&net, NodeId(24), TimePoint::MIDNIGHT);
+        let back = dijkstra::one_to_many(&net, NodeId(24), &all, TimePoint::MIDNIGHT, None);
         assert!(back.iter().all(Option::is_some));
     }
 
@@ -402,7 +403,8 @@ mod tests {
         let b = RandomCityBuilder::new(120).seed(9).build();
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.edge_count(), b.edge_count());
-        let d = dijkstra::one_to_all(&a, NodeId(0), TimePoint::from_hms(12, 0, 0));
+        let all: Vec<NodeId> = a.node_ids().collect();
+        let d = dijkstra::one_to_many(&a, NodeId(0), &all, TimePoint::from_hms(12, 0, 0), None);
         assert!(d.iter().all(Option::is_some), "random city must be connected");
     }
 

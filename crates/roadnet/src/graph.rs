@@ -202,13 +202,6 @@ impl RoadNetwork {
         self.inner.in_edges.get_or_init(|| InEdges::of(&self.inner))
     }
 
-    /// Out-degree of `node`.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        let lo = self.inner.offsets[node.index()] as usize;
-        let hi = self.inner.offsets[node.index() + 1] as usize;
-        hi - lo
-    }
-
     /// Temporal weight `β(e, t)`: the time needed to traverse `edge` when the
     /// traversal starts at time `t` (Definition 1).
     pub fn travel_time(&self, edge: EdgeId, t: TimePoint) -> Duration {
@@ -420,9 +413,9 @@ mod tests {
         let net = tiny_network();
         assert_eq!(net.node_count(), 3);
         assert_eq!(net.edge_count(), 3);
-        assert_eq!(net.out_degree(NodeId(0)), 1);
-        assert_eq!(net.out_degree(NodeId(1)), 1);
-        assert_eq!(net.out_degree(NodeId(2)), 1);
+        for node in net.node_ids() {
+            assert_eq!(net.out_edges(node).count(), 1);
+        }
     }
 
     #[test]

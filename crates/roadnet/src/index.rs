@@ -515,22 +515,16 @@ impl ShortestPathEngine {
     ) -> Option<dijkstra::PathResult> {
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         self.inner.metrics.queries.inc();
+        let network = &self.inner.network;
         if self.inner.overlay_active.load(Ordering::Acquire) {
             let version = self.overlay_version();
             if !version.multipliers.is_empty() {
-                let mut space = self.search_space();
-                return overlay::shortest_path_overlaid_in(
-                    &self.inner.network,
-                    &version.multipliers,
-                    source,
-                    target,
-                    t,
-                    &mut space,
-                );
+                let overlaid = overlay::overlaid_secs(network, &version.multipliers, t);
+                return dijkstra::path(network, source, target, &mut self.search_space(), overlaid);
             }
         }
-        let mut space = self.search_space();
-        dijkstra::shortest_path_in(&self.inner.network, source, target, t, &mut space)
+        let beta = dijkstra::beta_secs(network, t);
+        dijkstra::path(network, source, target, &mut self.search_space(), beta)
     }
 
     /// Installs `overlay` as the active traffic perturbation, bumping the
@@ -801,7 +795,7 @@ impl std::fmt::Debug for ShortestPathEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::tests::with_island;
+    use crate::dijkstra::tests::{node_capacity, with_island};
     use crate::generators::GridCityBuilder;
 
     fn sample_pairs(net: &RoadNetwork) -> Vec<(NodeId, NodeId)> {
@@ -834,7 +828,7 @@ mod tests {
         let engine = ShortestPathEngine::cached(net.clone());
         let batch = engine.travel_times_to_many(NodeId(1), &targets, t);
         for (i, &target) in targets.iter().enumerate() {
-            let reference = dijkstra::shortest_travel_time(&net, NodeId(1), target, t);
+            let reference = dijkstra::one_to_many(&net, NodeId(1), &[target], t, None)[0];
             assert_eq!(bits(batch[i]), bits(reference), "{target}");
             assert_eq!(bits(engine.travel_time(NodeId(1), target, t)), bits(reference));
         }
@@ -850,7 +844,7 @@ mod tests {
         let targets: Vec<NodeId> = vec![NodeId(3), NodeId(7), NodeId(0), NodeId(11)];
         let batch = engine.travel_times_to_many(NodeId(0), &targets, t);
         for (i, &target) in targets.iter().enumerate() {
-            let reference = dijkstra::shortest_travel_time(&net, NodeId(0), target, t);
+            let reference = dijkstra::one_to_many(&net, NodeId(0), &[target], t, None)[0];
             assert_eq!(bits(batch[i]), bits(reference), "{target}");
         }
     }
@@ -948,18 +942,7 @@ mod tests {
         targets: &[NodeId],
         t: TimePoint,
     ) -> Vec<Option<u64>> {
-        let answers = match overlay {
-            Some(overlay) => overlay::one_to_many_overlaid_in(
-                net,
-                &overlay.edge_multipliers(net),
-                source,
-                targets,
-                t,
-                &mut SearchSpace::new(),
-            ),
-            None => dijkstra::one_to_many(net, source, targets, t),
-        };
-        answers.into_iter().map(bits).collect()
+        dijkstra::one_to_many(net, source, targets, t, overlay).into_iter().map(bits).collect()
     }
 
     /// The life of a row on the static memo and on the overlay memo: never
@@ -1082,7 +1065,7 @@ mod tests {
         let net = GridCityBuilder::new(8, 8).build();
         let t = TimePoint::from_hms(12, 30, 0);
         let (source, near, restaurant, customer) = (NodeId(0), NodeId(9), NodeId(63), NodeId(62));
-        let radius = dijkstra::shortest_travel_time(&net, source, near, t).expect("connected");
+        let radius = dijkstra::one_to_many(&net, source, &[near], t, None)[0].expect("connected");
         let mut asked = GatedTargets::new();
         asked.gate(radius, [near], []);
         asked.gate(radius, [restaurant], [customer]);
@@ -1154,7 +1137,7 @@ mod tests {
         let net = crate::generators::RandomCityBuilder::new(160).seed(5).build();
         let source = NodeId(3);
         let all: Vec<NodeId> = net.node_ids().collect();
-        let mut nodes: Vec<(NodeId, f64)> = dijkstra::one_to_many(&net, source, &all, t)
+        let mut nodes: Vec<(NodeId, f64)> = dijkstra::one_to_many(&net, source, &all, t, None)
             .into_iter()
             .zip(&all)
             .filter_map(|(secs, &node)| Some((node, secs?.as_secs_f64())))
@@ -1409,7 +1392,7 @@ mod tests {
                 let target = NodeId((source.0 + 7) % net.node_count() as u32);
                 assert_eq!(
                     bits(engine.travel_time(source, target, t)),
-                    bits(dijkstra::shortest_travel_time(&net, source, target, t))
+                    bits(dijkstra::one_to_many(&net, source, &[target], t, None)[0])
                 );
             }
         }
@@ -1419,7 +1402,7 @@ mod tests {
     fn shortest_path_follows_the_backend_and_counts_queries() {
         let net = GridCityBuilder::new(5, 5).build();
         let t = TimePoint::from_hms(12, 0, 0);
-        let expected = dijkstra::shortest_path(&net, NodeId(0), NodeId(24), t).unwrap();
+        let expected = dijkstra::shortest_path(&net, NodeId(0), NodeId(24), t, None).unwrap();
         let engine = ShortestPathEngine::cached(net.clone());
         let got = engine.shortest_path(NodeId(0), NodeId(24), t).unwrap();
         assert_eq!(engine.query_count(), 1, "shortest_path must count as a query");
@@ -1652,6 +1635,6 @@ mod tests {
         // After serial queries the pool must hold exactly one grown space.
         let pool = lock(engine.inner.spaces.lock());
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool[0].node_capacity(), 16);
+        assert_eq!(node_capacity(&pool[0]), 16);
     }
 }

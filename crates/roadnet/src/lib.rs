@@ -13,15 +13,17 @@
 //!   travel times and road classes, plus node geometry (latitude/longitude).
 //! * [`CongestionProfile`] — hour-of-day travel-time multipliers per road
 //!   class, giving the time dependence of `β(e, t)`.
-//! * [`dijkstra`] — exact time-sliced shortest paths: one-to-one, one-to-many
-//!   and path queries over one eager search kernel, and a lazy best-first
-//!   [`dijkstra::Expansion`] iterator used by the sparsified FoodGraph
-//!   construction (Algorithm 2 in the paper).
-//! * [`ShortestPathEngine`] — the distance oracle: the same Dijkstra behind a
-//!   memo of pairs and shortest-path trees, one hour slot at a time, which
-//!   answers what the paper asks of its hub labels with the distances the
-//!   free functions of [`dijkstra`] give, bit for bit; path queries are one
-//!   Dijkstra.
+//! * [`dijkstra`] — exact time-sliced shortest paths over one eager search
+//!   kernel: the two memo-free references, [`dijkstra::one_to_many`] and
+//!   [`dijkstra::shortest_path`] (on `β(e, t)` or on a [`TrafficOverlay`]'s
+//!   weights), and a lazy best-first [`dijkstra::Expansion`] iterator used by
+//!   the sparsified FoodGraph construction (Algorithm 2 in the paper).
+//! * [`ShortestPathEngine`] — the distance oracle the dispatcher asks: the
+//!   same Dijkstra behind a memo of pairs and shortest-path trees, one hour
+//!   slot at a time, which answers what the paper asks of its hub labels
+//!   with the distances the references give, bit for bit; path queries are
+//!   one Dijkstra. Its pool is where searches, and expansions, get their
+//!   [`SearchSpace`].
 //! * [`gates`] — gated sweeps: one-to-many queries whose conditional targets
 //!   are answered only when a trigger of theirs lies within a radius (the
 //!   FoodGraph's first-mile bound), searched no further than that decides.
@@ -51,7 +53,7 @@
 //! let travel = engine.travel_time(a, b, t).expect("grid is connected");
 //! assert!(travel.as_secs_f64() > 0.0);
 //! // The memo-free search answers the same, to the bit.
-//! let reference = dijkstra::shortest_travel_time(&network, a, b, t).unwrap();
+//! let reference = dijkstra::one_to_many(&network, a, &[b], t, None)[0].unwrap();
 //! assert_eq!(travel.as_secs_f64().to_bits(), reference.as_secs_f64().to_bits());
 //! ```
 

@@ -17,19 +17,21 @@
 //! overlaid weights — the same kernel as an unperturbed search, paying one
 //! indexed load more per relaxed edge. The static memo is not asked: an
 //! answer on the static weights says nothing a search that stops at its
-//! last target needs. A generation
-//! counter on the engine invalidates memoised overlay answers, and the
-//! rendered table with them, when the overlay changes.
+//! last target needs. A generation counter on the engine invalidates
+//! memoised overlay answers, and the rendered table with them, when the
+//! overlay changes. The memo-free references,
+//! [`dijkstra::one_to_many`](crate::dijkstra::one_to_many) and
+//! [`dijkstra::shortest_path`](crate::dijkstra::shortest_path), take the
+//! overlay as a value and render it the same way.
 //!
 //! Multipliers are restricted to `≥ 1` (incidents, rain and localized
 //! slowdowns make roads *slower*): an overlay never disconnects the graph —
 //! a perturbed edge is slow, not closed — so a pair is reachable under an
 //! overlay exactly when it is without one.
 
-use crate::dijkstra::{path_to, search, settled_time, PathResult, SearchSpace, Seed};
 use crate::graph::RoadNetwork;
-use crate::ids::{EdgeId, NodeId};
-use crate::timeofday::{Duration, TimePoint};
+use crate::ids::EdgeId;
+use crate::timeofday::TimePoint;
 use std::collections::HashMap;
 
 /// A sparse set of travel-time multipliers layered over a road network.
@@ -99,77 +101,15 @@ pub(crate) fn overlaid_secs<'a>(
     move |edge| network.travel_time(edge, t).as_secs_f64() * multipliers[edge.index()]
 }
 
-/// Exact `SP(u, v, t)` on the overlaid weights; `multipliers` is
-/// [`TrafficOverlay::edge_multipliers`] of the overlay for `network`.
-pub fn shortest_travel_time_overlaid_in(
-    network: &RoadNetwork,
-    multipliers: &[f64],
-    source: NodeId,
-    target: NodeId,
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Option<Duration> {
-    search(
-        network,
-        Seed::Source(source),
-        &[target],
-        None,
-        space,
-        overlaid_secs(network, multipliers, t),
-    );
-    settled_time(space, target)
-}
-
-/// [`shortest_travel_time_overlaid_in`] for several targets in one Dijkstra
-/// run. Unreachable targets map to `None`.
-pub fn one_to_many_overlaid_in(
-    network: &RoadNetwork,
-    multipliers: &[f64],
-    source: NodeId,
-    targets: &[NodeId],
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Vec<Option<Duration>> {
-    search(
-        network,
-        Seed::Source(source),
-        targets,
-        None,
-        space,
-        overlaid_secs(network, multipliers, t),
-    );
-    targets.iter().map(|&target| settled_time(space, target)).collect()
-}
-
-/// Full shortest path (node sequence, travel time, length) on the overlaid
-/// weights.
-pub fn shortest_path_overlaid_in(
-    network: &RoadNetwork,
-    multipliers: &[f64],
-    source: NodeId,
-    target: NodeId,
-    t: TimePoint,
-    space: &mut SearchSpace,
-) -> Option<PathResult> {
-    search(
-        network,
-        Seed::Source(source),
-        &[target],
-        None,
-        space,
-        overlaid_secs(network, multipliers, t),
-    );
-    path_to(network, source, target, space)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::congestion::{CongestionProfile, RoadClass};
-    use crate::dijkstra;
+    use crate::dijkstra::{one_to_many, shortest_path};
     use crate::generators::GridCityBuilder;
     use crate::geo::GeoPoint;
     use crate::graph::RoadNetworkBuilder;
+    use crate::ids::NodeId;
 
     fn overlay_on(net: &RoadNetwork, factor: f64, every: usize) -> TrafficOverlay {
         let mut overlay = TrafficOverlay::new();
@@ -196,23 +136,14 @@ mod tests {
     #[test]
     fn empty_overlay_matches_plain_dijkstra() {
         let net = GridCityBuilder::new(5, 5).build();
-        let unperturbed = TrafficOverlay::new().edge_multipliers(&net);
+        let unperturbed = TrafficOverlay::new();
         let t = TimePoint::from_hms(12, 0, 0);
-        let mut space = SearchSpace::new();
+        let targets = [NodeId(3), NodeId(18), NodeId(24)];
         for s in [0u32, 7, 13] {
-            for g in [3u32, 18, 24] {
-                assert_eq!(
-                    shortest_travel_time_overlaid_in(
-                        &net,
-                        &unperturbed,
-                        NodeId(s),
-                        NodeId(g),
-                        t,
-                        &mut space
-                    ),
-                    dijkstra::shortest_travel_time(&net, NodeId(s), NodeId(g), t)
-                );
-            }
+            assert_eq!(
+                one_to_many(&net, NodeId(s), &targets, t, Some(&unperturbed)),
+                one_to_many(&net, NodeId(s), &targets, t, None)
+            );
         }
     }
 
@@ -221,20 +152,11 @@ mod tests {
         let net = GridCityBuilder::new(6, 6).congestion(CongestionProfile::metropolitan()).build();
         let overlay = overlay_on(&net, 2.5, 3);
         let reference = rebuilt_with_overlay(&net, &overlay);
-        let multipliers = overlay.edge_multipliers(&net);
         let t = TimePoint::from_hms(19, 30, 0);
-        let mut space = SearchSpace::new();
         for s in (0..net.node_count() as u32).step_by(5) {
             for g in (1..net.node_count() as u32).step_by(7) {
-                let got = shortest_travel_time_overlaid_in(
-                    &net,
-                    &multipliers,
-                    NodeId(s),
-                    NodeId(g),
-                    t,
-                    &mut space,
-                );
-                let expected = dijkstra::shortest_travel_time(&reference, NodeId(s), NodeId(g), t);
+                let got = one_to_many(&net, NodeId(s), &[NodeId(g)], t, Some(&overlay))[0];
+                let expected = one_to_many(&reference, NodeId(s), &[NodeId(g)], t, None)[0];
                 match (got, expected) {
                     (Some(a), Some(b)) => {
                         assert!(
@@ -251,20 +173,12 @@ mod tests {
     #[test]
     fn one_to_many_overlaid_matches_pointwise() {
         let net = GridCityBuilder::new(5, 4).build();
-        let multipliers = overlay_on(&net, 1.8, 4).edge_multipliers(&net);
+        let overlay = overlay_on(&net, 1.8, 4);
         let t = TimePoint::from_hms(9, 0, 0);
         let targets: Vec<NodeId> = net.node_ids().step_by(3).collect();
-        let mut space = SearchSpace::new();
-        let batch = one_to_many_overlaid_in(&net, &multipliers, NodeId(1), &targets, t, &mut space);
+        let batch = one_to_many(&net, NodeId(1), &targets, t, Some(&overlay));
         for (i, &target) in targets.iter().enumerate() {
-            let single = shortest_travel_time_overlaid_in(
-                &net,
-                &multipliers,
-                NodeId(1),
-                target,
-                t,
-                &mut space,
-            );
+            let single = one_to_many(&net, NodeId(1), &[target], t, Some(&overlay))[0];
             assert_eq!(batch[i], single, "target {target}");
         }
     }
@@ -274,11 +188,7 @@ mod tests {
         let net = GridCityBuilder::new(5, 5).build();
         let overlay = overlay_on(&net, 4.0, 2);
         let t = TimePoint::from_hms(12, 0, 0);
-        let mut space = SearchSpace::new();
-        let multipliers = overlay.edge_multipliers(&net);
-        let path =
-            shortest_path_overlaid_in(&net, &multipliers, NodeId(0), NodeId(24), t, &mut space)
-                .unwrap();
+        let path = shortest_path(&net, NodeId(0), NodeId(24), t, Some(&overlay)).unwrap();
         assert_eq!(path.nodes.first(), Some(&NodeId(0)));
         assert_eq!(path.nodes.last(), Some(&NodeId(24)));
         // Summing the overlaid edge weights along the path reproduces the
@@ -337,18 +247,6 @@ mod tests {
         let net = b.build();
         let mut overlay = TrafficOverlay::new();
         overlay.slow_edge(EdgeId(0), 2.0);
-        let multipliers = overlay.edge_multipliers(&net);
-        let mut space = SearchSpace::new();
-        assert_eq!(
-            shortest_travel_time_overlaid_in(
-                &net,
-                &multipliers,
-                a,
-                d,
-                TimePoint::MIDNIGHT,
-                &mut space
-            ),
-            None
-        );
+        assert_eq!(one_to_many(&net, a, &[d], TimePoint::MIDNIGHT, Some(&overlay))[0], None);
     }
 }

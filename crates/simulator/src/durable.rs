@@ -187,12 +187,6 @@ impl<T: WalTarget> DurableDispatch<T> {
         self.crashed
     }
 
-    /// The next record's sequence number (= records accepted into the log,
-    /// durable or buffered; alias of [`appended_seq`](Self::appended_seq)).
-    pub fn wal_seq(&self) -> u64 {
-        self.log.seq()
-    }
-
     /// Records known durable on disk — the crash-survival guarantee.
     pub fn acked_seq(&self) -> u64 {
         self.log.acked_seq()
@@ -233,7 +227,7 @@ impl<T: WalTarget> DurableDispatch<T> {
 
     /// Captures a checkpoint of the dispatcher with the current log
     /// position stamped on: restoring it and replaying the log suffix past
-    /// [`wal_seq`](Self::wal_seq) reproduces the run exactly.
+    /// [`appended_seq`](Self::appended_seq) reproduces the run exactly.
     ///
     /// Checkpoints are **flush barriers**: the buffered group is flushed
     /// first, so the stamp never exceeds [`acked_seq`](Self::acked_seq) —
@@ -276,7 +270,7 @@ impl<T: WalTarget> DurableDispatch<T> {
         if self.crashed {
             return Err(WalError::Crashed);
         }
-        let seq = self.log.seq();
+        let seq = self.log.appended_seq();
         if let Some(fp) = self.fail_point.filter(|fp| fp.at_seq == seq) {
             self.crashed = true;
             // A simulated power cut also loses whatever the group-commit

@@ -315,12 +315,6 @@ impl VehicleState {
         }
         events
     }
-
-    /// The time at which the vehicle finishes its current itinerary (`None`
-    /// when idle).
-    pub fn busy_until(&self) -> Option<TimePoint> {
-        self.itinerary.back().map(ItineraryStep::completes_at)
-    }
 }
 
 impl Codec for CarriedOrder {
@@ -466,7 +460,6 @@ mod tests {
         assert!(v.is_idle());
         assert!(v.advance(TimePoint::from_hms(23, 0, 0)).is_empty());
         assert_eq!(v.heading(), None);
-        assert!(v.busy_until().is_none());
     }
 
     #[test]
@@ -502,7 +495,7 @@ mod tests {
         let mut v = VehicleState::new(VehicleId(0), b.node_at(0, 0));
         let o = order(1, b.node_at(0, 3), b.node_at(5, 3), t, 1.0);
         install_single(&mut v, o, t, &engine);
-        let deadline = v.busy_until().unwrap();
+        let deadline = v.itinerary.back().map(ItineraryStep::completes_at).unwrap();
 
         let mut step_time = t;
         let mut delivered_at = None;

@@ -116,15 +116,6 @@ impl SimulationReport {
             + omega_secs * self.rejected.len() as f64
     }
 
-    /// Mean XDT per delivered order, in minutes.
-    pub fn mean_xdt_mins(&self) -> f64 {
-        if self.delivered.is_empty() {
-            0.0
-        } else {
-            self.total_xdt_hours() * 60.0 / self.delivered.len() as f64
-        }
-    }
-
     /// Average number of orders per kilometre driven.
     pub fn orders_per_km(&self) -> f64 {
         let mut weighted = 0.0;
@@ -542,7 +533,6 @@ mod tests {
         assert_eq!(report.delivered[1].xdt, Duration::ZERO);
         assert_eq!(report.delivered[0].slot, HourSlot::new(13));
         assert!((report.total_xdt_hours() - 0.25).abs() < 1e-9);
-        assert!((report.mean_xdt_mins() - 7.5).abs() < 1e-9);
     }
 
     #[test]
@@ -636,7 +626,6 @@ mod tests {
         assert_eq!(report.orders_per_km(), 0.0);
         assert_eq!(report.overflow_pct(false), 0.0);
         assert_eq!(report.mean_window_compute_secs(), 0.0);
-        assert_eq!(report.mean_xdt_mins(), 0.0);
         assert_eq!(report.cancellation_rate_pct(), 0.0);
         assert_eq!(report.disrupted_window_pct(), 0.0);
         assert_eq!(report.xdt_hours_disrupted(), 0.0);

@@ -166,11 +166,6 @@ impl<T> AdvanceOutcome<T> {
         self.outputs.iter()
     }
 
-    /// True when the call was refused because the target precedes the clock.
-    pub fn is_out_of_order(&self) -> bool {
-        matches!(self.status, AdvanceStatus::OutOfOrder { .. })
-    }
-
     /// Consumes the outcome, returning just the outputs.
     pub fn into_outputs(self) -> Vec<T> {
         self.outputs
@@ -736,7 +731,6 @@ mod tests {
 
         // The stale target that used to no-op silently now names itself.
         let outcome = svc.advance_to(start + Duration::from_mins(3.0));
-        assert!(outcome.is_out_of_order());
         assert!(outcome.is_empty());
         match outcome.status {
             AdvanceStatus::OutOfOrder { requested, clock: reported } => {

@@ -664,12 +664,6 @@ impl WriteAheadLog {
         self.appended_seq - self.acked_seq
     }
 
-    /// Number of records appended (alias of [`appended_seq`](Self::appended_seq),
-    /// kept for the pre-group-commit callers).
-    pub fn seq(&self) -> u64 {
-        self.appended_seq
-    }
-
     /// The file path this log writes to.
     pub fn path(&self) -> &Path {
         &self.path
@@ -781,7 +775,7 @@ mod tests {
         let (mut reopened, outcome) = WriteAheadLog::open(&path).expect("open tolerates tear");
         assert_eq!(outcome.records, records[..1]);
         assert!(outcome.torn_tail.is_some(), "the tear is reported");
-        assert_eq!(reopened.seq(), 1);
+        assert_eq!(reopened.appended_seq(), 1);
 
         // The tear was truncated: appending continues from a clean log.
         reopened.append(&records[2]).expect("append after recovery");
@@ -824,7 +818,7 @@ mod tests {
         let (reopened, outcome) = WriteAheadLog::open(&path).expect("reopen compacted");
         assert_eq!(outcome.base_seq, 2);
         assert_eq!(outcome.records.len(), 2);
-        assert_eq!(reopened.seq(), 4);
+        assert_eq!(reopened.appended_seq(), 4);
         fs::remove_file(&path).ok();
     }
 

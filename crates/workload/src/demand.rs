@@ -12,7 +12,6 @@
 //! in the workload generator (a Box–Muller Gaussian, so we do not need an
 //! extra distribution crate).
 
-use foodmatch_roadnet::HourSlot;
 use rand::Rng;
 
 /// Relative order volume per hour of day (sums to 1).
@@ -24,20 +23,6 @@ pub const HOURLY_WEIGHTS: [f64; 24] = [
     0.004, 0.002, 0.001, 0.001, 0.001, 0.002, 0.006, 0.014, 0.028, 0.040, 0.050, 0.072, 0.094,
     0.086, 0.058, 0.040, 0.038, 0.048, 0.070, 0.104, 0.096, 0.076, 0.046, 0.023,
 ];
-
-/// Returns the fraction of the day's orders that arrive in `slot`.
-pub fn hourly_weight(slot: HourSlot) -> f64 {
-    HOURLY_WEIGHTS[slot.index()]
-}
-
-/// Expected number of orders in each hour slot for a daily total.
-pub fn expected_orders_by_slot(orders_per_day: usize) -> [f64; 24] {
-    let mut out = [0.0; 24];
-    for (h, w) in HOURLY_WEIGHTS.iter().enumerate() {
-        out[h] = w * orders_per_day as f64;
-    }
-    out
-}
 
 /// A sample from the standard normal distribution (Box–Muller transform).
 pub fn standard_normal(rng: &mut impl Rng) -> f64 {
@@ -92,25 +77,15 @@ mod tests {
 
     #[test]
     fn peaks_are_at_lunch_and_dinner() {
-        let lunch = hourly_weight(HourSlot::new(12));
-        let dinner = hourly_weight(HourSlot::new(19));
-        let night = hourly_weight(HourSlot::new(3));
-        let morning = hourly_weight(HourSlot::new(9));
+        let (lunch, dinner) = (HOURLY_WEIGHTS[12], HOURLY_WEIGHTS[19]);
+        let (night, morning) = (HOURLY_WEIGHTS[3], HOURLY_WEIGHTS[9]);
         assert!(lunch > morning);
         assert!(dinner > morning);
         assert!(dinner >= lunch);
         assert!(night < 0.01);
         // The dinner peak is the global maximum, as in Fig. 6(a).
         let max = HOURLY_WEIGHTS.iter().cloned().fold(0.0_f64, f64::max);
-        assert_eq!(max, hourly_weight(HourSlot::new(19)));
-    }
-
-    #[test]
-    fn expected_orders_scale_with_daily_total() {
-        let by_slot = expected_orders_by_slot(1000);
-        let total: f64 = by_slot.iter().sum();
-        assert!((total - 1000.0).abs() < 1e-6);
-        assert!(by_slot[19] > by_slot[9]);
+        assert_eq!(max, dinner);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl ReplayOrderSource {
         ReplayOrderSource { orders, cursor: 0 }
     }
 
-    /// Replays a generated scenario's order stream.
-    pub fn from_scenario(scenario: &Scenario) -> Self {
-        ReplayOrderSource::new(scenario.orders.clone())
-    }
-
     /// Orders not yet polled.
     pub fn remaining(&self) -> usize {
         self.orders.len() - self.cursor
@@ -144,13 +139,6 @@ impl PoissonOrderSource {
     /// Scales the expected daily order volume (builder style).
     pub fn with_orders_per_day(mut self, orders_per_day: usize) -> Self {
         self.orders_per_day = orders_per_day;
-        self
-    }
-
-    /// Sets the first order id this source will hand out (builder style);
-    /// useful when mixing a live source with replayed demand.
-    pub fn with_first_id(mut self, first: u64) -> Self {
-        self.next_id = first;
         self
     }
 
@@ -228,7 +216,7 @@ mod tests {
     #[test]
     fn replay_source_streams_the_scenario_in_order() {
         let s = scenario();
-        let mut source = ReplayOrderSource::from_scenario(&s);
+        let mut source = ReplayOrderSource::new(s.orders.clone());
         let total = s.orders.len();
         assert_eq!(source.remaining(), total);
 
@@ -311,7 +299,8 @@ mod tests {
     #[test]
     fn polling_backwards_or_past_the_end_is_a_no_op() {
         let s = scenario();
-        let mut source = PoissonOrderSource::new(&s, 9).with_first_id(1000);
+        let mut source = PoissonOrderSource::new(&s, 9);
+        source.next_id = 1000;
         assert_eq!(source.next_id(), 1000);
         let first = source.poll(s.options.start + Duration::from_mins(30.0));
         assert!(source.poll(s.options.start).is_empty(), "backwards poll yields nothing");

@@ -8,10 +8,9 @@ use foodmatch_events::{
     DisruptionCause, DisruptionEvent, EventKind, EventSchedule, TrafficDisruption,
 };
 use foodmatch_roadnet::generators::{GridCityBuilder, RandomCityBuilder};
-use foodmatch_roadnet::overlay::shortest_travel_time_overlaid_in;
 use foodmatch_roadnet::{
-    dijkstra, Duration, EdgeId, NodeId, RoadNetwork, RoadNetworkBuilder, SearchSpace,
-    ShortestPathEngine, TimePoint, TrafficOverlay,
+    dijkstra, Duration, EdgeId, NodeId, RoadNetwork, RoadNetworkBuilder, ShortestPathEngine,
+    TimePoint, TrafficOverlay,
 };
 use foodmatch_sim::{Simulation, SimulationReport};
 use foodmatch_workload::DisruptionPreset;
@@ -70,8 +69,6 @@ fn overlay_oracle_matches_rebuilt_graph_for_all_backends() {
     assert!(!overlay.is_empty());
 
     let reference = rebuilt_with_overlay(&net, &overlay);
-    let multipliers = overlay.edge_multipliers(&net);
-    let mut space = SearchSpace::new();
     let bits = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_bits());
     let engine = ShortestPathEngine::cached(net.clone());
     engine.set_overlay(overlay.clone());
@@ -79,10 +76,9 @@ fn overlay_oracle_matches_rebuilt_graph_for_all_backends() {
         let targets: Vec<NodeId> = net.node_ids().step_by(4).collect();
         let batch = engine.travel_times_to_many(source, &targets, t);
         for (i, &target) in targets.iter().enumerate() {
-            let expected = dijkstra::shortest_travel_time(&reference, source, target, t);
+            let expected = dijkstra::one_to_many(&reference, source, &[target], t, None)[0];
             let got = engine.travel_time(source, target, t);
-            let overlaid =
-                shortest_travel_time_overlaid_in(&net, &multipliers, source, target, t, &mut space);
+            let overlaid = dijkstra::one_to_many(&net, source, &[target], t, Some(&overlay))[0];
             assert_eq!(bits(got), bits(overlaid), "{source}->{target}");
             assert_eq!(bits(batch[i]), bits(overlaid), "{source}->{target} (to_many)");
             match (expected, got) {
@@ -117,7 +113,7 @@ fn rendered_overlay_table_equals_the_sparse_map_bit_for_bit() {
         let targets: Vec<NodeId> = reference.node_ids().step_by(3).collect();
         for source in reference.node_ids().step_by(17) {
             let got = engine.travel_times_to_many(source, &targets, t);
-            let want = dijkstra::one_to_many(reference, source, &targets, t);
+            let want = dijkstra::one_to_many(reference, source, &targets, t, None);
             for ((&target, got), want) in targets.iter().zip(got).zip(want) {
                 assert_eq!(bits(got), bits(want), "{what}: {source}->{target}");
             }

@@ -4,8 +4,9 @@
 //! and the overlay memo — to answer exactly what a fresh search would, so
 //! any divergence is silent data corruption: costs change, matchings change,
 //! and no assertion in the higher layers would notice. These tests pin the
-//! contract from the outside, against the memo-free free functions of
-//! `dijkstra` and `overlay`, which run the engine's search kernel:
+//! contract from the outside, against the memo-free references
+//! `dijkstra::one_to_many` and `dijkstra::shortest_path`, which run the
+//! engine's search kernel:
 //!
 //! * `travel_time` and `travel_times_to_many` answer bit for bit as those
 //!   functions do (including `None` for unreachable pairs), on seeded random
@@ -32,10 +33,9 @@ use foodmatch_core::{
 };
 use foodmatch_roadnet::generators::RandomCityBuilder;
 use foodmatch_roadnet::graph::RoadNetworkBuilder;
-use foodmatch_roadnet::overlay::{one_to_many_overlaid_in, shortest_path_overlaid_in};
 use foodmatch_roadnet::{
-    dijkstra, Duration, GeoPoint, NodeId, RoadClass, RoadNetwork, SearchSpace, ShortestPathEngine,
-    TimePoint, TrafficOverlay,
+    dijkstra, Duration, GeoPoint, NodeId, RoadClass, RoadNetwork, ShortestPathEngine, TimePoint,
+    TrafficOverlay,
 };
 use foodmatch_sim::Simulation;
 use foodmatch_workload::{CityId, Scenario, ScenarioOptions};
@@ -62,20 +62,7 @@ fn reference(
     targets: &[NodeId],
     t: TimePoint,
 ) -> Vec<Option<Duration>> {
-    match overlay {
-        Some(overlay) => {
-            let multipliers = overlay.edge_multipliers(network);
-            one_to_many_overlaid_in(
-                network,
-                &multipliers,
-                source,
-                targets,
-                t,
-                &mut SearchSpace::new(),
-            )
-        }
-        None => dijkstra::one_to_many(network, source, targets, t),
-    }
+    dijkstra::one_to_many(network, source, targets, t, overlay)
 }
 
 fn bits(d: Option<Duration>) -> Option<u64> {
@@ -103,7 +90,7 @@ fn all_backends_agree_on_seeded_random_networks() {
         let engine = ShortestPathEngine::cached(network.clone());
         for (a, b) in sample_pairs(&network, seed ^ 0xD15_BA7C4, 80) {
             assert_same_duration(
-                dijkstra::shortest_travel_time(&network, a, b, t),
+                reference(&network, None, a, &[b], t)[0],
                 engine.travel_time(a, b, t),
                 &format!("{nodes} nodes seed {seed}: {a}->{b}"),
             );
@@ -134,15 +121,15 @@ fn all_backends_agree_on_one_to_many_including_unreachable() {
     let targets: Vec<NodeId> = network.node_ids().collect();
     let engine = ShortestPathEngine::cached(network.clone());
     for &source in &targets {
-        let expected = dijkstra::one_to_many(&network, source, &targets, t);
+        let expected = dijkstra::one_to_many(&network, source, &targets, t, None);
         let got = engine.travel_times_to_many(source, &targets, t);
         for (i, &target) in targets.iter().enumerate() {
             assert_same_duration(expected[i], got[i], &format!("{source}->{target}"));
         }
     }
     // Sanity: the island structure really produces unreachable pairs.
-    assert_eq!(dijkstra::shortest_travel_time(&network, nodes[9], nodes[0], t), None);
-    assert!(dijkstra::shortest_travel_time(&network, nodes[0], nodes[9], t).is_some());
+    assert_eq!(reference(&network, None, nodes[9], &[nodes[0]], t)[0], None);
+    assert!(reference(&network, None, nodes[0], &[nodes[9]], t)[0].is_some());
 }
 
 /// Two clusters joined by a one-way bridge: pairs against the bridge are
@@ -775,19 +762,13 @@ fn shortest_path_agrees_across_backends() {
         }
         overlay
     };
-    let multipliers = overlay.edge_multipliers(&network);
-    let mut space = SearchSpace::new();
     let engine = ShortestPathEngine::cached(network.clone());
     for overlaid in [false, true] {
         if overlaid {
             engine.set_overlay(overlay.clone());
         }
         for (a, b) in sample_pairs(&network, 7, 40) {
-            let expected = if overlaid {
-                shortest_path_overlaid_in(&network, &multipliers, a, b, t, &mut space)
-            } else {
-                dijkstra::shortest_path(&network, a, b, t)
-            };
+            let expected = dijkstra::shortest_path(&network, a, b, t, overlaid.then_some(&overlay));
             let got = engine.shortest_path(a, b, t);
             match (expected, got) {
                 (None, None) => {}

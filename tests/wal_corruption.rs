@@ -268,7 +268,7 @@ fn compaction_round_trips_and_guards_replay_below_the_anchor() {
         // suffix verbatim, replay below the anchor a typed error (the
         // "checkpoint is missing" recovery mistake), not a panic.
         let (reopened, outcome) = WriteAheadLog::open(&path).expect("reopen compacted log");
-        assert_eq!(reopened.seq(), records.len() as u64, "case {case}: global seq");
+        assert_eq!(reopened.appended_seq(), records.len() as u64, "case {case}: global seq");
         assert_eq!(outcome.base_seq, anchor, "case {case}: base seq is the anchor");
         assert_eq!(
             outcome.records[..],
