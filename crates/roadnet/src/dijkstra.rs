@@ -878,6 +878,29 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn one_to_all_covers_connected_grid() {
+        let net = grid_2x3();
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let d = one_to_many(&net, NodeId(0), &all, TimePoint::MIDNIGHT, None);
+        assert_eq!(d.len(), 6);
+        assert!(d.iter().all(|x| x.is_some()));
+        assert_eq!(d[0], Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn expansion_in_borrowed_space_matches_owned() {
+        let net = grid_2x3();
+        let t = TimePoint::MIDNIGHT;
+        let mut space = SearchSpace::new();
+        for _ in 0..2 {
+            let borrowed: Vec<Settled> = Expansion::new(&net, NodeId(0), t, &mut space).collect();
+            let owned: Vec<Settled> =
+                Expansion::new(&net, NodeId(0), t, &mut SearchSpace::new()).collect();
+            assert_eq!(borrowed, owned);
+        }
+    }
+
     /// An expansion under `β` is Dijkstra run to exhaustion: it settles
     /// every reachable node, and each at the reference travel time to the
     /// bit, whatever searches ran in its space before.
