@@ -113,6 +113,7 @@ fn main() -> ExitCode {
     for experiment in to_run {
         for &seed in &seeds {
             ctx.seed = seed;
+            #[expect(clippy::disallowed_methods, reason = "each experiment's printed wall time")]
             let started = std::time::Instant::now();
             let rows = experiment.rows(&ctx);
             ledger::print(&format!("{} (seed {seed})", experiment.description), &rows);

@@ -83,9 +83,10 @@ impl DispatchPolicy for FoodMatchPolicy {
         }
 
         // Stage 1: batching (Algorithm 1).
-        let BatchingOutcome { batches, .. } =
+        let BatchingOutcome { batches, merges, .. } =
             batch_orders(&window.orders, engine, window.time, config);
         self.stats.batches = batches.len();
+        self.stats.merges = merges;
         if batches.is_empty() {
             return AssignmentOutcome::all_unassigned(window);
         }
@@ -156,6 +157,8 @@ mod tests {
         let biggest = outcome.assignments.iter().map(|a| a.orders.len()).max().unwrap();
         assert_eq!(biggest, 3, "expected the three same-restaurant orders in one batch");
         assert!(policy.last_stats().batches <= 2);
+        // The three orders share a restaurant: two merges build their batch.
+        assert_eq!(policy.last_stats().merges, 2);
 
         // Vanilla KM on the same window can assign at most one order per
         // vehicle — the motivating limitation of §IV-A.
@@ -183,6 +186,7 @@ mod tests {
         let outcome = policy.assign(&window, &engine, &config);
         outcome.validate(&window).unwrap();
         assert_eq!(policy.last_stats().batches, 2);
+        assert_eq!(policy.last_stats().merges, 0);
         assert!(outcome.assignments.iter().all(|a| a.orders.len() == 1));
     }
 

@@ -67,7 +67,7 @@ impl DispatchPolicy for GreedyPolicy {
 
         // BTreeMap so the assignment emission order is the vehicle index
         // order, independent of hasher state (the output stream is golden-
-        // pinned; see `nondeterministic-iteration` in foodmatch-lint).
+        // pinned; see `nondeterministic-iteration` in crates/clippy.toml).
         let mut per_vehicle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         loop {
             // Find the feasible (order, vehicle) pair with minimum marginal cost.

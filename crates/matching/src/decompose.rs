@@ -141,6 +141,7 @@ struct DecomposedMetrics {
 }
 
 impl DecomposedMetrics {
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires each handle once")]
     fn acquire() -> Self {
         DecomposedMetrics {
             solve_ns: foodmatch_telemetry::histogram("matching.solve_ns.decomposed-sparse-km"),

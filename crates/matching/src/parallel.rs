@@ -97,6 +97,7 @@ where
             done.push((i, f(i, item)));
         }
     };
+    #[expect(clippy::disallowed_methods, reason = "the one fan-out: every thread starts here")]
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let claim = &claim;
         let workers: Vec<_> = (1..participants)
@@ -136,6 +137,7 @@ mod tests {
     /// Raises `high` to `live`'s value after counting this call in, holds
     /// the count for a millisecond, then counts it out. The hold only makes
     /// overlaps likely; the bound the tests assert holds on every schedule.
+    #[expect(clippy::disallowed_methods, reason = "the hold only widens overlaps")]
     fn hold(live: &AtomicUsize, high: &AtomicUsize) {
         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
         high.fetch_max(now, Ordering::SeqCst);

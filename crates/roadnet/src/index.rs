@@ -351,6 +351,7 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires each handle once")]
     fn acquire() -> Self {
         EngineMetrics {
             queries: telemetry::counter("engine.queries"),
@@ -1414,6 +1415,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test's own threads share one engine")]
     fn engine_is_shareable_across_threads() {
         let net = GridCityBuilder::new(6, 6).build();
         let engine = ShortestPathEngine::cached(net.clone());

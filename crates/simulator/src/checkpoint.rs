@@ -37,6 +37,15 @@
 //! magic, short file, checksum mismatch, invalid payload) surfaces as a
 //! typed [`CheckpointError`] — never a panic, never silently wrong state.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::step::{require, Clock, RunState};
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
 use foodmatch_core::VehicleId;
@@ -400,6 +409,7 @@ impl Checkpointer<ServiceCheckpoint> {
 impl<C: Codec> Checkpointer<C> {
     /// A checkpointer writing every save to `path`. Nothing is sealed
     /// until the first save succeeds.
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires its handle once")]
     pub fn new(path: impl AsRef<Path>) -> Self {
         Checkpointer {
             path: path.as_ref().to_path_buf(),

@@ -40,6 +40,15 @@
 //! [`WalError::CrashInjected`] at that exact boundary, refusing all further
 //! input. Production code simply never installs a fail point.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::checkpoint::{RouterCheckpoint, ServiceCheckpoint};
 use crate::router::{DispatchRouter, RoutedOutput};
 use crate::service::{
@@ -171,6 +180,7 @@ impl<T: WalTarget> DurableDispatch<T> {
     /// next sequence number — pass a fresh log for a fresh run, or a log
     /// reopened with [`WriteAheadLog::open`] after recovery replay.
     pub fn new(target: T, log: WriteAheadLog) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "the constructor acquires its handle once")]
         let capture_ns = foodmatch_telemetry::histogram("checkpoint.capture_ns");
         DurableDispatch { target, log, fail_point: None, crashed: false, capture_ns }
     }

@@ -323,6 +323,7 @@ struct RouterMetrics {
 }
 
 impl RouterMetrics {
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires each handle once")]
     fn acquire() -> Self {
         RouterMetrics {
             advance_ns: foodmatch_telemetry::histogram("router.advance_ns"),
@@ -347,7 +348,10 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
     /// Panics when the zone map is empty, no zone has any node, the
     /// configuration is invalid, `end` precedes `start`, or a vehicle starts
     /// on a node that is not in `network` (the message names the vehicle).
-    #[allow(clippy::too_many_arguments)] // the one constructor; each argument is a deployment fact
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the one constructor; each argument is a deployment fact"
+    )]
     pub fn new(
         network: &RoadNetwork,
         zones: ZoneMap,
@@ -524,6 +528,7 @@ impl<P: DispatchPolicy> DispatchRouter<P> {
         let per_shard: Vec<(Vec<DispatchOutput>, u64)> =
             parallel_map(&self.shards, self.config.effective_threads(), |zi, shard| {
                 let _span = foodmatch_telemetry::span_dyn("shard", || format!("zone{zi}"));
+                #[expect(clippy::disallowed_methods, reason = "only while a recorder is live")]
                 let started = timed.then(Instant::now);
                 let mut outputs = Vec::new();
                 shard.lock().expect("shard lock").tick(tick, &mut outputs);

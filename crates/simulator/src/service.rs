@@ -306,6 +306,7 @@ struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires each handle once")]
     fn acquire() -> Self {
         ServiceMetrics {
             submit_ns: foodmatch_telemetry::histogram("service.submit_ns"),

@@ -293,9 +293,10 @@ impl RunState {
         let order_count = window.order_count();
         let vehicle_count = window.vehicle_count();
 
-        // lint: allow(wall-clock-hygiene) — `compute_secs` is a *reported*
-        // wall-clock measurement (the paper's per-window compute budget);
-        // it feeds `WindowStats`, which golden comparisons normalise.
+        // `compute_secs` is a *reported* wall-clock measurement (the
+        // paper's per-window compute budget); it feeds `WindowStats`, which
+        // golden comparisons normalise.
+        #[expect(clippy::disallowed_methods, reason = "the reported per-window compute budget")]
         let started = Instant::now();
         let outcome = policy.assign(&window, engine, &self.config);
         let compute_secs = started.elapsed().as_secs_f64();

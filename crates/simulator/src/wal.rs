@@ -58,6 +58,15 @@
 //!   reading stops with a hard, typed [`WalError`]. Never a panic, never a
 //!   silently wrong prefix.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::checkpoint::sync_parent_dir;
 use foodmatch_core::codec::{crc32, u32_le_at, u64_le_at, ByteReader, Codec, DecodeError};
 use foodmatch_core::Order;
@@ -442,6 +451,7 @@ struct WalMetrics {
 }
 
 impl WalMetrics {
+    #[expect(clippy::disallowed_methods, reason = "the constructor acquires each handle once")]
     fn acquire() -> Self {
         WalMetrics {
             append_ns: foodmatch_telemetry::histogram("wal.append_ns"),

@@ -249,6 +249,7 @@ mod tests {
     // every install/uninstall interaction so parallel test threads never
     // race it (module fns are otherwise exercised through the registry).
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test covers the global lookups")]
     fn global_install_cycle() {
         assert!(!active());
         assert!(!counter("x").is_live());

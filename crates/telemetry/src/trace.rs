@@ -65,6 +65,7 @@ fn thread_id() -> u64 {
 
 impl SpanTrace {
     /// A trace that keeps at most `capacity` completed spans.
+    #[expect(clippy::disallowed_methods, reason = "the trace epoch: telemetry owns the wall clock")]
     pub fn with_capacity(capacity: usize) -> Self {
         SpanTrace {
             inner: Arc::new(TraceInner {
@@ -86,6 +87,7 @@ impl SpanTrace {
         self.open(cat, Cow::Owned(name))
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a span start: telemetry owns the wall clock")]
     fn open(&self, cat: &'static str, name: Cow<'static, str>) -> SpanGuard {
         SpanGuard(Some(OpenSpan { trace: self.clone(), cat, name, started: Instant::now() }))
     }

@@ -313,7 +313,10 @@ fn generate_orders(
 /// [`PoissonOrderSource`](crate::source::PoissonOrderSource) so the two
 /// cannot drift apart statistically. The RNG consumption order (restaurant,
 /// customer, prep, items) is part of the determinism contract.
-#[allow(clippy::too_many_arguments)] // one demand model, two callers, no struct of these to share
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one demand model, two callers, no struct of these to share"
+)]
 pub(crate) fn draw_order(
     network: &RoadNetwork,
     nodes: &[NodeId],

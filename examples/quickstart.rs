@@ -80,7 +80,7 @@ fn main() {
     }
     let stats = policy.last_stats();
     println!(
-        "\nPipeline stats: {} batches, {} marginal-cost evaluations, {} batches matched",
-        stats.batches, stats.foodgraph_evaluations, stats.matched_batches
+        "\nPipeline stats: {} batches ({} merges), {} marginal-cost evaluations, {} matched",
+        stats.batches, stats.merges, stats.foodgraph_evaluations, stats.matched_batches
     );
 }

@@ -123,7 +123,7 @@ fn run_golden<T: WalTarget>(target: T, wal_path: &Path, ops: &[Op]) -> (Vec<T::O
 /// checkpoint's `wal_seq`), replay the suffix, and finish the script.
 /// Returns the recovered output stream (pre-checkpoint prefix + replay +
 /// continuation) and the final dispatcher.
-#[allow(clippy::too_many_arguments)] // a test harness knob per crash axis
+#[allow(clippy::too_many_arguments, reason = "a test harness knob per crash axis")]
 fn run_crashed_and_recover<T: WalTarget>(
     target: T,
     wal_path: &Path,
