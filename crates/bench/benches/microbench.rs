@@ -11,9 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use foodmatch_core::{
-    batch_orders, build_food_graph, CommittedOrder, DispatchConfig, DispatchPolicy,
-    FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, Order, OrderId, VehicleSnapshot,
-    WindowSnapshot,
+    batch_orders, build_food_graph, DispatchConfig, DispatchPolicy, FoodMatchPolicy, GreedyPolicy,
+    KuhnMunkresPolicy, Order, OrderId, PlannedOrder, VehicleSnapshot, WindowSnapshot,
 };
 use foodmatch_roadnet::{
     AngularFrame, Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint, TrafficOverlay,
@@ -298,7 +297,7 @@ fn bench_foodgraph(c: &mut Criterion) {
         .map(|i| {
             let committed = (0..2)
                 .filter(|_| i % 2 == 0)
-                .map(|k| CommittedOrder {
+                .map(|k| PlannedOrder {
                     order: Order::new(
                         OrderId((10_000 + 2 * i + k) as u64),
                         stop_of(i + 1 + k),

@@ -129,13 +129,10 @@ mod pinned_to_definition {
         assert_eq!(got.batches.len(), want.batches.len(), "{what}");
         for (g, w) in got.batches.iter().zip(&want.batches) {
             assert_eq!(g.orders, w.orders, "{what}");
-            // Plan, deliveries, `finish_at` and the rest of the route…
+            // The plan…
             assert_eq!(g.route, w.route, "{what}");
-            // …and the costs to the bit.
+            // …and its cost to the bit.
             assert_eq!(g.route.cost_secs.to_bits(), w.route.cost_secs.to_bits(), "{what}");
-            for (g, w) in g.route.deliveries.iter().zip(&w.route.deliveries) {
-                assert_eq!(g.xdt_secs.to_bits(), w.xdt_secs.to_bits(), "{what}");
-            }
         }
         assert_eq!(got.unplannable, want.unplannable, "{what}");
         assert_eq!(got.merges, want.merges, "{what}");

@@ -22,6 +22,7 @@
 
 use crate::config::DispatchConfig;
 use crate::order::{Order, OrderId};
+use crate::route::PlannedOrder;
 use crate::vehicle::VehicleId;
 use foodmatch_roadnet::{Duration, EdgeId, HourSlot, NodeId, TimePoint};
 use std::collections::BTreeMap;
@@ -419,6 +420,16 @@ impl Codec for Order {
             return Err(DecodeError::Invalid("Order must contain at least one item".to_string()));
         }
         Ok(Order { id, restaurant, customer, placed_at, items, prep_time })
+    }
+}
+
+impl Codec for PlannedOrder {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.order.encode(out);
+        self.picked_up.encode(out);
+    }
+    fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        Ok(PlannedOrder { order: Order::decode(reader)?, picked_up: bool::decode(reader)? })
     }
 }
 

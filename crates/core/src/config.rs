@@ -9,6 +9,7 @@
 use foodmatch_matching::Decomposed;
 use foodmatch_roadnet::Duration;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Why a [`DispatchConfig`] was rejected by [`DispatchConfig::validate`].
 /// Each variant carries the offending value so callers can surface a
@@ -174,8 +175,13 @@ impl DispatchConfig {
     /// `num_threads` capped at the machine's available parallelism (dispatch
     /// work is CPU-bound, so oversubscribing cores only adds scheduler
     /// overhead), or the full available parallelism when the knob is `0`.
+    /// The machine's parallelism is read once per process: asking the
+    /// operating system costs tens of microseconds (cgroup files), and the
+    /// dispatch stages ask several times a window.
     pub fn effective_threads(&self) -> usize {
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES
+            .get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
         match self.num_threads {
             0 => cores,
             n => n.min(cores),

@@ -27,18 +27,6 @@ pub fn shortest_delivery_time(
     Some(order.prep_time + sp)
 }
 
-/// The vehicle's committed orders followed by `extra` (all pending), in the
-/// order the planner branches over them.
-fn planned_orders(vehicle: &VehicleSnapshot, extra: &[Order]) -> Vec<PlannedOrder> {
-    let mut planned: Vec<PlannedOrder> = vehicle
-        .committed
-        .iter()
-        .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
-        .collect();
-    planned.extend(extra.iter().copied().map(PlannedOrder::pending));
-    planned
-}
-
 /// The stops a batch of pending orders adds to a plan.
 fn stops_of(batch: &[Order]) -> impl Iterator<Item = NodeId> + '_ {
     batch.iter().flat_map(|o| [o.restaurant, o.customer])
@@ -258,10 +246,9 @@ pub(crate) fn collect(
     wanted.remove(&vehicle.location);
     let block_legs = LegRows::sweep(wanted, engine, t, 1);
 
-    let planned = planned_orders(vehicle, &[]);
     let mut block = LegTable::new(Some(vehicle.location));
-    block.extend(&planned, block_legs.legs(Some(&shortlist.start)));
-    match plan_on_table(&block, t, &planned) {
+    block.extend(&vehicle.committed, block_legs.legs(Some(&shortlist.start)));
+    match plan_on_table(&block, t, &vehicle.committed) {
         Some(route) => {
             shortlist.base_secs = route.cost_secs;
             shortlist.committed_block = Some(Box::new(block));
@@ -334,7 +321,7 @@ pub(crate) fn price(
     resolved: &LegRows,
     t: TimePoint,
 ) -> Vec<(usize, f64)> {
-    let mut planned = planned_orders(vehicle, &[]);
+    let mut planned = vehicle.committed.clone();
     let committed = planned.len();
     let empty = LegTable::new(Some(vehicle.location));
     let block = shortlist.committed_block.as_deref().unwrap_or(&empty);
@@ -378,8 +365,10 @@ pub(crate) fn reference_marginal_cost(
         Some(first_mile) if first_mile <= config.max_first_mile => {}
         _ => return MarginalCost::Infeasible,
     }
-    let plan = |extra| {
-        plan_exhaustively(Some(vehicle.location), t, &planned_orders(vehicle, extra), engine)
+    let plan = |extra: &[Order]| {
+        let mut planned = vehicle.committed.clone();
+        planned.extend(extra.iter().copied().map(PlannedOrder::pending));
+        plan_exhaustively(Some(vehicle.location), t, &planned, engine)
     };
     let Some(base) = plan(&[]).map(|r| r.cost_secs) else {
         return MarginalCost::Infeasible;
@@ -394,7 +383,7 @@ pub(crate) fn reference_marginal_cost(
 mod tests {
     use super::*;
     use crate::order::OrderId;
-    use crate::vehicle::{CommittedOrder, VehicleId};
+    use crate::vehicle::VehicleId;
     use foodmatch_roadnet::generators::GridCityBuilder;
     use foodmatch_roadnet::{CongestionProfile, RoadClass};
 
@@ -447,7 +436,7 @@ mod tests {
         let config = DispatchConfig::default();
         let existing = order(1, b.node_at(0, 1), b.node_at(0, 5), 0.1);
         let mut loaded = VehicleSnapshot::idle(VehicleId(1), b.node_at(0, 0));
-        loaded.committed = vec![CommittedOrder { order: existing, picked_up: false }];
+        loaded.committed = vec![PlannedOrder { order: existing, picked_up: false }];
         let idle = VehicleSnapshot::idle(VehicleId(2), b.node_at(0, 0));
 
         // A second order in the opposite corner: adding it to the loaded
@@ -468,7 +457,7 @@ mod tests {
         let config = DispatchConfig::default();
         let mut v = VehicleSnapshot::idle(VehicleId(1), b.node_at(0, 0));
         v.committed = (0..3)
-            .map(|i| CommittedOrder {
+            .map(|i| PlannedOrder {
                 order: order(i, b.node_at(0, 1), b.node_at(0, 2), 1.0),
                 picked_up: false,
             })
@@ -485,7 +474,7 @@ mod tests {
         let t = TimePoint::from_hms(12, 0, 0);
         let config = DispatchConfig::default();
         let mut v = VehicleSnapshot::idle(VehicleId(1), b.node_at(0, 0));
-        v.committed = vec![CommittedOrder {
+        v.committed = vec![PlannedOrder {
             order: Order::new(OrderId(1), b.node_at(0, 1), b.node_at(0, 2), t, 9, Duration::ZERO),
             picked_up: true,
         }];
@@ -518,7 +507,7 @@ mod tests {
         let (warm, b) = setup();
         let t = TimePoint::from_hms(12, 0, 0);
         let mut vehicle = VehicleSnapshot::idle(VehicleId(1), b.node_at(1, 1));
-        vehicle.committed = vec![CommittedOrder {
+        vehicle.committed = vec![PlannedOrder {
             order: order(9, b.node_at(1, 2), b.node_at(5, 5), 0.5),
             picked_up: false,
         }];
@@ -556,8 +545,8 @@ mod tests {
         let at = |r, c| b.node_at(r, c);
         let mut vehicle = VehicleSnapshot::idle(VehicleId(1), at(3, 3));
         vehicle.committed = vec![
-            CommittedOrder { order: order(1, at(0, 0), at(3, 5), 4.0), picked_up: true },
-            CommittedOrder { order: order(2, at(4, 3), at(5, 5), 9.0), picked_up: false },
+            PlannedOrder { order: order(1, at(0, 0), at(3, 5), 4.0), picked_up: true },
+            PlannedOrder { order: order(2, at(4, 3), at(5, 5), 9.0), picked_up: false },
         ];
         let far = order(13, at(7, 7), at(7, 5), 6.0);
         let heavy = Order { items: 9, ..order(14, at(2, 2), at(1, 1), 6.0) };
@@ -643,8 +632,8 @@ mod tests {
             }
             let mut vehicle = VehicleSnapshot::idle(VehicleId(1), here);
             vehicle.committed = vec![
-                CommittedOrder { order: on_board, picked_up: true },
-                CommittedOrder { order: pending, picked_up: false },
+                PlannedOrder { order: on_board, picked_up: true },
+                PlannedOrder { order: pending, picked_up: false },
             ];
             let cold = ShortestPathEngine::cached(b.build());
             let shortlist = collect(&vehicle, &[0, 1, 2], &offers, &cold, t, &config);

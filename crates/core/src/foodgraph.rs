@@ -415,7 +415,7 @@ mod tests {
         let batches = singleton_batches(&orders, &engine, t).batches;
         let mut full = VehicleSnapshot::idle(VehicleId(0), b.node_at(1, 2));
         full.committed = (0..3)
-            .map(|i| crate::vehicle::CommittedOrder {
+            .map(|i| crate::route::PlannedOrder {
                 order: order(i, b.node_at(0, 0), b.node_at(0, 1)),
                 picked_up: true,
             })
@@ -549,8 +549,9 @@ mod tests {
         batches.push(Batch { orders: split.to_vec(), route });
         let split_row = batches.len() - 1;
 
-        let committed = |id: u64, r: usize, c: usize, picked_up: bool| {
-            crate::vehicle::CommittedOrder { order: order(100 + id, at(r), at(c)), picked_up }
+        let committed = |id: u64, r: usize, c: usize, picked_up: bool| crate::route::PlannedOrder {
+            order: order(100 + id, at(r), at(c)),
+            picked_up,
         };
         let mut vehicles = vehicles_at(&(0..15).map(|i| at(3 * i + 1)).collect::<Vec<_>>());
         vehicles[1].location = orders[0].restaurant; // standing on a batch's first pickup
@@ -571,11 +572,11 @@ mod tests {
         // Multi-order batches fail capacity, the far single orders fail
         // `tight`'s first mile, the rest are priced off one sweep per stop.
         vehicles[10].committed = vec![
-            crate::vehicle::CommittedOrder {
+            crate::route::PlannedOrder {
                 order: order(109, b.node_at(0, 8), b.node_at(3, 3)),
                 picked_up: true,
             },
-            crate::vehicle::CommittedOrder {
+            crate::route::PlannedOrder {
                 order: order(110, b.node_at(2, 3), b.node_at(4, 5)),
                 picked_up: false,
             },
@@ -585,7 +586,7 @@ mod tests {
         // the batches of both) while a third stands on it with an order of
         // its own to collect there (its start row, not a stop → stop leg)…
         let shared = b.node_at(6, 0);
-        let pending = |id: u64, customer: NodeId| crate::vehicle::CommittedOrder {
+        let pending = |id: u64, customer: NodeId| crate::route::PlannedOrder {
             order: order(id, shared, customer),
             picked_up: false,
         };

@@ -79,5 +79,5 @@ pub use policies::{
     DispatchPolicy, FoodMatchPolicy, GreedyPolicy, KuhnMunkresPolicy, PolicyKind, ReyesPolicy,
 };
 pub use route::{plan_optimal_route, EvaluatedRoute, PlannedOrder, RoutePlan, Stop, StopAction};
-pub use vehicle::{CommittedOrder, VehicleId, VehicleSnapshot};
+pub use vehicle::{VehicleId, VehicleSnapshot};
 pub use window::{AssignmentOutcome, VehicleAssignment, WindowSnapshot};

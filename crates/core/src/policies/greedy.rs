@@ -14,7 +14,8 @@ use crate::config::DispatchConfig;
 use crate::cost::marginal_cost;
 use crate::order::Order;
 use crate::policies::{outcome_from_assignments, DispatchPolicy};
-use crate::vehicle::{CommittedOrder, VehicleSnapshot};
+use crate::route::PlannedOrder;
+use crate::vehicle::VehicleSnapshot;
 use crate::window::{AssignmentOutcome, VehicleAssignment, WindowSnapshot};
 use foodmatch_roadnet::ShortestPathEngine;
 use std::collections::BTreeMap;
@@ -88,7 +89,7 @@ impl DispatchPolicy for GreedyPolicy {
 
             assigned_orders[oi] = true;
             per_vehicle.entry(vi).or_default().push(oi);
-            working[vi].committed.push(CommittedOrder { order: orders[oi], picked_up: false });
+            working[vi].committed.push(PlannedOrder::pending(orders[oi]));
 
             // The chosen vehicle's marginal costs against the remaining
             // orders change; everything else is untouched.

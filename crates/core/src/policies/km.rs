@@ -150,7 +150,7 @@ mod tests {
         // A vehicle already at full order capacity cannot take anything.
         let mut full = VehicleSnapshot::idle(VehicleId(0), b.node_at(0, 0));
         full.committed = (0..3)
-            .map(|i| crate::vehicle::CommittedOrder {
+            .map(|i| crate::route::PlannedOrder {
                 order: order(100 + i, b.node_at(0, 1), b.node_at(0, 2), t),
                 picked_up: true,
             })
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn km_matches_exhaustive_enumeration() {
-        use crate::vehicle::CommittedOrder;
+        use crate::route::PlannedOrder;
         use foodmatch_roadnet::{GeoPoint, RoadClass, RoadNetworkBuilder};
         // A 6×6 street grid of uneven lengths, plus an island no road reaches.
         const GRID: u32 = 6;
@@ -255,7 +255,7 @@ mod tests {
                 for j in 0..load {
                     let order = order_at(&mut rng, 100 + 10 * i as u64 + j);
                     let picked_up = rng.below(2) == 0;
-                    vehicle.committed.push(CommittedOrder { order, picked_up });
+                    vehicle.committed.push(PlannedOrder { order, picked_up });
                 }
                 loaded += usize::from(load > 0);
                 vehicles.push(vehicle);

@@ -216,7 +216,7 @@ mod tests {
         let t = TimePoint::from_hms(12, 0, 0);
         let mut full = VehicleSnapshot::idle(VehicleId(0), b.node_at(0, 0));
         full.committed = (0..3)
-            .map(|i| crate::vehicle::CommittedOrder {
+            .map(|i| crate::route::PlannedOrder {
                 order: order(50 + i, b.node_at(0, 1), b.node_at(0, 2), t),
                 picked_up: true,
             })

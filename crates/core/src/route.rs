@@ -129,7 +129,9 @@ impl RoutePlan {
     }
 }
 
-/// An order together with its pickup state, as input to the route planner.
+/// An order together with its pickup state: the route planner's input, a
+/// vehicle's committed orders in its [`VehicleSnapshot`](crate::VehicleSnapshot),
+/// and what the simulator's vehicles carry.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlannedOrder {
     /// The order to plan for.
@@ -150,20 +152,7 @@ impl PlannedOrder {
     }
 }
 
-/// Projected delivery of one order under an evaluated route plan.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProjectedDelivery {
-    /// The order delivered.
-    pub order: OrderId,
-    /// When the plan projects the drop-off to happen.
-    pub delivered_at: TimePoint,
-    /// The extra delivery time (Definition 7) of the order under this plan,
-    /// in seconds.
-    pub xdt_secs: f64,
-}
-
-/// The quickest route plan for a set of orders together with its cost
-/// break-down.
+/// The quickest route plan for a set of orders and its cost.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvaluatedRoute {
     /// The stop sequence.
@@ -171,17 +160,6 @@ pub struct EvaluatedRoute {
     /// Sum of per-order extra delivery times (the `Cost(v, O)` of Eq. 4), in
     /// seconds.
     pub cost_secs: f64,
-    /// Total driving time of the plan (waiting at restaurants excluded).
-    pub driving_time: Duration,
-    /// Total time spent waiting at restaurants for food to become ready.
-    pub waiting_time: Duration,
-    /// Projected delivery time and XDT of every order.
-    pub deliveries: Vec<ProjectedDelivery>,
-    /// Node where the plan starts (the vehicle location, or the first stop
-    /// for free-start plans).
-    pub start_node: NodeId,
-    /// Projected completion time of the final stop.
-    pub finish_at: TimePoint,
 }
 
 impl EvaluatedRoute {
@@ -424,15 +402,12 @@ pub(crate) fn plan_on_table(
     }
 
     let unset_stop = Stop { order: OrderId(0), node: NodeId(0), action: StopAction::Pickup };
-    let unset_delivery =
-        ProjectedDelivery { order: OrderId(0), delivered_at: start_time, xdt_secs: 0.0 };
     let mut search = Search {
         orders,
         sdt_secs,
         table,
         states: [OrderState::Delivered; MAX_PLAN_ORDERS],
         stops: [unset_stop; MAX_PLAN_STOPS],
-        deliveries: [unset_delivery; MAX_PLAN_ORDERS],
         best: None,
         best_cost: f64::INFINITY,
     };
@@ -440,23 +415,12 @@ pub(crate) fn plan_on_table(
         *state = if planned.picked_up { OrderState::OnBoard } else { OrderState::NeedsPickup };
     }
     let at = TourEnd { node: table.anchored.then_some(0), now: start_time, stops: 0, delivered: 0 };
-    search.explore(at, 0.0, 0.0, 0.0);
+    search.explore(at, 0.0);
 
     let best = search.best?;
-    let stops = best.stops[..best.at.stops].to_vec();
     Some(EvaluatedRoute {
-        // A free-start plan begins at its own first stop (an orderless one
-        // nowhere in particular).
-        start_node: match stops.first() {
-            Some(first) if !table.anchored => first.node,
-            _ => table.nodes[0],
-        },
-        plan: RoutePlan { stops },
+        plan: RoutePlan { stops: best.stops[..best.at.stops].to_vec() },
         cost_secs: best.cost_secs,
-        driving_time: Duration::from_secs_f64(best.driving_secs),
-        waiting_time: Duration::from_secs_f64(best.waiting_secs),
-        deliveries: best.deliveries[..best.at.delivered].to_vec(),
-        finish_at: best.at.now,
     })
 }
 
@@ -468,8 +432,8 @@ enum OrderState {
 }
 
 /// Where a partial tour stands: the table index of its last stop (`None`
-/// before the first stop of a free-start plan), the time it leaves it, and
-/// how much of the stop / delivery stacks it occupies.
+/// before the first stop of a free-start plan), the time it leaves it, how
+/// much of the stop stack it occupies and how many orders it has delivered.
 #[derive(Clone, Copy)]
 struct TourEnd {
     node: Option<usize>,
@@ -483,10 +447,7 @@ struct TourEnd {
 struct BestPlan {
     at: TourEnd,
     stops: [Stop; MAX_PLAN_STOPS],
-    deliveries: [ProjectedDelivery; MAX_PLAN_ORDERS],
     cost_secs: f64,
-    driving_secs: f64,
-    waiting_secs: f64,
 }
 
 struct Search<'a> {
@@ -497,13 +458,12 @@ struct Search<'a> {
     /// after, so one set of arrays serves the whole tree.
     states: [OrderState; MAX_PLAN_ORDERS],
     stops: [Stop; MAX_PLAN_STOPS],
-    deliveries: [ProjectedDelivery; MAX_PLAN_ORDERS],
     best: Option<BestPlan>,
     best_cost: f64,
 }
 
 impl Search<'_> {
-    fn explore(&mut self, at: TourEnd, cost_so_far: f64, driving_so_far: f64, waiting_so_far: f64) {
+    fn explore(&mut self, at: TourEnd, cost_so_far: f64) {
         if at.delivered == self.orders.len() {
             // `>=`, not `>`: among equal-cost tours the first one found
             // wins, which is what every downstream tie-break was recorded
@@ -512,14 +472,7 @@ impl Search<'_> {
                 return;
             }
             self.best_cost = cost_so_far;
-            self.best = Some(BestPlan {
-                at,
-                stops: self.stops,
-                deliveries: self.deliveries,
-                cost_secs: cost_so_far,
-                driving_secs: driving_so_far,
-                waiting_secs: waiting_so_far,
-            });
+            self.best = Some(BestPlan { at, stops: self.stops, cost_secs: cost_so_far });
             return;
         }
 
@@ -543,24 +496,20 @@ impl Search<'_> {
             let arrival = at.now + Duration::from_secs_f64(travel);
             self.stops[at.stops] = Stop { order: order.id, node, action };
             let mut next = TourEnd { node: Some(target), now: arrival, stops: at.stops + 1, ..at };
-            let (mut next_cost, mut next_wait) = (cost_so_far, waiting_so_far);
+            let mut next_cost = cost_so_far;
             match action {
                 StopAction::Pickup => {
                     self.states[i] = OrderState::OnBoard;
                     next.now = arrival.max(order.ready_at());
-                    next_wait += next.now.saturating_since(arrival).as_secs_f64();
                 }
                 StopAction::Dropoff => {
                     self.states[i] = OrderState::Delivered;
                     let edt = arrival.saturating_since(order.placed_at).as_secs_f64();
-                    let xdt = edt - self.sdt_secs[i];
-                    next_cost += xdt;
-                    self.deliveries[at.delivered] =
-                        ProjectedDelivery { order: order.id, delivered_at: arrival, xdt_secs: xdt };
+                    next_cost += edt - self.sdt_secs[i];
                     next.delivered += 1;
                 }
             }
-            self.explore(next, next_cost, driving_so_far + travel, next_wait);
+            self.explore(next, next_cost);
             self.states[i] = state;
         }
     }
@@ -610,7 +559,6 @@ mod tests {
         let r = plan_optimal_route(NodeId(0), TimePoint::from_hms(12, 0, 0), &[], &engine).unwrap();
         assert!(r.plan.is_empty());
         assert_eq!(r.cost_secs, 0.0);
-        assert_eq!(r.driving_time, Duration::ZERO);
     }
 
     #[test]
@@ -629,6 +577,7 @@ mod tests {
         // First mile = 2 edges, prep 5 min = 300 s > first mile, last mile = 4 edges.
         let first_mile = 2.0 * edge_secs();
         let last_mile = 4.0 * edge_secs();
+        assert!(first_mile < 300.0, "the vehicle waits for the food");
         let expected_edt = first_mile.max(300.0) + last_mile;
         let expected_xdt = expected_edt - (300.0 + last_mile);
         assert!(
@@ -637,7 +586,6 @@ mod tests {
             r.cost_secs,
             expected_xdt
         );
-        assert!((r.waiting_time.as_secs_f64() - (300.0 - first_mile)).abs() < 1e-6);
     }
 
     #[test]
@@ -648,7 +596,7 @@ mod tests {
         let o = order(1, b.node_at(0, 4), b.node_at(4, 4), (12, 0), 0.5);
         let t = TimePoint::from_hms(12, 0, 0);
         let r = plan_optimal_route(start, t, &[PlannedOrder::pending(o)], &engine).unwrap();
-        assert_eq!(r.waiting_time, Duration::ZERO);
+        assert!(4.0 * edge_secs() > 30.0, "the food is ready before the vehicle arrives");
         // Prep finished before the vehicle arrived, so XDT = first mile − prep
         // (EDT = first + last, SDT = prep + last).
         assert!((r.cost_secs - (4.0 * edge_secs() - 30.0)).abs() < 1e-6);
@@ -737,8 +685,8 @@ mod tests {
         let r =
             plan_optimal_route_free_start(TimePoint::from_hms(12, 0, 0), &orders, &engine).unwrap();
         r.plan.validate(&orders).unwrap();
-        assert_eq!(r.start_node, r.plan.stops[0].node);
         assert_eq!(r.plan.stops[0].action, StopAction::Pickup);
+        assert!([o1.restaurant, o2.restaurant].contains(&r.plan.stops[0].node));
     }
 
     #[test]
@@ -789,7 +737,11 @@ mod tests {
         assert_eq!(route, exhaustive::plan_exhaustively(Some(here), t, &orders, &engine).unwrap());
         // o3 must be fetched and brought back: the tour returns to its start.
         assert_eq!(route.plan.stops.last().unwrap().node, here);
-        assert_eq!(route.deliveries[0].delivered_at, t, "o2 is delivered without moving");
+        // o2 is delivered without moving: before the first stop away from here.
+        let stops = &route.plan.stops;
+        let o2_dropped = stops.iter().position(|s| s.order == o2.id).unwrap();
+        let first_move = stops.iter().position(|s| s.node != here).unwrap();
+        assert!(o2_dropped < first_move, "{stops:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! keeps the first strictly cheaper tour in the planner's depth-first order
 //! (at every stop, the orders by ascending index). [`plan_optimal_route`] and
 //! [`plan_optimal_route_free_start`] are pinned to it bit for bit: plan,
-//! `cost_secs`, every delivery's `xdt_secs`, `finish_at` and `None`-ness.
+//! `cost_secs` and `None`-ness.
 
 use super::*;
 
@@ -27,27 +27,11 @@ pub(crate) fn plan_exhaustively(
         .iter()
         .map(|p| if p.picked_up { OrderState::OnBoard } else { OrderState::NeedsPickup })
         .collect();
-    let tour = Tour {
-        at: start,
-        now: start_time,
-        stops: Vec::new(),
-        deliveries: Vec::new(),
-        cost_secs: 0.0,
-        driving_secs: 0.0,
-        waiting_secs: 0.0,
-    };
+    let tour = Tour { at: start, now: start_time, stops: Vec::new(), cost_secs: 0.0 };
     let mut search = Enumeration { orders, sdt_secs, engine, start_time, best: None };
     search.visit(tour, &mut states);
     let best = search.best?;
-    Some(EvaluatedRoute {
-        start_node: start.or(best.stops.first().map(|s| s.node)).unwrap_or(NodeId(0)),
-        plan: RoutePlan { stops: best.stops },
-        cost_secs: best.cost_secs,
-        driving_time: Duration::from_secs_f64(best.driving_secs),
-        waiting_time: Duration::from_secs_f64(best.waiting_secs),
-        deliveries: best.deliveries,
-        finish_at: best.now,
-    })
+    Some(EvaluatedRoute { plan: RoutePlan { stops: best.stops }, cost_secs: best.cost_secs })
 }
 
 /// A partial tour: where it stands and what it has cost so far.
@@ -56,10 +40,7 @@ struct Tour {
     at: Option<NodeId>,
     now: TimePoint,
     stops: Vec<Stop>,
-    deliveries: Vec<ProjectedDelivery>,
     cost_secs: f64,
-    driving_secs: f64,
-    waiting_secs: f64,
 }
 
 struct Enumeration<'a> {
@@ -97,24 +78,16 @@ impl Enumeration<'_> {
             let mut next = tour.clone();
             next.at = Some(node);
             next.now = arrival;
-            next.driving_secs += travel;
             next.stops.push(Stop { order: order.id, node, action });
             match action {
                 StopAction::Pickup => {
                     states[i] = OrderState::OnBoard;
                     next.now = arrival.max(order.ready_at());
-                    next.waiting_secs += next.now.saturating_since(arrival).as_secs_f64();
                 }
                 StopAction::Dropoff => {
                     states[i] = OrderState::Delivered;
                     let edt = arrival.saturating_since(order.placed_at).as_secs_f64();
-                    let xdt = edt - self.sdt_secs[i];
-                    next.cost_secs += xdt;
-                    next.deliveries.push(ProjectedDelivery {
-                        order: order.id,
-                        delivered_at: arrival,
-                        xdt_secs: xdt,
-                    });
+                    next.cost_secs += edt - self.sdt_secs[i];
                 }
             }
             self.visit(next, states);
@@ -216,9 +189,6 @@ mod pinned_to_brute_force {
         assert_eq!(planned, truth, "{what}");
         if let (Some(planned), Some(truth)) = (planned, truth) {
             assert_eq!(planned.cost_secs.to_bits(), truth.cost_secs.to_bits(), "{what}");
-            for (p, t) in planned.deliveries.iter().zip(&truth.deliveries) {
-                assert_eq!(p.xdt_secs.to_bits(), t.xdt_secs.to_bits(), "{what}");
-            }
         }
     }
 

@@ -4,7 +4,8 @@
 //! the close of every accumulation window it receives a [`VehicleSnapshot`]
 //! per available vehicle: where the vehicle is (snapped to the nearest road
 //! node, as in the paper), where it is currently heading (used by the angular
-//! distance of §IV-D1), and which orders it is already committed to.
+//! distance of §IV-D1), and which orders it is already committed to, each a
+//! [`PlannedOrder`] with its pickup state, as the route planner takes it.
 //!
 //! Which previously assigned orders appear as *committed* versus being put
 //! back into the unassigned pool is the reshuffling decision of §IV-D2 and is
@@ -13,6 +14,7 @@
 
 use crate::config::DispatchConfig;
 use crate::order::Order;
+use crate::route::PlannedOrder;
 use foodmatch_roadnet::NodeId;
 use std::fmt;
 
@@ -39,15 +41,6 @@ impl fmt::Display for VehicleId {
     }
 }
 
-/// An order a vehicle is already responsible for, with its pickup state.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommittedOrder {
-    /// The order itself.
-    pub order: Order,
-    /// Whether the food is already on board (picked up from the restaurant).
-    pub picked_up: bool,
-}
-
 /// The dispatcher's view of one available vehicle at window-close time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VehicleSnapshot {
@@ -60,7 +53,7 @@ pub struct VehicleSnapshot {
     pub heading: Option<NodeId>,
     /// Orders the vehicle is committed to and that the dispatcher must plan
     /// around but may not reassign.
-    pub committed: Vec<CommittedOrder>,
+    pub committed: Vec<PlannedOrder>,
     /// Orders currently assigned to this vehicle that the window has put back
     /// up for reshuffling (§IV-D2). They are *not* constraints — the policy
     /// may move them elsewhere — but they let cost ties be broken in favour
@@ -131,10 +124,7 @@ mod tests {
     fn capacity_respects_max_orders() {
         let config = DispatchConfig::default();
         let mut v = VehicleSnapshot::idle(VehicleId(1), NodeId(5));
-        v.committed = vec![
-            CommittedOrder { order: order(1, 1), picked_up: true },
-            CommittedOrder { order: order(2, 1), picked_up: false },
-        ];
+        v.committed = vec![PlannedOrder::on_board(order(1, 1)), PlannedOrder::pending(order(2, 1))];
         assert!(v.can_take(&[order(3, 1)], &config));
         assert!(!v.can_take(&[order(3, 1), order(4, 1)], &config));
     }
@@ -143,11 +133,11 @@ mod tests {
     fn capacity_respects_max_items() {
         let config = DispatchConfig::default();
         let mut v = VehicleSnapshot::idle(VehicleId(1), NodeId(5));
-        v.committed = vec![CommittedOrder { order: order(1, 8), picked_up: false }];
+        v.committed = vec![PlannedOrder::pending(order(1, 8))];
         assert!(v.can_take(&[order(2, 2)], &config));
         assert!(!v.can_take(&[order(2, 3)], &config));
         assert!(v.has_capacity(&config));
-        v.committed.push(CommittedOrder { order: order(3, 2), picked_up: false });
+        v.committed.push(PlannedOrder::pending(order(3, 2)));
         assert!(!v.has_capacity(&config));
     }
 

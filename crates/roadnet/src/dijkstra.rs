@@ -72,8 +72,9 @@ pub struct PathResult {
     pub travel_time: Duration,
     /// Total length of the path in meters.
     pub length_m: f64,
-    /// The node sequence from source to target (inclusive).
-    pub nodes: Vec<NodeId>,
+    /// The edges driven from source to target, in order (none when the
+    /// source is the target).
+    pub edges: Vec<EdgeId>,
 }
 
 /// Entry in the Dijkstra priority queue; ordered so the smallest cost pops
@@ -497,7 +498,7 @@ pub(crate) fn settled_time(space: &SearchSpace, node: NodeId) -> Option<Duration
 
 /// The quickest path from `source` to `target` under `edge_secs`, searched
 /// in `space`: [`search`], then a walk of the parent edges back from
-/// `target`. `None` if `target` is unreachable. The node sequence is the
+/// `target`. `None` if `target` is unreachable. The edge sequence is the
 /// only allocation.
 pub(crate) fn path(
     network: &RoadNetwork,
@@ -508,7 +509,7 @@ pub(crate) fn path(
 ) -> Option<PathResult> {
     search(network, Seed::Source(source), &[target], None, space, edge_secs);
     let travel_time = settled_time(space, target)?;
-    let mut nodes = vec![target];
+    let mut edges = Vec::new();
     let mut length_m = 0.0;
     let mut cursor = target;
     while cursor != source {
@@ -516,10 +517,10 @@ pub(crate) fn path(
         let edge = network.edge(eid);
         length_m += edge.length_m;
         cursor = edge.from;
-        nodes.push(cursor);
+        edges.push(eid);
     }
-    nodes.reverse();
-    Some(PathResult { travel_time, length_m, nodes })
+    edges.reverse();
+    Some(PathResult { travel_time, length_m, edges })
 }
 
 /// The weights a reference query runs on: `β(e, t)`, or its overlaid
@@ -553,7 +554,7 @@ pub fn one_to_many(
     targets.iter().map(|&target| settled_time(space, target)).collect()
 }
 
-/// The quickest path (node sequence, travel time, length) from `source` to
+/// The quickest path (edge sequence, travel time, length) from `source` to
 /// `target` at time `t`, on the weights [`one_to_many`] reads; `None` if
 /// `target` is unreachable. One Dijkstra in a throwaway space.
 pub fn shortest_path(
@@ -764,17 +765,12 @@ pub(crate) mod tests {
         let net = grid_2x3();
         let t = TimePoint::from_hms(8, 0, 0);
         let path = shortest_path(&net, NodeId(0), NodeId(5), t, None).unwrap();
-        assert_eq!(path.nodes.first(), Some(&NodeId(0)));
-        assert_eq!(path.nodes.last(), Some(&NodeId(5)));
-        assert_eq!(path.nodes.len(), 4);
+        assert_eq!(path_end(&net, NodeId(0), &path.edges), NodeId(5));
+        assert_eq!(path.edges.len(), 3);
         assert!((path.length_m - 3000.0).abs() < 1e-6);
         // Path travel time must equal the sum of its edge travel times.
         let mut total = 0.0;
-        for pair in path.nodes.windows(2) {
-            let (eid, _) = net
-                .out_edges(pair[0])
-                .find(|(_, e)| e.to == pair[1])
-                .expect("consecutive path nodes are adjacent");
+        for &eid in &path.edges {
             total += net.travel_time(eid, t).as_secs_f64();
         }
         assert!((total - path.travel_time.as_secs_f64()).abs() < 1e-9);
@@ -814,6 +810,16 @@ pub(crate) mod tests {
         assert_eq!(batch[0], batch[1]);
         assert_eq!(batch[2], Some(Duration::ZERO));
         assert_eq!(batch[3], Some(Duration::ZERO));
+    }
+
+    /// Where driving `edges` from `source` ends, asserting that each edge
+    /// leaves the node the one before it reached.
+    pub(crate) fn path_end(net: &RoadNetwork, source: NodeId, edges: &[EdgeId]) -> NodeId {
+        edges.iter().fold(source, |at, &eid| {
+            let edge = net.edge(eid);
+            assert_eq!(edge.from, at, "{eid:?} does not leave {at}");
+            edge.to
+        })
     }
 
     /// Number of nodes `space` is currently sized for.
@@ -867,8 +873,7 @@ pub(crate) mod tests {
                     let walked = shortest_path(&net, source, target, t, overlay);
                     assert_eq!(bits(walked.as_ref().map(|p| p.travel_time)), bits(swept));
                     if let Some(walked) = walked {
-                        assert_eq!(walked.nodes.first(), Some(&source));
-                        assert_eq!(walked.nodes.last(), Some(&target));
+                        assert_eq!(path_end(&net, source, &walked.edges), target);
                     }
                 }
                 // Exhausting the graph for the island (nothing stops the

@@ -1409,7 +1409,7 @@ mod tests {
         assert_eq!(engine.query_count(), 1, "shortest_path must count as a query");
         // The engine answers a path with the memo-free search: the same
         // path, to the bit.
-        assert_eq!(got.nodes, expected.nodes);
+        assert_eq!(got.edges, expected.edges);
         assert_eq!(bits(Some(got.travel_time)), bits(Some(expected.travel_time)));
         assert_eq!(got.length_m.to_bits(), expected.length_m.to_bits());
     }
@@ -1609,8 +1609,7 @@ mod tests {
         // not be slower than driving the perturbed reference path.
         let mut overlay = crate::TrafficOverlay::new();
         let mut perturbed_reference_secs = 0.0;
-        for pair in reference.nodes.windows(2) {
-            let (eid, _) = net.out_edges(pair[0]).find(|(_, e)| e.to == pair[1]).unwrap();
+        for &eid in &reference.edges {
             overlay.slow_edge(eid, 10.0);
             perturbed_reference_secs += net.travel_time(eid, t).as_secs_f64() * 10.0;
         }

@@ -105,6 +105,7 @@ pub(crate) fn overlaid_secs<'a>(
 mod tests {
     use super::*;
     use crate::congestion::{CongestionProfile, RoadClass};
+    use crate::dijkstra::tests::path_end;
     use crate::dijkstra::{one_to_many, shortest_path};
     use crate::generators::GridCityBuilder;
     use crate::geo::GeoPoint;
@@ -189,16 +190,11 @@ mod tests {
         let overlay = overlay_on(&net, 4.0, 2);
         let t = TimePoint::from_hms(12, 0, 0);
         let path = shortest_path(&net, NodeId(0), NodeId(24), t, Some(&overlay)).unwrap();
-        assert_eq!(path.nodes.first(), Some(&NodeId(0)));
-        assert_eq!(path.nodes.last(), Some(&NodeId(24)));
+        assert_eq!(path_end(&net, NodeId(0), &path.edges), NodeId(24));
         // Summing the overlaid edge weights along the path reproduces the
         // reported travel time.
         let mut total = 0.0;
-        for pair in path.nodes.windows(2) {
-            let (eid, _) = net
-                .out_edges(pair[0])
-                .find(|(_, e)| e.to == pair[1])
-                .expect("consecutive path nodes are adjacent");
+        for &eid in &path.edges {
             total += net.travel_time(eid, t).as_secs_f64() * overlay.multiplier(eid);
         }
         assert!((total - path.travel_time.as_secs_f64()).abs() < 1e-9);

@@ -27,7 +27,7 @@
 //! dispatcher shapes persist through the same container, one file:
 //!
 //! ```text
-//! [8-byte magic "FMCKPT04"] [u64 payload length] [u32 CRC-32 of payload] [payload]
+//! [8-byte magic "FMCKPT05"] [u64 payload length] [u32 CRC-32 of payload] [payload]
 //! ```
 //!
 //! Files are written atomically — to a temporary sibling, fsynced, then
@@ -59,7 +59,7 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every checkpoint file (8 bytes, versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT04";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FMCKPT05";
 
 /// A typed failure loading or storing a checkpoint. Corrupt or truncated
 /// files are always reported through one of these variants — reading a
@@ -648,10 +648,10 @@ mod tests {
         // A well-formed container of the previous format is refused by its
         // magic, never decoded.
         let mut previous = sealed.clone();
-        previous[..8].copy_from_slice(b"FMCKPT03");
+        previous[..8].copy_from_slice(b"FMCKPT04");
         assert!(matches!(
             unseal(&previous),
-            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT03"
+            Err(CheckpointError::BadMagic { found }) if &found == b"FMCKPT04"
         ));
 
         let mut truncated = sealed.clone();

@@ -1,39 +1,27 @@
 //! Runtime vehicle state and movement along route plans.
 //!
 //! The dispatcher only ever sees [`VehicleSnapshot`]s; this module owns the
-//! full picture: which orders a vehicle carries, the itinerary it is
-//! executing (travel legs expanded to individual road edges, waits at
-//! restaurants, pickups and drop-offs), and how far it has progressed. The
-//! simulation advances vehicles window by window; positions between nodes are
-//! snapped to the last reached node, mirroring the paper's "approximate its
-//! location to the closest node" rule.
+//! full picture: which orders a vehicle carries (each a [`PlannedOrder`],
+//! the type the snapshot commits and the planner plans), the itinerary it is
+//! executing (a route plan expanded to the road edges the oracle's path
+//! drives, waits at restaurants, pickups and drop-offs), and how far it has
+//! progressed. The simulation advances vehicles window by window; positions
+//! between nodes are snapped to the last reached node, mirroring the paper's
+//! "approximate its location to the closest node" rule.
 
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
-use foodmatch_core::route::{EvaluatedRoute, StopAction};
-use foodmatch_core::{CommittedOrder, Order, OrderId, VehicleId, VehicleSnapshot};
+use foodmatch_core::route::{PlannedOrder, RoutePlan, StopAction};
+use foodmatch_core::{Order, OrderId, VehicleId, VehicleSnapshot};
 use foodmatch_roadnet::{Duration, NodeId, ShortestPathEngine, TimePoint};
 use std::collections::VecDeque;
-
-/// An order currently tied to a vehicle.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CarriedOrder {
-    /// The order.
-    pub order: Order,
-    /// Whether the food has been collected from the restaurant.
-    pub picked_up: bool,
-}
 
 /// One step of a vehicle's itinerary.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ItineraryStep {
     /// Drive one road edge.
     Travel {
-        /// Node the edge leaves from.
-        from: NodeId,
         /// Node the edge arrives at.
         to: NodeId,
-        /// Departure time.
-        depart: TimePoint,
         /// Arrival time.
         arrive: TimePoint,
         /// Edge length in meters.
@@ -41,8 +29,6 @@ pub enum ItineraryStep {
     },
     /// Wait at a restaurant until the food is ready.
     Wait {
-        /// The restaurant node.
-        node: NodeId,
         /// When the wait starts (arrival at the restaurant).
         from: TimePoint,
         /// When the wait ends (food ready).
@@ -111,7 +97,7 @@ pub struct VehicleState {
     /// Current position, snapped to the last reached node.
     pub location: NodeId,
     /// Orders currently assigned to the vehicle (picked up or not).
-    pub carried: Vec<CarriedOrder>,
+    pub carried: Vec<PlannedOrder>,
     /// Whether the driver is on shift. Off-shift vehicles are not offered to
     /// the dispatcher; they still finish the deliveries already on board.
     pub on_shift: bool,
@@ -171,12 +157,8 @@ impl VehicleState {
     /// back into the window's order pool); without it, everything the vehicle
     /// carries is committed.
     pub fn snapshot(&self, reshuffle: bool) -> VehicleSnapshot {
-        let committed = self
-            .carried
-            .iter()
-            .filter(|c| c.picked_up || !reshuffle)
-            .map(|c| CommittedOrder { order: c.order, picked_up: c.picked_up })
-            .collect();
+        let committed =
+            self.carried.iter().filter(|c| c.picked_up || !reshuffle).copied().collect();
         let tentative = if reshuffle {
             self.carried.iter().filter(|c| !c.picked_up).map(|c| c.order.id).collect()
         } else {
@@ -210,49 +192,34 @@ impl VehicleState {
         before != self.carried.len()
     }
 
-    /// Installs a new set of carried orders and the route plan serving them,
-    /// expanding the plan into an edge-level itinerary starting at the
-    /// vehicle's current location and time.
+    /// Replaces the itinerary with `plan`, a route plan serving the orders in
+    /// [`Self::carried`], expanded into an edge-level itinerary starting at
+    /// the vehicle's current location and time.
     ///
     /// Legs whose shortest path cannot be found (disconnected network) are
     /// skipped; affected orders simply never get picked up and will surface
     /// as undelivered in the report — the synthetic networks used by the
     /// experiments are connected, so this is a corner case.
-    pub fn install_plan(
-        &mut self,
-        carried: Vec<CarriedOrder>,
-        route: &EvaluatedRoute,
-        now: TimePoint,
-        engine: &ShortestPathEngine,
-    ) {
-        self.carried = carried;
+    pub fn install_plan(&mut self, plan: &RoutePlan, now: TimePoint, engine: &ShortestPathEngine) {
         self.itinerary.clear();
         self.pending_wait = Duration::ZERO;
 
+        let network = engine.network();
         let mut cursor_node = self.location;
         let mut cursor_time = now;
-        for stop in &route.plan.stops {
-            // Drive to the stop.
+        for stop in &plan.stops {
+            // Drive to the stop, along the very edges the oracle's path took.
             if stop.node != cursor_node {
                 let Some(path) = engine.shortest_path(cursor_node, stop.node, cursor_time) else {
                     continue;
                 };
-                for pair in path.nodes.windows(2) {
-                    let (from, to) = (pair[0], pair[1]);
-                    let network = engine.network();
-                    let Some((eid, edge)) = network.out_edges(from).find(|(_, e)| e.to == to)
-                    else {
-                        continue;
-                    };
+                for eid in path.edges {
                     // Overlay-aware: a vehicle drives slower through an
                     // active disruption, exactly as the oracle predicted.
-                    let tt = engine.edge_travel_time(eid, cursor_time);
-                    let depart = cursor_time;
-                    cursor_time += tt;
+                    cursor_time += engine.edge_travel_time(eid, cursor_time);
+                    let edge = network.edge(eid);
                     self.itinerary.push_back(ItineraryStep::Travel {
-                        from,
-                        to,
-                        depart,
+                        to: edge.to,
                         arrive: cursor_time,
                         length_m: edge.length_m,
                     });
@@ -266,11 +233,8 @@ impl VehicleState {
                 StopAction::Pickup => {
                     let ready = order.ready_at();
                     if ready > cursor_time {
-                        self.itinerary.push_back(ItineraryStep::Wait {
-                            node: stop.node,
-                            from: cursor_time,
-                            until: ready,
-                        });
+                        self.itinerary
+                            .push_back(ItineraryStep::Wait { from: cursor_time, until: ready });
                         cursor_time = ready;
                     }
                     self.itinerary
@@ -317,30 +281,17 @@ impl VehicleState {
     }
 }
 
-impl Codec for CarriedOrder {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.order.encode(out);
-        self.picked_up.encode(out);
-    }
-    fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(CarriedOrder { order: Order::decode(reader)?, picked_up: bool::decode(reader)? })
-    }
-}
-
 impl Codec for ItineraryStep {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
-            ItineraryStep::Travel { from, to, depart, arrive, length_m } => {
+            ItineraryStep::Travel { to, arrive, length_m } => {
                 out.push(0);
-                from.encode(out);
                 to.encode(out);
-                depart.encode(out);
                 arrive.encode(out);
                 length_m.encode(out);
             }
-            ItineraryStep::Wait { node, from, until } => {
+            ItineraryStep::Wait { from, until } => {
                 out.push(1);
-                node.encode(out);
                 from.encode(out);
                 until.encode(out);
             }
@@ -359,9 +310,7 @@ impl Codec for ItineraryStep {
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         match reader.take(1)?[0] {
             0 => {
-                let from = NodeId::decode(reader)?;
                 let to = NodeId::decode(reader)?;
-                let depart = TimePoint::decode(reader)?;
                 let arrive = TimePoint::decode(reader)?;
                 let length_m = f64::decode(reader)?;
                 if !(length_m.is_finite() && length_m >= 0.0) {
@@ -369,10 +318,9 @@ impl Codec for ItineraryStep {
                         "travel length must be finite and non-negative, got {length_m}"
                     )));
                 }
-                Ok(ItineraryStep::Travel { from, to, depart, arrive, length_m })
+                Ok(ItineraryStep::Travel { to, arrive, length_m })
             }
             1 => Ok(ItineraryStep::Wait {
-                node: NodeId::decode(reader)?,
                 from: TimePoint::decode(reader)?,
                 until: TimePoint::decode(reader)?,
             }),
@@ -407,7 +355,7 @@ impl Codec for VehicleState {
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let id = VehicleId::decode(reader)?;
         let location = NodeId::decode(reader)?;
-        let carried = Vec::<CarriedOrder>::decode(reader)?;
+        let carried = Vec::<PlannedOrder>::decode(reader)?;
         let on_shift = bool::decode(reader)?;
         let declared = u64::decode(reader)?;
         let steps = reader.check_len(declared)?;
@@ -423,9 +371,9 @@ impl Codec for VehicleState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foodmatch_core::route::{plan_optimal_route, PlannedOrder};
+    use foodmatch_core::route::plan_optimal_route;
     use foodmatch_roadnet::generators::GridCityBuilder;
-    use foodmatch_roadnet::CongestionProfile;
+    use foodmatch_roadnet::{CongestionProfile, GeoPoint, RoadClass, RoadNetworkBuilder};
 
     fn setup() -> (ShortestPathEngine, GridCityBuilder) {
         let b =
@@ -443,14 +391,9 @@ mod tests {
         now: TimePoint,
         engine: &ShortestPathEngine,
     ) {
-        let route =
-            plan_optimal_route(vehicle.location, now, &[PlannedOrder::pending(o)], engine).unwrap();
-        vehicle.install_plan(
-            vec![CarriedOrder { order: o, picked_up: false }],
-            &route,
-            now,
-            engine,
-        );
+        vehicle.carried = vec![PlannedOrder::pending(o)];
+        let route = plan_optimal_route(vehicle.location, now, &vehicle.carried, engine).unwrap();
+        vehicle.install_plan(&route.plan, now, engine);
     }
 
     #[test]
@@ -563,6 +506,43 @@ mod tests {
         assert!(v.remove_unpicked(o.id));
         assert!(v.carried.is_empty());
         assert!(!v.remove_unpicked(o.id));
+    }
+
+    #[test]
+    fn the_fleet_drives_the_parallel_edge_the_oracle_priced() {
+        // Two streets from a to c: a 900 m local road, added first, and an
+        // 800 m arterial the oracle's path takes. The vehicle must reach the
+        // restaurant at c when the oracle said it would, not drive the first
+        // edge that happens to lead there.
+        let mut builder = RoadNetworkBuilder::new();
+        let a = builder.add_node(GeoPoint::new(0.0, 0.0));
+        let c = builder.add_node(GeoPoint::new(0.0, 0.008));
+        builder.add_edge(a, c, 900.0, RoadClass::Local);
+        builder.add_edge(a, c, 800.0, RoadClass::Arterial);
+        builder.add_edge(c, a, 900.0, RoadClass::Local);
+        let engine = ShortestPathEngine::cached(builder.build());
+        let t = TimePoint::from_hms(3, 0, 0);
+        let mut v = VehicleState::new(VehicleId(0), a);
+        install_single(&mut v, order(1, c, a, t, 0.0), t, &engine);
+
+        let events = v.advance(TimePoint::from_hms(4, 0, 0));
+        let oracle = engine.travel_time(a, c, t).unwrap();
+        assert!(
+            (oracle.as_secs_f64() - 800.0 / RoadClass::Arterial.free_flow_speed_mps()).abs() < 1e-9
+        );
+        let picked_at = events.iter().find_map(|e| match e {
+            FleetEvent::PickedUp { at, .. } => Some(*at),
+            _ => None,
+        });
+        assert_eq!(picked_at, Some(t + oracle));
+        let driven: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e {
+                FleetEvent::Drove { length_m, .. } => Some(*length_m),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(driven, [800.0, 900.0]);
     }
 
     #[test]

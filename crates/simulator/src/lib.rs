@@ -135,7 +135,7 @@ pub use checkpoint::{
 };
 pub use durable::{replay_wal, DurableDispatch, FailMode, FailPoint, ReplayError, WalTarget};
 pub use engine::Simulation;
-pub use fleet::{CarriedOrder, FleetEvent, ItineraryStep, VehicleState};
+pub use fleet::{FleetEvent, ItineraryStep, VehicleState};
 pub use metrics::{DeliveredOrder, MetricsCollector, SimulationReport, WindowStats};
 pub use router::{
     DispatchRouter, RoutedOutput, RouterReport, RouterSnapshot, Zone, ZoneId, ZoneMap,

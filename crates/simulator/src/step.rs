@@ -22,7 +22,7 @@
 //! `Arrived` order is answered by the containers that own the [`Order`]
 //! values (`pending`, `VehicleState::carried`), never by a second index.
 
-use crate::fleet::{CarriedOrder, FleetEvent, VehicleState};
+use crate::fleet::{FleetEvent, VehicleState};
 use crate::metrics::{MetricsCollector, WindowStats};
 use crate::service::{AdvanceOutcome, AdvanceStatus, DispatchOutput, IngestOutcome, SubmitOutcome};
 use foodmatch_core::codec::{ByteReader, Codec, DecodeError};
@@ -361,7 +361,7 @@ impl RunState {
             touched.insert(vi);
             for &order_id in &assignment.orders {
                 let Some(&order) = order_lookup.get(&order_id) else { continue };
-                self.vehicles[vi].carried.push(CarriedOrder { order, picked_up: false });
+                self.vehicles[vi].carried.push(PlannedOrder::pending(order));
                 out.push(DispatchOutput::Assigned {
                     order: order_id,
                     vehicle: assignment.vehicle,
@@ -640,24 +640,10 @@ fn set_phase(book: &mut BTreeMap<OrderId, OrderEntry>, order: OrderId, phase: Or
 /// by the assignment step and by event-driven route repair (cancellations,
 /// prep delays, shift ends).
 fn replan_vehicle(vehicle: &mut VehicleState, now: TimePoint, engine: &ShortestPathEngine) {
-    let planned: Vec<PlannedOrder> = vehicle
-        .carried
-        .iter()
-        .map(|c| PlannedOrder { order: c.order, picked_up: c.picked_up })
-        .collect();
-    let carried = vehicle.carried.clone();
-    let route = plan_optimal_route(vehicle.location, now, &planned, engine).unwrap_or_else(|| {
-        foodmatch_core::EvaluatedRoute {
-            plan: foodmatch_core::RoutePlan::empty(),
-            cost_secs: 0.0,
-            driving_time: Duration::ZERO,
-            waiting_time: Duration::ZERO,
-            deliveries: Vec::new(),
-            start_node: vehicle.location,
-            finish_at: now,
-        }
-    });
-    vehicle.install_plan(carried, &route, now, engine);
+    let plan = plan_optimal_route(vehicle.location, now, &vehicle.carried, engine)
+        .map(|route| route.plan)
+        .unwrap_or_default();
+    vehicle.install_plan(&plan, now, engine);
 }
 
 pub(crate) fn require(cond: bool, msg: impl FnOnce() -> String) -> Result<(), DecodeError> {

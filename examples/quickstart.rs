@@ -2,7 +2,7 @@
 //! dispatch them with FOODMATCH.
 //!
 //! ```text
-//! cargo run --release -p foodmatch-examples --bin quickstart
+//! cargo run --release -p integration-tests --example quickstart
 //! ```
 
 use foodmatch_core::{

@@ -17,8 +17,8 @@
 //! test pins the same vehicle against the reference planner instead.)
 
 use foodmatch_core::{
-    build_food_graph, marginal_cost, singleton_batches, CommittedOrder, DispatchConfig, Order,
-    OrderId, VehicleId, VehicleSnapshot,
+    build_food_graph, marginal_cost, singleton_batches, DispatchConfig, Order, OrderId,
+    PlannedOrder, VehicleId, VehicleSnapshot,
 };
 use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint};
@@ -52,8 +52,8 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
     // capacity, m = 3 survivors. Every node is distinct.
     let mut vehicle = VehicleSnapshot::idle(VehicleId(1), at(3, 3));
     vehicle.committed = vec![
-        CommittedOrder { order: order(1, at(0, 0), at(3, 5), 1), picked_up: true },
-        CommittedOrder { order: order(2, at(4, 3), at(5, 5), 1), picked_up: false },
+        PlannedOrder { order: order(1, at(0, 0), at(3, 5), 1), picked_up: true },
+        PlannedOrder { order: order(2, at(4, 3), at(5, 5), 1), picked_up: false },
     ];
     let committed_stops = [at(3, 5), at(4, 3), at(5, 5)];
     let far = order(13, at(7, 7), at(7, 5), 1);
@@ -126,7 +126,7 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
     // the same m batches survive: the batches' stops are searched from once
     // for the window, not once per vehicle.
     let loaded = |id, location, restaurant, customer| VehicleSnapshot {
-        committed: vec![CommittedOrder {
+        committed: vec![PlannedOrder {
             order: order(u64::from(id), restaurant, customer, 2),
             picked_up: false,
         }],

@@ -774,15 +774,19 @@ fn shortest_path_agrees_across_backends() {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
                     let context = format!("{a}->{b}, overlay {overlaid}: {x:?} vs {y:?}");
-                    assert_eq!(y.nodes, x.nodes, "{context}");
+                    assert_eq!(y.edges, x.edges, "{context}");
                     assert_eq!(
                         y.travel_time.as_secs_f64().to_bits(),
                         x.travel_time.as_secs_f64().to_bits(),
                         "{context}"
                     );
                     assert_eq!(y.length_m.to_bits(), x.length_m.to_bits(), "{context}");
-                    assert_eq!(y.nodes.first(), Some(&a), "{context}");
-                    assert_eq!(y.nodes.last(), Some(&b), "{context}");
+                    let end = y.edges.iter().fold(a, |at, &eid| {
+                        let edge = network.edge(eid);
+                        assert_eq!(edge.from, at, "{context}");
+                        edge.to
+                    });
+                    assert_eq!(end, b, "{context}");
                 }
                 other => panic!("{a}->{b}, overlay {overlaid}: {other:?}"),
             }
