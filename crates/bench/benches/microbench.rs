@@ -91,19 +91,22 @@ fn city_b_with_incident() -> (RoadNetwork, Vec<NodeId>, TrafficOverlay) {
 fn bench_overlay_miss(c: &mut Criterion) {
     // What one memo miss costs the default (cached) engine, with no overlay
     // and under one incident: a point query and a 32-target sweep, on the
-    // City B lunch network. Every iteration asks for pairs the engine has
-    // not seen, so none is a hit (and no source is ever given a tree row).
+    // City B lunch network. Before every iteration a query of another hour
+    // rolls the memo, pairs and tree rows alike, so every pair asked is a
+    // miss and its source has no row: one search from the source, which
+    // leaves the source the row every first search leaves.
     let (network, nodes, incident) = city_b_with_incident();
     let t = TimePoint::from_hms(13, 0, 0);
     let n = nodes.len();
     // Miss `i`: source `i mod n` of the shuffle and the `width` nodes that
-    // follow it at an offset that grows once per lap — no pair twice before
-    // lap `n / width`, far beyond what the measurement budget reaches.
+    // follow it.
     let miss = |i: usize, width: usize| {
-        let (lap, at) = (i / n, i % n);
-        let targets: Vec<NodeId> =
-            (0..width).map(|j| nodes[(at + 1 + lap * width + j) % n]).collect();
+        let at = i % n;
+        let targets: Vec<NodeId> = (1..=width).map(|j| nodes[(at + j) % n]).collect();
         (nodes[at], targets)
+    };
+    let forget = |engine: &ShortestPathEngine| {
+        engine.travel_time(nodes[0], nodes[1], t + Duration::from_mins(60.0));
     };
 
     let mut group = c.benchmark_group("overlay_miss");
@@ -115,15 +118,21 @@ fn bench_overlay_miss(c: &mut Criterion) {
             }
             let mut asked = 0;
             group.bench_function(&format!("{condition}/{shape}"), |b| {
-                b.iter(|| {
-                    let (source, targets) = miss(asked, width);
-                    asked += 1;
-                    if let [target] = targets[..] {
-                        black_box(engine.travel_time(source, target, t));
-                    } else {
-                        black_box(engine.travel_times_to_many(source, &targets, t));
-                    }
-                })
+                b.iter_batched(
+                    || {
+                        forget(&engine);
+                        asked += 1;
+                        miss(asked, width)
+                    },
+                    |(source, targets)| {
+                        if let [target] = targets[..] {
+                            black_box(engine.travel_time(source, target, t));
+                        } else {
+                            black_box(engine.travel_times_to_many(source, &targets, t));
+                        }
+                    },
+                    BatchSize::SmallInput,
+                )
             });
         }
     }
@@ -133,14 +142,16 @@ fn bench_overlay_miss(c: &mut Criterion) {
 fn bench_repeat_source(c: &mut Criterion) {
     // What a source that stands still costs the default engine per round of
     // 32 targets it was asked before + 8 it was not, with no overlay and
-    // under one incident: round 1 (cold — all 40 miss, one search), round 2
-    // (admission — the search for the 8 new ones leaves a tree row behind)
-    // and rounds 3+ (the row answers what it has settled and grows by the
-    // occasional search; by the time every node has been asked once a round
-    // is 40 tree walks, to be read against 40 × `roadnet.probe_hit_ns`),
-    // and `resume`: a source whose row reaches the median node, asked for 8
-    // targets in its farthest quarter — beyond the row's reach, so one
-    // search, which resumes the row instead of starting over.
+    // under one incident: round 1 (cold — all 40 miss, and the one search
+    // leaves the source a tree row), round 2 (`row` — the 32 are pair-memo
+    // hits, and the 8 new ones are walks off the row round 1 left, which on
+    // these stops reaches all 8: no search) and rounds 3+ (the row answers
+    // what it has settled and grows by the occasional resumed search; by the
+    // time every node has been asked once a round is 40 tree walks, to be
+    // read against 40 × `roadnet.probe_hit_ns`), and `resume`: a source
+    // whose row reaches the median node, asked for 8 targets in its farthest
+    // quarter — beyond the row's reach, so one search, which resumes the row
+    // instead of starting over.
     let (network, nodes, incident) = city_b_with_incident();
     let t = TimePoint::from_hms(13, 0, 0);
     let (source, stops) = nodes.split_first().expect("a city has nodes");
@@ -161,7 +172,7 @@ fn bench_repeat_source(c: &mut Criterion) {
         if let Some(overlay) = overlay {
             engine.set_overlay(overlay.clone());
         }
-        for (name, before) in [("round1_cold", 0), ("round2_admission", 1)] {
+        for (name, before) in [("round1_cold", 0), ("round2_row", 1)] {
             group.bench_function(&format!("{condition}/{name}"), |b| {
                 b.iter_batched(
                     || {

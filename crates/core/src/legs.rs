@@ -12,7 +12,7 @@
 //! within the first mile (to the customers too, from a start that is a
 //! stop), and not the others. They live for one call of the stage that
 //! swept them: the engine's memo — `(source, target)` pairs, and the
-//! shortest-path tree of every source that repeats (`roadnet/src/index.rs`,
+//! shortest-path tree of every source searched from (`roadnet/src/index.rs`,
 //! "Tree rows") — stays the only cache across windows.
 
 use crate::parallel_map;

@@ -6,11 +6,12 @@
 //! distances from Dijkstra plus a memo of what its searches found, one hour
 //! slot at a time: `(source, target) → travel time` pairs, which pay off
 //! because dispatch repeatedly asks about the same restaurant/customer nodes
-//! within a window, and behind them the **tree rows** of sources that
-//! *repeat* (below), which pay off because a vehicle that stands still, and
-//! every restaurant, is swept again window after window with a few new
-//! targets each time. The memo's one lock is never held across the fallback
-//! Dijkstra run. A miss is one run of the kernel the free functions of
+//! within a window, and behind them the **tree rows** of the sources
+//! searched from (below), which pay off because a vehicle that stands still,
+//! and every restaurant, is swept again window after window with a few new
+//! targets each time, and a stop Algorithm 1 swept is swept again by the
+//! FoodGraph in the same window. The memo's one lock is never held across
+//! the fallback Dijkstra run. A miss is one run of the kernel the free functions of
 //! [`crate::dijkstra`] and [`crate::overlay`] run, so every answer is theirs
 //! bit for bit.
 //!
@@ -26,12 +27,11 @@
 //! Dijkstra's label of a node is the left-to-right sum of the edge weights
 //! along its tree path, whatever the targets were, and a longer search from
 //! the same source on the same weights is the same pop sequence run further.
-//! So what one search *settled* answers later targets bit for bit. When a
-//! sweep finds its source already known to the memo (≥ 1 hit) and still has
-//! a miss, the search it has to run anyway leaves behind the parent edge of
-//! every node it settled — one byte per network node: the parent edge's
-//! ordinal among the node's in-edges (the network's in-edge table; the
-//! builder caps a node's in-degree at
+//! So what one search *settled* answers later targets bit for bit. Every
+//! search the memo runs, the first from a source included, leaves behind
+//! the parent edge of every node it settled — one byte per network node:
+//! the parent edge's ordinal among the node's in-edges (the network's
+//! in-edge table; the builder caps a node's in-degree at
 //! [`MAX_IN_DEGREE`](crate::graph::MAX_IN_DEGREE)), or one of the
 //! three values above the ordinals, markers for the source, for "not
 //! settled yet" and, once a search has run the reachable graph dry, for
@@ -55,8 +55,8 @@
 //! no search (below), and every search that runs is one the fresh engine
 //! would run past every label below the reach. Rows are budgeted by one
 //! constant (`ROW_BUDGET_BYTES`, 640 KiB per engine), first come first kept
-//! with no eviction; a source seen for the first time is never given one,
-//! and a known source the budget refuses is counted (`engine.rows.refused`).
+//! with no eviction; a search from a row-less source that finds the budget
+//! spent is counted (`engine.rows.refused`).
 //!
 //! ## Gated sweeps
 //!
@@ -134,8 +134,8 @@ use std::sync::{Arc, Mutex, RwLock};
 /// What every tree row of one engine may hold together, in bytes: a row is
 /// one byte per network node, so an engine keeps `ROW_BUDGET_BYTES /
 /// node_count` of them (546 on City B, 262 on the metro grid), first come
-/// first kept — an evicting policy thrashes the moment the sources that
-/// repeat outnumber the rows, because a fleet cycles through every window.
+/// first kept — an evicting policy thrashes the moment the sources searched
+/// from outnumber the rows, because a fleet cycles through every window.
 const ROW_BUDGET_BYTES: usize = 640 * 1024;
 
 /// The engine's current traffic overlay, stamped with a generation counter.
@@ -199,7 +199,7 @@ impl PairMemo {
 /// What the engine remembers: the two pair memos — `pairs[0]` on the
 /// static weights, one hour at a time (kept across overlay episodes),
 /// `pairs[1]` on the active overlay generation — and, behind whichever the
-/// query runs on, the tree rows of the sources that repeat. Everything is
+/// query runs on, the tree rows of the sources searched from. Everything is
 /// probed, nothing iterated; a stamp that moves on clears lazily, on the
 /// first touch that notices.
 #[derive(Debug, Default)]
@@ -329,8 +329,8 @@ struct EngineMetrics {
     overlay_misses: telemetry::Counter,
     /// `engine.rows.hits` — the hits above that a tree row answered;
     /// `engine.rows.admitted` — rows allocated; `engine.rows.refused` —
-    /// searches from a known source that wanted a row and found the budget
-    /// spent.
+    /// searches from a source with no row that found the budget spent (a
+    /// source refused is refused again on each search it runs).
     rows_hits: telemetry::Counter,
     rows_admitted: telemetry::Counter,
     rows_refused: telemetry::Counter,
@@ -610,11 +610,14 @@ impl ShortestPathEngine {
     /// not settled, so a gate of a smaller radius is decided here. A search
     /// from a source with a row resumes the row, copied into the search's
     /// pooled space under the lock. Concurrent fills of the same pair are
-    /// idempotent (both remember the same exact answer). A source the memo
-    /// already knew (≥ 1 hit) that still has a miss stands still while its
-    /// stops change: it is given a tree row, budget permitting, which the
-    /// search it had to run anyway fills as far as it settled. A point query
-    /// is a one-target sweep, so its miss has no hit and admits no row.
+    /// idempotent (both remember the same exact answer). Every search that
+    /// runs gives its source a tree row, budget permitting, if it has none,
+    /// and fills the row as far as it settled — the first search from a
+    /// source as much as a later one, a point query's as much as a sweep's.
+    /// So a source asked again — a standing vehicle in the next window, a
+    /// stop Algorithm 1 swept by the FoodGraph's resolve phase in the same
+    /// one — is answered off its row, or resumes it, instead of searching
+    /// from the source a second time.
     fn memo_sweep(
         &self,
         overlaid: bool,
@@ -686,7 +689,7 @@ impl ShortestPathEngine {
                 }
             });
             if *rows_stamp == Some(stamp) {
-                if hits + row_hits > 0 && !rows.contains_key(&source) {
+                if !rows.contains_key(&source) {
                     let budget = ROW_BUDGET_BYTES / inner.network.node_count().max(1);
                     if rows.len() < budget {
                         let parents = vec![ROW_UNSETTLED; inner.network.node_count()];
@@ -946,11 +949,11 @@ mod tests {
         dijkstra::one_to_many(net, source, targets, t, overlay).into_iter().map(bits).collect()
     }
 
-    /// The life of a row on the static memo and on the overlay memo: never
-    /// for a first-time source, admitted by the sweep that finds the source
-    /// known and still misses, and from then on every node that sweep's
-    /// search settled is answered without a search, as a hit of the memo
-    /// the query runs on and of no backend search.
+    /// The life of a row on the static memo and on the overlay memo:
+    /// admitted by the first search from a source, resumed by the sweep that
+    /// finds the source known and still misses, and from then on every node
+    /// that search settled is answered without a search, as a hit of the
+    /// memo the query runs on and of no backend search.
     #[test]
     fn a_source_that_repeats_is_given_a_row_and_the_row_answers_without_a_search() {
         let (net, island) = with_island(&GridCityBuilder::new(8, 8).build());
@@ -970,12 +973,13 @@ mod tests {
                 engine.travel_times_to_many(source, targets, t).into_iter().map(bits).collect()
             };
 
-            // First time: a search, no row.
+            // First time: a search, which leaves a row.
             assert_eq!(sweep(&[NodeId(1)]), expect(&[NodeId(1)]));
-            assert_eq!((counts().searches, counts().rows), (1, [0, 0]), "overlaid: {overlaid}");
-            // Known and still missing: the search it runs anyway fills a row.
+            assert_eq!((counts().searches, counts().rows), (1, [0, 1]), "overlaid: {overlaid}");
+            // Known and still missing: the search it runs anyway resumes and
+            // grows the row.
             assert_eq!(sweep(&[NodeId(1), far]), expect(&[NodeId(1), far]));
-            assert_eq!((counts().searches, counts().rows), (2, [0, 1]));
+            assert_eq!((counts().searches, counts().rows, counts().resumed), (2, [0, 1], 1));
             assert_eq!(memo(), [1, 2]);
             // Nodes that search settled on its way, never asked before: the
             // row answers, as memo hits, with no search and no backend pair.
@@ -995,12 +999,100 @@ mod tests {
             let all: Vec<NodeId> = net.node_ids().collect();
             assert_eq!(sweep(&all), expect(&all));
             assert_eq!((counts().searches, counts().rows[1]), (3, 1));
-            // Another source has no row and is not given this one's.
+            // Another source has no row and is not given this one's: its
+            // search leaves one of its own.
             assert_eq!(
                 bits(engine.travel_time(NodeId(5), near[0], t)),
                 reference_bits(&net, overlay.as_ref(), NodeId(5), &near, t)[0]
             );
-            assert_eq!((counts().searches, counts().rows[1]), (4, 1));
+            assert_eq!((counts().searches, counts().rows[1], counts().resumed), (4, 2, 2));
+        }
+    }
+
+    /// The first search from a cold source leaves a row, and what that
+    /// search settled — every node nearer than its one target, on a city
+    /// where no labels tie — is answered off the row with no second search
+    /// and no backend pair, on the static memo and on the overlay memo.
+    #[test]
+    fn a_first_search_leaves_a_row_that_answers_what_it_settled() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let net = crate::generators::RandomCityBuilder::new(160).seed(5).build();
+        let source = NodeId(3);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        for overlaid in [false, true] {
+            let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
+            let (engine, counts) = metered(&net);
+            if let Some(overlay) = &overlay {
+                engine.set_overlay(overlay.clone());
+            }
+            let memo = || if overlaid { counts().overlay } else { counts().memo };
+            // The source's nodes nearest first, on this condition's weights.
+            let reference = reference_bits(&net, overlay.as_ref(), source, &all, t);
+            let mut ranked: Vec<(f64, NodeId, Option<u64>)> = (reference.iter().zip(&all))
+                .filter_map(|(&secs, &node)| Some((f64::from_bits(secs?), node, secs)))
+                .collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let target = ranked[ranked.len() / 2].1;
+
+            let got = engine.travel_time(source, target, t);
+            assert_eq!(bits(got), ranked[ranked.len() / 2].2, "overlaid: {overlaid}");
+            assert_eq!((counts().searches, counts().rows), (1, [0, 1]), "overlaid: {overlaid}");
+            let backend = counts().backend;
+            // Everything nearer than the target, the source aside.
+            let settled = &ranked[1..ranked.len() / 2];
+            let asked: Vec<NodeId> = settled.iter().map(|&(_, node, _)| node).collect();
+            let want: Vec<Option<u64>> = settled.iter().map(|&(.., secs)| secs).collect();
+            let got = engine.travel_times_to_many(source, &asked, t);
+            assert_eq!(got.into_iter().map(bits).collect::<Vec<_>>(), want);
+            let n = asked.len() as u64;
+            assert_eq!((counts().searches, counts().rows), (1, [n, 1]), "overlaid: {overlaid}");
+            assert_eq!((memo(), counts().backend), ([n, 1], backend), "overlaid: {overlaid}");
+        }
+    }
+
+    /// Four threads sweep the same cold sources on one engine, each for
+    /// targets of its own, released together at each source by a barrier,
+    /// so searches from a source with no row race to admit it and grow it:
+    /// every answer is the memo-free one bit for bit, and so is a later
+    /// sweep of every node from each source, on the static weights and under
+    /// an overlay.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test's own threads share one engine")]
+    fn threads_racing_to_row_the_same_cold_sources_answer_the_reference() {
+        let (net, _island) = with_island(&GridCityBuilder::new(9, 9).build());
+        let t = TimePoint::from_hms(12, 30, 0);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let sources = [NodeId(0), NodeId(40), NodeId(80), NodeId(13)];
+        for overlaid in [false, true] {
+            let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
+            let engine = ShortestPathEngine::cached(net.clone());
+            if let Some(overlay) = &overlay {
+                engine.set_overlay(overlay.clone());
+            }
+            let expect = |source, targets: &[NodeId]| {
+                reference_bits(&net, overlay.as_ref(), source, targets, t)
+            };
+            let together = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for thread in 0..4 {
+                    let (engine, expect, all, together) = (&engine, &expect, &all, &together);
+                    scope.spawn(move || {
+                        for &source in &sources {
+                            together.wait();
+                            let targets: Vec<NodeId> =
+                                all.iter().copied().skip(thread * 5).step_by(3 + thread).collect();
+                            let got = engine.travel_times_to_many(source, &targets, t);
+                            let got: Vec<_> = got.into_iter().map(bits).collect();
+                            assert_eq!(got, expect(source, &targets), "{source}, thread {thread}");
+                        }
+                    });
+                }
+            });
+            for &source in &sources {
+                let got = engine.travel_times_to_many(source, &all, t);
+                let got: Vec<_> = got.into_iter().map(bits).collect();
+                assert_eq!(got, expect(source, &all), "{source}, overlaid: {overlaid}");
+            }
         }
     }
 
@@ -1008,10 +1100,10 @@ mod tests {
     /// nearest target opens, the one whose trigger is the far corner closes
     /// when the search passes its radius — counted in `engine.gates.closed`
     /// — and its members go unanswered, on the static memo and on the
-    /// overlay memo. The pair memo holds answers only, so the second sweep,
-    /// from a source known but with no row, searches again and is given a
-    /// row; the third finds the far corner off that row, whose reach lies
-    /// beyond the radius, and closes the far gate with no search.
+    /// overlay memo. The pair memo holds answers only, but that search left
+    /// the source a row whose reach lies beyond the radius, so the second
+    /// and third sweeps find the far corner off the row and close the far
+    /// gate with no search.
     #[test]
     fn a_gated_sweep_closes_the_gates_it_passes_and_counts_them() {
         let net = GridCityBuilder::new(8, 8).build();
@@ -1033,12 +1125,11 @@ mod tests {
             }
             let memo = || if overlaid { counts().overlay } else { counts().memo };
             let other = || if overlaid { counts().memo } else { counts().overlay };
-            // Round 1, cold: all five pairs miss. Round 2: the three
-            // answered ones hit, the far gate's two miss again, and the
-            // search admits a row. Round 3: the row's reach closes the far
-            // gate, so its two wait for nothing.
+            // Round 1, cold: all five pairs miss, and the search admits a
+            // row. Rounds 2 and 3: the three answered ones hit, and the
+            // row's reach closes the far gate, so its two wait for nothing.
             for (round, searches, closed, rows, counted) in
-                [(1u64, 1, 1, 0, [0, 5]), (2, 2, 2, 1, [3, 7]), (3, 2, 2, 1, [6, 7])]
+                [(1u64, 1, 1, 1, [0, 5]), (2, 1, 1, 1, [3, 5]), (3, 1, 1, 1, [6, 5])]
             {
                 let got = engine.gated_travel_times(source, &asked, t);
                 assert_eq!(got.opened, [true, false], "overlaid: {overlaid}, round {round}");
@@ -1059,8 +1150,9 @@ mod tests {
 
     /// A gated search that stops short of a closed gate leaves nothing in
     /// the pair memo of the gate's trigger — the offer's restaurant — nor of
-    /// its other member — the customer: the memo holds answers only, so the
-    /// next sweep from that source searches again.
+    /// its other member — the customer: the memo holds answers only. The
+    /// next sweep from that source closes the gate off the reach of the row
+    /// the search left, with no search, and leaves nothing either.
     #[test]
     fn a_closed_gate_leaves_nothing_in_the_pair_memo() {
         let net = GridCityBuilder::new(8, 8).build();
@@ -1077,9 +1169,9 @@ mod tests {
         assert_eq!((counts().searches, counts().gates_closed), (1, 1));
         assert_eq!(held(near), Some(Some(radius)));
         assert_eq!((held(restaurant), held(customer)), (None, None));
-        // Asked again, the gate takes a search again, and still nothing.
+        // Asked again, the row's reach closes the gate, and still nothing.
         assert_eq!(engine.gated_travel_times(source, &asked, t), first);
-        assert_eq!((counts().searches, counts().gates_closed), (2, 2));
+        assert_eq!((counts().searches, counts().gates_closed), (1, 1));
         assert_eq!((held(restaurant), held(customer)), (None, None));
     }
 
@@ -1087,8 +1179,8 @@ mod tests {
     /// every source to have one, exactly `ROW_BUDGET_BYTES / n` are
     /// admitted, first come first kept, and a refused source goes on as it
     /// would have without rows — the same searches, no more and no wider —
-    /// and is counted in `engine.rows.refused`. The hour moving on hands the
-    /// budget back.
+    /// and is counted in `engine.rows.refused` on each search it runs. The
+    /// hour moving on hands the budget back.
     #[test]
     fn the_row_budget_admits_its_share_and_refuses_the_rest() {
         let net = GridCityBuilder::new(30, 30).build();
@@ -1100,19 +1192,24 @@ mod tests {
         let next = |source: NodeId| NodeId((source.0 + 1) % n as u32);
         for (round, hour) in [(1u64, 12), (2, 13)] {
             let t = TimePoint::from_hms(hour, 0, 0);
-            // First time, every source: one search each, no row.
+            // First time, every source: one search each, and a row for as
+            // many as the budget holds.
             for &source in &all {
                 engine.travel_times_to_many(source, &[next(source)], t);
             }
-            assert_eq!(counts().rows[1], (round - 1) * budget);
+            let refused = n as u64 - budget;
+            assert_eq!(counts().rows[1], round * budget);
+            assert_eq!(counts().refused, (2 * round - 1) * refused);
             // Known and still missing, every source: one search each, as
-            // without rows, and a row for as many as the budget holds.
+            // without rows — resumed where there is a row, refused again
+            // where there is none.
             for &source in &all {
                 engine.travel_times_to_many(source, &all, t);
             }
             let swept = counts();
             assert_eq!(swept.rows[1], round * budget);
-            assert_eq!(swept.refused, round * (n as u64 - budget));
+            assert_eq!(swept.refused, round * 2 * refused);
+            assert_eq!(swept.resumed, round * budget);
             assert_eq!(lock(engine.inner.memo.lock()).rows.len() as u64, budget);
             assert_eq!(swept.searches, round * 2 * n as u64);
             // Everything is known now, with or without a row: no search.
@@ -1147,13 +1244,11 @@ mod tests {
         (net, source, nodes)
     }
 
-    /// Gives `source` a row whose search ran out to `reached`: a first
-    /// sweep makes the source known, the second admits the row.
+    /// Gives `source` a row whose search ran out to `reached`: the first
+    /// search from a source admits its row.
     fn rowed(engine: &ShortestPathEngine, source: NodeId, reached: NodeId, t: TimePoint) {
-        let near = engine.network().out_edges(source).next().expect("a street").1.to;
-        engine.travel_times_to_many(source, &[near], t);
-        engine.travel_times_to_many(source, &[near, reached], t);
-        assert!(row_of(engine, source).is_some(), "the second sweep admits the row");
+        engine.travel_times_to_many(source, &[reached], t);
+        assert!(row_of(engine, source).is_some(), "the first search admits the row");
     }
 
     /// The row's reach floors every node it has not settled, so a gate of a
@@ -1241,9 +1336,10 @@ mod tests {
         assert!(on_row > 10 && after.settled - before.settled > 10, "both sides did some work");
     }
 
-    /// A query of another hour drops the row, and its reach with it: back
-    /// at noon, a gate the old reach decided takes a search again, fresh,
-    /// and the row is admitted anew.
+    /// A query of another hour drops the row, and its reach with it — the
+    /// row the source holds then is that hour's query's own: back at noon,
+    /// a gate the old reach decided takes a search again, fresh, and the row
+    /// is admitted anew.
     #[test]
     fn an_hour_roll_drops_the_row_and_its_reach() {
         let noon = TimePoint::from_hms(12, 30, 0);
@@ -1257,14 +1353,17 @@ mod tests {
         assert_eq!(engine.gated_travel_times(source, &asked, noon).opened, [false]);
         assert_eq!(counts().searches, searches, "the reach decided it");
 
-        engine.travel_time(source, nodes[1].0, TimePoint::from_hms(13, 0, 0));
-        assert_eq!(row_of(&engine, source), None, "the row went with its hour");
-        assert_eq!(lock(engine.inner.memo.lock()).rows.len(), 0);
+        let one = engine.travel_time(source, nodes[1].0, TimePoint::from_hms(13, 0, 0));
+        let one = one.expect("connected").as_secs_f64();
+        let reach = row_of(&engine, source).map(|(_, reach)| reach);
+        assert_eq!(reach, Some(one), "the row went with its hour; 13:00 left its own");
+        assert_eq!(lock(engine.inner.memo.lock()).rows.len(), 1);
         let before = counts();
         assert_eq!(engine.gated_travel_times(source, &asked, noon).opened, [false]);
         let after = counts();
         assert_eq!((after.searches, after.resumed), (before.searches + 1, before.resumed));
         assert_eq!(after.gates_closed, before.gates_closed + 1, "a search closed it");
+        assert_eq!((before.rows[1], after.rows[1]), (2, 3), "admitted anew");
     }
 
     /// The kernel's half of the gate contract. A search resumed from a row
@@ -1332,13 +1431,18 @@ mod tests {
             };
             assert_eq!(asked, reference_bits(&net, None, source, &targets[..1], other));
             assert_ne!(asked[..], grown[..1], "another hour, other weights");
-            assert_eq!((counts().searches, rows_used()), (3, 0), "point: {point}");
+            // The noon row went back to the budget; the row held now is the
+            // one the other hour's search left, reaching its one target.
+            let reach = row_of(&engine, source).map(|(_, reach)| reach.to_bits());
+            assert_eq!((counts().searches, rows_used()), (3, 1), "point: {point}");
+            assert_eq!((counts().rows[1], reach), (2, asked[0]), "point: {point}");
 
-            // Noon, asked again, starts over: search, then admission.
+            // Noon, asked again, starts over: a fresh search, which is given
+            // a row, then one that resumes it.
             assert_eq!(sweep(&targets[..1], noon), first);
-            assert_eq!(counts().searches, 4, "point: {point}");
+            assert_eq!((counts().searches, counts().rows[1]), (4, 3), "point: {point}");
             assert_eq!(sweep(&targets, noon), grown);
-            assert_eq!((counts().searches, counts().rows[1], rows_used()), (5, 2, 1));
+            assert_eq!((counts().searches, counts().rows[1], rows_used()), (5, 3, 1));
         }
     }
 
@@ -1364,7 +1468,8 @@ mod tests {
         ask("cold", NodeId(9), noon);
         ask("warm", NodeId(9), noon);
         ask("self-pair", source, noon);
-        // Known and still missing: the sweep both ask admits a row.
+        // Known and still missing: the sweep both ask resumes the row the
+        // cold query left.
         for engine in [&point, &swept] {
             engine.travel_times_to_many(source, &[NodeId(9), NodeId(63)], noon);
         }
@@ -1373,7 +1478,9 @@ mod tests {
         ask("the island", island, noon);
         ask("trailing hour", NodeId(9), trailing);
         ask("noon again", NodeId(27), noon);
-        assert_eq!(point_counts().rows, [1, 1], "the trailing hour dropped the row");
+        // The trailing hour dropped the noon row and left its own, which
+        // noon dropped in turn: two more rows admitted, no more row hits.
+        assert_eq!(point_counts().rows, [1, 3], "the trailing hour dropped the row");
         for engine in [&point, &swept] {
             engine.set_overlay(slowdown_overlay(&net, 2.0));
         }
@@ -1482,7 +1589,8 @@ mod tests {
     }
 
     /// With an overlay active a miss is one search and nothing else: no
-    /// backend pair, no static-memo traffic.
+    /// backend pair, no static-memo traffic — and, as on the static weights,
+    /// a row for the source it searched from.
     #[test]
     fn an_overlay_miss_is_one_search_and_asks_no_backend() {
         let net = GridCityBuilder::new(6, 6).build();
@@ -1495,19 +1603,20 @@ mod tests {
         let point = engine.travel_time(NodeId(0), NodeId(35), t);
         assert_eq!(
             counted(),
-            Counts { searches: 1, overlay: [0, 1], ..Counts::default() },
+            Counts { searches: 1, overlay: [0, 1], rows: [0, 1], ..Counts::default() },
             "cold point query"
         );
         let swept = engine.travel_times_to_many(NodeId(3), &targets, t);
         assert_eq!(
             counted(),
-            Counts { searches: 2, overlay: [0, 9], ..Counts::default() },
+            Counts { searches: 2, overlay: [0, 9], rows: [0, 2], ..Counts::default() },
             "cold 8-target sweep"
         );
         // Repeated, they add only hits.
         assert_eq!(engine.travel_time(NodeId(0), NodeId(35), t), point);
         assert_eq!(engine.travel_times_to_many(NodeId(3), &targets, t), swept);
-        assert_eq!(counted(), Counts { searches: 2, overlay: [9, 9], ..Counts::default() }, "warm");
+        let warm = Counts { searches: 2, overlay: [9, 9], rows: [0, 2], ..Counts::default() };
+        assert_eq!(counted(), warm, "warm");
     }
 
     #[test]

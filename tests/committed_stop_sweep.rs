@@ -9,7 +9,10 @@
 //! pins the count (`engine.searches`, the one counter that counts searches
 //! *run* rather than pairs missed) for one vehicle and for a fleet sharing
 //! its batches, that the prices are those of lone `marginal_cost` calls, and
-//! that a batch that failed a filter is never swept for.
+//! that a batch that failed a filter is never swept for: no leg to its stops
+//! is in the pair memo (`engine.memo.hits` less `engine.rows.hits`), though
+//! a committed stop's tree row may have settled them on its way, while every
+//! leg to a surviving batch's stops is answered with no search.
 //!
 //! This file stays a single `#[test]`: the recorder is process-global, and
 //! an engine built by another test while it is installed would count into
@@ -24,16 +27,16 @@ use foodmatch_roadnet::generators::GridCityBuilder;
 use foodmatch_roadnet::{Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint};
 use foodmatch_telemetry as telemetry;
 
-/// A cold engine and a reader of its `engine.searches`. The engine's handles
-/// are live because it is built while a recorder of its own is installed.
-fn cold_engine(network: &RoadNetwork) -> (ShortestPathEngine, impl Fn() -> u64) {
+/// A cold engine and a reader of its counters, by name. The engine's
+/// handles are live because it is built while a recorder of its own is
+/// installed.
+fn cold_engine(network: &RoadNetwork) -> (ShortestPathEngine, impl Fn(&str) -> u64) {
     let recorder = telemetry::Recorder::new();
     telemetry::install(recorder.clone());
     let engine = ShortestPathEngine::cached(network.clone());
     telemetry::uninstall();
-    let searches =
-        move || recorder.telemetry.snapshot().counter("engine.searches").expect("registered");
-    (engine, searches)
+    let count = move |name: &str| recorder.telemetry.snapshot().counter(name).expect("registered");
+    (engine, count)
 }
 
 #[test]
@@ -82,12 +85,13 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
 
     // What the vehicle costs before it is offered anything: its own sweep,
     // its committed block, the on-board order's SDT leg.
-    let (idle_engine, idle_searches) = cold_engine(&network);
+    let (idle_engine, idle_count) = cold_engine(&network);
     assert!(!marginal_cost(&vehicle, &[], &idle_engine, t, &config).is_feasible());
-    let unoffered = idle_searches();
+    let unoffered = idle_count("engine.searches");
     assert_eq!(unoffered, 1 + c + 1);
 
-    let (engine, searches) = cold_engine(&network);
+    let (engine, count) = cold_engine(&network);
+    let searches = || count("engine.searches");
     let graph = build_food_graph(&batches, std::slice::from_ref(&vehicle), &engine, t, &config);
     assert_eq!(graph.evaluations, offers.len());
     // One run per committed stop and one per surviving stop's own row —
@@ -104,22 +108,32 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
         assert_eq!(explicit, survives(offer));
     }
 
-    // Every (committed stop, surviving stop) leg is in the memo now; none to
-    // a stop of a batch that dropped out is, so asking for one runs a search.
+    // Every (committed stop, surviving stop) leg is known now, in the pair
+    // memo or on the stop's tree row, so asking for one runs no search. None
+    // to a stop of a batch that dropped out is in the pair memo: asking for
+    // one is answered off the tree row, if the stop's searches settled it on
+    // their way, or by a search.
     let only_survivors_were_swept_for =
-        |engine: &ShortestPathEngine, searches: &dyn Fn() -> u64, stops: &[NodeId]| {
+        |engine: &ShortestPathEngine, count: &dyn Fn(&str) -> u64, stops: &[NodeId]| {
+            let read = || {
+                let pair_hits = count("engine.memo.hits") - count("engine.rows.hits");
+                (count("engine.searches"), pair_hits)
+            };
             for &stop in stops {
                 for offer in &offers {
                     for target in [offer.restaurant, offer.customer] {
-                        let before = searches();
+                        let (searches, pair_hits) = read();
                         assert!(engine.travel_time(stop, target, t).is_some());
-                        let ran = searches() - before;
-                        assert_eq!(ran, u64::from(!survives(offer)), "{stop} → {target}");
+                        if survives(offer) {
+                            assert_eq!(read().0, searches, "{stop} → {target}: a search");
+                        } else {
+                            assert_eq!(read().1, pair_hits, "{stop} → {target}: swept for");
+                        }
                     }
                 }
             }
         };
-    only_survivors_were_swept_for(&engine, &searches, &committed_stops);
+    only_survivors_were_swept_for(&engine, &count, &committed_stops);
 
     // --- a fleet offered the same batches --------------------------------
     // A second loaded vehicle, c₂ = 2 committed stops of its own, for which
@@ -144,26 +158,31 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
         assert!(vehicle.has_capacity(&config) && !vehicle.can_take(&[heavy], &config));
     }
     let unoffered_alone = |vehicle: &VehicleSnapshot| {
-        let (engine, searches) = cold_engine(&network);
+        let (engine, count) = cold_engine(&network);
         assert!(!marginal_cost(vehicle, &[], &engine, t, &config).is_feasible());
-        searches()
+        count("engine.searches")
     };
     let (c2, c3) = (2, 2);
     assert_eq!(unoffered_alone(&second), 1 + c2);
     assert_eq!(unoffered_alone(&third), 1 + c3);
 
     let pair = [vehicle.clone(), second.clone()];
-    let (engine, searches) = cold_engine(&network);
+    let (engine, count) = cold_engine(&network);
     let graph = build_food_graph(&batches, &pair, &engine, t, &config);
     assert_eq!(graph.evaluations, 2 * offers.len());
     let for_two = unoffered + unoffered_alone(&second) + c + c2 + 2 * m;
-    assert_eq!(searches(), for_two, "each batch stop is searched from once, not once per vehicle");
+    let searches = count("engine.searches");
+    assert_eq!(searches, for_two, "each batch stop is searched from once, not once per vehicle");
 
     let fleet = [vehicle.clone(), second, third.clone()];
-    let (engine, searches) = cold_engine(&network);
+    let (engine, count) = cold_engine(&network);
     let graph = build_food_graph(&batches, &fleet, &engine, t, &config);
     assert_eq!(graph.evaluations, 3 * offers.len());
-    assert_eq!(searches(), for_two + unoffered_alone(&third) + (c3 - 1));
+    // And the shared node's resolve sweep runs no search: the two committed
+    // blocks searched from it out to both vehicles' stops, and the tree row
+    // their searches left answers every batch stop.
+    let searches = count("engine.searches");
+    assert_eq!(searches, for_two + unoffered_alone(&third) + (c3 - 1) - 1);
 
     // Sharing the searches changed no price.
     for (col, vehicle) in fleet.iter().enumerate() {
@@ -175,5 +194,5 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
     }
     let mut swept: Vec<NodeId> = committed_stops.to_vec();
     swept.extend([at(6, 1), at(6, 2), at(0, 3)]);
-    only_survivors_were_swept_for(&engine, &searches, &swept);
+    only_survivors_were_swept_for(&engine, &count, &swept);
 }

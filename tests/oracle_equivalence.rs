@@ -274,8 +274,8 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
             let grown = [first.clone(), draw(4), vec![*island, source]].concat();
             let everything: Vec<NodeId> = network.node_ids().collect();
             let rounds: [Vec<NodeId>; 7] = [
-                first.clone(),                                    // memo only
-                grown.clone(),                                    // grows: admitted
+                first.clone(),                                    // cold: admitted
+                grown.clone(),                                    // grows: resumed
                 first[..3].to_vec(),                              // shrinks: tree hits
                 grown.clone(),                                    // repeats
                 [first[3..].to_vec(), draw(8)].concat(),          // overlaps: tree grown
@@ -327,7 +327,7 @@ fn a_repeating_source_answers_like_a_fresh_dijkstra_engine_bit_for_bit() {
 /// hub's four in-edges are added nearest-last (its tree parent is in-edge
 /// 3), and of two parallel edges `hub → x` the long one comes first (`x`'s
 /// parent is in-edge 1; in-edge 0 leads from the same tail to another sum).
-/// Cold sweeps, sweeps off the row the second sweep admits, and point
+/// Cold sweeps, sweeps off the row the first sweep admits, and point
 /// queries read, bit for bit, what the memo-free search reads — on the
 /// static weights and under an overlay that leaves the tree as it is.
 #[test]
@@ -382,10 +382,11 @@ fn a_tree_row_walks_the_in_edge_it_stored_not_the_first() {
         let sweep = |targets: &[NodeId]| -> Vec<Option<u64>> {
             engine.travel_times_to_many(s, targets, t).into_iter().map(bits).collect()
         };
-        // Cold: no row. Then known and still missing `y`, the farthest
-        // node: a row, and the search that fills it settles every node.
+        // Cold: a search, which admits a row. Then known and still missing
+        // `y`, the farthest node: the search resumes the row and settles
+        // every node.
         assert_eq!(sweep(&[a]), want(&[a]), "cold, overlaid: {overlaid}");
-        assert_eq!(sweep(&[a, y]), want(&[a, y]), "admitting, overlaid: {overlaid}");
+        assert_eq!(sweep(&[a, y]), want(&[a, y]), "resuming, overlaid: {overlaid}");
         // Off the row: nodes settled on the way and never asked.
         for target in [hub, x, c, d] {
             assert_eq!(
@@ -495,13 +496,14 @@ fn a_gated_sweep_answers_what_its_open_gates_ask_like_the_plain_sweep() {
                             }
                         }
                     }
-                    // A source the memo knew, still missing: a tree row.
+                    // A tree row, admitted by one sweep and grown by the
+                    // next.
                     2 => {
                         let _ = engine.travel_times_to_many(source, &draw(&mut rng, 2), t);
                         let _ = engine.travel_times_to_many(source, &draw(&mut rng, 3), t);
                     }
                     // The same gated sweep, twice: its answers in the pair
-                    // memo, then a tree row of what it searched.
+                    // memo, and a tree row of what it searched.
                     _ => {
                         for _ in 0..2 {
                             let _ = engine.gated_travel_times(source, &asked, t);
@@ -580,7 +582,6 @@ fn engine_with_narrow_row(
     network: &RoadNetwork,
     overlay: Option<&TrafficOverlay>,
     source: NodeId,
-    near: NodeId,
     reached: NodeId,
     t: TimePoint,
 ) -> ShortestPathEngine {
@@ -588,9 +589,8 @@ fn engine_with_narrow_row(
     if let Some(overlay) = overlay {
         engine.set_overlay(overlay.clone());
     }
-    // First seen: a search, no row. Known and still missing: the row.
-    engine.travel_times_to_many(source, &[near], t);
-    engine.travel_times_to_many(source, &[near, reached], t);
+    // The first search from a source admits its row.
+    engine.travel_times_to_many(source, &[reached], t);
     engine
 }
 
@@ -631,8 +631,8 @@ fn a_resumed_search_answers_past_the_rows_reach_like_a_fresh_one() {
                 let source = NodeId(rng.random_range(0..n as u32));
                 let ranked = nearest_first(network, overlay, source, t);
                 let m = ranked.len();
-                let (near, reached) = (ranked[1], ranked[rng.random_range(m / 8..m / 3)]);
-                let engine = engine_with_narrow_row(network, overlay, source, near, reached, t);
+                let reached = ranked[rng.random_range(m / 8..m / 3)];
+                let engine = engine_with_narrow_row(network, overlay, source, reached, t);
                 let want = |targets: &[NodeId]| -> Vec<Option<u64>> {
                     reference(network, overlay, source, targets, t).into_iter().map(bits).collect()
                 };
@@ -691,8 +691,7 @@ fn a_gated_sweep_from_a_row_opens_what_the_plain_sweep_opens() {
                 let m = ranked.len();
                 let at = |lo: usize, hi: usize, rng: &mut StdRng| ranked[rng.random_range(lo..hi)];
                 let reached = at(m / 3, m / 2, &mut rng);
-                let engine =
-                    engine_with_narrow_row(network, overlay, source, ranked[1], reached, t);
+                let engine = engine_with_narrow_row(network, overlay, source, reached, t);
 
                 // Below the reach: one trigger on the row beyond the radius,
                 // one off the row; then the same with one within it.
