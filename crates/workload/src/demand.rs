@@ -4,12 +4,14 @@
 //! timeslot: demand is negligible overnight, climbs through the morning, and
 //! peaks sharply at lunch (12:00–15:00) and dinner (19:00–22:00), with City
 //! B showing the highest peaks. [`HOURLY_WEIGHTS`] encodes that shape as a
-//! probability distribution over the 24 hour slots; the order generator
-//! multiplies it by a preset's daily order count and draws arrival times
-//! within each hour.
+//! probability distribution over the 24 hour slots; the one arrival
+//! function ([`GeneratedCity`](crate::GeneratedCity)`::arrivals`, behind both
+//! the batch [`Scenario`](crate::Scenario) and the live
+//! [`PoissonOrderSource`](crate::PoissonOrderSource)) multiplies it by a
+//! daily order count and draws arrival times within each hour.
 //!
-//! The module also provides the small random-variate helpers used elsewhere
-//! in the workload generator (a Box–Muller Gaussian, so we do not need an
+//! The module also provides the small crate-private random-variate helpers
+//! of the workload generator (a Box–Muller Gaussian, so we do not need an
 //! extra distribution crate).
 
 use rand::Rng;
@@ -25,7 +27,7 @@ pub const HOURLY_WEIGHTS: [f64; 24] = [
 ];
 
 /// A sample from the standard normal distribution (Box–Muller transform).
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     loop {
         let u1: f64 = rng.random_range(f64::EPSILON..1.0);
         let u2: f64 = rng.random_range(0.0..1.0);
@@ -37,14 +39,20 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
 }
 
 /// A sample from `N(mean, std_dev)` clamped to `[min, max]`.
-pub fn clamped_normal(rng: &mut impl Rng, mean: f64, std_dev: f64, min: f64, max: f64) -> f64 {
+pub(crate) fn clamped_normal(
+    rng: &mut impl Rng,
+    mean: f64,
+    std_dev: f64,
+    min: f64,
+    max: f64,
+) -> f64 {
     (mean + std_dev * standard_normal(rng)).clamp(min, max)
 }
 
 /// Samples the number of orders arriving in one hour as a Poisson variate
 /// with the given mean (inversion by sequential search — means here are far
 /// below the range where that becomes inaccurate or slow).
-pub fn poisson(rng: &mut impl Rng, mean: f64) -> usize {
+pub(crate) fn poisson(rng: &mut impl Rng, mean: f64) -> usize {
     if mean <= 0.0 {
         return 0;
     }

@@ -37,6 +37,60 @@ pub struct GeneratedCity {
     pub restaurants: Vec<Restaurant>,
 }
 
+impl GeneratedCity {
+    /// THE demand model: the orders placed in `[from, to)` when the city
+    /// takes `orders_per_day` a day, numbered `first_id..` in draw order and
+    /// returned sorted by `(placed_at, id)`. The batch [`Scenario`] and the
+    /// live [`PoissonOrderSource`](crate::source::PoissonOrderSource) both
+    /// draw through it, so the two cannot drift apart.
+    ///
+    /// Each hour slot that overlaps `[from, to)`, in order, draws a Poisson
+    /// count with mean `orders_per_day` × [`HOURLY_WEIGHTS`] × the overlap's
+    /// share of the hour; each of its orders then draws, in this order, a
+    /// uniform `placed_at` inside the overlap, a restaurant by popularity, a
+    /// customer within the delivery radius, a preparation time (peak hours
+    /// run 15 % slower) and an item count. That RNG consumption order is
+    /// part of the determinism contract.
+    pub(crate) fn arrivals(
+        &self,
+        from: TimePoint,
+        to: TimePoint,
+        orders_per_day: usize,
+        first_id: u64,
+        rng: &mut StdRng,
+    ) -> Vec<Order> {
+        let total_popularity: f64 = self.restaurants.iter().map(|r| r.popularity).sum();
+        let mut orders = Vec::new();
+        for hour in 0..24u32 {
+            let slot_start = TimePoint::from_hms(hour, 0, 0);
+            let slot_end = TimePoint::from_hms(hour, 59, 59) + Duration::from_secs_f64(1.0);
+            let lo = from.max(slot_start);
+            let hi = to.min(slot_end);
+            if hi <= lo {
+                continue;
+            }
+            let overlap_fraction = (hi - lo).as_secs_f64() / 3_600.0;
+            let expected = orders_per_day as f64 * HOURLY_WEIGHTS[hour as usize] * overlap_fraction;
+            // Peak-hour kitchens run a little slower.
+            let peak_factor = if HourSlot::new(hour as u8).is_peak() { 1.15 } else { 1.0 };
+            for _ in 0..poisson(rng, expected) {
+                let placed_at =
+                    lo + Duration::from_secs_f64(rng.random_range(0.0..(hi - lo).as_secs_f64()));
+                let restaurant = pick_restaurant(&self.restaurants, total_popularity, rng);
+                let customer = pick_customer(&self.network, restaurant.node, rng);
+                let prep_mins =
+                    clamped_normal(rng, restaurant.mean_prep_mins * peak_factor, 3.0, 2.0, 35.0);
+                let items = 1 + (rng.random_range(0.0_f64..1.0).powi(2) * 4.0).floor() as u32;
+                let id = OrderId(first_id + orders.len() as u64);
+                let prep_time = Duration::from_mins(prep_mins);
+                orders.push(Order::new(id, restaurant.node, customer, placed_at, items, prep_time));
+            }
+        }
+        orders.sort_by(|a, b| a.placed_at.cmp(&b.placed_at).then(a.id.cmp(&b.id)));
+        orders
+    }
+}
+
 /// Options controlling scenario generation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioOptions {
@@ -111,20 +165,17 @@ impl Scenario {
 
         let network = build_network(&preset, &mut rng);
         let restaurants = place_restaurants(&preset, &network, &mut rng);
-        let orders = generate_orders(&preset, &network, &restaurants, &options, &mut rng);
+        let city = GeneratedCity { preset, network, restaurants };
+        let orders =
+            city.arrivals(options.start, options.end, city.preset.orders_per_day, 0, &mut rng);
         let vehicle_count =
-            ((preset.vehicles as f64 * options.vehicle_fraction).round() as usize).max(1);
-        let all_nodes: Vec<NodeId> = network.node_ids().collect();
+            ((city.preset.vehicles as f64 * options.vehicle_fraction).round() as usize).max(1);
+        let all_nodes: Vec<NodeId> = city.network.node_ids().collect();
         let vehicle_starts: Vec<(VehicleId, NodeId)> = (0..vehicle_count)
             .map(|i| (VehicleId(i as u32), *all_nodes.choose(&mut rng).expect("network has nodes")))
             .collect();
 
-        Scenario {
-            city: GeneratedCity { preset, network, restaurants },
-            orders,
-            vehicle_starts,
-            options,
-        }
+        Scenario { city, orders, vehicle_starts, options }
     }
 
     /// The dispatcher configuration matching this city (its Δ) and the
@@ -262,80 +313,6 @@ fn place_restaurants(
     restaurants
 }
 
-fn generate_orders(
-    preset: &CityPreset,
-    network: &RoadNetwork,
-    restaurants: &[Restaurant],
-    options: &ScenarioOptions,
-    rng: &mut StdRng,
-) -> Vec<Order> {
-    let nodes: Vec<NodeId> = network.node_ids().collect();
-    let total_popularity: f64 = restaurants.iter().map(|r| r.popularity).sum();
-
-    let mut orders = Vec::new();
-    let mut next_id = 0u64;
-    for hour in 0..24u32 {
-        let slot_start = TimePoint::from_hms(hour, 0, 0);
-        let slot_end = TimePoint::from_hms(hour, 59, 59) + Duration::from_secs_f64(1.0);
-        // Overlap of this hour with the requested horizon.
-        let lo = options.start.max(slot_start);
-        let hi = options.end.min(slot_end);
-        if hi <= lo {
-            continue;
-        }
-        let overlap_fraction = (hi - lo).as_secs_f64() / 3_600.0;
-        let expected =
-            preset.orders_per_day as f64 * HOURLY_WEIGHTS[hour as usize] * overlap_fraction;
-        let count = poisson(rng, expected);
-        for _ in 0..count {
-            let placed_at =
-                lo + Duration::from_secs_f64(rng.random_range(0.0..(hi - lo).as_secs_f64()));
-            orders.push(draw_order(
-                network,
-                &nodes,
-                restaurants,
-                total_popularity,
-                OrderId(next_id),
-                placed_at,
-                hour,
-                rng,
-            ));
-            next_id += 1;
-        }
-    }
-    orders.sort_by(|a, b| a.placed_at.cmp(&b.placed_at).then(a.id.cmp(&b.id)));
-    orders
-}
-
-/// Draws one order: restaurant by popularity, customer within the delivery
-/// radius, peak-adjusted preparation time, item count. This is THE demand
-/// model — shared by the batch generator above and the live
-/// [`PoissonOrderSource`](crate::source::PoissonOrderSource) so the two
-/// cannot drift apart statistically. The RNG consumption order (restaurant,
-/// customer, prep, items) is part of the determinism contract.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one demand model, two callers, no struct of these to share"
-)]
-pub(crate) fn draw_order(
-    network: &RoadNetwork,
-    nodes: &[NodeId],
-    restaurants: &[Restaurant],
-    total_popularity: f64,
-    id: OrderId,
-    placed_at: TimePoint,
-    hour: u32,
-    rng: &mut StdRng,
-) -> Order {
-    let restaurant = pick_restaurant(restaurants, total_popularity, rng);
-    let customer = pick_customer(network, nodes, restaurant.node, rng);
-    // Peak-hour kitchens run a little slower.
-    let peak_factor = if HourSlot::new(hour as u8).is_peak() { 1.15 } else { 1.0 };
-    let prep_mins = clamped_normal(rng, restaurant.mean_prep_mins * peak_factor, 3.0, 2.0, 35.0);
-    let items = 1 + (rng.random_range(0.0_f64..1.0).powi(2) * 4.0).floor() as u32;
-    Order::new(id, restaurant.node, customer, placed_at, items, Duration::from_mins(prep_mins))
-}
-
 fn pick_restaurant<'a>(
     restaurants: &'a [Restaurant],
     total_popularity: f64,
@@ -351,12 +328,7 @@ fn pick_restaurant<'a>(
     restaurants.last().expect("at least one restaurant")
 }
 
-fn pick_customer(
-    network: &RoadNetwork,
-    nodes: &[NodeId],
-    restaurant: NodeId,
-    rng: &mut StdRng,
-) -> NodeId {
+fn pick_customer(network: &RoadNetwork, restaurant: NodeId, rng: &mut StdRng) -> NodeId {
     // Customers live within the delivery radius of the restaurant (the paper
     // notes platforms only show nearby restaurants). Rejection-sample a few
     // times, then settle for whatever came closest.
@@ -364,7 +336,8 @@ fn pick_customer(
     let mut best = restaurant;
     let mut best_distance = f64::INFINITY;
     for _ in 0..12 {
-        let candidate = *nodes.choose(rng).expect("nodes");
+        // Node ids are dense, so this is a uniform pick over the network.
+        let candidate = NodeId(rng.random_range(0..network.node_count()) as u32);
         if candidate == restaurant {
             continue;
         }

@@ -36,20 +36,20 @@
 //!   [`Scenario`]'s order list, a recorded day) in placement order; the
 //!   bridge between the batch world and the streaming API.
 //! * [`PoissonOrderSource`] — *closed-loop live demand*: orders do not
-//!   exist until the clock reaches them. Arrivals follow the diurnal
-//!   non-homogeneous Poisson process of the scenario generator
-//!   ([`HOURLY_WEIGHTS`](crate::demand::HOURLY_WEIGHTS) × the city's daily
-//!   volume), restaurants are drawn by popularity and customers within the
-//!   delivery radius — but the draw happens at poll time, so a driver can
-//!   run the service against demand no scenario file ever materialised
-//!   (and, because the process is seeded, still reproduce the day exactly).
+//!   exist until the clock reaches them. Each poll draws the interval it
+//!   uncovers through the one arrival function that also builds a
+//!   [`Scenario`]'s order list (the diurnal non-homogeneous Poisson process,
+//!   [`HOURLY_WEIGHTS`](crate::demand::HOURLY_WEIGHTS) × the city's daily
+//!   volume, restaurants by popularity, customers within the delivery
+//!   radius), from a seed of its own. A driver can so run the service
+//!   against demand no scenario file ever materialised, and still
+//!   reproduce the day exactly from the seed and the poll instants.
 
-use crate::demand::poisson;
-use crate::scenario::{draw_order, Restaurant, Scenario};
-use foodmatch_core::{Order, OrderId};
-use foodmatch_roadnet::{Duration, NodeId, RoadNetwork, TimePoint};
+use crate::scenario::{GeneratedCity, Scenario};
+use foodmatch_core::Order;
+use foodmatch_roadnet::TimePoint;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A stream of orders, polled forward in time by a service driver.
 ///
@@ -79,11 +79,6 @@ impl ReplayOrderSource {
         orders.sort_by(|a, b| a.placed_at.cmp(&b.placed_at).then(a.id.cmp(&b.id)));
         ReplayOrderSource { orders, cursor: 0 }
     }
-
-    /// Orders not yet polled.
-    pub fn remaining(&self) -> usize {
-        self.orders.len() - self.cursor
-    }
 }
 
 impl OrderSource for ReplayOrderSource {
@@ -101,19 +96,18 @@ impl OrderSource for ReplayOrderSource {
 }
 
 /// Closed-loop live demand: a seeded non-homogeneous Poisson arrival
-/// process over a generated city's restaurant directory. See the
-/// [module docs](self).
+/// process over a generated city's restaurant directory, drawn one polled
+/// interval at a time by the arrival function behind
+/// [`Scenario::generate`]. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct PoissonOrderSource {
     rng: StdRng,
-    network: RoadNetwork,
-    nodes: Vec<NodeId>,
-    restaurants: Vec<Restaurant>,
-    total_popularity: f64,
+    city: GeneratedCity,
     orders_per_day: usize,
     /// Demand generated so far covers `(start, cursor]`.
     cursor: TimePoint,
     end: TimePoint,
+    /// The id the next generated order will get.
     next_id: u64,
 }
 
@@ -125,10 +119,7 @@ impl PoissonOrderSource {
     pub fn new(scenario: &Scenario, seed: u64) -> Self {
         PoissonOrderSource {
             rng: StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(0xF00D)),
-            network: scenario.city.network.clone(),
-            nodes: scenario.city.network.node_ids().collect(),
-            restaurants: scenario.city.restaurants.clone(),
-            total_popularity: scenario.city.restaurants.iter().map(|r| r.popularity).sum(),
+            city: scenario.city.clone(),
             orders_per_day: scenario.city.preset.orders_per_day,
             cursor: scenario.options.start,
             end: scenario.options.end,
@@ -141,11 +132,6 @@ impl PoissonOrderSource {
         self.orders_per_day = orders_per_day;
         self
     }
-
-    /// The id the next generated order will get.
-    pub fn next_id(&self) -> u64 {
-        self.next_id
-    }
 }
 
 impl OrderSource for PoissonOrderSource {
@@ -154,40 +140,15 @@ impl OrderSource for PoissonOrderSource {
         if target <= self.cursor {
             return Vec::new();
         }
-        let mut orders = Vec::new();
-        for hour in 0..24u32 {
-            let slot_start = TimePoint::from_hms(hour, 0, 0);
-            let slot_end = TimePoint::from_hms(hour, 59, 59) + Duration::from_secs_f64(1.0);
-            // Overlap of this hour with the freshly uncovered interval.
-            let lo = self.cursor.max(slot_start);
-            let hi = target.min(slot_end);
-            if hi <= lo {
-                continue;
-            }
-            let overlap_fraction = (hi - lo).as_secs_f64() / 3_600.0;
-            let expected = self.orders_per_day as f64
-                * crate::demand::HOURLY_WEIGHTS[hour as usize]
-                * overlap_fraction;
-            let count = poisson(&mut self.rng, expected);
-            for _ in 0..count {
-                let placed_at = lo
-                    + Duration::from_secs_f64(self.rng.random_range(0.0..(hi - lo).as_secs_f64()));
-                // The exact same per-order draw as the batch generator.
-                orders.push(draw_order(
-                    &self.network,
-                    &self.nodes,
-                    &self.restaurants,
-                    self.total_popularity,
-                    OrderId(self.next_id),
-                    placed_at,
-                    hour,
-                    &mut self.rng,
-                ));
-                self.next_id += 1;
-            }
-        }
+        let orders = self.city.arrivals(
+            self.cursor,
+            target,
+            self.orders_per_day,
+            self.next_id,
+            &mut self.rng,
+        );
         self.cursor = target;
-        orders.sort_by(|a, b| a.placed_at.cmp(&b.placed_at).then(a.id.cmp(&b.id)));
+        self.next_id += orders.len() as u64;
         orders
     }
 
@@ -200,6 +161,7 @@ impl OrderSource for PoissonOrderSource {
 mod tests {
     use super::*;
     use crate::{CityId, ScenarioOptions};
+    use foodmatch_roadnet::{Duration, NodeId};
 
     fn scenario() -> Scenario {
         Scenario::generate(
@@ -218,7 +180,7 @@ mod tests {
         let s = scenario();
         let mut source = ReplayOrderSource::new(s.orders.clone());
         let total = s.orders.len();
-        assert_eq!(source.remaining(), total);
+        assert_eq!(source.orders.len(), total);
 
         let mut seen = Vec::new();
         let mut tick = s.options.start;
@@ -296,17 +258,88 @@ mod tests {
         );
     }
 
+    /// `crc32` over the concatenated encodings of `orders`, and their count.
+    fn digest(orders: &[Order]) -> (u32, usize) {
+        let mut bytes = Vec::new();
+        for order in orders {
+            foodmatch_core::Codec::encode(order, &mut bytes);
+        }
+        (foodmatch_core::crc32(&bytes), orders.len())
+    }
+
+    #[test]
+    fn generated_demand_matches_its_pinned_digests() {
+        // (city, horizon, scenario list, one poll to the end, 3-minute
+        // ticks at three times the preset's volume): each a (crc32, count).
+        type Pin = (CityId, ScenarioOptions, [(u32, usize); 3]);
+        let pins: [Pin; 8] = [
+            (
+                CityId::A,
+                ScenarioOptions::lunch_peak(1),
+                [(0x7004d4c3, 65), (0x8c14bf51, 78), (0x13e3743f, 209)],
+            ),
+            (
+                CityId::A,
+                ScenarioOptions::full_day(3),
+                [(0x8654c69f, 236), (0x0586aa69, 226), (0xcb9846d3, 645)],
+            ),
+            (
+                CityId::B,
+                ScenarioOptions::lunch_peak(1),
+                [(0x06fbdea8, 460), (0xe6a3a966, 436), (0x0034c486, 1398)],
+            ),
+            (
+                CityId::B,
+                ScenarioOptions::full_day(3),
+                [(0xcbd6a6c2, 1511), (0xbbd937bb, 1484), (0x5617053b, 4578)],
+            ),
+            (
+                CityId::C,
+                ScenarioOptions::lunch_peak(1),
+                [(0x594eedcd, 352), (0x012bf9c1, 328), (0x02abed14, 958)],
+            ),
+            (
+                CityId::C,
+                ScenarioOptions::full_day(3),
+                [(0xcf092677, 1026), (0xa67f91ba, 1124), (0xa47cb733, 3151)],
+            ),
+            (
+                CityId::GrubHub,
+                ScenarioOptions::lunch_peak(1),
+                [(0x4a4e72fa, 27), (0xc28526f6, 28), (0x7ca35141, 85)],
+            ),
+            (
+                CityId::GrubHub,
+                ScenarioOptions::full_day(3),
+                [(0x8c156ae9, 96), (0xba3fd966, 108), (0xeb118aaf, 293)],
+            ),
+        ];
+        for (city, options, expected) in pins {
+            let s = Scenario::generate(city, options);
+            let one = PoissonOrderSource::new(&s, 42).poll(s.options.end);
+            let mut source = PoissonOrderSource::new(&s, 42)
+                .with_orders_per_day(3 * s.city.preset.orders_per_day);
+            let (mut ticked, mut tick) = (Vec::new(), s.options.start);
+            while !source.is_exhausted() {
+                tick += Duration::from_mins(3.0);
+                ticked.extend(source.poll(tick));
+            }
+            let got = [digest(&s.orders), digest(&one), digest(&ticked)];
+            assert_eq!(got, expected, "{} from {:?}", city.name(), options.start);
+        }
+    }
+
     #[test]
     fn polling_backwards_or_past_the_end_is_a_no_op() {
         let s = scenario();
         let mut source = PoissonOrderSource::new(&s, 9);
         source.next_id = 1000;
-        assert_eq!(source.next_id(), 1000);
         let first = source.poll(s.options.start + Duration::from_mins(30.0));
         assert!(source.poll(s.options.start).is_empty(), "backwards poll yields nothing");
         let rest = source.poll(s.options.end + Duration::from_hours(5.0));
         assert!(source.is_exhausted());
         assert!(source.poll(s.options.end + Duration::from_hours(6.0)).is_empty());
         assert!(first.iter().chain(&rest).all(|o| o.id.0 >= 1000));
+        assert_eq!(source.next_id, 1000 + (first.len() + rest.len()) as u64);
     }
 }
