@@ -186,7 +186,9 @@ fn batches_by_start(batches: &[Batch]) -> HashMap<NodeId, Vec<usize>> {
 /// its survivors are F, the batches inside the first mile), then, when the
 /// degree cap is below the batch count, Alg. 2's expansion, which stops once
 /// it has reached every row of F. The vehicle is offered the rows it
-/// reached, and keeps those of them in F.
+/// reached, and keeps those of them in F. With F empty the expansion would
+/// stop before it settled a node, so it is not started: the vehicle is
+/// offered nothing.
 fn shortlist(
     vehicle: &VehicleSnapshot,
     offers: &[&[Order]],
@@ -202,6 +204,10 @@ fn shortlist(
     // and the "no BFS" ablation): every batch is offered, nothing expands.
     if degree_cap < offers.len() {
         let inside = shortlist.survivors();
+        if inside.is_empty() {
+            shortlist.keep_reached(&[]);
+            return shortlist;
+        }
         let reached =
             candidate_rows(vehicle, batches_by_start, engine, t, config, degree_cap, inside);
         shortlist.keep_reached(&reached);

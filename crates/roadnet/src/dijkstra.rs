@@ -49,8 +49,8 @@ use crate::gates::Gates;
 use crate::graph::{InEdge, RoadNetwork, MAX_IN_DEGREE};
 use crate::ids::{EdgeId, NodeId};
 use crate::overlay::{overlaid_secs, TrafficOverlay};
-use crate::timeofday::{Duration, TimePoint};
-use std::cmp::Ordering;
+use crate::timeofday::{Duration, HourSlot, TimePoint};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Sentinel for "no parent edge recorded".
@@ -77,48 +77,27 @@ pub struct PathResult {
     pub edges: Vec<EdgeId>,
 }
 
-/// Entry in the Dijkstra priority queue; ordered so the smallest cost pops
-/// first from Rust's max-heap.
-#[derive(Clone, Copy, Debug)]
-struct QueueEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the minimum cost first.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("costs are never NaN")
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
+/// Entry in the Dijkstra priority queue: `(cost bits, node)`, reversed so
+/// the smallest pops first from Rust's max-heap. The bits of the costs
+/// [`SearchSpace::push`] admits, `+0.0` to `+∞`, order as their values do,
+/// so this is the order of cost, ties to the smaller node, in integer
+/// compares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct QueueEntry(Reverse<(u64, u32)>);
 
 /// Reusable scratch memory for graph searches, reset in O(1).
 ///
-/// All per-node state (tentative distance, tree travel time, parent edge,
-/// potential, settled flag, target mark) lives in flat arrays alongside a
-/// *generation* stamp per node. A slot is only valid when its stamp equals
-/// the space's current generation, so starting a new search is a single
-/// counter bump — no `memset`, no allocation. The arrays grow to the largest
+/// All per-node state (tentative distance, an [`Expansion`]'s tree travel
+/// time, parent edge, potential, settled flag, target mark) lives in flat
+/// arrays alongside a *generation* stamp per node. A slot is only valid
+/// when its stamp equals the space's current generation, so starting a new
+/// search is a single counter bump — no `memset`, no allocation. The arrays grow to the largest
 /// network seen and are then reused verbatim, which keeps steady-state
 /// queries entirely allocation-free.
 #[derive(Debug, Default)]
 pub struct SearchSpace {
     dist: Vec<f64>,
+    /// An [`Expansion`]'s second label; the eager kernel writes none.
     time: Vec<f64>,
     parent: Vec<u32>,
     /// Node potentials of an [`Expansion::with_potential`] search; slot
@@ -129,6 +108,8 @@ pub struct SearchSpace {
     targeted: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<QueueEntry>,
+    /// The nodes the current [`search`] popped, in pop order.
+    popped: Vec<u32>,
     /// The tree row a [`Seed::Row`] search resumes, copied in through
     /// [`Self::row_buffer`], and whether the current search did; and the
     /// seed's scratch, one tree path.
@@ -168,6 +149,7 @@ impl SearchSpace {
         }
         self.generation += 1;
         self.heap.clear();
+        self.popped.clear();
     }
 
     /// The buffer a [`Seed::Row`] search reads its row from, `n` bytes: the
@@ -209,7 +191,7 @@ impl SearchSpace {
         let mut at = node;
         while !self.is_labelled(at) {
             match self.row[at] {
-                ROW_SOURCE => self.update(at, 0.0, 0.0, NO_EDGE),
+                ROW_SOURCE => self.label(at, 0.0, NO_EDGE),
                 ordinal => {
                     let in_edge = in_edges.in_edge(NodeId::from_index(at), ordinal);
                     path.push((at, in_edge));
@@ -219,7 +201,7 @@ impl SearchSpace {
         }
         while let Some((at, InEdge { edge, tail })) = path.pop() {
             let label = self.dist(tail.index()) + edge_secs(edge);
-            self.update(at, label, label, edge.0);
+            self.label(at, label, edge.0);
         }
         self.path = path;
         self.dist(node)
@@ -237,12 +219,19 @@ impl SearchSpace {
         self.time[i]
     }
 
+    /// Labels `i`: its distance and parent edge in the current search.
     #[inline]
-    pub(crate) fn update(&mut self, i: usize, dist: f64, time: f64, parent: u32) {
+    fn label(&mut self, i: usize, dist: f64, parent: u32) {
         self.dist[i] = dist;
-        self.time[i] = time;
         self.parent[i] = parent;
         self.touched[i] = self.generation;
+    }
+
+    /// Labels `i` with an [`Expansion`]'s two weights.
+    #[inline]
+    fn update(&mut self, i: usize, dist: f64, time: f64, parent: u32) {
+        self.time[i] = time;
+        self.label(i, dist, parent);
     }
 
     /// The potential of `i` in the current search, from `compute` the first
@@ -277,18 +266,14 @@ impl SearchSpace {
         }
     }
 
-    /// `(node index, parent stamp)` of every node the current search has
-    /// settled and labelled, in node order — the source's stamp is
-    /// [`NO_EDGE`]; a row seed's nodes that were never labelled are in
+    /// `(node index, parent stamp)` of every node the current [`search`]
+    /// settled by popping it, in pop order — the source's stamp is
+    /// [`NO_EDGE`]; a row seed's nodes, popped by an earlier search, are in
     /// [`Self::resumed_row`] instead. A settled node's label and parent are
     /// final: a longer search from the same source on the same weights is
     /// the same pop sequence run further.
     pub(crate) fn settled_parents(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let settled = self.settled.iter().zip(&self.touched).zip(&self.parent).enumerate();
-        let settled = settled.filter(|(_, ((&settled, &touched), _))| {
-            settled == self.generation && touched == self.generation
-        });
-        settled.map(|(i, (_, &parent))| (i, parent))
+        self.popped.iter().map(|&i| (i as usize, self.parent[i as usize]))
     }
 
     /// Marks `i` as a target of the current search; false if already marked.
@@ -315,14 +300,22 @@ impl SearchSpace {
         }
     }
 
+    /// Queues `node` at `cost`.
+    ///
+    /// # Panics
+    /// Panics if `cost` is NaN or below `+0.0` (`-0.0` included): the queue
+    /// orders on the bits of a cost, which order as its value only from
+    /// `+0.0` up.
     #[inline]
     pub(crate) fn push(&mut self, cost: f64, node: NodeId) {
-        self.heap.push(QueueEntry { cost, node });
+        assert!(cost.to_bits() <= f64::INFINITY.to_bits(), "queue cost {cost} is not ≥ +0.0");
+        self.heap.push(QueueEntry(Reverse((cost.to_bits(), node.0))));
     }
 
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<(f64, NodeId)> {
-        self.heap.pop().map(|e| (e.cost, e.node))
+        let QueueEntry(Reverse((bits, node))) = self.heap.pop()?;
+        Some((f64::from_bits(bits), NodeId(node)))
     }
 }
 
@@ -385,7 +378,7 @@ pub(crate) fn search(
     space.resumed = matches!(seed, Seed::Row);
     match seed {
         Seed::Source(source) => {
-            space.update(source.index(), 0.0, 0.0, NO_EDGE);
+            space.label(source.index(), 0.0, NO_EDGE);
             space.push(0.0, source);
         }
         Seed::Row => seed_row(network, space, &edge_secs),
@@ -419,6 +412,7 @@ pub(crate) fn search(
             continue;
         }
         space.settle(i);
+        space.popped.push(node.0);
         searched.settled += 1;
         if space.take_target(i) {
             remaining -= 1;
@@ -447,7 +441,7 @@ fn relax(
         }
         let next = cost + edge_secs(eid);
         if next < space.dist(to) {
-            space.update(to, next, next, eid.0);
+            space.label(to, next, eid.0);
             space.push(next, edge.to);
         }
     }
@@ -476,17 +470,19 @@ fn seed_row(network: &RoadNetwork, space: &mut SearchSpace, edge_secs: &impl Fn(
             let cost = *cost.get_or_insert_with(|| space.label_on_row(network, node, edge_secs));
             let next = cost + edge_secs(eid);
             if next < space.dist(to) {
-                space.update(to, next, next, eid.0);
+                space.label(to, next, eid.0);
                 space.push(next, edge.to);
             }
         }
     }
 }
 
-/// The static weight `β(e, t)` in seconds, as a [`search`] closure.
+/// The static weight `β(e, t)` in seconds, as a [`search`] closure. `t`'s
+/// hour slot is resolved once, here, for every edge the closure prices.
 #[inline]
 pub(crate) fn beta_secs(network: &RoadNetwork, t: TimePoint) -> impl Fn(EdgeId) -> f64 + '_ {
-    move |edge| network.travel_time(edge, t).as_secs_f64()
+    let slot = t.hour_slot();
+    move |edge| network.beta_at(edge, slot).as_secs_f64()
 }
 
 /// The travel time [`search`] settled `node` at, `None` if it never was
@@ -598,7 +594,8 @@ pub struct Settled {
 /// allocating per vehicle.
 pub struct Expansion<'a, P = fn(NodeId) -> f64, W = fn(f64, f64) -> f64> {
     network: &'a RoadNetwork,
-    t: TimePoint,
+    /// The hour slot of the expansion's `t`: all of `t` that `β` reads.
+    slot: HourSlot,
     /// `(potential, weight)` of a custom-weight expansion; `None` means
     /// "use β(e, t)".
     custom: Option<(P, W)>,
@@ -650,19 +647,26 @@ impl<'a, P: Fn(NodeId) -> f64, W: Fn(f64, f64) -> f64> Expansion<'a, P, W> {
         space.begin(network.node_count());
         space.update(source.index(), 0.0, 0.0, NO_EDGE);
         space.push(0.0, source);
-        Expansion { network, t, custom, space, yielded_source: false, source }
+        Expansion { network, slot: t.hour_slot(), custom, space, yielded_source: false, source }
+    }
+
+    /// `β(e, t)` in seconds, at the expansion's slot.
+    #[inline]
+    fn beta(&self, edge: EdgeId) -> f64 {
+        self.network.beta_at(edge, self.slot).as_secs_f64()
     }
 
     fn relax(&mut self, node: NodeId) {
-        let space = &mut *self.space;
-        let base_w = space.dist(node.index());
-        let base_t = space.time_of(node.index());
-        for (eid, edge) in self.network.out_edges(node) {
+        let network = self.network;
+        let base_w = self.space.dist(node.index());
+        let base_t = self.space.time_of(node.index());
+        for (eid, edge) in network.out_edges(node) {
             let to = edge.to.index();
-            if space.is_settled(to) {
+            if self.space.is_settled(to) {
                 continue;
             }
-            let beta = self.network.travel_time(eid, self.t).as_secs_f64();
+            let beta = self.beta(eid);
+            let space = &mut *self.space;
             let w = match &self.custom {
                 None => base_w + beta,
                 Some((potential, weight)) => {
@@ -1189,6 +1193,103 @@ pub(crate) mod tests {
                 beta_secs(&net, t),
             );
         }
+    }
+
+    /// `beta_secs`, `overlaid_secs` and an [`Expansion`] resolve `t`'s hour
+    /// slot once, when they are built, and price every edge as
+    /// `travel_time(e, t)` does (times its multiplier under an overlay), to
+    /// the bit: on every edge of a City B–sized network, in all 24 slots,
+    /// either side of each hour boundary, and across a day wrap.
+    #[test]
+    fn a_slot_resolved_once_prices_every_edge_as_travel_time_does() {
+        use crate::generators::RandomCityBuilder;
+        let net = RandomCityBuilder::new(1200).radius_m(7_000.0).seed(0xB).build();
+        let mut overlay = TrafficOverlay::new();
+        for eid in net.edge_ids().step_by(3) {
+            overlay.slow_edge(eid, 1.0 + f64::from(eid.0 % 7) / 4.0);
+        }
+        let multipliers = overlay.edge_multipliers(&net);
+        let (hour, day) = (3600.0, 24.0 * 3600.0);
+        let mut instants = Vec::new();
+        for slot in 0..24 {
+            let boundary = f64::from(slot) * hour;
+            instants.extend([boundary - 1e-9, boundary, boundary + hour / 2.0]);
+        }
+        instants.extend([day - 1e-9, day, day + 1e-9, day + 13.5 * hour, -0.5 * hour]);
+        let mut slots = std::collections::BTreeSet::new();
+        let mut space = SearchSpace::new();
+        for secs in instants {
+            let t = TimePoint::from_secs_f64(secs);
+            slots.insert(t.hour_slot().index());
+            let (beta, overlaid) = (beta_secs(&net, t), overlaid_secs(&net, &multipliers, t));
+            let expansion = Expansion::new(&net, NodeId(0), t, &mut space);
+            for eid in net.edge_ids() {
+                let want = net.travel_time(eid, t).as_secs_f64();
+                assert_eq!(beta(eid).to_bits(), want.to_bits(), "{eid:?} at {secs}");
+                assert_eq!(expansion.beta(eid).to_bits(), want.to_bits(), "{eid:?} at {secs}");
+                let want = want * multipliers[eid.index()];
+                assert_eq!(overlaid(eid).to_bits(), want.to_bits(), "{eid:?} at {secs}");
+            }
+        }
+        assert_eq!(slots.len(), 24);
+    }
+
+    /// The queue pops by cost, ties to the smaller node, `+0.0` before any
+    /// positive cost: the numeric order of `(cost, node)`, subnormals and
+    /// `+∞` included.
+    #[test]
+    fn the_queue_pops_by_cost_then_by_the_smaller_node() {
+        let pushed = [
+            (2.5, 7),
+            (2.5, 3),
+            (f64::INFINITY, 0),
+            (1.0, 6),
+            (f64::MIN_POSITIVE / 2.0, 9),
+            (2.5, 4),
+            (0.0, 5),
+            (f64::MIN_POSITIVE, 1),
+            (0.0, 2),
+            (1.0, 8),
+        ];
+        let mut space = SearchSpace::new();
+        space.begin(10);
+        for (cost, node) in pushed {
+            space.push(cost, NodeId(node));
+        }
+        let popped: Vec<(f64, u32)> =
+            std::iter::from_fn(|| space.pop()).map(|(cost, node)| (cost, node.0)).collect();
+        let mut want = pushed.to_vec();
+        want.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)));
+        let bits = |entries: &[(f64, u32)]| -> Vec<(u64, u32)> {
+            entries.iter().map(|&(cost, node)| (cost.to_bits(), node)).collect()
+        };
+        assert_eq!(bits(&popped), bits(&want));
+        assert_eq!(bits(&popped[..2]), [(0.0f64.to_bits(), 2), (0.0f64.to_bits(), 5)]);
+    }
+
+    fn push_one(cost: f64) {
+        let mut space = SearchSpace::new();
+        space.begin(1);
+        space.push(cost, NodeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not ≥ +0.0")]
+    fn a_nan_queue_cost_panics() {
+        push_one(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not ≥ +0.0")]
+    fn a_negative_queue_cost_panics() {
+        push_one(-1e-12);
+    }
+
+    /// `-0.0` equals `+0.0` but its bits would order it last.
+    #[test]
+    #[should_panic(expected = "is not ≥ +0.0")]
+    fn a_negative_zero_queue_cost_panics() {
+        push_one(-0.0);
     }
 
     #[test]

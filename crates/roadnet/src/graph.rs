@@ -17,7 +17,7 @@
 use crate::congestion::{CongestionProfile, RoadClass};
 use crate::geo::{GeoPoint, LatTrig};
 use crate::ids::{EdgeId, NodeId};
-use crate::timeofday::{Duration, TimePoint};
+use crate::timeofday::{Duration, HourSlot, TimePoint};
 use std::sync::{Arc, OnceLock};
 
 /// The most edges one node may be the head of ([`RoadNetworkBuilder::build`]
@@ -205,8 +205,16 @@ impl RoadNetwork {
     /// Temporal weight `β(e, t)`: the time needed to traverse `edge` when the
     /// traversal starts at time `t` (Definition 1).
     pub fn travel_time(&self, edge: EdgeId, t: TimePoint) -> Duration {
+        self.beta_at(edge, t.hour_slot())
+    }
+
+    /// `β(e, t)` for any `t` in hour `slot`: the one β formula. A search
+    /// resolves the slot once and prices every edge it reads here, so no
+    /// edge re-derives it from `t`.
+    #[inline]
+    pub(crate) fn beta_at(&self, edge: EdgeId, slot: HourSlot) -> Duration {
         let rec = &self.inner.edges[edge.index()];
-        let mult = self.inner.congestion.multiplier(rec.class, t.hour_slot());
+        let mult = self.inner.congestion.multiplier(rec.class, slot);
         Duration::from_secs_f64(rec.free_flow_secs * mult)
     }
 

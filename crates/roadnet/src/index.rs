@@ -127,6 +127,7 @@ use crate::overlay::{self, TrafficOverlay};
 use crate::timeofday::{Duration, TimePoint};
 use foodmatch_telemetry as telemetry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -177,12 +178,51 @@ impl Stamp {
     }
 }
 
+/// A multiplicative hasher for the memo's keys, node ids of the engine's own
+/// network: nothing adversarial reaches it, so SipHash's seeded
+/// `RandomState` buys nothing a probe should pay for. Its hashes are fixed,
+/// but no output can depend on them: clippy rejects iterating a `HashMap`.
+#[derive(Default)]
+struct NodeHasher(u64);
+
+impl NodeHasher {
+    /// An odd constant with well-mixed high bits.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for NodeHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(u64::from(byte)));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+
+    /// The product's high bits, the well-mixed ones, rotated down to where
+    /// the table takes its bucket index.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed on node ids, hashed by [`NodeHasher`].
+type NodeMap<K, V> = HashMap<K, V, BuildHasherDefault<NodeHasher>>;
+
 /// `(source, target) → seconds` on the weights of one stamp at a time: the
 /// travel time, or `f64::INFINITY` for "unreachable".
 #[derive(Debug, Default)]
 struct PairMemo {
     stamp: Option<Stamp>,
-    map: HashMap<(NodeId, NodeId), f64>,
+    map: NodeMap<(NodeId, NodeId), f64>,
 }
 
 impl PairMemo {
@@ -207,7 +247,7 @@ struct Memo {
     pairs: [PairMemo; 2],
     rows_stamp: Option<Stamp>,
     /// Source → its tree row; [`ROW_BUDGET_BYTES`] caps how many.
-    rows: HashMap<NodeId, TreeRow>,
+    rows: NodeMap<NodeId, TreeRow>,
     /// Scratch of [`walk`]: the edges of one tree path, target first.
     path: Vec<EdgeId>,
 }
@@ -268,8 +308,9 @@ fn walk(
 }
 
 /// Merges what the search in `space` settled, up to `reach`, into its
-/// source's `row`: the row it resumed, if it did, and each parent edge of
-/// a node it labelled as its in-ordinal. A node the row holds already keeps
+/// source's `row`: the row it resumed, if it did, and the parent edge of
+/// each node it popped as its in-ordinal — a walk over what the search
+/// settled, not over the network. A node the row holds already keeps
 /// its parent: any parent a search on these weights gave it sums to the
 /// same label. An infinite `reach` says the search exhausted the reachable
 /// graph (it ended with a target unsettled), so whatever is still unsettled
@@ -1334,6 +1375,66 @@ mod tests {
         assert_eq!((after.searches, after.resumed), (before.searches + 1, before.resumed + 1));
         assert_eq!(after.settled - before.settled, fresh_counts().settled - on_row);
         assert!(on_row > 10 && after.settled - before.settled > 10, "both sides did some work");
+    }
+
+    /// Rows grow from the nodes a search popped: a near sweep, then a far
+    /// one that resumes the row, leave a row every node of which walks to
+    /// what the row of one fresh sweep to both targets, on a second engine,
+    /// walks it to, bit for bit — settled or not, on the static weights and
+    /// under an overlay. A far sweep that runs the reachable graph dry (for
+    /// the island) still marks every node it could not reach unreachable.
+    #[test]
+    fn a_row_grown_over_popped_nodes_walks_like_one_fresh_sweep() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (net, island) = with_island(&net);
+        let near = nodes[nodes.len() / 4].0;
+        for (far, dry) in [(nodes[nodes.len() * 3 / 4].0, false), (island, true)] {
+            for overlaid in [false, true] {
+                let overlay = overlaid.then(|| slowdown_overlay(&net, 2.0));
+                let multipliers = overlay.as_ref().map(|overlay| overlay.edge_multipliers(&net));
+                let engine = || {
+                    let (engine, counts) = metered(&net);
+                    if let Some(overlay) = &overlay {
+                        engine.set_overlay(overlay.clone());
+                    }
+                    (engine, counts)
+                };
+                let what = format!("far {far}, overlaid: {overlaid}");
+                let (grown, counts) = engine();
+                grown.travel_times_to_many(source, &[near], t);
+                grown.travel_times_to_many(source, &[far], t);
+                assert_eq!((counts().searches, counts().resumed), (2, 1), "{what}");
+                let (fresh, _) = engine();
+                fresh.travel_times_to_many(source, &[near, far], t);
+
+                let (grown_row, grown_reach) = row_of(&grown, source).expect("a row");
+                let (fresh_row, fresh_reach) = row_of(&fresh, source).expect("a row");
+                assert_eq!(grown_reach.to_bits(), fresh_reach.to_bits(), "{what}");
+                assert_eq!(grown_reach == f64::INFINITY, dry, "{what}");
+                let in_edges = net.in_edges();
+                let mut path = Vec::new();
+                let mut walk_on = |row: &[u8], node| {
+                    let answer = match &multipliers {
+                        None => walk(row, in_edges, node, &mut path, dijkstra::beta_secs(&net, t)),
+                        Some(table) => {
+                            let overlaid = overlay::overlaid_secs(&net, table, t);
+                            walk(row, in_edges, node, &mut path, overlaid)
+                        }
+                    };
+                    answer.map(bits)
+                };
+                for node in net.node_ids() {
+                    let grown = walk_on(&grown_row, node);
+                    assert_eq!(grown, walk_on(&fresh_row, node), "{what}: {node}");
+                    if dry {
+                        let reachable = node != island;
+                        assert_eq!(grown.map(|answer| answer.is_some()), Some(reachable));
+                    }
+                }
+                assert_eq!(walk_on(&grown_row, far).is_some_and(|answer| answer.is_some()), !dry);
+            }
+        }
     }
 
     /// A query of another hour drops the row, and its reach with it — the

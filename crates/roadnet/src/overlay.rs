@@ -92,13 +92,15 @@ impl TrafficOverlay {
 
 /// The overlaid weight `β(e, t) × multiplier(e)` in seconds, over a table
 /// rendered by [`TrafficOverlay::edge_multipliers`] for the same network.
+/// `t`'s hour slot is resolved once, here, for every edge the closure prices.
 #[inline]
 pub(crate) fn overlaid_secs<'a>(
     network: &'a RoadNetwork,
     multipliers: &'a [f64],
     t: TimePoint,
 ) -> impl Fn(EdgeId) -> f64 + 'a {
-    move |edge| network.travel_time(edge, t).as_secs_f64() * multipliers[edge.index()]
+    let slot = t.hour_slot();
+    move |edge| network.beta_at(edge, slot).as_secs_f64() * multipliers[edge.index()]
 }
 
 #[cfg(test)]

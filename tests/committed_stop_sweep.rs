@@ -12,7 +12,9 @@
 //! that a batch that failed a filter is never swept for: no leg to its stops
 //! is in the pair memo (`engine.memo.hits` less `engine.rows.hits`), though
 //! a committed stop's tree row may have settled them on its way, while every
-//! leg to a surviving batch's stops is answered with no search.
+//! leg to a surviving batch's stops is answered with no search. And a
+//! courier with no batch inside the first mile starts no Alg. 2 expansion:
+//! it would stop before it settled a node.
 //!
 //! This file stays a single `#[test]`: the recorder is process-global, and
 //! an engine built by another test while it is installed would count into
@@ -195,4 +197,32 @@ fn a_loaded_vehicle_runs_one_search_per_committed_stop() {
     let mut swept: Vec<NodeId> = committed_stops.to_vec();
     swept.extend([at(6, 1), at(6, 2), at(0, 3)]);
     only_survivors_were_swept_for(&engine, &count, &swept);
+
+    // --- a courier with no batch inside the first mile -------------------
+    // Under Alg. 2 (a degree cap below the batch count) it is offered
+    // nothing, and runs the searches it runs on the dense graph, which has
+    // no expansion: none is started for it.
+    let stranded = VehicleSnapshot::idle(VehicleId(4), at(7, 0));
+    let nearest = offers
+        .iter()
+        .map(|o| scratch.travel_time(stranded.location, o.restaurant, t).unwrap().as_secs_f64())
+        .fold(f64::INFINITY, f64::min);
+    let stranded_config = |use_bfs_sparsification| DispatchConfig {
+        use_bfs_sparsification,
+        k_factor: 0.1,
+        max_first_mile: Duration::from_secs_f64(nearest - 1.0),
+        ..config.clone()
+    };
+    assert!(stranded_config(true).degree_cap(batches.len(), 1) < batches.len());
+    let run = |use_bfs_sparsification| {
+        let (engine, count) = cold_engine(&network);
+        let config = stranded_config(use_bfs_sparsification);
+        let graph =
+            build_food_graph(&batches, std::slice::from_ref(&stranded), &engine, t, &config);
+        assert_eq!(graph.explicit_edges(), 0);
+        (graph.evaluations, count("engine.searches"))
+    };
+    let (dense, sparse) = (run(false), run(true));
+    assert_eq!((dense.0, sparse.0), (offers.len(), 0), "offered dense, not under Alg. 2");
+    assert_eq!(sparse.1, dense.1, "no expansion for a courier with nothing inside the first mile");
 }
