@@ -6,22 +6,26 @@
 //! one metro window on a cold one), sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
 //! fleet, and one metro window of couriers under way), Eq. 8's per-node
-//! angular potential, one full FoodMatch window, and the fixed cost of one
-//! `parallel_map` fan-out.
+//! angular potential, one full FoodMatch window, the fixed cost of one
+//! `parallel_map` fan-out, and generating City B (its network, its whole
+//! scenario, and snapping restaurant targets to nodes).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use foodmatch_core::{
     batch_orders, build_food_graph, DispatchConfig, DispatchPolicy, FoodMatchPolicy, GreedyPolicy,
     KuhnMunkresPolicy, Order, OrderId, PlannedOrder, VehicleSnapshot, WindowSnapshot,
 };
+use foodmatch_roadnet::generators::RandomCityBuilder;
 use foodmatch_roadnet::{
-    AngularFrame, Duration, NodeId, RoadNetwork, ShortestPathEngine, TimePoint, TrafficOverlay,
+    AngularFrame, Duration, GeoPoint, NodeId, RoadNetwork, ShortestPathEngine, TimePoint,
+    TrafficOverlay,
 };
 use foodmatch_workload::{
-    CityId, EventScheduleBuilder, MetroOptions, MetroScenario, Scenario, ScenarioOptions,
+    CityId, CityPreset, EventScheduleBuilder, MetroOptions, MetroScenario, Scenario,
+    ScenarioOptions,
 };
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
+use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -433,6 +437,42 @@ fn bench_parallel_map(c: &mut Criterion) {
     group.finish();
 }
 
+/// Generating City B: its network alone (`RandomCityBuilder` at the
+/// preset's size and radius), its whole lunch-peak scenario (network,
+/// restaurants, orders, fleet), and snapping 140 points jittered ≈ 400 m
+/// around 10 hotspots to their nearest nodes, as restaurant placement does
+/// (on a network that has already answered one snap).
+fn bench_generate(c: &mut Criterion) {
+    let preset = CityPreset::of(CityId::B);
+    let builder = RandomCityBuilder::new(preset.network_nodes)
+        .radius_m(preset.radius_m)
+        .seed(preset.base_seed);
+    let network = builder.build();
+    let nodes: Vec<NodeId> = network.node_ids().collect();
+    let mut rng = StdRng::seed_from_u64(5);
+    let hotspots: Vec<NodeId> = (0..10).map(|_| *nodes.choose(&mut rng).expect("nodes")).collect();
+    let targets: Vec<GeoPoint> = (0..preset.restaurants)
+        .map(|_| {
+            let base = network.position(*hotspots.choose(&mut rng).expect("hotspots"));
+            let jitter = 0.004;
+            GeoPoint::new(
+                base.lat + rng.random_range(-jitter..jitter),
+                base.lon + rng.random_range(-jitter..jitter),
+            )
+        })
+        .collect();
+    black_box(network.nearest_node(targets[0]));
+    let mut group = c.benchmark_group("generate");
+    group.bench_function("city_b/network", |b| b.iter(|| builder.build()));
+    group.bench_function("city_b/scenario", |b| {
+        b.iter(|| Scenario::generate(CityId::B, ScenarioOptions::lunch_peak(3)))
+    });
+    group.bench_function("city_b/snap", |b| {
+        b.iter(|| targets.iter().map(|&t| network.nearest_node(t)).collect::<Vec<_>>())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shortest_paths,
@@ -443,6 +483,7 @@ criterion_group!(
     bench_foodgraph,
     bench_angular_potential,
     bench_window_assignment,
-    bench_parallel_map
+    bench_parallel_map,
+    bench_generate
 );
 criterion_main!(benches);

@@ -16,6 +16,7 @@
 
 use crate::congestion::{CongestionProfile, RoadClass};
 use crate::geo::{GeoPoint, LatTrig};
+use crate::grid::NodeGrid;
 use crate::ids::{EdgeId, NodeId};
 use crate::timeofday::{Duration, HourSlot, TimePoint};
 use std::sync::{Arc, OnceLock};
@@ -75,6 +76,8 @@ struct Inner {
     /// [`RoadNetwork::in_edges`], built by the first call: only the
     /// oracle's tree rows read it, so building a network does not pay for it.
     in_edges: OnceLock<InEdges>,
+    /// The grid [`RoadNetwork::nearest_node`] asks, built by its first call.
+    grid: OnceLock<NodeGrid>,
 }
 
 /// The reverse of the CSR layout: each node's in-edges in edge-id order, and
@@ -229,27 +232,32 @@ impl RoadNetwork {
         self.position(a).distance_m(self.position(b))
     }
 
-    /// Returns the node nearest to `point` by straight-line distance.
+    /// Returns the node nearest to `point` by straight-line distance, the
+    /// smaller id on a tie.
     ///
     /// This mirrors the paper's handling of vehicles that are not exactly on
     /// an intersection: "we approximate its location to the closest node in
-    /// the road network". Linear scan — adequate for the network sizes used in
-    /// the experiments, and only called when snapping external positions.
+    /// the road network". The first call buckets the nodes into a grid,
+    /// shared by every clone of the network; each call then reads only the
+    /// cells around `point`, and answers what scanning every node would.
     ///
     /// # Panics
     /// Panics if the network has no nodes.
     pub fn nearest_node(&self, point: GeoPoint) -> NodeId {
         assert!(!self.inner.nodes.is_empty(), "nearest_node on empty network");
-        let mut best = NodeId(0);
-        let mut best_d = f64::INFINITY;
-        for (idx, rec) in self.inner.nodes.iter().enumerate() {
-            let d = rec.position.distance_m(point);
-            if d < best_d {
-                best_d = d;
-                best = NodeId::from_index(idx);
-            }
-        }
-        best
+        let nodes = &self.inner.nodes;
+        let grid = self.inner.grid.get_or_init(|| {
+            NodeGrid::new(&nodes.iter().map(|node| node.position).collect::<Vec<_>>())
+        });
+        // A node at no finite distance (a non-finite `point`) never wins,
+        // which leaves node 0.
+        let distance = |idx: usize| {
+            let d = nodes[idx].position.distance_m(point);
+            (d < f64::INFINITY).then_some(d)
+        };
+        let mut found = Vec::with_capacity(1);
+        grid.nearest(point, 1, distance, &mut found);
+        found.first().map_or(NodeId(0), |&(_, idx)| NodeId::from_index(idx))
     }
 }
 
@@ -394,6 +402,7 @@ impl RoadNetworkBuilder {
                 congestion,
                 max_travel_time,
                 in_edges: OnceLock::new(),
+                grid: OnceLock::new(),
             }),
         }
     }
@@ -461,6 +470,63 @@ mod tests {
         let net = tiny_network();
         let snapped = net.nearest_node(GeoPoint::new(0.0, 0.0119));
         assert_eq!(snapped, NodeId(1));
+    }
+
+    /// `nearest_node` as it was before the grid, kept verbatim as the
+    /// reference the grid is pinned to: strict `<`, so the first of equally
+    /// near nodes wins.
+    fn nearest_by_scan(net: &RoadNetwork, point: GeoPoint) -> NodeId {
+        let mut best = NodeId(0);
+        let mut best_d = f64::INFINITY;
+        for (idx, rec) in net.inner.nodes.iter().enumerate() {
+            let d = rec.position.distance_m(point);
+            if d < best_d {
+                best_d = d;
+                best = NodeId::from_index(idx);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn nearest_node_answers_the_scan_inside_and_outside_the_box() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for (nodes, radius) in [(2, 150.0), (3, 400.0), (40, 1_500.0), (1_200, 7_000.0)] {
+            let net =
+                crate::generators::RandomCityBuilder::new(nodes).radius_m(radius).seed(9).build();
+            let mut points: Vec<GeoPoint> =
+                net.node_ids().take(50).map(|n| net.position(n)).collect();
+            for spread in [0.004, 0.05, 0.5, 5.0] {
+                points.extend((0..40).map(|_| {
+                    GeoPoint::new(
+                        12.9716 + rng.random_range(-spread..spread),
+                        77.5946 + rng.random_range(-spread..spread),
+                    )
+                }));
+            }
+            for point in points {
+                assert_eq!(net.nearest_node(point), nearest_by_scan(&net, point), "{point:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_node_gives_coincident_nodes_to_the_smaller_id() {
+        let mut b = RoadNetworkBuilder::new();
+        let spots = [GeoPoint::new(1.0, 1.0), GeoPoint::new(1.0, 1.002), GeoPoint::new(1.001, 1.0)];
+        for i in 0..12 {
+            b.add_node(spots[i % 3]);
+        }
+        let net = b.build();
+        for (i, &spot) in spots.iter().enumerate() {
+            assert_eq!(net.nearest_node(spot), NodeId::from_index(i));
+        }
+        // Halfway between two spots: equally near, the smaller id wins.
+        let between = GeoPoint::new(1.0, 1.001);
+        assert_eq!(net.nearest_node(between), nearest_by_scan(&net, between));
+        // No node is at a finite distance from a NaN point: the scan's node 0.
+        assert_eq!(net.nearest_node(GeoPoint::new(f64::NAN, 1.0)), NodeId(0));
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod gates;
 pub mod generators;
 pub mod geo;
 pub mod graph;
+mod grid;
 pub mod ids;
 pub mod index;
 pub mod overlay;

@@ -291,9 +291,8 @@ fn place_restaurants(
     let mut restaurants = Vec::with_capacity(preset.restaurants);
     for rank in 0..preset.restaurants {
         let node = if rng.random_range(0.0..1.0) < 0.7 {
-            // Near a hotspot: pick the node closest to a jittered hotspot
-            // position (cheap approximation: pick among the hotspot's
-            // geographic neighbours).
+            // Near a hotspot: snap a position jittered around the hotspot
+            // to its nearest node.
             let hotspot = *hotspots.choose(rng).expect("hotspots");
             let base = network.position(hotspot);
             let jitter = 0.004; // ≈ 400 m
