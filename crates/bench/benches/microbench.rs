@@ -2,6 +2,7 @@
 //! the per-window running time reported in Fig. 6(h), 8(g) and 8(k):
 //! warm shortest-path queries on the one engine, a cold oracle miss with and
 //! without a traffic overlay installed, a source that repeats (tree rows),
+//! a fleet swept again after an overlay swap (tree rows carried across it),
 //! Kuhn–Munkres matching, order batching (a City A window on a warm engine,
 //! one metro window on a cold one), sparsified (by travel time and by
 //! angular weight) vs dense FoodGraph construction (idle and half-loaded
@@ -437,6 +438,55 @@ fn bench_parallel_map(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_overlay_swap(c: &mut Criterion) {
+    // What the first window after an overlay swap costs the default engine:
+    // City B's lunch fleet, each vehicle at its start node, swept to every
+    // restaurant — once on the static weights, which leaves each vehicle a
+    // tree row — then an incident starts and every vehicle is swept again
+    // (`incident_starts`), or the incident had started, been swept under,
+    // and ends, and every vehicle is swept again (`incident_ends`). After a
+    // start the timed re-sweep reads each vehicle's row as the swap left it;
+    // after an end the static pair memo, kept through the episode, answers
+    // it.
+    let scenario = Scenario::generate(CityId::B, ScenarioOptions::lunch_peak(3));
+    let (network, _, incident) = city_b_with_incident();
+    let t = TimePoint::from_hms(13, 0, 0);
+    let sources: Vec<NodeId> = scenario.vehicle_starts.iter().map(|&(_, node)| node).collect();
+    let restaurants: Vec<NodeId> =
+        scenario.city.restaurants.iter().map(|restaurant| restaurant.node).collect();
+    let sweep = |engine: &ShortestPathEngine| {
+        for &source in &sources {
+            black_box(engine.travel_times_to_many(source, &restaurants, t));
+        }
+    };
+    // A sweep of another hour drops every row and pair.
+    let forget = |engine: &ShortestPathEngine| {
+        engine.travel_time(sources[0], restaurants[0], t + Duration::from_mins(60.0));
+    };
+
+    let mut group = c.benchmark_group("overlay_swap");
+    let engine = ShortestPathEngine::cached(network);
+    for (name, ends) in [("incident_starts", false), ("incident_ends", true)] {
+        group.bench_function(&format!("{name}/{}_sources", sources.len()), |b| {
+            b.iter_batched(
+                || {
+                    engine.clear_overlay();
+                    forget(&engine);
+                    sweep(&engine);
+                    engine.set_overlay(incident.clone());
+                    if ends {
+                        sweep(&engine);
+                        engine.clear_overlay();
+                    }
+                },
+                |()| sweep(&engine),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// Generating City B: its network alone (`RandomCityBuilder` at the
 /// preset's size and radius), its whole lunch-peak scenario (network,
 /// restaurants, orders, fleet), and snapping 140 points jittered ≈ 400 m
@@ -478,6 +528,7 @@ criterion_group!(
     bench_shortest_paths,
     bench_overlay_miss,
     bench_repeat_source,
+    bench_overlay_swap,
     bench_solver,
     bench_batching,
     bench_foodgraph,

@@ -306,49 +306,46 @@ impl RandomCityBuilder {
         // (bidirectional edges ⇒ strongly connected): each round joins node
         // 0's component to the component of the closest pair `(i, j)`, `i`
         // inside it and `j` outside, ties to the smaller `i`, then `j`. Only
-        // node 0's component grows, so the others keep their members, and a
-        // round asks the grid from whichever side has fewer nodes.
+        // node 0's component grows, so the others keep their members. Each
+        // outside node keeps its closest inside node by `(distance, i)`, and
+        // only the nodes that have just come inside can improve on it: they
+        // are compared node by node, or, when there are more of them than
+        // `STITCH_SCAN_LIMIT`, the grid is asked again.
         let component: Vec<usize> = (0..self.nodes).map(|i| dsu.find(i)).collect();
-        let (mut inside, mut outside): (Vec<usize>, Vec<usize>) =
-            (0..self.nodes).partition(|&i| component[i] == component[0]);
         let mut in_main: Vec<bool> = component.iter().map(|&c| c == component[0]).collect();
-        while !outside.is_empty() {
-            let mut best: Option<(f64, usize, usize)> = None;
-            let mut offer = |pair: (f64, usize, usize)| {
-                let closer = best.is_none_or(|(d, i, j)| {
-                    pair.0
-                        .partial_cmp(&d)
-                        .expect("distances are not NaN")
-                        .then((pair.1, pair.2).cmp(&(i, j)))
-                        .is_lt()
-                });
-                if closer {
-                    best = Some(pair);
-                }
-            };
-            if outside.len() <= inside.len() {
-                for &j in &outside {
+        let (mut joined, outside): (Vec<usize>, Vec<usize>) =
+            (0..self.nodes).partition(|&i| in_main[i]);
+        let mut outside: Vec<(usize, (f64, usize))> =
+            outside.into_iter().map(|j| (j, (f64::INFINITY, usize::MAX))).collect();
+        loop {
+            for (j, best) in &mut outside {
+                if joined.len() > STITCH_SCAN_LIMIT {
                     let distance =
-                        |i: usize| in_main[i].then(|| positions[i].distance_m(positions[j]));
-                    grid.nearest(positions[j], 1, distance, &mut found);
-                    offer((found[0].0, found[0].1, j));
+                        |i: usize| in_main[i].then(|| positions[i].distance_m(positions[*j]));
+                    grid.nearest(positions[*j], 1, distance, &mut found);
+                    *best = found[0];
+                    continue;
                 }
-            } else {
-                for &i in &inside {
-                    let distance =
-                        |j: usize| (!in_main[j]).then(|| positions[i].distance_m(positions[j]));
-                    grid.nearest(positions[i], 1, distance, &mut found);
-                    offer((found[0].0, i, found[0].1));
+                for &i in &joined {
+                    let d = positions[i].distance_m(positions[*j]);
+                    let order = d.partial_cmp(&best.0).expect("distances are not NaN");
+                    if order.then(i.cmp(&best.1)).is_lt() {
+                        *best = (d, i);
+                    }
                 }
             }
-            let (_, i, j) = best.expect("disconnected component has a closest pair");
+            let Some(&(j, (_, i))) = outside.iter().min_by(|(j, (d, i)), (k, (e, h))| {
+                d.partial_cmp(e).expect("distances are not NaN").then((i, j).cmp(&(h, k)))
+            }) else {
+                break;
+            };
             add_street(&mut builder, &mut dsu, &mut edge_exists, i, j, RoadClass::Collector);
-            let joined = component[j];
-            outside.retain(|&v| {
-                let stays = component[v] != joined;
+            joined.clear();
+            outside.retain(|&(v, _)| {
+                let stays = component[v] != component[j];
                 if !stays {
                     in_main[v] = true;
-                    inside.push(v);
+                    joined.push(v);
                 }
                 stays
             });
@@ -357,6 +354,11 @@ impl RandomCityBuilder {
         builder.build()
     }
 }
+
+/// The most nodes a stitching round compares every outside node with, node
+/// by node; past it, each outside node asks the grid, which reads the cells
+/// around it.
+const STITCH_SCAN_LIMIT: usize = 32;
 
 /// Minimal union-find used to keep the random city connected.
 struct DisjointSet {

@@ -129,6 +129,12 @@ impl InEdges {
         self.order[self.offsets[node.index()] as usize + usize::from(ordinal)]
     }
 
+    /// Every in-edge of `node`, in ordinal order.
+    #[inline]
+    pub(crate) fn to(&self, node: NodeId) -> &[InEdge] {
+        &self.order[self.offsets[node.index()] as usize..self.offsets[node.index() + 1] as usize]
+    }
+
     /// `edge`'s position among the in-edges of its head.
     #[inline]
     pub(crate) fn in_ordinal(&self, edge: EdgeId) -> u8 {

@@ -58,6 +58,22 @@
 //! with no eviction; a search from a row-less source that finds the budget
 //! spent is counted (`engine.rows.refused`).
 //!
+//! A row is exact on the weights of one overlay generation, and an overlay
+//! swap (any `set_overlay` or `clear_overlay`; static to overlay is one)
+//! changes a few dozen of them. [`ShortestPathEngine::set_overlay`] logs,
+//! once per swap, the edges whose multiplier it changes — a multiplier of
+//! `1.0` gives `β`'s own bits, so static and overlaid weights compare edge
+//! by edge — and the first sweep that reads a row under a newer generation
+//! *repairs* it with the edges logged since its own (`engine.rows.repaired`):
+//! one exact dynamic shortest-path pass in the style of Ramalingam and Reps
+//! (1996) over the subtrees under changed tree edges, re-labelling only what
+//! the swap moved (`engine.rows.repair_settled`) up to the row's reach,
+//! which stays. Labels are least left-to-right sums, which no choice of
+//! parents changes, so a repaired row walks to what a fresh search on the
+//! new weights gives, bit for bit. No old weight table is kept: a clean
+//! node's tree path kept its weights, so its old label is a sum on the new
+//! ones. A search only grows a row of its own generation.
+//!
 //! ## Gated sweeps
 //!
 //! [`ShortestPathEngine::gated_travel_times`] sweeps from one source to
@@ -94,13 +110,16 @@
 //! answers what it answers bit for bit as that sweep does.
 //!
 //! A point query ([`ShortestPathEngine::travel_time`]) is a one-target
-//! sweep, so the memo has one query path. Pairs and rows carry a
-//! `(generation, hour slot)` stamp, and any query with another stamp moves
-//! the memo on: the rows and the pair memo of the hour that has
-//! passed (or of the overlay generation that is gone) are dropped — which
-//! is what pays for the rows. The static pair memo survives overlay
-//! episodes of the same hour; rows do not (there is one set, behind
-//! whichever pair memo is live).
+//! sweep, so the memo has one query path. Pairs carry a `(generation, hour
+//! slot)` stamp, and any query with another stamp moves the pair memo on:
+//! the pairs of the hour that has passed, or of the overlay generation that
+//! is gone, are dropped. The static pair memo survives overlay episodes of
+//! the same hour. Rows carry their hour slot and their generation: a query
+//! of another hour drops every row and the swap log — every `β` changes
+//! with the hour, which is what pays for the rows — and a newer generation
+//! repairs a row when it is read (above). Only queries on the newest
+//! generation installed read, grow or admit rows; one that raced a swap is
+//! answered without them.
 //!
 //! The engine is `Send + Sync` (interior mutability is `std::sync`: locks
 //! taken through the crate's poison-recovering `lock`, and atomics) so
@@ -126,10 +145,11 @@ use crate::lock;
 use crate::overlay::{self, TrafficOverlay};
 use crate::timeofday::{Duration, TimePoint};
 use foodmatch_telemetry as telemetry;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// What every tree row of one engine may hold together, in bytes: a row is
@@ -153,9 +173,12 @@ struct OverlayVersion {
     multipliers: Vec<f64>,
 }
 
-/// The weights a memoised answer holds on: the overlay generation (`0` is
-/// the static `β(e, t)`; an installed overlay is generation ≥ 1) and the
-/// hour slot, which is all of `t` that `β` reads.
+/// The weights a memoised answer holds on: the overlay generation that
+/// installed them (every `set_overlay` and `clear_overlay` is one; the
+/// engine starts at `0`, static) and the hour slot, which is all of `t` that
+/// `β` reads. The static pair memo stamps its answers with generation `0`
+/// whatever generation installed the static weights, so it survives overlay
+/// episodes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Stamp {
     generation: u64,
@@ -175,6 +198,16 @@ impl Stamp {
     /// any benchmark workload.
     fn roll(held: &mut Option<Stamp>, asked: Stamp) -> bool {
         held.replace(asked) != Some(asked)
+    }
+
+    /// The stamp of the pair memo a query on these weights reads: the
+    /// static one's is generation `0`.
+    fn of_pairs(self, overlaid: bool) -> Stamp {
+        if overlaid {
+            self
+        } else {
+            Stamp { generation: 0, ..self }
+        }
     }
 }
 
@@ -239,43 +272,299 @@ impl PairMemo {
 /// What the engine remembers: the two pair memos — `pairs[0]` on the
 /// static weights, one hour at a time (kept across overlay episodes),
 /// `pairs[1]` on the active overlay generation — and, behind whichever the
-/// query runs on, the tree rows of the sources searched from. Everything is
+/// query runs on, the tree rows of the sources searched from, one hour at a
+/// time, each carried across overlay swaps by [`repair`]. Everything is
 /// probed, nothing iterated; a stamp that moves on clears lazily, on the
 /// first touch that notices.
 #[derive(Debug, Default)]
 struct Memo {
     pairs: [PairMemo; 2],
-    rows_stamp: Option<Stamp>,
+    /// The hour slot the rows and the swap log hold on.
+    rows_slot: Option<usize>,
     /// Source → its tree row; [`ROW_BUDGET_BYTES`] caps how many.
     rows: NodeMap<NodeId, TreeRow>,
+    swaps: SwapLog,
+    repair: RepairSpace,
     /// Scratch of [`walk`]: the edges of one tree path, target first.
     path: Vec<EdgeId>,
 }
 
 impl Memo {
     /// Prepares the rows and the pair memo of that kind of weights for a
-    /// query on `stamp` (see [`Stamp::roll`]); the rows it drops free their
-    /// share of the budget.
-    fn roll_to(&mut self, overlaid: bool, stamp: Stamp) {
-        if Stamp::roll(&mut self.rows_stamp, stamp) {
+    /// query on `stamp` (see [`Stamp::roll`]), and says whether the query
+    /// may read, grow and admit rows: only on the newest generation
+    /// installed, which every row is repaired to before it is read. An hour
+    /// roll drops the rows, which frees their share of the budget, and the
+    /// swap log with them: every `β` changes with the hour.
+    fn roll_to(&mut self, overlaid: bool, stamp: Stamp) -> bool {
+        if self.rows_slot.replace(stamp.slot) != Some(stamp.slot) {
             self.rows.clear();
+            self.swaps.clear();
         }
         let memo = &mut self.pairs[usize::from(overlaid)];
-        if Stamp::roll(&mut memo.stamp, stamp) {
+        if Stamp::roll(&mut memo.stamp, stamp.of_pairs(overlaid)) {
             memo.map.clear();
         }
+        stamp.generation == self.swaps.latest
     }
 }
 
 /// A source's shortest-path tree as far as searches from it have settled
-/// it: per node the parent edge's in-ordinal or a `ROW_*` marker
-/// ([`crate::dijkstra`]), and `reach`, the largest label those searches
-/// popped — infinite once one ran dry. No node the row has not settled is
-/// nearer than `reach`.
+/// it, on the weights of one generation: per node the parent edge's
+/// in-ordinal or a `ROW_*` marker ([`crate::dijkstra`]), and `reach`, the
+/// largest label those searches popped — infinite once one ran dry. No node
+/// the row has not settled is nearer than `reach`, and none it has settled
+/// is farther.
 #[derive(Debug)]
 struct TreeRow {
     parents: Box<[u8]>,
     reach: f64,
+    /// The overlay generation whose weights the row is exact on.
+    generation: u64,
+}
+
+/// The edges each overlay swap of the rows' hour changed, logged by
+/// [`ShortestPathEngine::set_overlay`] so that a row left on an older
+/// generation can be repaired with what changed since: swap `k` of the
+/// hour's `starts.len()` changed `edges[starts[k]..starts[k + 1]]` (the last
+/// one, to the end). No old weight table is kept.
+#[derive(Debug, Default)]
+struct SwapLog {
+    /// The newest generation installed.
+    latest: u64,
+    starts: Vec<usize>,
+    edges: Vec<EdgeId>,
+}
+
+impl SwapLog {
+    /// Logs the swap that installed `generation`, the one after `latest`.
+    fn push(&mut self, generation: u64, changed: impl IntoIterator<Item = EdgeId>) {
+        debug_assert_eq!(generation, self.latest + 1, "every swap is logged");
+        self.starts.push(self.edges.len());
+        self.edges.extend(changed);
+        self.latest = generation;
+    }
+
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.edges.clear();
+    }
+
+    /// Every edge the swaps after `generation` changed, repeats included.
+    /// A row is only ever on a generation the hour's log reaches back to:
+    /// rows are admitted on the newest, and the log is cleared with them.
+    fn since(&self, generation: u64) -> &[EdgeId] {
+        let swaps = usize::try_from(self.latest - generation).expect("a generation count");
+        let first = self.starts.len().checked_sub(swaps).expect("the log reaches the row");
+        self.starts.get(first).map_or(&[], |&start| &self.edges[start..])
+    }
+}
+
+/// Scratch of [`repair`], kept in the memo and used under its lock. A slot
+/// of `dirty`, `old_at` and `label_at` counts for the repair whose `stamp`
+/// it carries, so a repair starts in O(1) past copying its row.
+#[derive(Debug, Default)]
+struct RepairSpace {
+    stamp: u32,
+    /// The row as it stood on the old weights.
+    old_row: Vec<u8>,
+    /// A node in a subtree under a changed tree edge.
+    dirty: Vec<u32>,
+    /// A clean node's old label, once asked for.
+    old_at: Vec<u32>,
+    old: Vec<f64>,
+    /// The repair's label of a node, and the edge it came in by.
+    label_at: Vec<u32>,
+    label: Vec<f64>,
+    parent: Vec<EdgeId>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The dirty nodes, in the order they were found.
+    found: Vec<usize>,
+    /// One tree path, for an old label.
+    path: Vec<(usize, InEdge)>,
+}
+
+impl RepairSpace {
+    /// Starts a repair of `row`.
+    fn begin(&mut self, row: &[u8]) {
+        let n = row.len();
+        self.old_row.clear();
+        self.old_row.extend_from_slice(row);
+        if self.dirty.len() < n {
+            self.dirty.resize(n, 0);
+            self.old_at.resize(n, 0);
+            self.old.resize(n, 0.0);
+            self.label_at.resize(n, 0);
+            self.label.resize(n, 0.0);
+            self.parent.resize(n, EdgeId(0));
+        }
+        if self.stamp == u32::MAX {
+            self.dirty.fill(0);
+            self.old_at.fill(0);
+            self.label_at.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.heap.clear();
+        self.found.clear();
+    }
+
+    /// Whether `node` was settled on the old weights by a tree path that
+    /// no changed edge lies on.
+    fn is_clean(&self, node: usize) -> bool {
+        !matches!(self.old_row[node], ROW_UNSETTLED | ROW_UNREACHABLE)
+            && self.dirty[node] != self.stamp
+    }
+
+    /// The old label of clean `node`: the left-to-right sum of `edge_secs`
+    /// along its old tree path, whose edges all kept their weights — the
+    /// bits the row's walk gave before the swap. It never reads a label the
+    /// repair has changed: a clean node's old label is what the repair
+    /// improves on.
+    fn old_label(
+        &mut self,
+        in_edges: &InEdges,
+        node: usize,
+        edge_secs: &impl Fn(EdgeId) -> f64,
+    ) -> f64 {
+        let mut at = node;
+        while self.old_at[at] != self.stamp {
+            match self.old_row[at] {
+                ROW_SOURCE => {
+                    self.old[at] = 0.0;
+                    self.old_at[at] = self.stamp;
+                }
+                ordinal => {
+                    debug_assert!(self.is_clean(at), "a clean node's tree path is clean");
+                    let in_edge = in_edges.in_edge(NodeId::from_index(at), ordinal);
+                    self.path.push((at, in_edge));
+                    at = in_edge.tail.index();
+                }
+            }
+        }
+        while let Some((at, InEdge { edge, tail })) = self.path.pop() {
+            self.old[at] = self.old[tail.index()] + edge_secs(edge);
+            self.old_at[at] = self.stamp;
+        }
+        self.old[node]
+    }
+
+    /// The label `node` holds now: the repair's, else its old one if it is
+    /// clean, else none.
+    fn current(
+        &mut self,
+        in_edges: &InEdges,
+        node: usize,
+        edge_secs: &impl Fn(EdgeId) -> f64,
+    ) -> f64 {
+        if self.label_at[node] == self.stamp {
+            self.label[node]
+        } else if self.is_clean(node) {
+            self.old_label(in_edges, node, edge_secs)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Labels `node` `cost` by `edge` and queues it, if that is strictly
+    /// below the label it holds.
+    fn offer(
+        &mut self,
+        in_edges: &InEdges,
+        node: usize,
+        cost: f64,
+        edge: EdgeId,
+        edge_secs: &impl Fn(EdgeId) -> f64,
+    ) {
+        if cost < self.current(in_edges, node, edge_secs) {
+            self.label[node] = cost;
+            self.label_at[node] = self.stamp;
+            self.parent[node] = edge;
+            self.heap.push(Reverse((cost.to_bits(), node as u32)));
+        }
+    }
+}
+
+/// Carries `row` across overlay swaps: from the weights it is exact on to
+/// those `edge_secs` prices, on which exactly the `changed` edges (or fewer;
+/// repeats allowed) weigh otherwise. One exact dynamic shortest-path pass in
+/// the style of Ramalingam and Reps (1996), over what the swaps changed:
+///
+/// 1. a node is *dirty* when it lies in a subtree under a changed tree edge,
+///    found by following the out-edges whose head's parent byte names them;
+///    every other settled node is *clean*, on a tree path that kept its
+///    weights, so its old label is still a path sum on the new ones;
+/// 2. dirty nodes leave the row, each seeded from its clean in-neighbours,
+///    and the head of each changed edge is seeded from its clean tail;
+/// 3. one Dijkstra on the new weights re-labels a node only on a strict
+///    improvement, relaxes every node it re-labels, and stops at the row's
+///    `reach`, which stays: every node nearer is settled again, exact.
+///
+/// A label is the least left-to-right sum over all paths, whatever the
+/// parents (`fl(a + w)` is monotone in `a`), so the repaired row walks to
+/// what a fresh search on the new weights gives, bit for bit. Returns how
+/// many nodes it re-labelled.
+fn repair(
+    row: &mut TreeRow,
+    network: &RoadNetwork,
+    changed: &[EdgeId],
+    space: &mut RepairSpace,
+    edge_secs: &impl Fn(EdgeId) -> f64,
+) -> u64 {
+    let in_edges = network.in_edges();
+    space.begin(&row.parents);
+    let stamp = space.stamp;
+    for &edge in changed {
+        let head = network.edge(edge).to.index();
+        if space.old_row[head] == in_edges.in_ordinal(edge) && space.dirty[head] != stamp {
+            space.dirty[head] = stamp;
+            space.found.push(head);
+        }
+    }
+    let mut next = 0;
+    while let Some(&node) = space.found.get(next) {
+        next += 1;
+        for (edge, record) in network.out_edges(NodeId::from_index(node)) {
+            let child = record.to.index();
+            if space.old_row[child] == in_edges.in_ordinal(edge) && space.dirty[child] != stamp {
+                space.dirty[child] = stamp;
+                space.found.push(child);
+            }
+        }
+    }
+    for next in 0..space.found.len() {
+        let node = space.found[next];
+        row.parents[node] = ROW_UNSETTLED;
+        for &InEdge { edge, tail } in in_edges.to(NodeId::from_index(node)) {
+            if space.is_clean(tail.index()) {
+                let cost = space.old_label(in_edges, tail.index(), edge_secs) + edge_secs(edge);
+                space.offer(in_edges, node, cost, edge, edge_secs);
+            }
+        }
+    }
+    for &edge in changed {
+        let record = network.edge(edge);
+        if space.is_clean(record.from.index()) {
+            let cost = space.old_label(in_edges, record.from.index(), edge_secs) + edge_secs(edge);
+            space.offer(in_edges, record.to.index(), cost, edge, edge_secs);
+        }
+    }
+    let mut relabelled = 0;
+    while let Some(Reverse((bits, node))) = space.heap.pop() {
+        let (cost, node) = (f64::from_bits(bits), node as usize);
+        if cost > row.reach {
+            break;
+        }
+        if cost > space.label[node] {
+            continue;
+        }
+        row.parents[node] = in_edges.in_ordinal(space.parent[node]);
+        relabelled += 1;
+        for (edge, record) in network.out_edges(NodeId::from_index(node)) {
+            space.offer(in_edges, record.to.index(), cost + edge_secs(edge), edge, edge_secs);
+        }
+    }
+    relabelled
 }
 
 /// Reads `target` off a tree row: `None` when no search has settled it
@@ -378,6 +667,11 @@ struct EngineMetrics {
     /// `engine.rows.resumed` — searches seeded from a tree row, which
     /// settle the row's nodes again without popping them.
     rows_resumed: telemetry::Counter,
+    /// `engine.rows.repaired` — rows carried across overlay swaps by a
+    /// repair pass; `engine.rows.repair_settled` — the nodes those passes
+    /// re-labelled.
+    rows_repaired: telemetry::Counter,
+    rows_repair_settled: telemetry::Counter,
     /// `engine.settled` — nodes the memo's searches settled by popping
     /// them; a row seed's are not counted.
     settled: telemetry::Counter,
@@ -406,6 +700,8 @@ impl EngineMetrics {
             rows_admitted: telemetry::counter("engine.rows.admitted"),
             rows_refused: telemetry::counter("engine.rows.refused"),
             rows_resumed: telemetry::counter("engine.rows.resumed"),
+            rows_repaired: telemetry::counter("engine.rows.repaired"),
+            rows_repair_settled: telemetry::counter("engine.rows.repair_settled"),
             settled: telemetry::counter("engine.settled"),
             backend_dijkstra: telemetry::counter("engine.backend.dijkstra.queries"),
             gates_closed: telemetry::counter("engine.gates.closed"),
@@ -423,9 +719,10 @@ struct EngineInner {
     /// The active traffic overlay (empty at generation 0). Swapped whole so
     /// in-flight queries keep a consistent snapshot.
     overlay: RwLock<Arc<OverlayVersion>>,
-    /// Fast-path flag mirroring `overlay`'s emptiness, so unperturbed queries
-    /// skip the read lock entirely.
-    overlay_active: AtomicBool,
+    /// `overlay`'s generation shifted up a bit, the low bit set while it is
+    /// not empty: one word, read whole, so unperturbed queries skip the read
+    /// lock and still know which generation's weights they run on.
+    installed: AtomicU64,
     queries: AtomicU64,
     metrics: EngineMetrics,
 }
@@ -442,7 +739,7 @@ impl ShortestPathEngine {
                     generation: 0,
                     multipliers: Vec::new(),
                 })),
-                overlay_active: AtomicBool::new(false),
+                installed: AtomicU64::new(0),
                 queries: AtomicU64::new(0),
                 metrics: EngineMetrics::acquire(),
             }),
@@ -534,16 +831,14 @@ impl ShortestPathEngine {
     ) -> Vec<Answer> {
         self.inner.queries.fetch_add(targets.len() as u64, Ordering::Relaxed);
         self.inner.metrics.queries.add(targets.len() as u64);
-        if self.inner.overlay_active.load(Ordering::Acquire) {
-            let version = self.overlay_version();
-            if !version.multipliers.is_empty() {
-                let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
-                let stamp = Stamp::new(version.generation, t);
-                return self.memo_sweep(true, stamp, source, targets, gates, overlaid);
-            }
+        let (generation, overlay) = self.installed();
+        let stamp = Stamp::new(generation, t);
+        if let Some(version) = overlay {
+            let overlaid = overlay::overlaid_secs(&self.inner.network, &version.multipliers, t);
+            return self.memo_sweep(true, stamp, source, targets, gates, overlaid);
         }
         let beta = dijkstra::beta_secs(&self.inner.network, t);
-        self.memo_sweep(false, Stamp::new(0, t), source, targets, gates, beta)
+        self.memo_sweep(false, stamp, source, targets, gates, beta)
     }
 
     /// Shortest path with node sequence and length: one pooled-space
@@ -558,12 +853,9 @@ impl ShortestPathEngine {
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         self.inner.metrics.queries.inc();
         let network = &self.inner.network;
-        if self.inner.overlay_active.load(Ordering::Acquire) {
-            let version = self.overlay_version();
-            if !version.multipliers.is_empty() {
-                let overlaid = overlay::overlaid_secs(network, &version.multipliers, t);
-                return dijkstra::path(network, source, target, &mut self.search_space(), overlaid);
-            }
+        if let (_, Some(version)) = self.installed() {
+            let overlaid = overlay::overlaid_secs(network, &version.multipliers, t);
+            return dijkstra::path(network, source, target, &mut self.search_space(), overlaid);
         }
         let beta = dijkstra::beta_secs(network, t);
         dijkstra::path(network, source, target, &mut self.search_space(), beta)
@@ -573,7 +865,10 @@ impl ShortestPathEngine {
     /// overlay generation. This is the one place that holds both the overlay
     /// and the network, so it renders the sparse map into this generation's
     /// table of one multiplier per edge (`O(E)`, once per change of the
-    /// disruption set). Subsequent queries are answered exactly on the
+    /// disruption set), and logs the edges whose multiplier that changes —
+    /// a superset of those whose weight bits change in any hour, since a
+    /// multiplier of `1.0` gives `β`'s own bits — for the tree rows to be
+    /// repaired with. Subsequent queries are answered exactly on the
     /// perturbed weights, each overlay-memo miss by one Dijkstra over that
     /// table — the static memo is not consulted; memoised overlay answers
     /// from earlier generations are invalidated by their generation stamp.
@@ -588,8 +883,18 @@ impl ShortestPathEngine {
             if active { overlay.edge_multipliers(&self.inner.network) } else { Vec::new() };
         let mut slot = lock(self.inner.overlay.write());
         let generation = slot.generation + 1;
+        let multiplier = |table: &[f64], edge: usize| table.get(edge).map_or(1.0, |&m| m);
+        let changed = (0..self.inner.network.edge_count())
+            .filter(|&edge| {
+                multiplier(&slot.multipliers, edge).to_bits()
+                    != multiplier(&multipliers, edge).to_bits()
+            })
+            .map(EdgeId::from_index);
+        // Logged before the generation is published, so a query that reads
+        // the generation finds its swap in the log.
+        lock(self.inner.memo.lock()).swaps.push(generation, changed);
         *slot = Arc::new(OverlayVersion { generation, multipliers });
-        self.inner.overlay_active.store(active, Ordering::Release);
+        self.inner.installed.store(generation << 1 | u64::from(active), Ordering::Release);
     }
 
     /// Removes any active traffic overlay (bumps the generation).
@@ -599,7 +904,7 @@ impl ShortestPathEngine {
 
     /// True when a non-empty traffic overlay is active.
     pub fn has_overlay(&self) -> bool {
-        self.inner.overlay_active.load(Ordering::Acquire)
+        self.inner.installed.load(Ordering::Acquire) & 1 == 1
     }
 
     /// The traversal time of a single edge at time `t` under the active
@@ -608,11 +913,10 @@ impl ShortestPathEngine {
     /// Not counted as an oracle query.
     pub fn edge_travel_time(&self, edge: EdgeId, t: TimePoint) -> Duration {
         let base = self.inner.network.travel_time(edge, t);
-        if !self.inner.overlay_active.load(Ordering::Acquire) {
+        let (_, Some(version)) = self.installed() else {
             return base;
-        }
-        let version = self.overlay_version();
-        let multiplier = version.multipliers.get(edge.index()).copied().unwrap_or(1.0);
+        };
+        let multiplier = version.multipliers[edge.index()];
         if multiplier == 1.0 {
             base
         } else {
@@ -620,9 +924,16 @@ impl ShortestPathEngine {
         }
     }
 
-    /// A consistent snapshot of the active overlay version.
-    fn overlay_version(&self) -> Arc<OverlayVersion> {
-        lock(self.inner.overlay.read()).clone()
+    /// The generation of the weights installed, and a consistent snapshot
+    /// of its overlay when it is one. The static weights cost one atomic
+    /// load.
+    fn installed(&self) -> (u64, Option<Arc<OverlayVersion>>) {
+        let installed = self.inner.installed.load(Ordering::Acquire);
+        if installed & 1 == 0 {
+            return (installed >> 1, None);
+        }
+        let version = lock(self.inner.overlay.read()).clone();
+        (version.generation, (!version.multipliers.is_empty()).then_some(version))
     }
 
     /// Counts `hits` and `misses` of one memoised sweep, and the misses its
@@ -644,7 +955,8 @@ impl ShortestPathEngine {
 
     /// The one memoised query path, on the weights `stamp` names, which
     /// `edge_secs` prices: per target the pair memo (a probe, ≈ 40 ns), then
-    /// `source`'s tree row (a walk, ≈ 200 ns on City B), then a single
+    /// `source`'s tree row (a walk, ≈ 200 ns on City B; repaired first if an
+    /// overlay swap left it on an older generation), then a single
     /// one-to-many search, run with no lock held, for the targets they do
     /// not know — less, when `gates` are given, those only gates that what
     /// is known closes wanted; the row's `reach` floors every target it has
@@ -676,20 +988,33 @@ impl ShortestPathEngine {
         let (mut hits, mut row_hits) = (0, 0);
         let (missing, search) = {
             let mut memo = lock(inner.memo.lock());
-            memo.roll_to(overlaid, stamp);
-            let Memo { pairs, rows, path, .. } = &mut *memo;
-            let row = rows.get(&source);
+            let current = memo.roll_to(overlaid, stamp);
+            let Memo { pairs, rows, swaps, repair: space, path, .. } = &mut *memo;
+            let mut unknown = false;
             for (answer, &target) in out.iter_mut().zip(targets) {
                 if source == target {
                     *answer = Some(Some(Duration::ZERO));
                 } else if let Some(known) = pairs[kind].get((source, target)) {
                     *answer = Some(known);
                     hits += 1;
-                } else if let Some(known) =
-                    row.and_then(|row| walk(&row.parents, in_edges, target, path, &edge_secs))
-                {
-                    *answer = Some(known);
-                    row_hits += 1;
+                } else {
+                    unknown = true;
+                }
+            }
+            // The row, if the pair memo left it anything to answer: only
+            // then is a row a swap left behind repaired.
+            let row = match rows.get_mut(&source) {
+                Some(row) if current && unknown => {
+                    Some(&*brought_to(row, stamp, swaps, space, inner, &edge_secs))
+                }
+                _ => None,
+            };
+            if let Some(row) = row {
+                for (answer, &target) in out.iter_mut().zip(targets) {
+                    if answer.is_none() {
+                        *answer = walk(&row.parents, in_edges, target, path, &edge_secs);
+                        row_hits += u64::from(answer.is_some());
+                    }
                 }
             }
             if let Some(gates) = gates.as_deref_mut() {
@@ -722,25 +1047,29 @@ impl ShortestPathEngine {
                 inner.metrics.rows_resumed.inc();
             }
             let mut memo = lock(inner.memo.lock());
-            let Memo { pairs, rows_stamp, rows, .. } = &mut *memo;
-            let memoise = pairs[kind].stamp == Some(stamp);
+            let Memo { pairs, rows_slot, rows, swaps, .. } = &mut *memo;
+            let memoise = pairs[kind].stamp == Some(stamp.of_pairs(overlaid));
             answered = read_back(&space, reach, targets, &mut out, |target, answer| {
                 if memoise {
                     pairs[kind].remember((source, target), answer);
                 }
             });
-            if *rows_stamp == Some(stamp) {
+            // Only onto rows of the search's own weights: a swap or an hour
+            // roll while it ran leaves its tree to no row.
+            if *rows_slot == Some(stamp.slot) && swaps.latest == stamp.generation {
                 if !rows.contains_key(&source) {
                     let budget = ROW_BUDGET_BYTES / inner.network.node_count().max(1);
                     if rows.len() < budget {
-                        let parents = vec![ROW_UNSETTLED; inner.network.node_count()];
-                        rows.insert(source, TreeRow { parents: parents.into(), reach: 0.0 });
+                        let parents = vec![ROW_UNSETTLED; inner.network.node_count()].into();
+                        let generation = stamp.generation;
+                        rows.insert(source, TreeRow { parents, reach: 0.0, generation });
                         inner.metrics.rows_admitted.inc();
                     } else {
                         inner.metrics.rows_refused.inc();
                     }
                 }
-                if let Some(row) = rows.get_mut(&source) {
+                let row = rows.get_mut(&source).filter(|row| row.generation == stamp.generation);
+                if let Some(row) = row {
                     grow(row, in_edges, &space, reach);
                 }
             }
@@ -748,6 +1077,25 @@ impl ShortestPathEngine {
         self.count_memo(overlaid, hits + row_hits, missing.len() as u64, answered);
         out
     }
+}
+
+/// `row`, on the generation of `stamp`: repaired first if a swap left it on
+/// an older one.
+fn brought_to<'a>(
+    row: &'a mut TreeRow,
+    stamp: Stamp,
+    swaps: &SwapLog,
+    space: &mut RepairSpace,
+    inner: &EngineInner,
+    edge_secs: &impl Fn(EdgeId) -> f64,
+) -> &'a mut TreeRow {
+    if row.generation != stamp.generation {
+        let relabelled = repair(row, &inner.network, swaps.since(row.generation), space, edge_secs);
+        row.generation = stamp.generation;
+        inner.metrics.rows_repaired.inc();
+        inner.metrics.rows_repair_settled.add(relabelled);
+    }
+    row
 }
 
 /// A [`SearchSpace`] checked out of a [`ShortestPathEngine`]'s pool; derefs
@@ -898,7 +1246,8 @@ mod tests {
     /// `engine.backend.dijkstra.queries`, `[hits, misses]` of the static
     /// memo and of the overlay memo, `[hits, admitted]` of
     /// the tree rows, `engine.rows.refused`, `engine.gates.closed`,
-    /// `engine.rows.resumed` and `engine.settled`.
+    /// `engine.rows.resumed`, `engine.settled`, `engine.rows.repaired` and
+    /// `engine.rows.repair_settled`.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Counts {
         searches: u64,
@@ -910,6 +1259,8 @@ mod tests {
         gates_closed: u64,
         resumed: u64,
         settled: u64,
+        repaired: u64,
+        repair_settled: u64,
     }
 
     /// An engine whose counters count into a registry of its own, and a
@@ -931,6 +1282,8 @@ mod tests {
         metrics.gates_closed = registry.counter("gates.closed");
         metrics.rows_resumed = registry.counter("rows.resumed");
         metrics.settled = registry.counter("settled");
+        metrics.rows_repaired = registry.counter("rows.repaired");
+        metrics.rows_repair_settled = registry.counter("rows.repair_settled");
         let read = move || {
             let snapshot = registry.snapshot();
             let count = |name| snapshot.counter(name).expect("registered");
@@ -944,6 +1297,8 @@ mod tests {
                 gates_closed: count("gates.closed"),
                 resumed: count("rows.resumed"),
                 settled: count("settled"),
+                repaired: count("rows.repaired"),
+                repair_settled: count("rows.repair_settled"),
             }
         };
         (engine, read)
@@ -1270,6 +1625,32 @@ mod tests {
         memo.rows.get(&source).map(|row| (row.parents.to_vec(), row.reach))
     }
 
+    /// The row of `source` as a sweep at `t` that walks it reads it: first
+    /// repaired, if a swap left it behind.
+    fn repaired_row_of(
+        engine: &ShortestPathEngine,
+        source: NodeId,
+        t: TimePoint,
+    ) -> Option<(Vec<u8>, f64)> {
+        let (generation, overlay) = engine.installed();
+        let stamp = Stamp::new(generation, t);
+        let inner = &*engine.inner;
+        let mut memo = lock(inner.memo.lock());
+        let current = memo.roll_to(overlay.is_some(), stamp);
+        let Memo { rows, swaps, repair: space, .. } = &mut *memo;
+        let row = rows.get_mut(&source).filter(|_| current)?;
+        let row = match &overlay {
+            None => {
+                brought_to(row, stamp, swaps, space, inner, &dijkstra::beta_secs(&inner.network, t))
+            }
+            Some(version) => {
+                let overlaid = overlay::overlaid_secs(&inner.network, &version.multipliers, t);
+                brought_to(row, stamp, swaps, space, inner, &overlaid)
+            }
+        };
+        Some((row.parents.to_vec(), row.reach))
+    }
+
     /// A random city (no two edges weigh the same, so no labels tie), a
     /// source, and its nodes nearest first with their travel times.
     fn by_distance(t: TimePoint) -> (RoadNetwork, NodeId, Vec<(NodeId, f64)>) {
@@ -1483,7 +1864,7 @@ mod tests {
         let fresh = Seed::Source(source);
         let searched =
             dijkstra::search(&net, fresh, &[nodes[m / 2].0], None, &mut space, &edge_secs);
-        let mut row = TreeRow { parents: vec![ROW_UNSETTLED; n].into(), reach: 0.0 };
+        let mut row = TreeRow { parents: vec![ROW_UNSETTLED; n].into(), reach: 0.0, generation: 0 };
         grow(&mut row, net.in_edges(), &space, searched.reach);
 
         let (radius, trigger) = (nodes[m / 4].1, nodes[m / 3].0);
@@ -1847,5 +2228,271 @@ mod tests {
         let pool = lock(engine.inner.spaces.lock());
         assert_eq!(pool.len(), 1);
         assert_eq!(node_capacity(&pool[0]), 16);
+    }
+
+    /// The edges into and out of every node within two streets of `center`:
+    /// what one incident slows.
+    fn incident(net: &RoadNetwork, center: NodeId) -> Vec<EdgeId> {
+        let mut near = vec![center];
+        for _ in 0..2 {
+            let frontier = near.clone();
+            near.extend(frontier.iter().flat_map(|&node| net.out_edges(node).map(|(_, e)| e.to)));
+        }
+        near.sort();
+        near.dedup();
+        let touches = |node| near.binary_search(&node).is_ok();
+        net.edge_ids().filter(|&e| touches(net.edge(e).from) || touches(net.edge(e).to)).collect()
+    }
+
+    /// The overlay of the incidents `active`, each `(edges, factor)`; an
+    /// edge two of them slow takes the larger factor.
+    fn overlay_of(active: &[(Vec<EdgeId>, f64)]) -> crate::TrafficOverlay {
+        let mut overlay = crate::TrafficOverlay::new();
+        for (edges, factor) in active {
+            edges.iter().for_each(|&edge| overlay.slow_edge(edge, *factor));
+        }
+        overlay
+    }
+
+    /// Reads the row of each of `sources` — the first read under a new
+    /// generation repairs it — and holds it to a fresh search on the weights
+    /// installed (`overlay`, or the static ones): every node the row settles
+    /// walks to the fresh search's bits, every node nearer than the row's
+    /// reach is settled and none farther, and a row whose reach is infinite
+    /// settles every node or, as the fresh search says too, marks it
+    /// unreachable. Returns the reaches of the rows it read.
+    fn assert_rows_fresh(
+        engine: &ShortestPathEngine,
+        overlay: Option<&crate::TrafficOverlay>,
+        sources: &[NodeId],
+        t: TimePoint,
+        what: &str,
+    ) -> Vec<f64> {
+        let net = engine.network();
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let table = overlay.map(|overlay| overlay.edge_multipliers(net));
+        let mut path = Vec::new();
+        let mut reaches = Vec::new();
+        for &source in sources {
+            let Some((row, reach)) = repaired_row_of(engine, source, t) else { continue };
+            let fresh = reference_bits(net, overlay, source, &all, t);
+            for (&node, want) in all.iter().zip(fresh) {
+                let got = match &table {
+                    None => {
+                        walk(&row, net.in_edges(), node, &mut path, dijkstra::beta_secs(net, t))
+                    }
+                    Some(table) => {
+                        let overlaid = overlay::overlaid_secs(net, table, t);
+                        walk(&row, net.in_edges(), node, &mut path, overlaid)
+                    }
+                };
+                let label = want.map_or(f64::INFINITY, f64::from_bits);
+                match got {
+                    Some(got) => {
+                        assert_eq!(bits(got), want, "{what}: {source} → {node}");
+                        assert!(label <= reach, "{what}: {source} → {node} lies beyond the reach");
+                    }
+                    None => assert!(label >= reach, "{what}: {source} → {node} is off the row"),
+                }
+            }
+            reaches.push(reach);
+        }
+        reaches
+    }
+
+    /// Rows carried across a seeded sequence of overlay swaps — incidents
+    /// that start (raising weights), end (lowering them) and overlap, every
+    /// incident ending at once (back to the static weights) and static
+    /// weights giving way to an overlay — answer what fresh searches on the
+    /// weights installed answer, bit for bit, row by row and node by node:
+    /// read after every swap, or only after several, and grown between
+    /// swaps. A quarter of the sources sweep to an island, so their rows
+    /// reach ∞. Returns the engine's counts and the number of swaps of each
+    /// kind: starts, ends, clears, and starts that overlap an incident under
+    /// way.
+    fn rows_follow_a_swap_sequence(net: &RoadNetwork, seed: u64) -> (Counts, [u32; 4]) {
+        use rand::{Rng, SeedableRng};
+        let (net, island) = with_island(net);
+        let t = TimePoint::from_hms(12, 30, 0);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let node = |rng: &mut rand::rngs::StdRng| {
+            NodeId::from_index(rng.random_range(0..net.node_count() - 1))
+        };
+        let (engine, counts) = metered(&net);
+        let sources: Vec<NodeId> = (0..12).map(|_| node(&mut rng)).collect();
+        let ask = |rng: &mut rand::rngs::StdRng, overlay: Option<&crate::TrafficOverlay>| {
+            for (k, &source) in sources.iter().enumerate() {
+                let target = if k % 4 == 0 { island } else { node(rng) };
+                if rng.random_bool(0.5) {
+                    let got = bits(engine.travel_time(source, target, t));
+                    assert_eq!(got, reference_bits(&net, overlay, source, &[target], t)[0]);
+                }
+            }
+        };
+        ask(&mut rng, None);
+        let mut active: Vec<(Vec<EdgeId>, f64)> = Vec::new();
+        let (mut installed, mut swaps) = (None, [0; 4]);
+        let mut infinite = 0;
+        for step in 0..30 {
+            let kind = match rng.random_range(0..8) {
+                0 if !active.is_empty() => 2,
+                1..=3 if !active.is_empty() => 1,
+                _ => 0,
+            };
+            match kind {
+                0 => {
+                    // Half the time next to the last incident, so they overlap.
+                    let center = match active.last() {
+                        Some((edges, _)) if rng.random_bool(0.5) => {
+                            net.edge(edges[rng.random_range(0..edges.len())]).to
+                        }
+                        _ => node(&mut rng),
+                    };
+                    let edges = incident(&net, center);
+                    let under_way = |edge| active.iter().any(|(slowed, _)| slowed.contains(edge));
+                    swaps[3] += u32::from(edges.iter().any(under_way));
+                    let factor = [1.5, 3.0, 8.0][rng.random_range(0..3usize)];
+                    active.push((edges, factor));
+                }
+                1 => {
+                    active.swap_remove(rng.random_range(0..active.len()));
+                }
+                _ => active.clear(),
+            }
+            swaps[kind] += 1;
+            let overlay = overlay_of(&active);
+            if overlay.is_empty() {
+                engine.clear_overlay();
+                installed = None;
+            } else {
+                engine.set_overlay(overlay.clone());
+                installed = Some(overlay);
+            }
+            let read: Vec<NodeId> =
+                sources.iter().copied().filter(|_| rng.random_bool(0.5)).collect();
+            let what = format!("seed {seed}, step {step}");
+            let reaches = assert_rows_fresh(&engine, installed.as_ref(), &read, t, &what);
+            infinite += reaches.iter().filter(|reach| reach.is_infinite()).count();
+            ask(&mut rng, installed.as_ref());
+        }
+        assert_rows_fresh(&engine, installed.as_ref(), &sources, t, "at the end");
+        assert!(infinite > 0, "some row read ran dry");
+        (counts(), swaps)
+    }
+
+    /// On random cities (no ties) and on a free-flow grid (ties
+    /// everywhere), every swap kind happens, rows are repaired and re-label
+    /// nodes, and every row holds to fresh searches throughout.
+    #[test]
+    fn rows_repaired_across_swaps_walk_like_fresh_searches() {
+        let mut networks: Vec<(RoadNetwork, u64)> = (1..=3)
+            .map(|seed| (crate::generators::RandomCityBuilder::new(240).seed(seed).build(), seed))
+            .collect();
+        let free_flow = crate::congestion::CongestionProfile::free_flow();
+        let grid = GridCityBuilder::new(12, 12).congestion(free_flow).build();
+        networks.extend([(grid.clone(), 4), (grid, 5)]);
+        for (net, seed) in &networks {
+            let (counts, swaps) = rows_follow_a_swap_sequence(net, *seed);
+            assert!(swaps.iter().all(|&swaps| swaps > 0), "seed {seed}: {swaps:?}");
+            assert!(counts.repaired > 0 && counts.repair_settled > 0, "seed {seed}: {counts:?}");
+        }
+    }
+
+    /// A swap whose changed edges no row settles — neither end of any of
+    /// them on the row — repairs the row with nothing re-labelled, and the
+    /// repaired row answers what it answered, with no search; `engine.rows.
+    /// repaired` counts the row once, on its first read, and not again.
+    #[test]
+    fn a_swap_no_row_settles_repairs_nothing_and_runs_no_search() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (engine, counts) = metered(&net);
+        rowed(&engine, source, nodes[nodes.len() / 3].0, t);
+        let (row, _) = row_of(&engine, source).expect("a row");
+        let off_row = |node: NodeId| row[node.index()] == ROW_UNSETTLED;
+        let mut far = crate::TrafficOverlay::new();
+        net.edge_ids()
+            .filter(|&edge| off_row(net.edge(edge).from) && off_row(net.edge(edge).to))
+            .for_each(|edge| far.slow_edge(edge, 3.0));
+        assert!(far.len() > 10, "the far edges of the city");
+        engine.set_overlay(far.clone());
+        let before = counts();
+        let near: Vec<NodeId> = nodes[1..nodes.len() / 3].iter().map(|&(node, _)| node).collect();
+        let got: Vec<_> =
+            engine.travel_times_to_many(source, &near, t).into_iter().map(bits).collect();
+        assert_eq!(got, reference_bits(&net, Some(&far), source, &near, t));
+        let after = counts();
+        assert_eq!((after.repaired, after.repair_settled), (before.repaired + 1, 0));
+        assert_eq!((after.searches, after.rows[0]), (before.searches, near.len() as u64));
+        assert_eq!(row_of(&engine, source).map(|(parents, _)| parents), Some(row));
+        engine.travel_times_to_many(source, &near, t);
+        assert_eq!(counts().repaired, after.repaired, "repaired once");
+    }
+
+    /// A repaired row's reach decides a gate as a fresh row's does: after an
+    /// incident slows the streets around a node the row settled, a gate
+    /// whose trigger the repaired row settles within the radius opens, one
+    /// whose trigger lies off the row closes, with no search, and the
+    /// answers are the fresh search's.
+    #[test]
+    fn a_repaired_rows_reach_decides_a_gate() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (engine, counts) = metered(&net);
+        rowed(&engine, source, nodes[nodes.len() / 2].0, t);
+        let mut slowed = crate::TrafficOverlay::new();
+        let center = nodes[nodes.len() / 4].0;
+        incident(&net, center).into_iter().for_each(|edge| slowed.slow_edge(edge, 4.0));
+        engine.set_overlay(slowed.clone());
+        let reach = assert_rows_fresh(&engine, Some(&slowed), &[source], t, "slowed")[0];
+        assert_eq!(counts().repaired, 1);
+        let all: Vec<NodeId> = net.node_ids().collect();
+        let fresh = reference_bits(&net, Some(&slowed), source, &all, t);
+        let secs = |node: NodeId| f64::from_bits(fresh[node.index()].expect("connected"));
+        let mut ranked: Vec<NodeId> = all.clone();
+        ranked.sort_by(|&a, &b| secs(a).total_cmp(&secs(b)));
+        let radius = reach / 2.0;
+        let within = ranked.iter().filter(|&&node| secs(node) <= radius).count();
+        let (near, beyond) = (ranked[within / 2], ranked[ranked.len() - 1]);
+        assert!(within > 10 && secs(beyond) > reach, "a row well past the radius");
+        let mut asked = GatedTargets::new();
+        asked.gate(Duration::from_secs_f64(radius), [near], [ranked[5]]);
+        asked.gate(Duration::from_secs_f64(radius), [beyond], [ranked[6]]);
+        let before = counts();
+        let got = engine.gated_travel_times(source, &asked, t);
+        assert_eq!(got.opened, [true, false]);
+        let mut opened = vec![near, ranked[5]];
+        opened.sort();
+        assert_eq!(got.targets, opened);
+        let got: Vec<_> = got.travel_times.into_iter().map(bits).collect();
+        assert_eq!(got, reference_bits(&net, Some(&slowed), source, &opened, t));
+        let after = counts();
+        assert_eq!((after.searches, after.gates_closed), (before.searches, before.gates_closed));
+    }
+
+    /// An hour roll still drops every row and the swap log with it: every
+    /// `β` changes with the hour, so nothing of the old hour is repaired
+    /// into the new one.
+    #[test]
+    fn an_hour_roll_drops_the_rows_and_the_swap_log() {
+        let t = TimePoint::from_hms(12, 30, 0);
+        let (net, source, nodes) = by_distance(t);
+        let (engine, counts) = metered(&net);
+        rowed(&engine, source, nodes[nodes.len() / 2].0, t);
+        let mut slowed = crate::TrafficOverlay::new();
+        incident(&net, nodes[3].0).into_iter().for_each(|edge| slowed.slow_edge(edge, 4.0));
+        engine.set_overlay(slowed.clone());
+        engine.clear_overlay();
+        engine.set_overlay(slowed.clone());
+        assert_eq!(lock(engine.inner.memo.lock()).swaps.starts.len(), 3);
+        let later = TimePoint::from_hms(13, 5, 0);
+        let one = engine.travel_time(source, nodes[1].0, later);
+        assert_eq!(bits(one), reference_bits(&net, Some(&slowed), source, &[nodes[1].0], later)[0]);
+        let memo = lock(engine.inner.memo.lock());
+        assert_eq!((memo.rows.len(), memo.swaps.starts.len(), memo.swaps.edges.len()), (1, 0, 0));
+        let row = &memo.rows[&source];
+        assert_eq!((row.generation, row.reach), (3, one.expect("connected").as_secs_f64()));
+        drop(memo);
+        assert_eq!((counts().repaired, counts().rows[1]), (0, 2), "dropped, not repaired");
     }
 }
